@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import Computation, Function, Var
-from repro.backends.parallel import _get_pool
+from repro.backends.pool import get_pool
 from repro.core.errors import (AdmissionError, DeadlineExceededError,
                                WorkerFailureError)
 from repro.driver import BatchCompiler, kernel_registry, pool_breaker
@@ -28,7 +28,7 @@ from repro.obs.events import (configure_event_log, read_journal,
 
 from conftest import bench_note, print_table
 
-HAVE_POOL = _get_pool(2) is not None
+HAVE_POOL = get_pool(2) is not None
 
 MAX_FALLBACK_OVERHEAD = 1.05
 SOAK_PLANS = 20

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from conftest import bench_note, print_table
 
-from repro.backends.parallel import get_pool
+from repro.backends.pool import get_pool
 from repro.kernels.stencil import build_heat
 from repro.machine import estimate_critical_path
 from repro.runtime import TaskGraphRuntime, run_forkjoin

@@ -4,6 +4,5 @@ simulator.
 Each backend registers itself with the driver's backend registry
 (:mod:`repro.driver.registry`) as a ``Backend`` with ``emit``/``bind``
 stages; ``Function.compile(target=...)`` resolves targets through that
-registry.  The ``compile_*`` free functions remain as deprecated shims
-over the staged pipeline.
+registry.
 """

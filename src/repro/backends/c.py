@@ -361,21 +361,36 @@ def have_c_compiler() -> bool:
 
 def build_shared_object(source: str, extra_flags: Sequence[str] = ()) -> str:
     """gcc-compile C source to a (content-addressed, reused) .so; returns
-    its path."""
-    digest = hashlib.sha1(source.encode()).hexdigest()[:16]
+    its path.  The address covers the flags too — the same source built
+    with different ``extra_flags`` is a different binary — and the .so is
+    built under a temporary name and renamed into place, so a concurrent
+    ``dlopen`` of the published path never sees a partial file."""
+    flags = list(extra_flags)
+    digest = hashlib.sha1(
+        "\0".join([source] + flags).encode()).hexdigest()[:16]
     workdir = os.path.join(tempfile.gettempdir(), "tiramisu_c")
     os.makedirs(workdir, exist_ok=True)
-    c_path = os.path.join(workdir, f"k_{digest}.c")
     so_path = os.path.join(workdir, f"k_{digest}.so")
-    if not os.path.exists(so_path):
-        with open(c_path, "w") as handle:
-            handle.write(source)
+    if os.path.exists(so_path):
+        return so_path
+    fd, tmp_path = tempfile.mkstemp(dir=workdir, prefix=f"k_{digest}.",
+                                    suffix=".so")
+    os.close(fd)
+    try:
         cmd = ["gcc", "-O3", "-march=native", "-fopenmp", "-shared",
-               "-fPIC", "-lm", c_path, "-o", so_path] + list(extra_flags)
-        result = subprocess.run(cmd, capture_output=True, text=True)
+               "-fPIC", "-lm", "-x", "c", "-", "-x", "none",
+               "-o", tmp_path] + flags
+        result = subprocess.run(cmd, input=source, capture_output=True,
+                                text=True)
         if result.returncode != 0:
             raise CodegenError(
                 f"gcc failed:\n{result.stderr}\n--- source ---\n{source}")
+        os.replace(tmp_path, so_path)
+    finally:
+        try:
+            os.unlink(tmp_path)
+        except FileNotFoundError:
+            pass
     return so_path
 
 
@@ -399,19 +414,3 @@ class CBackend(Backend):
                                       ctx.opt("extra_flags", ()))
         return NativeKernel(ctx.fn, ctx.source, so_path,
                             collect_buffers(ctx.fn))
-
-
-def compile_c(fn: Function, check_legality: bool = False,
-              verbose: bool = False,
-              extra_flags: Sequence[str] = (), **opts) -> NativeKernel:
-    """Deprecated shim: compile to native code through the staged driver
-    (prefer ``fn.compile("c")``)."""
-    import warnings
-    warnings.warn(
-        'compile_c() is deprecated and will be removed in release 2.0; '
-        'use Function.compile("c") / repro.driver.compile_function (or '
-        "compile_batch for many kernels)", DeprecationWarning, stacklevel=2)
-    from repro.driver import compile_function
-    return compile_function(fn, target="c", check_legality=check_legality,
-                            verbose=verbose, extra_flags=tuple(extra_flags),
-                            **opts)

@@ -27,8 +27,8 @@ from repro.core.function import Function
 
 from repro.driver.registry import Backend, register_backend
 
-from .cpu import (CompiledKernel, _bind_python_kernel, collect_buffers,
-                  emit_source)
+from .common import bind_python_kernel, collect_buffers
+from .cpu import CompiledKernel, emit_source
 
 
 @dataclass
@@ -126,21 +126,7 @@ class GpuBackend(Backend):
         return emit_source(ctx.fn, ast=ctx.ast)
 
     def bind(self, ctx) -> GpuKernel:
-        pyfunc = _bind_python_kernel(ctx.fn, ctx.source, "tiramisu-gpu")
+        pyfunc = bind_python_kernel(ctx.fn, ctx.source, "tiramisu-gpu")
         return GpuKernel(ctx.fn, ctx.source, pyfunc,
                          collect_buffers(ctx.fn), ctx.fn.param_names,
                          launch_info=ctx.extras["launch_info"])
-
-
-def compile_gpu(fn: Function, check_legality: bool = False,
-                verbose: bool = False, **opts) -> GpuKernel:
-    """Deprecated shim: compile for the simulated GPU target through the
-    staged driver (prefer ``fn.compile("gpu")``)."""
-    import warnings
-    warnings.warn(
-        'compile_gpu() is deprecated and will be removed in release 2.0; '
-        'use Function.compile("gpu") / repro.driver.compile_function (or '
-        "compile_batch for many kernels)", DeprecationWarning, stacklevel=2)
-    from repro.driver import compile_function
-    return compile_function(fn, target="gpu", check_legality=check_legality,
-                            verbose=verbose, **opts)

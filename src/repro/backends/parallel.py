@@ -5,9 +5,6 @@ worker function ``_par_body_k(_bufs, _params, _lo, _hi)`` (see
 :mod:`repro.codegen.pyemit`).  This module supplies the runtime that
 dispatches those chunks onto real cores:
 
-* a process pool (``concurrent.futures.ProcessPoolExecutor``, fork
-  start method when available so workers inherit the warm interpreter),
-  cached per worker count and shut down at exit;
 * shared output buffers — the kernel's arrays are staged into
   ``multiprocessing.shared_memory`` segments for the duration of a
   call, so every worker writes the same pages and the parent copies
@@ -20,47 +17,42 @@ dispatches those chunks onto real cores:
   active, ``offload`` answers ``False`` and the emitted code calls the
   body inline.
 
-Workers never receive live kernel objects (exec'd functions do not
-pickle): each chunk carries the emitted source and its digest, and the
-worker process re-execs it once, caching the namespace per digest.
+The process pool itself (fork start method when available so workers
+inherit the warm interpreter), the worker-side entry point and the
+failure policy around a dispatch are shared with the tile-DAG runtime
+and the batch compile front end and live in :mod:`repro.backends.pool`.
 
-Fault tolerance (docs/robustness.md): a region dispatch that loses a
-worker (``BrokenProcessPool``) or misses its per-chunk ``timeout`` is
-retried on a fresh pool with exponential backoff, up to ``max_retries``
-times; shared buffers are snapshotted before the first dispatch and
-restored before each retry so reductions stay bit-identical.  When the
-pool keeps dying, ``on_worker_failure`` picks the endgame: ``"fallback"``
-(default) runs the region inline in the parent, ``"retry"`` raises after
-the last attempt, ``"raise"`` fails on the first.  Exceptions raised *by*
-the loop body are deterministic application errors and are never
-retried.  Every retry, pool restart, chunk timeout and fallback is
-counted in :mod:`repro.obs.metrics` and spanned on the tracer timeline;
-an active :class:`repro.faults.FaultPlan` can crash or hang individual
-chunk workers deterministically.
+Fault tolerance (docs/robustness.md): a region dispatch runs under
+:func:`repro.backends.pool.supervise`.  This module's own part is the
+snapshot of the shared buffers taken before the first attempt and
+restored before each retry, so reductions stay bit-identical, and the
+inline fallback.  Exceptions raised *by* the loop body are
+deterministic application errors and are never retried.
 """
 
 from __future__ import annotations
 
-import atexit
 import hashlib
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.errors import ExecutionError, WorkerFailureError
-from repro.obs.events import EVT_PARALLEL
-from repro.obs.events import emit as emit_event
 
 from .common import resolve_timeout
+from .pool import (PARALLEL, Site, book, exec_in_worker, get_pool,
+                   refusal, supervise, worker_fault)
+
+#: A region with fewer than two such chunks of iterations is not worth
+#: a dispatch and runs inline.
+MIN_CHUNK_ITERS = 1
 
 
 def resolve_num_threads(value) -> int:
@@ -94,164 +86,6 @@ def chunk_ranges(lo: int, hi: int, n: int) -> List[Tuple[int, int]]:
     return out
 
 
-# -- worker side -------------------------------------------------------------
-
-_SOURCE_CACHE: Dict[str, dict] = {}  # per-process: digest -> exec namespace
-
-
-def _load_namespace(digest: str, source: str) -> dict:
-    ns = _SOURCE_CACHE.get(digest)
-    if ns is None:
-        ns = {}
-        exec(compile(source, f"<tiramisu-par:{digest[:12]}>", "exec"), ns)
-        _SOURCE_CACHE[digest] = ns
-    return ns
-
-
-def _exec_chunk(digest: str, source: str, body_name: str, specs,
-                params: Dict[str, int], lo: int, hi: int,
-                profiled: bool = False, fault=None) -> tuple:
-    """Run one chunk of a parallel loop inside a worker process.
-
-    Returns ``(pid, start_ns, end_ns, obs_snapshot)`` — the wall clock
-    of the chunk body (for the parent's worker-imbalance metrics) and,
-    when ``profiled``, the worker collector's picklable counter
-    snapshot so per-computation iteration counts stay exact under
-    multicore execution.
-
-    ``fault`` is the parent's fault-injection decision for this chunk
-    (workers never see the plan itself): ``("crash",)`` kills this
-    process outright — the pool reports ``BrokenProcessPool`` — and
-    ``("hang", seconds)`` stalls before computing, so a per-chunk
-    timeout reads it as a hung worker."""
-    import time as _time
-    if fault:
-        if fault[0] == "crash":
-            os._exit(13)
-        elif fault[0] == "hang":
-            _time.sleep(float(fault[1]))
-    ns = _load_namespace(digest, source)
-    attached: List[shared_memory.SharedMemory] = []
-    bufs: Dict[str, np.ndarray] = {}
-    try:
-        for name, (shm_name, shape, dtype) in specs.items():
-            shm = shared_memory.SharedMemory(name=shm_name)
-            attached.append(shm)
-            bufs[name] = np.ndarray(shape, dtype=np.dtype(dtype),
-                                    buffer=shm.buf)
-        snapshot = None
-        start_ns = _time.perf_counter_ns()
-        if profiled:
-            from repro.obs import RunCollector
-            collector = RunCollector()
-            ns[body_name](bufs, params, lo, hi, collector)
-            snapshot = collector.snapshot()
-        else:
-            ns[body_name](bufs, params, lo, hi)
-        end_ns = _time.perf_counter_ns()
-        return os.getpid(), start_ns, end_ns, snapshot
-    finally:
-        bufs.clear()
-        for shm in attached:
-            try:
-                shm.close()
-            except BufferError:  # a stray view kept the mapping alive
-                pass
-
-
-# -- pool management ---------------------------------------------------------
-#
-# The cached process pools are deliberately generic: the parallel
-# runtime dispatches loop chunks on them, and the batch compile front
-# end (repro.driver.batch) dispatches whole source compiles on the same
-# machinery — one warm fork pool per worker count, shared process-wide.
-
-_POOLS: Dict[int, ProcessPoolExecutor] = {}
-_POOL_UNAVAILABLE = False
-
-
-def _mp_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else methods[0])
-
-
-def _ensure_resource_tracker() -> None:
-    """Spawn the shared-memory resource tracker *before* forking workers.
-
-    Fork children inherit the parent's tracker connection.  If the first
-    pool is forked before this process ever created a SharedMemory
-    segment (the batch compile front end warms a pool without touching
-    shared memory), each worker would lazily spawn its own *private*
-    tracker on first segment attach — and a private tracker unlinks
-    every segment its worker registered the moment that worker dies,
-    yanking live staging buffers out from under the parent's retry
-    logic.  Starting the parent's tracker first makes every worker
-    register with the shared, parent-lifetime tracker instead.
-    """
-    try:
-        from multiprocessing import resource_tracker
-        resource_tracker.ensure_running()
-    except Exception:
-        pass
-
-
-def get_pool(workers: int) -> Optional[ProcessPoolExecutor]:
-    """The cached process pool for ``workers``, building (and caching)
-    it on first use; None when this host cannot run a pool at all."""
-    global _POOL_UNAVAILABLE
-    if _POOL_UNAVAILABLE:
-        return None
-    pool = _POOLS.get(workers)
-    if pool is None:
-        try:
-            _ensure_resource_tracker()
-            pool = ProcessPoolExecutor(max_workers=workers,
-                                       mp_context=_mp_context())
-        except (OSError, ValueError, NotImplementedError):
-            _POOL_UNAVAILABLE = True
-            return None
-        _POOLS[workers] = pool
-    return pool
-
-
-def discard_pool(workers: int) -> None:
-    """Drop (and kill) the cached pool for ``workers`` so the next
-    ``get_pool`` builds a fresh one.  Workers are terminated rather
-    than joined: a crashed pool's survivors are in an unknown state and
-    a hung worker would otherwise keep writing to shared buffers after
-    its region has been retried."""
-    pool = _POOLS.pop(workers, None)
-    if pool is None:
-        return
-    procs = getattr(pool, "_processes", None) or {}
-    for proc in list(procs.values()):
-        try:
-            proc.terminate()
-        except (AttributeError, OSError):
-            pass
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except (OSError, RuntimeError):
-        pass
-
-
-# Pre-generalization names (the runtime below and existing callers used
-# the underscore forms).
-_get_pool = get_pool
-_discard_pool = discard_pool
-
-
-def shutdown_pools() -> None:
-    """Tear down every cached worker pool (also runs atexit)."""
-    for pool in _POOLS.values():
-        pool.shutdown(wait=True, cancel_futures=True)
-    _POOLS.clear()
-
-
-atexit.register(shutdown_pools)
-
-
 # -- the runtime -------------------------------------------------------------
 
 @dataclass
@@ -279,14 +113,12 @@ class ParallelRuntime:
     """
 
     def __init__(self, source: str, num_threads: int,
-                 min_chunk_iters: int = 1, profiled: bool = False,
-                 max_retries: int = 2, timeout: Optional[float] = None,
-                 on_worker_failure: str = "fallback",
-                 retry_backoff: float = 0.05):
+                 profiled: bool = False, max_retries: int = 2,
+                 timeout: Optional[float] = None,
+                 on_worker_failure: str = "fallback"):
         self.source = source
         self.digest = hashlib.sha256(source.encode()).hexdigest()
         self.num_threads = int(num_threads)
-        self.min_chunk_iters = min_chunk_iters
         self.profiled = bool(profiled)
         self.max_retries = int(max_retries)
         # Per-chunk deadline in seconds; None (and no TIRAMISU_TIMEOUT
@@ -298,14 +130,13 @@ class ParallelRuntime:
                 f"on_worker_failure must be 'retry', 'fallback' or "
                 f"'raise', got {on_worker_failure!r}")
         self.on_worker_failure = on_worker_failure
-        self.retry_backoff = float(retry_backoff)
         self.stats = ParallelStats()
         self._specs = None  # buffer name -> (shm name, shape, dtype str)
         self._views = None  # buffer name -> shm-backed ndarray (parent)
 
     def enabled(self) -> bool:
         return self.num_threads >= 2 \
-            and _get_pool(self.num_threads) is not None
+            and get_pool(self.num_threads) is not None
 
     def offload(self, trip: int) -> bool:
         """Should this region's chunks go to the pool?  ``False`` makes
@@ -314,16 +145,8 @@ class ParallelRuntime:
         breaker is open: a pool that keeps dying stops being hammered,
         and ``parallelize`` silently becomes sequential (bit-identical
         results, the pre-parallel semantics)."""
-        if self._specs is None or trip < 2 * self.min_chunk_iters \
-                or not self.enabled():
-            return False
-        from repro.driver.resilience import pool_breaker
-        if not pool_breaker().allow():
-            self.stats.breaker_blocks += 1
-            from repro.obs.metrics import metrics
-            metrics.counter("parallel.breaker_blocks").inc()
-            return False
-        return True
+        return self._specs is not None and trip >= 2 * MIN_CHUNK_ITERS \
+            and refusal(PARALLEL, (self.stats,), self.num_threads) is None
 
     @contextmanager
     def sharing(self, arrays: Dict[str, np.ndarray]):
@@ -382,158 +205,93 @@ class ParallelRuntime:
         block until every worker finishes.
 
         Worker *failures* (a crash breaking the pool, a chunk missing
-        its ``timeout``) are retried on a fresh pool — shared buffers
-        are restored from a snapshot first so partially-applied
-        reductions cannot double-count — and, with
-        ``on_worker_failure="fallback"``, degrade to inline sequential
-        execution when the pool keeps dying.  Exceptions raised by the
-        body itself are application errors and surface immediately.
+        its ``timeout``) are supervised (:meth:`_supervise`); exceptions
+        raised by the body itself are application errors and surface
+        immediately.
 
         Each chunk result carries the worker's wall clock (and, when
         profiling, its counter snapshot); they are aggregated here, in
         the parent, into the process-global metrics registry and the
         per-call ``obs`` collector — workers never share state."""
-        from repro.driver.resilience import current_deadline, pool_breaker
         from repro.obs.metrics import metrics
         if self._specs is None:  # raced a pool teardown
             raise ExecutionError(
                 f"parallel region {body.__name__} has no active pool")
-        ambient_deadline = current_deadline()
-        if ambient_deadline is not None:
-            ambient_deadline.check("parallel-dispatch")
-        breaker = pool_breaker()
         region = self.stats.regions
         self.stats.regions += 1
         metrics.counter("parallel.regions").inc()
-        retryable = self.on_worker_failure != "raise"
-        # Chunks may have partially applied writes (reductions!) when a
-        # worker dies mid-flight; the snapshot lets every retry start
-        # from clean buffers, keeping retried output bit-identical.
-        snapshot = None
-        if retryable and self._views is not None:
-            snapshot = {name: np.array(view, copy=True)
-                        for name, view in self._views.items()}
-        attempts = 1 + (self.max_retries if retryable else 0)
-        delay = self.retry_backoff
-        failure: Optional[WorkerFailureError] = None
-        for attempt in range(attempts):
-            try:
-                self._dispatch(body, params, lo, hi, obs, region, attempt)
-                breaker.record_success()
-                return
-            except WorkerFailureError as exc:
-                failure = exc
-                breaker.record_failure()
-                metrics.counter("parallel.worker_failures").inc()
-                emit_event("parallel.worker_failure", EVT_PARALLEL,
-                           region=region, attempt=attempt,
-                           error=str(exc))
-                _discard_pool(self.num_threads)
-                self.stats.pool_restarts += 1
-                metrics.counter("parallel.pool_restarts").inc()
-                emit_event("parallel.pool_restart", EVT_PARALLEL,
-                           workers=self.num_threads)
-                if snapshot is not None:
-                    for name, saved in snapshot.items():
-                        self._views[name][...] = saved
-                if attempt + 1 < attempts:
-                    self.stats.retries += 1
-                    metrics.counter("parallel.retries").inc()
-                    self._trace_fault(f"parallel:retry:{body.__name__}",
-                                      attempt=attempt + 1, reason=str(exc))
-                    emit_event("parallel.retry", EVT_PARALLEL,
-                               region=region, attempt=attempt + 1,
-                               backoff_seconds=delay)
-                    time.sleep(delay)
-                    delay *= 2
-                    if _get_pool(self.num_threads) is None:
-                        break  # the pool cannot come back on this host
-        if self.on_worker_failure == "fallback":
-            self.stats.sequential_fallbacks += 1
-            metrics.counter("parallel.sequential_fallbacks").inc()
-            self._trace_fault(f"parallel:fallback:{body.__name__}",
-                              region=region, reason=str(failure))
-            emit_event("parallel.fallback", EVT_PARALLEL, region=region,
-                       reason=str(failure))
+        if not self._supervise(
+                lambda pool, attempt: self._dispatch(
+                    pool, body, params, lo, hi, obs, region, attempt),
+                body.__name__, region):
             self._run_inline(body, params, lo, hi, obs)
-            return
-        raise failure
 
-    def _dispatch(self, body, params: Dict[str, int], lo: int, hi: int,
-                  obs, region: int, attempt: int) -> None:
+    def _supervise(self, attempt: Callable, label: str, region: int,
+                   site: Site = PARALLEL,
+                   stats: Optional[tuple] = None) -> bool:
+        """One supervised dispatch of a unit of work (a region's chunks;
+        a whole tile DAG in the subclass); False means it fell back.
+        Workers may have partially applied writes (reductions!) when one
+        dies mid-flight; the snapshot taken here lets every retry — and
+        the inline fallback — start from clean buffers, keeping the
+        output bit-identical."""
+        views = self._views
+        snapshot = {} if self.on_worker_failure == "raise" else {
+            name: np.array(view, copy=True) for name, view in views.items()}
+
+        def restore():
+            for name, saved in snapshot.items():
+                views[name][...] = saved
+
+        return bool(supervise(
+            attempt, site=site, stats=stats or (self.stats,), label=label,
+            workers=self.num_threads, max_retries=self.max_retries,
+            on_worker_failure=self.on_worker_failure, restore=restore,
+            region=region))
+
+    def _dispatch(self, pool, body, params: Dict[str, int], lo: int,
+                  hi: int, obs, region: int, attempt: int) -> bool:
         """One attempt: submit every chunk, gather every result.
 
-        Raises :class:`WorkerFailureError` for infrastructure failures
-        (broken pool, chunk deadline) — the retryable class — and plain
-        :class:`ExecutionError` for exceptions the body raised."""
-        from repro.faults import get_plan
+        Infrastructure failures leave as ``BrokenProcessPool`` or
+        :class:`WorkerFailureError` (a chunk deadline) for
+        :func:`supervise` to handle; exceptions the body raised become
+        plain :class:`ExecutionError`."""
         from repro.obs.metrics import metrics
-        pool = _get_pool(self.num_threads)
-        if pool is None:
-            raise WorkerFailureError(
-                f"parallel region {body.__name__} has no active pool")
-        plan = get_plan()
-        if plan is not None \
-                and plan.fires("pool-refusal", op="parallel"):
-            raise WorkerFailureError(
-                f"parallel region {body.__name__}: the worker pool "
-                f"refused the dispatch (injected)")
         bounds = chunk_ranges(lo, hi, self.num_threads)
         futures = []
-        try:
-            for k, (clo, chi) in enumerate(bounds):
-                fault = None
-                if plan is not None:
-                    site = dict(region=region, chunk=k, attempt=attempt)
-                    spec = plan.fires("worker-crash", **site)
-                    if spec is not None:
-                        fault = ("crash",)
-                    else:
-                        spec = plan.fires("worker-hang", **site)
-                        if spec is not None:
-                            fault = ("hang",
-                                     spec.payload.get("seconds", 30.0))
-                futures.append(pool.submit(
-                    _exec_chunk, self.digest, self.source, body.__name__,
-                    self._specs, params, clo, chi, self.profiled, fault))
-        except BrokenProcessPool as exc:
-            # An earlier chunk's crash can break the pool while later
-            # chunks are still being submitted.
-            for fut in futures:
-                fut.cancel()
-            raise WorkerFailureError(
-                f"parallel region {body.__name__}: the worker pool died "
-                f"during dispatch ({exc})") from exc
-        self.stats.chunks += len(bounds)
-        self.stats.max_workers = max(self.stats.max_workers, len(bounds))
         pids = set(self.stats.worker_pids)
         errors: List[BaseException] = []
         chunk_seconds: List[float] = []
-        deadline = (time.monotonic() + self.timeout
-                    if self.timeout is not None else None)
         try:
+            # Submitting is inside the try: an earlier chunk's crash can
+            # break the pool while later chunks are still going out.
+            for k, (clo, chi) in enumerate(bounds):
+                futures.append(pool.submit(
+                    exec_in_worker, self.digest, self.source,
+                    body.__name__, self._specs, params, (clo, chi),
+                    self.profiled, worker_fault(region, k, attempt)))
+            self.stats.chunks += len(bounds)
+            self.stats.max_workers = max(self.stats.max_workers,
+                                         len(bounds))
+            deadline = (time.monotonic() + self.timeout
+                        if self.timeout is not None else None)
             for fut, (clo, chi) in zip(futures, bounds):
                 try:
-                    if deadline is None:
-                        pid, start_ns, end_ns, snapshot = fut.result()
-                    else:
-                        remaining = max(0.0, deadline - time.monotonic())
-                        pid, start_ns, end_ns, snapshot = fut.result(
-                            timeout=remaining)
+                    remaining = (None if deadline is None else
+                                 max(0.0, deadline - time.monotonic()))
+                    pid, start_ns, end_ns, snapshot = fut.result(
+                        timeout=remaining)
                 except FuturesTimeoutError:
-                    self.stats.chunk_timeouts += 1
-                    metrics.counter("parallel.chunk_timeouts").inc()
-                    emit_event("parallel.chunk_timeout", EVT_PARALLEL,
-                               region=region, chunk_lo=clo, chunk_hi=chi,
-                               timeout_seconds=self.timeout)
+                    book(PARALLEL, "chunk_timeout", (self.stats,),
+                         region=region, chunk_lo=clo, chunk_hi=chi,
+                         timeout_seconds=self.timeout)
                     raise WorkerFailureError(
                         f"parallel region {body.__name__}: chunk "
                         f"[{clo}, {chi}] exceeded the {self.timeout:g}s "
                         f"timeout (hung worker?)") from None
-                except BrokenProcessPool as exc:
-                    raise WorkerFailureError(
-                        f"parallel region {body.__name__}: the worker "
-                        f"pool died mid-dispatch ({exc})") from exc
+                except BrokenProcessPool:
+                    raise
                 except BaseException as exc:  # noqa: BLE001 - app error
                     errors.append(exc)
                     continue
@@ -559,6 +317,7 @@ class ParallelRuntime:
             raise ExecutionError(
                 f"parallel region {body.__name__} failed in a worker: "
                 f"{errors[0]}") from errors[0]
+        return True
 
     def _run_inline(self, body, params: Dict[str, int], lo: int, hi: int,
                     obs) -> None:
@@ -574,22 +333,3 @@ class ParallelRuntime:
             body(views, params, lo, hi, obs)
         else:
             body(views, params, lo, hi)
-
-    @staticmethod
-    def _trace_fault(name: str, **args) -> None:
-        """Drop a zero-length marker span on the tracer timeline so
-        retries and fallbacks are visible next to chunk spans.
-
-        Fault paths also flush the trace file eagerly: a run that is
-        crashing workers may not live to the atexit handler, and the
-        export is atomic, so flushing mid-run costs nothing but leaves
-        evidence on disk."""
-        from repro.obs.tracer import CAT_FAULT, get_tracer, write_trace_file
-        tracer = get_tracer()
-        if tracer.enabled():
-            now = time.perf_counter_ns()
-            tracer.add_span(name, CAT_FAULT, now, now, **args)
-            try:
-                write_trace_file()
-            except OSError:
-                pass  # telemetry must never take the run down

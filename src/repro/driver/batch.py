@@ -17,29 +17,26 @@ This module is the front end for that shape:
   :class:`~repro.driver.trace.CompileReport`\\ s) as compiles finish.
 
 Distinct cold compiles run their heavy stages (legality through emit)
-inside the cached fork pool of :mod:`repro.backends.parallel` — the
+inside the cached fork pool of :mod:`repro.backends.pool` — the
 same machinery that executes parallel loop chunks — via
 :func:`repro.driver.pipeline.compile_to_source`; the parent then binds
 the shipped source with
 :meth:`~repro.driver.pipeline.CompilePipeline.run_precompiled` and
 publishes the artifact to the memory and disk cache tiers.  Warm
-requests (memory or disk hit) never leave the parent.  The parallel
-runtime's fault-tolerance options apply to compile dispatch too: a
-worker crash or a compile missing its ``timeout`` is retried on a
-fresh pool up to ``max_retries`` times, after which
-``on_worker_failure`` picks the endgame (``"fallback"`` compiles
-inline in the parent, ``"retry"`` raises after the last attempt,
-``"raise"`` fails on the first).  Deterministic compile errors — an
-illegal schedule, a bad option — are application errors: they are
-never retried and surface on ``result()`` for every handle of that
-fingerprint.
+requests (memory or disk hit) never leave the parent.  Compile
+dispatch goes through the same :func:`~repro.backends.pool.supervise`
+loop as loop chunks (docs/robustness.md), so ``max_retries``,
+``timeout`` and ``on_worker_failure`` mean the same here, with
+"fallback" compiling inline in the parent.  Deterministic compile
+errors — an illegal schedule, a bad option — are application errors:
+they are never retried and surface on ``result()`` for every handle of
+that fingerprint.
 """
 
 from __future__ import annotations
 
 import pickle
 import threading
-import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures import as_completed as _futures_as_completed
@@ -49,17 +46,14 @@ from typing import Dict, Iterable, Iterator, List, Optional
 
 import os
 
-from repro.core.errors import AdmissionError, WorkerFailureError
+from repro.backends.pool import BATCH, refusal, supervise
+from repro.core.errors import AdmissionError
 from repro.obs.events import (EVT_BATCH, EVT_RESILIENCE, compile_context,
                               emit, new_compile_id)
 
 from .pipeline import CompilePipeline, compile_to_source
 from .registry import get_backend
-from .resilience import Deadline, deadline_scope, pool_breaker
-
-#: Backoff before a retried worker compile (doubles per attempt),
-#: mirroring ParallelRuntime.retry_backoff.
-RETRY_BACKOFF = 0.05
+from .resilience import Deadline, deadline_scope
 
 #: Admission-control environment knobs (docs/robustness.md): the
 #: default capacity bounds and overload policy for every BatchCompiler
@@ -83,19 +77,6 @@ def _env_capacity(name: str) -> Optional[int]:
     if value < 1:
         raise ValueError(f"{name} must be a positive int, got {raw!r}")
     return value
-
-
-def _compile_source_job(fn, target: str, options: Dict[str, object],
-                        compile_id: Optional[str] = None,
-                        deadline_remaining: Optional[float] = None):
-    """What a pool worker runs: the heavy pipeline stages, returning a
-    picklable artifact for the parent to bind.  ``compile_id`` carries
-    the submit-time correlation id across the process boundary, so the
-    worker's journal events join the parent's; ``deadline_remaining``
-    carries what is left of the request budget the same way."""
-    return compile_to_source(fn, target, compile_id=compile_id,
-                             deadline_remaining=deadline_remaining,
-                             **options)
 
 
 @dataclass
@@ -543,10 +524,10 @@ class BatchCompiler:
         disk = pipeline._disk_tier()
         if disk is not None and job.fingerprint in disk:
             return False   # warm on disk: loading inline is cheaper
-        if not self._breaker_allows_offload(job):
-            return False
-        from repro.backends.parallel import get_pool
-        if get_pool(self.workers) is None:
+        # The breaker (asked before the costly probes: pool creation,
+        # the picklability check) and the pool itself.
+        if refusal(BATCH, (self.stats,), self.workers,
+                   function=job.fn.name) is not None:
             return False
         try:
             pickle.dumps((job.fn, job.options))
@@ -554,116 +535,41 @@ class BatchCompiler:
             return False
         return True
 
-    def _breaker_allows_offload(self, job: _Job) -> bool:
-        """Consult the shared pool's circuit breaker before the costly
-        offload probes (pool creation, the picklability check): while
-        the breaker is open the job degrades to the inline path without
-        paying for a dispatch that will never happen."""
-        if pool_breaker().allow():
-            return True
-        from repro.obs.metrics import metrics
-        self._count(breaker_short_circuits=1, fallbacks=1)
-        metrics.counter("compile_batch.fallbacks").inc()
-        emit("batch.fallback", EVT_BATCH, compile_id=job.compile_id,
-             function=job.fn.name, reason="breaker-open")
-        return False
-
     def _compile_in_worker(self, job: _Job):
-        """Dispatch one source compile onto the shared pool, with the
-        parallel runtime's retry/timeout discipline.  Returns the
-        artifact dict, or None to fall back to an inline compile.
+        """Dispatch one source compile onto the shared pool under the
+        shared supervised-dispatch policy.  Returns the artifact dict,
+        or None to compile inline instead.  Each attempt ships what is
+        left of the job's budget to the worker and waits no longer than
+        that for the result."""
+        def attempt(pool, n):
+            remaining = (job.deadline.remaining()
+                         if job.deadline is not None else None)
+            try:
+                future = pool.submit(
+                    compile_to_source, job.fn, job.target,
+                    compile_id=job.compile_id,
+                    deadline_remaining=remaining, **job.options)
+            except BrokenProcessPool:
+                raise
+            except Exception:  # noqa: BLE001 - pool shut down under us
+                return None
+            # Anything else the worker raised is a deterministic compile
+            # error and propagates to every handle of this fingerprint.
+            try:
+                return future.result(timeout=remaining)
+            except FuturesTimeoutError:
+                future.cancel()
+                raise
+            except pickle.PicklingError:
+                return None
 
-        The shared pool's circuit breaker was already consulted in
-        :meth:`_offloadable`; the re-check here catches a trip that
-        lands between that probe and the dispatch, refusing the offload
-        so the compile degrades to the inline path without touching the
-        pool.  Each attempt first charges the job's deadline (stage
-        ``batch-offload``) and ships the remaining budget to the
-        worker; every infrastructure failure feeds the breaker, every
-        success resets it."""
-        from repro.backends.parallel import discard_pool, get_pool
-        from repro.faults import get_plan
-        from repro.obs.metrics import metrics
-        breaker = pool_breaker()
-        if not breaker.allow():
-            self._count(breaker_short_circuits=1, fallbacks=1)
-            metrics.counter("compile_batch.fallbacks").inc()
-            emit("batch.fallback", EVT_BATCH, compile_id=job.compile_id,
-                 function=job.fn.name, reason="breaker-open")
-            return None
-        deadline = job.deadline
-        on_failure = job.normalized.get("on_worker_failure", "fallback")
-        retryable = on_failure != "raise"
-        max_retries = int(job.normalized.get("max_retries", 2))
-        attempts = 1 + (max_retries if retryable else 0)
-        delay = RETRY_BACKOFF
-        failure: Optional[WorkerFailureError] = None
-        for attempt in range(attempts):
-            if deadline is not None:
-                deadline.check("batch-offload")
-            pool = get_pool(self.workers)
-            if pool is None:
-                break
-            plan = get_plan()
-            if plan is not None \
-                    and plan.fires("pool-refusal", op="batch"):
-                failure = WorkerFailureError(
-                    f"batch compile of {job.fn.name!r}: the worker "
-                    f"pool refused the dispatch (injected)")
-            else:
-                remaining = (deadline.remaining()
-                             if deadline is not None else None)
-                try:
-                    future = pool.submit(_compile_source_job, job.fn,
-                                         job.target, job.options,
-                                         job.compile_id, remaining)
-                except Exception:  # noqa: BLE001 - submit-time pickling
-                    return None
-                try:
-                    artifact = future.result(timeout=remaining)
-                    breaker.record_success()
-                    return artifact
-                except FuturesTimeoutError:
-                    future.cancel()
-                    failure = WorkerFailureError(
-                        f"batch compile of {job.fn.name!r} exceeded "
-                        f"its {remaining:g}s budget (hung worker?)")
-                except BrokenProcessPool as exc:
-                    failure = WorkerFailureError(
-                        f"batch compile of {job.fn.name!r}: the worker "
-                        f"pool died ({exc})")
-                except pickle.PicklingError:
-                    return None
-            # Everything else is a deterministic compile error and
-            # propagates to every handle of this fingerprint.
-            breaker.record_failure()
-            self._count(worker_failures=1)
-            metrics.counter("compile_batch.worker_failures").inc()
-            emit("batch.worker_failure", EVT_BATCH,
-                 compile_id=job.compile_id, function=job.fn.name,
-                 attempt=attempt, error=str(failure))
-            discard_pool(self.workers)
-            self._count(pool_restarts=1)
-            metrics.counter("compile_batch.pool_restarts").inc()
-            emit("batch.pool_restart", EVT_BATCH,
-                 compile_id=job.compile_id, workers=self.workers)
-            if attempt + 1 < attempts:
-                self._count(retries=1)
-                metrics.counter("compile_batch.retries").inc()
-                emit("batch.retry", EVT_BATCH,
-                     compile_id=job.compile_id, function=job.fn.name,
-                     attempt=attempt + 1, backoff_seconds=delay)
-                time.sleep(delay)
-                delay *= 2
-                if get_pool(self.workers) is None:
-                    break  # the pool cannot come back on this host
-        if failure is not None and on_failure != "fallback":
-            raise failure
-        self._count(fallbacks=1)
-        metrics.counter("compile_batch.fallbacks").inc()
-        emit("batch.fallback", EVT_BATCH, compile_id=job.compile_id,
-             function=job.fn.name)
-        return None
+        return supervise(
+            attempt, site=BATCH, stats=(self.stats,), workers=self.workers,
+            label=job.fn.name,
+            max_retries=int(job.normalized.get("max_retries", 2)),
+            on_worker_failure=job.normalized.get("on_worker_failure",
+                                                 "fallback"),
+            function=job.fn.name)
 
 
 def compile_batch(requests: Iterable, target: str = "cpu",

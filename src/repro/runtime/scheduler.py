@@ -12,80 +12,37 @@ leaves workers idle at the ragged edge of every row — overlap rows: a
 tile of row ``t+1`` starts while the rest of row ``t`` is still in
 flight.
 
-Failure semantics match the fork-join runtime (docs/robustness.md):
-losing a worker mid-graph restores every shared buffer from the
-pre-graph snapshot and replays the *whole* DAG on a fresh pool (a
-partial replay could observe half-written tiles; the full replay is
-provably bit-identical because every tile recomputes from restored
-inputs in the same intra-tile order), with exponential backoff up to
-``max_retries``; when the pool keeps dying ``on_worker_failure``
-decides between raising and declining — a declined graph returns
-``False`` to the emitted dispatch preamble, which falls through to the
-unchanged sequential nest.  Every dispatch round first charges the
-ambient request :class:`~repro.driver.resilience.Deadline`, so an
-expired budget fails between tiles, never mid-submit.
+Failure semantics (docs/task_runtime.md): one graph execution is one
+supervised dispatch (:func:`repro.backends.pool.supervise`) with the
+*whole* DAG as the retry unit — a partial replay could observe
+half-written tiles, while the full replay from the pre-graph snapshot
+is bit-identical because every tile recomputes from restored inputs in
+the same intra-tile order.  A graph that falls back is *declined*:
+``run_taskgraph`` returns ``False`` to the emitted dispatch preamble,
+which falls through to the unchanged sequential nest.  Every dispatch
+round also charges the ambient request
+:class:`~repro.driver.resilience.Deadline`, so an expired budget fails
+between tiles, never mid-submit.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.backends.parallel import (ParallelRuntime, _discard_pool,
-                                     _get_pool, _load_namespace)
+from repro.backends.parallel import ParallelRuntime
+from repro.backends.pool import (TASKGRAPH, book, exec_in_worker,
+                                 load_namespace, refusal, worker_fault)
 from repro.core.errors import ExecutionError, WorkerFailureError
 from repro.obs.events import EVT_PARALLEL
 from repro.obs.events import emit as emit_event
 
 from .taskgraph import TaskGraph, TaskGraphUnavailable, build_task_graph
-
-
-def _exec_tile(digest: str, source: str, specs,
-               params: Dict[str, int],
-               bounds: Tuple[Tuple[int, int], ...],
-               fault=None) -> tuple:
-    """Run one tile in a worker process (the task-graph sibling of
-    ``_exec_chunk``): re-exec the kernel source (cached per digest),
-    attach the shared staging buffers, and call ``_tile_body`` with the
-    tile's inclusive per-dim bounds.  Returns ``(pid, start_ns,
-    end_ns)``; ``fault`` carries the parent's injection decision
-    (``("crash",)`` / ``("hang", seconds)``)."""
-    import time as _time
-    if fault:
-        if fault[0] == "crash":
-            os._exit(13)
-        elif fault[0] == "hang":
-            _time.sleep(float(fault[1]))
-    ns = _load_namespace(digest, source)
-    attached: List[shared_memory.SharedMemory] = []
-    bufs: Dict[str, np.ndarray] = {}
-    try:
-        for name, (shm_name, shape, dtype) in specs.items():
-            shm = shared_memory.SharedMemory(name=shm_name)
-            attached.append(shm)
-            bufs[name] = np.ndarray(shape, dtype=np.dtype(dtype),
-                                    buffer=shm.buf)
-        flat = [b for pair in bounds for b in pair]
-        start_ns = _time.perf_counter_ns()
-        ns["_tile_body"](bufs, params, *flat)
-        end_ns = _time.perf_counter_ns()
-        return os.getpid(), start_ns, end_ns
-    finally:
-        bufs.clear()
-        for shm in attached:
-            try:
-                shm.close()
-            except BufferError:
-                pass
 
 
 @dataclass
@@ -124,12 +81,14 @@ class TaskGraphRuntime(ParallelRuntime):
         self.fn = fn
         self.scheduler_mode = "ready-queue"
         self.taskgraph_stats = TaskGraphStats()
+        # A whole-graph replay is a retry on both ledgers.
+        self._booked = (self.stats, self.taskgraph_stats)
         self._graphs: Dict[tuple, tuple] = {}  # params key -> (graph, why)
 
     # -- graph construction (cached per parameter valuation) -------------
 
     def _grid(self, params: Dict[str, int]) -> List[Tuple[int, int]]:
-        ns = _load_namespace(self.digest, self.source)
+        ns = load_namespace(self.digest, self.source)
         return [(int(lo), int(hi)) for lo, hi in ns["_tile_grid"](params)]
 
     def graph_for(self, params: Dict[str, int]
@@ -165,15 +124,10 @@ class TaskGraphRuntime(ParallelRuntime):
         """Execute the whole nest as a tile DAG; ``True`` means done
         (results are in the shared staging buffers), ``False`` declines
         and the emitted preamble runs the sequential nest instead."""
-        from repro.driver.resilience import pool_breaker
-        from repro.obs.metrics import metrics
-        if self._specs is None or not self.enabled():
-            return self._decline("pool-unavailable")
-        breaker = pool_breaker()
-        if not breaker.allow():
-            self.stats.breaker_blocks += 1
-            metrics.counter("parallel.breaker_blocks").inc()
-            return self._decline("breaker-open")
+        why = "pool-unavailable" if self._specs is None else refusal(
+            TASKGRAPH, self._booked, self.num_threads)
+        if why is not None:
+            return self._decline(why)
         graph, why = self.graph_for(params)
         if graph is None:
             return self._decline(why or "unavailable")
@@ -189,86 +143,31 @@ class TaskGraphRuntime(ParallelRuntime):
         self.taskgraph_stats.last_width = graph.max_width
         region = self.stats.regions
         self.stats.regions += 1
-        # Whole-graph snapshot: tiles may be half-written when a worker
-        # dies; every retry (and the final sequential fallback) starts
-        # from these clean buffers, keeping results bit-identical.
-        retryable = self.on_worker_failure != "raise"
-        snapshot = None
-        if retryable and self._views is not None:
-            snapshot = {name: np.array(view, copy=True)
-                        for name, view in self._views.items()}
-        attempts = 1 + (self.max_retries if retryable else 0)
-        delay = self.retry_backoff
-        failure: Optional[WorkerFailureError] = None
-        for attempt in range(attempts):
-            try:
-                self._execute_graph(graph, params, region, attempt)
-                breaker.record_success()
-                return True
-            except WorkerFailureError as exc:
-                failure = exc
-                breaker.record_failure()
-                metrics.counter("parallel.worker_failures").inc()
-                _discard_pool(self.num_threads)
-                self.stats.pool_restarts += 1
-                metrics.counter("parallel.pool_restarts").inc()
-                if snapshot is not None:
-                    for name, saved in snapshot.items():
-                        self._views[name][...] = saved
-                if attempt + 1 < attempts:
-                    self.stats.retries += 1
-                    self.taskgraph_stats.retries += 1
-                    metrics.counter("taskgraph.retries").inc()
-                    emit_event("taskgraph.retry", EVT_PARALLEL,
-                               region=region, attempt=attempt + 1,
-                               backoff_seconds=delay, error=str(exc))
-                    self._trace_fault("taskgraph:retry",
-                                      attempt=attempt + 1,
-                                      reason=str(exc))
-                    time.sleep(delay)
-                    delay *= 2
-                    if _get_pool(self.num_threads) is None:
-                        break  # the pool cannot come back on this host
-        if self.on_worker_failure == "fallback":
-            if snapshot is not None:
-                for name, saved in snapshot.items():
-                    self._views[name][...] = saved
-            self.stats.sequential_fallbacks += 1
-            self._trace_fault("taskgraph:fallback", region=region,
-                              reason=str(failure))
-            return self._decline("worker-failure", error=str(failure))
-        raise failure
+        return self._supervise(
+            lambda pool, attempt: self._execute_graph(
+                pool, graph, params, region, attempt),
+            self.fn.name, region, TASKGRAPH, self._booked) \
+            or self._decline("worker-failure")
 
-    def _decline(self, reason: str, **fields) -> bool:
-        from repro.obs.metrics import metrics
-        self.taskgraph_stats.fallbacks += 1
+    def _decline(self, reason: str) -> bool:
         self.taskgraph_stats.last_reason = reason
-        metrics.counter("taskgraph.fallbacks").inc()
-        emit_event("taskgraph.fallback", EVT_PARALLEL,
-                   function=self.fn.name, reason=reason, **fields)
+        book(TASKGRAPH, "decline", self._booked, function=self.fn.name,
+             reason=reason)
         return False
 
     # -- one execution attempt -------------------------------------------
 
-    def _execute_graph(self, graph: TaskGraph, params: Dict[str, int],
-                       region: int, attempt: int) -> None:
-        """One attempt at the whole DAG.  Raises
-        :class:`WorkerFailureError` for infrastructure failures (broken
-        pool, a wait window with zero completions under ``timeout``) —
-        the retryable class — and :class:`ExecutionError` for
-        exceptions the tile body raised (deterministic, never
-        retried)."""
+    def _execute_graph(self, pool, graph: TaskGraph,
+                       params: Dict[str, int], region: int,
+                       attempt: int) -> bool:
+        """One attempt at the whole DAG.  Infrastructure failures leave
+        as ``BrokenProcessPool`` or :class:`WorkerFailureError` (a wait
+        window with zero completions under ``timeout``) for
+        :func:`~repro.backends.pool.supervise` to handle;
+        exceptions the tile body raised become :class:`ExecutionError`
+        (deterministic, never retried)."""
         from repro.driver.resilience import current_deadline
-        from repro.faults import get_plan
         from repro.obs.metrics import metrics
-        pool = _get_pool(self.num_threads)
-        if pool is None:
-            raise WorkerFailureError("task graph has no active pool")
-        plan = get_plan()
-        if plan is not None and plan.fires("pool-refusal", op="taskgraph"):
-            raise WorkerFailureError(
-                "task graph: the worker pool refused the dispatch "
-                "(injected)")
         ambient = current_deadline()
         forkjoin = self.scheduler_mode == "forkjoin"
         indeg = [len(t.preds) for t in graph.tasks]
@@ -286,25 +185,11 @@ class TaskGraphRuntime(ParallelRuntime):
                     ambient.check("taskgraph-dispatch")
                 while ready and len(futures) < self.num_threads:
                     task = graph.tasks[ready.popleft()]
-                    fault = None
-                    if plan is not None:
-                        site = dict(region=region, chunk=task.index,
-                                    attempt=attempt)
-                        if plan.fires("worker-crash", **site) is not None:
-                            fault = ("crash",)
-                        else:
-                            spec = plan.fires("worker-hang", **site)
-                            if spec is not None:
-                                fault = ("hang",
-                                         spec.payload.get("seconds", 30.0))
-                    try:
-                        fut = pool.submit(
-                            _exec_tile, self.digest, self.source,
-                            self._specs, params, task.bounds, fault)
-                    except BrokenProcessPool as exc:
-                        raise WorkerFailureError(
-                            f"task graph: the worker pool died during "
-                            f"dispatch ({exc})") from exc
+                    fut = pool.submit(
+                        exec_in_worker, self.digest, self.source,
+                        "_tile_body", self._specs, params,
+                        tuple(b for pair in task.bounds for b in pair),
+                        False, worker_fault(region, task.index, attempt))
                     futures[fut] = task
                     emit_event("taskgraph.task.dispatch", EVT_PARALLEL,
                                task=task.index, coords=list(task.coords),
@@ -327,12 +212,8 @@ class TaskGraphRuntime(ParallelRuntime):
                 for fut in done_set:
                     task = futures.pop(fut)
                     try:
-                        pid, t0, t1 = fut.result()
-                    except BrokenProcessPool as exc:
-                        raise WorkerFailureError(
-                            f"task graph: the worker pool died running "
-                            f"tile {task.index} ({exc})") from exc
-                    except WorkerFailureError:
+                        pid, t0, t1, __ = fut.result()
+                    except BrokenProcessPool:
                         raise
                     except BaseException as exc:  # noqa: BLE001 app error
                         raise ExecutionError(
@@ -375,6 +256,7 @@ class TaskGraphRuntime(ParallelRuntime):
                    busy_seconds=busy, attempt=attempt,
                    workers=self.num_threads)
         self._graph_span(graph, start_ns, wall, finished)
+        return True
 
     # -- tracer hooks -----------------------------------------------------
 

@@ -159,11 +159,11 @@ class _AlwaysBrokenPool:
 class TestWorkerFaultTolerance:
     @pytest.fixture()
     def broken_pool(self, monkeypatch):
-        import repro.backends.parallel as parallel
+        import repro.backends.pool as pool
         discards = []
-        monkeypatch.setattr(parallel, "get_pool",
+        monkeypatch.setattr(pool, "get_pool",
                             lambda workers: _AlwaysBrokenPool())
-        monkeypatch.setattr(parallel, "discard_pool", discards.append)
+        monkeypatch.setattr(pool, "discard_pool", discards.append)
         return discards
 
     def test_fallback_compiles_inline_after_retries(self, broken_pool):
@@ -219,7 +219,7 @@ class TestWorkerFaultTolerance:
 
 class TestWorkerOffload:
     def test_distinct_cold_compiles_use_the_pool(self):
-        from repro.backends.parallel import get_pool
+        from repro.backends.pool import get_pool
         if get_pool(2) is None:
             pytest.skip("host cannot run a process pool")
         with BatchCompiler(max_workers=2) as batch:
@@ -231,7 +231,7 @@ class TestWorkerOffload:
             assert batch.stats.inline_compiles == 0
 
     def test_offloaded_source_matches_inline_source(self):
-        from repro.backends.parallel import get_pool
+        from repro.backends.pool import get_pool
         if get_pool(2) is None:
             pytest.skip("host cannot run a process pool")
         inline = build("same", 3).compile("cpu")

@@ -184,3 +184,44 @@ class TestUnsupported:
             c.store_in(buf, [Var("i", 0, 4)])
         with pytest.raises(CodegenError):
             emit_c_source(f)
+
+
+class TestSharedObjectCache:
+    SOURCE = "int tiramisu_so_cache_probe(void) { return X; }\n"
+
+    def test_flags_are_part_of_the_address(self):
+        from repro.backends.c import build_shared_object
+        one = build_shared_object(self.SOURCE, ("-DX=1",))
+        two = build_shared_object(self.SOURCE, ("-DX=2",))
+        assert one != two
+        assert build_shared_object(self.SOURCE, ("-DX=1",)) == one
+        import ctypes
+        assert ctypes.CDLL(one).tiramisu_so_cache_probe() == 1
+        assert ctypes.CDLL(two).tiramisu_so_cache_probe() == 2
+
+    def test_gcc_never_writes_the_published_path(self, monkeypatch,
+                                                 tmp_path):
+        import os
+        import subprocess
+        from repro.backends import c as cbackend
+        monkeypatch.setattr(cbackend.tempfile, "gettempdir",
+                            lambda: str(tmp_path))
+        targets = []
+        real_run = subprocess.run
+
+        def spy(cmd, **kwargs):
+            targets.append(cmd[cmd.index("-o") + 1])
+            return real_run(cmd, **kwargs)
+
+        monkeypatch.setattr(cbackend.subprocess, "run", spy)
+        published = cbackend.build_shared_object(self.SOURCE, ("-DX=3",))
+        assert len(targets) == 1 and targets[0] != published
+        assert os.path.dirname(targets[0]) == os.path.dirname(published)
+        # the rename left nothing behind but the published .so
+        assert os.listdir(os.path.dirname(published)) \
+            == [os.path.basename(published)]
+        # ... and a failed build leaves nothing at all
+        with pytest.raises(CodegenError):
+            cbackend.build_shared_object("this is not C", ())
+        assert os.listdir(os.path.dirname(published)) \
+            == [os.path.basename(published)]

@@ -126,23 +126,6 @@ class TestUniformOptions:
         assert compile_function(f3, target="gpu",
                                 check_legality=True) is not None
 
-    def test_shim_contract(self):
-        # The deprecated free functions stay as thin wrappers: they
-        # warn (naming the replacement and the removal horizon), then
-        # delegate to compile_function — including option validation.
-        from repro.backends.cpu import compile_cpu
-        from repro.backends.gpu import compile_gpu
-        f, _ = build_simple()
-        with pytest.warns(DeprecationWarning,
-                          match=r"removed in release 2\.0.*"
-                                r'Function\.compile\("cpu"\)'):
-            kernel = compile_cpu(f)
-        assert kernel()["c"].shape == (8, 8)
-        with pytest.warns(DeprecationWarning), \
-                pytest.raises(TypeError) as err:
-            compile_gpu(f, bogus_flag=1)
-        assert "bogus_flag" in str(err.value)
-
     def test_backend_specific_option_stays_scoped(self):
         # extra_flags belongs to the C backend only.
         f, _ = build_simple()

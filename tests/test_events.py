@@ -69,11 +69,11 @@ class _AlwaysBrokenPool:
 
 @pytest.fixture()
 def broken_pool(monkeypatch):
-    import repro.backends.parallel as parallel
+    import repro.backends.pool as pool
     discards = []
-    monkeypatch.setattr(parallel, "get_pool",
+    monkeypatch.setattr(pool, "get_pool",
                         lambda workers: _AlwaysBrokenPool())
-    monkeypatch.setattr(parallel, "discard_pool", discards.append)
+    monkeypatch.setattr(pool, "discard_pool", discards.append)
     return discards
 
 
@@ -534,6 +534,14 @@ class TestDocDrift:
             names.update(_expand_braces(span.strip()))
         return names
 
+    def _declared(self, column):
+        """Supervision outcomes are never spelled at a call site: their
+        counter (column 1) and event (column 2) names come from the
+        per-site declaration tables."""
+        from repro.backends.pool import SITES
+        return {row[column] for site in SITES
+                for row in site.rows.values() if row[column]}
+
     def _src_literals(self, pattern):
         found = set()
         for path in (REPO / "src").rglob("*.py"):
@@ -549,6 +557,9 @@ class TestDocDrift:
             r"\.(?:counter|gauge|histogram)\(\s*\"([^\"]+)\"\s*\)")
         emitted = self._src_literals(pattern)
         assert len(emitted) >= 40, "metric scan broke"
+        assert not emitted & self._declared(1), \
+            "a supervision counter is bumped by hand again"
+        emitted |= self._declared(1)
         documented = self._documented_names()
         missing = sorted(emitted - documented)
         assert not missing, (
@@ -559,6 +570,9 @@ class TestDocDrift:
         pattern = re.compile(r"\bemit(?:_event)?\(\s*\"([^\"]+)\"")
         emitted = {n for n in self._src_literals(pattern) if "." in n}
         assert len(emitted) >= 25, "event scan broke"
+        assert not emitted & self._declared(2), \
+            "a supervision event is emitted by hand again"
+        emitted |= self._declared(2)
         documented = self._documented_names()
         missing = sorted(emitted - documented)
         assert not missing, (

@@ -21,7 +21,7 @@ from repro.runtime import (TaskGraphRuntime, TaskGraphUnavailable,
 # host (just timeshared), so the functional tests run everywhere a pool
 # can be created at all; only the perf gates in benchmarks/ need real
 # cores.
-from repro.backends.parallel import get_pool
+from repro.backends.pool import get_pool
 
 needs_pool = pytest.mark.skipif(get_pool(2) is None,
                                 reason="this host cannot create a "
