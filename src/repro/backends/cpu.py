@@ -18,7 +18,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.codegen.pyemit import (_PRELUDE, _PROFILE_PRELUDE, Emitter,
-                                  _buf_var, profile_counted_comps)
+                                  _buf_var, profile_counted_comps,
+                                  vector_summary)
 from repro.core.buffer import ArgKind, Buffer
 from repro.core.errors import ExecutionError
 from repro.core.function import Function
@@ -130,7 +131,8 @@ class CompiledKernel:
 
 
 def emit_source(fn: Function, emitter_cls=Emitter, ast=None,
-                profile: bool = False, taskgraph: bool = False) -> str:
+                profile: bool = False, taskgraph: bool = False,
+                lanes_verified: bool = False) -> str:
     """Emit the Python/NumPy kernel source.  ``ast`` is the staged
     driver's pre-lowered AST; without it the function lowers itself.
     Chunked parallel body functions (if any) precede ``_kernel``.
@@ -147,12 +149,18 @@ def emit_source(fn: Function, emitter_cls=Emitter, ast=None,
     (pool unavailable, chain DAG, ...) the preamble falls through to
     the unchanged nest, so results stay bit-identical to sequential.
     Profiled builds skip task-graph emission (per-tile counters are
-    not aggregated); the option then degrades to the normal path."""
+    not aggregated); the option then degrades to the normal path.
+
+    ``lanes_verified`` says the race-check stage already proved every
+    ``vector``-tagged level free of carried dependences, so the emitter
+    need not ask the dependence analysis again (the source is the same
+    either way)."""
     if ast is None:
         infer_argument_kinds(fn)
         ast = fn.lower()
     emitter = emitter_cls(fn, fn.param_names, profile=profile) \
         if profile else emitter_cls(fn, fn.param_names)
+    emitter.lanes_verified = lanes_verified
     tg_dims = None
     if taskgraph and not profile:
         tg_dims = emitter.try_taskgraph(ast)
@@ -194,7 +202,8 @@ class CpuBackend(Backend):
     def emit(self, ctx) -> str:
         return emit_source(
             ctx.fn, ast=ctx.ast, profile=bool(ctx.opt("profile")),
-            taskgraph=ctx.opt("execution", "forkjoin") == "taskgraph")
+            taskgraph=ctx.opt("execution", "forkjoin") == "taskgraph",
+            lanes_verified=ctx.lanes_verified)
 
     def bind(self, ctx) -> CompiledKernel:
         pyfunc = bind_python_kernel(ctx.fn, ctx.source, "tiramisu")
@@ -203,6 +212,8 @@ class CpuBackend(Backend):
                                 ctx.fn.param_names)
         kernel.profiled = bool(ctx.opt("profile"))
         kernel.parallel_regions = ctx.source.count("\ndef _par_body_")
+        kernel.vector_loops, kernel.vector_declines = vector_summary(
+            ctx.source)
         taskgraph = ("\n_TASKGRAPH_DIMS = " in ctx.source
                      and ctx.opt("execution", "forkjoin") == "taskgraph")
         if (taskgraph or kernel.parallel_regions) \

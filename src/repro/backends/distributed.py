@@ -559,7 +559,8 @@ class DistributedBackend(Backend):
     bind_from_source = True
 
     def emit(self, ctx) -> str:
-        return emit_source(ctx.fn, emitter_cls=DistEmitter, ast=ctx.ast)
+        return emit_source(ctx.fn, emitter_cls=DistEmitter, ast=ctx.ast,
+                           lanes_verified=ctx.lanes_verified)
 
     def bind(self, ctx) -> DistributedKernel:
         pyfunc = bind_python_kernel(ctx.fn, ctx.source, "tiramisu-dist")

@@ -123,7 +123,8 @@ class GpuBackend(Backend):
     def emit(self, ctx) -> str:
         validate_gpu_mapping(ctx.fn, ctx.ast)
         ctx.extras["launch_info"] = _launch_info(ctx.fn, ctx.ast)
-        return emit_source(ctx.fn, ast=ctx.ast)
+        return emit_source(ctx.fn, ast=ctx.ast,
+                           lanes_verified=ctx.lanes_verified)
 
     def bind(self, ctx) -> GpuKernel:
         pyfunc = bind_python_kernel(ctx.fn, ctx.source, "tiramisu-gpu")

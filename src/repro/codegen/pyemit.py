@@ -4,12 +4,14 @@ This is the reproduction's stand-in for the paper's LLVM backend: the
 AST from :mod:`repro.codegen.isl_to_ast` is lowered to Python source,
 compiled with :func:`compile`, and wrapped in a callable kernel.
 
-Loop dimensions tagged ``vector`` are lowered to NumPy array arithmetic
-(the loop variable becomes an ``np.arange`` vector and the statement is
-evaluated lane-parallel), provided the statement is safe to vectorize:
-no guards or predicate, the vector variable appears in the statement's
-store indices, and any read of the stored buffer uses exactly the store
-indices (no loop-carried dependence along the vector lanes).
+Loop dimensions tagged ``vector`` that carry no dependence
+(:func:`repro.codegen.lanes.lane_verdict`) are lowered to whole-range
+NumPy statements: an index affine in the lane variable becomes a basic
+slice ``lo:hi+1`` (stepped for a coefficient above 1), a fused body runs
+statement after statement, and the ``np.arange`` lane vector exists only
+when an access needs it (clamped, data-dependent or diagonal indices, or
+the variable used as a value).  A loop left scalar says why in its
+comment; :func:`vector_summary` reads both back from the source.
 
 Top-level loop dimensions tagged ``parallel`` are lowered to a *chunked
 worker function*: the loop body is emitted as a standalone
@@ -26,9 +28,8 @@ so every name the body needs comes from ``_bufs``/``_params`` alone.
 from __future__ import annotations
 
 import io
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+import re
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import CodegenError
 from repro.ir.expr import (Access, BinOp, BufferRead, Call, Cast, Const,
@@ -38,6 +39,7 @@ from repro.isl.constraint import EQ
 from repro.isl.linexpr import OUT, PARAM
 
 from .ast import Block, Loop, Node, Stmt
+from .lanes import lane_verdict
 
 _PRELUDE = '''\
 import numpy as np
@@ -88,14 +90,41 @@ def lin_to_py(le: LinExpr, params: Sequence[str]) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
+class _Py(str):
+    """A rendered Python expression.  ``atom``: it binds tighter than
+    any operator, so it needs no parentheses as an operand; ``lanes``:
+    inside a vector statement it holds one value per lane."""
+
+    def __new__(cls, text: str, atom: bool = False, lanes: bool = False):
+        self = super().__new__(cls, text)
+        self.atom, self.lanes = atom, lanes
+        return self
+
+
+#: What an expression lowers to: a LinExpr over time dims and params
+#: while it stays integer-affine (it folds, and shows its lane
+#: coefficient), rendered text otherwise.
+Value = Union[LinExpr, str]
+
+
+def _p(text: str) -> str:
+    """``text`` as an operand: parenthesized unless atomic."""
+    return text if getattr(text, "atom", False) else f"({text})"
+
+
+def _lin_py(le: LinExpr, params: Sequence[str], lanes: bool = False) -> _Py:
+    text = lin_to_py(le, params)
+    return _Py(text, text.isidentifier() or text.isdigit(), lanes)
+
+
 def bound_to_py(bound, params: Sequence[str], is_lower: bool) -> str:
     a, e = bound
-    es = lin_to_py(e, params)
+    es = _lin_py(e, params)
     if a == 1:
-        return f"({es})"
+        return es
     if is_lower:
         return f"_cdiv({es}, {a})"
-    return f"(({es}) // {a})"
+    return f"{_p(es)} // {a}"
 
 
 def bounds_group_py(groups, params, is_lower: bool) -> str:
@@ -114,7 +143,39 @@ def bounds_group_py(groups, params, is_lower: bool) -> str:
 def constraint_to_py(c: Constraint, params: Sequence[str]) -> str:
     es = lin_to_py(c.expr, params)
     op = "==" if c.kind == EQ else ">="
-    return f"({es}) {op} 0"
+    return f"{es} {op} 0"
+
+
+_VECTOR_NOTE = re.compile(
+    r"# (?:vectorized|vector loop) \((\w+)\)(?:: scalar, (.*))?$", re.M)
+
+
+def vector_summary(source: str) -> Tuple[int, List[str]]:
+    """``(vector_loops, vector_declines)`` of emitted source: how many
+    ``vector``-tagged loops were lowered to whole-range statements, and
+    ``"<loop>: <reason>"`` for each one left scalar.  Read off the loop
+    comments, like ``parallel_regions``, so the counts survive the disk
+    tier and batch workers."""
+    notes = _VECTOR_NOTE.findall(source)
+    return (sum(1 for __, why in notes if not why),
+            [f"{var}: {why}" for var, why in notes if why])
+
+
+class _Lanes:
+    """The vector loop being lowered: its lane range ``lo..hi`` (each a
+    LinExpr, or the name of a local holding a non-affine bound), and
+    what its statements turned out to need."""
+
+    def __init__(self, level: int, lo: Value, hi: Value):
+        self.lane = (OUT, level)
+        self.lo, self.hi = lo, hi
+        self.need_arange = False
+        self.lines: List[str] = []  # statements, each after its locals
+        self.hoisted: Dict[str, _Py] = {}  # index text -> its local
+        # (buffer var, axis, coeff, index less lane term and constant)
+        # -> {constant: (start, stop)}: slices that differ by a constant
+        # share one range check, made on the extreme two.
+        self.sliced: Dict[Tuple, Dict[int, Tuple[str, str]]] = {}
 
 
 class Emitter:
@@ -134,6 +195,9 @@ class Emitter:
         self.taskgraph_bodies: List[str] = []  # tile body + grid functions
         self.taskgraph_dims: Optional[int] = None
         self._fn_offload_ok: Optional[bool] = None
+        self._vec: Optional[_Lanes] = None   # vector loop being lowered
+        self.lanes_verified = False  # race-check proved vector tags clean
+        self._lane_scratch: Dict[str, object] = {}
         # profile=True wraps loop nests with counters/spans reporting
         # into an ``_obs`` collector; off, emission is byte-identical
         # to a profiling-unaware emitter.
@@ -178,91 +242,173 @@ class Emitter:
 
     # -- expression lowering -------------------------------------------------
 
-    def expr_py(self, expr: Expr, env: Dict[str, str],
+    def expr_py(self, expr: Expr, env: Dict[str, Value],
                 float_div: bool) -> str:
+        return self._s(self._val(expr, env, float_div))
+
+    def _lanes(self, v: Value) -> bool:
+        if isinstance(v, LinExpr):
+            return self._vec is not None and v.coeff(self._vec.lane) != 0
+        return getattr(v, "lanes", False)
+
+    def _s(self, v: Value) -> str:
+        """Render a value; an affine one that moves with the lane
+        variable is then the lane vector itself."""
+        if not isinstance(v, LinExpr):
+            return v
+        lanes = self._lanes(v)
+        if lanes:
+            self._vec.need_arange = True
+        return _lin_py(v, self.params, lanes)
+
+    def _val(self, expr: Expr, env: Dict[str, Value], float_div: bool,
+             index: bool = False) -> Value:
+        """Lower ``expr``; ``index`` marks index position, where
+        ``min``/``max``/``clamp`` of scalars are plain Python ints."""
         if isinstance(expr, Const):
-            return repr(expr.value)
-        if isinstance(expr, IterVar):
-            if expr.name not in env:
-                raise CodegenError(f"unbound iterator {expr.name!r}")
-            return env[expr.name]
-        if isinstance(expr, ParamRef):
+            v = expr.value
+            if isinstance(v, int) and not isinstance(v, bool):
+                return LinExpr.constant(v)
+            return _Py(repr(v), not repr(v).startswith("-"))
+        if isinstance(expr, (IterVar, ParamRef)):
             if expr.name in env:
                 return env[expr.name]
+            if isinstance(expr, IterVar):
+                raise CodegenError(f"unbound iterator {expr.name!r}")
             if expr.name in self.params:
-                return expr.name
+                return LinExpr.dim(PARAM, self.params.index(expr.name))
             raise CodegenError(f"unknown parameter {expr.name!r}")
         if isinstance(expr, BinOp):
-            lhs = self.expr_py(expr.lhs, env, float_div)
-            rhs = self.expr_py(expr.rhs, env, float_div)
+            lhs = self._val(expr.lhs, env, float_div, index)
+            rhs = self._val(expr.rhs, env, float_div, index)
             op = expr.op
-            if op == "/":
-                op = "/" if float_div else "//"
-            if op in ("and", "or"):
-                return f"(({lhs}) {'&' if op == 'and' else '|'} ({rhs}))" \
-                    if _maybe_vector(env) else f"(({lhs}) {op} ({rhs}))"
-            return f"(({lhs}) {op} ({rhs}))"
+            if isinstance(lhs, LinExpr) and isinstance(rhs, LinExpr):
+                if op in "+-":
+                    return lhs + rhs if op == "+" else lhs - rhs
+                if op == "*" and lhs.is_constant():
+                    return rhs * int(lhs.const)
+                if op == "*" and rhs.is_constant():
+                    return lhs * int(rhs.const)
+            lhs, rhs = self._s(lhs), self._s(rhs)
+            if op == "/" and not float_div:
+                op = "//"
+            elif op in ("and", "or") and self._vec is not None:
+                op = "&" if op == "and" else "|"
+            return _Py(f"{_p(lhs)} {op} {_p(rhs)}",
+                       lanes=self._lanes(lhs) or self._lanes(rhs))
         if isinstance(expr, UnOp):
-            return f"({expr.op}({self.expr_py(expr.operand, env, float_div)}))"
+            v = self._val(expr.operand, env, float_div, index)
+            if isinstance(v, LinExpr) and expr.op == "-":
+                return -v
+            return _Py(f"{expr.op}{_p(self._s(v))}", lanes=self._lanes(v))
         if isinstance(expr, Select):
-            c = self.expr_py(expr.cond, env, float_div)
-            t = self.expr_py(expr.if_true, env, float_div)
-            f = self.expr_py(expr.if_false, env, float_div)
-            return f"np.where({c}, {t}, {f})"
+            args = [self.expr_py(e, env, float_div)
+                    for e in (expr.cond, expr.if_true, expr.if_false)]
+            return _Py(f"np.where({', '.join(args)})", True,
+                       any(map(self._lanes, args)))
         if isinstance(expr, Cast):
             v = self.expr_py(expr.operand, env, float_div)
-            return f"np.{expr.dtype.np_dtype}({v})"
+            return _Py(f"np.{expr.dtype.np_dtype}({v})", True, self._lanes(v))
         if isinstance(expr, Call):
-            args = [self.expr_py(a, env, float_div) for a in expr.args]
-            return self._call_py(expr.fn, args)
+            args = [self._s(self._val(a, env, float_div, index))
+                    for a in expr.args]
+            return self._call_py(expr.fn, args, index)
         if isinstance(expr, BufferRead):
-            idx = [self.expr_py(e, env, float_div) for e in expr.indices]
-            return f"{_buf_var(expr.buffer)}[{', '.join(idx)}]"
+            return self._subscript(expr.buffer, [
+                self._val(e, env, float_div, True) for e in expr.indices])
         if isinstance(expr, Access):
             return self._access_py(expr, env, float_div)
         raise CodegenError(f"cannot emit expression {expr!r}")
 
-    def _call_py(self, fn: str, args: List[str]) -> str:
+    def _call_py(self, fn: str, args: List[str], index: bool = False) -> str:
         table = {
             "min": "np.minimum", "max": "np.maximum", "abs": "np.abs",
             "sqrt": "np.sqrt", "exp": "np.exp", "log": "np.log",
-            "floor": "np.floor", "pow": "np.power",
+            "floor": "np.floor", "pow": "np.power", "clamp": "np.clip",
         }
-        if fn == "clamp":
-            v, lo, hi = args
-            return f"np.clip({v}, {lo}, {hi})"
-        if fn in table:
-            return f"{table[fn]}({', '.join(args)})"
-        raise CodegenError(f"unknown intrinsic {fn!r}")
+        if fn not in table:
+            raise CodegenError(f"unknown intrinsic {fn!r}")
+        lanes = any(map(self._lanes, args))
+        if index and not lanes and fn in ("min", "max", "clamp"):
+            # A scalar index: Python ints, not np.clip on a Python int.
+            if fn == "clamp":
+                return _Py(f"min(max({args[0]}, {args[1]}), {args[2]})", True)
+            return _Py(f"{fn}({', '.join(args)})", True)
+        return _Py(f"{table[fn]}({', '.join(args)})", True, lanes)
 
-    def _access_py(self, access: Access, env: Dict[str, str],
-                   float_div: bool) -> str:
+    def _access_py(self, access: Access, env: Dict[str, Value],
+                   float_div: bool) -> Value:
         producer = access.computation
-        idx_strs = [self.expr_py(e, env, float_div) for e in access.indices]
-        env_q = dict(_only_markers(env))
-        env_q.update({nm: s for nm, s in zip(producer.var_names, idx_strs)})
+        env_q = {nm: self._val(e, env, float_div, not producer.inlined)
+                 for nm, e in zip(producer.var_names, access.indices)}
         if producer.inlined:
-            return "(" + self.expr_py(producer.expr, env_q,
-                                      producer.dtype.is_float) + ")"
-        store = producer.store_indices()
-        out = [self.expr_py(e, env_q, False) for e in store]
+            return self._val(producer.expr, env_q, producer.dtype.is_float)
+        out = [self._val(e, env_q, False, True)
+               for e in producer.store_indices()]
         cached = None
         if self.current_comp is not None:
             cached = self.current_comp.cached_reads.get(producer.name)
         if cached is not None:
             shared, origins, __ = cached
-            rebased = [f"({o}) - ({lin_to_py(org, self.params)})"
-                       for o, org in zip(out, origins)]
-            return f"{_buf_var(shared)}[{', '.join(rebased)}]"
-        return f"{_buf_var(producer.get_buffer())}[{', '.join(out)}]"
+            return self._subscript(shared, self._rebased(out, origins))
+        return self._subscript(producer.get_buffer(), out)
+
+    def _rebased(self, idx: List[Value], origins) -> List[Value]:
+        """Indices relative to a staging buffer's origin."""
+        return [o - org if isinstance(o, LinExpr) else
+                _Py(f"{_p(o)} - {_p(self._s(org))}", lanes=self._lanes(o))
+                for o, org in zip(idx, origins)]
+
+    def _subscript(self, buffer, idx: List[Value]) -> str:
+        """``b_buf[...]``.  In a vector statement the one index that
+        moves with the lane variable, if affine with a positive
+        coefficient, is a basic slice; any other moving index is a lane
+        vector; each non-affine index is computed once into a local."""
+        vec = self._vec
+        moving = [k for k, v in enumerate(idx) if self._lanes(v)]
+        parts = []
+        for k, v in enumerate(idx):
+            if moving == [k] and isinstance(v, LinExpr) \
+                    and v.coeff(vec.lane) >= 1:
+                parts.append(self._slice_py(buffer, k, v))
+                continue
+            part = self._s(v)
+            if vec is not None and not isinstance(v, LinExpr) \
+                    and not part.isidentifier():
+                if part not in vec.hoisted:
+                    name = _Py(self.fresh("_i"), True, self._lanes(part))
+                    vec.lines.append(f"{name} = {part}")
+                    vec.hoisted[part] = name
+                part = vec.hoisted[part]
+            parts.append(part)
+        return _Py(f"{_buf_var(buffer)}[{', '.join(parts)}]", True,
+                   bool(moving))
+
+    def _at(self, rest: LinExpr, coeff: int, bound: Value) -> str:
+        """``rest + coeff*bound`` for a lane bound (LinExpr or local)."""
+        if isinstance(bound, LinExpr):
+            return lin_to_py(rest + bound * coeff, self.params)
+        term = bound if coeff == 1 else f"{coeff}*{bound}"
+        if not rest.coeffs and not rest.const:
+            return term
+        return f"{term} + {lin_to_py(rest, self.params)}".replace("+ -", "- ")
+
+    def _slice_py(self, buffer, axis: int, le: LinExpr) -> str:
+        vec = self._vec
+        coeff = int(le.coeff(vec.lane))
+        rest = LinExpr({d: c for d, c in le.coeffs.items() if d != vec.lane},
+                       le.const)
+        start = self._at(rest, coeff, vec.lo)
+        stop = self._at(rest + 1, coeff, vec.hi)
+        vec.sliced.setdefault(
+            (_buf_var(buffer), axis, coeff, tuple(rest.coeffs.items())),
+            {})[int(le.const)] = (start, stop)
+        return f"{start}:{stop}" + (f":{coeff}" if coeff != 1 else "")
 
     # -- statement env -------------------------------------------------------
 
-    def stmt_env(self, comp) -> Dict[str, str]:
-        env: Dict[str, str] = {}
-        for nm, le in comp.rev.items():
-            env[nm] = f"({lin_to_py(le, self.params)})"
-        return env
+    def stmt_env(self, comp) -> Dict[str, Value]:
+        return dict(comp.rev)
 
     # -- AST walking -----------------------------------------------------------
 
@@ -283,9 +429,20 @@ class Emitter:
         else:
             raise CodegenError(f"unknown AST node {node!r}")
 
+    def _bound(self, groups, is_lower: bool) -> Value:
+        """A loop bound: a LinExpr when it is one affine form, else text."""
+        if len(groups) == 1 and len(groups[0]) == 1 and groups[0][0][0] == 1:
+            return groups[0][0][1]
+        return bounds_group_py(groups, self.params, is_lower)
+
+    def _span(self, lo: Value, hi: Value) -> str:
+        """``lo, hi + 1``: the arguments of ``range`` / ``np.arange``."""
+        stop = self._s(hi + 1) if isinstance(hi, LinExpr) else f"{hi} + 1"
+        return f"{self._s(lo)}, {stop}"
+
     def emit_loop(self, loop: Loop) -> None:
-        lo = bounds_group_py(loop.lowers, self.params, True)
-        hi = bounds_group_py(loop.uppers, self.params, False)
+        lo = self._bound(loop.lowers, True)
+        hi = self._bound(loop.uppers, False)
         if self.profile and self._depth == 0:
             # Profile mode: wall-clock span around every top-level nest
             # (inner loops stay uninstrumented — counters there are per
@@ -298,21 +455,22 @@ class Emitter:
         else:
             self._emit_loop_inner(loop, lo, hi)
 
-    def _emit_loop_inner(self, loop: Loop, lo: str, hi: str) -> str:
+    def _emit_loop_inner(self, loop: Loop, lo: Value, hi: Value) -> str:
         """Emit one loop (vector / parallel-dispatch / sequential form);
         returns the span category for profile mode."""
-        var = f"t{loop.level}"
-        if loop.tag is not None and loop.tag.kind == "vector":
-            if self._try_emit_vector(loop, lo, hi):
+        kind = loop.tag.kind if loop.tag is not None else None
+        comment = f"  # {kind} loop ({loop.var})" if kind else ""
+        if kind == "vector":
+            why = self._emit_vector(loop, lo, hi, f"vectorized ({loop.var})")
+            if why is None:
                 return "loop-nest"
-        if loop.tag is not None and loop.tag.kind == "parallel" \
-                and self._depth == 0 and self._offload_safe(loop):
-            self._emit_parallel_dispatch(loop, lo, hi)
+            comment += f": scalar, {why}"
+        elif kind == "parallel" and self._depth == 0 \
+                and self._offload_safe(loop):
+            self._emit_parallel_dispatch(loop, self._s(lo), self._s(hi))
             return "parallel"
-        comment = ""
-        if loop.tag is not None:
-            comment = f"  # {loop.tag.kind} loop ({loop.var})"
-        self.line(f"for {var} in range({lo}, ({hi}) + 1):{comment}")
+        self.line(f"for t{loop.level} in range({self._span(lo, hi)}):"
+                  f"{comment}")
         self.indent += 1
         self._depth += 1
         self.emit_block(loop.body)
@@ -459,10 +617,7 @@ class Emitter:
                     le = comp.rev.get(comp.var_names[k])
                     if le is None:
                         return False
-                    try:
-                        if lin_to_py(le, self.params) != f"t{k}":
-                            return False
-                    except CodegenError:
+                    if le != LinExpr.dim(OUT, k):
                         return False
             elif isinstance(node, Loop):
                 todo.extend(node.body.children)
@@ -484,7 +639,7 @@ class Emitter:
         for loop in levels:
             lo = bounds_group_py(loop.lowers, self.params, True)
             hi = bounds_group_py(loop.uppers, self.params, False)
-            pairs.append(f"({lo}, ({hi}))")
+            pairs.append(f"({lo}, {hi})")
         self.line(f"return [{', '.join(pairs)}]")
         self.indent -= 1
         src = self.buf.getvalue()
@@ -507,12 +662,18 @@ class Emitter:
         for k, loop in enumerate(levels):
             lo = bounds_group_py(loop.lowers, self.params, True)
             hi = bounds_group_py(loop.uppers, self.params, False)
-            self.line(f"for t{loop.level} in range(max({lo}, _lo{k}), "
-                      f"min(({hi}), _hi{k}) + 1):"
-                      f"  # tile dim ({loop.var})")
+            lo, hi = f"max({lo}, _lo{k})", f"min({hi}, _hi{k})"
+            note = f"tile dim ({loop.var})"
+            if loop is levels[-1] and loop.tag is not None \
+                    and loop.tag.kind == "vector" and self._emit_vector(
+                        loop, lo, hi, note + ", vectorized") is None:
+                break
+            self.line(f"for t{loop.level} in range({self._span(lo, hi)}):"
+                      f"  # {note}")
             self.indent += 1
             self._depth += 1
-        self.emit_block(levels[-1].body)
+        else:
+            self.emit_block(levels[-1].body)
         src = self.buf.getvalue()
         self.buf, self.indent = saved_buf, saved_indent
         self._depth = saved_depth
@@ -520,66 +681,67 @@ class Emitter:
 
     # -- vectorization ----------------------------------------------------------
 
-    def _try_emit_vector(self, loop: Loop, lo: str, hi: str) -> bool:
-        stmts = loop.body.children
-        if len(stmts) != 1 or not isinstance(stmts[0], Stmt):
-            return False
-        stmt = stmts[0]
-        comp = stmt.comp
-        self.current_comp = comp
-        if stmt.guards or comp.predicate is not None:
-            return False
-        var = f"t{loop.level}"
-        env = self.stmt_env(comp)
-        env["__vector_var__"] = var
+    def _emit_vector(self, loop: Loop, lo: Value, hi: Value,
+                     note: str) -> Optional[str]:
+        """Lower a ``vector``-tagged loop to whole-range statements, the
+        fused body distributed in β order; returns None, or why the loop
+        must stay scalar (nothing is emitted then)."""
+        why = lane_verdict(self.fn, loop, self.lanes_verified,
+                           self._lane_scratch)
+        if why is not None:
+            return why
+        level = loop.level
+        binds = []                  # non-affine bounds held in locals
+        if not isinstance(lo, LinExpr):
+            binds.append(f"_l{level} = {lo}")
+            lo = _Py(f"_l{level}", True)
+        if not isinstance(hi, LinExpr):
+            binds.append(f"_h{level} = {hi}")
+            hi = _Py(f"_h{level}", True)
+        count = self._s(hi - lo + 1) if not binds \
+            else f"{self._s(hi)} - {_p(self._s(lo))} + 1"
+        vec = self._vec = _Lanes(level, lo, hi)
         try:
-            store_strs = [
-                self.expr_py(e, env, False)
-                for e in comp.store_indices()]
-            # Rewrite with the original var names bound to rev exprs.
             from repro.ir.fold import fold
-            subst_env = {nm: env[nm] for nm in comp.var_names}
-            subst_env["__vector_var__"] = var
-            rhs = self.expr_py(fold(comp.expr), subst_env,
-                               comp.dtype.is_float)
+            for stmt in loop.body.children:
+                comp = self.current_comp = stmt.comp
+                env = self.stmt_env(comp)
+                vec.hoisted = {}
+                rhs = self.expr_py(fold(comp.expr), env, comp.dtype.is_float)
+                vec.lines.append(f"{self._store_target(comp, env)} = {rhs}")
+                if self.profile and comp.name in self._counters:
+                    # One statement instance per vector lane.
+                    vec.lines.append(
+                        f"{self._counters[comp.name][0]} += {count}")
         except CodegenError:
-            return False
-        # Safety: vector var must drive the store, and reads of the
-        # stored buffer must use exactly the store indices.
-        store_idx = [self.expr_py(e, subst_env, False)
-                     for e in comp.store_indices()]
-        if not any(var in s for s in store_idx):
-            return False
-        if not self._reads_safe(comp, subst_env, store_idx):
-            return False
-        self.line(f"{var} = np.arange({lo}, ({hi}) + 1)  # vectorized "
-                  f"({loop.var})")
-        target = self._store_target(comp, subst_env)
-        self.line(f"{target} = {rhs}")
-        if self.profile and comp.name in self._counters:
-            # One statement instance per vector lane.
-            self.line(f"{self._counters[comp.name][0]} += {var}.size")
-        return True
-
-    def _reads_safe(self, comp, env: Dict[str, str],
-                    store_idx: List[str]) -> bool:
-        from repro.ir.expr import accesses_in
-        target_buf = comp.get_buffer()
-        for acc in accesses_in(comp.expr):
-            producer = acc.computation
-            if producer.inlined:
-                continue
-            if producer.get_buffer() is not target_buf:
-                continue
-            idx_strs = [self.expr_py(e, env, False) for e in acc.indices]
-            env_q = dict(_only_markers(env))
-            env_q.update({nm: s for nm, s in
-                          zip(producer.var_names, idx_strs)})
-            read_idx = [self.expr_py(e, env_q, False)
-                        for e in producer.store_indices()]
-            if read_idx != store_idx:
-                return False
-        return True
+            return "unsupported"
+        finally:
+            self._vec = None
+        head = []
+        if vec.need_arange:
+            head.append(f"t{level} = np.arange({self._span(lo, hi)})")
+        # A basic slice truncates where an index would raise: check the
+        # extreme slice of every (buffer, axis) against the array.
+        bad: Dict[str, None] = {}
+        for (buf, axis, __, ___), ends in vec.sliced.items():
+            start, stop = ends[min(ends)][0], ends[max(ends)][1]
+            if not start.isdigit():           # not a constant >= 0
+                bad[f"{start} < 0"] = None
+            size = f"len({buf})" if axis == 0 else f"{buf}.shape[{axis}]"
+            bad[f"{stop} > {size}"] = None
+        if bad:
+            head.append(f"if {' or '.join(bad)}: "
+                        f"raise IndexError('vector loop {loop.var}')")
+        lines = head + vec.lines
+        if binds or not count.isdigit() or count == "0":
+            # An empty range must run nothing (a negative stop would
+            # wrap its slice around instead).
+            lines = [f"if {self._s(lo)} <= {self._s(hi)}:"] + [
+                "    " + ln for ln in lines]
+        lines[0] += f"  # {note}"
+        for ln in binds + lines:
+            self.line(ln)
+        return None
 
     # -- statements ---------------------------------------------------------------
 
@@ -609,17 +771,15 @@ class Emitter:
                 self.line(f"{self._counters[comp.name][0]} += 1")
         self.indent -= closes
 
-    def _store_target(self, comp, env: Dict[str, str]) -> str:
-        store_idx = [self.expr_py(e, env, False)
+    def _store_target(self, comp, env: Dict[str, Value]) -> str:
+        store_idx = [self._val(e, env, False, True)
                      for e in comp.store_indices()]
         if comp.cached_store is not None:
             shared, origins = comp.cached_store
-            rebased = [f"({s}) - ({lin_to_py(org, self.params)})"
-                       for s, org in zip(store_idx, origins)]
-            return f"{_buf_var(shared)}[{', '.join(rebased)}]"
-        return f"{_buf_var(comp.get_buffer())}[{', '.join(store_idx)}]"
+            return self._subscript(shared, self._rebased(store_idx, origins))
+        return self._subscript(comp.get_buffer(), store_idx)
 
-    def emit_operation(self, op, env: Dict[str, str]) -> None:
+    def emit_operation(self, op, env: Dict[str, Value]) -> None:
         """Backends override; the CPU backend handles alloc/copy ops."""
         kind = op.op_kind
         if kind == "allocate":
@@ -637,8 +797,10 @@ class Emitter:
         elif kind == "barrier":
             self.line("pass  # barrier")
         else:
+            payload = ", ".join(f"{nm!r}: {self._s(v)}"
+                                for nm, v in env.items())
             self.line(f"_runtime.op({op.op_kind!r}, {op.name!r}, "
-                      f"{{{_payload_env(env)}}})")
+                      f"{{{payload}}})")
 
     def _emit_cache_copy(self, op) -> None:
         """Copy the (clipped) footprint box from global memory into the
@@ -661,19 +823,6 @@ class Emitter:
             dst_slices.append(f"{lo} - {o}:{hi} - {o}")
         self.line(f"{_buf_var(dst)}[{', '.join(dst_slices)}] = "
                   f"{_buf_var(src)}[{', '.join(src_slices)}]")
-
-
-def _payload_env(env: Dict[str, str]) -> str:
-    return ", ".join(f"{nm!r}: {s}" for nm, s in env.items()
-                     if not nm.startswith("__"))
-
-
-def _only_markers(env: Dict[str, str]) -> Dict[str, str]:
-    return {k: v for k, v in env.items() if k.startswith("__")}
-
-
-def _maybe_vector(env: Dict[str, str]) -> bool:
-    return "__vector_var__" in env
 
 
 def _buf_var(buffer) -> str:

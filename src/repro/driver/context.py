@@ -13,9 +13,11 @@ class CompileContext:
     Each stage reads its inputs from here and writes its product back:
     ``beta`` (beta-resolution), ``items`` (time-space domains), ``ast``
     (AST generation), ``source`` (backend emit) and ``kernel`` (bind).
-    ``extras`` holds backend-specific products (e.g. the GPU backend's
-    launch info).  ``deadline`` is the request's end-to-end budget
-    (:class:`repro.driver.resilience.Deadline`, or None) — the ambient
+    ``lanes_verified`` is the race-check stage's verdict on ``vector``
+    tags (True: every such level carries no dependence), which emit
+    reuses.  ``extras`` holds backend-specific products (e.g. the GPU
+    backend's launch info).  ``deadline`` is the request's end-to-end
+    budget (:class:`repro.driver.resilience.Deadline`, or None) — the ambient
     deadline captured at ``_begin`` so stages holding only the context
     can still charge it.
     """
@@ -30,6 +32,7 @@ class CompileContext:
     beta: Optional[Dict[str, List[int]]] = None
     items: Optional[list] = None             # codegen time-space items
     ast: object = None                       # repro.codegen.ast.Block
+    lanes_verified: bool = False             # race-check covered vector tags
     source: Optional[str] = None
     kernel: object = None
     extras: Dict[str, object] = field(default_factory=dict)

@@ -251,8 +251,12 @@ class CompilePipeline:
         guards exactly the compiles that will run loop iterations
         concurrently: a parallel-execution backend, parallelism not
         disabled, and >= 2 resolved workers.  Vector tags are exempt in
-        auto mode because the Python emitter already falls back to
-        scalar code when lanes carry a dependence."""
+        auto mode because the Python emitter decides each ``vector``
+        loop by the same rule itself
+        (:func:`repro.codegen.lanes.lane_verdict`: no dependence
+        carried at that level) and leaves a loop that fails it scalar,
+        with the reason in the loop comment; when this stage did cover
+        ``vector``, emit reuses its verdict instead of asking again."""
         opt = ctx.options.get("check_races")
         if opt is False:
             return None
@@ -351,6 +355,7 @@ class CompilePipeline:
             with report.timed("race-check"):
                 report.races_checked = check_parallel_legality(
                     fn, kinds=race_kinds)
+            ctx.lanes_verified = "vector" in race_kinds
 
         enter_stage("emit")
         with report.timed("emit"):
@@ -487,6 +492,9 @@ class CompilePipeline:
         if disk is not None:
             ctx.report.disk_cache_stats = disk.stats()
         ctx.report.parallel_regions = getattr(kernel, "parallel_regions", 0)
+        ctx.report.vector_loops = getattr(kernel, "vector_loops", 0)
+        ctx.report.vector_declines = list(
+            getattr(kernel, "vector_declines", ()))
         runtime = getattr(kernel, "runtime", None)
         if runtime is not None:
             ctx.report.parallel_workers = runtime.num_threads

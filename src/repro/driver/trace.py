@@ -87,6 +87,11 @@ class CompileReport:
     deps_checked: Optional[int] = None
     races_checked: Optional[int] = None
     parallel_regions: int = 0
+    #: ``vector``-tagged loops lowered to whole-range NumPy statements,
+    #: and ``"<loop>: <reason>"`` for each one left scalar (read off
+    #: the emitted source, see repro.codegen.pyemit.vector_summary).
+    vector_loops: int = 0
+    vector_declines: List[str] = field(default_factory=list)
     parallel_workers: Optional[int] = None
     #: In-memory kernel-registry counters at finish time — a
     #: :class:`~repro.driver.stats.CacheStats` (tier ``memory``) that
@@ -158,6 +163,8 @@ class CompileReport:
             "deps_checked": self.deps_checked,
             "races_checked": self.races_checked,
             "parallel_regions": self.parallel_regions,
+            "vector_loops": self.vector_loops,
+            "vector_declines": list(self.vector_declines),
             "parallel_workers": self.parallel_workers,
             "cache_stats": dict(self.cache_stats),
             "isl_cache_stats": dict(self.isl_cache_stats),
@@ -193,6 +200,10 @@ class CompileReport:
             workers = self.parallel_workers or 1
             lines.append(f"  parallel: {self.parallel_regions} region(s) "
                          f"x {workers} worker(s)")
+        if self.vector_loops or self.vector_declines:
+            lines.append(
+                f"  vector: {self.vector_loops} loop(s) vectorized"
+                + "".join(f"; {d}" for d in self.vector_declines))
         if self.cache_stats:
             cs = self.cache_stats
             lines.append(

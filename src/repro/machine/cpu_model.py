@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.codegen.ast import Block, Loop, Stmt
+from repro.codegen.lanes import lane_verdict, time_index
 from repro.core.computation import Input, Operation
-from repro.ir.affine import NonAffineError, expr_to_linexpr
 from repro.ir.expr import (Access, BinOp, Call, Cast, Const, Expr, IterVar,
                            ParamRef, Select, UnOp, accesses_in,
                            substitute_exprs)
@@ -100,6 +100,7 @@ class CpuCostModel:
         self.packed = set(packed_buffers)
         self.ast = fn.lower()
         self._shape_cache: Dict[str, Tuple[int, ...]] = {}
+        self._lane_scratch: Dict[str, object] = {}
 
     # -- public API -------------------------------------------------------
 
@@ -179,8 +180,12 @@ class CpuCostModel:
         trip = max(0.0, hi - lo + 1.0)
         if trip == 0.0:
             return 0.0
+        # Priced as vectorized exactly when the emitter vectorizes it.
+        vector_ok = (loop.tag is not None and loop.tag.kind == "vector"
+                     and lane_verdict(self.fn, loop,
+                                      scratch=self._lane_scratch) is None)
         ctx = _LoopCtx(level=loop.level, trip=trip, mid=(lo + hi) / 2.0,
-                       tag=loop.tag, vector_ok=False, lo=lo, hi=hi)
+                       tag=loop.tag, vector_ok=vector_ok, lo=lo, hi=hi)
         body = self._block_cycles(loop.body, loops + [ctx], report,
                                   set(produced) if produced else None)
         per_iter_overhead = self.m.loop_overhead_cycles
@@ -199,20 +204,13 @@ class CpuCostModel:
                 # Unrolling reduces loop overhead and adds a little ILP.
                 cycles = trip * (body / 1.15 + per_iter_overhead
                                  / max(1, loop.tag.factor or 4))
-            elif kind == "vector" and self._vectorizable(loop):
+            elif vector_ok:
                 # One vector instruction covers `width` scalar lanes,
                 # including the loop bookkeeping.
                 width = min(loop.tag.factor or self.m.vector_width_f32,
                             self.m.vector_width_f32)
                 cycles /= width
         return cycles
-
-    @staticmethod
-    def _vectorizable(loop: Loop) -> bool:
-        stmts = loop.body.children
-        return (len(stmts) == 1 and isinstance(stmts[0], Stmt)
-                and not stmts[0].guards
-                and stmts[0].comp.predicate is None)
 
     # -- statement cost ---------------------------------------------------------------
 
@@ -225,11 +223,7 @@ class CpuCostModel:
         if comp.expr is None:
             return 0.0
         innermost = loops[-1] if loops else None
-        vectorized = (innermost is not None
-                      and innermost.tag is not None
-                      and innermost.tag.kind == "vector"
-                      and not stmt.guards
-                      and comp.predicate is None)
+        vectorized = innermost is not None and innermost.vector_ok
         flops = _flops_in(comp.expr)
         compute_cycles = flops / self.m.flops_per_cycle_scalar
         guard_cycles = len(stmt.guards) * self.m.branch_cycles
@@ -388,8 +382,6 @@ class CpuCostModel:
         """(buffer, flattened address LinExpr over time dims, elem bytes)
         for every read and the store of the statement."""
         out = []
-        param_dims = {p: (PARAM, i)
-                      for i, p in enumerate(self.fn.param_names)}
 
         def add(producer, index_exprs, is_store=False):
             buffer = producer.get_buffer()
@@ -399,22 +391,13 @@ class CpuCostModel:
             elif is_store and comp.cached_store is not None:
                 buffer, origins = comp.cached_store
             shape = self._buffer_shape(buffer)
-            les = []
-            for e in index_exprs:
-                try:
-                    le = expr_to_linexpr(e, {**param_dims,
-                                             **{nm: ("i", k) for k, nm in
-                                                enumerate(comp.var_names)}})
-                except NonAffineError:
-                    le = LinExpr()  # non-affine: treat as random access
-                les.append(le)
-            # Substitute original dims by time expressions (comp.rev).
+            # Index LinExprs over time dims; non-affine: random access.
+            les = [le if le is not None else LinExpr()
+                   for le in time_index(comp, index_exprs)]
             flat = LinExpr()
             mult = 1
             for k in range(len(les) - 1, -1, -1):
                 le = les[k]
-                for orig_idx, nm in enumerate(comp.var_names):
-                    le = le.substitute(("i", orig_idx), comp.rev[nm])
                 if origins is not None and k < len(origins):
                     le = le - origins[k]
                 flat = flat + le * mult

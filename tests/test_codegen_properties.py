@@ -106,3 +106,107 @@ def test_compute_at_window_random(radius, n):
     out = kernel(inp=data)["b"]
     ref = sum(2.0 * data[d:d + n] for d in range(radius + 1))
     assert np.allclose(out, ref)
+
+
+# -- vector lowering: a tagged loop computes what the untagged loop does -----
+
+VECTOR_CASES = ["shifted_other", "other_row_of_stored", "self_update",
+                "strided_store", "clamped_read", "lane_as_value",
+                "diagonal", "two_fused"]
+
+
+def build_vector_case(case, extents, lane, shift, tag):
+    """A 1-3-deep affine nest over ``extents`` whose variable ``lane``
+    appears in the accesses the way ``case`` says; with ``tag`` that
+    variable's loop is moved innermost and vector-tagged.  Returns the
+    function and its input arrays (small integers, so float arithmetic
+    is exact on every backend)."""
+    from repro.core.buffer import ArgKind
+    from repro.ir import clamp
+    d, n = len(extents), extents[lane]
+    rng = np.random.default_rng(sum(extents) + lane)
+    inputs = {}
+    f = Function("f")
+    with f:
+        vs = [Var(f"i{k}", 1 if (case == "other_row_of_stored" and k == 0)
+                  else 0, e) for k, e in enumerate(extents)]
+        j = vs[lane]
+
+        def at(idx):                     # the nest's index, lane replaced
+            return [idx if k == lane else v for k, v in enumerate(vs)]
+
+        shape = [e + 2 if k == lane else e for k, e in enumerate(extents)]
+        inp = Input("inp", [Var(f"x{k}", 0, s) for k, s in enumerate(shape)])
+        inputs["inp"] = rng.integers(0, 9, shape).astype(np.float32)
+        c = Computation("c", vs, None)
+        comps = [c]
+        if case == "shifted_other":
+            c.set_expression(inp(*at(j + shift)) * 2.0 + inp(*vs))
+        elif case == "other_row_of_stored":
+            ub = Buffer("u", shape, kind=ArgKind.INOUT)
+            inputs["u"] = rng.integers(0, 9, shape).astype(np.float32)
+            prev = [vs[0] - 1] + at(j + shift)[1:]
+            c.set_expression(c(*prev) + c(*([vs[0] - 1] + vs[1:])) * 0.5)
+            c.store_in(ub, vs)
+        elif case == "self_update":
+            c.set_expression(c(*vs) * 2.0 + inp(*vs))
+        elif case == "strided_store":
+            buf = Buffer("b", [2 * e if k == lane else e
+                               for k, e in enumerate(extents)])
+            c.set_expression(inp(*vs) + 1.0)
+            c.store_in(buf, at(j * 2))
+        elif case == "clamped_read":
+            c.set_expression(inp(*at(clamp(j + shift - 1, 0, n - 1))) + 1.0)
+        elif case == "lane_as_value":
+            c.set_expression(inp(*vs) + j * 2)
+        elif case == "diagonal":
+            sq = Input("sq", [Var("p", 0, n), Var("q", 0, n)])
+            inputs["sq"] = rng.integers(0, 9, (n, n)).astype(np.float32)
+            c.set_expression(sq(j, j) + inp(*vs))
+        elif case == "two_fused":
+            c.set_expression(inp(*vs) + 1.0)
+            ws = [Var(f"k{k}", 0, e) for k, e in enumerate(extents)]
+            c2 = Computation("c2", ws, None)
+            c2.set_expression(c(*ws) * 2.0 + inp(*ws))
+            comps.append(c2)
+    names = [[v.name for v in comp.vars] for comp in comps]
+    for comp, nm in zip(comps, names):
+        if lane != d - 1:
+            comp.interchange(nm[lane], nm[-1])
+    if len(comps) == 2:
+        comps[1].after(comps[0], names[0][lane])
+    if tag:
+        for comp, nm in zip(comps, names):
+            comp.vectorize(nm[lane], 4)
+    return f, inputs
+
+
+@given(st.sampled_from(VECTOR_CASES),
+       st.lists(st.integers(2, 5), min_size=1, max_size=3),
+       st.integers(0, 2), st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_vector_tag_differential(case, extents, lane_pick, shift):
+    from repro.backends.c import have_c_compiler
+    lane = lane_pick % len(extents)
+    if case == "other_row_of_stored":
+        if len(extents) == 1:
+            extents = [3] + extents
+        lane = max(1, lane)           # dim 0 is the time loop
+
+    def run(tag, target):
+        f, inputs = build_vector_case(case, extents, lane, shift, tag)
+        kernel = f.compile(target, cache=False)
+        out = kernel(**{k: v.copy() for k, v in inputs.items()})
+        return kernel, out
+
+    scalar, want = run(False, "cpu")
+    vector, got = run(True, "cpu")
+    assert vector.vector_loops >= 1 and not vector.vector_declines, \
+        vector.source
+    assert scalar.vector_loops == 0
+    for name in want:
+        assert np.array_equal(want[name], got[name]), (name, vector.source)
+    if have_c_compiler():
+        __, native = run(True, "c")
+        for name in want:
+            assert np.array_equal(want[name], native[name]), name

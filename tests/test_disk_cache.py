@@ -208,6 +208,30 @@ class TestByteIdenticalCodegen:
         assert k_warm.report.disk_hit
         assert k_warm.source == reference
 
+    def test_vector_counts_survive_the_disk_tier(self, tmp_path):
+        """vector_loops / vector_declines are read off the source, so a
+        kernel re-bound from disk reports what the cold compile did."""
+        def build_vec():
+            f = Function("v")
+            with f:
+                i, j = Var("i", 0, 8), Var("j", 0, 8)
+                c = Computation("c", [i, j], 2.0 * i)
+                r = Computation("r", [Var("k", 0, 8)], None)
+                r.set_expression(r(Var("k", 0, 8) - 1) + 1.0)
+            c.vectorize("j", 8)
+            r.vectorize("k", 8)
+            return f
+        configure(tmp_path)
+        k_cold = build_vec().compile("cpu")
+        kernel_registry.clear()
+        k_warm = build_vec().compile("cpu")
+        assert k_warm.report.disk_hit
+        for k in (k_cold, k_warm):
+            assert k.vector_loops == k.report.vector_loops == 1
+            assert k.report.vector_declines == ["k: carried flow r->r on r"]
+        assert "vector: 1 loop(s) vectorized; k: carried" in \
+            k_warm.report.format_table()
+
     def test_warm_kernel_computes_identically(self, tmp_path):
         import numpy as np
         configure(tmp_path)

@@ -84,7 +84,33 @@ class TestCpuModelDirections:
         model = CpuCostModel(f, {})
         loop = [l for l in loops_in(model.ast)
                 if l.tag is not None and l.tag.kind == "vector"][0]
-        assert CpuCostModel._vectorizable(loop)
+        # the model asks the predicate the emitter asks
+        from repro.codegen import lane_verdict
+        assert lane_verdict(f, loop) is None
+
+    def test_model_prices_what_the_emitter_vectorizes(self):
+        """heat's i loop (reads another row of the stored buffer) is
+        emitted vectorized and priced so; a fused nb body too; a prefix
+        sum tagged vector is neither."""
+        from repro.kernels import build_heat, schedule_heat_cpu
+        params = {"T": 16, "N": 4096}
+        plain, tagged = build_heat(), build_heat()
+        schedule_heat_cpu(tagged)
+        scalar_s = CpuCostModel(plain.function, params).estimate().seconds
+        vector_s = CpuCostModel(tagged.function, params).estimate().seconds
+        assert vector_s < scalar_s / 2
+        assert tagged.function.compile("cpu").vector_loops == 1
+
+        def prefix(tag):
+            f = Function("p")
+            with f:
+                c = Computation("c", [Var("i", 1, 4096)], None)
+                c.set_expression(c(Var("i", 1, 4096) - 1) + 1.0)
+            if tag:
+                c.vectorize("i", 8)
+            return f
+        assert CpuCostModel(prefix(True), {}).estimate().seconds == \
+            CpuCostModel(prefix(False), {}).estimate().seconds
 
     def test_bandwidth_floor_on_streaming_kernel(self):
         """copy-like kernels are DRAM-bound: parallel+vector can't beat

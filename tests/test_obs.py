@@ -81,7 +81,9 @@ class TestProfiledCounters:
         acc.vectorize("j", 8)
         kernel = bundle.function.compile("cpu", profile=True,
                                          num_threads=1)
-        assert ".size" in kernel.source   # lane counting, not per-lane
+        # lane counting (the range's hi - lo + 1), not one add per lane
+        assert "_ct1 += M\n" in kernel.source
+        assert kernel.vector_loops == 1
         run_bundle(bundle, kernel)
         expected = sgemm_domain_counts(bundle)
         for name, points in expected.items():

@@ -214,6 +214,18 @@ class TestTaskGraphExecution:
         assert st.graphs == 1 and st.tasks > 0 and st.fallbacks == 0
         assert st.last_width >= 2
 
+    def test_vector_level_is_vectorized_inside_tiles(self):
+        from repro.kernels import schedule_heat_cpu
+        b, inp, ref = heat_case({"T": 12, "N": 80})
+        schedule_heat_cpu(b)
+        k = self.compile_heat(b)
+        assert "# tile dim (i), vectorized" in k.source
+        assert k.vector_loops == 1   # the tile copy is not a second loop
+        out = k(u=inp["u"].copy(), T=12, N=80)
+        assert np.array_equal(out["u"], ref["u"])
+        st = k.runtime.taskgraph_stats
+        assert st.graphs == 1 and st.fallbacks == 0
+
     def test_empty_dag_is_a_noop(self):
         # T=1: the t loop runs zero iterations; the graph is empty and
         # the runtime answers "done" without touching the pool.
