@@ -34,8 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.computation import Computation
-from repro.core.deps import (carried_at_level, check_schedule_legality,
-                             compute_dependences)
+from repro.core.deps import DependenceSummary
 from repro.core.errors import IllegalScheduleError, ScheduleError
 
 from .actions import Fuse, Interchange, Parallelize, Tile
@@ -84,7 +83,7 @@ def _try_fuse(fn, plan: SchedulePlan, prod: Computation,
         except ScheduleError:
             continue
         try:
-            check_schedule_legality(fn)
+            DependenceSummary.of(fn).check()
             report.fused.append((prod.name, cons.name, level))
             return True
         except IllegalScheduleError:
@@ -127,22 +126,16 @@ def build_pluto_plan(fn, tile_size: int = 32, fuse: bool = True
                     report.tiled.append(comp.name)
                 except ScheduleError:
                     pass
-        deps = compute_dependences(fn)
-        beta = fn.resolve_order()
-        depth = fn.max_depth()
-        sched: Dict[str, object] = {}
-        rels: Dict[int, object] = {}
+        summary = DependenceSummary.of(fn)
         for comp in _schedulable(fn):
             for level in range(min(2, len(comp.time_names))):
-                if not carried_at_level(fn, comp, level, deps=deps,
-                                        beta=beta, depth=depth,
-                                        sched=sched, rels=rels):
+                if not summary.carried(comp, level):
                     plan.push(fn, Parallelize(comp.name, level))
                     report.parallelized.append((comp.name, level))
                     break
         # Tiling/parallelization after fusion should be legal; if not,
         # fail loudly — the auto-scheduler must never emit wrong code.
-        check_schedule_legality(fn)
+        summary.check()
     finally:
         if plan.applied:
             plan.undo(fn)

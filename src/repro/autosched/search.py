@@ -8,10 +8,13 @@ automatically (PAPERS.md: arXiv 1908.01057); this module searches it:
    interchange of adjacent levels, tiling (sizes 16/32/64/128),
    vectorize-innermost, unroll (2/4/8), parallelize the outermost
    non-carried level — as reified :mod:`~repro.autosched.actions`.
-2. **Prune** every extension with :func:`check_schedule_legality` (+
+2. **Prune** every extension with the function's
+   :meth:`~repro.core.deps.DependenceSummary.check` (schedule legality +
    the race detector for tagged levels), so *zero illegal plans reach
-   the oracle* — the memoized ISL caches (PR 5) make thousands of
-   probes affordable.
+   the oracle*.  No action changes an access or a domain, so a whole
+   search computes the dependences once, and a candidate re-walks only
+   the dependences of the statement its last action touched
+   (``SearchReport.profiles_walked`` against ``profiles_reused``).
 3. **Rank** survivors with a :class:`~repro.autosched.oracle.CostOracle`
    and keep the best ``beam_width`` plans per round; optionally re-rank
    the finalists with a :class:`~repro.autosched.oracle.MeasuredOracle`.
@@ -33,8 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.computation import Computation, Input, Operation
-from repro.core.deps import (carried_at_level, check_parallel_legality,
-                             check_schedule_legality, compute_dependences)
+from repro.core.deps import DependenceSummary
 from repro.core.errors import IllegalScheduleError, ScheduleError
 from repro.ir.expr import accesses_in
 from repro.obs.events import (EVT_SEARCH, compile_context,
@@ -101,12 +103,7 @@ def enumerate_actions(fn, max_depth: int = MAX_NEST_DEPTH
         for level in range(shared - 1, -1, -1):
             actions.append(Fuse(cons.name, prod.name, level))
 
-    deps = compute_dependences(fn)
-    beta = fn.resolve_order()
-    depth = fn.max_depth()
-    sched: Dict[str, object] = {}
-    rels: Dict[int, object] = {}
-
+    summary = DependenceSummary.of(fn)
     for comp in comps:
         n = len(comp.time_names)
         tagged = set(comp.tags)
@@ -137,9 +134,7 @@ def enumerate_actions(fn, max_depth: int = MAX_NEST_DEPTH
             for level in range(min(2, n)):
                 if level in tagged:
                     continue
-                if not carried_at_level(fn, comp, level, deps=deps,
-                                        beta=beta, depth=depth,
-                                        sched=sched, rels=rels):
+                if not summary.carried(comp, level):
                     actions.append(Parallelize(comp.name, level))
                     break
     return actions
@@ -155,10 +150,21 @@ class SearchReport:
     pruned_illegal: int = 0
     beam_kept: int = 0
     measured: int = 0
+    #: Level profiles the legality gate had to build against those it
+    #: found again in the function's DependenceSummary: a candidate
+    #: re-walks only the dependences its last action touched.
+    profiles_walked: int = 0
+    profiles_reused: int = 0
     baseline_cost: float = float("inf")
     best_cost: float = float("inf")
     #: (round, best-cost-so-far) after each round, for convergence plots.
     history: List[Tuple[int, float]] = field(default_factory=list)
+
+
+def _book_profiles(report: SearchReport, fn, since: Dict[str, int]) -> None:
+    now = DependenceSummary.of(fn).stats()
+    for key in ("profiles_walked", "profiles_reused"):
+        setattr(report, key, getattr(report, key) + now[key] - since[key])
 
 
 class _Budget:
@@ -189,8 +195,7 @@ def _try_extension(fn, applied: SchedulePlan, action: ScheduleAction,
         # a move from this state.
         return False
     try:
-        check_schedule_legality(fn)
-        check_parallel_legality(fn)
+        DependenceSummary.of(fn).check()
         return True
     except IllegalScheduleError:
         applied.pop(fn)
@@ -263,6 +268,7 @@ def _beam_search_inner(fn, oracle: CostOracle, *, beam_width: int,
                        ) -> Tuple[SchedulePlan, SearchReport]:
     tracer = get_tracer()
     report = report or SearchReport(strategy="beam")
+    since = DependenceSummary.of(fn).stats()
     emit_event("search.begin", EVT_SEARCH, strategy=report.strategy,
                function=fn.name, beam_width=beam_width, rounds=rounds)
     budget_ = _Budget(budget)
@@ -309,6 +315,7 @@ def _beam_search_inner(fn, oracle: CostOracle, *, beam_width: int,
         best_plan, best_cost = measured[0]
 
     report.best_cost = best_cost
+    _book_profiles(report, fn, since)
     emit_event("search.end", EVT_SEARCH, strategy=report.strategy,
                rounds=report.rounds, candidates=report.candidates,
                pruned=report.pruned_illegal, best_cost=best_cost,
@@ -386,6 +393,7 @@ def _evolutionary_search_inner(fn, oracle: CostOracle, *,
         fn, oracle, beam_width=beam_width, rounds=rounds, budget=budget,
         report=report, measure_oracle=None)
     report.strategy = "evolutionary"
+    since = DependenceSummary.of(fn).stats()
     rng = random.Random(seed)
     budget_ = _Budget(budget)
     budget_.spent = report.candidates
@@ -408,8 +416,7 @@ def _evolutionary_search_inner(fn, oracle: CostOracle, *,
                     applied = None
                     try:
                         applied = mutant.copy().apply(fn)
-                        check_schedule_legality(fn)
-                        check_parallel_legality(fn)
+                        DependenceSummary.of(fn).check()
                         candidates.append(mutant)
                     except IllegalScheduleError:
                         report.pruned_illegal += 1
@@ -446,6 +453,7 @@ def _evolutionary_search_inner(fn, oracle: CostOracle, *,
         report.measured += len(top)
         best_plan, best_cost = measured[0]
     report.best_cost = best_cost
+    _book_profiles(report, fn, since)
     emit_event("search.end", EVT_SEARCH, strategy=report.strategy,
                rounds=report.rounds, candidates=report.candidates,
                pruned=report.pruned_illegal, best_cost=best_cost,

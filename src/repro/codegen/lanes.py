@@ -60,9 +60,7 @@ def _reads(comp) -> List[Tuple[object, Index]]:
     return out
 
 
-def lane_verdict(fn, loop: Loop, verified: bool = False,
-                 scratch: Optional[Dict[str, object]] = None
-                 ) -> Optional[str]:
+def lane_verdict(fn, loop: Loop, verified: bool = False) -> Optional[str]:
     """None when ``loop`` can run lane-parallel, else the reason it
     cannot: ``nested-loop``, ``operation``, ``guard``, ``predicate``,
     ``store-not-driven`` (some statement's store does not move with the
@@ -74,11 +72,10 @@ def lane_verdict(fn, loop: Loop, verified: bool = False,
     and the same affine index vector, and that vector moves with the
     lane variable, two different lanes never touch the same element.
     Anything else (heat reading another row of the buffer it stores) is
-    decided exactly by :func:`repro.core.deps.carried_at_level`.
-    ``verified`` says the race-check stage already proved every
-    ``vector``-tagged level clean, which answers both without looking
-    at the reads.  ``scratch`` carries the dependence analysis between
-    calls for one function.
+    decided exactly by the function's
+    :class:`~repro.core.deps.DependenceSummary`.  ``verified`` says the
+    race-check stage already proved every ``vector``-tagged level clean,
+    which answers both without looking at the reads.
     """
     from repro.core.computation import Operation
     stmts = loop.body.children
@@ -107,13 +104,10 @@ def lane_verdict(fn, loop: Loop, verified: bool = False,
     if structural and all(stored.get(id(buf), idx) == idx
                           for stmt in stmts for buf, idx in _reads(stmt.comp)):
         return None
-    from repro.core.deps import carried_at_level, compute_dependences
-    ws = {} if scratch is None else scratch
-    if "deps" not in ws:
-        ws.update(deps=compute_dependences(fn), beta=fn.resolve_order(),
-                  depth=fn.max_depth(), sched={}, rels={})
+    from repro.core.deps import DependenceSummary
+    summary = DependenceSummary.of(fn)
     for stmt in stmts:
-        for dep in carried_at_level(fn, stmt.comp, loop.level, **ws):
+        for dep in summary.carried(stmt.comp, loop.level):
             return (f"carried {dep.kind} {dep.source.name}->"
                     f"{dep.sink.name} on {dep.buffer.name}")
     return None

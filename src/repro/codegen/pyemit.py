@@ -197,7 +197,6 @@ class Emitter:
         self._fn_offload_ok: Optional[bool] = None
         self._vec: Optional[_Lanes] = None   # vector loop being lowered
         self.lanes_verified = False  # race-check proved vector tags clean
-        self._lane_scratch: Dict[str, object] = {}
         # profile=True wraps loop nests with counters/spans reporting
         # into an ``_obs`` collector; off, emission is byte-identical
         # to a profiling-unaware emitter.
@@ -686,8 +685,7 @@ class Emitter:
         """Lower a ``vector``-tagged loop to whole-range statements, the
         fused body distributed in β order; returns None, or why the loop
         must stay scalar (nothing is emitted then)."""
-        why = lane_verdict(self.fn, loop, self.lanes_verified,
-                           self._lane_scratch)
+        why = lane_verdict(self.fn, loop, self.lanes_verified)
         if why is not None:
             return why
         level = loop.level

@@ -5,8 +5,9 @@ from .communication import (ASYNC, SYNC, allocate_at, barrier_at, cache_at,
                             copy_at, device_to_host, host_to_device, receive,
                             send)
 from .computation import (Computation, ConstantScalar, Input, Operation)
-from .deps import (Dependence, carried_at_level, check_schedule_legality,
-                   compute_dependences, dependence_distance)
+from .deps import (Dependence, DependenceSummary, carried_at_level,
+                   check_schedule_legality, compute_dependences,
+                   dependence_distance)
 from .dump import dump_ir
 from .separate import separate
 from .errors import (CodegenError, ExecutionError, IllegalScheduleError,
@@ -15,7 +16,8 @@ from .function import Function, current_function
 from .var import Param, Var
 
 __all__ = [
-    "Dependence", "carried_at_level", "check_schedule_legality",
+    "Dependence", "DependenceSummary", "carried_at_level",
+    "check_schedule_legality",
     "compute_dependences", "dependence_distance", "dump_ir", "separate",
     "ASYNC", "SYNC", "allocate_at", "barrier_at", "cache_at", "copy_at",
     "device_to_host", "host_to_device", "receive", "send",

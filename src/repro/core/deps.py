@@ -9,11 +9,29 @@ Dependences are memory-based relations (flow, anti, output) between
 statement instances, computed exactly from the affine access functions;
 non-affine indices (``clamp``) are over-approximated by leaving the
 accessed dimension unconstrained, as Section V-B prescribes.
+
+Everything that asks a dependence question — schedule legality, the race
+detector, lane safety, the task graph's distances, the autoscheduler's
+gate — reads one :class:`DependenceSummary` per function.  It has two
+halves, each validated by a structural key on every read:
+
+* the **dependences**, keyed on Layer I + III content only (domains,
+  expressions, predicates, inlining, store indices, buffers, declaration
+  order), so a search whose actions only touch Layer II computes them
+  once;
+* per (dependence, source schedule, sink schedule), a lazily filled
+  **level profile**: the dependence's image in the dynamic time dims and,
+  level by level, whether it points backward / forward there.  The static
+  β entries of the interleaved time vector ``[β0, t0, β1, ...]`` are
+  integers the function already holds, so the walk compares them as
+  integers and asks isl only about the dynamic levels two statements
+  share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.affine import NonAffineError, expr_to_linexpr
@@ -25,13 +43,17 @@ from .errors import IllegalScheduleError
 from .computation import Computation, Input, Operation
 
 
-@dataclass
+@dataclass(eq=False)
 class Dependence:
     kind: str                    # "flow" | "anti" | "output"
     source: Computation
     sink: Computation
     buffer: object
     relation: Map                # source domain -> sink domain
+    #: dependence_distance per parameter binding (the relation never
+    #: changes, so neither does its distance).
+    _distances: Dict[Tuple, Optional[Tuple[int, ...]]] = field(
+        default_factory=dict, init=False, repr=False)
 
     def __repr__(self):
         return (f"<{self.kind} dep {self.source.name} -> {self.sink.name} "
@@ -144,11 +166,7 @@ class _AccessTables:
             self.read_revs[c.name] = [(buf, m.reverse()) for buf, m in r]
 
 
-def compute_dependences(fn, kinds=("flow", "anti", "output")
-                        ) -> List[Dependence]:
-    """All memory-based dependences of the function, with sources ordered
-    before sinks in the original (declaration + domain-lexicographic)
-    execution order."""
+def _compute_dependences(fn) -> List[Dependence]:
     comps = [c for c in fn.active_computations()
              if not isinstance(c, Operation)]
     acc = _AccessTables(comps)
@@ -159,7 +177,7 @@ def compute_dependences(fn, kinds=("flow", "anti", "output")
         for b in comps:
             if decl_index[a.name] > decl_index[b.name]:
                 continue
-            for kind in kinds:
+            for kind in ("flow", "anti", "output"):
                 rel = _pair_dependence(a, b, kind, acc)
                 for buffer, m in rel:
                     if a is b:
@@ -170,17 +188,15 @@ def compute_dependences(fn, kinds=("flow", "anti", "output")
                                                    m.space.params)
                             lex_cache[key] = lex
                         m = m.intersect(lex)
-                    m = m.coalesce()
-                    if not m.is_empty():
+                    m = m.coalesce()     # keeps the non-empty pieces
+                    if m.pieces:
                         deps.append(Dependence(kind, a, b, buffer, m))
     return deps
 
 
-def _pair_dependence(a, b, kind, acc: Optional[_AccessTables] = None
+def _pair_dependence(a, b, kind, acc: _AccessTables
                      ) -> List[Tuple[object, Map]]:
     """Dependence relations a -> b of the given kind (a not after b)."""
-    if acc is None:
-        acc = _AccessTables([a] if a is b else [a, b])
     out: List[Tuple[object, Map]] = []
     wa = acc.writes[a.name]
     if kind == "flow":
@@ -205,46 +221,65 @@ def _pair_dependence(a, b, kind, acc: Optional[_AccessTables] = None
     return out
 
 
+def compute_dependences(fn, kinds=("flow", "anti", "output")
+                        ) -> List[Dependence]:
+    """All memory-based dependences of the function, with sources ordered
+    before sinks in the original (declaration + domain-lexicographic)
+    execution order (read from the function's summary)."""
+    return [d for d in DependenceSummary.of(fn).dependences()
+            if d.kind in kinds]
+
+
 def dependence_distance(dep: Dependence,
                         param_vals: Dict[str, int] = ()) -> Optional[
                             Tuple[int, ...]]:
     """The constant (uniform) distance vector of a same-space dependence,
-    or None when the dependence is not uniform.
+    or None when the dependence is not uniform; cached on the dependence
+    per parameter binding.
 
     Classic use: a dependence with distance (1, -1) allows skewing; all
     positive leading entries means outer parallelism is illegal, etc.
     """
-    if dep.source is not dep.sink and             len(dep.source.var_names) != len(dep.sink.var_names):
+    params = dict(param_vals)
+    key = tuple(sorted(params.items()))
+    if key not in dep._distances:
+        dep._distances[key] = _uniform_distance(dep, params)
+    return dep._distances[key]
+
+
+def _uniform_distance(dep: Dependence, params: Dict[str, int]
+                      ) -> Optional[Tuple[int, ...]]:
+    if dep.source is not dep.sink and \
+            len(dep.source.var_names) != len(dep.sink.var_names):
         return None
     from repro.isl.sample import sample as isl_sample
     n = len(dep.source.var_names)
     for bm in dep.relation.pieces:
-        flat = bm.to_set()
-        pt = isl_sample(flat, dict(param_vals))
+        pt = isl_sample(bm.to_set(), params)
         if pt is None:
             continue
         cand = tuple(pt[n + k] - pt[k] for k in range(n))
         # Verify uniformity: any pair deviating from cand in any dim?
         for other in dep.relation.pieces:
+            bound = other
+            for i, p in enumerate(other.space.params):
+                if p in params:
+                    value = LinExpr.constant(params[p])
+                    bound = bound.copy_with(constraints=[
+                        c.substitute((PARAM, i), value)
+                        for c in bound.constraints])
             for k in range(n):
                 diff = (LinExpr.dim(OUT, k) - LinExpr.dim(IN, k)
                         - LinExpr.constant(cand[k]))
                 for strict in (diff - 1, -diff - 1):
-                    test = other.add_constraint(Constraint.ge(strict))
-                    subst = test
-                    for i, p in enumerate(test.space.params):
-                        if p in dict(param_vals):
-                            subst = subst.copy_with(constraints=[
-                                c.substitute((PARAM, i), LinExpr.constant(
-                                    dict(param_vals)[p]))
-                                for c in subst.constraints])
-                    if not subst.is_empty():
+                    if not bound.add_constraint(
+                            Constraint.ge(strict)).is_empty():
                         return None
         return cand
     return None
 
 
-# -- schedule legality ----------------------------------------------------------
+# -- the explicit Layer II map ---------------------------------------------------
 
 
 def full_schedule_map(comp, beta: List[int], depth: int) -> Map:
@@ -280,19 +315,248 @@ def full_schedule_map(comp, beta: List[int], depth: int) -> Map:
     return m.intersect(fwd_full)
 
 
-def _time_violation(rel: Map, n_out: int) -> bool:
-    """True if rel (time_p -> time_q) contains a pair with
-    time_q <=_lex time_p."""
-    for bm in rel.pieces:
-        # Equality case and per-level strict cases.
-        for k in range(n_out):
-            cons = [Constraint.eq(LinExpr.dim(OUT, j) - LinExpr.dim(IN, j))
-                    for j in range(k)]
-            cons.append(Constraint.ge(LinExpr.dim(IN, k)
-                                      - LinExpr.dim(OUT, k) - 1))
-            if not bm.add_constraints(cons).is_empty():
+# -- the summary ----------------------------------------------------------------
+
+
+#: Tag kinds whose loops execute iterations concurrently and therefore
+#: must not carry a dependence (paper Table II).
+RACE_CHECKED_TAGS = ("parallel", "vector", "distributed")
+
+
+def _content_key(fn) -> Tuple:
+    """Everything :func:`_compute_dependences` reads — Layer I and III
+    only, nothing a scheduling command changes.  Expressions enter by
+    their structural repr (as in the compile fingerprint), the immutable
+    isl domain and the buffer by object."""
+    rows = []
+    for c in fn.computations:
+        if isinstance(c, Operation):
+            continue
+        buf = None if c.inlined else c.get_buffer()
+        rows.append((c, c.name, tuple(c.var_names), c.domain, repr(c.expr),
+                     repr(c.predicate), c.inlined,
+                     tuple(repr(e) for e in c.store_indices()),
+                     buf, buf and buf.name))
+    return (fn.param_names, tuple(rows))
+
+
+class _LevelProfile:
+    """One dependence under one (source schedule, sink schedule) pair:
+    its image in the dynamic time dims — ``sched_src^-1 . dep . sched_snk``
+    over the two nests' own loop levels, no β dims — and, filled on
+    demand, what it does at each level given equal outer levels."""
+
+    __slots__ = ("pieces", "n_src", "n_snk", "flags")
+
+    def __init__(self, rel: Map, n_src: int, n_snk: int):
+        self.pieces = rel.pieces
+        self.n_src, self.n_snk = n_src, n_snk
+        self.flags: Dict[Tuple[str, int], bool] = {}
+
+    def _ahead(self, level: int) -> LinExpr:
+        """sink time minus source time at ``level``; a nest shallower
+        than ``level`` sits at the padding value 0 there."""
+        snk = LinExpr.dim(OUT, level) if level < self.n_snk else LinExpr()
+        src = LinExpr.dim(IN, level) if level < self.n_src else LinExpr()
+        return snk - src
+
+    def ask(self, what: str, level: int, summary) -> bool:
+        """Is there a pair, equal on every level before ``level``, that
+        at ``level`` runs sink-before-source (``"backward"``) or
+        source-before-sink (``"forward"``) — or any such pair at all
+        (``"alive"``)?"""
+        hit = self.flags.get((what, level))
+        if hit is None:
+            cons = [Constraint.eq(self._ahead(j)) for j in range(level)]
+            if what != "alive":
+                ahead = self._ahead(level)
+                cons.append(Constraint.ge(
+                    (ahead if what == "forward" else -ahead) - 1))
+            hit = False
+            for bm in self.pieces:
+                summary.level_tests += 1
+                if not bm.add_constraints(cons).is_empty():
+                    hit = True
+                    break
+            self.flags[(what, level)] = hit
+        return hit
+
+
+class DependenceSummary:
+    """The one dependence analysis of a :class:`Function` (module
+    docstring).  Lives on the function object — ``DependenceSummary.of``
+    — and is left out of its pickle and its fingerprint; nothing has to
+    invalidate it, because every read re-derives the keys it is filed
+    under from the function's current state.  Like that state, it is
+    not for two threads at once."""
+
+    #: Schedule-state entries (schedule maps, level profiles) kept, LRU.
+    MEMO_MAX = 1024
+
+    def __init__(self, fn):
+        self.fn = fn
+        self._content = None
+        self._deps: List[Dependence] = []
+        self._memo: "OrderedDict[Tuple, object]" = OrderedDict()
+        #: How often the dependences were computed, how many emptiness
+        #: questions the level walks asked, and how many level profiles
+        #: were built (walked) against found again (reused).
+        self.deps_computed = 0
+        self.level_tests = 0
+        self.profiles_walked = 0
+        self.profiles_reused = 0
+
+    @classmethod
+    def of(cls, fn) -> "DependenceSummary":
+        if fn._dependence_summary is None:
+            fn._dependence_summary = cls(fn)
+        return fn._dependence_summary
+
+    def stats(self) -> Dict[str, int]:
+        return {"deps_count": len(self._deps),
+                "deps_computed": self.deps_computed,
+                "level_tests": self.level_tests,
+                "profiles_walked": self.profiles_walked,
+                "profiles_reused": self.profiles_reused}
+
+    # -- the two halves -----------------------------------------------------
+
+    def dependences(self) -> List[Dependence]:
+        content = _content_key(self.fn)
+        if content != self._content:
+            self._deps = _compute_dependences(self.fn)
+            self._content = content
+            self._memo.clear()
+            self.deps_computed += 1
+        return self._deps
+
+    def _remember(self, key: Tuple, build):
+        """The memo entry filed under ``key``, built on first use."""
+        entry = self._memo.get(key)
+        if entry is None:
+            entry = self._memo[key] = build()
+            if len(self._memo) > self.MEMO_MAX:
+                self._memo.popitem(last=False)
+        else:
+            self._memo.move_to_end(key)
+        return entry
+
+    def _schedule(self, comp) -> Tuple:
+        """(key, forward map, its reverse) of ``comp``'s current Layer II
+        state."""
+        key = (comp.name, comp.instances,
+               tuple(comp.rev[nm] for nm in comp.var_names))
+
+        def build():
+            fwd = comp.forward_schedule()
+            return key, fwd, fwd.reverse()
+        return self._remember(key, build)
+
+    def _profile(self, dep: Dependence) -> _LevelProfile:
+        src_key, _, src_rev = self._schedule(dep.source)
+        snk_key, snk_fwd, _ = self._schedule(dep.sink)
+        walked = self.profiles_walked
+
+        def build():
+            self.profiles_walked += 1
+            rel = src_rev.apply_range(dep.relation).apply_range(snk_fwd)
+            return _LevelProfile(rel, len(dep.source.time_names),
+                                 len(dep.sink.time_names))
+        profile = self._remember((dep, src_key, snk_key), build)
+        if walked == self.profiles_walked:
+            self.profiles_reused += 1
+        return profile
+
+    # -- the consumers --------------------------------------------------------
+
+    def _reordered(self, dep: Dependence, beta) -> bool:
+        """Walk the interleaved time vector ``[β0, t0, β1, t1, ...]``:
+        does some sink instance run before its source?  A static
+        position is two integers; only a dynamic level both still share
+        is a question for isl."""
+        profile = None
+        for level, (b_src, b_snk) in enumerate(zip(beta[dep.source.name],
+                                                   beta[dep.sink.name])):
+            if b_src < b_snk:
+                return False
+            if profile is None:
+                profile = self._profile(dep)
+            if b_src > b_snk:
+                return profile.ask("alive", level, self)
+            if level < max(profile.n_src, profile.n_snk) and \
+                    profile.ask("backward", level, self):
                 return True
-    return False
+        return False
+
+    def check_legality(self) -> int:
+        """:func:`check_schedule_legality` of the summary's function."""
+        deps = [d for d in self.dependences()
+                if d.source.anchor is None and d.sink.anchor is None]
+        if not deps:
+            return 0
+        beta = self.fn.resolve_order()
+        for dep in deps:
+            if self._reordered(dep, beta):
+                raise IllegalScheduleError(
+                    f"schedule violates {dep.kind} dependence "
+                    f"{dep.source.name} -> {dep.sink.name} on buffer "
+                    f"{dep.buffer.name}")
+        return len(deps)
+
+    def carried(self, comp, level: int) -> List[Dependence]:
+        """:func:`carried_at_level` of the summary's function."""
+        return self._carried(self.dependences(), self.fn.resolve_order(),
+                             comp, level)
+
+    def _carried(self, deps, beta, comp, level: int) -> List[Dependence]:
+        carried: List[Dependence] = []
+        for dep in deps:
+            if dep.source is not comp and dep.sink is not comp:
+                continue
+            # Statements ordered apart above the loop share no iteration
+            # of it: not carried, and nothing to ask isl.
+            if beta[dep.source.name][:level + 1] != \
+                    beta[dep.sink.name][:level + 1]:
+                continue
+            profile = self._profile(dep)
+            if profile.ask("forward", level, self) or \
+                    profile.ask("backward", level, self):
+                carried.append(dep)
+        return carried
+
+    def check_races(self, kinds: Sequence[str] = RACE_CHECKED_TAGS) -> int:
+        """:func:`check_parallel_legality` of the summary's function."""
+        tagged = []
+        for comp in self.fn.active_computations():
+            if isinstance(comp, Operation):
+                continue
+            for level, tag in sorted(comp.tags.items()):
+                if tag.kind in kinds and level < len(comp.time_names):
+                    tagged.append((comp, level, tag))
+        deps = self.dependences() if tagged else []
+        if not deps:
+            return len(tagged)
+        beta = self.fn.resolve_order()
+        for comp, level, tag in tagged:
+            for dep in self._carried(deps, beta, comp, level):
+                raise IllegalScheduleError(
+                    f"cannot execute loop {comp.time_names[level]!r} "
+                    f"(level {level}) of {comp.name!r} as {tag.kind}: it "
+                    f"carries a {dep.kind} dependence "
+                    f"{dep.source.name} -> {dep.sink.name} on buffer "
+                    f"{dep.buffer.name} (a data race on concurrent "
+                    f"iterations)")
+        return len(tagged)
+
+    def check(self) -> None:
+        """The one gate of every schedule search: the current schedule
+        preserves every dependence and races on no tagged loop, or
+        :class:`IllegalScheduleError`."""
+        self.check_legality()
+        self.check_races()
+
+
+# -- schedule legality ----------------------------------------------------------
 
 
 def check_schedule_legality(fn) -> int:
@@ -307,100 +571,14 @@ def check_schedule_legality(fn) -> int:
     analysis cannot distinguish a benign recompute from a real
     overwrite).
     """
-    deps = [d for d in compute_dependences(fn)
-            if d.source.anchor is None and d.sink.anchor is None]
-    if not deps:
-        return 0
-    beta = fn.resolve_order()
-    depth = fn.max_depth()
-    n_out = 2 * depth + 1
-    sched: Dict[str, Map] = {}
-    sched_rev: Dict[str, Map] = {}
-    for dep in deps:
-        for comp in (dep.source, dep.sink):
-            if comp.name not in sched:
-                sched[comp.name] = full_schedule_map(
-                    comp, beta[comp.name], depth)
-                sched_rev[comp.name] = sched[comp.name].reverse()
-        rel = (sched_rev[dep.source.name]
-               .apply_range(dep.relation)
-               .apply_range(sched[dep.sink.name]))
-        if _time_violation(rel, n_out):
-            raise IllegalScheduleError(
-                f"schedule violates {dep.kind} dependence "
-                f"{dep.source.name} -> {dep.sink.name} on buffer "
-                f"{dep.buffer.name}")
-    return len(deps)
+    return DependenceSummary.of(fn).check_legality()
 
 
-def carried_at_level(fn, comp, level: int,
-                     deps: Optional[List[Dependence]] = None,
-                     beta=None, depth: Optional[int] = None,
-                     sched: Optional[Dict[str, Map]] = None,
-                     rels: Optional[Dict[int, Map]] = None
-                     ) -> List[Dependence]:
+def carried_at_level(fn, comp, level: int) -> List[Dependence]:
     """Dependences carried by loop ``level`` of ``comp`` (same values of
     all outer dims, different at ``level``).  A loop can be parallelized,
-    vectorized or distributed only if this is empty (paper Table II).
-
-    ``deps``/``beta``/``depth`` may be passed precomputed so callers
-    checking many (computation, level) pairs — the race detector — run
-    the dependence analysis once; ``sched`` (schedule maps by
-    computation name) and ``rels`` (time-space dependence relations by
-    ``id(dep)``) are shared scratch caches for the same callers, since
-    neither varies with ``level``.
-    """
-    if deps is None:
-        deps = compute_dependences(fn)
-    if beta is None:
-        beta = fn.resolve_order()
-    if depth is None:
-        depth = fn.max_depth()
-    if sched is None:
-        sched = {}
-    carried: List[Dependence] = []
-
-    def sched_map(c) -> Map:
-        m = sched.get(c.name)
-        if m is None:
-            m = full_schedule_map(c, beta[c.name], depth)
-            sched[c.name] = m
-        return m
-
-    for dep in deps:
-        if dep.source is not comp and dep.sink is not comp:
-            continue
-        rel = rels.get(id(dep)) if rels is not None else None
-        if rel is None:
-            rel = (sched_map(dep.source).reverse()
-                   .apply_range(dep.relation)
-                   .apply_range(sched_map(dep.sink)))
-            if rels is not None:
-                rels[id(dep)] = rel
-        # Carried: equal on all dims before dyn dim `level`, different at
-        # `level` (position 2*level+1 in the interleaved vector).
-        pos = 2 * level + 1
-        found = False
-        for bm in rel.pieces:
-            cons = [Constraint.eq(LinExpr.dim(OUT, j) - LinExpr.dim(IN, j))
-                    for j in range(pos)]
-            for strict in (1, -1):
-                diff = (LinExpr.dim(OUT, pos) - LinExpr.dim(IN, pos)) * strict
-                test = bm.add_constraints(
-                    cons + [Constraint.ge(diff - 1)])
-                if not test.is_empty():
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            carried.append(dep)
-    return carried
-
-
-#: Tag kinds whose loops execute iterations concurrently and therefore
-#: must not carry a dependence (paper Table II).
-RACE_CHECKED_TAGS = ("parallel", "vector", "distributed")
+    vectorized or distributed only if this is empty (paper Table II)."""
+    return DependenceSummary.of(fn).carried(comp, level)
 
 
 def check_parallel_legality(fn, kinds: Sequence[str] = RACE_CHECKED_TAGS
@@ -414,33 +592,6 @@ def check_parallel_legality(fn, kinds: Sequence[str] = RACE_CHECKED_TAGS
     can be parallelized only if it does not carry any dependence").
     Raises :class:`IllegalScheduleError` naming the computation, the
     loop level, and the violating dependence; returns the number of
-    tagged levels checked.  Built on :func:`carried_at_level` with the
-    dependence analysis shared across all tagged levels.
+    tagged levels checked.
     """
-    tagged = []
-    for comp in fn.active_computations():
-        if isinstance(comp, Operation):
-            continue
-        for level, tag in sorted(comp.tags.items()):
-            if tag.kind in kinds and level < len(comp.time_names):
-                tagged.append((comp, level, tag))
-    if not tagged:
-        return 0
-    deps = compute_dependences(fn)
-    beta = fn.resolve_order()
-    depth = fn.max_depth()
-    sched: Dict[str, Map] = {}
-    rels: Dict[int, Map] = {}
-    for comp, level, tag in tagged:
-        carried = carried_at_level(fn, comp, level, deps=deps, beta=beta,
-                                   depth=depth, sched=sched, rels=rels)
-        if carried:
-            dep = carried[0]
-            raise IllegalScheduleError(
-                f"cannot execute loop {comp.time_names[level]!r} "
-                f"(level {level}) of {comp.name!r} as {tag.kind}: it "
-                f"carries a {dep.kind} dependence "
-                f"{dep.source.name} -> {dep.sink.name} on buffer "
-                f"{dep.buffer.name} (a data race on concurrent "
-                f"iterations)")
-    return len(tagged)
+    return DependenceSummary.of(fn).check_races(kinds)

@@ -32,6 +32,12 @@ class Function:
         self.computations: List = []
         self.order_directives: List[Tuple[str, object, object, int]] = []
         self._beta: Optional[Dict[str, List[Fraction]]] = None
+        # repro.core.deps.DependenceSummary.of(self): a memo of analysis
+        # results, not part of the function's content.
+        self._dependence_summary = None
+
+    def __getstate__(self):
+        return dict(self.__dict__, _dependence_summary=None)
 
     # -- registration -----------------------------------------------------
 

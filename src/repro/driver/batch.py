@@ -485,8 +485,7 @@ class BatchCompiler:
                         fingerprint=artifact["fingerprint"],
                         extras=artifact["extras"],
                         stages=artifact["stages"],
-                        deps_checked=artifact["deps_checked"],
-                        races_checked=artifact["races_checked"],
+                        analysis=artifact["analysis"],
                         **job.options)
                 if artifact["from_disk"]:
                     self._count(disk_hits=1)

@@ -1,11 +1,11 @@
 """The staged compile pipeline (Layer I -> callable kernel).
 
 One explicit flow replaces the four divergent ``compile_*`` free
-functions: ensure-params -> fingerprint -> [cache lookup] -> legality
--> beta-resolution -> time-space -> ast -> emit -> bind.  Every stage
-is timed into the kernel's :class:`~repro.driver.trace.CompileReport`;
-a cache hit returns after the fingerprint stage with the registry's
-kernel.
+functions: ensure-params -> fingerprint -> [cache lookup] ->
+dependences -> legality -> beta-resolution -> time-space -> ast ->
+race-check -> emit -> bind.  Every stage is timed into the kernel's
+:class:`~repro.driver.trace.CompileReport`; a cache hit returns after
+the fingerprint stage with the registry's kernel.
 
 Two warm tiers sit between fingerprint and the lowering stages: the
 in-process kernel registry (:mod:`repro.driver.cache`) and, when
@@ -90,13 +90,14 @@ BASE_OPTIONS: Dict[str, object] = {
 }
 
 #: The stages a full (cold) compile runs, in order ("legality" and
-#: "race-check" only when their options enable them).  With the disk
-#: tier active, a warm-from-disk compile instead runs ensure-params ->
-#: fingerprint -> disk-load -> bind, and a cold compile appends a
-#: disk-store stage after bind.
+#: "race-check" only when their options enable them, "dependences" —
+#: the function's DependenceSummary, which both read — when either
+#: does).  With the disk tier active, a warm-from-disk compile instead
+#: runs ensure-params -> fingerprint -> disk-load -> bind, and a cold
+#: compile appends a disk-store stage after bind.
 STAGE_ORDER = ("ensure-params", "fingerprint", "autoschedule",
-               "legality", "beta-resolution", "time-space", "ast",
-               "race-check", "emit", "bind")
+               "dependences", "legality", "beta-resolution", "time-space",
+               "ast", "race-check", "emit", "bind")
 
 
 def enter_stage(stage: str) -> None:
@@ -334,11 +335,20 @@ class CompilePipeline:
 
     def _lower_and_emit_inner(self, ctx: CompileContext) -> None:
         fn, report, options = ctx.fn, ctx.report, ctx.options
+        from repro.core.deps import DependenceSummary
+        summary = DependenceSummary.of(fn)
+        since = summary.stats()
+        race_kinds = self._race_check_kinds(ctx)
+        if options["check_legality"] or race_kinds is not None:
+            # One analysis serves legality, race-check and emit's lane
+            # verdicts (which otherwise ask for it inside emit).
+            enter_stage("dependences")
+            with report.timed("dependences"):
+                summary.dependences()
         if options["check_legality"]:
-            from repro.core.deps import check_schedule_legality
             enter_stage("legality")
             with report.timed("legality"):
-                report.deps_checked = check_schedule_legality(fn)
+                report.deps_checked = summary.check_legality()
 
         from repro.codegen.isl_to_ast import build_ast, collect_items
         with report.timed("beta-resolution"):
@@ -348,19 +358,22 @@ class CompilePipeline:
         with report.timed("ast"):
             ctx.ast = build_ast(ctx.items)
 
-        race_kinds = self._race_check_kinds(ctx)
         if race_kinds is not None:
-            from repro.core.deps import check_parallel_legality
             enter_stage("race-check")
             with report.timed("race-check"):
-                report.races_checked = check_parallel_legality(
-                    fn, kinds=race_kinds)
+                report.races_checked = summary.check_races(race_kinds)
             ctx.lanes_verified = "vector" in race_kinds
 
         enter_stage("emit")
         with report.timed("emit"):
             ctx.source = self.backend.emit(ctx)
         report.source_size = len(ctx.source)
+        now = summary.stats()
+        if now["deps_computed"]:
+            report.deps_count = now["deps_count"]
+            report.level_tests = now["level_tests"] - since["level_tests"]
+            report.profiles_reused = (now["profiles_reused"]
+                                      - since["profiles_reused"])
         if options["verbose"]:
             print(ctx.source)
 
@@ -448,16 +461,17 @@ class CompilePipeline:
                         extras: Optional[Dict[str, object]] = None,
                         stages: Optional[List[Tuple[str, float,
                                                     float]]] = None,
-                        deps_checked: Optional[int] = None,
-                        races_checked: Optional[int] = None,
+                        analysis: Optional[Dict[str, int]] = None,
                         **opts):
         """Bind a kernel whose heavy stages already ran elsewhere (a
         batch worker process, see :func:`compile_to_source`).
 
-        ``stages`` are the worker's stage timings; they are adopted
-        into this report so the cost of the compile stays visible
-        wherever it was paid.  The bound kernel is published to both
-        cache tiers exactly as a local cold compile would be."""
+        ``stages`` are the worker's stage timings and ``analysis`` its
+        report's :meth:`~repro.driver.trace.CompileReport.analysis`
+        counters; they are adopted into this report so the cost of the
+        compile stays visible wherever it was paid.  The bound kernel is
+        published to both cache tiers exactly as a local cold compile
+        would be."""
         options = self.normalize_options(opts)
         deadline = current_deadline() \
             or Deadline.from_timeout(options["timeout"])
@@ -472,8 +486,8 @@ class CompilePipeline:
                     "worker compile and the bind")
             for name, seconds, start in (stages or []):
                 ctx.report.stages.append(StageTiming(name, seconds, start))
-            ctx.report.deps_checked = deps_checked
-            ctx.report.races_checked = races_checked
+            for name, value in (analysis or {}).items():
+                setattr(ctx.report, name, value)
             ctx.source = source
             ctx.extras.update(extras or {})
             ctx.report.source_size = len(source)
@@ -588,7 +602,6 @@ def compile_to_source(fn, target: str = "cpu",
         "extras": dict(ctx.extras),
         "stages": [(s.name, s.seconds, s.start)
                    for s in ctx.report.stages[shared:]],
-        "deps_checked": ctx.report.deps_checked,
-        "races_checked": ctx.report.races_checked,
+        "analysis": ctx.report.analysis(),
         "from_disk": from_disk,
     }

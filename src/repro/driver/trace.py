@@ -86,6 +86,13 @@ class CompileReport:
     source_size: int = 0
     deps_checked: Optional[int] = None
     races_checked: Optional[int] = None
+    #: What the function's DependenceSummary did for this compile (None:
+    #: never consulted): dependences it holds, emptiness questions its
+    #: level walks asked, and level profiles found again rather than
+    #: rebuilt (an earlier check of the same function object).
+    deps_count: Optional[int] = None
+    level_tests: Optional[int] = None
+    profiles_reused: Optional[int] = None
     parallel_regions: int = 0
     #: ``vector``-tagged loops lowered to whole-range NumPy statements,
     #: and ``"<loop>: <reason>"`` for each one left scalar (read off
@@ -136,6 +143,13 @@ class CompileReport:
     def stage_names(self) -> List[str]:
         return [s.name for s in self.stages]
 
+    def analysis(self) -> Dict[str, Optional[int]]:
+        """The dependence-analysis counters (what a batch worker ships
+        back beside its stage timings)."""
+        return {name: getattr(self, name) for name in (
+            "deps_checked", "races_checked", "deps_count", "level_tests",
+            "profiles_reused")}
+
     @contextmanager
     def timed(self, name: str):
         """Time a pipeline stage and append it to the report."""
@@ -160,8 +174,7 @@ class CompileReport:
                         "start": s.start} for s in self.stages],
             "total_seconds": self.total_seconds,
             "source_size": self.source_size,
-            "deps_checked": self.deps_checked,
-            "races_checked": self.races_checked,
+            **self.analysis(),
             "parallel_regions": self.parallel_regions,
             "vector_loops": self.vector_loops,
             "vector_declines": list(self.vector_declines),
@@ -196,6 +209,10 @@ class CompileReport:
         if self.races_checked is not None:
             lines.append(f"  race-check: {self.races_checked} tagged "
                          "levels race-free")
+        if self.deps_count is not None:
+            lines.append(f"  deps: {self.deps_count} dependences, "
+                         f"{self.level_tests} level tests, "
+                         f"{self.profiles_reused} profiles reused")
         if self.parallel_regions:
             workers = self.parallel_workers or 1
             lines.append(f"  parallel: {self.parallel_regions} region(s) "

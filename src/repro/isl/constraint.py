@@ -100,7 +100,18 @@ class Constraint:
         return Constraint(self.kind, self.expr.substitute(dim, repl))
 
     def remap(self, mapping: Mapping[Dim, Dim]) -> "Constraint":
-        return Constraint(self.kind, self.expr.remap(mapping))
+        expr = self.expr.remap(mapping)
+        if len(expr.coeffs) != len(self.expr.coeffs):
+            return Constraint(self.kind, expr)      # dims merged
+        # A one-to-one rename keeps every coefficient, hence the gcd
+        # reduction and the tightening; only the dim order an equality's
+        # sign hangs on can change.
+        if self.kind == EQ and expr.coeffs and \
+                next(iter(expr.coeffs.values())) < 0:
+            expr = -expr
+        renamed = Constraint.__new__(Constraint)
+        renamed.kind, renamed.expr = self.kind, expr
+        return renamed
 
     def canonical_key(self) -> tuple:
         """The hashable, totally ordered normal form of this constraint.

@@ -43,7 +43,9 @@ def _check_dim(dim: Dim) -> None:
 
 
 class LinExpr:
-    """An immutable integer/rational affine expression.
+    """An integer/rational affine expression, immutable by convention:
+    every operation returns a new expression and nothing assigns to one
+    after construction (``__eq__``/``__hash__`` rely on it).
 
     Coefficients are kept as exact ``int`` or ``Fraction`` values; most of
     the library normalises to integers (see :meth:`scaled_to_int`).
@@ -63,6 +65,19 @@ class LinExpr:
 
     # -- constructors -------------------------------------------------
 
+    @staticmethod
+    def _of(coeffs: Dict[Dim, Coeff], const: Coeff,
+            normal: bool = False) -> "LinExpr":
+        """Arithmetic's constructor: ``coeffs`` holds dims of existing
+        expressions (nothing to validate); ``normal`` says it is already
+        free of zeros and in dim order, as another expression's is."""
+        expr = LinExpr.__new__(LinExpr)
+        expr.coeffs = coeffs if normal else dict(sorted(
+            (d, c) for d, c in coeffs.items() if c != 0))
+        expr.const = const
+        expr._hash = None
+        return expr
+
     @classmethod
     def constant(cls, value: Coeff) -> "LinExpr":
         return cls({}, value)
@@ -75,21 +90,25 @@ class LinExpr:
 
     def __add__(self, other: Union["LinExpr", int, Fraction]) -> "LinExpr":
         if isinstance(other, (int, Fraction)):
-            return LinExpr(self.coeffs, self.const + other)
+            return LinExpr._of(self.coeffs, self.const + other, True)
         coeffs = dict(self.coeffs)
         for dim, c in other.coeffs.items():
             coeffs[dim] = coeffs.get(dim, 0) + c
-        return LinExpr(coeffs, self.const + other.const)
+        return LinExpr._of(coeffs, self.const + other.const)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LinExpr":
-        return LinExpr({d: -c for d, c in self.coeffs.items()}, -self.const)
+        return LinExpr._of({d: -c for d, c in self.coeffs.items()},
+                           -self.const, True)
 
     def __sub__(self, other: Union["LinExpr", int, Fraction]) -> "LinExpr":
         if isinstance(other, (int, Fraction)):
-            return LinExpr(self.coeffs, self.const - other)
-        return self + (-other)
+            return LinExpr._of(self.coeffs, self.const - other, True)
+        coeffs = dict(self.coeffs)
+        for dim, c in other.coeffs.items():
+            coeffs[dim] = coeffs.get(dim, 0) - c
+        return LinExpr._of(coeffs, self.const - other.const)
 
     def __rsub__(self, other: Union[int, Fraction]) -> "LinExpr":
         return (-self) + other
@@ -97,8 +116,8 @@ class LinExpr:
     def __mul__(self, scalar: Coeff) -> "LinExpr":
         if scalar == 0:
             return LinExpr()
-        return LinExpr({d: c * scalar for d, c in self.coeffs.items()},
-                       self.const * scalar)
+        return LinExpr._of({d: c * scalar for d, c in self.coeffs.items()},
+                           self.const * scalar, True)
 
     __rmul__ = __mul__
 
@@ -140,6 +159,9 @@ class LinExpr:
     def scaled_to_int(self) -> "LinExpr":
         """Multiply through by the LCM of denominators, returning an
         integer-coefficient expression that defines the same hyperplane."""
+        if type(self.const) is int and all(
+                type(c) is int for c in self.coeffs.values()):
+            return self         # always, outside the parser's rationals
         denoms = [Fraction(c).denominator for c in self.coeffs.values()]
         denoms.append(Fraction(self.const).denominator)
         lcm = 1
@@ -167,8 +189,9 @@ class LinExpr:
         c = self.coeffs.get(dim, 0)
         if c == 0:
             return self
-        base = LinExpr({d: v for d, v in self.coeffs.items() if d != dim},
-                       self.const)
+        base = LinExpr._of(
+            {d: v for d, v in self.coeffs.items() if d != dim},
+            self.const, True)
         return base + replacement * c
 
     def remap(self, mapping: Mapping[Dim, Dim]) -> "LinExpr":
@@ -197,15 +220,8 @@ class LinExpr:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(
-                self, "_hash",
-                hash((tuple(self.coeffs.items()), self.const)))
+            self._hash = hash((tuple(self.coeffs.items()), self.const))
         return self._hash
-
-    def __setattr__(self, name, value):
-        if name in self.__slots__ and getattr(self, "_init_done", False):
-            raise AttributeError("LinExpr is immutable")
-        object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
         parts = []

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import List
 
 from .constraint import EQ, Constraint
-from .linexpr import DIV, IN, OUT, PARAM, LinExpr
+from .linexpr import DIV
 
 
 def _dim_label(bmap, kind: str, idx: int) -> str:
@@ -14,40 +14,31 @@ def _dim_label(bmap, kind: str, idx: int) -> str:
     return bmap.space.dim_name(kind, idx)
 
 
-def expr_to_str(bmap, expr: LinExpr) -> str:
+def _side_to_str(bmap, terms, const: int) -> str:
+    """One side of a printed constraint: ``terms`` are its (dim,
+    positive coefficient) pairs in dim order, ``const`` is >= 0."""
     parts: List[str] = []
-    for (kind, idx), c in expr.coeffs.items():
+    for (kind, idx), c in terms:
         name = _dim_label(bmap, kind, idx)
         c = int(c)
-        if c == 1:
-            term = name
-        elif c == -1:
-            term = f"-{name}"
-        else:
-            term = f"{c}{name}"
-        parts.append(term)
-    if expr.const or not parts:
-        parts.append(str(int(expr.const)))
-    out = parts[0]
-    for term in parts[1:]:
-        if term.startswith("-"):
-            out += f" - {term[1:]}"
-        else:
-            out += f" + {term}"
-    return out
+        parts.append(name if c == 1 else f"{c}{name}")
+    if const or not parts:
+        parts.append(str(const))
+    return " + ".join(parts)
 
 
 def constraint_to_str(bmap, c: Constraint) -> str:
     # Present as lhs >= rhs / lhs = rhs, moving negative terms right.
-    pos = LinExpr({d: v for d, v in c.expr.coeffs.items() if v > 0})
-    neg = LinExpr({d: -v for d, v in c.expr.coeffs.items() if v < 0})
+    # Every compile fingerprint prints every domain, so the two sides
+    # are read straight off the coefficients: no LinExpr is built.
+    terms = c.expr.coeffs.items()
     const = int(c.expr.const)
-    if const > 0:
-        pos = pos + const
-    elif const < 0:
-        neg = neg + (-const)
+    lhs = _side_to_str(bmap, [(d, v) for d, v in terms if v > 0],
+                       max(const, 0))
+    rhs = _side_to_str(bmap, [(d, -v) for d, v in terms if v < 0],
+                       max(-const, 0))
     op = "=" if c.kind == EQ else ">="
-    return f"{expr_to_str(bmap, pos)} {op} {expr_to_str(bmap, neg)}"
+    return f"{lhs} {op} {rhs}"
 
 
 def to_str(bmap) -> str:

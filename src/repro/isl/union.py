@@ -20,7 +20,7 @@ class Map:
 
     piece_type = BasicMap
 
-    __slots__ = ("space", "pieces")
+    __slots__ = ("space", "pieces", "_repr")
 
     def __init__(self, pieces: Iterable[BasicMap], space: Optional[Space] = None):
         pieces = [p for p in pieces]
@@ -43,6 +43,7 @@ class Map:
         self.space = space
         self.pieces: Tuple[BasicMap, ...] = tuple(
             p.align_params(params) for p in pieces)
+        self._repr: Optional[str] = None
 
     # -- constructors ------------------------------------------------------
 
@@ -176,8 +177,18 @@ class Map:
         return self._wrap(uniq, self.space)
 
     def __repr__(self) -> str:
-        from .printer import union_to_str
-        return union_to_str(self.pieces)
+        # Printed once: the compile fingerprint prints every domain, and
+        # the warm tiers fingerprint one function up to three times.
+        if self._repr is None:
+            from .printer import union_to_str
+            self._repr = union_to_str(self.pieces)
+        return self._repr
+
+    def __getstate__(self):
+        # the printed form is a memo, not content: a pickle is the same
+        # size whether or not the map was ever printed
+        return None, {"space": self.space, "pieces": self.pieces,
+                      "_repr": None}
 
     def __iter__(self):
         return iter(self.pieces)

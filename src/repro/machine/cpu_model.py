@@ -100,7 +100,6 @@ class CpuCostModel:
         self.packed = set(packed_buffers)
         self.ast = fn.lower()
         self._shape_cache: Dict[str, Tuple[int, ...]] = {}
-        self._lane_scratch: Dict[str, object] = {}
 
     # -- public API -------------------------------------------------------
 
@@ -182,8 +181,7 @@ class CpuCostModel:
             return 0.0
         # Priced as vectorized exactly when the emitter vectorizes it.
         vector_ok = (loop.tag is not None and loop.tag.kind == "vector"
-                     and lane_verdict(self.fn, loop,
-                                      scratch=self._lane_scratch) is None)
+                     and lane_verdict(self.fn, loop) is None)
         ctx = _LoopCtx(level=loop.level, trip=trip, mid=(lo + hi) / 2.0,
                        tag=loop.tag, vector_ok=vector_ok, lo=lo, hi=hi)
         body = self._block_cycles(loop.body, loops + [ctx], report,

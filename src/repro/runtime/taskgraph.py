@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.deps import compute_dependences, dependence_distance
+from repro.core.deps import DependenceSummary, dependence_distance
 
 
 class TaskGraphUnavailable(Exception):
@@ -162,8 +162,8 @@ def build_task_graph(fn, params: Dict[str, int],
         return TaskGraph([], tuple(0 for _ in grid), tuple(1 for _ in grid),
                          (), 0, 0, 0)
     distances: List[Tuple[int, ...]] = []
-    for dep in compute_dependences(fn):
-        dist = dependence_distance(dep, dict(params))
+    for dep in DependenceSummary.of(fn).dependences():
+        dist = dependence_distance(dep, params)
         if dist is None:
             raise TaskGraphUnavailable(
                 "non-uniform-dependence",

@@ -38,6 +38,24 @@ class TestPrinter:
     def test_empty_union(self):
         assert union_to_str([]) == "{ }"
 
+    def test_exact_text(self):
+        """The compile fingerprint hashes this text: both sides carry
+        only positive terms, in dim order, constants last."""
+        s = parse_set("[N] -> { S[i, j] : 0 <= i < N and 2j - 3i >= 4 - N "
+                      "and i - j = 0 }")
+        assert repr(s) == ("[N] -> { S[i, j] : i >= 0 and N >= i + 1 and "
+                           "2j + N >= 3i + 4 and i = j }")
+
+    def test_printed_form_is_a_memo_not_content(self):
+        import pickle
+        s = parse_set("[N] -> { S[i, j] : 0 <= i < N and 0 <= j < i }")
+        before = pickle.dumps(s)
+        text = repr(s)
+        assert repr(s) is text              # printed once
+        assert pickle.dumps(s) == before    # and never shipped
+        again = pickle.loads(before)
+        assert again == s and repr(again) == text
+
 
 class TestOmegaFallback:
     def test_budget_fallback_is_safe(self):

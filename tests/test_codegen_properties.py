@@ -28,38 +28,39 @@ def reference(data, n, m):
     return data[:n, :m] + data[1:n+1, :m] + data[:n, 1:m+1]
 
 
+def apply_command(c, op, k, t1, t2):
+    """One of COMMANDS on computation ``c``; ``k`` keeps the loop names
+    of successive commands apart."""
+    names = c.time_names
+    if op == "tile" and len(names) >= 2:
+        c.tile(names[0], names[1], t1, t2,
+               f"a{k}", f"b{k}", f"c{k}", f"d{k}")
+    elif op == "split_i":
+        c.split(names[0], t1, f"e{k}", f"f{k}")
+    elif op == "split_j":
+        c.split(names[-1], t2, f"g{k}", f"h{k}")
+    elif op == "interchange" and len(names) >= 2:
+        c.interchange(names[0], names[-1])
+    elif op == "shift":
+        c.shift(names[0], 3)
+    elif op == "skew" and len(names) >= 2:
+        c.skew(names[0], names[1], 2)
+    elif op == "parallel":
+        c.parallelize(names[0])
+    elif op == "vector":
+        c.vectorize(names[-1], 4)
+    elif op == "unroll":
+        c.unroll(names[-1], 2)
+
+
 @given(st.lists(st.sampled_from(COMMANDS), min_size=0, max_size=5),
        st.integers(5, 12), st.integers(5, 12),
        st.integers(2, 4), st.integers(2, 4))
 @settings(max_examples=40, deadline=None)
 def test_random_schedule_composition(ops, n, m, t1, t2):
     f, c = build_stencil(n, m)
-    fresh = iter(range(100))
-    for op in ops:
-        names = c.time_names
-        k = next(fresh)
-        try:
-            if op == "tile" and len(names) >= 2:
-                c.tile(names[0], names[1], t1, t2,
-                       f"a{k}", f"b{k}", f"c{k}", f"d{k}")
-            elif op == "split_i":
-                c.split(names[0], t1, f"e{k}", f"f{k}")
-            elif op == "split_j":
-                c.split(names[-1], t2, f"g{k}", f"h{k}")
-            elif op == "interchange" and len(names) >= 2:
-                c.interchange(names[0], names[-1])
-            elif op == "shift":
-                c.shift(names[0], 3)
-            elif op == "skew" and len(names) >= 2:
-                c.skew(names[0], names[1], 2)
-            elif op == "parallel":
-                c.parallelize(names[0])
-            elif op == "vector":
-                c.vectorize(names[-1], 4)
-            elif op == "unroll":
-                c.unroll(names[-1], 2)
-        except Exception:
-            raise
+    for k, op in enumerate(ops):
+        apply_command(c, op, k, t1, t2)
     kernel = f.compile("cpu")
     rng = np.random.default_rng(0)
     data = rng.random((n + 1, m + 1)).astype(np.float32)

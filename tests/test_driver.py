@@ -198,9 +198,11 @@ class TestCompileReport:
         report = f.compile("cpu").report
         assert not report.cache_hit
         # "autoschedule", "legality" and "race-check" are conditional
-        # stages (plan passed / option on / parallel execution).
+        # stages (plan passed / option on / parallel execution), and
+        # "dependences" runs for the last two.
         expected = [s for s in STAGE_ORDER
-                    if s not in ("autoschedule", "legality", "race-check")]
+                    if s not in ("autoschedule", "dependences", "legality",
+                                 "race-check")]
         assert report.stage_names() == expected
         assert report.total_seconds > 0
         assert report.source_size > 0
