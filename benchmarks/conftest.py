@@ -7,31 +7,30 @@ roughly by how much — rather than absolute times (see DESIGN.md).
 Wall-clock micro-benchmarks of the real generated code run under
 pytest-benchmark in test_wallclock.py.
 
-Benchmarks also feed the perf trajectory (:mod:`repro.obs.bench`):
-call :func:`bench_note` with a gate's headline numbers and the session
-hook appends them — one entry per pytest run — to ``BENCH_obs.json``
-(``TIRAMISU_BENCH_FILE`` overrides), where
-``python -m repro.obs.bench --compare`` gates on drift across runs.
+Nothing here gates on a single wall-clock sample: every timing claim
+is a ``BENCHMARK.json`` metric measured by ``python3 -m bench.run``
+(repeated, with its dispersion, compared by the pairs rule), and the
+gates in this directory assert the deterministic fact each claim rests
+on — which stages ran, how many jobs compiled, how many Omega tests a
+memo saved — naming the metric that carries the timing.
 """
 
 import sys
 
 import pytest
 
-from repro.obs import bench as obs_bench
-
-#: The session's collected trajectory metrics ({metric: value}).
-_session_notes = {}
-
 
 @pytest.fixture(autouse=True)
-def _fresh_pool_breaker():
-    """The worker-pool circuit breaker is process-global on purpose;
-    in a benchmark session that globalness would leak open state from
-    one gate into the next (see tests/conftest.py)."""
+def _fresh_process_state():
+    """The worker-pool circuit breaker and the settings overrides are
+    process-global on purpose; in a benchmark session that globalness
+    would leak from one gate into the next (see tests/conftest.py)."""
+    from repro import settings
     from repro.driver.resilience import reset_pool_breaker
+    settings.reset()
     reset_pool_breaker()
     yield
+    settings.reset()
     reset_pool_breaker()
 
 
@@ -43,29 +42,3 @@ def print_table(title: str, rows) -> None:
     else:
         out.append(str(rows))
     print("\n".join(out), file=sys.stderr)
-
-
-def bench_note(name: str, value) -> None:
-    """Record one trajectory metric for this pytest session.  Metric
-    names pick their regression direction by suffix (``*_seconds`` /
-    ``*_ratio`` regress upward, ``*_speedup`` downward); last write
-    wins within a session."""
-    _session_notes[str(name)] = float(value)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Append everything :func:`bench_note` collected as one trajectory
-    entry.  Recording never fails the benchmark run — a read-only
-    checkout just skips the trajectory."""
-    if not _session_notes:
-        return
-    try:
-        obs_bench.record_entry(
-            dict(_session_notes),
-            meta={"exitstatus": int(exitstatus),
-                  "tests": int(session.testscollected)})
-    except (OSError, ValueError, TypeError) as err:
-        print(f"\n[bench] trajectory not recorded: {err}",
-              file=sys.stderr)
-    finally:
-        _session_notes.clear()

@@ -210,7 +210,10 @@ class TestCompileDriverAblation:
         # The trace table itself went to stderr for every compile.
         assert "tiramisu compile" in capsys.readouterr().err
         assert prof["warm_report"].cache_hit
-        assert prof["speedup"] > 2.0
+        # (was "warm > 2x faster" on one sample; timing: warm_hit_ms
+        # against compile_cold_ms in python3 -m bench.run)
+        assert prof["warm_report"].stage_names() == ["ensure-params",
+                                                     "fingerprint"]
 
 
 class TestLayerSeparationAblation:

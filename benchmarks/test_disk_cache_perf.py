@@ -1,20 +1,23 @@
-"""Tier-2 perf gate: the durable on-disk compile-artifact tier and the
+"""Tier-2 gate: the durable on-disk compile-artifact tier and the
 batch front end.
 
 Compile-as-a-service only pays off if (a) a *fresh process* warms from
-disk instead of re-lowering — the disk path must beat a cold compile by
->= 10x on the Fig. 1 sgemm pipeline — and (b) an N-duplicate batch
-costs ~one compile, with every duplicate receiving the same report.
+disk instead of re-lowering — on the Fig. 1 sgemm pipeline the second
+process must run no lowering stage at all — and (b) an N-duplicate
+batch compiles once, with every duplicate receiving the same report.
+Both used to be single-sample wall-clock ratios; the timings now live
+in ``python3 -m bench.run`` (BENCHMARK.json ``disk_warm_ms`` and
+``driver.batch_dedup_ratio``) and the gates here are the facts the
+ratios stood for.
 """
 
 import json
 import os
 import subprocess
 import sys
-import time
 
-from conftest import bench_note, print_table
-from repro.driver import compile_batch, kernel_registry
+from conftest import print_table
+from repro.driver import BatchCompiler, kernel_registry
 from repro.kernels import build_sgemm, schedule_sgemm_cpu
 
 #: Runs inside a fresh interpreter: time exactly one sgemm compile (the
@@ -41,6 +44,7 @@ print(json.dumps({
     "seconds": seconds,
     "disk_hit": kernel.report.disk_hit,
     "cache_hit": kernel.report.cache_hit,
+    "stages": kernel.report.stage_names(),
     "source": kernel.source,
 }))
 """
@@ -61,62 +65,50 @@ def _compile_in_fresh_process(cache_dir):
 
 
 class TestDiskCachePerf:
-    def test_fresh_process_warms_from_disk_10x(self, tmp_path):
+    def test_fresh_process_warms_from_disk(self, tmp_path):
+        """Was "disk path >= 10x a cold compile" (timing:
+        ``disk_warm_ms`` against ``compile_cold_ms``)."""
         cold = _compile_in_fresh_process(tmp_path)
         assert not cold["disk_hit"] and not cold["cache_hit"]
+        assert "emit" in cold["stages"] and "disk-store" in cold["stages"]
 
-        warm = min((_compile_in_fresh_process(tmp_path)
-                    for __ in range(3)), key=lambda r: r["seconds"])
+        warm = _compile_in_fresh_process(tmp_path)
         assert warm["disk_hit"] and not warm["cache_hit"]
+        assert warm["stages"] == ["ensure-params", "fingerprint",
+                                  "disk-load", "bind"]
         # The artifact round trip must be byte-preserving.
         assert warm["source"] == cold["source"]
 
-        speedup = cold["seconds"] / warm["seconds"]
         print_table("disk cache: Fig.1 sgemm, fresh process each time", {
             "cold compile (ms)": round(cold["seconds"] * 1e3, 2),
-            "warm-from-disk (ms)": round(warm["seconds"] * 1e3, 2),
-            "speedup": round(speedup, 1)})
-        bench_note("compile_cold_seconds", cold["seconds"])
-        bench_note("compile_warm_disk_seconds", warm["seconds"])
-        bench_note("disk_warm_speedup", speedup)
-        assert speedup >= 10.0, (
-            f"warm-from-disk only {speedup:.1f}x faster than cold")
+            "warm-from-disk (ms)": round(warm["seconds"] * 1e3, 2)})
 
 
 class TestBatchDedupPerf:
-    def test_n_duplicate_batch_costs_about_one_compile(self):
+    def test_n_duplicate_batch_compiles_once(self):
+        """Was "8-duplicate batch <= 3x one compile" (timing and the
+        dedup share: ``batch_compiles_per_s``,
+        ``driver.batch_dedup_ratio``)."""
         def fresh_fn():
             bundle = build_sgemm()
             schedule_sgemm_cpu(bundle, 32, 8)
             return bundle.function
 
-        # Reference: one cold compile, inline.
         kernel_registry.clear()
-        start = time.perf_counter()
         solo = fresh_fn().compile("cpu")
-        one_compile = time.perf_counter() - start
 
         # Eight byte-identical requests in one batch.
         kernel_registry.clear()
-        start = time.perf_counter()
-        kernels = compile_batch([fresh_fn() for __ in range(8)],
-                                use_processes=False)
-        batch_seconds = time.perf_counter() - start
+        with BatchCompiler(use_processes=False) as batch:
+            handles = [batch.submit(fresh_fn()) for __ in range(8)]
+            kernels = [handle.result() for handle in handles]
 
-        # Deduplicated: one job compiled, every report the same object
-        # (hence byte-identical however it is serialized).
+        assert batch.stats.submitted == 8
+        assert batch.stats.compiled == 1
+        assert batch.stats.deduplicated == 7
+        # One job compiled, every report the same object (hence
+        # byte-identical however it is serialized).
         assert len({id(k) for k in kernels}) == 1
         assert len({id(k.report) for k in kernels}) == 1
         assert kernels[0].report.to_dict() == kernels[3].report.to_dict()
         assert kernels[0].source == solo.source
-
-        ratio = batch_seconds / one_compile
-        bench_note("batch_dedup_ratio", ratio)
-        print_table("batch dedup: 8x identical sgemm requests", {
-            "one compile (ms)": round(one_compile * 1e3, 2),
-            "8-dup batch (ms)": round(batch_seconds * 1e3, 2),
-            "batch/one ratio": round(ratio, 2)})
-        # ~1 compile: fingerprinting 8 requests adds overhead, but far
-        # less than a second lowering pass.
-        assert ratio <= 3.0, (
-            f"8-duplicate batch cost {ratio:.1f}x one compile")

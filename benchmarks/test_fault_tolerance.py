@@ -1,17 +1,19 @@
 """Tier-2 robustness gate: sgemm survives an injected worker crash on
 every run with bit-identical output, and the fault-tolerance machinery
-(buffer snapshots, per-chunk plan probes) costs <= 1.05x wall clock
-when nothing fails.
+(buffer snapshots, per-chunk plan probes) stays out of the way when
+nothing fails.
 
 The crash half kills one pool worker per run through a deterministic
 :class:`repro.faults.FaultPlan`; the retry path must restore the shared
 buffers and re-dispatch so the result matches the sequential kernel
-byte for byte.  The overhead half compares the default guarded
+byte for byte.  The fault-free half compares the default guarded
 configuration against ``on_worker_failure="raise"`` (which skips the
-snapshot entirely) on a fault-free run.
+snapshot entirely): same bytes, same dispatch, nothing retried.  It
+used to gate "guarded <= 1.05x unguarded" on best-of-5 wall clocks; the
+guarded default is what ``python3 -m bench.run`` times as
+``run_par_ms``, beside the exact ``backends.parallel.retries`` and
+``backends.parallel.sequential_fallbacks`` counts (BENCHMARK.json).
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -29,7 +31,6 @@ HAVE_POOL = get_pool(2) is not None
 
 GATE_PARAMS = {"N": 128, "M": 128, "K": 128}
 CRASH_RUNS = 3
-MAX_OVERHEAD = 1.05
 
 
 def schedule_parallel(bundle):
@@ -92,39 +93,27 @@ def test_sgemm_survives_one_worker_crash_per_run():
     assert stats.retries >= CRASH_RUNS
 
 
-def _best_seconds(fn, repeats=5):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 @pytest.mark.skipif(not HAVE_POOL, reason="this host cannot create a "
                     "worker pool")
-def test_fault_free_overhead_within_five_percent():
+def test_fault_free_run_retries_nothing_and_matches_unguarded():
     rng = np.random.default_rng(1)
     guarded_bundle, guarded = compile_gate_kernel()
     bare_bundle, bare = compile_gate_kernel(max_retries=0,
                                             on_worker_failure="raise")
     inputs = guarded_bundle.make_inputs(GATE_PARAMS, rng)
 
-    # Warm both kernels (pool spawn, worker source exec) off the clock.
     ref = run_kernel(bare_bundle, bare, inputs)
     out = run_kernel(guarded_bundle, guarded, inputs)
     assert out.tobytes() == ref.tobytes()
 
-    bare_s = _best_seconds(lambda: run_kernel(bare_bundle, bare, inputs))
-    guarded_s = _best_seconds(
-        lambda: run_kernel(guarded_bundle, guarded, inputs))
-    ratio = guarded_s / bare_s
-    print_table("fault-free retry machinery overhead", {
-        "unguarded": f"{bare_s * 1e3:.1f} ms",
-        "guarded": f"{guarded_s * 1e3:.1f} ms",
-        "ratio": f"{ratio:.3f}x (gate {MAX_OVERHEAD:.2f}x)",
+    stats, bare_stats = guarded.runtime.stats, bare.runtime.stats
+    print_table("fault-free run, guarded vs unguarded dispatch", {
+        "regions": f"{stats.regions} vs {bare_stats.regions}",
+        "chunks": f"{stats.chunks} vs {bare_stats.chunks}",
+        "retries": stats.retries,
+        "sequential fallbacks": stats.sequential_fallbacks,
     })
-    assert guarded.runtime.stats.retries == 0
-    assert ratio <= MAX_OVERHEAD, (
-        f"fault-tolerance machinery costs {ratio:.3f}x on a fault-free "
-        f"run (gate {MAX_OVERHEAD:.2f}x)")
+    assert (stats.regions, stats.chunks) == \
+        (bare_stats.regions, bare_stats.chunks) == (2, 4)
+    assert stats.retries == 0 and stats.pool_restarts == 0
+    assert stats.sequential_fallbacks == 0 and stats.chunk_timeouts == 0

@@ -2,43 +2,40 @@
 
 ``profile=False`` (the default) is required to emit byte-identical
 source to a pre-observability build — the guarantee is structural, and
-this harness checks it both ways: the emitted artifacts are identical,
-and best-of-N wall clock of the two compiled kernels stays within 5%.
-A second smoke test exports one profiled, traced run and checks the
-Chrome-trace JSON holds compile-stage, loop-nest, parallel, and worker
-spans on one timeline.
+this harness checks the structure: the emitted artifacts are identical
+and carry no profiling code.  (A best-of-N "within 5%" wall-clock gate
+on two byte-identical kernels used to ride along; what profiling costs
+when it is *on* is ``obs.profile_overhead_ratio`` in ``python3 -m
+bench.run``, BENCHMARK.json.)  A second smoke test exports one
+profiled, traced run and checks the Chrome-trace JSON holds
+compile-stage, loop-nest, parallel, and worker spans on one timeline.
 
-The same contract covers the telemetry export layer (PR 8): with no
-``TIRAMISU_EVENT_LOG`` / ``TIRAMISU_METRICS_FILE`` in the environment
-the journal probes and the autoflush hook must keep compile+run within
-5% of a build with telemetry stubbed out entirely, and *enabling* them
-must never change the emitted kernel source — telemetry observes the
-compile, it does not participate in it.
+The same contract covers the telemetry export layer (PR 8): with the
+``event_log`` / ``metrics_file`` knobs unset a compile creates no
+journal and no flusher at all, and *enabling* them must never change
+the emitted kernel source — telemetry observes the compile, it does
+not participate in it.
 """
 
-import contextlib
 import json
-import time
 
 import numpy as np
 
-from conftest import bench_note, print_table
+from conftest import print_table
+from repro import settings
 from repro.kernels.linalg import build_sgemm
 from repro.obs import (CAT_COMPILE, CAT_LOOP, CAT_PARALLEL, CAT_WORKER,
                        get_tracer, read_events, write_trace_file)
 
 PARAMS = {"N": 96, "M": 96, "K": 96}
-REPEATS = 7
+
+#: What ``profile=True`` adds to the emitted source.
+PROFILING_CODE = ("_obs", "_now_ns", "_ct0", "_sp1")
 
 
-def _best_of(kernel, inputs, repeats=REPEATS):
-    best = float("inf")
-    for _ in range(repeats):
-        fresh = {k: np.copy(v) for k, v in inputs.items()}
-        t0 = time.perf_counter()
-        kernel(**fresh, **PARAMS)
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _run(bundle, kernel):
+    inputs = bundle.make_inputs(PARAMS, np.random.default_rng(0))
+    return kernel(**{k: np.copy(v) for k, v in inputs.items()}, **PARAMS)
 
 
 class TestProfileOffOverhead:
@@ -52,81 +49,45 @@ class TestProfileOffOverhead:
         assert k_off.source == k_base.source
         assert k_off.report.fingerprint == k_base.report.fingerprint
 
-    def test_profile_false_within_5_percent(self):
-        base = build_sgemm()
-        k_base = base.function.compile("cpu")
+    def test_profile_false_emits_no_profiling_code(self):
+        """Was "profile=False best-of-7 within 5% of the default build"
+        — two byte-identical kernels (timing of the *on* path:
+        ``obs.profile_overhead_ratio``)."""
         off = build_sgemm()
         k_off = off.function.compile("cpu", profile=False, cache=False)
-        inputs = base.make_inputs(PARAMS, np.random.default_rng(0))
-        _best_of(k_base, inputs, repeats=2)   # warm both code paths
-        _best_of(k_off, inputs, repeats=2)
-        # Interleave the two measurements so host-load drift across the
-        # benchmark suite hits both kernels equally; best-of cancels the
-        # remaining spikes (the kernels are byte-identical, so the true
-        # ratio is 1.0 by construction).
-        t_base = t_off = float("inf")
-        for _ in range(REPEATS):
-            t_base = min(t_base, _best_of(k_base, inputs, repeats=1))
-            t_off = min(t_off, _best_of(k_off, inputs, repeats=1))
-        ratio = t_off / t_base
-        print_table("profiling overhead (off)", {
-            "baseline best (ms)": f"{t_base * 1e3:.3f}",
-            "profile=False best (ms)": f"{t_off * 1e3:.3f}",
-            "ratio": f"{ratio:.3f}",
-        })
-        assert ratio <= 1.05, (t_base, t_off)
-        bench_note("profile_off_overhead_ratio", ratio)
-
-
-@contextlib.contextmanager
-def _stubbed_telemetry():
-    """Replace the pipeline's journal probes and the autoflush hook
-    with no-ops — the closest measurable stand-in for a build that
-    never had the telemetry layer."""
-    from repro.driver import pipeline as pipeline_mod
-    from repro.obs import export as export_mod
-    saved_emit = pipeline_mod.emit_event
-    saved_flush = export_mod.autoflush
-    pipeline_mod.emit_event = lambda *a, **k: False
-    export_mod.autoflush = lambda: None
-    try:
-        yield
-    finally:
-        pipeline_mod.emit_event = saved_emit
-        export_mod.autoflush = saved_flush
-
-
-def _compile_and_run_seconds():
-    bundle = build_sgemm()
-    inputs = bundle.make_inputs(PARAMS, np.random.default_rng(0))
-    t0 = time.perf_counter()
-    kernel = bundle.function.compile("cpu", cache=False)
-    kernel(**{k: np.copy(v) for k, v in inputs.items()}, **PARAMS)
-    return time.perf_counter() - t0
+        assert not any(name in k_off.source for name in PROFILING_CODE)
+        _run(off, k_off)
+        assert k_off.last_run is None
+        # ... and the markers are what profiling really emits.
+        on = build_sgemm()
+        k_on = on.function.compile("cpu", profile=True, cache=False)
+        assert all(name in k_on.source for name in PROFILING_CODE)
+        _run(on, k_on)
+        assert k_on.last_run is not None
 
 
 class TestTelemetryOffOverhead:
-    def test_disabled_journal_and_flusher_within_5_percent(
-            self, monkeypatch):
-        monkeypatch.delenv("TIRAMISU_EVENT_LOG", raising=False)
-        monkeypatch.delenv("TIRAMISU_METRICS_FILE", raising=False)
-        # Warm both paths (imports, pool state) before measuring.
-        _compile_and_run_seconds()
-        with _stubbed_telemetry():
-            _compile_and_run_seconds()
-        t_disabled = t_stubbed = float("inf")
-        for _ in range(5):
-            t_disabled = min(t_disabled, _compile_and_run_seconds())
-            with _stubbed_telemetry():
-                t_stubbed = min(t_stubbed, _compile_and_run_seconds())
-        ratio = t_disabled / t_stubbed
-        print_table("telemetry overhead (disabled)", {
-            "stubbed best (ms)": f"{t_stubbed * 1e3:.3f}",
-            "disabled best (ms)": f"{t_disabled * 1e3:.3f}",
-            "ratio": f"{ratio:.3f}",
-        })
-        bench_note("telemetry_off_overhead_ratio", ratio)
-        assert ratio <= 1.05, (t_stubbed, t_disabled)
+    def test_disabled_telemetry_creates_no_journal_and_no_flusher(
+            self, tmp_path, monkeypatch):
+        """Was "compile+run within 5% of a build with the journal
+        probes and the autoflush hook stubbed out" on best-of-5: with
+        nothing to write to, each probe is one knob read that builds
+        nothing (the driver's own share of a compile:
+        ``driver.overhead_share``)."""
+        from repro.obs import events, export
+        for knob in ("event_log", "metrics_file", "metrics_interval",
+                     "trace_file"):
+            monkeypatch.delenv(settings.KNOBS[knob].env, raising=False)
+        monkeypatch.chdir(tmp_path)
+        events.emit("flush.stale.journal", "compile")   # drops any old fd
+        export.stop_flusher(final_flush=False)
+        get_tracer().clear()
+        bundle = build_sgemm()
+        _run(bundle, bundle.function.compile("cpu", cache=False))
+        assert events._journal is None
+        assert export._flusher is None
+        assert len(get_tracer()) == 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_enabling_telemetry_never_changes_emitted_source(
             self, tmp_path, monkeypatch):
@@ -154,22 +115,18 @@ class TestTraceExportSmoke:
     def test_trace_json_holds_all_span_kinds(self, tmp_path):
         tracer = get_tracer()
         tracer.clear()
-        tracer.set_enabled(True)
+        dest = tmp_path / "trace.json"
         try:
-            bundle = build_sgemm()
-            # parallelize only acc: scale's nest stays sequential, so
-            # the export shows loop-nest AND parallel/worker spans
-            bundle.computations["acc"].parallelize("i")
-            kernel = bundle.function.compile(
-                "cpu", profile=True, num_threads=2, cache=False)
-            inputs = bundle.make_inputs(PARAMS,
-                                        np.random.default_rng(0))
-            kernel(**{k: np.copy(v) for k, v in inputs.items()},
-                   **PARAMS)
-            dest = tmp_path / "trace.json"
-            assert write_trace_file(str(dest)) == str(dest)
+            with settings.override(trace_file=dest):
+                bundle = build_sgemm()
+                # parallelize only acc: scale's nest stays sequential,
+                # so the export shows loop-nest AND parallel/worker
+                # spans
+                bundle.computations["acc"].parallelize("i")
+                _run(bundle, bundle.function.compile(
+                    "cpu", profile=True, num_threads=2, cache=False))
+                assert write_trace_file() == str(dest)
         finally:
-            tracer.set_enabled(None)
             tracer.clear()
         doc = json.loads(dest.read_text())
         events = doc["traceEvents"]

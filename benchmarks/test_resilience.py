@@ -1,36 +1,37 @@
 """Tier-2 self-protection gates: an open circuit breaker degrades
-batch compiles to the inline path at <= 1.05x the plain inline cost,
-and a seeded chaos soak (``-m chaos``) drives fault storms through
-``BatchCompiler`` asserting every request ends in exactly one terminal
-state with bit-identical survivors and no durable-state damage.
+every batch compile to the inline path — same bytes as the plain
+inline configuration, nothing sent to the pool — and a seeded chaos
+soak (``-m chaos``) drives fault storms through ``BatchCompiler``
+asserting every request ends in exactly one terminal state with
+bit-identical survivors and no durable-state damage
+(``soak_pass_rate == 1.0``).
 
-Both headline numbers feed the perf trajectory:
-``resilience.breaker_fallback_ratio`` and
-``resilience.soak_pass_rate``.
+The breaker half used to gate "breaker-open <= 1.05x plain inline" on
+best-of-5 wall clocks of two code paths that run the *same* inline
+pipeline; what a batch costs is ``batch_compiles_per_s`` /
+``driver.batch_vs_serial_ratio`` in ``python3 -m bench.run``
+(BENCHMARK.json).
 """
 
 import os
-import time
 
 import numpy as np
 import pytest
 
-from repro import Computation, Function, Var
+from repro import Computation, Function, Var, settings
 from repro.backends.pool import get_pool
 from repro.core.errors import (AdmissionError, DeadlineExceededError,
                                WorkerFailureError)
 from repro.driver import BatchCompiler, kernel_registry, pool_breaker
-from repro.driver.diskcache import configure, reset_configuration
+from repro.driver.diskcache import configure
 from repro.faults import FaultPlan, injected, uninstall
 from repro.kernels.linalg import build_sgemm
-from repro.obs.events import (configure_event_log, read_journal,
-                              reset_event_log_configuration)
+from repro.obs.events import read_journal
 
-from conftest import bench_note, print_table
+from conftest import print_table
 
 HAVE_POOL = get_pool(2) is not None
 
-MAX_FALLBACK_OVERHEAD = 1.05
 SOAK_PLANS = 20
 FLEET = 2
 
@@ -51,36 +52,20 @@ def expected_output(scale):
 def _fresh():
     kernel_registry.clear()
     uninstall()
-    reset_configuration()
-    reset_event_log_configuration()
     yield
     uninstall()
-    reset_configuration()
-    reset_event_log_configuration()
     kernel_registry.clear()
-
-
-def _best_seconds(fn, repeats=5):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 @pytest.mark.skipif(not HAVE_POOL, reason="this host cannot create a "
                     "worker pool")
-def test_breaker_open_fallback_within_five_percent():
+def test_breaker_open_degrades_every_compile_to_the_inline_path():
     """While the breaker is open, every would-be offload short-circuits
-    to the inline compile path — which must cost no more than the plain
-    inline configuration ever did."""
+    to the inline compile path — the plain inline configuration's
+    pipeline, so the same kernels byte for byte."""
 
     # Two sgemm variants with distinct schedules (so distinct
-    # fingerprints): each is a real multi-millisecond compile, so the
-    # timed ratio reflects pipeline work rather than fixed per-submit
-    # bookkeeping.  Built once, off the clock — the IR construction
-    # cost is identical on both paths and would only add noise.
+    # fingerprints).
     fns = []
     for n in range(FLEET):
         bundle = build_sgemm()
@@ -92,33 +77,24 @@ def test_breaker_open_fallback_within_five_percent():
         kernel_registry.clear()
         with BatchCompiler(max_workers=2, **batch_opts) as batch:
             handles = [batch.submit(fn) for fn in fns]
-            for handle in handles:
-                handle.result(timeout=120)
-        return batch
+            kernels = [handle.result(timeout=120) for handle in handles]
+        return batch.stats, [k.source for k in kernels]
 
-    # Warm the fork machinery and import caches off the clock.
-    compile_fleet(use_processes=False)
-
-    inline_s = _best_seconds(
-        lambda: compile_fleet(use_processes=False))
-
+    inline, inline_sources = compile_fleet(use_processes=False)
     pool_breaker().trip()
-    degraded = compile_fleet()
-    assert degraded.stats.breaker_short_circuits == FLEET
-    assert degraded.stats.inline_compiles == FLEET
-    pool_breaker().trip()   # keep it open across the timed reps
-    degraded_s = _best_seconds(lambda: compile_fleet())
+    degraded, degraded_sources = compile_fleet()
 
-    ratio = degraded_s / inline_s
     print_table("breaker-open inline degradation", {
-        "inline baseline": f"{inline_s * 1e3:.1f} ms",
-        "breaker-open": f"{degraded_s * 1e3:.1f} ms",
-        "ratio": f"{ratio:.3f}x (gate {MAX_FALLBACK_OVERHEAD:.2f}x)",
+        "short circuits": degraded.breaker_short_circuits,
+        "inline / worker compiles": f"{degraded.inline_compiles} / "
+                                    f"{degraded.worker_compiles}",
+        "retries": degraded.retries,
     })
-    bench_note("resilience.breaker_fallback_ratio", ratio)
-    assert ratio <= MAX_FALLBACK_OVERHEAD, (
-        f"breaker-open degradation costs {ratio:.3f}x over plain "
-        f"inline compiles (gate {MAX_FALLBACK_OVERHEAD:.2f}x)")
+    assert degraded.breaker_short_circuits == FLEET
+    assert degraded.inline_compiles == FLEET == inline.inline_compiles
+    assert degraded.worker_compiles == 0
+    assert degraded.retries == 0 and degraded.worker_failures == 0
+    assert degraded_sources == inline_sources
 
 
 TERMINAL_ERRORS = (DeadlineExceededError, AdmissionError,
@@ -129,11 +105,10 @@ def _soak_round(seed, tmp_path):
     """One seeded fault storm over a small batch; raises on any
     violated invariant."""
     kernel_registry.clear()
-    reset_configuration()
     root = tmp_path / f"cache{seed}"
     configure(root)
     log = tmp_path / f"events{seed}.jsonl"
-    configure_event_log(str(log))
+    settings.set(event_log=log)
     rng = np.random.default_rng(seed)
     plan = FaultPlan(seed=seed)
     if rng.random() < 0.7:
@@ -176,8 +151,7 @@ def _soak_round(seed, tmp_path):
     _, torn = read_journal(str(log))
     assert torn is None
     assert not [n for n in os.listdir(root) if n.startswith(".tmp-")]
-    reset_event_log_configuration()
-    reset_configuration()
+    settings.reset()
     return sum(1 for _, o in outcomes
                if isinstance(o, BaseException))
 
@@ -196,5 +170,4 @@ def test_chaos_soak_every_request_terminates_cleanly(tmp_path):
         "requests ended in an error": failed_requests,
         "pass rate": f"{pass_rate:.2f}",
     })
-    bench_note("resilience.soak_pass_rate", pass_rate)
     assert pass_rate == 1.0

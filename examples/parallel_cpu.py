@@ -13,8 +13,8 @@ Run:  python examples/parallel_cpu.py
 
 import numpy as np
 
+from repro import settings
 from repro.core.errors import IllegalScheduleError
-from repro.driver.trace import traced
 from repro.kernels.linalg import TEST_SGEMM, build_sgemm
 
 # -- 1. a legal parallel schedule on the Fig. 1 kernel -----------------------
@@ -26,7 +26,7 @@ acc.vectorize("j", 8)        # ... a full NumPy lane
 acc.parallelize("i")         # chunk rows across worker processes
 scale.parallelize("i2")
 
-with traced():               # print the stage table (incl. race-check)
+with settings.override(trace=True):   # print the stage table (incl. race-check)
     kernel = bundle.function.compile("cpu", num_threads=2)
 
 rng = np.random.default_rng(0)

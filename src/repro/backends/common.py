@@ -11,52 +11,32 @@ backwards compatibility.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional
 
+from repro import settings
 from repro.core.buffer import ArgKind, Buffer
 from repro.core.computation import Input, Operation
 from repro.core.function import Function
 
-#: Environment override for every runtime timeout (seconds) — lets CI
-#: tighten or loosen deadlines without touching compile options.
-TIMEOUT_ENV = "TIRAMISU_TIMEOUT"
-
-#: Per-use defaults when neither the ``timeout`` option nor the env
-#: var is set: a blocking receive and the whole-run thread join.
+#: Per-use defaults when neither the ``timeout`` option nor the
+#: ``timeout`` knob is set: a blocking receive and the whole-run thread
+#: join.
 DEFAULT_RECV_TIMEOUT = 30.0
 DEFAULT_JOIN_TIMEOUT = 120.0
 
 
 def resolve_timeout(value: Optional[float] = None,
                     default: Optional[float] = None) -> Optional[float]:
-    """One timeout, three priorities: the validated ``timeout`` compile
-    or call option, then the ``TIRAMISU_TIMEOUT`` environment variable,
-    then ``default`` (which may be None — "no deadline").
-
-    Zero, negative, boolean and non-numeric values raise ValueError —
-    for the env var too, naming ``TIRAMISU_TIMEOUT`` so a broken CI
-    environment fails loudly at option-normalization time instead of
-    deep inside the runtime."""
-    source = "timeout"
-    if value is None:
-        env = os.environ.get(TIMEOUT_ENV, "").strip()
-        if env:
-            value = env
-            source = TIMEOUT_ENV
-        else:
-            return None if default is None else float(default)
-    if isinstance(value, bool):
-        raise ValueError(
-            f"{source} must be a positive number, got {value!r}")
-    try:
-        t = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{source} must be a positive number, got {value!r}") from None
-    if t <= 0:
-        raise ValueError(f"{source} must be a positive number, got {value!r}")
-    return t
+    """One timeout, three priorities: the ``timeout`` compile or call
+    option, then the ``timeout`` knob of :mod:`repro.settings` (which
+    lets CI tighten or loosen every deadline without touching compile
+    options), then ``default`` (which may be None — "no deadline").
+    Zero, negative, boolean and non-numeric values raise ValueError
+    naming the option or the environment variable."""
+    resolved = settings.resolve("timeout", value)
+    if resolved is None and default is not None:
+        return float(default)
+    return resolved
 
 
 def infer_argument_kinds(fn: Function) -> None:

@@ -20,8 +20,8 @@ deadlock detector reports the wait-for cycle
 (:class:`~repro.core.errors.DeadlockError`) rather than a bare timeout;
 and a rank thread that outlives the join deadline is reported as hung,
 never silently returned as a ``None`` result.  All deadlines come from
-the validated ``timeout`` compile/call option, overridable with the
-``TIRAMISU_TIMEOUT`` environment variable.  An active
+the validated ``timeout`` compile/call option, then the ``timeout``
+knob of :mod:`repro.settings`.  An active
 :class:`repro.faults.FaultPlan` can crash or stall ranks and drop or
 corrupt individual messages on a link, deterministically.
 """
@@ -464,7 +464,7 @@ class DistributedKernel:
         ``rank -> dict``.  Returns one output dict per rank.
 
         ``timeout`` overrides the compile-time option for this call;
-        both defer to ``TIRAMISU_TIMEOUT`` and then the per-use defaults
+        both defer to the ``timeout`` knob and then the per-use defaults
         (receive/barrier 30 s, whole-run join 120 s).  A rank that
         dies fails the run naming the *root cause* — the first rank in
         the failure ledger — and a rank thread that outlives the join

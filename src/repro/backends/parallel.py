@@ -121,9 +121,8 @@ class ParallelRuntime:
         self.num_threads = int(num_threads)
         self.profiled = bool(profiled)
         self.max_retries = int(max_retries)
-        # Per-chunk deadline in seconds; None (and no TIRAMISU_TIMEOUT
-        # env override) means wait forever, the pre-fault-tolerance
-        # behavior.
+        # Per-chunk deadline in seconds; None (and no ``timeout`` knob)
+        # means wait forever, the pre-fault-tolerance behavior.
         self.timeout = resolve_timeout(timeout, default=None)
         if on_worker_failure not in ("retry", "fallback", "raise"):
             raise ValueError(

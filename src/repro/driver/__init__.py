@@ -7,8 +7,8 @@ reproduction.  A :class:`CompilePipeline` runs explicit named stages
 emit -> bind) over a :class:`CompileContext`, resolves targets through
 the :class:`Backend` registry, skips straight to a cached kernel when
 the function's :func:`ir_fingerprint` is unchanged, and attaches a
-per-stage :class:`CompileReport` to every kernel (``TIRAMISU_TRACE=1``
-prints the stage table).
+per-stage :class:`CompileReport` to every kernel (the ``trace`` knob
+of :mod:`repro.settings` prints the stage table).
 
 Compile-as-a-service surface:
 
@@ -18,7 +18,7 @@ Compile-as-a-service surface:
   pool for distinct cold compiles, reports as they complete.
 * :class:`DiskCache` (:mod:`repro.driver.diskcache`) — the durable
   on-disk artifact tier under the in-memory registry; activate with
-  ``TIRAMISU_CACHE_DIR`` or :func:`configure_disk_cache`.
+  the ``cache_dir`` knob (:func:`configure_disk_cache` pins it).
 * :class:`CacheStats` / :class:`CacheStatsGroup`
   (:mod:`repro.driver.stats`) — the one vocabulary every cache tier
   (memory, disk, isl.empty, isl.compose) reports in.
@@ -43,7 +43,6 @@ from .cache import CacheEntry, CompileCache, kernel_registry
 from .context import CompileContext
 from .diskcache import DiskCache, DiskEntry, active_disk_cache
 from .diskcache import configure as configure_disk_cache
-from .diskcache import reset_configuration as reset_disk_cache_configuration
 from .fingerprint import ir_fingerprint
 from .pipeline import (BASE_OPTIONS, CompilePipeline, compile_function,
                        compile_to_source)
@@ -55,8 +54,7 @@ from .resilience import (CircuitBreaker, Deadline, current_deadline,
                          deadline_scope, pool_breaker,
                          reset_pool_breaker)
 from .stats import CacheStats, CacheStatsGroup
-from .trace import (CompileReport, StageTiming, emit_trace, set_trace,
-                    trace_enabled, traced)
+from .trace import CompileReport, StageTiming, emit_trace
 
 __all__ = [
     "BASE_OPTIONS",
@@ -94,9 +92,5 @@ __all__ = [
     "recovery_sweep",
     "register_backend",
     "registered_targets",
-    "reset_disk_cache_configuration",
     "reset_pool_breaker",
-    "set_trace",
-    "trace_enabled",
-    "traced",
 ]

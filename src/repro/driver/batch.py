@@ -44,8 +44,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional
 
-import os
-
+from repro import settings
 from repro.backends.pool import BATCH, refusal, supervise
 from repro.core.errors import AdmissionError
 from repro.obs.events import (EVT_BATCH, EVT_RESILIENCE, compile_context,
@@ -54,29 +53,6 @@ from repro.obs.events import (EVT_BATCH, EVT_RESILIENCE, compile_context,
 from .pipeline import CompilePipeline, compile_to_source
 from .registry import get_backend
 from .resilience import Deadline, deadline_scope
-
-#: Admission-control environment knobs (docs/robustness.md): the
-#: default capacity bounds and overload policy for every BatchCompiler
-#: that is not configured explicitly.
-MAX_PENDING_ENV = "TIRAMISU_MAX_PENDING"
-MAX_QUEUED_BYTES_ENV = "TIRAMISU_MAX_QUEUED_BYTES"
-ADMISSION_POLICY_ENV = "TIRAMISU_ADMISSION_POLICY"
-
-ADMISSION_POLICIES = ("reject", "block", "shed-oldest")
-
-
-def _env_capacity(name: str) -> Optional[int]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be a positive int, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be a positive int, got {raw!r}")
-    return value
 
 
 @dataclass
@@ -202,10 +178,9 @@ class BatchCompiler:
     :class:`~repro.core.errors.AdmissionError` immediately, ``"block"``
     waits for capacity, ``"shed-oldest"`` cancels the oldest not-yet-
     started job (failing *its* handles with ``AdmissionError``) to
-    admit the newcomer.  Unset bounds fall back to the
-    ``TIRAMISU_MAX_PENDING`` / ``TIRAMISU_MAX_QUEUED_BYTES`` /
-    ``TIRAMISU_ADMISSION_POLICY`` environment; with neither, admission
-    is unbounded (the pre-admission behavior).  Duplicate submits
+    admit the newcomer.  Unset arguments take the knobs of the same
+    names (:mod:`repro.settings`); with neither, admission is
+    unbounded (the pre-admission behavior).  Duplicate submits
     attach to the existing job and are never refused — dedup costs no
     capacity."""
 
@@ -220,26 +195,11 @@ class BatchCompiler:
         self.target = target
         self.workers = resolve_num_threads(max_workers)
         self.use_processes = use_processes
-        self.max_pending = (int(max_pending) if max_pending is not None
-                            else _env_capacity(MAX_PENDING_ENV))
-        if self.max_pending is not None and self.max_pending < 1:
-            raise ValueError(
-                f"max_pending must be a positive int, got {max_pending!r}")
-        self.max_queued_bytes = (
-            int(max_queued_bytes) if max_queued_bytes is not None
-            else _env_capacity(MAX_QUEUED_BYTES_ENV))
-        if self.max_queued_bytes is not None and self.max_queued_bytes < 1:
-            raise ValueError(
-                f"max_queued_bytes must be a positive int, "
-                f"got {max_queued_bytes!r}")
-        policy = admission_policy \
-            or os.environ.get(ADMISSION_POLICY_ENV, "").strip() \
-            or "reject"
-        if policy not in ADMISSION_POLICIES:
-            raise ValueError(
-                f"admission_policy must be one of "
-                f"{', '.join(ADMISSION_POLICIES)}, got {policy!r}")
-        self.admission_policy = policy
+        self.max_pending = settings.resolve("max_pending", max_pending)
+        self.max_queued_bytes = settings.resolve("max_queued_bytes",
+                                                 max_queued_bytes)
+        self.admission_policy = settings.resolve("admission_policy",
+                                                 admission_policy)
         self.default_options = dict(default_options)
         self.stats = BatchStats()
         self._pipelines: Dict[str, CompilePipeline] = {}

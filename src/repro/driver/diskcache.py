@@ -24,8 +24,8 @@ process points at:
   tier got in PR 4).  A truncated, unpicklable or digest-mismatched
   file is *quarantined* (renamed to ``*.quarantine``), counted as a
   corruption, and reported as a miss so the pipeline recompiles.
-* **Eviction** — the tier is size-bounded (``TIRAMISU_CACHE_MAX_BYTES``,
-  default 256 MiB): after each store the directory is trimmed
+* **Eviction** — the tier is size-bounded (the ``cache_max_bytes``
+  knob): after each store the directory is trimmed
   least-recently-used-first by mtime (reads bump mtime, so recency
   survives process restarts).
 * **Observability** — ``compile_cache.disk.{hit,miss,evict,corrupt}``
@@ -33,53 +33,26 @@ process points at:
   :class:`~repro.driver.stats.CacheStats` (tier ``disk``), and a
   ``disk:`` line in ``CompileReport.format_table()``.
 
-The tier is **off by default**: it activates when ``TIRAMISU_CACHE_DIR``
-is set (or :func:`configure` is called), and the default compile path
-stays byte-identical with the tier on or off — the disk only ever
-stores exactly what ``emit`` produced.
+The tier is **off by default**: it activates when the ``cache_dir``
+knob of :mod:`repro.settings` names a directory, and the default
+compile path stays byte-identical with the tier on or off — the disk
+only ever stores exactly what ``emit`` produced.
 """
 
 from __future__ import annotations
 
 import errno as _errno
-import hashlib
 import os
 import pickle
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional
 
+from repro import settings
+from repro.atomicio import atomic_write
+
+from .cache import source_digest
 from .stats import CacheStats
-
-CACHE_DIR_ENV = "TIRAMISU_CACHE_DIR"
-CACHE_MAX_BYTES_ENV = "TIRAMISU_CACHE_MAX_BYTES"
-CACHE_MAX_QUARANTINE_ENV = "TIRAMISU_CACHE_MAX_QUARANTINE"
-
-DEFAULT_MAX_BYTES = 256 * 1024 * 1024
-
-#: How many quarantined corpses the eviction pass keeps around as
-#: forensic evidence before dropping the oldest.
-DEFAULT_MAX_QUARANTINE = 8
-
-
-def resolve_max_quarantine() -> int:
-    """The quarantine-count cap (``TIRAMISU_CACHE_MAX_QUARANTINE``,
-    >= 0; 0 keeps no corpses at all)."""
-    raw = os.environ.get(CACHE_MAX_QUARANTINE_ENV, "").strip()
-    if not raw:
-        return DEFAULT_MAX_QUARANTINE
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{CACHE_MAX_QUARANTINE_ENV} must be a non-negative int, "
-            f"got {raw!r}") from None
-    if cap < 0:
-        raise ValueError(
-            f"{CACHE_MAX_QUARANTINE_ENV} must be a non-negative int, "
-            f"got {raw!r}")
-    return cap
 
 
 def _injected_io_error(op: str, key: str) -> None:
@@ -106,10 +79,6 @@ _SUFFIX = ".pkl"
 _QUARANTINE_SUFFIX = ".quarantine"
 
 
-def _entry_digest(source: str) -> str:
-    return hashlib.sha256(source.encode()).hexdigest()
-
-
 @dataclass
 class DiskEntry:
     """One artifact loaded from (or bound for) the disk tier."""
@@ -123,13 +92,12 @@ class DiskEntry:
 
 class DiskCache:
     """A size-bounded, digest-verified, multi-process-safe artifact
-    store; one instance per (directory, byte bound)."""
+    store; one instance per (directory, byte bound).  ``max_bytes=None``
+    takes the ``cache_max_bytes`` knob."""
 
-    def __init__(self, root, max_bytes: int = DEFAULT_MAX_BYTES):
+    def __init__(self, root, max_bytes: Optional[int] = None):
         self.root = Path(root)
-        if max_bytes < 1:
-            raise ValueError("disk cache max_bytes must be >= 1")
-        self.max_bytes = int(max_bytes)
+        self.max_bytes = settings.resolve("cache_max_bytes", max_bytes)
         self.root.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
@@ -220,7 +188,7 @@ class DiskCache:
         source = payload.get("source")
         digest = payload.get("digest", "")
         if not isinstance(source, str) or not digest \
-                or _entry_digest(source) != digest:
+                or source_digest(source) != digest:
             return None
         extras = payload.get("extras") or {}
         if not isinstance(extras, dict):
@@ -252,30 +220,20 @@ class DiskCache:
             "key": key,
             "target": target,
             "source": source,
-            "digest": _entry_digest(source),
+            "digest": source_digest(source),
             "extras": dict(extras or {}),
         }
         try:
             raw = pickle.dumps(payload)
         except Exception:  # noqa: BLE001 - unpicklable backend extras
             return False
-        path = self.path_for(key)
-        fd, tmp_name = tempfile.mkstemp(prefix=f".tmp-{key[:12]}-",
-                                        dir=self.root)
         try:
-            with os.fdopen(fd, "wb") as tmp:
-                _injected_io_error("store", key)
-                tmp.write(raw)
-            os.replace(tmp_name, path)
+            _injected_io_error("store", key)
+            atomic_write(self.path_for(key), raw)
         except OSError as err:
-            # The tmp file never became the artifact: remove it so a
-            # failed store can't leave a partial .pkl (or a stray temp)
-            # behind, journal the failure, and let the compile proceed
-            # from its in-memory artifact.
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
+            # A failed store leaves no partial .pkl and no stray temp
+            # behind (atomic_write): journal the failure, and let the
+            # compile proceed from its in-memory artifact.
             from repro.obs.events import EVT_CACHE, emit
             from repro.obs.metrics import metrics
             metrics.counter("compile_cache.disk.store_error").inc()
@@ -309,12 +267,12 @@ class DiskCache:
         the bound would otherwise make the tier useless).
 
         Quarantined corpses are bounded too: their *count* is capped at
-        ``TIRAMISU_CACHE_MAX_QUARANTINE`` (oldest dropped first), and
+        the ``cache_max_quarantine`` knob (oldest dropped first), and
         the survivors' bytes count toward ``max_bytes`` — when the tier
         is over budget, forensic corpses are evicted before any live
         artifact is."""
         quarantined = self._quarantined()
-        cap = resolve_max_quarantine()
+        cap = settings.get("cache_max_quarantine")
         while len(quarantined) > cap:
             path, st = quarantined.pop(0)
             if not self._evict_one(path, "cache.disk.quarantine_evict",
@@ -394,59 +352,32 @@ class DiskCache:
 
 # -- process-wide activation -------------------------------------------------
 
-_configured_root: Optional[str] = None
-_configured_max: Optional[int] = None
-_explicit = False
 _active: Optional[DiskCache] = None
 
 
 def configure(root: Optional[str], max_bytes: Optional[int] = None
               ) -> Optional[DiskCache]:
-    """Programmatically pin the disk tier to ``root`` (``None`` disables
-    it regardless of the environment); returns the active instance."""
-    global _configured_root, _configured_max, _explicit, _active
-    _configured_root = str(root) if root is not None else None
-    _configured_max = int(max_bytes) if max_bytes is not None else None
-    _explicit = True
-    _active = None
-    return active_disk_cache()
-
-
-def reset_configuration() -> None:
-    """Forget any :func:`configure` override; the ``TIRAMISU_CACHE_DIR``
-    environment variable decides again."""
-    global _explicit, _configured_root, _configured_max, _active
-    _explicit = False
-    _configured_root = None
-    _configured_max = None
-    _active = None
-
-
-def _resolved_config():
-    if _explicit:
-        root = _configured_root
-        max_bytes = _configured_max
-    else:
-        root = os.environ.get(CACHE_DIR_ENV, "").strip() or None
-        max_bytes = None
-    if root is None:
-        return None
+    """Pin the ``cache_dir`` knob to ``root`` (``None`` disables the
+    tier regardless of the environment) and, when given, the
+    ``cache_max_bytes`` knob; returns the active instance."""
+    settings.set(cache_dir=root)
     if max_bytes is None:
-        env = os.environ.get(CACHE_MAX_BYTES_ENV, "").strip()
-        max_bytes = int(env) if env else DEFAULT_MAX_BYTES
-    return root, max_bytes
+        settings.reset("cache_max_bytes")
+    else:
+        settings.set(cache_max_bytes=max_bytes)
+    return active_disk_cache()
 
 
 def active_disk_cache() -> Optional[DiskCache]:
     """The process-wide disk tier, or None when disabled.  Re-resolves
-    the environment on every call, so tests (and long-lived services)
-    can repoint or disable the tier without restarting."""
+    the settings on every call, so tests (and long-lived services) can
+    repoint or disable the tier without restarting."""
     global _active
-    config = _resolved_config()
-    if config is None:
+    root = settings.get("cache_dir")
+    if root is None:
         _active = None
         return None
-    root, max_bytes = config
+    max_bytes = settings.get("cache_max_bytes")
     if _active is None or str(_active.root) != root \
             or _active.max_bytes != max_bytes:
         try:

@@ -9,7 +9,7 @@ the fingerprint stage with the registry's kernel.
 
 Two warm tiers sit between fingerprint and the lowering stages: the
 in-process kernel registry (:mod:`repro.driver.cache`) and, when
-``TIRAMISU_CACHE_DIR`` points somewhere, the durable on-disk artifact
+the ``cache_dir`` knob points somewhere, the durable on-disk artifact
 store (:mod:`repro.driver.diskcache`).  A disk hit skips every lowering
 stage and re-binds the stored source (stages ``disk-load`` + ``bind``);
 a cold compile publishes its artifact back to disk (``disk-store``) for
@@ -30,6 +30,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro import settings
 from repro.obs.events import (EVT_CACHE, EVT_COMPILE, EVT_RESILIENCE,
                               EVT_SEARCH, compile_context,
                               current_compile_id, new_compile_id)
@@ -64,8 +65,8 @@ BASE_OPTIONS: Dict[str, object] = {
     "profile": False,
     # Fault tolerance (docs/robustness.md): how many times a parallel
     # region is re-dispatched after a worker failure, the per-chunk /
-    # per-recv deadline in seconds (None defers to the TIRAMISU_TIMEOUT
-    # env var, then the runtime's own default), and the endgame when
+    # per-recv deadline in seconds (None defers to the ``timeout``
+    # knob, then the runtime's own default), and the endgame when
     # the pool keeps dying ("fallback" degrades to sequential
     # execution, "retry" raises after the last attempt, "raise" fails
     # on the first).
@@ -168,11 +169,10 @@ class CompilePipeline:
                 raise ValueError(
                     f"timeout must be a positive number, got {to!r}")
         else:
-            # No explicit option: a broken TIRAMISU_TIMEOUT (zero,
+            # No explicit option: a broken ``timeout`` knob (zero,
             # negative, garbage) must also fail here, at normalization,
             # not deep inside the runtime that eventually resolves it.
-            from repro.backends.common import resolve_timeout
-            resolve_timeout(None, default=None)
+            settings.get("timeout")
         owf = merged.get("on_worker_failure")
         if owf not in ("retry", "fallback", "raise"):
             raise TypeError(
@@ -407,7 +407,7 @@ class CompilePipeline:
         event the cache tiers and lowering stages emit carries this
         compile's correlation id without threading it explicitly — and
         under an ambient :func:`deadline_scope`: the ``timeout`` option
-        (or ``TIRAMISU_TIMEOUT``) becomes the request's end-to-end
+        (or the ``timeout`` knob) becomes the request's end-to-end
         budget, charged from here, that every expensive stage checks
         before starting."""
         options = self.normalize_options(opts)

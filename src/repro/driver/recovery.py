@@ -14,10 +14,10 @@ in the hot path ever cleans those up — that is this module's job.
   writer, whose temp file exists only for the instant between write
   and rename);
 * **quarantine aging** — quarantined corpses beyond the
-  ``TIRAMISU_CACHE_MAX_QUARANTINE`` count cap, or older than
+  ``cache_max_quarantine`` knob's count cap, or older than
   ``quarantine_max_age`` seconds, are dropped oldest-first;
 * **journal repair** — a torn trailing record in the active event
-  journal (``TIRAMISU_EVENT_LOG``) is truncated away, so every later
+  journal (the ``event_log`` knob) is truncated away, so every later
   :func:`repro.obs.events.read_events` sees a clean file.
 
 Everything repaired is journaled as one ``resilience.recovery.sweep``
@@ -38,6 +38,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
+
+from repro import settings
 
 #: Temp files younger than this are presumed to belong to a live
 #: concurrent writer and are left alone.
@@ -88,9 +90,8 @@ def _sweep_tmp(root: Path, grace: float, now: float) -> int:
 
 
 def _sweep_quarantine(cache, max_age: float, now: float) -> int:
-    from .diskcache import resolve_max_quarantine
     corpses = cache._quarantined()
-    cap = resolve_max_quarantine()
+    cap = settings.get("cache_max_quarantine")
     removed = 0
     # Oldest first: everything beyond the count cap goes, then anything
     # that outlived the age bound.
@@ -115,15 +116,14 @@ def sweep(cache, *, tmp_grace: float = DEFAULT_TMP_GRACE,
     event journal); returns what was done.  Safe to run concurrently
     with live traffic — it only touches files no correct writer still
     needs."""
-    from repro.obs.events import (EVT_RESILIENCE, emit, event_log_path,
-                                  repair_journal)
+    from repro.obs.events import EVT_RESILIENCE, emit, repair_journal
     from repro.obs.metrics import metrics
     now = time.time()
     report = RecoveryReport(root=str(cache.root))
     report.tmp_removed = _sweep_tmp(cache.root, tmp_grace, now)
     report.quarantine_removed = _sweep_quarantine(
         cache, quarantine_max_age, now)
-    journal = event_log_path()
+    journal = settings.get("event_log")
     if journal is not None:
         report.journal_bytes_truncated = repair_journal(journal)
     if report.tmp_removed:

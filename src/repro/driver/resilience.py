@@ -27,29 +27,22 @@ digest verification, quarantine.  This module is the *proactive* half:
   first failure re-opens it for another cooldown.  Every transition is
   journaled (``resilience.breaker.*``) and counted.
 
-Knobs: ``TIRAMISU_BREAKER_THRESHOLD`` (consecutive failures to trip,
-default 3) and ``TIRAMISU_BREAKER_COOLDOWN`` (seconds open before the
-half-open probe, default 30).  See docs/robustness.md.
+Knobs (:mod:`repro.settings`): ``timeout``, ``breaker_threshold``,
+``breaker_cooldown``.  See docs/robustness.md.
 """
 
 from __future__ import annotations
 
 import contextvars
-import os
 import threading
 import time
 from contextlib import contextmanager
 from typing import Optional
 
+from repro import settings
 from repro.core.errors import DeadlineExceededError
 from repro.obs.events import EVT_RESILIENCE
 from repro.obs.events import emit as emit_event
-
-BREAKER_THRESHOLD_ENV = "TIRAMISU_BREAKER_THRESHOLD"
-BREAKER_COOLDOWN_ENV = "TIRAMISU_BREAKER_COOLDOWN"
-
-DEFAULT_BREAKER_THRESHOLD = 3
-DEFAULT_BREAKER_COOLDOWN = 30.0
 
 
 # -- deadlines ---------------------------------------------------------------
@@ -76,9 +69,8 @@ class Deadline:
     @classmethod
     def from_timeout(cls, timeout) -> Optional["Deadline"]:
         """The request budget the ``timeout`` option implies: explicit
-        option first, then ``TIRAMISU_TIMEOUT``, else no deadline."""
-        from repro.backends.common import resolve_timeout
-        resolved = resolve_timeout(timeout, default=None)
+        option first, then the ``timeout`` knob, else no deadline."""
+        resolved = settings.resolve("timeout", timeout)
         return None if resolved is None else cls(resolved)
 
     def remaining(self) -> float:
@@ -134,20 +126,6 @@ STATE_HALF_OPEN = "half-open"
 _STATE_GAUGE = {STATE_CLOSED: 0, STATE_HALF_OPEN: 1, STATE_OPEN: 2}
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be a positive number, got {raw!r}") from None
-    if value <= 0:
-        raise ValueError(f"{name} must be a positive number, got {raw!r}")
-    return value
-
-
 class CircuitBreaker:
     """closed -> open after ``threshold`` consecutive failures ->
     half-open probe after ``cooldown`` seconds -> closed on success
@@ -160,15 +138,8 @@ class CircuitBreaker:
                  threshold: Optional[int] = None,
                  cooldown: Optional[float] = None):
         self.name = name
-        self.threshold = int(threshold if threshold is not None else
-                             _env_float(BREAKER_THRESHOLD_ENV,
-                                        DEFAULT_BREAKER_THRESHOLD))
-        if self.threshold < 1:
-            raise ValueError(
-                f"breaker threshold must be >= 1, got {threshold!r}")
-        self.cooldown = float(cooldown if cooldown is not None else
-                              _env_float(BREAKER_COOLDOWN_ENV,
-                                         DEFAULT_BREAKER_COOLDOWN))
+        self.threshold = settings.resolve("breaker_threshold", threshold)
+        self.cooldown = settings.resolve("breaker_cooldown", cooldown)
         self._lock = threading.Lock()
         self._state = STATE_CLOSED
         self._consecutive_failures = 0
@@ -310,7 +281,7 @@ _pool_breaker_lock = threading.Lock()
 
 def pool_breaker() -> CircuitBreaker:
     """The process-global breaker over the shared worker pools (built
-    lazily from the ``TIRAMISU_BREAKER_*`` environment)."""
+    lazily from the ``breaker_*`` knobs)."""
     global _pool_breaker
     if _pool_breaker is None:
         with _pool_breaker_lock:
@@ -321,7 +292,7 @@ def pool_breaker() -> CircuitBreaker:
 
 def reset_pool_breaker() -> None:
     """Drop the global breaker so the next use rebuilds it from the
-    environment — tests repoint thresholds without leaking state."""
+    settings — tests repoint thresholds without leaking state."""
     global _pool_breaker
     with _pool_breaker_lock:
         _pool_breaker = None

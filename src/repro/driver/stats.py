@@ -9,13 +9,11 @@ shared key vocabulary — ``hits`` / ``misses`` / ``evictions`` /
 ``corruptions`` / ``size`` / ``maxsize`` — qualified by a *tier* name
 (``memory``, ``disk``, ``isl.empty``, ``isl.compose``).
 
-Backward compatibility (kept for one release): :class:`CacheStats` is a
-:class:`~collections.abc.Mapping`, so every existing dict-style read
-(``stats["hits"]``, ``stats.get("evictions", 0)``, ``dict(stats)``,
-equality against a plain dict) keeps working.  Grouped tiers
-(:class:`CacheStatsGroup`) additionally answer the legacy flat keys
-(``empty_hits``, ``compose_size``, ...) by splitting off the tier
-prefix.
+:class:`CacheStats` is a :class:`~collections.abc.Mapping`, so
+dict-style reads (``stats["hits"]``, ``stats.get("evictions", 0)``,
+``dict(stats)``, equality against a plain dict) work beside the
+attributes.  Tiers that are read together (``isl.empty`` and
+``isl.compose``) travel as a :class:`CacheStatsGroup`.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ class CacheStats(Mapping):
     #: Tier-specific extras (e.g. ``bytes`` / ``max_bytes`` on disk).
     extra: Dict[str, float] = field(default_factory=dict)
 
-    # -- Mapping (the legacy dict-style surface) ------------------------
+    # -- Mapping (the dict-style surface) -------------------------------
 
     def _mapping(self) -> Dict[str, object]:
         out: Dict[str, object] = {key: getattr(self, key)
@@ -74,82 +72,33 @@ class CacheStats(Mapping):
     def __hash__(self):
         return hash((self.tier, tuple(sorted(self._mapping().items()))))
 
-    # -- the shared vocabulary ------------------------------------------
-
-    def as_dict(self) -> Dict[str, object]:
-        """Canonical (unprefixed) key -> value copy."""
-        return self._mapping()
-
-    def prefixed(self, prefix: Optional[str] = None,
-                 sep: str = "_") -> Dict[str, object]:
-        """Tier-qualified flat copy: ``{"disk_hits": ..., ...}``.  The
-        default prefix is the tier name's last path segment, which is
-        what reproduces the legacy isl keys (tier ``isl.empty`` ->
-        ``empty_hits``)."""
-        if prefix is None:
-            prefix = self.tier.rsplit(".", 1)[-1]
-        return {f"{prefix}{sep}{key}": value
-                for key, value in self._mapping().items()}
-
     def format_line(self) -> str:
-        """One human-readable summary line for trace tables."""
+        """One human-readable summary line for trace tables (a
+        byte-bounded tier also shows its corruptions and bytes)."""
+        head = (f"{self.hits} hits / {self.misses} misses / "
+                f"{self.evictions} evictions")
+        if "bytes" in self.extra:
+            return (f"{head} / {self.corruptions} corrupt "
+                    f"(size {self.size}, {self.extra['bytes']}/"
+                    f"{self.extra['max_bytes']} bytes)")
         cap = f"/{self.maxsize}" if self.maxsize is not None else ""
-        return (f"{self.hits} hits / {self.misses} misses / "
-                f"{self.evictions} evictions "
-                f"(size {self.size}{cap})")
+        return f"{head} (size {self.size}{cap})"
 
 
-class CacheStatsGroup(Mapping):
-    """Several tiers behind one mapping.
-
-    Canonical reads go through :meth:`tier` (``group.tier("isl.empty")
-    .hits``) or iteration over :attr:`tiers`; the mapping surface
-    answers the *legacy flat keys* (``empty_hits``, ``compose_misses``,
-    ``empty_size``, ...) so pre-existing dict-style consumers keep
-    working for one release."""
-
-    #: Legacy flat-key suffix -> CacheStats attribute.
-    _SUFFIXES = {"hits": "hits", "misses": "misses", "size": "size",
-                 "evictions": "evictions", "corruptions": "corruptions",
-                 "maxsize": "maxsize"}
+class CacheStatsGroup:
+    """Several tiers read together: ``group.tier("isl.empty").hits``,
+    or iteration over :attr:`tiers`."""
 
     def __init__(self, *stats: CacheStats):
         self.tiers: Dict[str, CacheStats] = {s.tier: s for s in stats}
 
     def tier(self, name: str) -> CacheStats:
-        """The named tier's canonical stats."""
+        """The named tier's stats."""
         return self.tiers[name]
-
-    def _flat(self) -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        for s in self.tiers.values():
-            prefix = s.tier.rsplit(".", 1)[-1]
-            for suffix in ("hits", "misses", "size"):
-                out[f"{prefix}_{suffix}"] = getattr(s, suffix)
-        return out
-
-    def __getitem__(self, key: str):
-        for suffix, attr in self._SUFFIXES.items():
-            tail = f"_{suffix}"
-            if key.endswith(tail):
-                prefix = key[:-len(tail)]
-                for s in self.tiers.values():
-                    if s.tier == prefix \
-                            or s.tier.rsplit(".", 1)[-1] == prefix:
-                        return getattr(s, attr)
-        raise KeyError(key)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._flat())
-
-    def __len__(self) -> int:
-        return len(self._flat())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CacheStatsGroup):
             return self.tiers == other.tiers
-        if isinstance(other, Mapping):
-            return self._flat() == dict(other)
         return NotImplemented
 
     def __repr__(self):

@@ -3,52 +3,23 @@
 Every compiled kernel carries a :class:`CompileReport` (``kernel.report``)
 recording wall time per pipeline stage, whether the compile was served
 from the content-addressed cache, the emitted source size, and a
-snapshot of the cache counters.  Setting ``TIRAMISU_TRACE=1`` in the
-environment (or calling :func:`set_trace`) prints the stage table to
-stderr after every compile — the autoscheduler's and benchmark
-harness's way of seeing where compile time goes.
+snapshot of the cache counters.  With the ``trace`` knob of
+:mod:`repro.settings` on, the stage table is printed to stderr after
+every compile — the autoscheduler's and benchmark harness's way of
+seeing where compile time goes.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-TRACE_ENV = "TIRAMISU_TRACE"
+from repro import settings
 
-_forced: Optional[bool] = None
-
-
-def set_trace(enabled: Optional[bool]) -> None:
-    """Force tracing on/off programmatically; ``None`` defers to the
-    ``TIRAMISU_TRACE`` environment variable again."""
-    global _forced
-    _forced = enabled
-
-
-def trace_enabled() -> bool:
-    if _forced is not None:
-        return _forced
-    return os.environ.get(TRACE_ENV, "").strip() not in ("", "0", "false",
-                                                         "off")
-
-
-@contextmanager
-def traced(enabled: Optional[bool] = True):
-    """Force tracing on (or off) for a ``with`` block, then restore the
-    previous forced state — tests and harness runs cannot leak trace
-    state into each other."""
-    global _forced
-    saved = _forced
-    _forced = enabled
-    try:
-        yield
-    finally:
-        _forced = saved
+from .stats import CacheStats, CacheStatsGroup
 
 
 @dataclass
@@ -101,33 +72,30 @@ class CompileReport:
     vector_declines: List[str] = field(default_factory=list)
     parallel_workers: Optional[int] = None
     #: In-memory kernel-registry counters at finish time — a
-    #: :class:`~repro.driver.stats.CacheStats` (tier ``memory``) that
-    #: still answers the legacy dict-style reads.
+    #: :class:`~repro.driver.stats.CacheStats` (tier ``memory``).
     cache_stats: Dict[str, int] = field(default_factory=dict)
     #: Point-in-time counters of the process-wide ISL memo caches
     #: (:mod:`repro.isl.cache`): emptiness and composition hits/misses
     #: and current sizes.  Cumulative across compiles, like cache_stats.
-    #: A :class:`~repro.driver.stats.CacheStatsGroup` (tiers
-    #: ``isl.empty`` / ``isl.compose``) with the legacy flat keys.
-    isl_cache_stats: Dict[str, int] = field(default_factory=dict)
+    #: Tiers ``isl.empty`` / ``isl.compose``.
+    isl_cache_stats: CacheStatsGroup = field(
+        default_factory=CacheStatsGroup)
     #: Disk-tier counters at finish time (tier ``disk``); empty when
     #: the tier is inactive.
     disk_cache_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
-    def caches(self) -> Dict[str, object]:
+    def caches(self) -> Dict[str, CacheStats]:
         """Every cache tier this compile saw, by tier name, in the
         unified :class:`~repro.driver.stats.CacheStats` vocabulary:
         ``memory``, ``disk`` (when active), ``isl.empty`` and
         ``isl.compose``."""
-        out: Dict[str, object] = {}
+        out: Dict[str, CacheStats] = {}
         if self.cache_stats:
             out["memory"] = self.cache_stats
         if self.disk_cache_stats:
             out["disk"] = self.disk_cache_stats
-        tiers = getattr(self.isl_cache_stats, "tiers", None)
-        if tiers:
-            out.update(tiers)
+        out.update(self.isl_cache_stats.tiers)
         return out
 
     @property
@@ -180,7 +148,9 @@ class CompileReport:
             "vector_declines": list(self.vector_declines),
             "parallel_workers": self.parallel_workers,
             "cache_stats": dict(self.cache_stats),
-            "isl_cache_stats": dict(self.isl_cache_stats),
+            "isl_cache_stats": {
+                tier: dict(stats)
+                for tier, stats in self.isl_cache_stats.tiers.items()},
             "disk_cache_stats": dict(self.disk_cache_stats),
         }
 
@@ -221,31 +191,9 @@ class CompileReport:
             lines.append(
                 f"  vector: {self.vector_loops} loop(s) vectorized"
                 + "".join(f"; {d}" for d in self.vector_declines))
-        if self.cache_stats:
-            cs = self.cache_stats
-            lines.append(
-                f"  cache: {cs.get('hits', 0)} hits / "
-                f"{cs.get('misses', 0)} misses / "
-                f"{cs.get('evictions', 0)} evictions "
-                f"(size {cs.get('size', 0)}/{cs.get('maxsize', 0)})")
-        if self.disk_cache_stats:
-            ds = self.disk_cache_stats
-            lines.append(
-                f"  disk: {ds.get('hits', 0)} hits / "
-                f"{ds.get('misses', 0)} misses / "
-                f"{ds.get('evictions', 0)} evictions / "
-                f"{ds.get('corruptions', 0)} corrupt "
-                f"(size {ds.get('size', 0)}, "
-                f"{ds.get('bytes', 0)}/{ds.get('max_bytes', 0)} bytes)")
-        if self.isl_cache_stats:
-            ics = self.isl_cache_stats
-            lines.append(
-                f"  isl cache: empty {ics.get('empty_hits', 0)} hits / "
-                f"{ics.get('empty_misses', 0)} misses "
-                f"(size {ics.get('empty_size', 0)}), compose "
-                f"{ics.get('compose_hits', 0)} hits / "
-                f"{ics.get('compose_misses', 0)} misses "
-                f"(size {ics.get('compose_size', 0)})")
+        for tier, stats in self.caches.items():
+            label = "cache" if tier == "memory" else tier
+            lines.append(f"  {label}: {stats.format_line()}")
         lines.append(f"  key: {self.fingerprint[:16]}")
         if self.compile_id:
             lines.append(f"  compile id: {self.compile_id}")
@@ -253,8 +201,8 @@ class CompileReport:
 
 
 def emit_trace(report: CompileReport, stream=None) -> None:
-    """Print the stage table when tracing is enabled."""
-    if not trace_enabled():
+    """Print the stage table when the ``trace`` knob is on."""
+    if not settings.get("trace"):
         return
     print(report.format_table(), file=stream if stream is not None
           else sys.stderr)

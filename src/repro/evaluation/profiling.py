@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.driver import kernel_registry, trace_enabled
+from repro import settings
+from repro.driver import kernel_registry
 
 
 def compile_profile(bundle_builder: Callable, schedule_fn: Optional[
@@ -41,7 +42,7 @@ def compile_profile(bundle_builder: Callable, schedule_fn: Optional[
         "warm_seconds": warm.total_seconds,
         "speedup": cold.total_seconds / max(warm.total_seconds, 1e-12),
         "cache": kernel_registry.stats(),
-        "traced": trace_enabled(),
+        "traced": settings.get("trace"),
     }
 
 

@@ -59,7 +59,11 @@ def tiramisu_cpu(bundle) -> None:
         _vector_parallel(c["ring"], "ir", "jr")
         _vector_parallel(c["roberts"], "i", "j")
     elif name == "ticket2373":
-        c["a"].parallelize("r")
+        # Every r writes A[x] for x >= r, so the r loop carries an
+        # output dependence; with x outermost each iteration owns its
+        # A[x] and the triangular nest is race-free.
+        c["a"].interchange("r", "x")
+        c["a"].parallelize("x")
     else:
         raise ValueError(name)
 
@@ -107,7 +111,9 @@ def pencil_cpu(bundle) -> None:
         "warpAffine": [("warp", "i")],
         "nb": [(f"s{s}", f"i{s}") for s in range(4)],
         "edgeDetector": [("ring", "ir"), ("roberts", "i")],
-        "ticket2373": [("a", "r")],
+        # the inner loop, parallel under a sequential r (r carries an
+        # output dependence on A)
+        "ticket2373": [("a", "x")],
     }[name]
     if name == "nb":
         # Pluto fuses the four same-buffer stages (legal; its dependence

@@ -30,57 +30,31 @@ miss that runs a full Omega test lands on the observability timeline as
 an ``isl:is_empty`` span when the tracer is enabled (see
 docs/observability.md).
 
-Knobs: set ``TIRAMISU_ISL_CACHE=0`` to disable memoization process-wide,
-or use :func:`set_enabled` / the :func:`cache_disabled` context manager
-programmatically (the property tests compare cached and uncached runs
-this way).
+Memoization is the ``isl_cache`` knob of :mod:`repro.settings` (on by
+default); the property tests compare cached and uncached runs under
+:func:`cache_disabled`.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Tuple
 
-CACHE_ENV = "TIRAMISU_ISL_CACHE"
+from repro import settings
 
 #: Entry caps; far above what one compile produces, small enough that a
 #: long-lived autoscheduler process stays bounded.
 EMPTY_CACHE_MAX = 16384
 COMPOSE_CACHE_MAX = 4096
 
-_forced: Optional[bool] = None
-
 _empty_memo: "OrderedDict[Tuple, bool]" = OrderedDict()
 _compose_memo: "OrderedDict[Tuple, object]" = OrderedDict()
 
 
-def set_enabled(enabled: Optional[bool]) -> None:
-    """Force the memo caches on/off; ``None`` defers to the
-    ``TIRAMISU_ISL_CACHE`` environment variable again."""
-    global _forced
-    _forced = enabled
-
-
-def enabled() -> bool:
-    if _forced is not None:
-        return _forced
-    return os.environ.get(CACHE_ENV, "").strip() not in ("0", "false",
-                                                         "off")
-
-
-@contextmanager
 def cache_disabled():
     """Run a block with memoization off (and the caches untouched), then
     restore the previous state — the reference path for property tests."""
-    global _forced
-    saved = _forced
-    _forced = False
-    try:
-        yield
-    finally:
-        _forced = saved
+    return settings.override(isl_cache=False)
 
 
 def clear() -> None:
@@ -108,8 +82,7 @@ def stats():
 
     Returns a :class:`~repro.driver.stats.CacheStatsGroup` with tiers
     ``isl.empty`` and ``isl.compose`` in the driver-wide CacheStats
-    vocabulary; the legacy flat keys (``empty_hits``, ``compose_size``,
-    ...) keep answering through its mapping surface."""
+    vocabulary."""
     from repro.driver.stats import CacheStats, CacheStatsGroup
     m = _metrics()
     return CacheStatsGroup(
@@ -131,7 +104,7 @@ def stats():
 def is_empty_cached(bmap) -> bool:
     """Memoizing front-end for the Omega test on one basic map."""
     from .omega import conjunction_is_empty
-    if not enabled():
+    if not settings.get("isl_cache"):
         return conjunction_is_empty(bmap)
     key = bmap.canonical_fingerprint()
     m = _metrics()
@@ -173,7 +146,7 @@ def composed(op: str, a, b, compute: Callable[[], object]):
     """Memoize one structural operation on basic maps: the binary
     compositions (``intersect``/``apply_range``) and, with ``b=None``,
     deterministic unary rewrites (``remove_redundant``)."""
-    if not enabled():
+    if not settings.get("isl_cache"):
         return compute()
     key = _exact_key(op, a, b)
     m = _metrics()

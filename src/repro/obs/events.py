@@ -7,7 +7,8 @@ producer — the compile pipeline (begin/end, per-tier cache outcomes),
 the batch front end (submit/dedup/retry/fallback), the parallel
 runtime (worker failure, retry, pool restart), fault injection, and
 the autoscheduler search (round/candidate/prune/measure) — appends one
-JSON object per line to the file named by ``TIRAMISU_EVENT_LOG``.
+JSON object per line to the file named by the ``event_log`` knob of
+:mod:`repro.settings`; with none named, ``emit`` is a cheap no-op.
 
 Each line carries:
 
@@ -35,10 +36,6 @@ event is a single ``os.write`` of one complete line, which POSIX
 appends atomically — concurrent writers (batch pool workers inherit
 the environment and append to the same file) interleave whole lines,
 never partial ones.
-
-Activation mirrors the tracer: set ``TIRAMISU_EVENT_LOG=events.jsonl``
-in the environment, or pin programmatically with
-:func:`configure_event_log`.  With neither, ``emit`` is a cheap no-op.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ import uuid
 from contextlib import contextmanager
 from typing import Dict, List, Optional
 
-EVENT_LOG_ENV = "TIRAMISU_EVENT_LOG"
+from repro import settings
 
 #: Event categories used by the built-in producers.
 EVT_COMPILE = "compile"
@@ -151,60 +148,19 @@ class EventJournal:
 
 # -- process-wide activation --------------------------------------------------
 
-_configured_path: Optional[str] = None
-_explicit = False
 _journal: Optional[EventJournal] = None
 
 
-def configure_event_log(path: Optional[str]) -> Optional[EventJournal]:
-    """Programmatically pin the journal to ``path`` (``None`` disables
-    it regardless of the environment); returns the active journal."""
-    global _configured_path, _explicit, _journal
-    if _journal is not None:
-        _journal.close()
-    _configured_path = str(path) if path is not None else None
-    _explicit = True
-    _journal = None
-    return _active_journal()
-
-
-def reset_event_log_configuration() -> None:
-    """Forget any :func:`configure_event_log` override; the
-    ``TIRAMISU_EVENT_LOG`` environment variable decides again."""
-    global _explicit, _configured_path, _journal
-    if _journal is not None:
-        _journal.close()
-    _explicit = False
-    _configured_path = None
-    _journal = None
-
-
-def event_log_path() -> Optional[str]:
-    """The resolved journal destination, or None when disabled."""
-    if _explicit:
-        return _configured_path
-    path = os.environ.get(EVENT_LOG_ENV, "").strip()
-    return path or None
-
-
-def events_enabled() -> bool:
-    return event_log_path() is not None
-
-
 def _active_journal() -> Optional[EventJournal]:
-    """The journal for the currently-resolved path; re-resolves the
-    environment on every call so tests (and long-lived services) can
+    """The journal for the ``event_log`` knob's current value;
+    re-resolved on every call so tests (and long-lived services) can
     repoint the log without restarting."""
     global _journal
-    path = event_log_path()
-    if path is None:
-        if _journal is not None:
-            _journal.close()
-            _journal = None
-        return None
-    if _journal is None or _journal.path != path:
-        if _journal is not None:
-            _journal.close()
+    path = settings.get("event_log")
+    if _journal is not None and _journal.path != path:
+        _journal.close()
+        _journal = None
+    if _journal is None and path is not None:
         _journal = EventJournal(path)
     return _journal
 

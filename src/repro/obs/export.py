@@ -3,7 +3,7 @@ periodic background flusher.
 
 The :mod:`repro.obs.metrics` registry is in-process state; a service
 needs it *outside* the process, in a format scrapers understand.  Two
-writers, one knob each:
+writers:
 
 * **OpenMetrics / Prometheus text** — :func:`render_openmetrics`
   serializes the registry: counters as ``<name>_total``, gauges as
@@ -13,36 +13,34 @@ writers, one knob each:
   chunks`` -> ``parallel_chunks_total``); the text ends with ``# EOF``
   per the OpenMetrics spec.
 * **JSON snapshot** — the registry's ``typed_snapshot()`` plus a
-  timestamp, for harness dumps and the bench recorder.
+  timestamp, for harness dumps.
 
 :func:`write_metrics_file` picks the format from the extension
 (``*.json`` -> JSON, anything else -> OpenMetrics text) and writes
 atomically (temp file + ``os.replace``), so a scraper never reads a
 half-written exposition.
 
-Setting ``TIRAMISU_METRICS_FILE=metrics.prom`` names a destination;
-the file is written at interpreter exit, on demand via
-:func:`write_metrics_file`, or — with ``TIRAMISU_METRICS_INTERVAL=5``
-(seconds) — continuously by a daemon :class:`MetricsFlusher` thread
-started lazily by the first compile (:func:`autoflush`).  All of it is
-a no-op when the environment variable is unset.
+The ``metrics_file`` knob of :mod:`repro.settings` names the
+destination: the file is written at interpreter exit, on demand via
+:func:`write_metrics_file`, after every compile (:func:`autoflush`),
+or — with the ``metrics_interval`` knob — continuously by a daemon
+:class:`MetricsFlusher` thread the first compile starts.  With no
+destination all of it is a no-op.
 """
 
 from __future__ import annotations
 
 import atexit
 import json
-import os
 import re
-import tempfile
 import threading
 import time
 from typing import Dict, Optional
 
-from .metrics import MetricsRegistry, metrics
+from repro import settings
+from repro.atomicio import atomic_write
 
-METRICS_FILE_ENV = "TIRAMISU_METRICS_FILE"
-METRICS_INTERVAL_ENV = "TIRAMISU_METRICS_INTERVAL"
+from .metrics import MetricsRegistry, metrics
 
 #: The summary quantiles exposed per histogram.
 QUANTILES = (0.50, 0.90, 0.99)
@@ -136,53 +134,25 @@ def render_json(registry: Optional[MetricsRegistry] = None) -> str:
                        reg.typed_snapshot()}, indent=1, sort_keys=True)
 
 
-def metrics_file_path() -> Optional[str]:
-    """The ``TIRAMISU_METRICS_FILE`` destination, or None."""
-    path = os.environ.get(METRICS_FILE_ENV, "").strip()
-    return path or None
-
-
-def metrics_interval() -> Optional[float]:
-    """The ``TIRAMISU_METRICS_INTERVAL`` period in seconds, or None
-    (invalid values read as None — telemetry never raises into the
-    compile path)."""
-    raw = os.environ.get(METRICS_INTERVAL_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        seconds = float(raw)
-    except ValueError:
-        return None
-    return seconds if seconds > 0 else None
-
-
 def write_metrics_file(path: Optional[str] = None,
                        registry: Optional[MetricsRegistry] = None
                        ) -> Optional[str]:
-    """Write the registry to ``path`` (default: the env destination) —
-    JSON when the name ends ``.json``, OpenMetrics text otherwise.
-    Atomic: a scraper racing the writer sees the old complete file or
-    the new complete file, never a torn one.  Returns the written path
-    or None when there is no destination."""
-    path = path or metrics_file_path()
+    """Write the registry to ``path`` (default: the ``metrics_file``
+    knob) — JSON when the name ends ``.json``, OpenMetrics text
+    otherwise.  Atomic: a scraper racing the writer sees the old
+    complete file or the new complete file, never a torn one.  Returns
+    the written path, or None when there is no destination or it is
+    unwritable (telemetry must never take the compile down)."""
+    path = path or settings.get("metrics_file")
     if not path:
         return None
     if path.endswith(".json"):
         text = render_json(registry)
     else:
         text = render_openmetrics(registry)
-    directory = os.path.dirname(os.path.abspath(path))
     try:
-        fd, tmp_name = tempfile.mkstemp(prefix=".tiramisu-metrics-",
-                                        dir=directory)
-        with os.fdopen(fd, "w") as tmp:
-            tmp.write(text)
-        os.replace(tmp_name, path)
+        atomic_write(path, text.encode())
     except OSError:
-        try:
-            os.unlink(tmp_name)
-        except (OSError, UnboundLocalError):
-            pass
         return None
     return path
 
@@ -219,11 +189,13 @@ def start_flusher(path: Optional[str] = None,
                   interval: Optional[float] = None
                   ) -> Optional[MetricsFlusher]:
     """Start (or return) the process-wide background flusher.  Path and
-    interval default to the environment; with no destination or period
-    the call is a no-op returning None."""
+    interval default to the ``metrics_file`` / ``metrics_interval``
+    knobs; with no destination or period (an explicit ``interval=0``
+    included) the call is a no-op returning None."""
     global _flusher
-    path = path or metrics_file_path()
-    interval = interval if interval is not None else metrics_interval()
+    path = path or settings.get("metrics_file")
+    if interval is None or interval:
+        interval = settings.resolve("metrics_interval", interval)
     if not path or not interval:
         return None
     with _flusher_lock:
@@ -249,15 +221,16 @@ def stop_flusher(final_flush: bool = True) -> None:
 
 
 def autoflush() -> None:
-    """The compile pipeline's per-compile hook: when the environment
-    names a metrics file, keep it fresh — starting the periodic
-    flusher if an interval is configured, else rewriting once now.
-    Cheap (two env reads) when telemetry is off."""
-    path = metrics_file_path()
+    """The compile pipeline's per-compile hook: when a metrics file is
+    named, keep it fresh — starting the periodic flusher if an interval
+    is configured, else rewriting once now.  One knob read when
+    telemetry is off."""
+    path = settings.get("metrics_file")
     if path is None:
         return
-    if metrics_interval() is not None:
-        start_flusher()
+    interval = settings.get("metrics_interval")
+    if interval is not None:
+        start_flusher(path, interval)
     else:
         write_metrics_file(path)
 

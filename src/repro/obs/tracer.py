@@ -8,10 +8,9 @@ pool — and exports them in the Chrome-trace (Perfetto) JSON event
 format, so ``chrome://tracing`` or https://ui.perfetto.dev can render
 compile and execution on one timeline.
 
-Enabling: set ``TIRAMISU_TRACE_FILE=out.json`` in the environment (the
-file is written at interpreter exit, or eagerly via
-:func:`write_trace_file`), or force collection programmatically with
-``get_tracer().set_enabled(True)``.
+Collection is on exactly when the ``trace_file`` knob of
+:mod:`repro.settings` names a destination (written at interpreter exit,
+or eagerly via :func:`write_trace_file`).
 
 All timestamps are ``time.perf_counter_ns`` values: one monotonic clock
 shared by the compile pipeline, the kernel wrapper and (on fork-start
@@ -24,14 +23,14 @@ from __future__ import annotations
 import atexit
 import json
 import os
-import tempfile
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-TRACE_FILE_ENV = "TIRAMISU_TRACE_FILE"
+from repro import settings
+from repro.atomicio import atomic_write
 
 #: Span categories used by the built-in producers.
 CAT_COMPILE = "compile-stage"
@@ -74,19 +73,10 @@ class Tracer:
     def __init__(self):
         self._spans: List[Span] = []
         self._lock = threading.Lock()
-        self._forced: Optional[bool] = None
-
-    # -- enablement -------------------------------------------------------
-
-    def set_enabled(self, enabled: Optional[bool]) -> None:
-        """Force collection on/off; ``None`` defers to the
-        ``TIRAMISU_TRACE_FILE`` environment variable again."""
-        self._forced = enabled
 
     def enabled(self) -> bool:
-        if self._forced is not None:
-            return self._forced
-        return bool(trace_file_path())
+        """Should producers record spans?  (The ``trace_file`` knob.)"""
+        return settings.get("trace_file") is not None
 
     # -- recording --------------------------------------------------------
 
@@ -168,20 +158,8 @@ class Tracer:
         document on disk, never a torn one.  The span list itself is
         copied under the tracer lock, so a concurrent ``add`` is either
         wholly in this export or wholly in the next."""
-        doc = self.to_chrome_trace()
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp_name = tempfile.mkstemp(prefix=".tiramisu-trace-",
-                                        dir=directory)
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(doc, fh, indent=1)
-            os.replace(tmp_name, path)
-        except OSError:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, json.dumps(self.to_chrome_trace(),
+                                      indent=1).encode())
         return path
 
 
@@ -193,17 +171,11 @@ def get_tracer() -> Tracer:
     return _TRACER
 
 
-def trace_file_path() -> Optional[str]:
-    """The ``TIRAMISU_TRACE_FILE`` destination, or None."""
-    path = os.environ.get(TRACE_FILE_ENV, "").strip()
-    return path or None
-
-
 def write_trace_file(path: Optional[str] = None) -> Optional[str]:
-    """Export the global tracer to ``path`` (default: the env var's
-    destination).  Returns the written path, or None when there is no
+    """Export the global tracer to ``path`` (default: the ``trace_file``
+    knob).  Returns the written path, or None when there is no
     destination or nothing was recorded."""
-    path = path or trace_file_path()
+    path = path or settings.get("trace_file")
     if not path or len(_TRACER) == 0:
         return None
     return _TRACER.export(path)

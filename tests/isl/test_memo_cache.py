@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import settings as knobs   # hypothesis owns "settings" here
 from repro.isl import (BasicSet, Constraint, LinExpr, isl_cache_clear,
                        isl_cache_disabled, isl_cache_stats, parse_map,
                        parse_set)
@@ -47,11 +48,11 @@ class TestEmptinessMemo:
         isl_cache_clear()
         s = parse_set("{ [i] : 0 <= i < 10 }").pieces[0]
         s.is_empty()
-        before = isl_cache_stats()
+        before = isl_cache_stats().tier("isl.empty")
         s.is_empty()
-        after = isl_cache_stats()
-        assert after["empty_hits"] == before["empty_hits"] + 1
-        assert after["empty_misses"] == before["empty_misses"]
+        after = isl_cache_stats().tier("isl.empty")
+        assert after.hits == before.hits + 1
+        assert after.misses == before.misses
 
     def test_reordered_constraints_share_one_entry(self):
         """The emptiness key is the canonical fingerprint, so the same
@@ -62,11 +63,11 @@ class TestEmptinessMemo:
         b = parse_set("{ [i,j] : 0 <= j < 4 and 0 <= i < 4 }").pieces[0]
         assert a.canonical_fingerprint() == b.canonical_fingerprint()
         a.is_empty()
-        misses = isl_cache_stats()["empty_misses"]
+        misses = isl_cache_stats().tier("isl.empty").misses
         b.is_empty()
         stats = isl_cache_stats()
-        assert stats["empty_misses"] == misses
-        assert stats["empty_hits"] >= 1
+        assert stats.tier("isl.empty").misses == misses
+        assert stats.tier("isl.empty").hits >= 1
 
     def test_rescaled_constraints_share_one_entry(self):
         """2i >= 2 normalises to i >= 1 at construction, so scaled
@@ -80,14 +81,14 @@ class TestEmptinessMemo:
     def test_clear_resets(self):
         parse_set("{ [i] : i = 0 }").pieces[0].is_empty()
         isl_cache_clear()
-        assert isl_cache_stats()["empty_size"] == 0
-        assert isl_cache_stats()["compose_size"] == 0
+        assert isl_cache_stats().tier("isl.empty").size == 0
+        assert isl_cache_stats().tier("isl.compose").size == 0
 
     def test_disabled_context_restores(self):
-        assert islcache.enabled()
+        assert knobs.get("isl_cache")
         with isl_cache_disabled():
-            assert not islcache.enabled()
-        assert islcache.enabled()
+            assert not knobs.get("isl_cache")
+        assert knobs.get("isl_cache")
 
 
 class TestCompositionMemo:
@@ -113,10 +114,10 @@ class TestCompositionMemo:
         acc = parse_map("{ [i,j] -> [i] : 0 <= i < 4 and 0 <= j < 4 }"
                         ).pieces[0]
         first = acc.apply_range(sched)
-        before = isl_cache_stats()
+        before = isl_cache_stats().tier("isl.compose")
         again = acc.apply_range(sched)
-        after = isl_cache_stats()
-        assert after["compose_hits"] == before["compose_hits"] + 1
+        after = isl_cache_stats().tier("isl.compose")
+        assert after.hits == before.hits + 1
         assert again.constraints == first.constraints
 
     def test_compose_key_is_order_sensitive(self):
@@ -138,14 +139,14 @@ class TestCompositionMemo:
         isl_cache_clear()
         a = parse_map("{ [i] -> [j] : i >= 0 }").pieces[0]
         b = parse_map("{ [i] -> [j] : j >= 0 }").pieces[0]
-        before = isl_cache_stats()
+        before = isl_cache_stats().tier("isl.compose")
         with isl_cache_disabled():
             a.intersect(b)
             a.intersect(b)
-        after = isl_cache_stats()
-        assert after["compose_hits"] == before["compose_hits"]
-        assert after["compose_misses"] == before["compose_misses"]
-        assert after["compose_size"] == 0
+        after = isl_cache_stats().tier("isl.compose")
+        assert after.hits == before.hits
+        assert after.misses == before.misses
+        assert after.size == 0
 
 
 class TestEvictionBound:
@@ -155,4 +156,4 @@ class TestEvictionBound:
         # Distinct fingerprints: singleton sets i = k.
         for k in range(40):
             parse_set(f"{{ [i] : i = {k} }}").pieces[0].is_empty()
-        assert isl_cache_stats()["empty_size"] <= 8
+        assert isl_cache_stats().tier("isl.empty").size <= 8

@@ -7,7 +7,7 @@ import pytest
 from repro.autosched import SchedulePlan, autoschedule
 from repro.autosched.actions import Interchange, Parallelize, Vectorize
 from repro.driver import CompileRequest, compile_batch, kernel_registry
-from repro.driver.diskcache import configure, reset_configuration
+from repro.driver.diskcache import configure
 from repro.driver.pipeline import compile_to_source
 from repro.kernels import build_sgemm
 
@@ -19,10 +19,8 @@ PLAN_B = SchedulePlan([Parallelize("acc", 0)])
 def _fresh_tiers(monkeypatch):
     monkeypatch.delenv("TIRAMISU_CACHE_DIR", raising=False)
     monkeypatch.delenv("TIRAMISU_CACHE_MAX_BYTES", raising=False)
-    reset_configuration()
     kernel_registry.clear()
     yield
-    reset_configuration()
     kernel_registry.clear()
 
 

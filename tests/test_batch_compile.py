@@ -12,7 +12,7 @@ from repro import Computation, Function, Var
 from repro.core.errors import WorkerFailureError
 from repro.driver import (BatchCompiler, CompileRequest, compile_batch,
                           kernel_registry)
-from repro.driver.diskcache import configure, reset_configuration
+from repro.driver.diskcache import configure
 
 
 def build(name="f", scale=2.0):
@@ -26,10 +26,8 @@ def build(name="f", scale=2.0):
 @pytest.fixture(autouse=True)
 def _fresh_tiers(monkeypatch):
     monkeypatch.delenv("TIRAMISU_CACHE_DIR", raising=False)
-    reset_configuration()
     kernel_registry.clear()
     yield
-    reset_configuration()
     kernel_registry.clear()
 
 

@@ -1,6 +1,5 @@
 """The unified cache-stats vocabulary (repro.driver.stats): one
-CacheStats shape for every tier, with the pre-unification dict surfaces
-still answering for one release."""
+CacheStats shape for every tier, dict-readable, grouped by tier name."""
 
 import json
 
@@ -51,14 +50,6 @@ class TestCacheStats:
         assert cs["bytes"] == 483
         assert dict(cs)["max_bytes"] == 1024
 
-    def test_prefixed_reproduces_legacy_isl_keys(self):
-        cs = CacheStats(tier="isl.empty", hits=5, misses=2, size=3)
-        flat = cs.prefixed()
-        assert flat["empty_hits"] == 5
-        assert flat["empty_misses"] == 2
-        assert flat["empty_size"] == 3
-        assert cs.prefixed("disk")["disk_hits"] == 5
-
     def test_json_roundtrip(self):
         cs = CacheStats(tier="memory", hits=1, misses=2, size=3,
                         maxsize=64)
@@ -69,6 +60,12 @@ class TestCacheStats:
                         size=3, maxsize=64)
         assert cs.format_line() == "1 hits / 2 misses / 0 evictions " \
                                    "(size 3/64)"
+
+    def test_format_line_of_a_byte_bounded_tier(self):
+        cs = CacheStats(tier="disk", hits=2, misses=1, corruptions=1,
+                        size=1, extra={"bytes": 483, "max_bytes": 1024})
+        assert cs.format_line() == "2 hits / 1 misses / 0 evictions / " \
+                                   "1 corrupt (size 1, 483/1024 bytes)"
 
 
 class TestCacheStatsGroup:
@@ -84,22 +81,20 @@ class TestCacheStatsGroup:
         assert g.tier("isl.empty").hits == 4
         assert g.tier("isl.compose").misses == 3
 
-    def test_legacy_flat_keys_still_answer(self):
+    def test_flat_keys_are_gone(self):
         g = self.group()
-        assert g["empty_hits"] == 4
-        assert g["compose_size"] == 3
-        assert g.get("empty_misses") == 2
-        assert dict(g) == {"empty_hits": 4, "empty_misses": 2,
-                           "empty_size": 2, "compose_hits": 1,
-                           "compose_misses": 3, "compose_size": 3}
+        with pytest.raises(TypeError):
+            g["empty_hits"]
+        assert not hasattr(g, "get")
 
-    def test_full_tier_name_also_answers(self):
+    def test_tiers_keep_their_full_names_in_order(self):
         g = self.group()
-        assert g["isl.empty_hits"] == 4
+        assert list(g.tiers) == ["isl.empty", "isl.compose"]
+        assert g == self.group()
 
-    def test_unknown_key_raises(self):
+    def test_unknown_tier_raises(self):
         with pytest.raises(KeyError):
-            self.group()["bogus_hits"]
+            self.group().tier("bogus")
 
 
 class TestReportUnification:
@@ -122,12 +117,18 @@ class TestReportUnification:
         # Legacy read style still works.
         assert stats["misses"] == 1
 
-    def test_isl_stats_group_legacy_keys(self):
+    def test_isl_stats_group_tiers(self):
         from repro.isl.cache import stats as isl_stats
         build().compile("cpu", check_legality=True)
         g = isl_stats()
         assert isinstance(g, CacheStatsGroup)
-        # The flat keys the old dict exposed keep answering.
-        for key in ("empty_hits", "empty_misses", "empty_size",
-                    "compose_hits", "compose_misses", "compose_size"):
-            assert isinstance(g[key], int)
+        for tier in ("isl.empty", "isl.compose"):
+            for key in ("hits", "misses", "size"):
+                assert isinstance(getattr(g.tier(tier), key), int)
+
+    def test_trace_table_renders_every_tier_through_format_line(self):
+        report = build().compile("cpu").report
+        table = report.format_table()
+        for tier, stats in report.caches.items():
+            label = "cache" if tier == "memory" else tier
+            assert f"  {label}: {stats.format_line()}" in table

@@ -313,8 +313,8 @@ def test_no_dependences_means_no_isl_in_race_check(builder, schedule):
     (schedule or tiramisu_cpu)(bundle)
     summary = DependenceSummary.of(bundle.function)
     assert summary.dependences() == []
-    before = dict(isl_cache.stats())
+    before = isl_cache.stats()
     assert summary.check_races() == 2
     assert summary.check_legality() == 0
-    assert dict(isl_cache.stats()) == before
+    assert isl_cache.stats() == before
     assert summary.level_tests == 0

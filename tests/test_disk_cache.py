@@ -12,7 +12,7 @@ import pytest
 from repro import Computation, Function, Var
 from repro.driver import kernel_registry
 from repro.driver.diskcache import (DiskCache, active_disk_cache,
-                                    configure, reset_configuration)
+                                    configure)
 
 
 def build(name="f", scale=2.0):
@@ -27,10 +27,8 @@ def build(name="f", scale=2.0):
 def _fresh_tiers(monkeypatch):
     monkeypatch.delenv("TIRAMISU_CACHE_DIR", raising=False)
     monkeypatch.delenv("TIRAMISU_CACHE_MAX_BYTES", raising=False)
-    reset_configuration()
     kernel_registry.clear()
     yield
-    reset_configuration()
     kernel_registry.clear()
 
 

@@ -5,13 +5,12 @@ import io
 
 import pytest
 
-from repro import Computation, Function, Var
+from repro import Computation, Function, Var, settings
 from repro.core.errors import TiramisuError
 from repro.driver import (Backend, CompileReport, UnknownTargetError,
                           compile_function, emit_trace, get_backend,
                           kernel_registry, register_backend,
-                          registered_targets, set_trace, trace_enabled,
-                          traced)
+                          registered_targets)
 from repro.driver.pipeline import STAGE_ORDER
 from repro.driver.registry import _REGISTRY
 
@@ -232,43 +231,38 @@ class TestCompileReport:
 
 class TestTrace:
     def test_env_toggle(self, monkeypatch):
-        with traced(None):
-            monkeypatch.delenv("TIRAMISU_TRACE", raising=False)
-            assert not trace_enabled()
-            monkeypatch.setenv("TIRAMISU_TRACE", "1")
-            assert trace_enabled()
-            monkeypatch.setenv("TIRAMISU_TRACE", "0")
-            assert not trace_enabled()
+        monkeypatch.delenv("TIRAMISU_TRACE", raising=False)
+        assert not settings.get("trace")
+        monkeypatch.setenv("TIRAMISU_TRACE", "1")
+        assert settings.get("trace")
+        monkeypatch.setenv("TIRAMISU_TRACE", "0")
+        assert not settings.get("trace")
 
     def test_forced_trace_overrides_env(self, monkeypatch):
         monkeypatch.setenv("TIRAMISU_TRACE", "0")
-        with traced():
-            assert trace_enabled()
+        with settings.override(trace=True):
+            assert settings.get("trace")
 
     def test_emit_trace_prints_stage_table(self):
         report = CompileReport(function="f", target="cpu",
                                fingerprint="abc123")
-        with traced():
+        with settings.override(trace=True):
             out = io.StringIO()
             emit_trace(report, stream=out)
             assert "f -> cpu" in out.getvalue()
 
     def test_trace_silent_when_disabled(self, monkeypatch):
-        with traced(None):
-            monkeypatch.delenv("TIRAMISU_TRACE", raising=False)
-            out = io.StringIO()
-            emit_trace(CompileReport(function="f", target="cpu"),
-                       stream=out)
-            assert out.getvalue() == ""
+        monkeypatch.delenv("TIRAMISU_TRACE", raising=False)
+        out = io.StringIO()
+        emit_trace(CompileReport(function="f", target="cpu"),
+                   stream=out)
+        assert out.getvalue() == ""
 
-    def test_traced_restores_previous_forced_state(self):
-        set_trace(False)
-        try:
-            with traced(True):
-                assert trace_enabled()
-            assert not trace_enabled()   # restored to forced-off
-        finally:
-            set_trace(None)
+    def test_override_restores_previous_forced_state(self):
+        settings.set(trace=False)
+        with settings.override(trace=True):
+            assert settings.get("trace")
+        assert not settings.get("trace")   # restored to forced-off
 
 
 class TestCompileFunctionEntry:

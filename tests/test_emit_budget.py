@@ -34,7 +34,10 @@ HAND = [
 #: Summed ``len(kernel.source)`` of HAND on ``cpu``, recorded when the
 #: vector lowering moved to slices (the np.arange-gather emitter summed
 #: 30359 on the same table).  Lower it when the emitter gets leaner.
-SOURCE_BYTES_CEILING = 26229
+#: (26229 -> 26233 was a *program* change, not the emitter: ticket2373's
+#: hand schedule became interchange + parallelize("x"), and the new
+#: loop order emits 676 bytes instead of 672.)
+SOURCE_BYTES_CEILING = 26233
 
 
 def emit(builder, schedule, **opts) -> str:
@@ -58,8 +61,8 @@ def test_check_races_does_not_change_the_source(builder, schedule):
     try:
         checked = emit(builder, schedule, check_races=True)
     except IllegalScheduleError:
-        # the two paper schedules the race detector rejects (ROADMAP)
-        assert builder in (K.build_blur, K.build_ticket2373)
+        # the one paper schedule the race detector rejects (ROADMAP 1b)
+        assert builder is K.build_blur
         return
     assert checked == plain
 

@@ -1,6 +1,6 @@
-"""The telemetry export layer (repro.obs.events / export / bench):
-journal mechanics, correlation ids, OpenMetrics exposition, the bench
-trajectory, the doc-drift gate, and the end-to-end story — one batch
+"""The telemetry export layer (repro.obs.events / export): journal
+mechanics, correlation ids, OpenMetrics exposition, the doc-drift
+gate, and the end-to-end story — one batch
 compile with an injected fault and an autoschedule plan, reconstructed
 from the journal by its compile_id."""
 
@@ -16,21 +16,18 @@ from pathlib import Path
 
 import pytest
 
-from repro import Computation, Function, Var
+from repro import Computation, Function, Var, settings
 from repro.autosched import SchedulePlan
 from repro.autosched.actions import Interchange
 from repro.autosched.search import beam_search
 from repro.driver import BatchCompiler, kernel_registry
-from repro.driver.diskcache import configure, reset_configuration
+from repro.driver.diskcache import configure
 from repro.faults import FaultPlan, injected
-from repro.obs import bench as obs_bench
 from repro.obs import export as obs_export
 from repro.obs import metrics
 from repro.obs.events import (EVT_COMPILE, EventJournal, compile_context,
-                              configure_event_log, current_compile_id,
-                              emit, event_log_path, events_enabled,
-                              new_compile_id, read_events,
-                              reset_event_log_configuration)
+                              current_compile_id, emit, new_compile_id,
+                              read_events)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -48,15 +45,10 @@ def _fresh_telemetry(monkeypatch):
     monkeypatch.delenv("TIRAMISU_EVENT_LOG", raising=False)
     monkeypatch.delenv("TIRAMISU_METRICS_FILE", raising=False)
     monkeypatch.delenv("TIRAMISU_METRICS_INTERVAL", raising=False)
-    monkeypatch.delenv("TIRAMISU_BENCH_FILE", raising=False)
     monkeypatch.delenv("TIRAMISU_CACHE_DIR", raising=False)
-    reset_event_log_configuration()
-    reset_configuration()
     kernel_registry.clear()
     yield
     obs_export.stop_flusher(final_flush=False)
-    reset_event_log_configuration()
-    reset_configuration()
     kernel_registry.clear()
 
 
@@ -109,12 +101,12 @@ class TestCompileIds:
 
 class TestJournal:
     def test_emit_is_noop_when_disabled(self):
-        assert not events_enabled()
+        assert settings.get("event_log") is None
         assert emit("nobody.home", EVT_COMPILE) is False
 
     def test_round_trip_preserves_schema(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        configure_event_log(str(path))
+        settings.set(event_log=path)
         assert emit("unit.test", "compile", answer=42, label="x")
         assert emit("unit.test2", "cache")
         events = read_events(str(path))
@@ -129,7 +121,7 @@ class TestJournal:
     def test_env_var_activates_and_repoints(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         monkeypatch.setenv("TIRAMISU_EVENT_LOG", str(a))
-        assert event_log_path() == str(a)
+        assert settings.get("event_log") == str(a)
         emit("to.a", "compile")
         monkeypatch.setenv("TIRAMISU_EVENT_LOG", str(b))
         emit("to.b", "compile")
@@ -141,18 +133,17 @@ class TestJournal:
         monkeypatch.setenv("TIRAMISU_EVENT_LOG",
                            str(tmp_path / "env.jsonl"))
         pinned = tmp_path / "pinned.jsonl"
-        configure_event_log(str(pinned))
+        settings.set(event_log=pinned)
         emit("pinned.event", "compile")
         assert [e["name"] for e in read_events(str(pinned))] \
             == ["pinned.event"]
         assert not (tmp_path / "env.jsonl").exists()
-        configure_event_log(None)
-        assert not events_enabled()
+        settings.set(event_log=None)
         assert emit("dropped", "compile") is False
 
     def test_ambient_id_inherited_and_overridable(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        configure_event_log(str(path))
+        settings.set(event_log=path)
         with compile_context("ambient01"):
             emit("uses.ambient", "compile")
             emit("uses.explicit", "compile", compile_id="explicit1")
@@ -204,7 +195,7 @@ class TestJournal:
 class TestPipelineEvents:
     def test_compile_emits_begin_end_under_one_id(self, tmp_path):
         journal = tmp_path / "events.jsonl"
-        configure_event_log(str(journal))
+        settings.set(event_log=journal)
         kernel = build("evt").compile("cpu")
         cid = kernel.report.compile_id
         assert cid and len(cid) == 16
@@ -220,7 +211,7 @@ class TestPipelineEvents:
 
     def test_memory_hit_verdict_and_fresh_id_per_compile(self, tmp_path):
         journal = tmp_path / "events.jsonl"
-        configure_event_log(str(journal))
+        settings.set(event_log=journal)
         cold = build("warm").compile("cpu")
         # a memory hit returns the *same* kernel object with its report
         # replaced, so remember the cold id before recompiling
@@ -241,7 +232,7 @@ class TestPipelineEvents:
     def test_disk_tier_events(self, tmp_path):
         configure(tmp_path / "cache")
         journal = tmp_path / "events.jsonl"
-        configure_event_log(str(journal))
+        settings.set(event_log=journal)
         build("durable").compile("cpu")
         kernel_registry.clear()
         warm = build("durable").compile("cpu")
@@ -262,7 +253,7 @@ class TestPipelineEvents:
 class TestBatchEvents:
     def test_submit_and_dedup_share_the_job_id(self, tmp_path):
         journal = tmp_path / "events.jsonl"
-        configure_event_log(str(journal))
+        settings.set(event_log=journal)
         with BatchCompiler(use_processes=False) as batch:
             h1 = batch.submit(build("dup", 3))
             h2 = batch.submit(build("dup", 3))
@@ -282,7 +273,7 @@ class TestBatchEvents:
     def test_worker_failure_retry_fallback_events(
             self, tmp_path, broken_pool):
         journal = tmp_path / "events.jsonl"
-        configure_event_log(str(journal))
+        settings.set(event_log=journal)
         with BatchCompiler(max_workers=2) as batch:
             handle = batch.submit(build(), max_retries=1)
             handle.result(timeout=60)
@@ -302,7 +293,7 @@ class TestBatchEvents:
 class TestSearchEvents:
     def test_beam_search_journals_one_correlated_story(self, tmp_path):
         journal = tmp_path / "events.jsonl"
-        configure_event_log(str(journal))
+        settings.set(event_log=journal)
 
         from repro.autosched import ModelOracle
         beam_search(build("srch"), ModelOracle({}, num_threads=1),
@@ -324,7 +315,7 @@ class TestSearchEvents:
 class TestFaultEvents:
     def test_injected_cache_corruption_is_journaled(self, tmp_path):
         journal = tmp_path / "events.jsonl"
-        configure_event_log(str(journal))
+        settings.set(event_log=journal)
         build("victim").compile("cpu")
         with injected(FaultPlan(seed=3).corrupt_cache()):
             recompiled = build("victim").compile("cpu")
@@ -420,95 +411,15 @@ class TestOpenMetrics:
         finally:
             obs_export.stop_flusher(final_flush=False)
 
-
-# -- the bench trajectory -----------------------------------------------------
-
-class TestBenchTrajectory:
-    def test_record_appends_versioned_entries(self, tmp_path):
-        path = str(tmp_path / "traj.json")
-        e0 = obs_bench.record_entry({"a_seconds": 1.0}, path,
-                                    meta={"host": "ci"})
-        e1 = obs_bench.record_entry({"a_seconds": 1.1}, path)
-        assert (e0["seq"], e1["seq"]) == (0, 1)
-        doc = obs_bench.load_trajectory(path)
-        assert doc["version"] == obs_bench.TRAJECTORY_VERSION
-        assert [e["metrics"]["a_seconds"] for e in doc["entries"]] \
-            == [1.0, 1.1]
-        assert doc["entries"][0]["meta"] == {"host": "ci"}
-
-    def test_record_rejects_junk(self, tmp_path):
-        path = str(tmp_path / "traj.json")
-        with pytest.raises(TypeError):
-            obs_bench.record_entry({"bad": "fast"}, path)
-        with pytest.raises(TypeError):
-            obs_bench.record_entry({"bad": True}, path)
-        with pytest.raises(ValueError):
-            obs_bench.record_entry({}, path)
-
-    def test_load_raises_on_damage(self, tmp_path):
-        path = tmp_path / "traj.json"
-        path.write_text("{broken")
-        with pytest.raises(ValueError):
-            obs_bench.load_trajectory(str(path))
-        path.write_text('{"version": 99, "entries": []}')
-        with pytest.raises(ValueError):
-            obs_bench.load_trajectory(str(path))
-
-    def test_direction_conventions(self):
-        assert obs_bench.metric_direction("compile_cold_seconds") == "up"
-        assert obs_bench.metric_direction("batch_dedup_ratio") == "up"
-        assert obs_bench.metric_direction("disk_warm_speedup") == "down"
-        assert obs_bench.metric_direction("candidates") is None
-
-    def test_compare_flags_regressions_both_directions(self, tmp_path):
-        path = str(tmp_path / "traj.json")
-        for _ in range(3):
-            obs_bench.record_entry({"t_seconds": 1.0, "s_speedup": 10.0,
-                                    "count": 5.0}, path)
-        obs_bench.record_entry({"t_seconds": 2.0, "s_speedup": 5.0,
-                                "count": 50.0}, path)
-        rows = {r.name: r for r in obs_bench.compare(path)}
-        assert rows["t_seconds"].regressed          # 2x slower
-        assert rows["s_speedup"].regressed          # halved
-        assert not rows["count"].regressed          # informational
-        assert rows["t_seconds"].baseline == 1.0
-        assert rows["t_seconds"].change == pytest.approx(1.0)
-
-    def test_compare_tolerates_drift_within_threshold(self, tmp_path):
-        path = str(tmp_path / "traj.json")
-        obs_bench.record_entry({"t_seconds": 1.0}, path)
-        obs_bench.record_entry({"t_seconds": 1.2}, path)
-        assert not any(r.regressed for r in obs_bench.compare(path))
-        assert any(r.regressed
-                   for r in obs_bench.compare(path, threshold=0.1))
-
-    def test_compare_empty_trajectory_raises(self, tmp_path):
-        with pytest.raises(ValueError):
-            obs_bench.compare(str(tmp_path / "missing.json"))
-
-    def test_cli_exit_codes(self, tmp_path, capsys):
-        path = str(tmp_path / "traj.json")
-        assert obs_bench.main(["--compare", "--file", path]) == 2
-        obs_bench.record_entry({"t_seconds": 1.0}, path)
-        obs_bench.record_entry({"t_seconds": 1.05}, path)
-        assert obs_bench.main(["--compare", "--file", path]) == 0
-        out = capsys.readouterr().out
-        assert "t_seconds" in out and "ok" in out
-        obs_bench.record_entry({"t_seconds": 9.0}, path)
-        assert obs_bench.main(["--compare", "--file", path]) == 1
-        assert "REGRESSED" in capsys.readouterr().out
-
-    def test_cli_module_entry_point(self, tmp_path):
-        path = str(tmp_path / "traj.json")
-        obs_bench.record_entry({"t_seconds": 1.0}, path)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO / "src")
-        env["TIRAMISU_BENCH_FILE"] = path
-        out = subprocess.run(
-            [sys.executable, "-m", "repro.obs.bench", "--compare"],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert "t_seconds" in out.stdout
+    def test_start_flusher_without_a_period_is_a_noop(self, tmp_path,
+                                                      monkeypatch):
+        dest = str(tmp_path / "never.prom")
+        assert obs_export.start_flusher(dest) is None
+        monkeypatch.setenv("TIRAMISU_METRICS_INTERVAL", "0.05")
+        assert obs_export.start_flusher(dest, interval=0) is None
+        assert obs_export._flusher is None
+        with pytest.raises(ValueError, match="metrics_interval must be"):
+            obs_export.start_flusher(dest, interval=-1)
 
 
 # -- doc drift ----------------------------------------------------------------
@@ -590,14 +501,11 @@ class TestEndToEnd:
         TIRAMISU_METRICS_FILE.  The journal must hold begin/end,
         cache-tier, retry and search events all under the submitting
         job's compile_id; the OpenMetrics file must parse with
-        histogram quantiles; the bench trajectory must gain an entry
-        the --compare CLI reads."""
+        histogram quantiles."""
         journal = tmp_path / "events.jsonl"
         exposition = tmp_path / "metrics.prom"
-        bench_file = tmp_path / "BENCH_obs.json"
         monkeypatch.setenv("TIRAMISU_EVENT_LOG", str(journal))
         monkeypatch.setenv("TIRAMISU_METRICS_FILE", str(exposition))
-        monkeypatch.setenv("TIRAMISU_BENCH_FILE", str(bench_file))
 
         plan = SchedulePlan([Interchange("c", 0, 1)])
         with BatchCompiler(max_workers=2) as batch:
@@ -641,11 +549,3 @@ class TestEndToEnd:
         assert parsed['compile_seconds{quantile="0.99"}'] >= 0
         assert parsed["compile_seconds_count"] >= 2
         assert parsed["compile_cache_memory_miss_total"] >= 1
-
-        # the bench trajectory gains an entry the CLI can gate on
-        obs_bench.record_entry(
-            {"e2e_compile_seconds": kernel.report.total_seconds})
-        rows = obs_bench.compare()
-        assert [r.name for r in rows] == ["e2e_compile_seconds"]
-        assert obs_bench.main(["--compare"]) == 0
-        assert bench_file.exists()

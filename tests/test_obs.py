@@ -14,25 +14,25 @@ import math
 import numpy as np
 import pytest
 
+from repro import settings
+from repro.driver.stats import CacheStats
 from repro.driver.trace import CompileReport, StageTiming
 from repro.isl.enumerate_ import count as domain_count
 from repro.kernels.linalg import TEST_SGEMM, build_sgemm
 from repro.obs import (CAT_COMPILE, CAT_LOOP, CAT_PARALLEL, CAT_WORKER,
                        Counter, Gauge, Histogram, MetricsRegistry,
                        RunCollector, Span, Tracer, build_run_report,
-                       get_tracer, metrics, trace_file_path,
-                       write_trace_file)
+                       get_tracer, metrics, write_trace_file)
 
 
 @pytest.fixture
 def clean_tracer():
-    """The global tracer, cleared and force-disabled around the test."""
+    """The global tracer, cleared around the test (conftest resets the
+    ``trace_file`` override that turns collection on)."""
     tracer = get_tracer()
     tracer.clear()
-    tracer.set_enabled(None)
     yield tracer
     tracer.clear()
-    tracer.set_enabled(None)
 
 
 def run_bundle(bundle, kernel, seed=0):
@@ -365,13 +365,13 @@ class TestTracer:
                                          tmp_path):
         dest = tmp_path / "out.json"
         monkeypatch.setenv("TIRAMISU_TRACE_FILE", str(dest))
-        assert trace_file_path() == str(dest)
+        assert settings.get("trace_file") == str(dest)
         assert clean_tracer.enabled()
-        clean_tracer.set_enabled(False)   # forced off beats the env var
-        assert not clean_tracer.enabled()
+        with settings.override(trace_file=None):   # beats the env var
+            assert not clean_tracer.enabled()
 
-    def test_span_context_manager_records(self, clean_tracer):
-        clean_tracer.set_enabled(True)
+    def test_span_context_manager_records(self, clean_tracer, tmp_path):
+        settings.set(trace_file=tmp_path / "trace.json")
         with clean_tracer.span("work", cat="test", detail=3):
             pass
         (span,) = clean_tracer.spans()
@@ -410,11 +410,12 @@ class TestTracer:
         doc = json.loads(dest.read_text())
         assert doc["traceEvents"][0]["name"] == "s"
 
-    def test_one_timeline_compile_run_workers(self, clean_tracer):
+    def test_one_timeline_compile_run_workers(self, clean_tracer,
+                                              tmp_path):
         """The acceptance scenario: one profiled num_threads=2 run with
         tracing on yields compile-stage, loop-nest, parallel, and worker
         spans in a single exported trace."""
-        clean_tracer.set_enabled(True)
+        settings.set(trace_file=tmp_path / "trace.json")
         bundle = build_sgemm()
         bundle.computations["acc"].parallelize("i")
         # cache=False: a registry hit would skip the emit/bind stages
@@ -429,7 +430,6 @@ class TestTracer:
 
     def test_own_tracer_instances_are_independent(self):
         t1, t2 = Tracer(), Tracer()
-        t1.set_enabled(True)
         t1.add_span("a", "cat", 0, 5)
         assert len(t1) == 1 and len(t2) == 0
 
@@ -441,7 +441,6 @@ class TestTracer:
         one."""
         import threading
         tracer = Tracer()
-        tracer.set_enabled(True)
         dest = tmp_path / "trace.json"
 
         def hammer():
@@ -469,7 +468,6 @@ class TestTracer:
         assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]
 
     def test_compile_spans_carry_compile_id(self, clean_tracer):
-        clean_tracer.set_enabled(True)
         report = CompileReport(function="f", target="cpu",
                                fingerprint="ab" * 32)
         report.compile_id = "deadbeef00112233"
@@ -546,8 +544,8 @@ class TestCompileReportObservability:
         report.races_checked = 1
         report.parallel_regions = 2
         report.parallel_workers = 4
-        report.cache_stats = {"hits": 1, "misses": 2, "evictions": 0,
-                              "size": 2, "maxsize": 64}
+        report.cache_stats = CacheStats("memory", hits=1, misses=2,
+                                        size=2, maxsize=64)
         full = report.format_table()
         assert "3 dependences" in full
         assert "1 tagged" in full

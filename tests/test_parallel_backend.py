@@ -308,21 +308,21 @@ class TestFaultTolerance:
         assert metrics.counter("parallel.retries").value >= 1
         assert metrics.counter("parallel.pool_restarts").value >= 1
 
-    def test_fault_spans_appear_on_the_tracer(self):
+    def test_fault_spans_appear_on_the_tracer(self, tmp_path):
+        from repro import settings
         from repro.obs.tracer import CAT_FAULT, get_tracer
         tracer = get_tracer()
         tracer.clear()
-        tracer.set_enabled(True)
         try:
-            kernel = self.compile_par()
-            with injected(FaultPlan().crash_worker(region=0, chunk=0)):
-                run_sgemm(kernel)
+            with settings.override(trace_file=tmp_path / "trace.json"):
+                kernel = self.compile_par()
+                with injected(FaultPlan().crash_worker(region=0, chunk=0)):
+                    run_sgemm(kernel)
             faults = [s for s in tracer.spans() if s.cat == CAT_FAULT]
             assert faults
             assert any(s.name.startswith("parallel:retry:") for s in faults)
         finally:
             tracer.clear()
-            tracer.set_enabled(None)
 
 
 class TestTimeoutConfig:

@@ -12,21 +12,18 @@ import time
 import numpy as np
 import pytest
 
-from repro import Computation, Function, Var
+from repro import Computation, Function, Var, settings
 from repro.core.errors import (AdmissionError, DeadlineExceededError,
                                WorkerFailureError)
 from repro.driver import (BatchCompiler, Deadline, current_deadline,
                           deadline_scope, kernel_registry, pool_breaker,
                           recovery_sweep)
 from repro.driver.diskcache import (DiskCache, active_disk_cache,
-                                    configure, reset_configuration,
-                                    resolve_max_quarantine)
+                                    configure)
 from repro.driver.resilience import (CircuitBreaker, STATE_CLOSED,
                                      STATE_HALF_OPEN, STATE_OPEN)
 from repro.faults import FaultPlan, injected, uninstall
-from repro.obs.events import (configure_event_log, read_events,
-                              read_journal, repair_journal,
-                              reset_event_log_configuration)
+from repro.obs.events import read_events, read_journal, repair_journal
 
 
 def build(name="f", scale=2.0):
@@ -48,14 +45,10 @@ def _fresh_state(monkeypatch):
                 "TIRAMISU_MAX_PENDING", "TIRAMISU_MAX_QUEUED_BYTES",
                 "TIRAMISU_ADMISSION_POLICY"):
         monkeypatch.delenv(var, raising=False)
-    reset_configuration()
-    reset_event_log_configuration()
     kernel_registry.clear()
     uninstall()
     yield
     uninstall()
-    reset_configuration()
-    reset_event_log_configuration()
     kernel_registry.clear()
 
 
@@ -134,7 +127,7 @@ class TestDeadlinePropagation:
         ``resilience.stage.begin`` line may follow the
         ``resilience.deadline.exceeded`` line."""
         log = tmp_path / "events.jsonl"
-        configure_event_log(str(log))
+        settings.set(event_log=log)
         f = build("dl_journal")
         plan = FaultPlan().slow_stage(stage="legality", seconds=0.25)
         with injected(plan):
@@ -402,7 +395,7 @@ class TestDiskIOFaults:
         root = tmp_path / "cache"
         configure(root)
         log = tmp_path / "events.jsonl"
-        configure_event_log(str(log))
+        settings.set(event_log=log)
         plan = FaultPlan().disk_io_error(op="store")
         with injected(plan):
             kernel = build("nospc", 3).compile("cpu")
@@ -429,7 +422,7 @@ class TestDiskIOFaults:
         root = tmp_path / "cache"
         configure(root)
         log = tmp_path / "events.jsonl"
-        configure_event_log(str(log))
+        settings.set(event_log=log)
         build("eio", 2).compile("cpu")          # stores the artifact
         kernel_registry.clear()
         plan = FaultPlan().disk_io_error(op="load")
@@ -484,15 +477,15 @@ class TestQuarantineAccounting:
         assert not corpse.exists()
         assert "k1" in cache
 
-    def test_resolve_max_quarantine_validation(self, monkeypatch):
-        assert resolve_max_quarantine() == 8
+    def test_max_quarantine_validation(self, monkeypatch):
+        assert settings.get("cache_max_quarantine") == 8
         monkeypatch.setenv("TIRAMISU_CACHE_MAX_QUARANTINE", "0")
-        assert resolve_max_quarantine() == 0
+        assert settings.get("cache_max_quarantine") == 0
         for bad in ("-1", "many"):
             monkeypatch.setenv("TIRAMISU_CACHE_MAX_QUARANTINE", bad)
             with pytest.raises(ValueError,
                                match="TIRAMISU_CACHE_MAX_QUARANTINE"):
-                resolve_max_quarantine()
+                settings.get("cache_max_quarantine")
 
 
 # -- crash recovery ----------------------------------------------------------
@@ -523,7 +516,7 @@ class TestCrashRecovery:
         cache = DiskCache(tmp_path / "cache")
         log = tmp_path / "events.jsonl"
         log.write_text('{"name": "a", "cat": "compile"}\n{"name": "b', )
-        configure_event_log(str(log))
+        settings.set(event_log=log)
         report = recovery_sweep(cache)
         assert report.journal_bytes_truncated == len('{"name": "b')
         records, torn = read_journal(str(log))
@@ -606,11 +599,10 @@ def _run_soak_plan(seed, tmp_path):
     """One seeded chaos round over a small batch; returns the list of
     (scale, outcome) pairs where outcome is a kernel or an error."""
     kernel_registry.clear()
-    reset_configuration()
     root = tmp_path / f"cache{seed}"
     configure(root)
     log = tmp_path / f"events{seed}.jsonl"
-    configure_event_log(str(log))
+    settings.set(event_log=log)
     rng = np.random.default_rng(seed)
     plan = FaultPlan(seed=seed)
     if rng.random() < 0.7:
@@ -655,8 +647,7 @@ def _run_soak_plan(seed, tmp_path):
     _, torn = read_journal(str(log))
     assert torn is None
     assert not [n for n in os.listdir(root) if n.startswith(".tmp-")]
-    reset_event_log_configuration()
-    reset_configuration()
+    settings.reset()
     return outcomes
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import repro.backends.pool as pool
-from repro import Computation, Function, Var
+from repro import Computation, Function, Var, settings
 from repro.backends.pool import (BATCH, PARALLEL, RETRY_BACKOFF, SITES,
                                  TASKGRAPH, supervise)
 from repro.core.errors import DeadlineExceededError, WorkerFailureError
@@ -23,8 +23,7 @@ from repro.driver.batch import BatchStats
 from repro.driver.resilience import STATE_CLOSED
 from repro.faults import FaultPlan, injected, uninstall
 from repro.kernels.stencil import build_heat
-from repro.obs.events import (configure_event_log, read_events,
-                              reset_event_log_configuration)
+from repro.obs.events import read_events
 from repro.obs.metrics import metrics
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -37,10 +36,8 @@ OUTCOMES = ("worker_failure", "pool_restart", "retry", "fallback",
 def _fresh():
     kernel_registry.clear()
     uninstall()
-    reset_event_log_configuration()
     yield
     uninstall()
-    reset_event_log_configuration()
     kernel_registry.clear()
 
 
@@ -247,7 +244,7 @@ def test_pool_refusal_books_the_same_story_at_every_site(
         pytest.skip("no process pool on this host")
     stats, call = DRIVERS[site.op]()
     journal = tmp_path / "events.jsonl"
-    configure_event_log(str(journal))
+    settings.set(event_log=journal)
     rows = {k: site.rows[k] for k in OUTCOMES}
     by_event = {event: k for k, (_, _, event) in rows.items() if event}
 
