@@ -2,10 +2,17 @@
 
 The closest thing in this environment to the paper's LLVM backend: the
 polyhedral AST is emitted as C, compiled with ``gcc -O3 -march=native
--fopenmp``, loaded through ctypes, and called on NumPy arrays.  Loops
-tagged ``parallel`` become ``#pragma omp parallel for`` (real threads),
-``vector`` becomes ``#pragma omp simd`` (real SIMD), ``unroll`` becomes
-``#pragma GCC unroll``.
+-fopenmp -ffp-contract=off``, loaded through ctypes, and called on NumPy
+arrays.  Loops tagged ``parallel`` become ``#pragma omp parallel for``
+(real threads), ``vector`` becomes ``#pragma omp simd`` (real SIMD)
+unless the loop carries a dependence, ``unroll`` becomes ``#pragma GCC
+unroll``.
+
+Every node is rendered in the type :mod:`repro.ir.typing` infers for it
+(index math in ``int64_t``, ``float32`` arithmetic in ``float``) and gcc
+may not fuse ``a * b + c``, so one program + schedule stores the same
+bits here as on ``cpu`` — ``exp``/``log``/``pow`` excepted, where libm
+and NumPy differ in the last ulp.
 
 CPU-only: GPU memory-space features and send/receive are not lowered
 here (use the gpu/distributed backends).
@@ -23,6 +30,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.codegen.ast import Block, Loop, Stmt
+from repro.codegen.lanes import lane_verdict
 from repro.codegen.pyemit import lin_to_py
 from repro.core.buffer import ArgKind, Buffer
 from repro.core.computation import Operation
@@ -30,9 +38,9 @@ from repro.core.errors import CodegenError, ExecutionError
 from repro.core.function import Function
 from repro.ir.expr import (Access, BinOp, BufferRead, Call, Cast, Const,
                            Expr, IterVar, ParamRef, Select, UnOp)
-from repro.isl import Constraint, LinExpr
+from repro.ir.typing import COMPARISONS, Type, combine
+from repro.isl import LinExpr
 from repro.isl.constraint import EQ
-from repro.isl.linexpr import OUT, PARAM
 
 from repro.driver.registry import Backend, register_backend
 
@@ -40,10 +48,17 @@ from .common import collect_buffers, infer_argument_kinds
 
 _C_PRELUDE = """\
 #include <stdint.h>
+#include <stdlib.h>
 #include <math.h>
 
-static inline int64_t imax(int64_t a, int64_t b) { return a > b ? a : b; }
-static inline int64_t imin(int64_t a, int64_t b) { return a < b ? a : b; }
+#define MINMAX(T, min, max, clamp) \\
+static inline T min(T a, T b) { return a < b ? a : b; } \\
+static inline T max(T a, T b) { return a > b ? a : b; } \\
+static inline T clamp(T v, T lo, T hi) \\
+    { v = v < lo ? lo : v; return v > hi ? hi : v; }
+MINMAX(int64_t, imin, imax, iclamp)
+MINMAX(float, minf, maxf, clampf)
+MINMAX(double, mind, maxd, clampd)
 static inline int64_t icdiv(int64_t a, int64_t b) {
     int64_t q = a / b, r = a % b;
     return q + ((r != 0) && ((r > 0) == (b > 0)));
@@ -52,12 +67,10 @@ static inline int64_t ifdiv(int64_t a, int64_t b) {
     int64_t q = a / b, r = a % b;
     return q - ((r != 0) && ((r < 0) != (b < 0)));
 }
-static inline double dmin(double a, double b) { return a < b ? a : b; }
-static inline double dmax(double a, double b) { return a > b ? a : b; }
-static inline double dclamp(double v, double lo, double hi)
-    { return v < lo ? lo : (v > hi ? hi : v); }
-static inline int64_t iclamp(int64_t v, int64_t lo, int64_t hi)
-    { return v < lo ? lo : (v > hi ? hi : v); }
+static inline int64_t imod(int64_t a, int64_t b) {
+    int64_t r = a % b;
+    return r + ((r != 0) && ((r < 0) != (b < 0))) * b;
+}
 """
 
 _CTYPE = {
@@ -66,17 +79,72 @@ _CTYPE = {
     "int64": "int64_t", "uint8": "uint8_t", "uint16": "uint16_t",
     "uint32": "uint32_t", "uint64": "uint64_t", "bool": "uint8_t",
 }
+_FLOATS = ("float", "double")
+#: Types C computes in as they are; a narrower integer is promoted by C,
+#: so its arithmetic is cast back after every operation.
+_WIDE = _FLOATS + ("int64_t", "uint64_t")
+#: intrinsic -> what computes it over int64_t, float, double operands
+_CALLS = {
+    "min": ("imin", "minf", "mind"), "max": ("imax", "maxf", "maxd"),
+    "clamp": ("iclamp", "clampf", "clampd"),
+    "abs": ("llabs", "fabsf", "fabs"), "sqrt": (None, "sqrtf", "sqrt"),
+    "exp": (None, "expf", "exp"), "log": (None, "logf", "log"),
+    "floor": ("", "floorf", "floor"), "pow": ("(int64_t)pow", "powf", "pow"),
+}
 
 
-def _lin_to_c(le: LinExpr, params: Sequence[str]) -> str:
-    # The Python renderer's syntax is valid C for pure affine forms.
-    return lin_to_py(le, params)
+def _ctype(t: Type) -> str:
+    if isinstance(t, type):          # weak: a Python scalar
+        return "double" if t is float else "int64_t"
+    return _CTYPE[t.np_dtype]
+
+
+class _C(str):
+    """Rendered C.  ``t``: the type it evaluates in, ``ct`` that type in
+    C; ``prec``: how tightly it binds (4 atom, 3 unary, 2
+    multiplicative, 1 additive, 0 below); ``value``: the Python scalar,
+    for a literal."""
+
+    def __new__(cls, text: str, t: Type, prec: int = 4, value=None):
+        self = super().__new__(cls, text)
+        self.t, self.ct, self.prec, self.value = t, _ctype(t), prec, value
+        return self
+
+
+def _p(x: _C, prec: int) -> str:
+    """``x`` as an operand that must bind at least ``prec`` tight."""
+    return x if x.prec >= prec else f"({x})"
+
+
+def _lin_to_c(le: LinExpr, params: Sequence[str]) -> _C:
+    # The Python renderer's syntax is valid C for pure affine forms:
+    # a sum, one product, a negated name, or an atom.
+    text = lin_to_py(le, params)
+    return _C(text, int, 1 if " " in text else 2 if "*" in text
+              else 3 if text[0] == "-" else 4)
+
+
+def _coerce(x: _C, want: str, other: Optional[str] = None) -> _C:
+    """``x`` as an operand of an operation C must evaluate in ``want``:
+    unchanged when it has that type, or when C's own conversion yields
+    it — next to an operand of C type ``other``, or (None) into a
+    prototype's parameter or an assignment."""
+    have = x.ct
+    if x.value is not None and want in _FLOATS:
+        text = repr(float(x.value)) if want == "double" else \
+            np.format_float_positional(np.float32(x.value), trim="0") + "f"
+        return _C(text, x.t, 3 if text[0] == "-" else 4)
+    if have == want or other is None or (
+            other == want and (want == "double" or have not in _FLOATS)):
+        return x
+    return _C(f"({want}){_p(x, 3)}", x.t, 3)
 
 
 class CEmitter:
-    def __init__(self, fn: Function):
+    def __init__(self, fn: Function, lanes_verified: bool = False):
         self.fn = fn
         self.params = list(fn.param_names)
+        self.lanes_verified = lanes_verified
         self.lines: List[str] = []
         self.indent = 1
         self.current_comp = None
@@ -90,7 +158,7 @@ class CEmitter:
         a, e = bound
         es = _lin_to_c(e, self.params)
         if a == 1:
-            return f"({es})"
+            return es
         return f"icdiv({es}, {a})" if is_lower else f"ifdiv({es}, {a})"
 
     def bounds_c(self, groups, is_lower: bool) -> str:
@@ -109,14 +177,12 @@ class CEmitter:
 
     # -- expressions ------------------------------------------------------
 
-    def expr_c(self, expr: Expr, env: Dict[str, str],
-               float_div: bool) -> str:
+    def expr_c(self, expr: Expr, env: Dict[str, _C], float_div: bool) -> _C:
+        """``expr`` rendered in its inferred type."""
         if isinstance(expr, Const):
-            if isinstance(expr.value, bool):
-                return "1" if expr.value else "0"
-            if isinstance(expr.value, float):
-                return f"{expr.value!r}"
-            return str(expr.value)
+            v = expr.value
+            text = str(int(v)) if isinstance(v, (bool, int)) else repr(v)
+            return _C(text, type(v), 3 if text[0] == "-" else 4, v)
         if isinstance(expr, IterVar):
             if expr.name not in env:
                 raise CodegenError(f"unbound iterator {expr.name!r}")
@@ -125,76 +191,99 @@ class CEmitter:
             if expr.name in env:
                 return env[expr.name]
             if expr.name in self.params:
-                return expr.name
+                return _C(expr.name, int)
             raise CodegenError(f"unknown parameter {expr.name!r}")
         if isinstance(expr, BinOp):
-            lhs = self.expr_c(expr.lhs, env, float_div)
-            rhs = self.expr_c(expr.rhs, env, float_div)
-            op = expr.op
-            if op == "//":
-                return f"ifdiv({lhs}, {rhs})"
-            if op == "/" and not float_div:
-                return f"ifdiv((int64_t)({lhs}), (int64_t)({rhs}))"
-            if op == "%":
-                return f"(((({lhs}) % ({rhs})) + ({rhs})) % ({rhs}))"
-            if op == "and":
-                op = "&&"
-            elif op == "or":
-                op = "||"
-            return f"(({lhs}) {op} ({rhs}))"
+            return self._binop_c(
+                "//" if expr.op == "/" and not float_div else expr.op,
+                self.expr_c(expr.lhs, env, float_div),
+                self.expr_c(expr.rhs, env, float_div))
         if isinstance(expr, UnOp):
-            return f"(-({self.expr_c(expr.operand, env, float_div)}))"
+            x = self.expr_c(expr.operand, env, float_div)
+            rt = combine("neg", (x.t,))[1]
+            ct = _ctype(rt)
+            return _C(f"-{_p(x, 4)}" if ct in _WIDE else
+                      f"({ct})-(uint64_t){_p(x, 4)}", rt, 3)
         if isinstance(expr, Select):
-            c = self.expr_c(expr.cond, env, float_div)
-            t = self.expr_c(expr.if_true, env, float_div)
-            f = self.expr_c(expr.if_false, env, float_div)
-            return f"(({c}) ? ({t}) : ({f}))"
+            c, t, f = (self.expr_c(e, env, float_div)
+                       for e in (expr.cond, expr.if_true, expr.if_false))
+            rt = combine("select", (t.t, f.t))[1]
+            return _C(f"({c} ? {_coerce(t, _ctype(rt), f.ct)} : "
+                      f"{_coerce(f, _ctype(rt), t.ct)})", rt)
         if isinstance(expr, Cast):
-            v = self.expr_c(expr.operand, env, float_div)
-            return f"(({_CTYPE[expr.dtype.np_dtype]})({v}))"
+            x = _coerce(self.expr_c(expr.operand, env, float_div),
+                        _CTYPE[expr.dtype.np_dtype], "")
+            return _C(x, expr.dtype, x.prec)
         if isinstance(expr, Call):
-            args = [self.expr_c(a, env, float_div) for a in expr.args]
-            table = {"min": "dmin", "max": "dmax", "abs": "fabs",
-                     "sqrt": "sqrt", "exp": "exp", "log": "log",
-                     "floor": "floor", "pow": "pow", "clamp": "dclamp"}
-            if expr.fn in table:
-                return f"{table[expr.fn]}({', '.join(args)})"
-            raise CodegenError(f"unknown intrinsic {expr.fn!r}")
+            return self._call_c(expr.fn, [self.expr_c(a, env, float_div)
+                                          for a in expr.args])
         if isinstance(expr, Access):
             return self._access_c(expr, env, float_div)
         if isinstance(expr, BufferRead):
-            idx = [self.expr_c(e, env, float_div) for e in expr.indices]
-            return self._indexed(expr.buffer, idx)
+            return self._indexed(expr.buffer, [
+                self.expr_c(e, env, float_div) for e in expr.indices])
         raise CodegenError(f"cannot emit {expr!r} as C")
 
-    def _access_c(self, access: Access, env, float_div) -> str:
+    def _binop_c(self, op: str, lhs: _C, rhs: _C) -> _C:
+        if op in ("and", "or"):
+            return _C(f"{_p(lhs, 1)} {'&&' if op == 'and' else '||'} "
+                      f"{_p(rhs, 1)}", combine(op, (lhs.t, rhs.t))[1], 0)
+        operand, rt = combine(op, (lhs.t, rhs.t))
+        ct = _ctype(operand)
+        if op in ("//", "%"):
+            if ct in _FLOATS:
+                raise CodegenError(
+                    f"{op!r} of floats is not lowered by the C backend; "
+                    "write floor(a / b)")
+            text = f"{'ifdiv' if op == '//' else 'imod'}({lhs}, {rhs})"
+            return _C(text, rt) if ct == "int64_t" else \
+                _C(f"({ct}){text}", rt, 3)
+        if op not in COMPARISONS and ct not in _WIDE:
+            # modular arithmetic, free of C's signed-overflow rule
+            return _C(f"({ct})((uint64_t){_p(lhs, 3)} {op} {_p(rhs, 3)})",
+                      rt, 3)
+        a, b = _coerce(lhs, ct, rhs.ct), _coerce(rhs, ct, lhs.ct)
+        if op in COMPARISONS:
+            return _C(f"{_p(a, 1)} {op} {_p(b, 1)}", rt, 0)
+        level = 1 if op in "+-" else 2
+        return _C(f"{_p(a, level)} {op} {_p(b, level + 1)}", rt, level)
+
+    def _call_c(self, fn: str, args: List[_C]) -> _C:
+        if fn not in _CALLS:
+            raise CodegenError(f"unknown intrinsic {fn!r}")
+        operand, rt = combine(fn, tuple(a.t for a in args))
+        ct = _ctype(operand)
+        name = _CALLS[fn][_FLOATS.index(ct) + 1 if ct in _FLOATS else 0]
+        return _C(f"{name}({', '.join(_coerce(a, ct) for a in args)})", rt)
+
+    def _access_c(self, access: Access, env, float_div) -> _C:
         producer = access.computation
-        idx_strs = [f"(int64_t)({self.expr_c(e, env, float_div)})"
-                    for e in access.indices]
-        env_q = {nm: s for nm, s in zip(producer.var_names, idx_strs)}
+        env_q = dict(zip(producer.var_names, (
+            self.expr_c(e, env, float_div) for e in access.indices)))
         if producer.inlined:
-            return "(" + self.expr_c(producer.expr, env_q,
-                                     producer.dtype.is_float) + ")"
+            inner = self.expr_c(producer.expr, env_q,
+                                producer.dtype.is_float)
+            return _C(_p(inner, 4), inner.t)
         if producer.cached_store is not None or (
                 self.current_comp is not None
                 and producer.name in self.current_comp.cached_reads):
             raise CodegenError(
                 "GPU shared-memory caches are not lowered by the C "
                 "backend; use the gpu backend")
-        out = [self.expr_c(e, env_q, False)
-               for e in producer.store_indices()]
-        return self._indexed(producer.get_buffer(), out)
+        return self._indexed(producer.get_buffer(), [
+            self.expr_c(e, env_q, False) for e in producer.store_indices()])
 
-    def _indexed(self, buffer: Buffer, idx: List[str]) -> str:
+    def _indexed(self, buffer: Buffer, idx: List[_C]) -> _C:
         flat = idx[0]
-        for k in range(1, len(idx)):
-            flat = f"({flat}) * {buffer.name}_dim{k} + ({idx[k]})"
-        return f"{buffer.name}[{flat}]"
+        for k, i in enumerate(idx[1:], 1):
+            flat = _C(f"{_p(flat, 2)} * {buffer.name}_dim{k} + {_p(i, 1)}",
+                      int, 1)
+        return _C(f"{buffer.name}[{flat}]", buffer.dtype)
 
     # -- statements -----------------------------------------------------------
 
-    def stmt_env(self, comp) -> Dict[str, str]:
-        return {nm: f"({_lin_to_c(le, self.params)})"
+    def stmt_env(self, comp) -> Dict[str, _C]:
+        return {nm: _lin_to_c(le, self.params)
                 for nm, le in comp.rev.items()}
 
     def emit_block(self, block: Block) -> None:
@@ -214,7 +303,14 @@ class CEmitter:
             if loop.tag.kind == "parallel":
                 self.line("#pragma omp parallel for")
             elif loop.tag.kind == "vector":
-                self.line("#pragma omp simd")
+                # the pragma asserts independent iterations: ask the
+                # predicate the cpu backend vectorizes by
+                why = lane_verdict(self.fn, loop, self.lanes_verified)
+                if why is not None and why.startswith("carried"):
+                    self.line(f"/* vector loop ({loop.var}): scalar, "
+                              f"{why} */")
+                else:
+                    self.line("#pragma omp simd")
             elif loop.tag.kind == "unroll":
                 self.line(f"#pragma GCC unroll {loop.tag.factor or 4}")
             elif loop.tag.kind in ("gpu_block", "gpu_thread",
@@ -237,7 +333,7 @@ class CEmitter:
         for guard in stmt.guards:
             es = _lin_to_c(guard.expr, self.params)
             op = "==" if guard.kind == EQ else ">="
-            self.line(f"if (({es}) {op} 0) {{")
+            self.line(f"if ({es} {op} 0) {{")
             self.indent += 1
             closes += 1
         if comp.predicate is not None:
@@ -249,12 +345,12 @@ class CEmitter:
             self._emit_operation(comp, env)
         else:
             from repro.ir.fold import fold
-            idx = [f"(int64_t)({self.expr_c(e, env, False)})"
-                   for e in comp.store_indices()]
-            target = self._indexed(comp.get_buffer(), idx)
+            buffer = comp.get_buffer()
+            target = self._indexed(buffer, [
+                self.expr_c(e, env, False) for e in comp.store_indices()])
             rhs = self.expr_c(fold(comp.expr), env, comp.dtype.is_float)
-            ctype = _CTYPE[comp.dtype.np_dtype]
-            self.line(f"{target} = ({ctype})({rhs});")
+            self.line(f"{target} = "
+                      f"{_coerce(rhs, _CTYPE[buffer.dtype.np_dtype])};")
         for __ in range(closes):
             self.indent -= 1
             self.line("}")
@@ -270,12 +366,15 @@ class CEmitter:
             f"operation {op.op_kind!r} is not lowered by the C backend")
 
 
-def emit_c_source(fn: Function, ast=None) -> str:
+def emit_c_source(fn: Function, ast=None,
+                  lanes_verified: bool = False) -> str:
+    """``lanes_verified``: the race-check stage proved every ``vector``
+    tag clean (:func:`repro.codegen.lanes.lane_verdict`)."""
     if ast is None:
         infer_argument_kinds(fn)
         ast = fn.lower()
     buffers = collect_buffers(fn)
-    emitter = CEmitter(fn)
+    emitter = CEmitter(fn, lanes_verified)
     args = []
     for buf in buffers:
         args.append(f"{_CTYPE[buf.dtype.np_dtype]}* restrict {buf.name}")
@@ -359,15 +458,24 @@ def have_c_compiler() -> bool:
     return _cc_checked
 
 
+#: The compiler command line, less the output path.  Part of a .so's
+#: address: a binary built under other flags is another binary.
+#: ``-ffp-contract=off``: no fused multiply-add, which rounds once where
+#: NumPy rounds twice.
+GCC = ("gcc", "-O3", "-march=native", "-fopenmp", "-ffp-contract=off",
+       "-shared", "-fPIC", "-lm", "-x", "c", "-", "-x", "none")
+
+
 def build_shared_object(source: str, extra_flags: Sequence[str] = ()) -> str:
     """gcc-compile C source to a (content-addressed, reused) .so; returns
-    its path.  The address covers the flags too — the same source built
-    with different ``extra_flags`` is a different binary — and the .so is
-    built under a temporary name and renamed into place, so a concurrent
-    ``dlopen`` of the published path never sees a partial file."""
-    flags = list(extra_flags)
+    its path.  The address covers the whole command line — the same
+    source built with different flags is a different binary — and the
+    .so is built under a temporary name and renamed into place, so a
+    concurrent ``dlopen`` of the published path never sees a partial
+    file."""
+    cmd = list(GCC) + list(extra_flags)
     digest = hashlib.sha1(
-        "\0".join([source] + flags).encode()).hexdigest()[:16]
+        "\0".join([source] + cmd).encode()).hexdigest()[:16]
     workdir = os.path.join(tempfile.gettempdir(), "tiramisu_c")
     os.makedirs(workdir, exist_ok=True)
     so_path = os.path.join(workdir, f"k_{digest}.so")
@@ -377,11 +485,8 @@ def build_shared_object(source: str, extra_flags: Sequence[str] = ()) -> str:
                                     suffix=".so")
     os.close(fd)
     try:
-        cmd = ["gcc", "-O3", "-march=native", "-fopenmp", "-shared",
-               "-fPIC", "-lm", "-x", "c", "-", "-x", "none",
-               "-o", tmp_path] + flags
-        result = subprocess.run(cmd, input=source, capture_output=True,
-                                text=True)
+        result = subprocess.run(cmd + ["-o", tmp_path], input=source,
+                                capture_output=True, text=True)
         if result.returncode != 0:
             raise CodegenError(
                 f"gcc failed:\n{result.stderr}\n--- source ---\n{source}")
@@ -407,7 +512,7 @@ class CBackend(Backend):
     def emit(self, ctx) -> str:
         if not have_c_compiler():
             raise ExecutionError("no C compiler available")
-        return emit_c_source(ctx.fn, ast=ctx.ast)
+        return emit_c_source(ctx.fn, ctx.ast, ctx.lanes_verified)
 
     def bind(self, ctx) -> NativeKernel:
         so_path = build_shared_object(ctx.source,

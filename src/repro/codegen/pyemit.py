@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.errors import CodegenError
 from repro.ir.expr import (Access, BinOp, BufferRead, Call, Cast, Const,
                            Expr, IterVar, ParamRef, Select, UnOp)
+from repro.ir.typing import combine, result_type, strong
 from repro.isl import Constraint, LinExpr
 from repro.isl.constraint import EQ
 from repro.isl.linexpr import OUT, PARAM
@@ -93,11 +94,13 @@ def lin_to_py(le: LinExpr, params: Sequence[str]) -> str:
 class _Py(str):
     """A rendered Python expression.  ``atom``: it binds tighter than
     any operator, so it needs no parentheses as an operand; ``lanes``:
-    inside a vector statement it holds one value per lane."""
+    inside a vector statement it holds one value per lane; ``weak``: in
+    the scalar loop it is a Python scalar (:mod:`repro.ir.typing`)."""
 
-    def __new__(cls, text: str, atom: bool = False, lanes: bool = False):
+    def __new__(cls, text: str, atom: bool = False, lanes: bool = False,
+                weak: bool = False):
         self = super().__new__(cls, text)
-        self.atom, self.lanes = atom, lanes
+        self.atom, self.lanes, self.weak = atom, lanes, weak
         return self
 
 
@@ -114,7 +117,7 @@ def _p(text: str) -> str:
 
 def _lin_py(le: LinExpr, params: Sequence[str], lanes: bool = False) -> _Py:
     text = lin_to_py(le, params)
-    return _Py(text, text.isidentifier() or text.isdigit(), lanes)
+    return _Py(text, text.isidentifier() or text.isdigit(), lanes, True)
 
 
 def bound_to_py(bound, params: Sequence[str], is_lower: bool) -> str:
@@ -268,7 +271,7 @@ class Emitter:
             v = expr.value
             if isinstance(v, int) and not isinstance(v, bool):
                 return LinExpr.constant(v)
-            return _Py(repr(v), not repr(v).startswith("-"))
+            return _Py(repr(v), not repr(v).startswith("-"), weak=True)
         if isinstance(expr, (IterVar, ParamRef)):
             if expr.name in env:
                 return env[expr.name]
@@ -288,29 +291,35 @@ class Emitter:
                     return rhs * int(lhs.const)
                 if op == "*" and rhs.is_constant():
                     return lhs * int(rhs.const)
-            lhs, rhs = self._s(lhs), self._s(rhs)
             if op == "/" and not float_div:
                 op = "//"
-            elif op in ("and", "or") and self._vec is not None:
+            lhs, rhs = self._meet(op, expr.children(), (lhs, rhs), float_div)
+            if op in ("and", "or") and self._vec is not None:
                 op = "&" if op == "and" else "|"
             return _Py(f"{_p(lhs)} {op} {_p(rhs)}",
-                       lanes=self._lanes(lhs) or self._lanes(rhs))
+                       lanes=self._lanes(lhs) or self._lanes(rhs),
+                       weak=lhs.weak and rhs.weak)
         if isinstance(expr, UnOp):
             v = self._val(expr.operand, env, float_div, index)
             if isinstance(v, LinExpr) and expr.op == "-":
                 return -v
-            return _Py(f"{expr.op}{_p(self._s(v))}", lanes=self._lanes(v))
+            v = self._s(v)
+            return _Py(f"{expr.op}{_p(v)}", lanes=self._lanes(v),
+                       weak=v.weak)
         if isinstance(expr, Select):
-            args = [self.expr_py(e, env, float_div)
-                    for e in (expr.cond, expr.if_true, expr.if_false)]
+            cond = self.expr_py(expr.cond, env, float_div)
+            args = [cond] + self._meet("select", expr.children()[1:], [
+                self._val(e, env, float_div)
+                for e in (expr.if_true, expr.if_false)], float_div)
             return _Py(f"np.where({', '.join(args)})", True,
                        any(map(self._lanes, args)))
         if isinstance(expr, Cast):
             v = self.expr_py(expr.operand, env, float_div)
             return _Py(f"np.{expr.dtype.np_dtype}({v})", True, self._lanes(v))
         if isinstance(expr, Call):
-            args = [self._s(self._val(a, env, float_div, index))
-                    for a in expr.args]
+            args = self._meet(expr.fn, expr.args, [
+                self._val(a, env, float_div, index) for a in expr.args],
+                float_div)
             return self._call_py(expr.fn, args, index)
         if isinstance(expr, BufferRead):
             return self._subscript(expr.buffer, [
@@ -318,6 +327,27 @@ class Emitter:
         if isinstance(expr, Access):
             return self._access_py(expr, env, float_div)
         raise CodegenError(f"cannot emit expression {expr!r}")
+
+    def _meet(self, op: str, exprs: Sequence[Expr], vals: Sequence[Value],
+              float_div: bool) -> List[_Py]:
+        """The operands of ``op`` rendered.  In a vector statement the
+        lane vector is a strong ``int64`` array where the scalar loop
+        variable is a weak Python int, so a weak operand built on it
+        would promote a strong one (``float32 * (0.1 * j)`` to
+        ``float64``): it is cast to the type NumPy converts the scalar
+        to."""
+        vals = [self._s(v) for v in vals]
+        if self._vec is None:
+            return vals
+        moved = [v.weak and v.lanes for v in vals]
+        if any(moved) and not all(v.weak for v in vals):
+            types = tuple(result_type(e, float_div) for e in exprs)
+            to = combine(op, types)[0]
+            if to != combine(op, tuple(strong(t) if m else t for t, m
+                                       in zip(types, moved)))[0]:
+                vals = [_Py(f"np.{to.np_dtype}({v})", True, True) if m else v
+                        for v, m in zip(vals, moved)]
+        return vals
 
     def _call_py(self, fn: str, args: List[str], index: bool = False) -> str:
         table = {

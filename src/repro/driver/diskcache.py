@@ -72,8 +72,10 @@ def _injected_io_error(op: str, key: str) -> None:
     raise OSError(code, f"injected disk-io-error ({op})")
 
 #: On-disk payload schema version; bump on incompatible changes so old
-#: artifacts read as corrupt-and-recompile, never as wrong code.
-PAYLOAD_VERSION = 1
+#: artifacts read as corrupt-and-recompile, never as wrong code.  2: the
+#: ``c`` target's source became typed (bit-identical to ``cpu``); a
+#: version-1 artifact under the same fingerprint holds the all-double C.
+PAYLOAD_VERSION = 2
 
 _SUFFIX = ".pkl"
 _QUARANTINE_SUFFIX = ".quarantine"

@@ -90,9 +90,12 @@ class Expr:
         return ()
 
     def walk(self) -> Iterable["Expr"]:
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """Every node of the tree, pre-order."""
+        todo = [self]
+        while todo:
+            node = todo.pop()
+            yield node
+            todo.extend(reversed(node.children()))
 
     def map_children(self, fn: Callable[["Expr"], "Expr"]) -> "Expr":
         return self

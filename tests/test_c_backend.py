@@ -7,7 +7,7 @@ import pytest
 from repro import Buffer, Computation, Function, Input, Param, Var
 from repro.backends.c import emit_c_source, have_c_compiler
 from repro.core.errors import CodegenError
-from repro.ir import clamp, select
+from repro.ir import clamp, minimum, select
 from repro.ir import types as T
 
 pytestmark = pytest.mark.skipif(not have_c_compiler(),
@@ -34,7 +34,7 @@ class TestBasics:
         data = np.random.default_rng(0).random(18).astype(np.float32)
         py = build().compile("cpu")(inp=data)["c"]
         native = build().compile("c")(inp=data)["c"]
-        assert np.allclose(py, native, atol=1e-6)
+        assert np.array_equal(py, native)
 
     def test_parameters(self):
         N = Param("N")
@@ -55,6 +55,74 @@ class TestBasics:
         src = emit_c_source(f)
         assert "#pragma omp parallel for" in src
         assert "#pragma omp simd" in src
+
+    def test_typed_lowering_in_the_source(self):
+        """Index math stays int64_t, float32 arithmetic stays float."""
+        import re
+        N = Param("N")
+        f = Function("f", params=[N])
+        with f:
+            inp = Input("inp", [Var("x", 0, N)])
+            i = Var("i", 0, N)
+            Computation("c", [i], minimum(
+                inp(clamp(i - 1, 0, N - 1)) * 0.0625 + inp(i) / 3, 255.0))
+        body = emit_c_source(f).split("void kernel")[1]
+        assert "inp[iclamp(t0 - 1, 0, N - 1)]" in body
+        assert "(int64_t)" not in body and "clampd" not in body
+        assert "minf(" in body and "* 0.0625f" in body and "/ 3.0f" in body
+        # no double literal anywhere in a float32 computation
+        assert not re.search(r"\d\.\d+(?!\d*f)", body), body
+
+    def test_scan_is_not_asserted_simd(self):
+        """b(i) = a(i) + b(i-1) carries a flow dependence over i: the
+        vector tag must not become a pragma that asserts otherwise, and
+        the C says why, like the cpu source does."""
+        def build():
+            f = Function("f")
+            with f:
+                a = Input("a", [Var("x", 0, 64)])
+                i = Var("i", 1, 64)
+                b = Computation("b", [i], None)
+                b.set_expression(a(i) + b(i - 1))
+                b.vectorize("i", 8)
+            return f
+        src = build().compile("c").source
+        assert "#pragma omp simd" not in src
+        assert "/* vector loop (i): scalar, carried flow b->b on b */" in src
+        assert build().compile("cpu").vector_declines == [
+            "i: carried flow b->b on b"]
+        data = np.arange(64, dtype=np.float32)
+        assert np.array_equal(build().compile("c")(a=data)["b"],
+                              build().compile("cpu")(a=data)["b"])
+
+    def test_structural_decline_keeps_the_pragma(self):
+        """A nest the cpu backend cannot turn into one NumPy statement
+        (an inner loop) is still gcc's to vectorize."""
+        f = Function("f")
+        with f:
+            c = Computation("c", [Var("i", 0, 64), Var("j", 0, 64)], 1.0)
+        c.vectorize("i", 8)
+        assert f.compile("cpu").vector_declines == ["i: nested-loop"]
+        assert "#pragma omp simd" in emit_c_source(f)
+
+    def test_transcendentals_stay_in_float_but_only_close(self):
+        """exp/log/pow are the listed exemption from bit-identity: libm
+        and NumPy's SIMD loops may differ in the last ulp."""
+        from repro.ir import exp, log, pow_
+
+        def build():
+            f = Function("f")
+            with f:
+                inp = Input("inp", [Var("x", 0, 64)])
+                i = Var("i", 0, 64)
+                Computation("c", [i], None).set_expression(
+                    exp(inp(i)) + log(inp(i) + 1.0) + pow_(inp(i), 1.5))
+            return f
+        data = np.random.default_rng(0).random(64).astype(np.float32)
+        native = build().compile("c")
+        assert all(fn in native.source for fn in ("expf(", "logf(", "powf("))
+        assert np.allclose(native(inp=data)["c"],
+                           build().compile("cpu")(inp=data)["c"], rtol=1e-6)
 
     def test_integer_semantics(self):
         f = Function("f")
@@ -198,6 +266,16 @@ class TestSharedObjectCache:
         import ctypes
         assert ctypes.CDLL(one).tiramisu_so_cache_probe() == 1
         assert ctypes.CDLL(two).tiramisu_so_cache_probe() == 2
+
+    def test_base_flags_are_part_of_the_address(self, monkeypatch):
+        """Changing the compiler command line itself (as the move to
+        -ffp-contract=off did) must not re-serve the old binary."""
+        from repro.backends import c as cbackend
+        one = cbackend.build_shared_object(self.SOURCE, ("-DX=4",))
+        monkeypatch.setattr(cbackend, "GCC", tuple(
+            flag for flag in cbackend.GCC if flag != "-ffp-contract=off"))
+        two = cbackend.build_shared_object(self.SOURCE, ("-DX=4",))
+        assert one != two
 
     def test_gcc_never_writes_the_published_path(self, monkeypatch,
                                                  tmp_path):

@@ -11,8 +11,8 @@ import pytest
 
 from repro import Computation, Function, Var
 from repro.driver import kernel_registry
-from repro.driver.diskcache import (DiskCache, active_disk_cache,
-                                    configure)
+from repro.driver.diskcache import (PAYLOAD_VERSION, DiskCache,
+                                    active_disk_cache, configure)
 
 
 def build(name="f", scale=2.0):
@@ -78,14 +78,17 @@ class TestCorruption:
         assert cache.stats()["corruptions"] == 1
 
     def test_wrong_schema_version_is_corruption(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        cache.put("k1", "src", "cpu")
-        path = cache.path_for("k1")
-        payload = pickle.loads(path.read_bytes())
-        payload["version"] = 999
-        path.write_bytes(pickle.dumps(payload))
-        assert cache.get("k1") is None
-        assert cache.stats()["corruptions"] == 1
+        # 999: the future; PAYLOAD_VERSION - 1: what the release before
+        # the last bump wrote under the same fingerprints
+        for version in (999, PAYLOAD_VERSION - 1):
+            cache = DiskCache(tmp_path)
+            cache.put("k1", "src", "cpu")
+            path = cache.path_for("k1")
+            payload = pickle.loads(path.read_bytes())
+            payload["version"] = version
+            path.write_bytes(pickle.dumps(payload))
+            assert cache.get("k1") is None
+            assert cache.stats()["corruptions"] == 1
 
     def test_corrupt_artifact_recompiles_through_pipeline(self, tmp_path):
         cache = configure(tmp_path)

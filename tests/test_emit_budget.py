@@ -1,8 +1,8 @@
 """Emitted-source gates over every ``repro.kernels`` builder under its
-hand schedule: a size budget (so a codegen change that grows the source
-fails here, before the benchmark's 1% ``code_bytes`` bound), and the
-guarantee that the race-check stage's verdict changes nothing that is
-emitted."""
+hand schedule: a size budget for the Python and for the C (so a codegen
+change that grows the source fails here, before the benchmark's 1%
+``code_bytes`` bound), and the guarantee that the race-check stage's
+verdict changes nothing that is emitted."""
 
 import os
 import subprocess
@@ -40,6 +40,16 @@ HAND = [
 SOURCE_BYTES_CEILING = 26233
 
 
+#: Summed ``len(emit_c_source(fn))`` of HAND under the typed renderer;
+#: the untyped all-``double`` one, with its ``((int64_t)((t0)))``
+#: wrappers, summed 53559 on the same table.
+C_SOURCE_BYTES_CEILING = 38863
+
+#: Builders whose weak operands really are ``float64`` under the type
+#: rule (``0.1 * i`` in warpAffine's coordinates, ``1.0 * (x + r)``).
+WEAK_FLOAT_MATH = (K.build_warp_affine, K.build_ticket2373)
+
+
 def emit(builder, schedule, **opts) -> str:
     bundle = builder()
     if schedule is not None:
@@ -52,6 +62,29 @@ def emit(builder, schedule, **opts) -> str:
 def test_emitted_source_stays_within_budget():
     total = sum(len(emit(b, s)) for b, s in HAND)
     assert total <= SOURCE_BYTES_CEILING, total
+
+
+def test_emitted_c_stays_within_budget_and_typed():
+    """The C of every builder: smaller than the untyped renderer's, no
+    index clamped in floating point and converted back, no ``double`` in
+    a float32 computation."""
+    import re
+    from repro.backends.c import emit_c_source
+    total = 0
+    for builder, schedule in HAND:
+        bundle = builder()
+        if schedule is not None:
+            schedule(bundle)
+        source = emit_c_source(bundle.function)
+        total += len(source)
+        body = source.split("void kernel")[1]
+        for index in re.findall(r"\w\[([^\]]*)\]", body):
+            assert not re.search(r"\(int64_t\)|(min|max|clamp)[fd]\(", index), \
+                (builder.__name__, index)
+        if builder not in WEAK_FLOAT_MATH:      # all float32
+            assert not re.search(r"double|(min|max|clamp)d\(|"
+                                 r"\d\.\d+(?!\d*f)", body), builder.__name__
+    assert total <= C_SOURCE_BYTES_CEILING, total
 
 
 @pytest.mark.parametrize("builder,schedule", HAND,
@@ -78,7 +111,8 @@ def test_vector_differential_under_hash_seed(hashseed):
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "tests/test_codegen_properties.py::test_vector_tag_differential",
-         "tests/test_vectorizer.py"],
+         "tests/test_codegen_properties.py::test_typed_tree_differential",
+         "tests/test_vectorizer.py", "tests/test_native_bitwise.py"],
         env=env, capture_output=True, text=True, timeout=600,
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

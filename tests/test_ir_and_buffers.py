@@ -8,10 +8,10 @@ from repro import Buffer, Var
 from repro.core.buffer import ArgKind, MemSpace
 from repro.ir import types as T
 from repro.ir.affine import NonAffineError, expr_to_linexpr, is_affine
-from repro.ir.expr import (Access, BinOp, Call, Cast, Const, IterVar,
-                           ParamRef, Select, UnOp, accesses_in, clamp,
-                           maximum, minimum, select, substitute_exprs,
-                           wrap)
+from repro.ir.expr import (Access, BinOp, BufferRead, Call, Cast, Const,
+                           IterVar, ParamRef, Select, UnOp, accesses_in,
+                           clamp, maximum, minimum, select,
+                           substitute_exprs, wrap)
 from repro.isl.linexpr import OUT, PARAM
 
 
@@ -104,6 +104,65 @@ class TestScalarTypes:
 
     def test_bits(self):
         assert T.float64.bits == 64 and T.uint8.bits == 8
+
+
+class TestTypeRule:
+    """repro.ir.typing says what the scalar cpu code's NumPy does."""
+
+    SAMPLES = {bool: True, int: 3, float: 0.5,
+               T.float32: np.float32(2.5), T.float64: np.float64(2.5),
+               T.int32: np.int32(7), T.uint8: np.uint8(9),
+               T.int64: np.int64(7)}
+    EVAL = {
+        "+": lambda a, b: a + b, "-": lambda a, b: a - b,
+        "*": lambda a, b: a * b, "/": lambda a, b: a / b,
+        "//": lambda a, b: a // b, "%": lambda a, b: a % b,
+        "<": lambda a, b: a < b, "==": lambda a, b: a == b,
+        "min": np.minimum, "max": np.maximum, "pow": np.power,
+        "select": lambda a, b: np.where(True, a, b),
+        "clamp": lambda a, b: np.clip(a, b, 100),
+        "neg": lambda a: -a, "abs": np.abs, "floor": np.floor,
+        "sqrt": np.sqrt,
+    }
+
+    @staticmethod
+    def type_of(value):
+        if type(value) in (bool, int, float):    # np.float64 is a float
+            return type(value)                   # still a Python scalar
+        return T.from_name(np.asarray(value).dtype.name)
+
+    def test_combine_is_what_numpy_computes(self):
+        from repro.ir.typing import combine
+        for op, run in self.EVAL.items():
+            arity = run.__code__.co_argcount if hasattr(run, "__code__") \
+                else run.nin
+            pairs = [(a,) for a in self.SAMPLES] if arity == 1 else \
+                [(a, b) for a in self.SAMPLES for b in self.SAMPLES]
+            for types in pairs:
+                if bool in types and op in ("neg", "sqrt", "pow") or \
+                        T.uint8 in types and op in ("sqrt", "pow"):
+                    continue    # no such loop; float16; 9 ** 9 overflows
+                with np.errstate(all="ignore"):
+                    got = run(*(self.SAMPLES[t] for t in types))
+                asked = types + (int,) if op == "clamp" else types
+                assert combine(op, asked)[1] == self.type_of(got), \
+                    (op, types)
+
+    def test_result_type_of_a_tree(self):
+        from repro.ir.typing import result_type
+        buf = Buffer("b", [4], dtype=T.float32)
+        read = BufferRead(buf, [IterVar("i")])
+        i = IterVar("i")
+        assert result_type(read * 0.0625 + read / 3) is T.float32
+        assert result_type(read * (0.1 * i)) is T.float32
+        assert result_type(0.1 * i) is float
+        assert result_type(clamp(i - 1, 0, 9)) is T.int64
+        assert result_type(Call("floor", [0.1 * i]) - 0.1 * i) is T.float64
+        assert result_type(Cast(T.int32, read) + 1) is T.int32
+        assert result_type(Cast(T.int32, read) * read) is T.float64
+        # "/" outside a float computation is floor division
+        assert result_type(i / 2) is float
+        assert result_type(i / 2, float_div=False) is int
 
 
 class TestBuffers:

@@ -1,0 +1,46 @@
+"""One program + schedule stores the same bits on every CPU target:
+every ``repro.kernels`` builder under its hand schedule, native ``c``
+against ``cpu`` sequential against ``cpu`` offloaded to two workers
+(ROADMAP aim 1).  ``np.array_equal``, no tolerance: the C emitter
+renders each node in the type :mod:`repro.ir.typing` infers, and gcc is
+told not to fuse multiply-adds."""
+
+import numpy as np
+import pytest
+
+from repro import kernels as K
+from repro.backends.c import have_c_compiler
+from repro.core.errors import IllegalScheduleError
+
+from .test_emit_budget import HAND
+
+pytestmark = pytest.mark.skipif(not have_c_compiler(),
+                                reason="no C compiler available")
+
+
+@pytest.mark.parametrize("builder,schedule", HAND,
+                         ids=[b.__name__ for b, __ in HAND])
+def test_c_equals_cpu_bit_for_bit(builder, schedule):
+    outputs = {}
+    for leg, target, opts in (("c", "c", {}),
+                              ("cpu", "cpu", {"parallel": False}),
+                              ("cpu x2", "cpu", {"num_threads": 2})):
+        bundle = builder()
+        if schedule is not None:
+            schedule(bundle)
+        params = dict(bundle.test_params)
+        inputs = bundle.make_inputs(params, np.random.default_rng(5))
+        try:
+            kernel = bundle.function.compile(target, cache=False, **opts)
+        except IllegalScheduleError:
+            # the one paper schedule the race detector rejects once two
+            # workers are asked for (ROADMAP 1b)
+            assert builder is K.build_blur and leg == "cpu x2"
+            continue
+        outputs[leg] = kernel(**inputs, **params)
+    want = outputs.pop("cpu")
+    for leg, got in outputs.items():
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name].dtype == want[name].dtype, (leg, name)
+            assert np.array_equal(got[name], want[name]), (leg, name)

@@ -101,6 +101,34 @@ class TestVectorEmission:
         assert np.array_equal(k(sq=data)["c"],
                               np.diag(data) + np.arange(8))
 
+    def test_weak_lane_operand_takes_the_strong_operand_type(self):
+        """The lane vector is a strong int64 array where the scalar loop
+        variable is a weak Python int: ``float32 * (0.1 * j)`` must stay
+        float32 vectorized, as it is unvectorized and on ``c``."""
+        from repro.backends.c import have_c_compiler
+
+        def run(tag, target):
+            f = Function("f")
+            with f:
+                img = Input("img", [Var("x", 0, 9), Var("y", 0, 37)])
+                i, j = Var("i", 0, 9), Var("j", 0, 37)
+                out = Computation("out", [i, j], None)
+                out.set_expression(img(i, j) * (0.1 * j))
+            if tag:
+                out.vectorize("j", 8)
+            kernel = f.compile(target)
+            return kernel, kernel(img=data.copy())["out"]
+
+        data = (np.random.default_rng(0).random((9, 37)) * 255).astype(
+            np.float32)
+        __, scalar = run(False, "cpu")
+        kernel, vector = run(True, "cpu")
+        assert has_vector_code(kernel)
+        assert "b_img[t0, 0:37] * np.float32(0.1 * t1)" in kernel.source
+        assert np.array_equal(scalar, vector)
+        if have_c_compiler():
+            assert np.array_equal(scalar, run(True, "c")[1])
+
     def test_other_row_of_stored_buffer_vectorizes(self):
         """heat: u[t, i] reads u[t-1, i±1] — the stored buffer at another
         index, but no dependence is carried by the i loop."""
