@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.codegen.pyemit import (_PRELUDE, _PROFILE_PRELUDE, Emitter,
+from repro.codegen.pyemit import (_CDIV, _PRELUDE, _PROFILE_PRELUDE, Emitter,
                                   _buf_var, profile_counted_comps,
                                   vector_summary)
 from repro.core.buffer import ArgKind, Buffer
@@ -164,29 +164,26 @@ def emit_source(fn: Function, emitter_cls=Emitter, ast=None,
     tg_dims = None
     if taskgraph and not profile:
         tg_dims = emitter.try_taskgraph(ast)
-    if profile:
-        emitter.line("def _kernel(_bufs, _params, _runtime=None, "
-                     "_obs=None):")
-    else:
-        emitter.line("def _kernel(_bufs, _params, _runtime=None):")
-    emitter.indent += 1
+    header = "def _kernel(_bufs, _params, _runtime=None%s):" % (
+        ", _obs=None" if profile else "")
     if tg_dims:
-        emitter.line("_tg = getattr(_runtime, 'run_taskgraph', None)")
-        emitter.line("if _tg is not None and _tg(_params):")
-        emitter.indent += 1
-        emitter.line("return  # the task-graph runtime ran the nest")
-        emitter.indent -= 1
-    emitter.emit_prologue()
-    emitter.emit_block(ast)
-    if profile:
-        emitter.emit_profile_flush()
-    emitter.indent -= 1
-    bodies = "".join(body + "\n" for body in emitter.parallel_bodies)
-    bodies += "".join(body + "\n" for body in emitter.taskgraph_bodies)
+        header += ("\n    _tg = getattr(_runtime, 'run_taskgraph', None)"
+                   "\n    if _tg is not None and _tg(_params):"
+                   "\n        return  # the task-graph runtime ran the nest")
+
+    def body():
+        emitter.emit_block(ast)
+        if profile:
+            emitter.emit_profile_flush()
+    kernel = emitter.render_def(header, body)
+    bodies = "".join(text + "\n" for text in emitter.parallel_bodies
+                     + emitter.taskgraph_bodies)
     if tg_dims:
         bodies += f"_TASKGRAPH_DIMS = {tg_dims}\n\n"
-    prelude = _PRELUDE + (_PROFILE_PRELUDE if profile else "")
-    return prelude + "\n" + bodies + emitter.buf.getvalue()
+    bodies += kernel
+    prelude = _PRELUDE + (_PROFILE_PRELUDE if profile else "") + (
+        _CDIV if "_cdiv(" in bodies else "")
+    return prelude + "\n" + bodies
 
 
 @register_backend

@@ -1,11 +1,13 @@
 """Lane safety of ``vector``-tagged loops: one predicate, three callers.
 
 A loop may execute its iterations as SIMD lanes only if it carries no
-dependence (paper Table II).  :func:`lane_verdict` decides that for one
-AST loop and says *why* when the answer is no; the Python emitter
-(:mod:`repro.codegen.pyemit`), the task-graph tile body and the CPU cost
-model (:mod:`repro.machine.cpu_model`) all ask it, so what is priced as
-vectorized is what is emitted as vectorized.
+dependence (paper Table II).  :func:`slab_verdict` decides that level by
+level for a ``vector`` loop and the loops around it, and says *why* where
+the answer is no; the Python emitter (:mod:`repro.codegen.pyemit`) asks
+it about the whole nest, the C emitter and the CPU cost model
+(:mod:`repro.machine.cpu_model`) about the ``vector`` loop alone
+(:func:`lane_verdict`), so what is priced as vectorized is what is
+emitted as vectorized.
 """
 
 from __future__ import annotations
@@ -41,9 +43,10 @@ def time_index(comp, exprs: Sequence[Expr]) -> Index:
     return tuple(out)
 
 
-def _reads(comp) -> List[Tuple[object, Index]]:
-    """(buffer, index) of every buffer element ``comp`` reads, inlined
-    producers expanded to what they read."""
+def _reads(comp, stored) -> List[Tuple[object, Index]]:
+    """(buffer, index) of every element ``comp`` reads of a buffer whose
+    ``id`` is in ``stored``, inlined producers expanded to what they
+    read."""
     out: List[Tuple[object, Index]] = []
     todo = [comp.expr] + ([comp.predicate] if comp.predicate is not None
                           else [])
@@ -54,60 +57,118 @@ def _reads(comp) -> List[Tuple[object, Index]]:
             if producer.inlined:
                 todo.append(substitute_exprs(producer.expr, table))
                 continue
-            out.append((producer.get_buffer(), time_index(
-                comp, [substitute_exprs(e, table)
-                       for e in producer.store_indices()])))
+            if id(producer.get_buffer()) in stored:
+                out.append((producer.get_buffer(), time_index(
+                    comp, [substitute_exprs(e, table)
+                           for e in producer.store_indices()])))
     return out
 
 
-def lane_verdict(fn, loop: Loop, verified: bool = False) -> Optional[str]:
-    """None when ``loop`` can run lane-parallel, else the reason it
-    cannot: ``nested-loop``, ``operation``, ``guard``, ``predicate``,
-    ``store-not-driven`` (some statement's store does not move with the
-    lane variable) or ``carried <kind> <src>-><sink> on <buf>``.
+#: A loop dim of the time space, ``(OUT, level)``.
+Lane = Tuple[str, int]
 
-    The rule is "no dependence carried at this level".  A structural
-    fast path settles the common case from LinExpr coefficients alone:
-    if every access in the body to a buffer the body stores uses one
-    and the same affine index vector, and that vector moves with the
-    lane variable, two different lanes never touch the same element.
+
+def slab_axes(store: Index, lanes: Sequence[Lane]
+              ) -> Optional[Tuple[Lane, ...]]:
+    """``lanes`` in the order their indices stand in ``store``, if each
+    is the sole mover among them of one affine index, with coefficient
+    >= 1 (a basic slice, no element touched twice); None otherwise."""
+    at: Dict[Lane, int] = {}
+    for lane in lanes:
+        hit = [k for k, le in enumerate(store)
+               if le is None or le.coeff(lane)]
+        if len(hit) != 1 or store[hit[0]] is None \
+                or store[hit[0]].coeff(lane) < 1 or hit[0] in at.values():
+            return None
+        at[lane] = hit[0]
+    return tuple(sorted(lanes, key=at.get))
+
+
+def _one_index_per_buffer(stmts: Sequence[Stmt],
+                          stores: Sequence[Index]) -> bool:
+    """Does every access in the body to a buffer the body stores use one
+    and the same affine index vector?"""
+    stored: Dict[int, Index] = {}
+    for stmt, store in zip(stmts, stores):
+        if None in store or stored.setdefault(
+                id(stmt.comp.get_buffer()), store) != store:
+            return False
+    return all(stored[id(buf)] == idx
+               for stmt in stmts for buf, idx in _reads(stmt.comp, stored))
+
+
+def slab_verdict(fn, chain: Sequence[Loop], verified: bool = False
+                 ) -> Tuple[int, Optional[str], Tuple[Lane, ...]]:
+    """``(k, why, axes)`` for ``chain``, a perfect nest of loops that
+    ends in a ``vector``-tagged one: ``chain[k:]`` is its longest suffix
+    that may run as one whole-range statement per computation, ``axes``
+    the dims of those loops in the order every statement stores them,
+    and ``why`` what kept ``chain[k - 1]`` out (None when ``k`` is 0) --
+    the body (``nested-loop``, ``operation``, ``guard``, ``predicate``),
+    a bound of a loop inside that mentions it (``non-rectangular``), a
+    store that does not move with it (``store-not-driven``) or not as an
+    axis of its own (``store-not-separable``, :func:`slab_axes`), or
+    ``carried <kind> <src>-><sink> on <buf>``.
+
+    The rule per level is "no dependence carried at this level".  A
+    structural fast path settles the common case from LinExpr
+    coefficients alone: if every access in the body to a buffer the body
+    stores uses one and the same affine index vector, which moves with
+    the level's variable, two iterations never touch the same element.
     Anything else (heat reading another row of the buffer it stores) is
     decided exactly by the function's
-    :class:`~repro.core.deps.DependenceSummary`.  ``verified`` says the
-    race-check stage already proved every ``vector``-tagged level clean,
-    which answers both without looking at the reads.
+    :class:`~repro.core.deps.DependenceSummary`.  ``verified``: the race
+    check already proved every ``vector``-tagged level clean.
     """
     from repro.core.computation import Operation
-    stmts = loop.body.children
+    stmts = chain[-1].body.children
     if not stmts or not all(isinstance(s, Stmt) for s in stmts):
-        return "nested-loop"
-    lane = (OUT, loop.level)
-    stored: Dict[int, Index] = {}
-    structural = True
+        return len(chain), "nested-loop", ()
     for stmt in stmts:
-        comp = stmt.comp
-        if isinstance(comp, Operation):
-            return "operation"
+        if isinstance(stmt.comp, Operation):
+            return len(chain), "operation", ()
         if stmt.guards:
-            return "guard"
-        if comp.predicate is not None:
-            return "predicate"
-        store = time_index(comp, comp.store_indices())
-        if not any(le is not None and le.coeff(lane) for le in store):
-            return "store-not-driven"
-        structural = (structural and None not in store and
-                      stored.setdefault(id(comp.get_buffer()), store)
-                      == store)
-    if verified and all(getattr(s.comp.tags.get(loop.level), "kind", None)
-                        == "vector" for s in stmts):
-        return None
-    if structural and all(stored.get(id(buf), idx) == idx
-                          for stmt in stmts for buf, idx in _reads(stmt.comp)):
-        return None
-    from repro.core.deps import DependenceSummary
-    summary = DependenceSummary.of(fn)
-    for stmt in stmts:
-        for dep in summary.carried(stmt.comp, loop.level):
-            return (f"carried {dep.kind} {dep.source.name}->"
-                    f"{dep.sink.name} on {dep.buffer.name}")
-    return None
+            return len(chain), "guard", ()
+        if stmt.comp.predicate is not None:
+            return len(chain), "predicate", ()
+    stores = [time_index(s.comp, s.comp.store_indices()) for s in stmts]
+    structural: Optional[bool] = None
+    axes: Tuple[Lane, ...] = ()
+    for k in range(len(chain) - 1, -1, -1):
+        level = chain[k].level
+        lane = (OUT, level)
+        inner_bounds = [e for loop in chain[k + 1:]
+                        for groups in (loop.lowers, loop.uppers)
+                        for group in groups for __, e in group]
+        if any(e.coeff(lane) for e in inner_bounds):
+            return k + 1, "non-rectangular", axes
+        if not all(any(le is not None and le.coeff(lane) for le in store)
+                   for store in stores):
+            return k + 1, "store-not-driven", axes
+        order = (lane,)     # alone, it may store through an index vector
+        if axes:
+            orders = {slab_axes(store, (lane,) + axes) for store in stores}
+            if len(orders) > 1 or None in orders:
+                return k + 1, "store-not-separable", axes
+            order, = orders
+        tagged = all(getattr(s.comp.tags.get(level), "kind", None) == "vector"
+                     for s in stmts)
+        if not (verified and tagged):
+            if structural is None:
+                structural = _one_index_per_buffer(stmts, stores)
+            if not structural:
+                from repro.core.deps import DependenceSummary
+                for stmt in stmts:
+                    for dep in DependenceSummary.of(fn).carried(stmt.comp,
+                                                                level):
+                        return k + 1, (
+                            f"carried {dep.kind} {dep.source.name}->"
+                            f"{dep.sink.name} on {dep.buffer.name}"), axes
+        axes = order
+    return 0, None, axes
+
+
+def lane_verdict(fn, loop: Loop, verified: bool = False) -> Optional[str]:
+    """:func:`slab_verdict` of the ``vector`` loop alone: None when it can
+    run lane-parallel, else the reason it cannot."""
+    return slab_verdict(fn, [loop], verified)[1]

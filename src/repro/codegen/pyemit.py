@@ -4,14 +4,16 @@ This is the reproduction's stand-in for the paper's LLVM backend: the
 AST from :mod:`repro.codegen.isl_to_ast` is lowered to Python source,
 compiled with :func:`compile`, and wrapped in a callable kernel.
 
-Loop dimensions tagged ``vector`` that carry no dependence
-(:func:`repro.codegen.lanes.lane_verdict`) are lowered to whole-range
-NumPy statements: an index affine in the lane variable becomes a basic
-slice ``lo:hi+1`` (stepped for a coefficient above 1), a fused body runs
-statement after statement, and the ``np.arange`` lane vector exists only
-when an access needs it (clamped, data-dependent or diagonal indices, or
-the variable used as a value).  A loop left scalar says why in its
-comment; :func:`vector_summary` reads both back from the source.
+Loop dimensions tagged ``vector`` that carry no dependence are lowered
+to whole-range NumPy statements, and take the loops of the perfect nest
+around them that carry none either along as further axes of one *slab*
+(:func:`repro.codegen.lanes.slab_verdict`): an index affine in one slab
+variable becomes a basic slice ``lo:hi+1`` (stepped for a coefficient
+above 1), a value that moves with some of the axes broadcasts along the
+others, a fused body runs statement after statement, and an ``np.arange``
+index vector exists only where an access needs it (clamped,
+data-dependent or diagonal indices, or the variable used as a value).
+A loop left out says why in its comment (:func:`vector_summary`).
 
 Top-level loop dimensions tagged ``parallel`` are lowered to a *chunked
 worker function*: the loop body is emitted as a standalone
@@ -40,11 +42,12 @@ from repro.isl.constraint import EQ
 from repro.isl.linexpr import OUT, PARAM
 
 from .ast import Block, Loop, Node, Stmt
-from .lanes import lane_verdict
+from .lanes import slab_verdict
 
-_PRELUDE = '''\
-import numpy as np
+_PRELUDE = "import numpy as np\n"
 
+#: Follows the prelude in a source that calls it (non-unit lower bounds).
+_CDIV = '''
 def _cdiv(a, b):
     return -((-a) // b)
 '''
@@ -94,11 +97,13 @@ def lin_to_py(le: LinExpr, params: Sequence[str]) -> str:
 class _Py(str):
     """A rendered Python expression.  ``atom``: it binds tighter than
     any operator, so it needs no parentheses as an operand; ``lanes``:
-    inside a vector statement it holds one value per lane; ``weak``: in
-    the scalar loop it is a Python scalar (:mod:`repro.ir.typing`)."""
+    the slab axes it moves with inside a vector statement, where it is
+    an array with one axis for each of those and for every axis between
+    them and the last (broadcast-ready); ``weak``: in the scalar loop it
+    is a Python scalar (:mod:`repro.ir.typing`)."""
 
-    def __new__(cls, text: str, atom: bool = False, lanes: bool = False,
-                weak: bool = False):
+    def __new__(cls, text: str, atom: bool = False,
+                lanes: frozenset = frozenset(), weak: bool = False):
         self = super().__new__(cls, text)
         self.atom, self.lanes, self.weak = atom, lanes, weak
         return self
@@ -115,7 +120,8 @@ def _p(text: str) -> str:
     return text if getattr(text, "atom", False) else f"({text})"
 
 
-def _lin_py(le: LinExpr, params: Sequence[str], lanes: bool = False) -> _Py:
+def _lin_py(le: LinExpr, params: Sequence[str],
+            lanes: frozenset = frozenset()) -> _Py:
     text = lin_to_py(le, params)
     return _Py(text, text.isidentifier() or text.isdigit(), lanes, True)
 
@@ -150,7 +156,8 @@ def constraint_to_py(c: Constraint, params: Sequence[str]) -> str:
 
 
 _VECTOR_NOTE = re.compile(
-    r"# (?:vectorized|vector loop) \((\w+)\)(?:: scalar, (.*))?$", re.M)
+    r"# (?:vectorized|vector loop) \((\w+)\)(?: over \(.*\)|: scalar, (.*))?$",
+    re.M)
 
 
 def vector_summary(source: str) -> Tuple[int, List[str]]:
@@ -164,21 +171,62 @@ def vector_summary(source: str) -> Tuple[int, List[str]]:
             [f"{var}: {why}" for var, why in notes if why])
 
 
-class _Lanes:
-    """The vector loop being lowered: its lane range ``lo..hi`` (each a
-    LinExpr, or the name of a local holding a non-affine bound), and
-    what its statements turned out to need."""
+def _head(node: Expr) -> Tuple:
+    """What ``node`` is, apart from its children."""
+    own = (getattr(node, slot) for slot in node.__slots__)
+    return (type(node), *((type(v), v) for v in own
+                          if not isinstance(v, (Expr, tuple))))
 
-    def __init__(self, level: int, lo: Value, hi: Value):
-        self.lane = (OUT, level)
-        self.lo, self.hi = lo, hi
-        self.need_arange = False
+
+class _Lanes:
+    """The slab being lowered: ``axes`` maps each of its loop dims to its
+    range ``(lo, hi)`` (LinExprs, or names of locals), in the order of the
+    stores' indices; and what its statements turned out to need."""
+
+    def __init__(self, axes: Dict[Tuple[str, int], Tuple[Value, Value]]):
+        self.axes = axes
+        self.rank = {lane: r for r, lane in enumerate(axes)}
+        self.arange: set = set()    # dims whose index vector is needed
         self.lines: List[str] = []  # statements, each after its locals
-        self.hoisted: Dict[str, _Py] = {}  # index text -> its local
-        # (buffer var, axis, coeff, index less lane term and constant)
-        # -> {constant: (start, stop)}: slices that differ by a constant
-        # share one range check, made on the extreme two.
+        # (buffer var, axis, lane, coeff, index less lane term and
+        # constant) -> {constant: (start, stop)}: slices that differ by
+        # a constant share one range check, made on the extreme two.
         self.sliced: Dict[Tuple, Dict[int, Tuple[str, str]]] = {}
+
+    def begin(self, expr: Expr) -> None:
+        """Start on a statement that computes ``expr``."""
+        self.hoisted: Dict[str, _Py] = {}   # a value's text -> its local
+        self.shapes: Dict[Tuple, int] = {}  # equal trees get one number
+        self.number: Dict[int, int] = {}    # id(node) -> that number
+        self.seen: Dict[int, int] = {}      # number -> places it stands in
+        self.count(expr)
+
+    def count(self, expr: Expr) -> None:
+        """Note each sub-tree of ``expr`` once for every place it stands
+        (what a repeated one is built from stands only in it)."""
+        def number(node: Expr) -> int:
+            kids = [number(kid) for kid in node.children()]
+            shape = (_head(node), *kids)
+            n = self.shapes.get(shape)
+            if n is None:       # a tree not met before: its parts stand in it
+                n = self.shapes[shape] = len(self.shapes)
+                for kid in kids:
+                    self.seen[kid] = self.seen.get(kid, 0) + 1
+            self.number[id(node)] = n
+            return n
+        number(expr)
+
+    def repeats(self, expr: Expr) -> bool:
+        return self.seen.get(self.number.get(id(expr)), 0) > 1
+
+    def local(self, v: _Py, fresh, prefix: str) -> _Py:
+        """The local that holds ``v``, assigned before the statement the
+        first time: same operations on the same operands, once."""
+        name = self.hoisted.get(v)
+        if name is None:
+            name = self.hoisted[v] = _Py(fresh(prefix), True, v.lanes, v.weak)
+            self.lines.append(f"{name} = {v}")
+        return name
 
 
 class Emitter:
@@ -198,7 +246,12 @@ class Emitter:
         self.taskgraph_bodies: List[str] = []  # tile body + grid functions
         self.taskgraph_dims: Optional[int] = None
         self._fn_offload_ok: Optional[bool] = None
-        self._vec: Optional[_Lanes] = None   # vector loop being lowered
+        self._vec: Optional[_Lanes] = None   # slab being lowered
+        # Of every chain of loops met so far (keys are ``id(loop)``): the
+        # loop that heads its slab -> (the slab's loops, their dims in
+        # store order); a loop outside it -> why, if it is what stopped it.
+        self._slab_heads: Dict[int, Tuple[List[Loop], Tuple]] = {}
+        self._outside: Dict[int, Optional[str]] = {}
         self.lanes_verified = False  # race-check proved vector tags clean
         # profile=True wraps loop nests with counters/spans reporting
         # into an ``_obs`` collector; off, emission is byte-identical
@@ -219,20 +272,24 @@ class Emitter:
         self._tmp += 1
         return f"{prefix}{self._tmp}"
 
-    def emit_prologue(self) -> None:
-        """Unpack parameters and buffers from the call dictionaries.
-
-        Shared by the ``_kernel`` entry point and by every chunked
-        parallel body function, so a body re-executed in a worker
-        process rebuilds exactly the names the nest references."""
+    def render_def(self, header: str, body) -> str:
+        """One ``def``: ``body()`` is rendered first, and the prologue
+        then unpacks only the parameters and buffers (and zeroes the
+        counters) that text mentions: ``_kernel`` and every function a
+        worker process re-executes bind exactly the names they use."""
         from repro.backends.common import collect_buffers
-        for p in self.params:
-            self.line(f"{p} = _params[{p!r}]")
-        for buffer in collect_buffers(self.fn):
-            self.line(f"{_buf_var(buffer)} = _bufs[{buffer.name!r}]")
-        if self.profile:
-            for var, __ in self._counters.values():
-                self.line(f"{var} = 0")
+        saved = self.buf, self.indent, self._depth
+        self.buf, self.indent, self._depth = io.StringIO(), 1, 0
+        body()
+        text = self.buf.getvalue()
+        names = set(re.findall(r"\w+", text))
+        binds = [f"{p} = _params[{p!r}]" for p in self.params]
+        binds += [f"{_buf_var(b)} = _bufs[{b.name!r}]"
+                  for b in collect_buffers(self.fn)]
+        binds += [f"{var} = 0" for var, __ in self._counters.values()]
+        self.buf, self.indent, self._depth = saved
+        return header + "".join(f"\n    {ln}" for ln in binds
+                                if ln.split(" = ")[0] in names) + "\n" + text
 
     def emit_profile_flush(self) -> None:
         """Report the accumulated iteration counters into ``_obs``;
@@ -248,25 +305,42 @@ class Emitter:
                 float_div: bool) -> str:
         return self._s(self._val(expr, env, float_div))
 
-    def _lanes(self, v: Value) -> bool:
-        if isinstance(v, LinExpr):
-            return self._vec is not None and v.coeff(self._vec.lane) != 0
-        return getattr(v, "lanes", False)
+    def _lanes(self, *vals: Value) -> frozenset:
+        """The slab axes any of ``vals`` moves with."""
+        out: frozenset = frozenset()
+        for v in vals:
+            if not isinstance(v, LinExpr):
+                out |= getattr(v, "lanes", out)
+            elif self._vec is not None:
+                out |= self._vec.rank.keys() & v.coeffs.keys()
+        return out
 
     def _s(self, v: Value) -> str:
-        """Render a value; an affine one that moves with the lane
-        variable is then the lane vector itself."""
+        """Render a value: an affine one that moves with slab variables
+        is built on their index vectors."""
         if not isinstance(v, LinExpr):
             return v
         lanes = self._lanes(v)
         if lanes:
-            self._vec.need_arange = True
+            self._vec.arange |= lanes
         return _lin_py(v, self.params, lanes)
 
     def _val(self, expr: Expr, env: Dict[str, Value], float_div: bool,
              index: bool = False) -> Value:
         """Lower ``expr``; ``index`` marks index position, where
-        ``min``/``max``/``clamp`` of scalars are plain Python ints."""
+        ``min``/``max``/``clamp`` of scalars are plain Python ints.  In a
+        vector statement a lane-valued sub-expression that stands in it
+        more than once (:meth:`_Lanes.count`) is held in a local; a whole
+        index goes through :meth:`_lower`, :meth:`_subscript` holds it."""
+        v = self._lower(expr, env, float_div, index)
+        vec = self._vec
+        if vec is not None and getattr(v, "lanes", None) \
+                and not v.isidentifier() and vec.repeats(expr):
+            v = vec.local(v, self.fresh, "_c")
+        return v
+
+    def _lower(self, expr: Expr, env: Dict[str, Value], float_div: bool,
+               index: bool) -> Value:
         if isinstance(expr, Const):
             v = expr.value
             if isinstance(v, int) and not isinstance(v, bool):
@@ -297,7 +371,7 @@ class Emitter:
             if op in ("and", "or") and self._vec is not None:
                 op = "&" if op == "and" else "|"
             return _Py(f"{_p(lhs)} {op} {_p(rhs)}",
-                       lanes=self._lanes(lhs) or self._lanes(rhs),
+                       lanes=self._lanes(lhs, rhs),
                        weak=lhs.weak and rhs.weak)
         if isinstance(expr, UnOp):
             v = self._val(expr.operand, env, float_div, index)
@@ -312,7 +386,7 @@ class Emitter:
                 self._val(e, env, float_div)
                 for e in (expr.if_true, expr.if_false)], float_div)
             return _Py(f"np.where({', '.join(args)})", True,
-                       any(map(self._lanes, args)))
+                       self._lanes(*args))
         if isinstance(expr, Cast):
             v = self.expr_py(expr.operand, env, float_div)
             return _Py(f"np.{expr.dtype.np_dtype}({v})", True, self._lanes(v))
@@ -323,16 +397,16 @@ class Emitter:
             return self._call_py(expr.fn, args, index)
         if isinstance(expr, BufferRead):
             return self._subscript(expr.buffer, [
-                self._val(e, env, float_div, True) for e in expr.indices])
+                self._lower(e, env, float_div, True) for e in expr.indices])
         if isinstance(expr, Access):
             return self._access_py(expr, env, float_div)
         raise CodegenError(f"cannot emit expression {expr!r}")
 
     def _meet(self, op: str, exprs: Sequence[Expr], vals: Sequence[Value],
               float_div: bool) -> List[_Py]:
-        """The operands of ``op`` rendered.  In a vector statement the
-        lane vector is a strong ``int64`` array where the scalar loop
-        variable is a weak Python int, so a weak operand built on it
+        """The operands of ``op`` rendered.  In a vector statement an
+        index vector is a strong ``int64`` array where the scalar loop
+        variable is a weak Python int, so a weak operand built on one
         would promote a strong one (``float32 * (0.1 * j)`` to
         ``float64``): it is cast to the type NumPy converts the scalar
         to."""
@@ -345,8 +419,8 @@ class Emitter:
             to = combine(op, types)[0]
             if to != combine(op, tuple(strong(t) if m else t for t, m
                                        in zip(types, moved)))[0]:
-                vals = [_Py(f"np.{to.np_dtype}({v})", True, True) if m else v
-                        for v, m in zip(vals, moved)]
+                vals = [_Py(f"np.{to.np_dtype}({v})", True, v.lanes) if m
+                        else v for v, m in zip(vals, moved)]
         return vals
 
     def _call_py(self, fn: str, args: List[str], index: bool = False) -> str:
@@ -357,7 +431,7 @@ class Emitter:
         }
         if fn not in table:
             raise CodegenError(f"unknown intrinsic {fn!r}")
-        lanes = any(map(self._lanes, args))
+        lanes = self._lanes(*args)
         if index and not lanes and fn in ("min", "max", "clamp"):
             # A scalar index: Python ints, not np.clip on a Python int.
             if fn == "clamp":
@@ -368,11 +442,14 @@ class Emitter:
     def _access_py(self, access: Access, env: Dict[str, Value],
                    float_div: bool) -> Value:
         producer = access.computation
-        env_q = {nm: self._val(e, env, float_div, not producer.inlined)
+        lower = self._val if producer.inlined else self._lower
+        env_q = {nm: lower(e, env, float_div, not producer.inlined)
                  for nm, e in zip(producer.var_names, access.indices)}
         if producer.inlined:
+            if self._vec is not None:
+                self._vec.count(producer.expr)
             return self._val(producer.expr, env_q, producer.dtype.is_float)
-        out = [self._val(e, env_q, False, True)
+        out = [self._lower(e, env_q, False, True)
                for e in producer.store_indices()]
         cached = None
         if self.current_comp is not None:
@@ -389,29 +466,64 @@ class Emitter:
                 for o, org in zip(idx, origins)]
 
     def _subscript(self, buffer, idx: List[Value]) -> str:
-        """``b_buf[...]``.  In a vector statement the one index that
-        moves with the lane variable, if affine with a positive
-        coefficient, is a basic slice; any other moving index is a lane
-        vector; each non-affine index is computed once into a local."""
+        """``b_buf[...]``.  In a vector statement an index affine in one
+        slab variable, with a positive coefficient, is a basic slice, any
+        other moving index an index vector, and ``None`` an axis the
+        value does not move with (it broadcasts)."""
         vec = self._vec
-        moving = [k for k, v in enumerate(idx) if self._lanes(v)]
-        parts = []
+        moved = [self._lanes(v) for v in idx]
+        if vec is None or not any(moved) and all(
+                isinstance(v, LinExpr) for v in idx):
+            return _Py(f"{_buf_var(buffer)}[{', '.join(map(self._s, idx))}]",
+                       True)
+        n = len(vec.axes)
+        cut = [len(m) == 1 and isinstance(v, LinExpr) and v.coeff(*m) >= 1
+               for v, m in zip(idx, moved)]
+        mesh, runs = self._layout(moved, cut)
+        parts, at = [], None            # at: rank of the last result axis
         for k, v in enumerate(idx):
-            if moving == [k] and isinstance(v, LinExpr) \
-                    and v.coeff(vec.lane) >= 1:
-                parts.append(self._slice_py(buffer, k, v))
+            if k in runs:               # the axes the value skips broadcast
+                first, last = runs[k]
+                parts += ["None"] * (0 if at is None else first - at - 1)
+                at = last
+            if cut[k] and not mesh:
+                parts.append(self._slice_py(buffer, k, v, *moved[k]))
                 continue
             part = self._s(v)
-            if vec is not None and not isinstance(v, LinExpr) \
-                    and not part.isidentifier():
-                if part not in vec.hoisted:
-                    name = _Py(self.fresh("_i"), True, self._lanes(part))
-                    vec.lines.append(f"{name} = {part}")
-                    vec.hoisted[part] = name
-                part = vec.hoisted[part]
+            if moved[k] and last < n - 1:       # drop the axes slices bring
+                part = _Py(f"{_p(part)}[...{', 0' * (n - 1 - last)}]", True,
+                           moved[k])
+            if not isinstance(v, LinExpr) and not part.isidentifier():
+                part = vec.local(part, self.fresh, "_i")
             parts.append(part)
+        parts += ["None"] * (0 if at is None else n - 1 - at)
         return _Py(f"{_buf_var(buffer)}[{', '.join(parts)}]", True,
-                   bool(moving))
+                   self._lanes(*idx))
+
+    def _layout(self, moved: List[frozenset], cut: List[bool]
+                ) -> Tuple[bool, Dict[int, Tuple[int, int]]]:
+        """Where the slab axes come out of a subscript: ``(mesh, runs)``,
+        ``runs`` mapping a position in it to the ``(first, last)`` rank
+        of the result axes that stand there.  Each slice (``cut``) brings
+        its own axis; the index vectors, and the scalars among them,
+        broadcast into one run of axes that NumPy leaves at the first of
+        them only if no slice comes between them.  If it would not, or
+        the axes come out of order, ``mesh``: every index is an index
+        vector (open mesh) -- correct anywhere, and slower."""
+        vec, n = self._vec, len(self._vec.axes)
+        for mesh in (False, True):
+            block = [k for k, c in enumerate(cut) if mesh or not c]
+            ranks = [vec.rank[d] for k in block for d in moved[k]]
+            runs = {k: (vec.rank[min(moved[k])],) * 2
+                    for k, c in enumerate(cut) if c and not mesh}
+            if ranks:       # an index vector has the axes up to the next slice
+                after = [r for r, __ in runs.values() if r > max(ranks)]
+                runs[block[0]] = (min(ranks), min(after + [n]) - 1)
+            spans = [runs[k] for k in sorted(runs)]
+            in_order = all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
+            together = not ranks or block[-1] - block[0] < len(block)
+            if mesh or in_order and together:
+                return mesh, runs
 
     def _at(self, rest: LinExpr, coeff: int, bound: Value) -> str:
         """``rest + coeff*bound`` for a lane bound (LinExpr or local)."""
@@ -422,15 +534,15 @@ class Emitter:
             return term
         return f"{term} + {lin_to_py(rest, self.params)}".replace("+ -", "- ")
 
-    def _slice_py(self, buffer, axis: int, le: LinExpr) -> str:
-        vec = self._vec
-        coeff = int(le.coeff(vec.lane))
-        rest = LinExpr({d: c for d, c in le.coeffs.items() if d != vec.lane},
+    def _slice_py(self, buffer, axis: int, le: LinExpr, lane) -> str:
+        lo, hi = self._vec.axes[lane]
+        coeff = int(le.coeff(lane))
+        rest = LinExpr({d: c for d, c in le.coeffs.items() if d != lane},
                        le.const)
-        start = self._at(rest, coeff, vec.lo)
-        stop = self._at(rest + 1, coeff, vec.hi)
-        vec.sliced.setdefault(
-            (_buf_var(buffer), axis, coeff, tuple(rest.coeffs.items())),
+        start = self._at(rest, coeff, lo)
+        stop = self._at(rest + 1, coeff, hi)
+        self._vec.sliced.setdefault(
+            (_buf_var(buffer), axis, lane, coeff, tuple(rest.coeffs.items())),
             {})[int(le.const)] = (start, stop)
         return f"{start}:{stop}" + (f":{coeff}" if coeff != 1 else "")
 
@@ -487,19 +599,15 @@ class Emitter:
     def _emit_loop_inner(self, loop: Loop, lo: Value, hi: Value) -> str:
         """Emit one loop (vector / parallel-dispatch / sequential form);
         returns the span category for profile mode."""
-        kind = loop.tag.kind if loop.tag is not None else None
-        comment = f"  # {kind} loop ({loop.var})" if kind else ""
-        if kind == "vector":
-            why = self._emit_vector(loop, lo, hi, f"vectorized ({loop.var})")
-            if why is None:
-                return "loop-nest"
-            comment += f": scalar, {why}"
-        elif kind == "parallel" and self._depth == 0 \
+        kind = getattr(loop.tag, "kind", None)
+        if kind == "parallel" and self._depth == 0 \
                 and self._offload_safe(loop):
             self._emit_parallel_dispatch(loop, self._s(lo), self._s(hi))
             return "parallel"
-        self.line(f"for t{loop.level} in range({self._span(lo, hi)}):"
-                  f"{comment}")
+        note = self._slab(loop, lo, hi, f"{kind} loop" if kind else "loop")
+        if note is None:
+            return "loop-nest"
+        self.line(f"for t{loop.level} in range({self._span(lo, hi)}):{note}")
         self.indent += 1
         self._depth += 1
         self.emit_block(loop.body)
@@ -556,26 +664,19 @@ class Emitter:
 
     def _render_parallel_body(self, name: str, loop: Loop) -> str:
         """Emit the loop as a standalone chunk worker over [_lo, _hi]."""
-        saved_buf, saved_indent = self.buf, self.indent
-        self.buf, self.indent = io.StringIO(), 0
-        var = f"t{loop.level}"
+        def body():
+            note = self._slab(loop, "_lo", "_hi", "parallel chunk")
+            if note is not None:
+                self.line(f"for t{loop.level} in range(_lo, _hi + 1):{note}")
+                self.indent += 1
+                self._depth += 1
+                self.emit_block(loop.body)
+                self.indent -= 1
+            if self.profile:
+                self.emit_profile_flush()
         obs_param = ", _obs=None" if self.profile else ""
-        self.line(f"def {name}(_bufs, _params, _lo, _hi{obs_param}):")
-        self.indent += 1
-        self.emit_prologue()
-        self.line(f"for {var} in range(_lo, _hi + 1):"
-                  f"  # parallel chunk ({loop.var})")
-        self.indent += 1
-        self._depth += 1
-        self.emit_block(loop.body)
-        self._depth -= 1
-        self.indent -= 1
-        if self.profile:
-            self.emit_profile_flush()
-        self.indent -= 1
-        src = self.buf.getvalue()
-        self.buf, self.indent = saved_buf, saved_indent
-        return src
+        return self.render_def(
+            f"def {name}(_bufs, _params, _lo, _hi{obs_param}):", body)
 
     # -- task-graph tiling ---------------------------------------------------
 
@@ -658,22 +759,12 @@ class Emitter:
         """``_tile_grid(_params)``: the inclusive global [lo, hi] of
         each clamped level, evaluated from parameters alone — the
         iteration box the runtime partitions into tiles."""
-        saved_buf, saved_indent = self.buf, self.indent
-        self.buf, self.indent = io.StringIO(), 0
-        self.line("def _tile_grid(_params):")
-        self.indent += 1
-        for p in self.params:
-            self.line(f"{p} = _params[{p!r}]")
-        pairs = []
-        for loop in levels:
-            lo = bounds_group_py(loop.lowers, self.params, True)
-            hi = bounds_group_py(loop.uppers, self.params, False)
-            pairs.append(f"({lo}, {hi})")
-        self.line(f"return [{', '.join(pairs)}]")
-        self.indent -= 1
-        src = self.buf.getvalue()
-        self.buf, self.indent = saved_buf, saved_indent
-        return src
+        pairs = [f"({bounds_group_py(loop.lowers, self.params, True)}, "
+                 f"{bounds_group_py(loop.uppers, self.params, False)})"
+                 for loop in levels]
+        return self.render_def(
+            "def _tile_grid(_params):",
+            lambda: self.line(f"return [{', '.join(pairs)}]"))
 
     def _render_tile_body(self, levels: List[Loop]) -> str:
         """``_tile_body(_bufs, _params, _lo0, _hi0[, _lo1, _hi1])``:
@@ -681,64 +772,112 @@ class Emitter:
         (``max``/``min`` against the original bounds), everything
         deeper emitted unchanged.  Runs in a worker process against the
         shared staging buffers, exactly like a ``_par_body_k`` chunk."""
-        saved_buf, saved_indent = self.buf, self.indent
-        saved_depth = self._depth
-        self.buf, self.indent, self._depth = io.StringIO(), 0, 0
-        args = ", ".join(f"_lo{k}, _hi{k}" for k in range(len(levels)))
-        self.line(f"def _tile_body(_bufs, _params, {args}):")
-        self.indent += 1
-        self.emit_prologue()
-        for k, loop in enumerate(levels):
-            lo = bounds_group_py(loop.lowers, self.params, True)
-            hi = bounds_group_py(loop.uppers, self.params, False)
-            lo, hi = f"max({lo}, _lo{k})", f"min({hi}, _hi{k})"
-            note = f"tile dim ({loop.var})"
-            if loop is levels[-1] and loop.tag is not None \
-                    and loop.tag.kind == "vector" and self._emit_vector(
-                        loop, lo, hi, note + ", vectorized") is None:
-                break
-            self.line(f"for t{loop.level} in range({self._span(lo, hi)}):"
-                      f"  # {note}")
-            self.indent += 1
-            self._depth += 1
-        else:
+        def body():
+            for k, loop in enumerate(levels):
+                lo = bounds_group_py(loop.lowers, self.params, True)
+                hi = bounds_group_py(loop.uppers, self.params, False)
+                lo, hi = f"max({lo}, _lo{k})", f"min({hi}, _hi{k})"
+                # only the innermost clamped level may head a slab: the
+                # loops a slab takes along run over their own bounds
+                note = self._slab(loop, lo, hi, "tile dim") \
+                    if loop is levels[-1] else f"  # tile dim ({loop.var})"
+                if note is None:
+                    return
+                self.line(f"for t{loop.level} in range({self._span(lo, hi)})"
+                          f":{note}")
+                self.indent += 1
+                self._depth += 1
             self.emit_block(levels[-1].body)
-        src = self.buf.getvalue()
-        self.buf, self.indent = saved_buf, saved_indent
-        self._depth = saved_depth
-        return src
+        args = ", ".join(f"_lo{k}, _hi{k}" for k in range(len(levels)))
+        return self.render_def(f"def _tile_body(_bufs, _params, {args}):",
+                               body)
 
     # -- vectorization ----------------------------------------------------------
 
-    def _emit_vector(self, loop: Loop, lo: Value, hi: Value,
-                     note: str) -> Optional[str]:
-        """Lower a ``vector``-tagged loop to whole-range statements, the
-        fused body distributed in β order; returns None, or why the loop
-        must stay scalar (nothing is emitted then)."""
-        why = lane_verdict(self.fn, loop, self.lanes_verified)
-        if why is not None:
-            return why
-        level = loop.level
-        binds = []                  # non-affine bounds held in locals
-        if not isinstance(lo, LinExpr):
-            binds.append(f"_l{level} = {lo}")
-            lo = _Py(f"_l{level}", True)
-        if not isinstance(hi, LinExpr):
-            binds.append(f"_h{level} = {hi}")
-            hi = _Py(f"_h{level}", True)
-        count = self._s(hi - lo + 1) if not binds \
-            else f"{self._s(hi)} - {_p(self._s(lo))} + 1"
-        vec = self._vec = _Lanes(level, lo, hi)
+    def _slab(self, loop: Loop, lo: Value, hi: Value,
+              what: str) -> Optional[str]:
+        """Lower the slab ``loop`` heads, if any: the longest run of
+        loops, from a ``vector``-tagged one out through the perfect nest
+        around it, that :func:`~repro.codegen.lanes.slab_verdict` lets
+        execute as whole-range statements.  Returns None if emitted, else
+        ``loop``'s comment as a ``for``: why, if it is what stayed out."""
+        if id(loop) not in self._slab_heads and id(loop) not in self._outside:
+            chain = [loop]
+            while getattr(chain[-1].tag, "kind", None) in (
+                    None, "unroll", "parallel"):
+                inner = chain[-1].body.children
+                if len(inner) != 1 or not isinstance(inner[0], Loop):
+                    break
+                chain.append(inner[0])
+            k, why, axes = len(chain), None, ()
+            if getattr(chain[-1].tag, "kind", None) == "vector":
+                k, why, axes = slab_verdict(self.fn, chain,
+                                            self.lanes_verified)
+            self._outside.update((id(member), None) for member in chain[:k])
+            if k:
+                self._outside[id(chain[k - 1])] = why
+            if chain[k:]:
+                self._slab_heads[id(chain[k])] = chain[k:], axes
+        if id(loop) in self._slab_heads:
+            slab, axes = self._slab_heads[id(loop)]
+            note = f"vectorized ({slab[-1].var})"
+            if slab[1:]:
+                note += f" over ({', '.join(m.var for m in slab[:-1])})"
+            if what == "tile dim":      # not the range the loop runs over
+                note = f"{what} ({loop.var}), {note}"
+            why = self._emit_vector(slab, axes, lo, hi, note)
+            if why is None:
+                return None
+            del self._slab_heads[id(loop)]      # all its loops stay loops
+            self._outside.update((id(member), None) for member in slab)
+            self._outside[id(slab[-1])] = why
+        why = self._outside[id(loop)]
+        if why is None:
+            return "" if what == "loop" else f"  # {what} ({loop.var})"
+        return f"  # {what} ({loop.var}): " + (
+            "scalar, " if what == "vector loop" else "outside slab, ") + why
+
+    def _emit_vector(self, slab: List[Loop], axes: Tuple, lo: Value,
+                     hi: Value, note: str) -> Optional[str]:
+        """Lower ``slab`` (a ``vector``-tagged loop under the loops it
+        takes along, the outermost running over ``lo..hi``; ``axes``
+        their dims in store order) to whole-range statements, the fused
+        body distributed in β order; returns None, or why it cannot
+        (nothing is emitted then)."""
+        binds: List[str] = []       # non-affine bounds held in locals
+        ranges, counts, full = {}, [], {}
+        for loop in slab:
+            if loop is not slab[0]:
+                lo = self._bound(loop.lowers, True)
+                hi = self._bound(loop.uppers, False)
+            held = []
+            for name, b in ((f"_l{loop.level}", lo), (f"_h{loop.level}", hi)):
+                if not isinstance(b, LinExpr) and not b.isidentifier():
+                    binds.append(f"{name} = {b}")
+                    b = name
+                held.append(b if isinstance(b, LinExpr) else _Py(b, True))
+            lo, hi = ranges[(OUT, loop.level)] = tuple(held)
+            counts.append(
+                self._s(hi - lo + 1) if isinstance(lo, LinExpr)
+                and isinstance(hi, LinExpr)
+                else f"{self._s(hi)} - {_p(self._s(lo))} + 1")
+            if not counts[-1].isdigit() or counts[-1] == "0":
+                # An empty range must run nothing (a negative stop would
+                # wrap its slice around instead).
+                full[f"{self._s(lo)} <= {self._s(hi)}"] = None
+        vec = self._vec = _Lanes({lane: ranges[lane] for lane in axes})
+        count = " * ".join(map(_p, counts)) if len(counts) > 1 else counts[0]
         try:
             from repro.ir.fold import fold
-            for stmt in loop.body.children:
+            for stmt in slab[-1].body.children:
                 comp = self.current_comp = stmt.comp
                 env = self.stmt_env(comp)
-                vec.hoisted = {}
-                rhs = self.expr_py(fold(comp.expr), env, comp.dtype.is_float)
+                expr = fold(comp.expr)
+                vec.begin(expr)
+                rhs = self.expr_py(expr, env, comp.dtype.is_float)
                 vec.lines.append(f"{self._store_target(comp, env)} = {rhs}")
                 if self.profile and comp.name in self._counters:
-                    # One statement instance per vector lane.
+                    # One statement instance per point of the slab.
                     vec.lines.append(
                         f"{self._counters[comp.name][0]} += {count}")
         except CodegenError:
@@ -746,12 +885,15 @@ class Emitter:
         finally:
             self._vec = None
         head = []
-        if vec.need_arange:
-            head.append(f"t{level} = np.arange({self._span(lo, hi)})")
+        for lane, (lo, hi) in vec.axes.items():
+            if lane in vec.arange:      # a column per axis that follows
+                after = ", None" * (len(axes) - 1 - vec.rank[lane])
+                head.append(f"t{lane[1]} = np.arange({self._span(lo, hi)})"
+                            + (f"[:{after}]" if after else ""))
         # A basic slice truncates where an index would raise: check the
         # extreme slice of every (buffer, axis) against the array.
         bad: Dict[str, None] = {}
-        for (buf, axis, __, ___), ends in vec.sliced.items():
+        for (buf, axis, *__), ends in vec.sliced.items():
             start, stop = ends[min(ends)][0], ends[max(ends)][1]
             if not start.isdigit():           # not a constant >= 0
                 bad[f"{start} < 0"] = None
@@ -759,12 +901,10 @@ class Emitter:
             bad[f"{stop} > {size}"] = None
         if bad:
             head.append(f"if {' or '.join(bad)}: "
-                        f"raise IndexError('vector loop {loop.var}')")
+                        f"raise IndexError('vector loop {slab[-1].var}')")
         lines = head + vec.lines
-        if binds or not count.isdigit() or count == "0":
-            # An empty range must run nothing (a negative stop would
-            # wrap its slice around instead).
-            lines = [f"if {self._s(lo)} <= {self._s(hi)}:"] + [
+        if full:
+            lines = [f"if {' and '.join(full)}:"] + [
                 "    " + ln for ln in lines]
         lines[0] += f"  # {note}"
         for ln in binds + lines:
@@ -800,7 +940,7 @@ class Emitter:
         self.indent -= closes
 
     def _store_target(self, comp, env: Dict[str, Value]) -> str:
-        store_idx = [self._val(e, env, False, True)
+        store_idx = [self._lower(e, env, False, True)
                      for e in comp.store_indices()]
         if comp.cached_store is not None:
             shared, origins = comp.cached_store

@@ -75,7 +75,9 @@ def _injected_io_error(op: str, key: str) -> None:
 #: artifacts read as corrupt-and-recompile, never as wrong code.  2: the
 #: ``c`` target's source became typed (bit-identical to ``cpu``); a
 #: version-1 artifact under the same fingerprint holds the all-double C.
-PAYLOAD_VERSION = 2
+#: 3: the ``cpu`` target's source changed shape (N-d slabs, pruned
+#: prologues) under an unchanged fingerprint.
+PAYLOAD_VERSION = 3
 
 _SUFFIX = ".pkl"
 _QUARANTINE_SUFFIX = ".quarantine"

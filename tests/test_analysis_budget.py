@@ -13,6 +13,7 @@ import pytest
 
 import repro.isl.cache as isl_cache
 from repro import kernels as K
+from repro.evaluation.schedules import tiramisu_cpu
 
 #: The benchmark's ``tensor`` set under its hand schedules.
 TENSOR = [
@@ -28,25 +29,71 @@ TENSOR = [
 #: Summed ``BasicMap.is_empty`` calls / Omega tests run (memo misses)
 #: over TENSOR, isl memo cleared before each compile.  The per-position
 #: checker with two dependence passes asked 1226 / 512.  Lower these
-#: when the analysis gets leaner.
-EMPTY_CALLS_CEILING = 303
-OMEGA_TESTS_CEILING = 169
+#: when the analysis gets leaner.  (303 / 169 until the slab lowering
+#: asked whether heat's *time* loop may join its vector loop: three
+#: more questions, answered "carried flow" -- the one level of the 15
+#: programs the structural fast path does not settle.  The rise is the
+#: one ISSUE 21 allows, <=5% over all 15 cold compiles, which
+#: ``test_slab_verdicts_ask_isl_almost_nothing`` holds it to: +3 on 699;
+#: refusing the level unasked would take its reason out of the loop
+#: comment, or make the verdict depend on what legality happened to
+#: ask first.)
+EMPTY_CALLS_CEILING = 306
+OMEGA_TESTS_CEILING = 172
+
+
+def _blur_race_free(bundle):
+    """The benchmark's blur: Fig. 3a less ``parallelize("i0")``."""
+    bx, by = bundle.computations["bx"], bundle.computations["by"]
+    by.tile("i", "j", 32, 32, "i0", "j0", "i1", "j1")
+    bx.compute_at(by, "j0")
+    by.interchange("j1", "c")
+    by.vectorize("j1", 8)
+
+
+#: The benchmark's ``image`` set (``bench/programs.py``: blur and
+#: ticket2373 under its two race-free schedules).
+IMAGE = [
+    (K.build_blur, _blur_race_free), (K.build_cvtcolor, tiramisu_cpu),
+    (K.build_conv2d, tiramisu_cpu), (K.build_warp_affine, tiramisu_cpu),
+    (K.build_gaussian, tiramisu_cpu), (K.build_nb, tiramisu_cpu),
+    (K.build_edge_detector, tiramisu_cpu),
+    (K.build_ticket2373, lambda bundle: None),
+]
+
+#: ``is_empty`` calls of each of the 15 cold compiles before the vector
+#: lowering asked about the loops *around* a vector loop (IMAGE, then
+#: TENSOR).  Every level but one is settled by the structural fast path
+#: or by a level profile legality already filled: heat now asks 27.
+SEED_EMPTY_CALLS = [316, 3, 4, 3, 13, 34, 18, 5,
+                    47, 44, 150, 30, 4, 24, 4]
+
+
+def _cold_compile_questions(builder, schedule):
+    """(``is_empty`` calls, Omega tests run) of one cold compile."""
+    bundle = builder()
+    schedule(bundle)
+    isl_cache.clear()
+    before = isl_cache.stats().tier("isl.empty")
+    bundle.function.compile("cpu", cache=False, check_legality=True,
+                            check_races=True, num_threads=2)
+    after = isl_cache.stats().tier("isl.empty")
+    return (after.hits + after.misses - before.hits - before.misses,
+            after.misses - before.misses)
 
 
 def test_tensor_set_analysis_within_budget():
-    calls = omega = 0
-    for builder, schedule in TENSOR:
-        bundle = builder()
-        schedule(bundle)
-        isl_cache.clear()
-        before = isl_cache.stats().tier("isl.empty")
-        bundle.function.compile("cpu", cache=False, check_legality=True,
-                                check_races=True, num_threads=2)
-        after = isl_cache.stats().tier("isl.empty")
-        calls += after.hits + after.misses - before.hits - before.misses
-        omega += after.misses - before.misses
+    asked = [_cold_compile_questions(b, s) for b, s in TENSOR]
+    calls, omega = (sum(column) for column in zip(*asked))
     assert calls <= EMPTY_CALLS_CEILING, calls
     assert omega <= OMEGA_TESTS_CEILING, omega
+
+
+def test_slab_verdicts_ask_isl_almost_nothing():
+    """Per-level slab verdicts for all 15 bench programs: at most 5%
+    more emptiness questions than the single-level verdict asked."""
+    calls = [_cold_compile_questions(b, s)[0] for b, s in IMAGE + TENSOR]
+    assert sum(calls) <= 1.05 * sum(SEED_EMPTY_CALLS), calls
 
 
 @pytest.mark.parametrize("hashseed", ["0", "1"])

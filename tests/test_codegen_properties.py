@@ -3,7 +3,7 @@ must preserve program semantics (the compiler's core guarantee)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Buffer, Computation, Function, Input, Var
@@ -221,12 +221,16 @@ WEAK_FLOATS = [0.1, 0.5, 1.5, 0.0625, 3.0, -0.25]
 
 def typed_recipes():
     """Nested tuples that :func:`build_typed` turns into a typed tree:
-    strong reads of four dtypes, weak constants, iterators as values,
+    strong reads of four dtypes (clamped, or row 0 sliced along either
+    iterator: two slab axes may slice one buffer axis), weak constants,
+    iterators as values,
     and every operator and intrinsic the C backend lowers bit-exactly
     (``exp``/``log``/``pow`` are libm-vs-NumPy, exempt by contract)."""
     leaf = st.one_of(
         st.tuples(st.just("read"), st.sampled_from(sorted(READS)),
                   st.integers(-1, 1)),
+        st.tuples(st.just("row"), st.sampled_from(sorted(READS)),
+                  st.sampled_from("ij")),
         st.tuples(st.just("int"), st.integers(0, 9)),
         st.tuples(st.just("float"), st.sampled_from(WEAK_FLOATS)),
         st.tuples(st.just("iter"), st.sampled_from("ij"),
@@ -272,10 +276,13 @@ def build_typed(recipe, reads, i, j, m):
         kind = r[0]
         if kind == "read":
             return reads[r[1]](i, clamp(j + r[2], 0, m - 1))
+        if kind == "row":
+            return reads[r[1]](0, {"i": i, "j": j}[r[2]])
         if kind in ("int", "float"):
             return Const(r[1])
         if kind == "iter":
-            return {"i": i, "j": j}[r[1]].expr() * r[3] + r[2]
+            it = {"i": i, "j": j}[r[1]]
+            return (it if isinstance(it, Const) else it.expr()) * r[3] + r[2]
         kids = [make(k) for k in r[1:] if isinstance(k, tuple)]
         if kind == "bin":
             rhs = kids[1]
@@ -317,44 +324,68 @@ def build_typed(recipe, reads, i, j, m):
     return make(recipe)
 
 
+#: The loops around the vector loop: a plane loop ``h`` and the row
+#: loop ``i``, each absent (one row), untagged or unrolled, and whether
+#: the outermost of them is ``parallel`` -- the slab takes them all.
+NESTS = st.tuples(st.sampled_from([None, "plain", "unroll"]),
+                  st.sampled_from([None, "plain", "unroll"]), st.booleans())
+
+
 @given(typed_recipes(), st.sampled_from(["float32", "float64"]),
-       st.integers(0, 2 ** 16))
+       st.integers(0, 2 ** 16), NESTS)
+@example(("bin", "+", ("row", "a32", "i"), ("row", "a32", "j")), "float32", 3,
+         ("plain", "plain", True))      # one buffer axis, two slab axes
 @settings(max_examples=150, deadline=None)
-def test_typed_tree_differential(recipe, out_dtype, seed):
-    """One program stores the same bits from the scalar loop, from the
-    vectorized statement and from gcc: the emitters agree on the type
-    every node evaluates in (:mod:`repro.ir.typing`)."""
+def test_typed_tree_differential(recipe, out_dtype, seed, nest):
+    """One program stores the same bits from the scalar loops, from the
+    whole-range statement (sequential and on two workers) and from gcc:
+    the emitters agree on the type every node evaluates in
+    (:mod:`repro.ir.typing`), whatever loops the slab took along."""
     from repro.backends.c import have_c_compiler
     from repro.ir import types as T
+    from repro.ir.expr import Const
     n, m = 2, 37            # full vectors and a remainder
+    planes, rows, parallel = nest
     rng = np.random.default_rng(seed)
     data = {"a32": rng.uniform(-8, 8, (n, m)).astype(np.float32),
             "a64": rng.uniform(-8, 8, (n, m)),
             "i32": rng.integers(-50, 50, (n, m)).astype(np.int32),
             "u8": rng.integers(0, 256, (n, m)).astype(np.uint8)}
 
-    def run(tag, target):
+    def run(tag, target, **opts):
         f = Function("f")
         with f:
             reads = {nm: Input(nm, [Var(f"x{nm}", 0, n), Var(f"y{nm}", 0, m)],
                                dtype=T.from_name(dt))
                      for nm, dt in READS.items()}
-            i, j = Var("i", 0, n), Var("j", 0, m)
-            out = Computation("out", [i, j], None,
+            h, i, j = Var("h", 0, 3), Var("i", 0, n), Var("j", 0, m)
+            around = [v for v, kind in ((h, planes), (i, rows)) if kind]
+            out = Computation("out", around + [j], None,
                               dtype=T.from_name(out_dtype))
-            out.set_expression(build_typed(recipe, reads, i, j, m) * 1.0)
+            out.set_expression(
+                build_typed(recipe, reads, i if rows else Const(1), j, m)
+                * (1.0 + 0.5 * h.expr() if planes else 1.0))
         if tag:
             out.vectorize("j", 4)
-        kernel = f.compile(target, cache=False)
+            for v, kind in ((h, planes), (i, rows)):
+                if kind == "unroll":
+                    out.unroll(v.name, 2)
+            if parallel and around:
+                out.parallelize(around[0].name)
+        kernel = f.compile(target, cache=False, **opts)
         used = {b.name for b in kernel.buffers} if target == "c" else data
         with np.errstate(all="ignore"):     # integer wrap-around is meant
             return kernel, kernel(**{k: v.copy() for k, v in data.items()
                                      if k in used})["out"]
 
     __, want = run(False, "cpu")
-    vector, got = run(True, "cpu")
+    vector, got = run(True, "cpu", parallel=False)
     assert vector.vector_loops == 1, vector.source
+    assert "for " not in vector.source, vector.source   # one slab
     assert np.array_equal(want, got, equal_nan=True), vector.source
+    if parallel and planes:     # 3 planes: chunks for two workers
+        pair, got = run(True, "cpu", num_threads=2)
+        assert np.array_equal(want, got, equal_nan=True), pair.source
     if have_c_compiler():
         native, got = run(True, "c")
         assert np.array_equal(want, got, equal_nan=True), native.source

@@ -106,6 +106,22 @@ class TestCorruption:
         entry = cache.get(key)
         assert entry is not None and entry.source == kernel.source
 
+    def test_version_2_artifact_recompiles_through_pipeline(self, tmp_path):
+        """What the release before N-d slabs stored under this very
+        fingerprint is the one-lane source: it must not be served."""
+        cache = configure(tmp_path)
+        kernel = build().compile("cpu")
+        path = cache.path_for(kernel.report.fingerprint)
+        payload = pickle.loads(path.read_bytes())
+        assert payload["version"] == PAYLOAD_VERSION == 3
+        payload["version"] = 2
+        path.write_bytes(pickle.dumps(payload))
+        kernel_registry.clear()
+        again = build().compile("cpu")
+        assert not again.report.disk_hit and not again.report.cache_hit
+        assert "emit" in again.report.stage_names()
+        assert again.source == kernel.source
+
 
 class TestEviction:
     def entry_bytes(self, cache):

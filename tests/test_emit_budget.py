@@ -2,7 +2,9 @@
 hand schedule: a size budget for the Python and for the C (so a codegen
 change that grows the source fails here, before the benchmark's 1%
 ``code_bytes`` bound), and the guarantee that the race-check stage's
-verdict changes nothing that is emitted."""
+verdict changes nothing that is emitted (slabs included: the traced
+benchmark's ``emit_bytes:*`` operation compares a staged emit, which has
+no verdict, with ``Function.compile``'s, which has)."""
 
 import os
 import subprocess
@@ -32,12 +34,11 @@ HAND = [
 ]
 
 #: Summed ``len(kernel.source)`` of HAND on ``cpu``, recorded when the
-#: vector lowering moved to slices (the np.arange-gather emitter summed
-#: 30359 on the same table).  Lower it when the emitter gets leaner.
-#: (26229 -> 26233 was a *program* change, not the emitter: ticket2373's
-#: hand schedule became interchange + parallelize("x"), and the new
-#: loop order emits 676 bytes instead of 672.)
-SOURCE_BYTES_CEILING = 26233
+#: vector lowering became N-d slabs with prologues that bind only what
+#: the body mentions (the one-lane slice emitter summed 26233 on the same
+#: table, the np.arange-gather one before it 30359).  Lower it when the
+#: emitter gets leaner.
+SOURCE_BYTES_CEILING = 24621
 
 
 #: Summed ``len(emit_c_source(fn))`` of HAND under the typed renderer;

@@ -124,7 +124,7 @@ class TestVectorEmission:
         __, scalar = run(False, "cpu")
         kernel, vector = run(True, "cpu")
         assert has_vector_code(kernel)
-        assert "b_img[t0, 0:37] * np.float32(0.1 * t1)" in kernel.source
+        assert "b_img[0:9, 0:37] * np.float32(0.1 * t1)" in kernel.source
         assert np.array_equal(scalar, vector)
         if have_c_compiler():
             assert np.array_equal(scalar, run(True, "c")[1])
@@ -163,24 +163,28 @@ class TestVectorEmission:
 
     def test_index_vectors_computed_once_scalar_clamps_in_python(self):
         from repro.ir import clamp
-        N = Param("N")
-        f = Function("f", params=[N])
-        with f:
-            inp = Input("inp", [Var("x", 0, N), Var("y", 0, N)])
-            i, j = Var("i", 0, N), Var("j", 0, N)
-            c = Computation("c", [i, j], None)
-            c.set_expression(inp(clamp(i - 1, 0, N - 1), clamp(j + 1, 0, N - 1))
-                             + inp(clamp(i - 1, 0, N - 1),
-                                   clamp(j + 1, 0, N - 1)) * 2.0)
-        c.vectorize("j", 8)
-        src = f.compile("cpu").source
-        assert src.count("np.clip(") == 1          # one index vector
-        assert src.count("min(max(t0 - 1, 0), N - 1)") == 1  # Python ints
         data = np.arange(36, dtype=np.float32).reshape(6, 6)
-        rows = np.clip(np.arange(6) - 1, 0, 5)
-        cols = np.clip(np.arange(6) + 1, 0, 5)
-        out = f.compile("cpu")(inp=data, N=6)["c"]
-        assert np.array_equal(out, data[np.ix_(rows, cols)] * 3.0)
+        want = data[np.ix_(np.clip(np.arange(6) - 1, 0, 5),
+                           np.clip(np.arange(6) + 1, 0, 5))] * 3.0
+        for rows_join in (True, False):
+            N = Param("N")
+            f = Function("f", params=[N])
+            with f:
+                inp = Input("inp", [Var("x", 0, N), Var("y", 0, N)])
+                i, j = Var("i", 0, N), Var("j", 0, N)
+                c = Computation("c", [i, j], None)
+                at = inp(clamp(i - 1, 0, N - 1), clamp(j + 1, 0, N - 1))
+                c.set_expression(at + inp(clamp(i - 1, 0, N - 1),
+                                          clamp(j + 1, 0, N - 1)) * 2.0)
+                if not rows_join:   # every row stores the same line:
+                    c.store_in(Buffer("c", [N]), [j])   # i stays a loop
+            c.vectorize("j", 8)
+            src = f.compile("cpu").source
+            # one index vector per slab axis, a scalar clamp in Python
+            assert src.count("np.clip(") == (2 if rows_join else 1)
+            assert src.count("min(max(t0 - 1, 0), N - 1)") == (not rows_join)
+            out = f.compile("cpu")(inp=data, N=6)["c"]
+            assert np.array_equal(out, want if rows_join else want[-1])
 
     def test_lanes_wider_than_the_buffer_raise(self):
         """A slice would silently truncate where an index raises."""
@@ -327,3 +331,333 @@ class TestClampGatherVectorization:
         out = k(inp=data, N=16)["c"]
         ref = data[np.clip(np.arange(16) - 1, 0, 15)]
         assert np.allclose(out, ref)
+
+
+def _both(build, **inputs):
+    """``build(tag)`` -> (function, compile options): the kernel compiled
+    with its vector tag and the same nest left as Python loops, run on
+    copies of ``inputs``; asserts the outputs bit-identical and returns
+    the tagged kernel and its outputs."""
+    outs = []
+    for tag in (True, False):
+        f, opts = build(tag)
+        k = f.compile("cpu", cache=False, **opts)
+        outs.append((k, k(**{n: np.copy(v) for n, v in inputs.items()})))
+    (kernel, got), (__, want) = outs
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].dtype == want[name].dtype
+        assert np.array_equal(got[name], want[name]), name
+    return kernel, got
+
+
+class TestSlabs:
+    """A ``vector`` loop takes the dependence-free loops of the perfect
+    nest around it along, as further slice axes of one statement."""
+
+    rng = np.random.default_rng(5)
+
+    def test_untagged_loop_joins_as_a_second_slice_axis(self):
+        def build(tag):
+            f = Function("f")
+            with f:
+                inp = Input("inp", [Var("x", 0, 7), Var("y", 0, 12)])
+                i, j = Var("i", 0, 7), Var("j", 1, 11)
+                c = Computation("c", [i, j], None)
+                c.set_expression(inp(i, j - 1) + inp(i, j + 1) * 0.5)
+            if tag:
+                c.vectorize("j", 8)
+            return f, {}
+        k, __ = _both(build, inp=self.rng.random((7, 12), np.float32))
+        assert "b_c[0:7, 1:11] = b_inp[0:7, 0:10] + (b_inp[0:7, 2:12] * 0.5)" \
+            in k.source
+        assert "# vectorized (j) over (i)" in k.source
+        assert "for " not in k.source
+        assert k.vector_loops == 1 and not declines(k)
+
+    def test_unroll_joins_and_a_row_operand_broadcasts(self):
+        """sgemm's shape: the unrolled row loop joins, so ``A[i, k]``
+        moves with the first axis only and is read as a column."""
+        def build(tag):
+            f = Function("f")
+            with f:
+                A = Input("A", [Var("x", 0, 6), Var("y", 0, 5)])
+                B = Input("B", [Var("x2", 0, 5), Var("y2", 0, 9)])
+                i, j, r = Var("i", 0, 6), Var("j", 0, 9), Var("r", 0, 5)
+                z = Computation("z", [Var("i0", 0, 6), Var("j0", 0, 9)], 0.0)
+                buf = Buffer("C", [6, 9])
+                z.store_in(buf, [Var("i0", 0, 6), Var("j0", 0, 9)])
+                c = Computation("c", [r, i, j], None)
+                c.set_expression(c(r, i, j) + A(i, r) * B(r, j) * 1.5)
+                c.store_in(buf, [i, j])
+            c.after(z)
+            if tag:
+                c.vectorize("j", 8)
+                c.unroll("i", 2)
+            return f, {}
+        k, __ = _both(build, A=self.rng.random((6, 5), np.float32),
+                      B=self.rng.random((5, 9), np.float32))
+        assert "b_A[0:6, t0, None] * b_B[t0, 0:9]" in k.source
+        # the reduction loop stays, and says why
+        assert "for t0 in range(0, 5):  # loop (r): outside slab, " \
+               "store-not-driven" in k.source
+        assert "# vectorized (j) over (i)" in k.source
+
+    def test_parallel_chunk_joins_and_workers_store_the_same_bits(self):
+        def build(tag):
+            f = Function("f")
+            with f:
+                inp = Input("inp", [Var("x", 0, 40), Var("y", 0, 9)])
+                i, j = Var("i", 0, 40), Var("j", 0, 9)
+                c = Computation("c", [i, j], None)
+                c.set_expression(inp(i, j) * 3.0 + 1.0 * i)
+            c.parallelize("i")
+            if tag:
+                c.vectorize("j", 8)
+            return f, {"num_threads": 2 if tag else 1}
+        k, __ = _both(build, inp=self.rng.random((40, 9), np.float32))
+        assert k.runtime is not None and k.parallel_regions == 1
+        assert "b_c[_lo:_hi + 1, 0:9] = " in k.source
+        assert "for " not in k.source.split("def _kernel")[0]
+
+    def test_chain_restarts_below_a_reduction_level(self):
+        """conv's shape: f, [c], y, x -- the channel loop does not drive
+        the store, so y and x make a slab under it and f stays out."""
+        def build(tag):
+            f = Function("f")
+            with f:
+                inp = Input("inp", [Var("a", 0, 3), Var("b", 0, 6),
+                                    Var("d", 0, 8)])
+                o, ch = Var("o", 0, 4), Var("ch", 0, 3)
+                y, x = Var("y", 0, 6), Var("x", 0, 8)
+                buf = Buffer("out", [4, 6, 8])
+                c = Computation("c", [o, ch, y, x], None)
+                c.set_expression(c(o, ch, y, x) + inp(ch, y, x) * (1.0 + o))
+                c.store_in(buf, [o, y, x])
+            if tag:
+                c.vectorize("x", 8)
+            return f, {}
+        k, __ = _both(build, inp=self.rng.random((3, 6, 8), np.float32))
+        assert "for t0 in range(0, 4):\n" in k.source
+        assert "for t1 in range(0, 3):  # loop (ch): outside slab, " \
+               "store-not-driven" in k.source
+        assert "b_out[t0, 0:6, 0:8] = b_out[t0, 0:6, 0:8] + " in k.source
+
+    def test_triangular_inner_bound_stops_the_chain(self):
+        def build(tag):
+            f = Function("f")
+            with f:
+                i = Var("i", 0, 8)
+                j = Var("j", i, 8)
+                c = Computation("c", [i, j], None)
+                c.set_expression(1.0 * i + 2.0 * j)
+            if tag:
+                c.vectorize("j", 8)
+            return f, {}
+        k, got = _both(build)
+        assert "# loop (i): outside slab, non-rectangular" in k.source
+        assert "# vectorized (j)\n" in k.source
+        assert got["c"][5, 6] == 17 and got["c"][6, 5] == 0
+
+    def test_store_moved_by_two_axes_refuses(self):
+        def build(tag):
+            f = Function("f")
+            with f:
+                i, j = Var("i", 0, 4), Var("j", 0, 6)
+                c = Computation("c", [i, j], None)
+                c.set_expression(1.0 * i)
+                c.store_in(Buffer("b", [10]), [i + j])
+            if tag:
+                c.vectorize("j", 8)
+            return f, {}
+        k, got = _both(build)
+        assert "# loop (i): outside slab, store-not-separable" in k.source
+        assert k.vector_loops == 1
+        assert (got["b"] == [0, 1, 2, 3, 3, 3, 3, 3, 3, 0]).all()
+
+    def test_transposed_read(self):
+        def build(tag):
+            f = Function("f")
+            with f:
+                inp = Input("inp", [Var("x", 0, 9), Var("y", 0, 5)])
+                i, j = Var("i", 0, 5), Var("j", 0, 9)
+                c = Computation("c", [i, j], None)
+                c.set_expression(inp(j, i) * 2.0)
+            if tag:
+                c.vectorize("j", 8)
+            return f, {}
+        data = self.rng.random((9, 5), np.float32)
+        k, got = _both(build, inp=data)
+        assert "over (i)" in k.source
+        assert np.array_equal(got["c"], data.T * 2.0)
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_one_buffer_axis_sliced_by_two_slab_variables(self, fused):
+        """``k[i]`` and ``k[j]`` slice the same axis of ``k`` over
+        different ranges, in one statement or in two fused ones: each
+        read keeps its own variable's bounds, and each is range-checked."""
+        def build(tag):
+            f = Function("f")
+            with f:
+                kk = Input("k", [Var("x", 0, 12)])
+                i, j = Var("i", 1, 5), Var("j", 2, 11)
+                a = Computation("a", [i, j], None)
+                if fused:
+                    a.set_expression(kk(i) * 2.0)
+                    i2, j2 = Var("i2", 1, 5), Var("j2", 2, 11)
+                    b = Computation("b", [i2, j2], None)
+                    b.set_expression(a(i2, j2) * kk(j2))
+                    b.after(a, "j")
+                else:
+                    a.set_expression(kk(i) * kk(j))
+            if tag:
+                a.vectorize("j", 16)
+                if fused:
+                    b.vectorize("j2", 16)
+            return f, {}
+        data = self.rng.random(12, np.float32)
+        k, got = _both(build, k=data)
+        assert "b_k[1:5, None]" in k.source and "b_k[2:11]" in k.source
+        assert "# vectorized (j) over (i)" in k.source
+        assert "for " not in k.source
+        out = got["b" if fused else "a"][1:5, 2:11]
+        assert np.array_equal(out, (data[1:5, None] * 2.0 if fused
+                                    else data[1:5, None]) * data[2:11])
+        with pytest.raises(IndexError, match="vector loop j"):
+            k(k=data[:10])      # long enough for i, short for j
+
+    def test_repeated_lane_valued_subtree_is_computed_once(self):
+        """warpAffine's shape: ``floor(x)`` of a coordinate that stands
+        in the statement four times is one local, what it is built from
+        another only because it is also used beside it; the cast the
+        float32 operand needs wraps the local."""
+        from repro.ir import floor
+        def build(tag):
+            f = Function("f")
+            with f:
+                inp = Input("inp", [Var("x", 0, 6), Var("y", 0, 9)])
+                i, j = Var("i", 0, 6), Var("j", 0, 9)
+                x = 0.25 * i + 0.5 * j
+                frac = x - floor(x)
+                c = Computation("c", [i, j], None)
+                c.set_expression(inp(i, j) * x + (1 - frac) * frac)
+            if tag:
+                c.vectorize("j", 16)
+            return f, {}
+        k, __ = _both(build, inp=self.rng.random((6, 9), np.float32))
+        src = k.source
+        assert src.count("np.floor(") == 1 and src.count("0.25 * t0") == 1
+        assert "_c1 = (0.25 * t0) + (0.5 * t1)\n" in src
+        assert "_c2 = _c1 - np.floor(_c1)\n" in src
+        assert "b_inp[0:6, 0:9] * np.float32(_c1)" in src
+        assert "(1 - _c2) * _c2" in src
+
+    def test_inlined_producer_in_a_slab(self):
+        """Each place an inlined producer is read lowers its body with
+        that place's indices; what repeats inside one body is a local."""
+        from repro.ir import floor
+        def build(tag):
+            f = Function("f")
+            with f:
+                inp = Input("inp", [Var("x", 0, 6), Var("y", 0, 10)])
+                i, j = Var("i", 0, 6), Var("j", 1, 9)
+                p, q = Var("p", 0, 6), Var("q", 0, 10)
+                frac = 0.3 * q - floor(0.3 * q)
+                a = Computation("a", [p, q], inp(p, q) * frac + frac)
+                c = Computation("c", [i, j], None)
+                c.set_expression(a(i, j - 1) - a(i, j + 1))
+            a.inline()
+            if tag:
+                c.vectorize("j", 16)
+            return f, {}
+        k, __ = _both(build, inp=self.rng.random((6, 10), np.float32))
+        assert "# vectorized (j) over (i)" in k.source
+        assert k.source.count("np.floor(") == 2      # one per place
+
+    def test_index_vector_apart_from_a_scalar_index_keeps_its_axis(self):
+        """``b[t0, 0:M, idx(c)]``: NumPy would put the axis of an index
+        vector separated from the scalar by a slice *first* -- (C, M)."""
+        from repro.ir import clamp
+        def build(tag):
+            f = Function("f")
+            with f:
+                inp = Input("inp", [Var("x", 0, 3), Var("y", 0, 7),
+                                    Var("z", 0, 4)])
+                r, m, c_ = Var("r", 0, 3), Var("m", 0, 7), Var("ch", 0, 4)
+                c = Computation("c", [r, m, c_], None)
+                c.set_expression(inp(r, m, clamp(c_ + 1, 0, 3)))
+                c.store_in(Buffer("out", [7, 4]), [m, c_])
+            if tag:
+                c.vectorize("ch", 4)
+            return f, {}
+        data = self.rng.random((3, 7, 4), np.float32)
+        k, got = _both(build, inp=data)
+        assert "vectorized (ch) over (m)" in k.source
+        assert np.array_equal(got["out"], data[2][:, [1, 2, 3, 3]])
+
+    def test_empty_range_on_any_axis_runs_nothing(self):
+        N, M = Param("N"), Param("M")
+        f = Function("f", params=[N, M])
+        with f:
+            i, j = Var("i", 2, N - 2), Var("j", 1, M - 1)
+            c = Computation("c", [i, j], 1.0)
+            c.store_in(Buffer("b", [8, 6]), [i, j])
+        c.vectorize("j", 8)
+        k = f.compile("cpu")
+        assert "over (i)" in k.source
+        assert (k(N=1, M=6)["b"] == 0).all()    # 2:-1 must not wrap around
+        assert (k(N=8, M=1)["b"] == 0).all()
+        assert k(N=8, M=6)["b"].sum() == 4 * 4
+
+    def test_buffer_short_along_a_joined_axis_raises(self):
+        f = Function("f")
+        with f:
+            inp = Input("inp", [Var("x", 0, 10), Var("y", 0, 6)])
+            i, j = Var("i", 0, 10), Var("j", 0, 6)
+            c = Computation("c", [i, j], None)
+            c.set_expression(inp(i, j) * 2.0)
+        c.vectorize("j", 8)
+        k = f.compile("cpu")
+        assert "b_c[0:10, 0:6]" in k.source
+        with pytest.raises(IndexError, match="vector loop j"):
+            k(inp=np.ones((8, 6), dtype=np.float32))     # rows, not lanes
+
+    def test_profile_counts_the_product_of_the_spans(self):
+        N = Param("N")
+        f = Function("f", params=[N])
+        with f:
+            i, j = Var("i", 1, N), Var("j", 0, 6)
+            c = Computation("c", [i, j], 1.0)
+            c.store_in(Buffer("b", [9, 6]), [i, j])
+        c.vectorize("j", 8)
+        k = f.compile("cpu", profile=True, num_threads=1)
+        assert "_ct0 += (N - 1) * 6\n" in k.source
+        k(N=9)
+        assert k.last_run.comp("c").iterations == 8 * 6
+
+    @pytest.mark.parametrize("second", ["transposed", "skewed"])
+    def test_fused_stores_must_agree_on_the_axes(self, second):
+        """One slab, one axis order: a fused statement that stores the
+        axes in another order, or not one per index, keeps ``i`` out."""
+        def build(tag):
+            f = Function("f")
+            with f:
+                i, j = Var("i", 0, 4), Var("j", 0, 4)
+                a = Computation("a", [i, j], None)
+                a.set_expression(1.0 * i + 0.5 * j)
+                b = Computation("b", [Var("i2", 0, 4), Var("j2", 0, 4)],
+                                None)
+                b.set_expression(a(Var("i2", 0, 4), Var("j2", 0, 4)) * 2.0)
+                i2, j2 = Var("i2", 0, 4), Var("j2", 0, 4)
+                if second == "transposed":
+                    b.store_in(Buffer("bt", [4, 4]), [j2, i2])
+                else:
+                    b.store_in(Buffer("bt", [8, 4]), [i2 + j2, j2])
+            b.after(a, "j")
+            if tag:
+                a.vectorize("j", 4)
+                b.vectorize("j2", 4)
+            return f, {}
+        k, __ = _both(build)
+        assert "# loop (i): outside slab, store-not-separable" in k.source
+        assert k.vector_loops == 1 and not declines(k)
