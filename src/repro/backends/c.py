@@ -32,19 +32,20 @@ import numpy as np
 from repro.codegen.ast import Block, Loop, Stmt
 from repro.codegen.lanes import lane_verdict
 from repro.codegen.pyemit import lin_to_py
-from repro.core.buffer import ArgKind, Buffer
+from repro.core.deps import DependenceSummary
+from repro.core.buffer import Buffer
 from repro.core.computation import Operation
 from repro.core.errors import CodegenError, ExecutionError
 from repro.core.function import Function
-from repro.ir.expr import (Access, BinOp, BufferRead, Call, Cast, Const,
-                           Expr, IterVar, ParamRef, Select, UnOp)
+from repro.ir.expr import (BinOp, BufferRead, Call, Cast, Const, Expr,
+                           IterVar, ParamRef, Select, UnOp)
 from repro.ir.typing import COMPARISONS, Type, combine
 from repro.isl import LinExpr
 from repro.isl.constraint import EQ
 
 from repro.driver.registry import Backend, register_backend
 
-from .common import collect_buffers, infer_argument_kinds
+from .common import bind_arguments, collect_buffers, infer_argument_kinds
 
 _C_PRELUDE = """\
 #include <stdint.h>
@@ -147,7 +148,6 @@ class CEmitter:
         self.lanes_verified = lanes_verified
         self.lines: List[str] = []
         self.indent = 1
-        self.current_comp = None
 
     def line(self, text: str = "") -> None:
         self.lines.append("    " * self.indent + text)
@@ -177,8 +177,9 @@ class CEmitter:
 
     # -- expressions ------------------------------------------------------
 
-    def expr_c(self, expr: Expr, env: Dict[str, _C], float_div: bool) -> _C:
-        """``expr`` rendered in its inferred type."""
+    def expr_c(self, expr: Expr, env: Dict[str, _C]) -> _C:
+        """``expr``, in buffer terms (:mod:`repro.core.access`),
+        rendered in its inferred type."""
         if isinstance(expr, Const):
             v = expr.value
             text = str(int(v)) if isinstance(v, (bool, int)) else repr(v)
@@ -194,34 +195,32 @@ class CEmitter:
                 return _C(expr.name, int)
             raise CodegenError(f"unknown parameter {expr.name!r}")
         if isinstance(expr, BinOp):
-            return self._binop_c(
-                "//" if expr.op == "/" and not float_div else expr.op,
-                self.expr_c(expr.lhs, env, float_div),
-                self.expr_c(expr.rhs, env, float_div))
+            return self._binop_c(expr.op, self.expr_c(expr.lhs, env),
+                                 self.expr_c(expr.rhs, env))
         if isinstance(expr, UnOp):
-            x = self.expr_c(expr.operand, env, float_div)
+            x = self.expr_c(expr.operand, env)
             rt = combine("neg", (x.t,))[1]
             ct = _ctype(rt)
             return _C(f"-{_p(x, 4)}" if ct in _WIDE else
                       f"({ct})-(uint64_t){_p(x, 4)}", rt, 3)
         if isinstance(expr, Select):
-            c, t, f = (self.expr_c(e, env, float_div)
-                       for e in (expr.cond, expr.if_true, expr.if_false))
+            c, t, f = (self.expr_c(e, env) for e in expr.children())
             rt = combine("select", (t.t, f.t))[1]
             return _C(f"({c} ? {_coerce(t, _ctype(rt), f.ct)} : "
                       f"{_coerce(f, _ctype(rt), t.ct)})", rt)
         if isinstance(expr, Cast):
-            x = _coerce(self.expr_c(expr.operand, env, float_div),
+            x = _coerce(self.expr_c(expr.operand, env),
                         _CTYPE[expr.dtype.np_dtype], "")
             return _C(x, expr.dtype, x.prec)
         if isinstance(expr, Call):
-            return self._call_c(expr.fn, [self.expr_c(a, env, float_div)
+            return self._call_c(expr.fn, [self.expr_c(a, env)
                                           for a in expr.args])
-        if isinstance(expr, Access):
-            return self._access_c(expr, env, float_div)
         if isinstance(expr, BufferRead):
-            return self._indexed(expr.buffer, [
-                self.expr_c(e, env, float_div) for e in expr.indices])
+            flat = self.expr_c(expr.indices[0], env)
+            for k, e in enumerate(expr.indices[1:], 1):
+                flat = _C(f"{_p(flat, 2)} * {expr.buffer.name}_dim{k} + "
+                          f"{_p(self.expr_c(e, env), 1)}", int, 1)
+            return _C(f"{expr.buffer.name}[{flat}]", expr.buffer.dtype)
         raise CodegenError(f"cannot emit {expr!r} as C")
 
     def _binop_c(self, op: str, lhs: _C, rhs: _C) -> _C:
@@ -255,30 +254,6 @@ class CEmitter:
         ct = _ctype(operand)
         name = _CALLS[fn][_FLOATS.index(ct) + 1 if ct in _FLOATS else 0]
         return _C(f"{name}({', '.join(_coerce(a, ct) for a in args)})", rt)
-
-    def _access_c(self, access: Access, env, float_div) -> _C:
-        producer = access.computation
-        env_q = dict(zip(producer.var_names, (
-            self.expr_c(e, env, float_div) for e in access.indices)))
-        if producer.inlined:
-            inner = self.expr_c(producer.expr, env_q,
-                                producer.dtype.is_float)
-            return _C(_p(inner, 4), inner.t)
-        if producer.cached_store is not None or (
-                self.current_comp is not None
-                and producer.name in self.current_comp.cached_reads):
-            raise CodegenError(
-                "GPU shared-memory caches are not lowered by the C "
-                "backend; use the gpu backend")
-        return self._indexed(producer.get_buffer(), [
-            self.expr_c(e, env_q, False) for e in producer.store_indices()])
-
-    def _indexed(self, buffer: Buffer, idx: List[_C]) -> _C:
-        flat = idx[0]
-        for k, i in enumerate(idx[1:], 1):
-            flat = _C(f"{_p(flat, 2)} * {buffer.name}_dim{k} + {_p(i, 1)}",
-                      int, 1)
-        return _C(f"{buffer.name}[{flat}]", buffer.dtype)
 
     # -- statements -----------------------------------------------------------
 
@@ -327,30 +302,29 @@ class CEmitter:
 
     def emit_stmt(self, stmt: Stmt) -> None:
         comp = stmt.comp
-        self.current_comp = comp
+        if comp.cached_reads or comp.cached_store is not None:
+            raise CodegenError(
+                "GPU shared-memory caches are not lowered by the C "
+                "backend; use the gpu backend")
         closes = 0
         env = self.stmt_env(comp)
+        form = DependenceSummary.of(self.fn).form(comp)
         for guard in stmt.guards:
             es = _lin_to_c(guard.expr, self.params)
             op = "==" if guard.kind == EQ else ">="
             self.line(f"if ({es} {op} 0) {{")
             self.indent += 1
             closes += 1
-        if comp.predicate is not None:
-            pred = self.expr_c(comp.predicate, env, comp.dtype.is_float)
-            self.line(f"if ({pred}) {{")
+        if form.predicate is not None:
+            self.line(f"if ({self.expr_c(form.predicate, env)}) {{")
             self.indent += 1
             closes += 1
         if isinstance(comp, Operation):
             self._emit_operation(comp, env)
         else:
-            from repro.ir.fold import fold
-            buffer = comp.get_buffer()
-            target = self._indexed(buffer, [
-                self.expr_c(e, env, False) for e in comp.store_indices()])
-            rhs = self.expr_c(fold(comp.expr), env, comp.dtype.is_float)
-            self.line(f"{target} = "
-                      f"{_coerce(rhs, _CTYPE[buffer.dtype.np_dtype])};")
+            rhs = _coerce(self.expr_c(form.value, env),
+                          _CTYPE[form.store.buffer.dtype.np_dtype])
+            self.line(f"{self.expr_c(form.store, env)} = {rhs};")
         for __ in range(closes):
             self.indent -= 1
             self.line("}")
@@ -402,33 +376,13 @@ class NativeKernel:
         self._lib.kernel.restype = None
 
     def __call__(self, **kwargs):
-        params = {}
-        for p in self.param_names:
-            if p not in kwargs:
-                raise ExecutionError(f"missing parameter {p!r}")
-            params[p] = int(kwargs.pop(p))
-        arrays: Dict[str, np.ndarray] = {}
-        outputs: Dict[str, np.ndarray] = {}
-        for buf in self.buffers:
-            if buf.kind in (ArgKind.INPUT, ArgKind.INOUT):
-                if buf.name not in kwargs:
-                    raise ExecutionError(f"missing buffer {buf.name!r}")
-                arr = np.ascontiguousarray(
-                    kwargs.pop(buf.name),
-                    dtype=buf.dtype.to_numpy())
-                arrays[buf.name] = arr
-                if buf.kind == ArgKind.INOUT:
-                    outputs[buf.name] = arr
-            elif buf.kind == ArgKind.OUTPUT:
-                arr = kwargs.pop(buf.name, None)
-                if arr is None:
-                    arr = buf.allocate(params)
-                arrays[buf.name] = np.ascontiguousarray(arr)
-                outputs[buf.name] = arrays[buf.name]
-            else:
-                arrays[buf.name] = buf.allocate(params)
-        if kwargs:
-            raise ExecutionError(f"unknown arguments: {sorted(kwargs)}")
+        params, arrays, outputs = bind_arguments(
+            self.buffers, self.param_names, kwargs)
+        # the C kernel indexes dense arrays of the declared element type
+        arrays = {buf.name: np.ascontiguousarray(
+            arrays[buf.name], dtype=buf.dtype.to_numpy())
+            for buf in self.buffers}
+        outputs = {name: arrays[name] for name in outputs}
         c_args = []
         for buf in self.buffers:
             c_args.append(arrays[buf.name].ctypes.data_as(

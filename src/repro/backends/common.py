@@ -13,9 +13,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro import settings
 from repro.core.buffer import ArgKind, Buffer
 from repro.core.computation import Input, Operation
+from repro.core.errors import ExecutionError
 from repro.core.function import Function
 
 #: Per-use defaults when neither the ``timeout`` option nor the
@@ -97,6 +100,39 @@ def collect_buffers(fn: Function) -> List[Buffer]:
                 seen[id(b)] = b
                 order.append(b)
     return order
+
+
+def bind_arguments(buffers: List[Buffer], param_names, kwargs):
+    """Sort a kernel call's keyword arguments into ``(params, arrays,
+    outputs)``: every parameter as an int, an array for every buffer
+    (the caller's for an input, an inout and an output it passed;
+    allocated for the rest), and the subset a call returns.  A missing
+    parameter or input and an argument the kernel does not take raise
+    :class:`ExecutionError` naming it.  ``kwargs`` is consumed."""
+    params = {}
+    for p in param_names:
+        if p not in kwargs:
+            raise ExecutionError(f"missing parameter {p!r}")
+        params[p] = int(kwargs.pop(p))
+    arrays: Dict[str, np.ndarray] = {}
+    outputs: Dict[str, np.ndarray] = {}
+    for buf in buffers:
+        if buf.kind in (ArgKind.INPUT, ArgKind.INOUT):
+            if buf.name not in kwargs:
+                raise ExecutionError(
+                    f"missing {buf.kind.value} buffer {buf.name!r}")
+            arr = np.asarray(kwargs.pop(buf.name))
+        else:
+            arr = kwargs.pop(buf.name, None) \
+                if buf.kind == ArgKind.OUTPUT else None
+            if arr is None:
+                arr = buf.allocate(params)
+        arrays[buf.name] = arr
+        if buf.kind in (ArgKind.INOUT, ArgKind.OUTPUT):
+            outputs[buf.name] = arr
+    if kwargs:
+        raise ExecutionError(f"unknown arguments: {sorted(kwargs)}")
+    return params, arrays, outputs
 
 
 def bind_python_kernel(fn: Function, source: str, tag: str):

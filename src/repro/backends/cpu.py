@@ -13,19 +13,16 @@ remain available for the paper-scale figures.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import List, Optional
 
 from repro.codegen.pyemit import (_CDIV, _PRELUDE, _PROFILE_PRELUDE, Emitter,
                                   _buf_var, profile_counted_comps,
                                   vector_summary)
 from repro.core.buffer import ArgKind, Buffer
-from repro.core.errors import ExecutionError
 from repro.core.function import Function
 from repro.driver.registry import Backend, register_backend
 
-from .common import (bind_python_kernel, collect_buffers,
+from .common import (bind_arguments, bind_python_kernel, collect_buffers,
                      infer_argument_kinds)
 from .evalexpr import eval_const_expr
 
@@ -49,33 +46,8 @@ class CompiledKernel:
                 if b.kind != ArgKind.TEMPORARY] + self.param_names
 
     def __call__(self, _runtime=None, **kwargs):
-        params = {}
-        for p in self.param_names:
-            if p not in kwargs:
-                raise ExecutionError(f"missing parameter {p!r}")
-            params[p] = int(kwargs.pop(p))
-        arrays: Dict[str, np.ndarray] = {}
-        outputs: Dict[str, np.ndarray] = {}
-        for buf in self.buffers:
-            if buf.kind == ArgKind.INPUT:
-                if buf.name not in kwargs:
-                    raise ExecutionError(f"missing input buffer {buf.name!r}")
-                arrays[buf.name] = np.asarray(kwargs.pop(buf.name))
-            elif buf.kind == ArgKind.INOUT:
-                if buf.name not in kwargs:
-                    raise ExecutionError(f"missing inout buffer {buf.name!r}")
-                arrays[buf.name] = np.asarray(kwargs.pop(buf.name))
-                outputs[buf.name] = arrays[buf.name]
-            elif buf.kind == ArgKind.OUTPUT:
-                arr = kwargs.pop(buf.name, None)
-                if arr is None:
-                    arr = buf.allocate(params)
-                arrays[buf.name] = arr
-                outputs[buf.name] = arr
-            else:
-                arrays[buf.name] = buf.allocate(params)
-        if kwargs:
-            raise ExecutionError(f"unknown arguments: {sorted(kwargs)}")
+        params, arrays, outputs = bind_arguments(
+            self.buffers, self.param_names, kwargs)
         runtime = _runtime if _runtime is not None else self.runtime
         collector = None
         if self.profiled:

@@ -37,6 +37,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.codegen.pyemit import Emitter, _buf_var, lin_to_py
+from repro.core.access import integer
 from repro.core.buffer import ArgKind
 from repro.core.errors import (CodegenError, DeadlockError, ExecutionError,
                                InjectedFaultError, RankFailedError)
@@ -419,22 +420,17 @@ class DistEmitter(Emitter):
 
     def emit_operation(self, op, env) -> None:
         kind = op.op_kind
-        if kind == "send":
-            buf = op.payload["buffer"]
-            off = self.expr_py(op.payload["offset"], env, False)
-            size = self.expr_py(op.payload["size"], env, False)
-            peer = self.expr_py(op.payload["peer"], env, False)
-            sync = "sync" in op.payload["props"]
-            self.line(f"_runtime.send({peer}, "
-                      f"{_buf_var(buf)}.reshape(-1)[{off}:({off}) + {size}],"
-                      f" sync={sync})")
-        elif kind == "recv":
-            buf = op.payload["buffer"]
-            off = self.expr_py(op.payload["offset"], env, False)
-            size = self.expr_py(op.payload["size"], env, False)
-            peer = self.expr_py(op.payload["peer"], env, False)
-            self.line(f"{_buf_var(buf)}.reshape(-1)[{off}:({off}) + {size}]"
-                      f" = _runtime.recv({peer})")
+        if kind in ("send", "recv"):
+            flat = f"{_buf_var(op.payload['buffer'])}.reshape(-1)"
+            off, size, peer = (self.expr_py(integer(op.payload[key]), env)
+                               for key in ("offset", "size", "peer"))
+            if kind == "send":
+                sync = "sync" in op.payload["props"]
+                self.line(f"_runtime.send({peer}, "
+                          f"{flat}[{off}:({off}) + {size}], sync={sync})")
+            else:
+                self.line(f"{flat}[{off}:({off}) + {size}]"
+                          f" = _runtime.recv({peer})")
         elif kind == "barrier":
             self.line("_runtime.barrier()")
         else:

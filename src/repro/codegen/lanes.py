@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.access import Resolved
+from repro.core.deps import DependenceSummary
 from repro.ir.affine import try_expr_to_linexpr
-from repro.ir.expr import Expr, IterVar, accesses_in, substitute_exprs
+from repro.ir.expr import Expr, IterVar
 from repro.isl.linexpr import IN, OUT, PARAM, LinExpr
 
 from .ast import Loop, Stmt
@@ -43,27 +45,6 @@ def time_index(comp, exprs: Sequence[Expr]) -> Index:
     return tuple(out)
 
 
-def _reads(comp, stored) -> List[Tuple[object, Index]]:
-    """(buffer, index) of every element ``comp`` reads of a buffer whose
-    ``id`` is in ``stored``, inlined producers expanded to what they
-    read."""
-    out: List[Tuple[object, Index]] = []
-    todo = [comp.expr] + ([comp.predicate] if comp.predicate is not None
-                          else [])
-    while todo:
-        for acc in accesses_in(todo.pop()):
-            producer = acc.computation
-            table = dict(zip(producer.var_names, acc.indices))
-            if producer.inlined:
-                todo.append(substitute_exprs(producer.expr, table))
-                continue
-            if id(producer.get_buffer()) in stored:
-                out.append((producer.get_buffer(), time_index(
-                    comp, [substitute_exprs(e, table)
-                           for e in producer.store_indices()])))
-    return out
-
-
 #: A loop dim of the time space, ``(OUT, level)``.
 Lane = Tuple[str, int]
 
@@ -84,17 +65,18 @@ def slab_axes(store: Index, lanes: Sequence[Lane]
     return tuple(sorted(lanes, key=at.get))
 
 
-def _one_index_per_buffer(stmts: Sequence[Stmt],
+def _one_index_per_buffer(stmts: Sequence[Stmt], forms: Sequence[Resolved],
                           stores: Sequence[Index]) -> bool:
     """Does every access in the body to a buffer the body stores use one
     and the same affine index vector?"""
     stored: Dict[int, Index] = {}
-    for stmt, store in zip(stmts, stores):
+    for form, store in zip(forms, stores):
         if None in store or stored.setdefault(
-                id(stmt.comp.get_buffer()), store) != store:
+                id(form.store.buffer), store) != store:
             return False
-    return all(stored[id(buf)] == idx
-               for stmt in stmts for buf, idx in _reads(stmt.comp, stored))
+    return all(stored[id(read.buffer)] == time_index(stmt.comp, read.indices)
+               for stmt, form in zip(stmts, forms) for read in form.reads
+               if id(read.buffer) in stored)
 
 
 def slab_verdict(fn, chain: Sequence[Loop], verified: bool = False
@@ -131,7 +113,10 @@ def slab_verdict(fn, chain: Sequence[Loop], verified: bool = False
             return len(chain), "guard", ()
         if stmt.comp.predicate is not None:
             return len(chain), "predicate", ()
-    stores = [time_index(s.comp, s.comp.store_indices()) for s in stmts]
+    summary = DependenceSummary.of(fn)
+    forms = [summary.form(s.comp) for s in stmts]
+    stores = [time_index(s.comp, form.store.indices)
+              for s, form in zip(stmts, forms)]
     structural: Optional[bool] = None
     axes: Tuple[Lane, ...] = ()
     for k in range(len(chain) - 1, -1, -1):
@@ -155,12 +140,10 @@ def slab_verdict(fn, chain: Sequence[Loop], verified: bool = False
                      for s in stmts)
         if not (verified and tagged):
             if structural is None:
-                structural = _one_index_per_buffer(stmts, stores)
+                structural = _one_index_per_buffer(stmts, forms, stores)
             if not structural:
-                from repro.core.deps import DependenceSummary
                 for stmt in stmts:
-                    for dep in DependenceSummary.of(fn).carried(stmt.comp,
-                                                                level):
+                    for dep in summary.carried(stmt.comp, level):
                         return k + 1, (
                             f"carried {dep.kind} {dep.source.name}->"
                             f"{dep.sink.name} on {dep.buffer.name}"), axes

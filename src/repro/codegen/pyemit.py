@@ -33,9 +33,11 @@ import io
 import re
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core.access import integer
+from repro.core.deps import DependenceSummary
 from repro.core.errors import CodegenError
-from repro.ir.expr import (Access, BinOp, BufferRead, Call, Cast, Const,
-                           Expr, IterVar, ParamRef, Select, UnOp)
+from repro.ir.expr import (BinOp, BufferRead, Call, Cast, Const, Expr,
+                           IterVar, ParamRef, Select, UnOp)
 from repro.ir.typing import combine, result_type, strong
 from repro.isl import Constraint, LinExpr
 from repro.isl.constraint import EQ
@@ -301,9 +303,10 @@ class Emitter:
 
     # -- expression lowering -------------------------------------------------
 
-    def expr_py(self, expr: Expr, env: Dict[str, Value],
-                float_div: bool) -> str:
-        return self._s(self._val(expr, env, float_div))
+    def expr_py(self, expr: Expr, env: Dict[str, Value]) -> str:
+        """Render ``expr``, an expression in buffer terms
+        (:mod:`repro.core.access`)."""
+        return self._s(self._val(expr, env))
 
     def _lanes(self, *vals: Value) -> frozenset:
         """The slab axes any of ``vals`` moves with."""
@@ -325,21 +328,21 @@ class Emitter:
             self._vec.arange |= lanes
         return _lin_py(v, self.params, lanes)
 
-    def _val(self, expr: Expr, env: Dict[str, Value], float_div: bool,
+    def _val(self, expr: Expr, env: Dict[str, Value],
              index: bool = False) -> Value:
         """Lower ``expr``; ``index`` marks index position, where
         ``min``/``max``/``clamp`` of scalars are plain Python ints.  In a
         vector statement a lane-valued sub-expression that stands in it
         more than once (:meth:`_Lanes.count`) is held in a local; a whole
         index goes through :meth:`_lower`, :meth:`_subscript` holds it."""
-        v = self._lower(expr, env, float_div, index)
+        v = self._lower(expr, env, index)
         vec = self._vec
         if vec is not None and getattr(v, "lanes", None) \
                 and not v.isidentifier() and vec.repeats(expr):
             v = vec.local(v, self.fresh, "_c")
         return v
 
-    def _lower(self, expr: Expr, env: Dict[str, Value], float_div: bool,
+    def _lower(self, expr: Expr, env: Dict[str, Value],
                index: bool) -> Value:
         if isinstance(expr, Const):
             v = expr.value
@@ -355,8 +358,8 @@ class Emitter:
                 return LinExpr.dim(PARAM, self.params.index(expr.name))
             raise CodegenError(f"unknown parameter {expr.name!r}")
         if isinstance(expr, BinOp):
-            lhs = self._val(expr.lhs, env, float_div, index)
-            rhs = self._val(expr.rhs, env, float_div, index)
+            lhs = self._val(expr.lhs, env, index)
+            rhs = self._val(expr.rhs, env, index)
             op = expr.op
             if isinstance(lhs, LinExpr) and isinstance(rhs, LinExpr):
                 if op in "+-":
@@ -365,45 +368,39 @@ class Emitter:
                     return rhs * int(lhs.const)
                 if op == "*" and rhs.is_constant():
                     return lhs * int(rhs.const)
-            if op == "/" and not float_div:
-                op = "//"
-            lhs, rhs = self._meet(op, expr.children(), (lhs, rhs), float_div)
+            lhs, rhs = self._meet(op, expr.children(), (lhs, rhs))
             if op in ("and", "or") and self._vec is not None:
                 op = "&" if op == "and" else "|"
             return _Py(f"{_p(lhs)} {op} {_p(rhs)}",
                        lanes=self._lanes(lhs, rhs),
                        weak=lhs.weak and rhs.weak)
         if isinstance(expr, UnOp):
-            v = self._val(expr.operand, env, float_div, index)
+            v = self._val(expr.operand, env, index)
             if isinstance(v, LinExpr) and expr.op == "-":
                 return -v
             v = self._s(v)
             return _Py(f"{expr.op}{_p(v)}", lanes=self._lanes(v),
                        weak=v.weak)
         if isinstance(expr, Select):
-            cond = self.expr_py(expr.cond, env, float_div)
+            cond = self.expr_py(expr.cond, env)
             args = [cond] + self._meet("select", expr.children()[1:], [
-                self._val(e, env, float_div)
-                for e in (expr.if_true, expr.if_false)], float_div)
+                self._val(e, env) for e in (expr.if_true, expr.if_false)])
             return _Py(f"np.where({', '.join(args)})", True,
                        self._lanes(*args))
         if isinstance(expr, Cast):
-            v = self.expr_py(expr.operand, env, float_div)
+            v = self.expr_py(expr.operand, env)
             return _Py(f"np.{expr.dtype.np_dtype}({v})", True, self._lanes(v))
         if isinstance(expr, Call):
             args = self._meet(expr.fn, expr.args, [
-                self._val(a, env, float_div, index) for a in expr.args],
-                float_div)
+                self._val(a, env, index) for a in expr.args])
             return self._call_py(expr.fn, args, index)
         if isinstance(expr, BufferRead):
-            return self._subscript(expr.buffer, [
-                self._lower(e, env, float_div, True) for e in expr.indices])
-        if isinstance(expr, Access):
-            return self._access_py(expr, env, float_div)
+            return self._element(expr, env,
+                                 self.current_comp.cache_of(expr.buffer))
         raise CodegenError(f"cannot emit expression {expr!r}")
 
-    def _meet(self, op: str, exprs: Sequence[Expr], vals: Sequence[Value],
-              float_div: bool) -> List[_Py]:
+    def _meet(self, op: str, exprs: Sequence[Expr],
+              vals: Sequence[Value]) -> List[_Py]:
         """The operands of ``op`` rendered.  In a vector statement an
         index vector is a strong ``int64`` array where the scalar loop
         variable is a weak Python int, so a weak operand built on one
@@ -415,7 +412,7 @@ class Emitter:
             return vals
         moved = [v.weak and v.lanes for v in vals]
         if any(moved) and not all(v.weak for v in vals):
-            types = tuple(result_type(e, float_div) for e in exprs)
+            types = tuple(map(result_type, exprs))
             to = combine(op, types)[0]
             if to != combine(op, tuple(strong(t) if m else t for t, m
                                        in zip(types, moved)))[0]:
@@ -439,25 +436,16 @@ class Emitter:
             return _Py(f"{fn}({', '.join(args)})", True)
         return _Py(f"{table[fn]}({', '.join(args)})", True, lanes)
 
-    def _access_py(self, access: Access, env: Dict[str, Value],
-                   float_div: bool) -> Value:
-        producer = access.computation
-        lower = self._val if producer.inlined else self._lower
-        env_q = {nm: lower(e, env, float_div, not producer.inlined)
-                 for nm, e in zip(producer.var_names, access.indices)}
-        if producer.inlined:
-            if self._vec is not None:
-                self._vec.count(producer.expr)
-            return self._val(producer.expr, env_q, producer.dtype.is_float)
-        out = [self._lower(e, env_q, False, True)
-               for e in producer.store_indices()]
-        cached = None
-        if self.current_comp is not None:
-            cached = self.current_comp.cached_reads.get(producer.name)
-        if cached is not None:
-            shared, origins, __ = cached
-            return self._subscript(shared, self._rebased(out, origins))
-        return self._subscript(producer.get_buffer(), out)
+    def _element(self, element: BufferRead, env: Dict[str, Value],
+                 cache) -> _Py:
+        """``element`` as a subscript, rebased onto the staging buffer
+        when the statement reaches it through ``cache`` (``(staging
+        buffer, origins)``)."""
+        idx = [self._lower(e, env, True) for e in element.indices]
+        if cache:
+            shared, origins = cache
+            return self._subscript(shared, self._rebased(idx, origins))
+        return self._subscript(element.buffer, idx)
 
     def _rebased(self, idx: List[Value], origins) -> List[Value]:
         """Indices relative to a staging buffer's origin."""
@@ -868,14 +856,14 @@ class Emitter:
         vec = self._vec = _Lanes({lane: ranges[lane] for lane in axes})
         count = " * ".join(map(_p, counts)) if len(counts) > 1 else counts[0]
         try:
-            from repro.ir.fold import fold
             for stmt in slab[-1].body.children:
                 comp = self.current_comp = stmt.comp
                 env = self.stmt_env(comp)
-                expr = fold(comp.expr)
-                vec.begin(expr)
-                rhs = self.expr_py(expr, env, comp.dtype.is_float)
-                vec.lines.append(f"{self._store_target(comp, env)} = {rhs}")
+                form = DependenceSummary.of(self.fn).form(comp)
+                vec.begin(form.value)
+                rhs = self.expr_py(form.value, env)
+                target = self._element(form.store, env, comp.cached_store)
+                vec.lines.append(f"{target} = {rhs}")
                 if self.profile and comp.name in self._counters:
                     # One statement instance per point of the slab.
                     vec.lines.append(
@@ -923,36 +911,27 @@ class Emitter:
             self.indent += 1
             closes += 1
         env = self.stmt_env(comp)
-        if comp.predicate is not None:
-            pred = self.expr_py(comp.predicate, env, comp.dtype.is_float)
-            self.line(f"if {pred}:")
+        form = DependenceSummary.of(self.fn).form(comp)
+        if form.predicate is not None:
+            self.line(f"if {self.expr_py(form.predicate, env)}:")
             self.indent += 1
             closes += 1
         if isinstance(comp, Operation):
             self.emit_operation(comp, env)
         else:
-            from repro.ir.fold import fold
-            rhs = self.expr_py(fold(comp.expr), env, comp.dtype.is_float)
-            target = self._store_target(comp, env)
+            rhs = self.expr_py(form.value, env)
+            target = self._element(form.store, env, comp.cached_store)
             self.line(f"{target} = {rhs}")
             if self.profile and comp.name in self._counters:
                 self.line(f"{self._counters[comp.name][0]} += 1")
         self.indent -= closes
-
-    def _store_target(self, comp, env: Dict[str, Value]) -> str:
-        store_idx = [self._lower(e, env, False, True)
-                     for e in comp.store_indices()]
-        if comp.cached_store is not None:
-            shared, origins = comp.cached_store
-            return self._subscript(shared, self._rebased(store_idx, origins))
-        return self._subscript(comp.get_buffer(), store_idx)
 
     def emit_operation(self, op, env: Dict[str, Value]) -> None:
         """Backends override; the CPU backend handles alloc/copy ops."""
         kind = op.op_kind
         if kind == "allocate":
             buf = op.payload["buffer"]
-            shape = ", ".join(self.expr_py(s, env, False)
+            shape = ", ".join(self.expr_py(integer(s), env)
                               for s in buf.sizes)
             self.line(f"{_buf_var(buf)} = np.zeros(({shape},), "
                       f"dtype=np.{buf.dtype.np_dtype})")
@@ -981,7 +960,7 @@ class Emitter:
         dst_slices = []
         for k, (origin, extent) in enumerate(zip(origins, extents)):
             o = self.fresh("_o")
-            size = self.expr_py(src.sizes[k], {}, False)
+            size = self.expr_py(integer(src.sizes[k]), {})
             self.line(f"{o} = {lin_to_py(origin, self.params)}")
             lo = self.fresh("_lo")
             hi = self.fresh("_hi")

@@ -16,12 +16,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.expr import Const, Expr, IterVar, wrap
-from repro.isl import (IN, OUT, PARAM, BasicMap, BasicSet, Constraint,
-                       LinExpr, Map, Set, Space)
+from repro.isl import OUT, BasicSet, LinExpr, Set, Space
 from repro.isl.fourier_motzkin import bounds_on_dim, eliminate_dims
 
 from .buffer import ArgKind, Buffer, MemSpace
 from .computation import Computation, Operation, _linexpr_to_expr
+from .access import element
+from .deps import access_map
 from .errors import ScheduleError
 from .schedule import Tag, level_index
 from .var import Var
@@ -213,9 +214,9 @@ def cache_at(producer: Computation, consumer: Computation, level,
     if needed is None or needed.is_empty():
         raise ScheduleError(
             f"{consumer.name} does not read {producer.name}")
-    # Footprint on the producer's *buffer*: compose with the store map.
-    store_map = _store_relation(producer)
-    footprint = needed.apply_range(store_map)
+    # Footprint on the producer's *buffer*: compose with where its values
+    # live (an input stores nothing, so this is not its write map).
+    footprint = needed.apply_range(access_map(producer, element(producer)))
     n_buf = len(footprint.space.out_dims)
     n_prefix = l + 1
     origins: List[LinExpr] = []
@@ -276,26 +277,6 @@ def cache_at(producer: Computation, consumer: Computation, level,
     # Redirect the consumer's reads of producer through the cache.
     consumer.cached_reads[producer.name] = (shared, origins, l + 1)
     return op
-
-
-def _store_relation(comp: Computation) -> Map:
-    """Map: computation domain -> buffer element (from store indices)."""
-    from repro.ir.affine import NonAffineError, expr_to_linexpr
-    params = comp.function.param_names
-    store = comp.store_indices()
-    buf_dims = tuple(f"a{k}" for k in range(len(store)))
-    space = Space.map_space(tuple(comp.var_names), buf_dims, comp.name,
-                            comp.get_buffer().name, params)
-    table = {p: (PARAM, i) for i, p in enumerate(params)}
-    table.update({nm: (IN, k) for k, nm in enumerate(comp.var_names)})
-    cons = []
-    for k, e in enumerate(store):
-        try:
-            le = expr_to_linexpr(e, table)
-        except NonAffineError:
-            continue
-        cons.append(Constraint.eq(LinExpr.dim(OUT, k) - le))
-    return Map.from_basic(BasicMap(space, cons))
 
 
 def _pick_affine_bound(bounds, n_prefix: int, is_lower: bool

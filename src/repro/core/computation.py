@@ -388,6 +388,15 @@ class Computation:
             return list(self.store_exprs)
         return [v.expr() for v in self.vars]
 
+    def cache_of(self, buffer) -> Optional[Tuple]:
+        """``(staging buffer, origins)`` when this computation reads
+        ``buffer`` through a cache (``cache_shared_at`` /
+        ``cache_local_at``), else None."""
+        for name, (shared, origins, __) in self.cached_reads.items():
+            if self.function.find(name).get_buffer() is buffer:
+                return shared, origins
+        return None
+
     # -- schedule plumbing ---------------------------------------------------
 
     def schedule_snapshot(self) -> Dict[str, object]:

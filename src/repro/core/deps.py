@@ -15,10 +15,12 @@ detector, lane safety, the task graph's distances, the autoscheduler's
 gate — reads one :class:`DependenceSummary` per function.  It has two
 halves, each validated by a structural key on every read:
 
-* the **dependences**, keyed on Layer I + III content only (domains,
-  expressions, predicates, inlining, store indices, buffers, declaration
-  order), so a search whose actions only touch Layer II computes them
-  once;
+* the **dependences** — and the statements in buffer terms they are
+  computed from (:meth:`DependenceSummary.form`, which the emitters and
+  the cost model read too) — keyed on Layer I + III content only
+  (domains, expressions, predicates, inlining, store indices, buffers,
+  declaration order), so a search whose actions only touch Layer II
+  computes them once;
 * per (dependence, source schedule, sink schedule), a lazily filled
   **level profile**: the dependence's image in the dynamic time dims and,
   level by level, whether it points backward / forward there.  The static
@@ -35,12 +37,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.affine import NonAffineError, expr_to_linexpr
-from repro.ir.expr import accesses_in, substitute_exprs
+from repro.ir.expr import BufferRead
 from repro.isl import (IN, OUT, PARAM, BasicMap, Constraint, LinExpr, Map,
                        Set, Space)
 
+from .access import Resolved, resolve
 from .errors import IllegalScheduleError
-from .computation import Computation, Input, Operation
+from .computation import Computation, Operation
 
 
 @dataclass(eq=False)
@@ -68,56 +71,32 @@ def _param_table(comp) -> Dict[str, Tuple[str, int]]:
             for i, p in enumerate(comp.function.param_names)}
 
 
-def write_map(comp: Computation) -> Optional[Map]:
-    """Map: computation domain -> written buffer element."""
-    if comp.expr is None or isinstance(comp, (Input, Operation)):
-        return None
-    return _access_map(comp, comp.store_indices(), comp.get_buffer())
+def write_map(comp: Computation, form: Optional[Resolved] = None
+              ) -> Optional[Map]:
+    """Map: computation domain -> written buffer element (``form``:
+    ``resolve(comp)``, when the caller holds it)."""
+    store = (form or resolve(comp)).store
+    return None if store is None else access_map(comp, store)
 
 
-def read_maps(comp: Computation) -> List[Tuple[object, Map]]:
+def read_maps(comp: Computation, form: Optional[Resolved] = None
+              ) -> List[Tuple[object, Map]]:
     """All (buffer, map) pairs this computation reads."""
-    out: List[Tuple[object, Map]] = []
-    if comp.expr is None:
-        return out
-    exprs = [comp.expr]
-    if comp.predicate is not None:
-        exprs.append(comp.predicate)
-    for e in exprs:
-        for acc in accesses_in(e):
-            producer = acc.computation
-            if producer.inlined:
-                # Reads of an inlined computation become reads of what it
-                # reads, with its vars substituted.
-                table = {nm: idx for nm, idx in
-                         zip(producer.var_names, acc.indices)}
-                inner = substitute_exprs(producer.expr, table)
-                for sub in accesses_in(inner):
-                    out.extend(_resolve_read(comp, sub))
-                continue
-            out.extend(_resolve_read(comp, acc))
-    return out
+    return [(read.buffer, access_map(comp, read))
+            for read in (form or resolve(comp)).reads]
 
 
-def _resolve_read(comp, acc) -> List[Tuple[object, Map]]:
-    producer = acc.computation
-    table = {nm: idx for nm, idx in zip(producer.var_names, acc.indices)}
-    buf_indices = [substitute_exprs(e, table)
-                   for e in producer.store_indices()]
-    m = _access_map(comp, buf_indices, producer.get_buffer())
-    return [(producer.get_buffer(), m)] if m is not None else []
-
-
-def _access_map(comp, index_exprs, buffer) -> Optional[Map]:
+def access_map(comp, element: BufferRead) -> Map:
+    """Map: computation domain -> ``element``, an index that is not
+    affine left unconstrained."""
     params = comp.function.param_names
-    n = len(comp.var_names)
-    buf_dims = tuple(f"a{k}" for k in range(len(index_exprs)))
+    buf_dims = tuple(f"a{k}" for k in range(len(element.indices)))
     space = Space.map_space(tuple(comp.var_names), buf_dims,
-                            comp.name, buffer.name, params)
+                            comp.name, element.buffer.name, params)
     table = _param_table(comp)
     table.update({nm: (IN, k) for k, nm in enumerate(comp.var_names)})
     cons: List[Constraint] = []
-    for k, e in enumerate(index_exprs):
+    for k, e in enumerate(element.indices):
         try:
             le = expr_to_linexpr(e, table)
         except NonAffineError:
@@ -152,24 +131,26 @@ class _AccessTables:
     reversals for every computation (reversal of the same map used to be
     recomputed for every pair it appeared in)."""
 
-    def __init__(self, comps):
+    def __init__(self, comps, form=resolve):
         self.writes: Dict[str, Optional[Map]] = {}
         self.write_revs: Dict[str, Optional[Map]] = {}
         self.reads: Dict[str, List[Tuple[object, Map]]] = {}
         self.read_revs: Dict[str, List[Tuple[object, Map]]] = {}
         for c in comps:
-            w = write_map(c)
+            held = form(c)
+            w = write_map(c, held)
             self.writes[c.name] = w
             self.write_revs[c.name] = w.reverse() if w is not None else None
-            r = read_maps(c)
+            r = read_maps(c, held)
             self.reads[c.name] = r
             self.read_revs[c.name] = [(buf, m.reverse()) for buf, m in r]
 
 
-def _compute_dependences(fn) -> List[Dependence]:
+def _compute_dependences(fn, form=resolve) -> List[Dependence]:
+    """``form``: where to read a computation in buffer terms from."""
     comps = [c for c in fn.active_computations()
              if not isinstance(c, Operation)]
-    acc = _AccessTables(comps)
+    acc = _AccessTables(comps, form)
     lex_cache: Dict[Tuple, Map] = {}
     deps: List[Dependence] = []
     decl_index = {c.name: i for i, c in enumerate(fn.computations)}
@@ -324,13 +305,15 @@ RACE_CHECKED_TAGS = ("parallel", "vector", "distributed")
 
 
 def _content_key(fn) -> Tuple:
-    """Everything :func:`_compute_dependences` reads — Layer I and III
-    only, nothing a scheduling command changes.  Expressions enter by
+    """Everything :func:`repro.core.access.resolve` and
+    :func:`_compute_dependences` read — Layer I and III only, nothing a
+    scheduling command changes.  Expressions enter by
     their structural repr (as in the compile fingerprint), the immutable
     isl domain and the buffer by object."""
     rows = []
     for c in fn.computations:
         if isinstance(c, Operation):
+            rows.append((c, repr(c.predicate)))
             continue
         buf = None if c.inlined else c.get_buffer()
         rows.append((c, c.name, tuple(c.var_names), c.domain, repr(c.expr),
@@ -396,7 +379,8 @@ class DependenceSummary:
     def __init__(self, fn):
         self.fn = fn
         self._content = None
-        self._deps: List[Dependence] = []
+        self._deps: Optional[List[Dependence]] = None
+        self._forms: Dict[Computation, Resolved] = {}
         self._memo: "OrderedDict[Tuple, object]" = OrderedDict()
         #: How often the dependences were computed, how many emptiness
         #: questions the level walks asked, and how many level profiles
@@ -413,7 +397,7 @@ class DependenceSummary:
         return fn._dependence_summary
 
     def stats(self) -> Dict[str, int]:
-        return {"deps_count": len(self._deps),
+        return {"deps_count": len(self._deps or ()),
                 "deps_computed": self.deps_computed,
                 "level_tests": self.level_tests,
                 "profiles_walked": self.profiles_walked,
@@ -421,12 +405,33 @@ class DependenceSummary:
 
     # -- the two halves -----------------------------------------------------
 
-    def dependences(self) -> List[Dependence]:
+    def _current(self) -> None:
+        """Forget what was derived from content that has since changed."""
         content = _content_key(self.fn)
         if content != self._content:
-            self._deps = _compute_dependences(self.fn)
             self._content = content
+            self._deps = None
+            self._forms.clear()
             self._memo.clear()
+
+    def _form(self, comp) -> Resolved:
+        form = self._forms.get(comp)
+        if form is None:
+            form = self._forms[comp] = resolve(comp)
+        return form
+
+    def form(self, comp) -> Resolved:
+        """:func:`~repro.core.access.resolve` of ``comp``, worked out
+        once for as long as the content it reads stands: dependences,
+        lanes, cost model and emitter of one compile — and every
+        candidate of a search — share it."""
+        self._current()
+        return self._form(comp)
+
+    def dependences(self) -> List[Dependence]:
+        self._current()
+        if self._deps is None:
+            self._deps = _compute_dependences(self.fn, self._form)
             self.deps_computed += 1
         return self._deps
 

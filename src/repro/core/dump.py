@@ -5,7 +5,9 @@
 - **Layer I** — the iteration domain (an ISL set) and the expression;
 - **Layer II** — the scheduled instance set, dimension tags, and the
   static (β) ordering vector;
-- **Layer III** — the buffer and access function;
+- **Layer III** — the statement in buffer terms
+  (:func:`repro.core.access.resolve`): the element stored and the value
+  read from buffer elements;
 - **Layer IV** — the communication/synchronization operations.
 
 Used by tests to lock the layering behaviour and by users to inspect
@@ -17,6 +19,7 @@ from __future__ import annotations
 import io
 from typing import Optional
 
+from .access import element, resolve
 from .computation import Computation, Input, Operation
 
 
@@ -52,13 +55,16 @@ def dump_ir(fn) -> str:
                     if k < len(c.time_names)}
             write(f"    tags: {tags}\n")
 
-    write("\n-- Layer III: data management (buffers + access functions) --\n")
+    write("\n-- Layer III: data management (statements in buffer terms) --\n")
     for c in regular:
-        buf = c.get_buffer()
-        idx = ", ".join(repr(e) for e in c.store_indices())
-        space = buf.mem_space.value
-        write(f"  {c.name}({', '.join(c.var_names)}) -> "
-              f"{buf.name}[{idx}]   # {buf.kind.value}, {space}\n")
+        form = resolve(c)
+        held = form.store or element(c)     # an input stores nothing
+        buf = held.buffer
+        write(f"  {c.name}({', '.join(c.var_names)}) -> {held!r}"
+              + (f" = {form.value!r}" if form.store else "")
+              + f"   # {buf.kind.value}, {buf.mem_space.value}\n")
+        if form.predicate is not None:
+            write(f"    if {form.predicate!r}\n")
         if c.cached_store is not None:
             write(f"    (stores via cache {c.cached_store[0].name})\n")
         for producer, (shared, __, ___) in c.cached_reads.items():

@@ -514,17 +514,11 @@ class CompilePipeline:
             ctx.report.parallel_workers = runtime.num_threads
         kernel.report = ctx.report
         report = ctx.report
-        if report.cache_hit:
-            verdict = "hit"
-        elif report.disk_hit:
-            verdict = "disk"
-        else:
-            verdict = "miss"
         from repro.obs.metrics import metrics
         metrics.histogram("compile.seconds").observe(report.total_seconds)
         emit_event("compile.end", EVT_COMPILE,
                    compile_id=report.compile_id, function=report.function,
-                   target=report.target, verdict=verdict,
+                   target=report.target, verdict=report.verdict,
                    total_seconds=report.total_seconds,
                    key=report.fingerprint[:16])
         emit_trace(ctx.report)

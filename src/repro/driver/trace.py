@@ -102,6 +102,14 @@ class CompileReport:
     def total_seconds(self) -> float:
         return sum(s.seconds for s in self.stages)
 
+    @property
+    def verdict(self) -> str:
+        """Which tier served the compile: ``hit`` (memory), ``disk`` or
+        ``miss`` — the one word the trace table, the ``compile.end``
+        event and the tracer's compile spans all carry."""
+        return "hit" if self.cache_hit else "disk" if self.disk_hit \
+            else "miss"
+
     def stage_seconds(self, name: str) -> Optional[float]:
         for s in self.stages:
             if s.name == name:
@@ -155,14 +163,8 @@ class CompileReport:
         }
 
     def format_table(self) -> str:
-        if self.cache_hit:
-            verdict = "hit"
-        elif self.disk_hit:
-            verdict = "disk hit"
-        else:
-            verdict = "miss"
         lines = [f"== tiramisu compile: {self.function} -> {self.target} "
-                 f"[cache {verdict}] =="]
+                 f"[cache {self.verdict}] =="]
         # Size the stage column to the longest name so long stage names
         # (e.g. race-check descendants) keep the ms column aligned.
         width = max([16] + [len(s.name) for s in self.stages])

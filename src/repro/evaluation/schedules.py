@@ -245,7 +245,6 @@ def _add_gpu_copies(bundle) -> None:
             op = c.host_to_device()
             op.before(first, None)
     for c in comps:
-        if c.expr is not None and c.name not in consumed \
-                and not c.inlined:
+        if c.expr is not None and c.name not in consumed:
             op = c.device_to_host()
             op.after(c, None)

@@ -4,7 +4,7 @@ Every node evaluates in the type the emitted *scalar* ``cpu`` code
 computes it in under NumPy >= 2 (NEP 50), so a backend that renders each
 node in :func:`result_type` stores the same bits as that code:
 
-* buffer reads, accesses and casts are **strong**: a
+* buffer reads and casts are **strong**: a
   :class:`~repro.ir.types.ScalarType`;
 * iterators, parameters and literals are **weak** Python scalars, typed
   by their class (``bool``, ``int``, ``float``).  Python evaluates an
@@ -16,20 +16,22 @@ node in :func:`result_type` stores the same bits as that code:
   or ``select`` always returns a strong value, of the default type
   (``int64`` / ``float64``) when every argument is weak.
 
-``/`` keeps its meaning: true division inside a float computation,
-floor division (``//``) elsewhere — that is ``float_div``.
+The rule reads expressions in buffer terms: ``/`` is true division (the
+``/`` of an integer computation is a ``//`` node by then) and an access
+is the :class:`~repro.ir.expr.BufferRead`, or the inlined producer's
+expression, that :func:`repro.core.access.resolve` made of it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
 from . import types as T
-from .expr import (Access, BinOp, BufferRead, Cast, Const, Expr, IterVar,
-                   ParamRef, Select, UnOp)
+from .expr import (BinOp, BufferRead, Cast, Const, Expr, IterVar, ParamRef,
+                   Select, UnOp)
 
 Type = Union[T.ScalarType, type]
 
@@ -84,28 +86,21 @@ def combine(op: str, types: Tuple[Type, ...]) -> Tuple[Type, Type]:
     return T.from_name(found[0].name), T.from_name(found[-1].name)
 
 
-def result_type(expr: Expr, float_div: bool = True,
-                env: Optional[Dict[str, Type]] = None) -> Type:
-    """The type ``expr`` evaluates in; ``env`` types the iterators that
-    are not plain loop variables (an inlined producer's arguments)."""
+def result_type(expr: Expr) -> Type:
+    """The type ``expr`` evaluates in: an expression in buffer terms
+    (:func:`repro.core.access.resolve`), or one that accesses no
+    computation."""
     if isinstance(expr, Const):
         return type(expr.value)
     if isinstance(expr, (IterVar, ParamRef)):
-        return (env or {}).get(expr.name, int)
+        return int
     if isinstance(expr, Cast):
         return expr.dtype
     if isinstance(expr, BufferRead):
         return expr.buffer.dtype
-    if isinstance(expr, Access):
-        producer = expr.computation
-        if not producer.inlined:
-            return producer.get_buffer().dtype
-        return result_type(producer.expr, producer.dtype.is_float, {
-            nm: result_type(e, float_div, env)
-            for nm, e in zip(producer.var_names, expr.indices)})
-    kids = tuple(result_type(e, float_div, env) for e in expr.children())
+    kids = tuple(map(result_type, expr.children()))
     if isinstance(expr, BinOp):
-        op = "//" if expr.op == "/" and not float_div else expr.op
+        op = expr.op
     elif isinstance(expr, Select):
         op, kids = "select", kids[1:]
     else:

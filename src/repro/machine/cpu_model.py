@@ -25,10 +25,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.codegen.ast import Block, Loop, Stmt
 from repro.codegen.lanes import lane_verdict, time_index
+from repro.core.deps import DependenceSummary
 from repro.core.computation import Input, Operation
 from repro.ir.expr import (Access, BinOp, Call, Cast, Const, Expr, IterVar,
-                           ParamRef, Select, UnOp, accesses_in,
-                           substitute_exprs)
+                           ParamRef, Select, UnOp)
 from repro.isl.linexpr import OUT, PARAM, LinExpr
 
 from .params import CpuMachine, DEFAULT_CPU
@@ -380,18 +380,15 @@ class CpuCostModel:
         """(buffer, flattened address LinExpr over time dims, elem bytes)
         for every read and the store of the statement."""
         out = []
-
-        def add(producer, index_exprs, is_store=False):
-            buffer = producer.get_buffer()
-            origins = None
-            if not is_store and producer.name in comp.cached_reads:
-                buffer, origins, __ = comp.cached_reads[producer.name]
-            elif is_store and comp.cached_store is not None:
-                buffer, origins = comp.cached_store
+        form = DependenceSummary.of(self.fn).form(comp)
+        for element in form.reads + (form.store,):
+            cache = comp.cached_store if element is form.store \
+                else comp.cache_of(element.buffer)
+            buffer, origins = cache or (element.buffer, None)
             shape = self._buffer_shape(buffer)
             # Index LinExprs over time dims; non-affine: random access.
             les = [le if le is not None else LinExpr()
-                   for le in time_index(comp, index_exprs)]
+                   for le in time_index(comp, element.indices)]
             flat = LinExpr()
             mult = 1
             for k in range(len(les) - 1, -1, -1):
@@ -400,17 +397,5 @@ class CpuCostModel:
                     le = le - origins[k]
                 flat = flat + le * mult
                 mult *= shape[k] if k < len(shape) else 1
-            elem_bytes = buffer.dtype.bits / 8.0
-            out.append((buffer, flat, elem_bytes))
-
-        for acc in accesses_in(comp.expr):
-            producer = acc.computation
-            if producer.inlined:
-                continue
-            table = {nm: idx for nm, idx in zip(producer.var_names,
-                                                acc.indices)}
-            buf_idx = [substitute_exprs(e, table)
-                       for e in producer.store_indices()]
-            add(producer, buf_idx)
-        add(comp, comp.store_indices(), is_store=True)
+            out.append((buffer, flat, buffer.dtype.bits / 8.0))
         return out

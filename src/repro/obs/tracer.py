@@ -108,7 +108,6 @@ class Tracer:
         the report's ``compile_id``, so the trace joins against the
         event journal (:mod:`repro.obs.events`) on one correlation
         key."""
-        verdict = "hit" if report.cache_hit else "miss"
         extra = {}
         compile_id = getattr(report, "compile_id", "")
         if compile_id:
@@ -120,7 +119,7 @@ class Tracer:
                 start_ns + int(stage.seconds * 1e9),
                 tid=f"compile {report.function}->{report.target}",
                 function=report.function, target=report.target,
-                cache=verdict, key=report.fingerprint[:16], **extra)
+                cache=report.verdict, key=report.fingerprint[:16], **extra)
 
     def record_run(self, run_report) -> None:
         """Append a profiled run's loop-nest and worker spans."""

@@ -209,3 +209,40 @@ class TestInline:
         out = k()["b"]
         assert (out == 4.0).all()
         assert "_a_b" not in k.source
+
+
+@pytest.mark.parametrize("target", ["cpu", "c"])
+class TestArgumentBinding:
+    """``cpu`` and ``c`` sort a call's keyword arguments with one binder
+    (``repro.backends.common.bind_arguments``)."""
+
+    def kernel(self, target):
+        from repro.backends.c import have_c_compiler
+        if target == "c" and not have_c_compiler():
+            pytest.skip("gcc not available")
+        N = Param("N")
+        f = Function("f", params=[N])
+        with f:
+            inp = Input("inp", [Var("x", 0, N)])
+            Computation("out", [Var("i", 0, N)], inp(Var("i", 0, N)) * 2.0)
+        return f.compile(target)
+
+    def test_binds_parameters_inputs_and_a_passed_output(self, target):
+        k = self.kernel(target)
+        data = np.arange(5, dtype=np.float32)
+        assert (k(inp=data, N=5)["out"] == 2 * data).all()
+        mine = np.zeros(5, np.float32)
+        assert k(inp=data, N=5, out=mine)["out"] is mine
+        assert (mine == 2 * data).all()
+
+    @pytest.mark.parametrize("kwargs,named", [
+        ({"inp": np.zeros(5, np.float32)}, "missing parameter 'N'"),
+        ({"N": 5}, "missing input buffer 'inp'"),
+        ({"N": 5, "inp": np.zeros(5, np.float32), "bogus": 1, "more": 2},
+         "unknown arguments: ['bogus', 'more']"),
+    ])
+    def test_a_bad_call_names_the_argument(self, target, kwargs, named):
+        from repro.core.errors import ExecutionError
+        with pytest.raises(ExecutionError) as err:
+            self.kernel(target)(**kwargs)
+        assert str(err.value) == named

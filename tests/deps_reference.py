@@ -5,16 +5,52 @@ re-derived from scratch, mapped into the *full* interleaved time vector
 ``[β0, t0, β1, t1, ..., βd]`` (β entries as constrained dimensions), and
 every position of that vector is one emptiness question.  Slow, with no
 memo and no integer shortcut — which is what makes it a reference.
+
+:func:`reads` is the same kind of reference for
+:func:`repro.core.access.resolve`: the Layer III rule written out in two
+passes that keep the ``Access`` nodes.
 """
 
 from repro.core.deps import _compute_dependences, full_schedule_map
 from repro.core.errors import IllegalScheduleError
+from repro.ir.expr import Access, BinOp, accesses_in, substitute_exprs
+from repro.ir.fold import fold
 from repro.isl import IN, OUT, PARAM, Constraint, LinExpr
 from repro.isl.sample import sample as isl_sample
 
 
 def dependences(fn):
     return _compute_dependences(fn)
+
+
+def reads(comp):
+    """``(buffer, indices)`` of every element ``comp`` reads,
+    once per place it reads it: expand the inlined producers (``/`` is
+    ``//`` outside a float computation's expression), fold the value as
+    the emitters do, then send each remaining access through its
+    producer's store indices."""
+    def expand(expr, is_float):
+        if isinstance(expr, Access) and expr.computation.inlined:
+            producer = expr.computation
+            return substitute_exprs(
+                expand(producer.expr, producer.dtype.is_float),
+                dict(zip(producer.var_names,
+                         (expand(e, is_float) for e in expr.indices))))
+        if isinstance(expr, BinOp) and expr.op == "/" and not is_float:
+            expr = BinOp("//", expr.lhs, expr.rhs)
+        return expr.map_children(lambda e: expand(e, is_float))
+
+    out = []
+    for expr, tidy in ((comp.expr, fold), (comp.predicate, lambda e: e)):
+        if expr is None:
+            continue
+        for acc in accesses_in(tidy(expand(expr, comp.dtype.is_float))):
+            producer = acc.computation
+            args = dict(zip(producer.var_names, acc.indices))
+            out.append((producer.get_buffer(), tuple(
+                tidy(substitute_exprs(expand(e, False), args))
+                for e in producer.store_indices())))
+    return out
 
 
 def _time_relation(fn, dep):

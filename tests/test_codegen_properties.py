@@ -113,7 +113,7 @@ def test_compute_at_window_random(radius, n):
 
 VECTOR_CASES = ["shifted_other", "other_row_of_stored", "self_update",
                 "strided_store", "clamped_read", "lane_as_value",
-                "diagonal", "two_fused"]
+                "diagonal", "two_fused", "inlined_producer"]
 
 
 def build_vector_case(case, extents, lane, shift, tag):
@@ -170,6 +170,14 @@ def build_vector_case(case, extents, lane, shift, tag):
             c2 = Computation("c2", ws, None)
             c2.set_expression(c(*ws) * 2.0 + inp(*ws))
             comps.append(c2)
+        elif case == "inlined_producer":
+            c.set_expression(inp(*vs) + 1.0)
+            c.inline()
+            ws = [Var(f"k{k}", 0, e) for k, e in enumerate(extents)]
+            c2 = Computation("c2", ws, None)
+            c2.set_expression(c(*[w + shift if k == lane else w
+                                  for k, w in enumerate(ws)]) * 2.0 + c(*ws))
+            comps = [c2]
     names = [[v.name for v in comp.vars] for comp in comps]
     for comp, nm in zip(comps, names):
         if lane != d - 1:
@@ -182,17 +190,46 @@ def build_vector_case(case, extents, lane, shift, tag):
     return f, inputs
 
 
-@given(st.sampled_from(VECTOR_CASES),
-       st.lists(st.integers(2, 5), min_size=1, max_size=3),
-       st.integers(0, 2), st.integers(0, 2))
-@settings(max_examples=60, deadline=None)
-def test_vector_tag_differential(case, extents, lane_pick, shift):
-    from repro.backends.c import have_c_compiler
+def vector_case_nest(case, extents, lane_pick):
+    """``(extents, lane)`` that ``case`` can be built over."""
     lane = lane_pick % len(extents)
     if case == "other_row_of_stored":
         if len(extents) == 1:
             extents = [3] + extents
         lane = max(1, lane)           # dim 0 is the time loop
+    return extents, lane
+
+
+VECTOR_DRAWS = (st.sampled_from(VECTOR_CASES),
+                st.lists(st.integers(2, 5), min_size=1, max_size=3),
+                st.integers(0, 2), st.integers(0, 2))
+
+
+@given(*VECTOR_DRAWS)
+@settings(max_examples=60, deadline=None)
+def test_resolved_reads_differential(case, extents, lane_pick, shift):
+    """``resolve(comp).reads`` names the (buffer, index) multiset the
+    reference enumeration names (``tests/deps_reference.py``: the rule
+    one ``Access`` at a time)."""
+    from collections import Counter
+    from repro.core.access import resolve
+    from tests import deps_reference
+    extents, lane = vector_case_nest(case, extents, lane_pick)
+    f, __ = build_vector_case(case, extents, lane, shift, True)
+    for comp in f.active_computations():
+        if comp.expr is not None:
+            got = Counter((r.buffer.name, tuple(map(repr, r.indices)))
+                          for r in resolve(comp).reads)
+            want = Counter((buffer.name, tuple(map(repr, index)))
+                           for buffer, index in deps_reference.reads(comp))
+            assert got == want, comp.name
+
+
+@given(*VECTOR_DRAWS)
+@settings(max_examples=60, deadline=None)
+def test_vector_tag_differential(case, extents, lane_pick, shift):
+    from repro.backends.c import have_c_compiler
+    extents, lane = vector_case_nest(case, extents, lane_pick)
 
     def run(tag, target):
         f, inputs = build_vector_case(case, extents, lane, shift, tag)
@@ -266,7 +303,12 @@ def build_typed(recipe, reads, i, j, m):
     from repro.ir.expr import (BinOp, Call, Const, UnOp, cast, clamp,
                                select)
     from repro.ir.fold import fold
-    from repro.ir.typing import is_weak, result_type
+    from repro.core.access import buffer_terms
+    from repro.ir.typing import is_weak
+    from repro.ir.typing import result_type as type_in_buffer_terms
+
+    def result_type(e):         # every computation built here is float
+        return type_in_buffer_terms(buffer_terms(e, True))
 
     def floating(e):
         t = result_type(e)

@@ -249,6 +249,28 @@ class TestByteIdenticalCodegen:
         assert "vector: 1 loop(s) vectorized; k: carried" in \
             k_warm.report.format_table()
 
+    def test_every_trace_says_disk(self, tmp_path):
+        """One verdict word for a compile the disk tier served: on the
+        report, in the table header and on the tracer's compile spans."""
+        from repro import settings
+        from repro.obs import get_tracer
+        configure(tmp_path / "tier")
+        build().compile("cpu")
+        kernel_registry.clear()
+        tracer = get_tracer()
+        tracer.clear()
+        try:
+            with settings.override(trace_file=tmp_path / "trace.json"):
+                report = build().compile("cpu").report
+            spans = [s for s in tracer.spans()
+                     if s.name.startswith("compile:")]
+        finally:
+            tracer.clear()
+        assert report.disk_hit and report.verdict == "disk"
+        assert "[cache disk]" in report.format_table()
+        assert "compile:disk-load" in {s.name for s in spans}
+        assert {s.args["cache"] for s in spans} == {"disk"}
+
     def test_warm_kernel_computes_identically(self, tmp_path):
         import numpy as np
         configure(tmp_path)

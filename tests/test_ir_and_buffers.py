@@ -160,9 +160,9 @@ class TestTypeRule:
         assert result_type(Call("floor", [0.1 * i]) - 0.1 * i) is T.float64
         assert result_type(Cast(T.int32, read) + 1) is T.int32
         assert result_type(Cast(T.int32, read) * read) is T.float64
-        # "/" outside a float computation is floor division
+        # "/" outside a float computation is a "//" node by now
         assert result_type(i / 2) is float
-        assert result_type(i / 2, float_div=False) is int
+        assert result_type(i // 2) is int
 
 
 class TestBuffers:

@@ -154,6 +154,26 @@ class TestCpuModelDirections:
         unfused = CpuCostModel(build(False), {}).estimate()
         assert fused.dram_bytes < unfused.dram_bytes
 
+    def test_loads_through_an_inlined_producer_are_counted(self):
+        """``b`` reads what the inlined ``a`` reads; the model used to
+        step over an inlined access and price ``b`` as a bare store."""
+        f = Function("f")
+        with f:
+            x = Input("x", [Var("p", 0, 4096), Var("q", 0, 4096)])
+            y = Input("y", [Var("r", 0, 4096), Var("s", 0, 4096)])
+            i, j = Var("i", 0, 4096), Var("j", 0, 4096)
+            a = Computation("a", [i, j], x(i, j) + y(j, i))
+            u, v = Var("u", 0, 4096), Var("v", 0, 4096)
+            b = Computation("b", [u, v], None)
+            b.set_expression(a(u, v) * 2.0)
+        a.inline()
+        model = CpuCostModel(f, {})
+        assert [buf.name for buf, __, ___ in model._collect_accesses(b)] \
+            == ["x", "y", b.get_buffer().name]
+        report = model.estimate()
+        assert list(report.per_computation) == ["b"]
+        assert report.mem_bytes == 3 * 4 * 4096 ** 2    # x, y and the store
+
     def test_report_flops_counted(self):
         f, a, P = make_sgemm(64)
         report = CpuCostModel(f, P).estimate()
