@@ -4,9 +4,13 @@ The closest thing in this environment to the paper's LLVM backend: the
 polyhedral AST is emitted as C, compiled with ``gcc -O3 -march=native
 -fopenmp -ffp-contract=off``, loaded through ctypes, and called on NumPy
 arrays.  Loops tagged ``parallel`` become ``#pragma omp parallel for``
-(real threads), ``vector`` becomes ``#pragma omp simd`` (real SIMD)
-unless the loop carries a dependence, ``unroll`` becomes ``#pragma GCC
-unroll``.
+(real threads), ``unroll`` becomes ``#pragma GCC unroll``, ``vector``
+becomes ``#pragma omp simd`` (real SIMD) unless the loop carries a
+dependence -- over the part of its range where no clamped index clamps
+(:func:`repro.codegen.lanes.clamp_free`), the border running scalar; a
+``vector`` loop of a few constant trips that fill no vector register
+(three channels) is left to gcc's unroller.  Strides are the buffers'
+declared extents, which a call holds every array to.
 
 Every node is rendered in the type :mod:`repro.ir.typing` infers for it
 (index math in ``int64_t``, ``float32`` arithmetic in ``float``) and gcc
@@ -30,18 +34,20 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.codegen.ast import Block, Loop, Stmt
-from repro.codegen.lanes import lane_verdict
+from repro.codegen.lanes import clamp_free, lane_verdict
 from repro.codegen.pyemit import lin_to_py
 from repro.core.deps import DependenceSummary
 from repro.core.buffer import Buffer
 from repro.core.computation import Operation
 from repro.core.errors import CodegenError, ExecutionError
 from repro.core.function import Function
+from repro.ir.affine import try_expr_to_linexpr
 from repro.ir.expr import (BinOp, BufferRead, Call, Cast, Const, Expr,
                            IterVar, ParamRef, Select, UnOp)
 from repro.ir.typing import COMPARISONS, Type, combine
 from repro.isl import LinExpr
 from repro.isl.constraint import EQ
+from repro.isl.linexpr import PARAM
 
 from repro.driver.registry import Backend, register_backend
 
@@ -145,6 +151,7 @@ class CEmitter:
     def __init__(self, fn: Function, lanes_verified: bool = False):
         self.fn = fn
         self.params = list(fn.param_names)
+        self.param_dims = {p: (PARAM, i) for i, p in enumerate(self.params)}
         self.lanes_verified = lanes_verified
         self.lines: List[str] = []
         self.indent = 1
@@ -154,21 +161,21 @@ class CEmitter:
 
     # -- bounds ----------------------------------------------------------
 
-    def bound_c(self, bound, is_lower: bool) -> str:
+    def bound_c(self, bound, is_lower: bool) -> _C:
         a, e = bound
         es = _lin_to_c(e, self.params)
         if a == 1:
             return es
-        return f"icdiv({es}, {a})" if is_lower else f"ifdiv({es}, {a})"
+        return _C(f"{'icdiv' if is_lower else 'ifdiv'}({es}, {a})", int)
 
-    def bounds_c(self, groups, is_lower: bool) -> str:
+    def bounds_c(self, groups, is_lower: bool) -> _C:
         inner_fn = "imax" if is_lower else "imin"
         outer_fn = "imin" if is_lower else "imax"
 
         def fold(fn_name, items):
             out = items[0]
             for nxt in items[1:]:
-                out = f"{fn_name}({out}, {nxt})"
+                out = _C(f"{fn_name}({out}, {nxt})", int)
             return out
 
         groups_c = [fold(inner_fn, [self.bound_c(b, is_lower) for b in g])
@@ -217,11 +224,20 @@ class CEmitter:
                                           for a in expr.args])
         if isinstance(expr, BufferRead):
             flat = self.expr_c(expr.indices[0], env)
-            for k, e in enumerate(expr.indices[1:], 1):
-                flat = _C(f"{_p(flat, 2)} * {expr.buffer.name}_dim{k} + "
+            for size, e in zip(expr.buffer.sizes[1:], expr.indices[1:]):
+                flat = _C(f"{_p(flat, 2)} * {_p(self.extent_c(size), 3)} + "
                           f"{_p(self.expr_c(e, env), 1)}", int, 1)
             return _C(f"{expr.buffer.name}[{flat}]", expr.buffer.dtype)
         raise CodegenError(f"cannot emit {expr!r} as C")
+
+    def extent_c(self, size: Expr) -> _C:
+        """A buffer extent as a stride: Layer III fixes the layout, so it
+        is the declared size (``3``, ``M``), not an opaque argument."""
+        le = try_expr_to_linexpr(size, self.param_dims)
+        if le is None:
+            return self.expr_c(size, {})
+        return self.expr_c(Const(int(le.const)), {}) if le.is_constant() \
+            else _lin_to_c(le, self.params)
 
     def _binop_c(self, op: str, lhs: _C, rhs: _C) -> _C:
         if op in ("and", "or"):
@@ -273,34 +289,61 @@ class CEmitter:
     def emit_loop(self, loop: Loop) -> None:
         lo = self.bounds_c(loop.lowers, True)
         hi = self.bounds_c(loop.uppers, False)
+        kind = getattr(loop.tag, "kind", None)
+        if kind == "vector":
+            return self.emit_vector(loop, lo, hi)
+        if kind == "parallel":
+            self.line("#pragma omp parallel for")
+        elif kind == "unroll":
+            self.line(f"#pragma GCC unroll {loop.tag.factor or 4}")
+        elif kind is not None:
+            raise CodegenError(
+                f"{kind} loops are not lowered by the C backend")
+        self.emit_for(loop, lo, hi)
+
+    def emit_for(self, loop: Loop, lo: str, hi: str,
+                 values: Optional[List[Expr]] = None, skip: str = "") -> None:
+        """``loop`` over ``lo..hi`` less the range ``skip``, the
+        statements of its body with ``values`` for right-hand sides."""
         var = f"t{loop.level}"
-        if loop.tag is not None:
-            if loop.tag.kind == "parallel":
-                self.line("#pragma omp parallel for")
-            elif loop.tag.kind == "vector":
-                # the pragma asserts independent iterations: ask the
-                # predicate the cpu backend vectorizes by
-                why = lane_verdict(self.fn, loop, self.lanes_verified)
-                if why is not None and why.startswith("carried"):
-                    self.line(f"/* vector loop ({loop.var}): scalar, "
-                              f"{why} */")
-                else:
-                    self.line("#pragma omp simd")
-            elif loop.tag.kind == "unroll":
-                self.line(f"#pragma GCC unroll {loop.tag.factor or 4}")
-            elif loop.tag.kind in ("gpu_block", "gpu_thread",
-                                   "distributed"):
-                raise CodegenError(
-                    f"{loop.tag.kind} loops are not lowered by the C "
-                    "backend")
         self.line(f"for (int64_t {var} = {lo}; {var} <= {hi}; "
                   f"{var}++) {{")
         self.indent += 1
-        self.emit_block(loop.body)
+        if skip:
+            self.line(skip)
+        if values is None:
+            self.emit_block(loop.body)
+        else:
+            for stmt, value in zip(loop.body.children, values):
+                self.emit_stmt(stmt, value)
         self.indent -= 1
         self.line("}")
 
-    def emit_stmt(self, stmt: Stmt) -> None:
+    def emit_vector(self, loop: Loop, lo: _C, hi: _C) -> None:
+        # the pragma asserts independent iterations: ask the predicate
+        # the cpu backend vectorizes by
+        why = lane_verdict(self.fn, loop, self.lanes_verified)
+        if why is not None and why.startswith("carried"):
+            self.line(f"/* vector loop ({loop.var}): scalar, {why} */")
+            return self.emit_for(loop, lo, hi)
+        if _register_block(loop):
+            return self.emit_for(loop, lo, hi)      # gcc unrolls it whole
+        inside = None if why else clamp_free(self.fn, loop)
+        self.line("#pragma omp simd")
+        if inside is None:
+            return self.emit_for(loop, lo, hi)
+        # index-set splitting: the lanes where no clamp clamps load
+        # contiguously; the rest of the range runs once, scalar
+        lowers, uppers, values = inside
+        first, last = self.bounds_c(lowers, True), self.bounds_c(uppers, False)
+        self.emit_for(loop, first, last, values)
+        var = f"t{loop.level}"
+        self.line(f"/* border of ({loop.var}): clamps kept */")
+        self.emit_for(loop, lo, hi, skip=(
+            f"if ({var} >= {first} && {var} <= {last}) "
+            f"{{ {var} = {last}; continue; }}"))
+
+    def emit_stmt(self, stmt: Stmt, value: Optional[Expr] = None) -> None:
         comp = stmt.comp
         if comp.cached_reads or comp.cached_store is not None:
             raise CodegenError(
@@ -322,7 +365,8 @@ class CEmitter:
         if isinstance(comp, Operation):
             self._emit_operation(comp, env)
         else:
-            rhs = _coerce(self.expr_c(form.value, env),
+            value = form.value if value is None else value
+            rhs = _coerce(self.expr_c(value, env),
                           _CTYPE[form.store.buffer.dtype.np_dtype])
             self.line(f"{self.expr_c(form.store, env)} = {rhs};")
         for __ in range(closes):
@@ -340,6 +384,20 @@ class CEmitter:
             f"operation {op.op_kind!r} is not lowered by the C backend")
 
 
+def _register_block(loop: Loop) -> bool:
+    """Is this ``vector`` loop over ``0 .. n - 1``, ``n`` a constant no
+    larger than the tag's width and not a power of two?  No vector
+    register has ``n`` lanes (nb: three channels), yet ``omp simd`` would
+    make this the vector loop, remainder and all, and not the one around
+    it.  A whole tile (8 of 8) is one register and keeps its pragma."""
+    if [len(g) for g in loop.lowers + loop.uppers] != [1, 1]:
+        return False
+    (a, lo), (b, hi) = loop.lowers[0][0], loop.uppers[0][0]
+    n = int(hi.const) + 1 if hi.is_constant() else 0
+    return a == b == 1 and lo == LinExpr.constant(0) \
+        and 0 < n <= (loop.tag.factor or 0) and n & (n - 1) != 0
+
+
 def emit_c_source(fn: Function, ast=None,
                   lanes_verified: bool = False) -> str:
     """``lanes_verified``: the race-check stage proved every ``vector``
@@ -354,9 +412,6 @@ def emit_c_source(fn: Function, ast=None,
         args.append(f"{_CTYPE[buf.dtype.np_dtype]}* restrict {buf.name}")
     for p in fn.param_names:
         args.append(f"int64_t {p}")
-    for buf in buffers:
-        for k in range(1, len(buf.sizes)):
-            args.append(f"int64_t {buf.name}_dim{k}")
     emitter.emit_block(ast)
     body = "\n".join(emitter.lines)
     return (f"{_C_PRELUDE}\n"
@@ -374,26 +429,35 @@ class NativeKernel:
         self.param_names = list(fn.param_names)
         self._lib = ctypes.CDLL(lib_path)
         self._lib.kernel.restype = None
+        self._lib.kernel.argtypes = [ctypes.c_void_p] * len(buffers) \
+            + [ctypes.c_int64] * len(self.param_names)
+        #: (parameter values, every buffer's shape at them), last call's
+        self._shapes = (None, [])
 
     def __call__(self, **kwargs):
         params, arrays, outputs = bind_arguments(
             self.buffers, self.param_names, kwargs)
-        # the C kernel indexes dense arrays of the declared element type
-        arrays = {buf.name: np.ascontiguousarray(
-            arrays[buf.name], dtype=buf.dtype.to_numpy())
-            for buf in self.buffers}
-        outputs = {name: arrays[name] for name in outputs}
-        c_args = []
-        for buf in self.buffers:
-            c_args.append(arrays[buf.name].ctypes.data_as(
-                ctypes.c_void_p))
-        for p in self.param_names:
-            c_args.append(ctypes.c_int64(params[p]))
-        for buf in self.buffers:
-            shape = arrays[buf.name].shape
-            for k in range(1, len(buf.sizes)):
-                c_args.append(ctypes.c_int64(shape[k]))
-        self._lib.kernel(*c_args)
+        sizes, shapes = self._shapes
+        if sizes != params:
+            shapes = [buf.concrete_shape(params) for buf in self.buffers]
+            self._shapes = (params, shapes)
+        dense, copied = [], []
+        for buf, shape in zip(self.buffers, shapes):
+            given = arrays[buf.name]
+            # the emitted strides are the declared extents
+            if given.shape != shape:
+                raise ExecutionError(
+                    f"buffer {buf.name!r} has shape {given.shape}, "
+                    f"declared {shape} at {params}")
+            # ... of dense arrays of the declared element type
+            arr = np.ascontiguousarray(given, dtype=buf.dtype.to_numpy())
+            dense.append(arr)
+            if arr is not given and buf.name in outputs:
+                copied.append((given, arr))
+        self._lib.kernel(*[arr.ctypes.data for arr in dense],
+                         *[params[p] for p in self.param_names])
+        for given, arr in copied:   # as cpu does: the caller's array
+            np.copyto(given, arr, casting="unsafe")
         return outputs
 
 

@@ -8,6 +8,11 @@ it about the whole nest, the C emitter and the CPU cost model
 (:mod:`repro.machine.cpu_model`) about the ``vector`` loop alone
 (:func:`lane_verdict`), so what is priced as vectorized is what is
 emitted as vectorized.
+
+What a lane loop it accepted may then be split into is decided here
+too, from the same time-space indices: :func:`clamp_free`, the part of
+its range where no clamped index clamps (the lanes load contiguously
+there).
 """
 
 from __future__ import annotations
@@ -17,10 +22,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.access import Resolved
 from repro.core.deps import DependenceSummary
 from repro.ir.affine import try_expr_to_linexpr
-from repro.ir.expr import Expr, IterVar
+from repro.ir.expr import Call, Expr, IterVar
 from repro.isl.linexpr import IN, OUT, PARAM, LinExpr
 
-from .ast import Loop, Stmt
+from .ast import Bound, Loop, Stmt
 
 #: One buffer access in time-space: an index vector, with None for an
 #: index that is not affine in the loop variables and parameters.
@@ -155,3 +160,49 @@ def lane_verdict(fn, loop: Loop, verified: bool = False) -> Optional[str]:
     """:func:`slab_verdict` of the ``vector`` loop alone: None when it can
     run lane-parallel, else the reason it cannot."""
     return slab_verdict(fn, [loop], verified)[1]
+
+
+def clamp_free(fn, loop: Loop) -> Optional[Tuple[
+        List[List[Bound]], List[List[Bound]], List[Expr]]]:
+    """Where in the range of ``loop``, a ``vector`` loop
+    :func:`lane_verdict` accepted, is every ``clamp(x, lo, hi)`` that
+    moves with the loop variable just ``x``?  ``(lowers, uppers,
+    values)``: that sub-range as a :class:`Loop` holds bounds -- it lies
+    within the loop's own and may be empty, so it and the iterations
+    outside it (before, after, or all of them) partition the loop's
+    range -- and each statement's right-hand side with those clamps
+    dropped.  None if no clamp moves with the loop: one on outer
+    variables is loop-invariant, one whose arguments are not affine
+    cannot be solved for.
+
+    ``lo <= x`` with ``x - lo = c*t + r`` reads ``c*t >= -r``: a lower
+    bound on ``t`` if ``c > 0``, an upper one otherwise; ``x <= hi``
+    alike.  The sub-range is the loop's bounds and these, over all
+    clamps."""
+    lane = (OUT, loop.level)
+    lowers: List[Bound] = []
+    uppers: List[Bound] = []
+    summary = DependenceSummary.of(fn)
+    values = []
+    for stmt in loop.body.children:
+        def strip(e: Expr) -> Expr:
+            if isinstance(e, Call) and e.fn == "clamp":
+                x, lo, hi = time_index(stmt.comp, e.args)
+                sides = () if None in (x, lo, hi) else (x - lo, hi - x)
+                if sides and all(s.is_integral() and s.coeff(lane)
+                                 for s in sides):
+                    for s in sides:
+                        c = int(s.coeff(lane))
+                        rest = s - LinExpr.dim(*lane, c)
+                        if c > 0:
+                            lowers.append((c, -rest))
+                        else:
+                            uppers.append((-c, rest))
+                    return e.args[0]
+            return e.map_children(strip)
+        values.append(strip(summary.form(stmt.comp).value))
+    if not (lowers or uppers):
+        return None
+    return ([list(dict.fromkeys(group + lowers)) for group in loop.lowers],
+            [list(dict.fromkeys(group + uppers)) for group in loop.uppers],
+            values)

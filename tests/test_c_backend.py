@@ -231,6 +231,142 @@ class TestScheduledKernels:
             assert np.allclose(out[name], ref, atol=1e-3), bench
 
 
+def hand_scheduled(name):
+    """A Fig. 6 kernel (or ``spmv``) under its hand CPU schedule."""
+    from repro.evaluation.fig6 import BUILDERS
+    from repro.evaluation.schedules import tiramisu_cpu
+    from repro.kernels import build_spmv27, schedule_spmv_cpu
+    if name == "spmv":
+        bundle = build_spmv27()
+        schedule_spmv_cpu(bundle)
+    else:
+        bundle = BUILDERS[name]()
+        tiramisu_cpu(bundle)
+    return bundle
+
+
+def _simd_loops(source):
+    """``(variable, header, body)`` of every loop under ``omp simd``."""
+    lines = source.split("\n")
+    for at, line in enumerate(lines):
+        if line.strip() == "#pragma omp simd":
+            header = lines[at + 1]
+            close = header[:len(header) - len(header.lstrip())] + "}"
+            end = lines.index(close, at + 2)
+            yield (header.split()[2], header,
+                   "\n".join(lines[at + 2:end]))
+
+
+class TestLaneLowering:
+    """What a ``vector`` tag becomes: static strides, a clamp-free
+    interior, no ``simd`` over a register block (ISSUE 23)."""
+
+    def test_strides_are_the_declared_extents(self):
+        from .test_emit_budget import HAND
+        for builder, schedule in HAND:
+            bundle = builder()
+            if schedule is not None:
+                schedule(bundle)
+            assert "_dim" not in emit_c_source(bundle.function), \
+                builder.__name__
+
+    @pytest.mark.parametrize("name", ["conv2D", "gaussian", "spmv"])
+    def test_no_clamp_on_the_lane_inside_simd(self, name):
+        import re
+        source = emit_c_source(hand_scheduled(name).function)
+        assert source.count("/* border of (") == 1
+        loops = list(_simd_loops(source))
+        assert loops
+        for var, __, body in loops:
+            for args in re.findall(r"iclamp\(([^()]*)\)", body):
+                assert not re.search(rf"\b{var}\b", args), (name, args)
+        # the border runs the whole range less the interior, clamps kept
+        border = source.split("/* border of (")[1]
+        assert "continue; }" in border and "iclamp(" in border
+
+    def test_loop_invariant_clamps_stay_and_do_not_split(self):
+        """gaussian's second stage clamps the row, not the lane."""
+        stage = emit_c_source(hand_scheduled("gaussian").function).split(
+            "#pragma omp parallel for")[2]
+        assert "border of" not in stage and "iclamp(t0 " in stage
+        assert "#pragma omp simd" in stage
+
+    def test_a_register_block_is_not_the_simd_loop(self):
+        """nb's channel loop (3 trips, ``vectorize(c, 3)``): no register
+        has three lanes, the pragma would keep gcc off the pixel loop."""
+        source = emit_c_source(hand_scheduled("nb").function)
+        assert "#pragma omp simd" not in source and "<= 2;" in source
+
+    @pytest.mark.parametrize("trips,simd", [(3, False), (6, False),
+                                            (4, True), (8, True), (12, True)])
+    def test_a_whole_tile_keeps_its_pragma(self, trips, simd):
+        """A constant-trip lane loop that is one register (4 of 8, a
+        separated full tile's 8 of 8) or more than the tag's width is
+        still the simd loop; 3 or 6 of 8 is left to gcc's unroller."""
+        f = Function("f")
+        with f:
+            inp = Input("inp", [Var("x", 0, 64), Var("y", 0, 64)])
+            i, j = Var("i", 0, 64), Var("j", 0, trips)
+            c = Computation("c", [i, j], None)
+            c.set_expression(inp(i, j) * 2.0)
+        c.vectorize("j", 8)
+        source = emit_c_source(f)
+        assert f"<= {trips - 1};" in source
+        assert ("#pragma omp simd" in source) == simd
+        data = np.random.default_rng(0).random((64, 64)).astype(np.float32)
+        assert np.array_equal(f.compile("c")(inp=data)["c"],
+                              data[:, :trips] * np.float32(2.0))
+
+    @pytest.mark.parametrize("name", ["warpAffine", "edgeDetector"])
+    def test_what_cannot_be_split_is_not(self, name):
+        """Non-affine clamp arguments, and no clamp at all: one ``for``
+        per loop of the AST, every clamp where it was."""
+        from repro.codegen.ast import loops_in
+        bundle = hand_scheduled(name)
+        source = emit_c_source(bundle.function)
+        assert "border of" not in source
+        assert source.count("for (") == len(loops_in(bundle.function.lower()))
+        assert source.count("iclamp(") == \
+            {"warpAffine": 8, "edgeDetector": 0}[name]
+
+
+class TestCallContract:
+    def test_a_mis_shaped_array_is_refused(self):
+        """The emitted strides are the declared extents: a smaller array
+        would be read and written out of bounds."""
+        from repro.core.errors import ExecutionError
+        bundle = hand_scheduled("cvtColor")
+        kernel = bundle.function.compile("c")
+        img = np.zeros((8, 6, 3), dtype=np.float32)
+        assert kernel(img=img, N=8, M=6)["gray"].shape == (8, 6)
+        with pytest.raises(ExecutionError) as err:
+            kernel(img=img, N=8, M=8)
+        assert all(part in str(err.value)
+                   for part in ("'img'", "(8, 6, 3)", "(8, 8, 3)"))
+
+    @pytest.mark.parametrize("target", ["c", "cpu"])
+    def test_an_inout_array_that_needed_a_copy_is_written_back(self, target):
+        """A non-contiguous or differently typed INOUT array is converted
+        for the C kernel; the caller's own array gets the result and is
+        what the call returns, as on cpu."""
+        from repro.kernels import build_heat, schedule_heat_cpu
+        bundle = build_heat()
+        schedule_heat_cpu(bundle)
+        params = dict(bundle.test_params)
+        u0 = bundle.make_inputs(params, np.random.default_rng(0))["u"]
+        kernel = bundle.function.compile(target, parallel=False) \
+            if target == "cpu" else bundle.function.compile(target)
+        want = kernel(u=u0.copy(), **params)["u"]
+        assert not np.array_equal(want, u0)
+        for given in (np.asfortranarray(u0), u0.astype(np.float64)):
+            out = kernel(u=given, **params)["u"]
+            assert out is given
+            # (cpu computes a float64 array's update in float64)
+            assert np.allclose(given, want, rtol=0, atol=1e-6)
+        assert np.array_equal(kernel(u=np.asfortranarray(u0), **params)["u"],
+                              want)
+
+
 class TestUnsupported:
     def test_gpu_tags_rejected(self):
         f = Function("f")

@@ -250,6 +250,58 @@ def test_vector_tag_differential(case, extents, lane_pick, shift):
             assert np.array_equal(want[name], native[name]), name
 
 
+# -- index-set splitting: where no clamped index clamps ----------------------
+
+@given(st.lists(st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                          st.integers(-3, 3), st.integers(-6, 6)),
+                min_size=1, max_size=4),
+       st.integers(0, 3), st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_clamp_free_is_exactly_where_no_clamp_clamps(reads, first, trim):
+    """``clamp_free`` of a lane loop ``j`` reading ``inp(clamp(a*j + b*i
+    + k, 0, M - 1))``: at every ``(N, M, i)`` the range it returns lies
+    inside the loop's (so it, what is before and what is after partition
+    the loop's range), holds every ``j`` at which each clamp is the
+    identity and no other, and the statement it returns has no clamp."""
+    from repro import Param
+    from repro.codegen.ast import loops_in
+    from repro.codegen.lanes import clamp_free
+    from repro.ir import clamp
+    from repro.ir.expr import Call
+    from repro.isl.linexpr import OUT, PARAM
+    N, M = Param("N"), Param("M")
+    f = Function("f", params=[N, M])
+    with f:
+        inp = Input("inp", [Var("x", 0, M)])
+        i, j = Var("i", 0, N), Var("j", first, M - trim)
+        c = Computation("c", [i, j], None)
+        c.set_expression(sum(
+            (inp(clamp(a * j + b * i + k, 0, M - 1)) for a, b, k in reads),
+            start=inp(0)))
+    c.vectorize("j", 8)
+    outer, lane = loops_in(f.lower())
+    lowers, uppers, (value,) = clamp_free(f, lane)
+    assert not any(isinstance(e, Call) and e.fn == "clamp"
+                   for e in value.walk())
+
+    def bound(groups, is_lower, at):
+        tight, loose = (max, min) if is_lower else (min, max)
+        return loose(tight(-(-e.evaluate(at) // a) if is_lower
+                           else e.evaluate(at) // a for a, e in group)
+                     for group in groups)
+
+    for n, m in [(n, m) for n in (1, 3) for m in range(1, 10)]:
+        for row in range(n):
+            at = {(PARAM, 0): n, (PARAM, 1): m, (OUT, outer.level): row}
+            lo, hi = bound(lane.lowers, True, at), bound(lane.uppers, False, at)
+            a, b = bound(lowers, True, at), bound(uppers, False, at)
+            assert lo <= a and b <= hi
+            for t in range(lo, hi + 1):
+                assert (a <= t <= b) == all(
+                    0 <= ca * t + cb * row + k <= m - 1
+                    for ca, cb, k in reads), (n, m, row, t)
+
+
 # -- typed lowering: c == scalar cpu == vector cpu, bit for bit --------------
 
 READS = {"a32": "float32", "a64": "float64", "i32": "int32", "u8": "uint8"}
