@@ -1,15 +1,18 @@
-"""Tier-2 gate: the Fig. 1 sgemm really runs on a worker pool.
+"""Tier-2 gate: `parallelize` really runs on cores — each kind of
+region on the executor the runtime's rule gives it.
 
 The tentpole claim of the parallel runtime is that `parallelize`
-dispatches onto real cores, not only modeled cycles.  This gate
-compiles the parallel-tagged Fig. 1 sgemm sequentially and with a
-worker pool, verifies bit-identical output, and requires that both
-parallel regions were chunked across >= 2 worker processes with no
-retry and no sequential fallback.  Whether that offload *pays* is a
-measured number — ``backends.parallel.offload_speedup`` and
-``run_par_ms`` against ``run_seq_ms`` in ``python3 -m bench.run``
-(BENCHMARK.json) — not a single-sample ">= 1.3x" here (ROADMAP open
-item 3 makes the dispatch a recorded cost decision).
+dispatches onto real cores, not only modeled cycles.  The first gate
+compiles the parallel-tagged Fig. 1 sgemm (two Python loop nests: *loop
+regions*) sequentially and with a worker pool, verifies bit-identical
+output, and requires that both regions were chunked across >= 2 worker
+processes with no retry and no sequential fallback.  The second holds
+gaussian (two whole-slab bodies: *slab regions*) at 514 x 514 to
+threads over the caller's own arrays: nothing staged, no worker process
+started.  Whether either *pays* is a measured number —
+``backends.parallel.offload_speedup`` and ``run_par_ms`` against
+``run_seq_ms`` in ``python3 -m bench.run`` (BENCHMARK.json) — not a
+single-sample wall-clock ratio here.
 """
 
 import os
@@ -17,9 +20,13 @@ import os
 import numpy as np
 import pytest
 
+from repro.backends import pool
 from repro.backends.parallel import resolve_num_threads
 from repro.evaluation.parallel import measure_parallel_speedup
+from repro.evaluation.schedules import tiramisu_cpu
+from repro.kernels import build_gaussian
 from repro.kernels.linalg import build_sgemm
+from repro.obs.metrics import metrics
 
 from conftest import print_table
 
@@ -77,3 +84,31 @@ def test_parallel_sgemm_correct_even_single_core():
                                  num_threads=2, repeats=1)
     assert m.identical
     assert m.worker_pids >= 2
+
+
+def test_gaussian_slab_regions_run_on_threads_and_stage_nothing():
+    params = {"N": 514, "M": 514}
+    kernels = []
+    for opts in ({"parallel": False}, {"num_threads": 2}):
+        bundle = build_gaussian()
+        tiramisu_cpu(bundle)
+        kernels.append(bundle.function.compile("cpu", **opts))
+    inputs = bundle.make_inputs(params, np.random.default_rng(0))
+    pool.shutdown_pools()
+    staged = metrics.counter("parallel.shm_bytes_in").value
+    seq_out, par_out = (
+        kernel(**{k: v.copy() for k, v in inputs.items()}, **params)
+        for kernel in kernels)
+    runtime = kernels[1].runtime
+    stats = runtime.stats
+    print_table("gaussian 514 x 514 dispatch", {
+        "plans": {r: f"{p.kind} ({p.reason})"
+                  for r, p in runtime.plans.items()},
+        "regions": stats.regions, "thread regions": stats.thread_regions,
+        "chunks": stats.chunks, "worker pids": len(stats.worker_pids)})
+    assert all(np.array_equal(seq_out[name], par_out[name])
+               for name in seq_out), "thread output diverged"
+    assert (stats.regions, stats.thread_regions, stats.chunks) == (2, 2, 4)
+    assert stats.worker_pids == () and not pool._POOLS
+    assert metrics.counter("parallel.shm_bytes_in").value == staged
+    assert stats.declined == 0 and stats.sequential_fallbacks == 0

@@ -4,7 +4,8 @@ This plays the role of the paper's LLVM backend (reached through Halide
 lowering in the original system): the polyhedral AST is emitted as
 executable code.  Loops tagged ``vector`` become NumPy array arithmetic;
 top-level loops tagged ``parallel`` become chunked worker functions that
-execute on a real multicore pool (:mod:`repro.backends.parallel`) when
+execute on real cores (:mod:`repro.backends.parallel`: threads for
+whole-slab bodies, worker processes for Python loop nests) when
 ``num_threads`` resolves to two or more workers, and run sequentially
 otherwise.  The modeled speedups in :mod:`repro.machine.cpu_model`
 remain available for the paper-scale figures.
@@ -57,10 +58,12 @@ class CompiledKernel:
             else (params, runtime, collector)
         par_before = self._parallel_marks(runtime)
         start_ns = time.perf_counter_ns()
-        if runtime is not None and getattr(runtime, "sharing", None) \
-                and runtime.enabled():
-            with runtime.sharing(arrays) as shared:
-                self._pyfunc(shared, *call_args)
+        if getattr(runtime, "sharing", None) is not None \
+                and runtime.takes(arrays):
+            # the runtime's regions run on what it binds: the caller's
+            # arrays, or shared-memory copies of them for worker processes
+            with runtime.sharing(arrays) as bound:
+                self._pyfunc(bound, *call_args)
         else:
             self._pyfunc(arrays, *call_args)
         if collector is not None:

@@ -2,31 +2,33 @@
 
 The CPU backend emits each safe top-level parallel loop as a chunked
 worker function ``_par_body_k(_bufs, _params, _lo, _hi)`` (see
-:mod:`repro.codegen.pyemit`).  This module supplies the runtime that
-dispatches those chunks onto real cores:
+:mod:`repro.codegen.pyemit`).  This module's runtime splits the range
+``[lo, hi]`` into at most ``num_threads`` contiguous chunks and decides,
+per region and per call (one :class:`DispatchPlan`, with its reason),
+what runs them:
 
-* shared output buffers — the kernel's arrays are staged into
-  ``multiprocessing.shared_memory`` segments for the duration of a
-  call, so every worker writes the same pages and the parent copies
-  results back out;
-* per-worker chunk scheduling — the iteration range ``[lo, hi]`` is
-  split into at most ``num_threads`` contiguous chunks, one future per
-  chunk;
-* graceful sequential fallback — when the machine has one core, the
-  pool cannot be created, the range is trivial, or no shared staging is
-  active, ``offload`` answers ``False`` and the emitted code calls the
-  body inline.
+* **threads** over the caller's own arrays, for a *slab region* — a body
+  with no Python ``for`` in it: a bounds guard plus whole-slab NumPy
+  statements, which release the GIL.  Nothing is staged or pickled;
+* **inline**, for a slab region of a call below
+  :data:`THREAD_FLOOR_BYTES`, a region of one iteration, or a loop
+  region whose pool is refused;
+* **processes**, for a *loop region* (a Python ``for`` nest, GIL-bound):
+  the arrays are staged into ``multiprocessing.shared_memory`` segments
+  for the duration of the call, workers write the same pages and the
+  parent copies results back.  Only a kernel with a loop region stages.
 
-The process pool itself (fork start method when available so workers
-inherit the warm interpreter), the worker-side entry point and the
-failure policy around a dispatch are shared with the tile-DAG runtime
-and the batch compile front end and live in :mod:`repro.backends.pool`.
+The pools, the chunk entry point and the failure policy around a
+process dispatch are shared with the tile-DAG runtime and the batch
+compile front end and live in :mod:`repro.backends.pool`.
 
-Fault tolerance (docs/robustness.md): a region dispatch runs under
-:func:`repro.backends.pool.supervise`.  This module's own part is the
+Fault tolerance (docs/robustness.md): a process dispatch runs under
+:func:`repro.backends.pool.supervise`; this module's own part is the
 snapshot of the shared buffers taken before the first attempt and
 restored before each retry, so reductions stay bit-identical, and the
-inline fallback.  Exceptions raised *by* the loop body are
+inline fallback.  A thread writing the caller's arrays can be neither
+killed nor abandoned, so thread chunks have no timeout and no retry:
+they are always joined.  Exceptions raised *by* the loop body are
 deterministic application errors and are never retried.
 """
 
@@ -34,25 +36,61 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import time
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures import wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.errors import ExecutionError, WorkerFailureError
+from repro.obs.events import EVT_PARALLEL
+from repro.obs.events import emit as emit_event
 
 from .common import resolve_timeout
 from .pool import (PARALLEL, Site, book, exec_in_worker, get_pool,
-                   refusal, supervise, worker_fault)
+                   get_thread_pool, refusal, run_chunk, supervise,
+                   worker_fault)
 
-#: A region with fewer than two such chunks of iterations is not worth
-#: a dispatch and runs inline.
-MIN_CHUNK_ITERS = 1
+#: A slab region runs on threads when the largest array its call binds
+#: has at least this many bytes, inline below: the hand-off costs
+#: ~0.1 ms, which slabs of under a MiB do not win back (measured per
+#: program in EXPERIMENTS.md, "cpu backend: thread dispatch").
+THREAD_FLOOR_BYTES = 1 << 20
+
+
+@dataclass(frozen=True)
+class DispatchPlan:
+    """Where one region runs on one call, and why."""
+    kind: str    # "inline" | "threads" | "processes"
+    reason: str  # slab | python-loop | below-floor | single-iteration
+    #              | breaker-open | pool-unavailable
+
+
+BELOW_FLOOR = DispatchPlan("inline", "below-floor")
+
+
+def _largest(arrays: Dict[str, np.ndarray]) -> int:
+    return max((a.nbytes for a in arrays.values()), default=0)
+
+
+def region_kinds(source: str) -> Dict[str, bool]:
+    """The chunk bodies of an emitted source (``def name(_bufs, _params,
+    _lo, _hi``) -> whether each holds a Python ``for`` (a ``# parallel
+    chunk`` loop, an ``outside slab`` loop): True is a GIL-bound *loop
+    region*, False a *slab region*.  Read at every bind: string splits,
+    a few microseconds."""
+    kinds = {}
+    for text in ("\n" + source).split("\ndef ")[1:]:
+        name, __, rest = text.partition("(")
+        if rest.startswith("_bufs, _params, _lo, _hi"):
+            kinds[name] = re.search(r"\n\s+for ", rest) is not None
+    return kinds
 
 
 def resolve_num_threads(value) -> int:
@@ -90,11 +128,13 @@ def chunk_ranges(lo: int, hi: int, n: int) -> List[Tuple[int, int]]:
 
 @dataclass
 class ParallelStats:
-    """What the pool actually did, for reports and tests."""
+    """What the runtime actually did, for reports and tests."""
     regions: int = 0         # parallel loop executions dispatched
+    thread_regions: int = 0  # ... of which ran on threads (slab regions)
+    declined: int = 0        # regions the plan ran inline instead
     chunks: int = 0          # total chunk futures submitted
     max_workers: int = 0     # widest single dispatch
-    worker_pids: tuple = ()  # distinct pids that ran chunks
+    worker_pids: tuple = ()  # distinct worker processes that ran chunks
     retries: int = 0         # region dispatches repeated after a failure
     pool_restarts: int = 0   # broken pools discarded and rebuilt
     chunk_timeouts: int = 0  # chunks that missed their deadline
@@ -103,13 +143,12 @@ class ParallelStats:
 
 
 class ParallelRuntime:
-    """Hands chunked parallel loop bodies to the worker pool.
+    """Runs chunked parallel loop bodies on threads or worker processes.
 
-    The emitted kernel probes ``offload(trip)`` per parallel loop and
-    calls ``run(body, params, lo, hi)`` when it answers True; the
-    kernel wrapper stages its arrays through ``sharing(arrays)`` for
-    the duration of the call so workers see (and write) the same
-    memory.
+    The kernel wrapper binds its arrays through ``sharing(arrays)`` for
+    the duration of a call; the emitted kernel probes ``offload(trip)``
+    per parallel loop and calls ``run(body, params, lo, hi)`` when it
+    answers True, and ``run`` follows the region's :meth:`plan`.
     """
 
     def __init__(self, source: str, num_threads: int,
@@ -121,8 +160,8 @@ class ParallelRuntime:
         self.num_threads = int(num_threads)
         self.profiled = bool(profiled)
         self.max_retries = int(max_retries)
-        # Per-chunk deadline in seconds; None (and no ``timeout`` knob)
-        # means wait forever, the pre-fault-tolerance behavior.
+        # Per-chunk deadline in seconds (process chunks only); None (and
+        # no ``timeout`` knob) means wait forever.
         self.timeout = resolve_timeout(timeout, default=None)
         if on_worker_failure not in ("retry", "fallback", "raise"):
             raise ValueError(
@@ -130,27 +169,76 @@ class ParallelRuntime:
                 f"'raise', got {on_worker_failure!r}")
         self.on_worker_failure = on_worker_failure
         self.stats = ParallelStats()
-        self._specs = None  # buffer name -> (shm name, shape, dtype str)
-        self._views = None  # buffer name -> shm-backed ndarray (parent)
+        kinds = region_kinds(source)
+        self.loop_regions = frozenset(r for r, loop in kinds.items() if loop)
+        self.slab_regions = tuple(r for r, loop in kinds.items() if not loop)
+        self.stages = bool(self.loop_regions)  # shared memory + workers
+        self.plans: Dict[str, DispatchPlan] = {}  # region -> latest plan
+        self._arrays = None  # buffer name -> ndarray the bodies run on
+        self._specs = None   # buffer name -> (shm name, shape, dtype str)
 
-    def enabled(self) -> bool:
-        return self.num_threads >= 2 \
-            and get_pool(self.num_threads) is not None
+    def takes(self, arrays: Dict[str, np.ndarray]) -> bool:
+        """Will any region of a call on ``arrays`` leave the calling
+        thread?  No, for a kernel of slab regions only called below the
+        floor: its regions are declined here, once for the call, and it
+        runs as if no runtime were attached — a 20 us call cannot pay
+        for a plan per region."""
+        if self.stages or _largest(arrays) >= THREAD_FLOOR_BYTES:
+            return True
+        for region in self.slab_regions:
+            self._decide(region, BELOW_FLOOR)
+        book(PARALLEL, "inline", (self.stats,), count=len(self.slab_regions))
+        return False
 
     def offload(self, trip: int) -> bool:
-        """Should this region's chunks go to the pool?  ``False`` makes
-        the emitted kernel run the body inline — which is also the
-        graceful-degradation path while the shared pool's circuit
-        breaker is open: a pool that keeps dying stops being hammered,
-        and ``parallelize`` silently becomes sequential (bit-identical
-        results, the pre-parallel semantics)."""
-        return self._specs is not None and trip >= 2 * MIN_CHUNK_ITERS \
-            and refusal(PARALLEL, (self.stats,), self.num_threads) is None
+        """Does the runtime take this region?  True while a call's
+        arrays are bound (:meth:`sharing`); where it then runs — inline
+        included — is :meth:`plan`'s decision, made in :meth:`run`."""
+        return self._arrays is not None
+
+    def plan(self, region: str, trip: int) -> DispatchPlan:
+        """The executor for one region of the bound call.  Only a loop
+        region asks the pool's circuit breaker (and builds the pool):
+        while it is open those silently run sequentially — same bits, a
+        pool that keeps dying stops being hammered."""
+        if trip < 2:
+            plan = DispatchPlan("inline", "single-iteration")
+        elif region in self.loop_regions:
+            why = "pool-unavailable" if self._specs is None else refusal(
+                PARALLEL, (self.stats,), self.num_threads)
+            plan = DispatchPlan("inline", why) if why else \
+                DispatchPlan("processes", "python-loop")
+        elif _largest(self._arrays) < THREAD_FLOOR_BYTES:
+            plan = BELOW_FLOOR
+        else:
+            plan = DispatchPlan("threads", "slab")
+        return self._decide(region, plan)
+
+    def _decide(self, region: str, plan: DispatchPlan) -> DispatchPlan:
+        """File ``plan`` as the region's latest; the journal hears of it
+        (``parallel.dispatch``) when it changed, not once per call."""
+        if self.plans.get(region) != plan:
+            self.plans[region] = plan
+            emit_event("parallel.dispatch", EVT_PARALLEL,
+                       kernel=self.digest[:12], region=region,
+                       kind=plan.kind, reason=plan.reason)
+        return plan
 
     @contextmanager
     def sharing(self, arrays: Dict[str, np.ndarray]):
-        """Stage ``arrays`` into shared memory; copy results back on
-        normal exit and always release the segments."""
+        """Bind one call's arrays.  A kernel that has a loop region
+        stages them into shared memory, copies results back on normal
+        exit and always releases the segments; any other kernel's
+        regions run on ``arrays`` themselves."""
+        if not self.stages or get_pool(self.num_threads) is None:
+            self._arrays = arrays
+            try:
+                yield arrays
+            finally:
+                self._arrays = None
+            return
+        from multiprocessing import shared_memory
+
         from repro.obs.metrics import metrics
         shms: List[Tuple[str, shared_memory.SharedMemory]] = []
         views: Dict[str, np.ndarray] = {}
@@ -171,8 +259,7 @@ class ParallelRuntime:
             metrics.histogram("parallel.shm_copy_seconds").observe(
                 time.perf_counter() - copy_start)
             metrics.counter("parallel.shm_bytes_in").inc(bytes_in)
-            self._specs = specs
-            self._views = views
+            self._specs, self._arrays = specs, views
             yield views
             back_start = time.perf_counter()
             bytes_out = 0
@@ -185,8 +272,7 @@ class ParallelRuntime:
                 time.perf_counter() - back_start)
             metrics.counter("parallel.shm_bytes_out").inc(bytes_out)
         finally:
-            self._specs = None
-            self._views = None
+            self._specs = self._arrays = None
             views.clear()
             for _, shm in shms:
                 try:
@@ -200,30 +286,58 @@ class ParallelRuntime:
 
     def run(self, body, params: Dict[str, int], lo: int, hi: int,
             obs=None) -> None:
-        """Execute one parallel loop: split [lo, hi] into chunks and
-        block until every worker finishes.
-
-        Worker *failures* (a crash breaking the pool, a chunk missing
-        its ``timeout``) are supervised (:meth:`_supervise`); exceptions
-        raised by the body itself are application errors and surface
-        immediately.
-
-        Each chunk result carries the worker's wall clock (and, when
-        profiling, its counter snapshot); they are aggregated here, in
-        the parent, into the process-global metrics registry and the
-        per-call ``obs`` collector — workers never share state."""
+        """Execute one parallel loop where its :meth:`plan` says, and
+        return (or raise) only once every chunk has finished.  Worker
+        *failures* of a process dispatch (a crash breaking the pool, a
+        chunk missing its ``timeout``) are supervised
+        (:meth:`_supervise`); exceptions raised by the body are
+        application errors and surface, from either executor, as the
+        same :class:`ExecutionError`."""
         from repro.obs.metrics import metrics
-        if self._specs is None:  # raced a pool teardown
+        if self._arrays is None:  # raced the end of the call
             raise ExecutionError(
-                f"parallel region {body.__name__} has no active pool")
+                f"parallel region {body.__name__} has no bound arrays")
+        plan = self.plan(body.__name__, hi - lo + 1)
+        if plan.kind != "processes":
+            book(PARALLEL, plan.kind, (self.stats,))
+        if plan.kind == "inline":
+            return self._run_inline(body, params, lo, hi, obs)
         region = self.stats.regions
         self.stats.regions += 1
         metrics.counter("parallel.regions").inc()
-        if not self._supervise(
+        if plan.kind == "threads":
+            self._run_threads(body, params, lo, hi, obs)
+        elif not self._supervise(
                 lambda pool, attempt: self._dispatch(
                     pool, body, params, lo, hi, obs, region, attempt),
                 body.__name__, region):
             self._run_inline(body, params, lo, hi, obs)
+
+    def _run_threads(self, body, params: Dict[str, int], lo: int, hi: int,
+                     obs) -> None:
+        """A slab region: the calling thread runs the first chunk, the
+        cached thread pool the others, all on the bound arrays.  Every
+        chunk is joined whatever any of them raised: no thread still
+        writes the caller's arrays once this returns.  The ambient
+        Deadline is charged first, as before a process attempt."""
+        from repro.driver.resilience import current_deadline
+        deadline = current_deadline()
+        if deadline is not None:
+            deadline.check(PARALLEL.stage)
+        bounds = chunk_ranges(lo, hi, self.num_threads)
+        args = (body, self._arrays, params)
+        pool = get_thread_pool(self.num_threads)
+        futures = [pool.submit(run_chunk, *args, b, self.profiled)
+                   for b in bounds[1:]]
+        first = Future()
+        try:
+            try:
+                first.set_result(run_chunk(*args, bounds[0], self.profiled))
+            except Exception as exc:  # noqa: BLE001 - joined, then raised
+                first.set_exception(exc)
+            self._gather(body, bounds, [first] + futures, obs)
+        finally:
+            wait(futures)
 
     def _supervise(self, attempt: Callable, label: str, region: int,
                    site: Site = PARALLEL,
@@ -234,7 +348,7 @@ class ParallelRuntime:
         dies mid-flight; the snapshot taken here lets every retry — and
         the inline fallback — start from clean buffers, keeping the
         output bit-identical."""
-        views = self._views
+        views = self._arrays
         snapshot = {} if self.on_worker_failure == "raise" else {
             name: np.array(view, copy=True) for name, view in views.items()}
 
@@ -250,18 +364,15 @@ class ParallelRuntime:
 
     def _dispatch(self, pool, body, params: Dict[str, int], lo: int,
                   hi: int, obs, region: int, attempt: int) -> bool:
-        """One attempt: submit every chunk, gather every result.
+        """One attempt on the process pool: submit every chunk, gather
+        every result.
 
         Infrastructure failures leave as ``BrokenProcessPool`` or
         :class:`WorkerFailureError` (a chunk deadline) for
         :func:`supervise` to handle; exceptions the body raised become
         plain :class:`ExecutionError`."""
-        from repro.obs.metrics import metrics
         bounds = chunk_ranges(lo, hi, self.num_threads)
         futures = []
-        pids = set(self.stats.worker_pids)
-        errors: List[BaseException] = []
-        chunk_seconds: List[float] = []
         try:
             # Submitting is inside the try: an earlier chunk's crash can
             # break the pool while later chunks are still going out.
@@ -270,43 +381,56 @@ class ParallelRuntime:
                     exec_in_worker, self.digest, self.source,
                     body.__name__, self._specs, params, (clo, chi),
                     self.profiled, worker_fault(region, k, attempt)))
-            self.stats.chunks += len(bounds)
-            self.stats.max_workers = max(self.stats.max_workers,
-                                         len(bounds))
-            deadline = (time.monotonic() + self.timeout
-                        if self.timeout is not None else None)
-            for fut, (clo, chi) in zip(futures, bounds):
-                try:
-                    remaining = (None if deadline is None else
-                                 max(0.0, deadline - time.monotonic()))
-                    pid, start_ns, end_ns, snapshot = fut.result(
-                        timeout=remaining)
-                except FuturesTimeoutError:
-                    book(PARALLEL, "chunk_timeout", (self.stats,),
-                         region=region, chunk_lo=clo, chunk_hi=chi,
-                         timeout_seconds=self.timeout)
-                    raise WorkerFailureError(
-                        f"parallel region {body.__name__}: chunk "
-                        f"[{clo}, {chi}] exceeded the {self.timeout:g}s "
-                        f"timeout (hung worker?)") from None
-                except BrokenProcessPool:
-                    raise
-                except BaseException as exc:  # noqa: BLE001 - app error
-                    errors.append(exc)
-                    continue
-                pids.add(pid)
-                seconds = (end_ns - start_ns) / 1e9
-                chunk_seconds.append(seconds)
-                metrics.histogram("parallel.chunk_seconds").observe(seconds)
-                metrics.histogram("parallel.chunk_iters").observe(
-                    chi - clo + 1)
-                if obs is not None:
-                    obs.merge(snapshot)
-                    obs.worker_span(body.__name__, clo, chi, start_ns,
-                                    end_ns, pid)
+            self._gather(body, bounds, futures, obs, region, self.timeout)
         finally:
             for fut in futures:
                 fut.cancel()
+        return True
+
+    def _gather(self, body, bounds, futures, obs, region=None,
+                timeout: Optional[float] = None) -> None:
+        """Collect every chunk of one dispatch, from either pool
+        (process chunks — ``region`` given — within ``timeout``), and
+        account them here in the parent: each result carries its wall
+        clock and, when profiling, its counter snapshot for ``obs``.
+        The first exception a body raised surfaces once all are in."""
+        from repro.obs.metrics import metrics
+        self.stats.chunks += len(bounds)
+        self.stats.max_workers = max(self.stats.max_workers, len(bounds))
+        pids = set(self.stats.worker_pids)
+        errors: List[BaseException] = []
+        chunk_seconds: List[float] = []
+        deadline = time.monotonic() + timeout if timeout is not None else None
+        for fut, (clo, chi) in zip(futures, bounds):
+            try:
+                remaining = (None if deadline is None else
+                             max(0.0, deadline - time.monotonic()))
+                pid, thread, start_ns, end_ns, snapshot = fut.result(
+                    timeout=remaining)
+            except FuturesTimeoutError:
+                book(PARALLEL, "chunk_timeout", (self.stats,),
+                     region=region, chunk_lo=clo, chunk_hi=chi,
+                     timeout_seconds=timeout)
+                raise WorkerFailureError(
+                    f"parallel region {body.__name__}: chunk "
+                    f"[{clo}, {chi}] exceeded the {timeout:g}s "
+                    f"timeout (hung worker?)") from None
+            except BrokenProcessPool:
+                raise
+            except BaseException as exc:  # noqa: BLE001 - app error
+                errors.append(exc)
+                continue
+            if region is not None:
+                pids.add(pid)
+            seconds = (end_ns - start_ns) / 1e9
+            chunk_seconds.append(seconds)
+            metrics.histogram("parallel.chunk_seconds").observe(seconds)
+            metrics.histogram("parallel.chunk_iters").observe(
+                chi - clo + 1)
+            if obs is not None:
+                obs.merge(snapshot)
+                obs.worker_span(body.__name__, clo, chi, start_ns,
+                                end_ns, pid, thread)
         self.stats.worker_pids = tuple(sorted(pids))
         metrics.counter("parallel.chunks").inc(len(bounds))
         if chunk_seconds and min(chunk_seconds) > 0:
@@ -316,19 +440,13 @@ class ParallelRuntime:
             raise ExecutionError(
                 f"parallel region {body.__name__} failed in a worker: "
                 f"{errors[0]}") from errors[0]
-        return True
 
     def _run_inline(self, body, params: Dict[str, int], lo: int, hi: int,
                     obs) -> None:
-        """Graceful degradation: execute the whole region sequentially
-        in the parent, on the shared views the workers would have
-        written."""
-        views = self._views
-        if views is None:
-            raise ExecutionError(
-                f"parallel region {body.__name__}: no shared buffers to "
-                "fall back onto")
+        """The whole region sequentially in the calling thread, on the
+        arrays the chunks would have written: the plan's decline, and
+        the graceful degradation of a failed process dispatch."""
         if self.profiled and obs is not None:
-            body(views, params, lo, hi, obs)
+            body(self._arrays, params, lo, hi, obs)
         else:
-            body(views, params, lo, hi)
+            body(self._arrays, params, lo, hi)

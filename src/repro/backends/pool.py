@@ -26,7 +26,7 @@ import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -56,19 +56,38 @@ def load_namespace(digest: str, source: str) -> dict:
     return ns
 
 
+def run_chunk(body, bufs, params: Dict[str, int], args: tuple,
+              profiled: bool = False) -> tuple:
+    """Time ``body(bufs, params, *args)`` where it runs: a pool worker
+    (:func:`exec_in_worker`) or a thread of this process (a slab
+    region's chunk on the caller's arrays).
+
+    Returns ``(pid, thread_id, start_ns, end_ns, obs_snapshot)`` — the
+    wall clock of the body (for the parent's imbalance metrics) and,
+    when ``profiled``, the picklable counter snapshot of a collector of
+    the chunk's own, so per-computation iteration counts stay exact
+    under multicore execution."""
+    snapshot = None
+    start_ns = time.perf_counter_ns()
+    if profiled:
+        from repro.obs import RunCollector
+        collector = RunCollector()
+        body(bufs, params, *args, collector)
+        snapshot = collector.snapshot()
+    else:
+        body(bufs, params, *args)
+    return (os.getpid(), threading.get_ident(), start_ns,
+            time.perf_counter_ns(), snapshot)
+
+
 def exec_in_worker(digest: str, source: str, body_name: str, specs,
                    params: Dict[str, int], args: tuple,
                    profiled: bool = False, fault=None) -> tuple:
     """Run ``body_name(bufs, params, *args)`` of the emitted source
     inside a worker process — one chunk of a parallel loop
     (``args = (lo, hi)``) or one tile (``args`` = the flat per-dim
-    bounds) — on the shared staging buffers named by ``specs``.
-
-    Returns ``(pid, start_ns, end_ns, obs_snapshot)`` — the wall clock
-    of the body (for the parent's imbalance metrics) and, when
-    ``profiled``, the worker collector's picklable counter snapshot so
-    per-computation iteration counts stay exact under multicore
-    execution.
+    bounds) — on the shared staging buffers named by ``specs``;
+    returns what :func:`run_chunk` does.
 
     ``fault`` is the parent's fault-injection decision for this task
     (workers never see the plan itself, see :func:`worker_fault`):
@@ -90,17 +109,7 @@ def exec_in_worker(digest: str, source: str, body_name: str, specs,
             attached.append(shm)
             bufs[name] = np.ndarray(shape, dtype=np.dtype(dtype),
                                     buffer=shm.buf)
-        snapshot = None
-        start_ns = time.perf_counter_ns()
-        if profiled:
-            from repro.obs import RunCollector
-            collector = RunCollector()
-            ns[body_name](bufs, params, *args, collector)
-            snapshot = collector.snapshot()
-        else:
-            ns[body_name](bufs, params, *args)
-        end_ns = time.perf_counter_ns()
-        return os.getpid(), start_ns, end_ns, snapshot
+        return run_chunk(ns[body_name], bufs, params, args, profiled)
     finally:
         bufs.clear()
         for shm in attached:
@@ -130,9 +139,11 @@ def worker_fault(region: int, chunk: int, attempt: int) -> Optional[tuple]:
 # -- pool management ---------------------------------------------------------
 #
 # One warm fork pool per worker count, shared process-wide and shut
-# down at exit.
+# down at exit; beside it one thread pool per worker count, for the
+# bodies that release the GIL (slab regions, see parallel.py).
 
 _POOLS: Dict[int, ProcessPoolExecutor] = {}
+_THREAD_POOLS: Dict[int, ThreadPoolExecutor] = {}
 _POOL_UNAVAILABLE = False
 
 
@@ -181,6 +192,18 @@ def get_pool(workers: int) -> Optional[ProcessPoolExecutor]:
     return pool
 
 
+def get_thread_pool(workers: int) -> ThreadPoolExecutor:
+    """The cached thread pool serving ``workers``-wide slab regions:
+    ``workers - 1`` threads, because the calling thread runs a chunk
+    itself.  Threads start at the first submit, not here."""
+    pool = _THREAD_POOLS.get(workers)
+    if pool is None:
+        pool = _THREAD_POOLS.setdefault(workers, ThreadPoolExecutor(
+            max_workers=max(1, workers - 1),
+            thread_name_prefix="tiramisu-par"))
+    return pool
+
+
 def discard_pool(workers: int) -> None:
     """Drop (and kill) the cached pool for ``workers`` so the next
     ``get_pool`` builds a fresh one.  Workers are terminated rather
@@ -204,9 +227,10 @@ def discard_pool(workers: int) -> None:
 
 def shutdown_pools() -> None:
     """Tear down every cached worker pool (also runs atexit)."""
-    for pool in _POOLS.values():
-        pool.shutdown(wait=True, cancel_futures=True)
-    _POOLS.clear()
+    for pools in (_POOLS, _THREAD_POOLS):
+        for pool in pools.values():
+            pool.shutdown(wait=True, cancel_futures=True)
+        pools.clear()
 
 
 atexit.register(shutdown_pools)
@@ -241,6 +265,10 @@ PARALLEL = Site("parallel", "parallel-dispatch", EVT_PARALLEL, {
     "breaker_block": ("breaker_blocks", "parallel.breaker_blocks", None),
     "chunk_timeout": ("chunk_timeouts", "parallel.chunk_timeouts",
                       "parallel.chunk_timeout"),
+    # a region's DispatchPlan, keyed by its kind (parallel.py); the
+    # journal hears of a plan only when it changes (parallel.dispatch)
+    "inline": ("declined", "parallel.declined", None),
+    "threads": ("thread_regions", "parallel.thread_regions", None),
 })
 
 # The tile-DAG runtime *is* a parallel runtime (same pool, same staging,
@@ -269,21 +297,22 @@ _BOOK_LOCK = threading.Lock()
 
 
 def book(site: Site, outcome: str, stats: tuple, label: str = "",
-         **fields) -> None:
-    """Account one outcome at ``site``: bump the declared field on every
-    ``stats`` object that has it, the declared counter, and journal the
-    declared event with ``fields``.  Retries and fallbacks also drop a
-    zero-length ``fault`` marker ``{op}:{outcome}:{label}`` on the
-    tracer timeline, next to the worker spans they interrupted."""
+         count: int = 1, **fields) -> None:
+    """Account one outcome at ``site`` (``count`` of them): bump the
+    declared field on every ``stats`` object that has it, the declared
+    counter, and journal the declared event with ``fields``.  Retries
+    and fallbacks also drop a zero-length ``fault`` marker
+    ``{op}:{outcome}:{label}`` on the tracer timeline, next to the
+    worker spans they interrupted."""
     from repro.obs.metrics import metrics
     field, counter, event = site.rows[outcome]
     if field is not None:
         with _BOOK_LOCK:
             for obj in stats:
                 if hasattr(obj, field):
-                    setattr(obj, field, getattr(obj, field) + 1)
+                    setattr(obj, field, getattr(obj, field) + count)
     if counter is not None:
-        metrics.counter(counter).inc()
+        metrics.counter(counter).inc(count)
     if event is not None:
         emit_event(event, site.category, **fields)
     if outcome in ("retry", "fallback"):

@@ -81,13 +81,17 @@ class RunCollector:
     # -- called from the parallel runtime ---------------------------------
 
     def worker_span(self, body: str, lo: int, hi: int, start_ns: int,
-                    end_ns: int, pid: int) -> None:
+                    end_ns: int, pid: int, thread: int) -> None:
+        """One chunk, on the lane of whatever ran it: a worker process,
+        or a thread of this one."""
+        lane = f"thread-{thread}" if pid == os.getpid() else f"worker-{pid}"
         self.spans.append(Span(
             name=f"{body}[{lo}:{hi}]", cat=CAT_WORKER,
             start_ns=int(start_ns),
             dur_ns=max(0, int(end_ns) - int(start_ns)),
-            pid=os.getpid(), tid=f"worker-{pid}",
-            args={"lo": int(lo), "hi": int(hi), "worker_pid": int(pid)}))
+            pid=os.getpid(), tid=lane,
+            args={"lo": int(lo), "hi": int(hi), "worker_pid": int(pid),
+                  "thread_id": int(thread)}))
 
     def merge(self, snapshot: Optional[Dict[str, object]]) -> None:
         """Fold a worker collector's :meth:`snapshot` into this one."""

@@ -78,6 +78,7 @@ class TaskGraphRuntime(ParallelRuntime):
 
     def __init__(self, source: str, fn, num_threads: int, **kwargs):
         super().__init__(source, num_threads, **kwargs)
+        self.stages = True  # tiles always run in worker processes
         self.fn = fn
         self.scheduler_mode = "ready-queue"
         self.taskgraph_stats = TaskGraphStats()
@@ -212,7 +213,7 @@ class TaskGraphRuntime(ParallelRuntime):
                 for fut in done_set:
                     task = futures.pop(fut)
                     try:
-                        pid, t0, t1, __ = fut.result()
+                        pid, __, t0, t1, __ = fut.result()
                     except BrokenProcessPool:
                         raise
                     except BaseException as exc:  # noqa: BLE001 app error

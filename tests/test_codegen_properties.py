@@ -478,7 +478,11 @@ def test_typed_tree_differential(recipe, out_dtype, seed, nest):
     assert "for " not in vector.source, vector.source   # one slab
     assert np.array_equal(want, got, equal_nan=True), vector.source
     if parallel and planes:     # 3 planes: chunks for two workers
-        pair, got = run(True, "cpu", num_threads=2)
+        # no size floor: the slab region really runs chunked, on threads
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.backends.parallel.THREAD_FLOOR_BYTES", 0)
+            pair, got = run(True, "cpu", num_threads=2)
+        assert pair.runtime.stats.thread_regions == 1, pair.source
         assert np.array_equal(want, got, equal_nan=True), pair.source
     if have_c_compiler():
         native, got = run(True, "c")

@@ -23,7 +23,9 @@ pytestmark = pytest.mark.skipif(not have_c_compiler(),
 
 @pytest.mark.parametrize("builder,schedule", HAND,
                          ids=[b.__name__ for b, __ in HAND])
-def test_c_equals_cpu_bit_for_bit(builder, schedule):
+def test_c_equals_cpu_bit_for_bit(builder, schedule, monkeypatch):
+    # no size floor: at test sizes the "cpu x2" leg still runs chunked
+    monkeypatch.setattr("repro.backends.parallel.THREAD_FLOOR_BYTES", 0)
     outputs = {}
     for leg, target, opts in (("c", "c", {}),
                               ("cpu", "cpu", {"parallel": False}),

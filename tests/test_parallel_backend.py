@@ -164,8 +164,10 @@ class TestExecution:
         assert np.array_equal(out["C"], run_sgemm(k_ref)["C"])
 
     def test_worker_failure_surfaces(self):
+        # a loop region (a Python ``for``): runs in worker processes
         runtime = ParallelRuntime("def boom(_bufs, _params, _lo, _hi):\n"
-                                  "    raise ValueError('inside')\n", 2)
+                                  "    for _ in range(1):\n"
+                                  "        raise ValueError('inside')\n", 2)
         with runtime.sharing({"x": np.zeros(4, dtype=np.float32)}):
             def boom():
                 pass
@@ -278,7 +280,8 @@ class TestFaultTolerance:
     def test_application_errors_are_never_retried(self):
         runtime = ParallelRuntime(
             "def boom(_bufs, _params, _lo, _hi):\n"
-            "    raise ValueError('inside')\n", 2, max_retries=3)
+            "    for _ in range(1):\n"
+            "        raise ValueError('inside')\n", 2, max_retries=3)
         with runtime.sharing({"x": np.zeros(4, dtype=np.float32)}):
             def boom():
                 pass

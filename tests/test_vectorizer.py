@@ -403,7 +403,11 @@ class TestSlabs:
                "store-not-driven" in k.source
         assert "# vectorized (j) over (i)" in k.source
 
-    def test_parallel_chunk_joins_and_workers_store_the_same_bits(self):
+    def test_parallel_chunk_joins_and_workers_store_the_same_bits(
+            self, monkeypatch):
+        # no size floor: the 40 x 9 slab really runs as two chunks
+        monkeypatch.setattr("repro.backends.parallel.THREAD_FLOOR_BYTES", 0)
+
         def build(tag):
             f = Function("f")
             with f:
@@ -416,7 +420,7 @@ class TestSlabs:
                 c.vectorize("j", 8)
             return f, {"num_threads": 2 if tag else 1}
         k, __ = _both(build, inp=self.rng.random((40, 9), np.float32))
-        assert k.runtime is not None and k.parallel_regions == 1
+        assert k.runtime.stats.chunks == 2 and k.parallel_regions == 1
         assert "b_c[_lo:_hi + 1, 0:9] = " in k.source
         assert "for " not in k.source.split("def _kernel")[0]
 
