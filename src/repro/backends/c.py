@@ -148,8 +148,10 @@ def _coerce(x: _C, want: str, other: Optional[str] = None) -> _C:
 
 
 class CEmitter:
-    def __init__(self, fn: Function, lanes_verified: bool = False):
+    def __init__(self, fn: Function, lanes_verified: bool = False,
+                 parallel: bool = True):
         self.fn = fn
+        self.parallel = parallel    # False: no loop runs on a team
         self.params = list(fn.param_names)
         self.param_dims = {p: (PARAM, i) for i, p in enumerate(self.params)}
         self.lanes_verified = lanes_verified
@@ -293,7 +295,8 @@ class CEmitter:
         if kind == "vector":
             return self.emit_vector(loop, lo, hi)
         if kind == "parallel":
-            self.line("#pragma omp parallel for")
+            if self.parallel:
+                self.line("#pragma omp parallel for")
         elif kind == "unroll":
             self.line(f"#pragma GCC unroll {loop.tag.factor or 4}")
         elif kind is not None:
@@ -398,15 +401,16 @@ def _register_block(loop: Loop) -> bool:
         and 0 < n <= (loop.tag.factor or 0) and n & (n - 1) != 0
 
 
-def emit_c_source(fn: Function, ast=None,
-                  lanes_verified: bool = False) -> str:
+def emit_c_source(fn: Function, ast=None, lanes_verified: bool = False,
+                  parallel: bool = True) -> str:
     """``lanes_verified``: the race-check stage proved every ``vector``
-    tag clean (:func:`repro.codegen.lanes.lane_verdict`)."""
+    tag clean (:func:`repro.codegen.lanes.lane_verdict`); ``parallel``:
+    the compile option (False prints no ``omp parallel for``)."""
     if ast is None:
         infer_argument_kinds(fn)
         ast = fn.lower()
     buffers = collect_buffers(fn)
-    emitter = CEmitter(fn, lanes_verified)
+    emitter = CEmitter(fn, lanes_verified, parallel)
     args = []
     for buf in buffers:
         args.append(f"{_CTYPE[buf.dtype.np_dtype]}* restrict {buf.name}")
@@ -422,8 +426,13 @@ class NativeKernel:
     """A gcc-compiled Tiramisu function callable on NumPy arrays."""
 
     def __init__(self, fn: Function, source: str, lib_path: str,
-                 buffers: List[Buffer]):
+                 buffers: List[Buffer], num_threads: Optional[int] = None):
         self.fn = fn
+        #: the team a call's parallel loops run on (the compile option;
+        #: None: OpenMP's default, or no parallel loop -- gcc links no
+        #: libgomp then).  Set around each call, not printed in the
+        #: source, so one source serves every team size.
+        self.num_threads = num_threads if "omp parallel" in source else None
         self.source = source
         self.buffers = buffers
         self.param_names = list(fn.param_names)
@@ -454,8 +463,16 @@ class NativeKernel:
             dense.append(arr)
             if arr is not given and buf.name in outputs:
                 copied.append((given, arr))
-        self._lib.kernel(*[arr.ctypes.data for arr in dense],
-                         *[params[p] for p in self.param_names])
+        team = self.num_threads
+        if team:    # this thread's OpenMP default, for this call only
+            before = self._lib.omp_get_max_threads()
+            self._lib.omp_set_num_threads(team)
+        try:
+            self._lib.kernel(*[arr.ctypes.data for arr in dense],
+                             *[params[p] for p in self.param_names])
+        finally:
+            if team:
+                self._lib.omp_set_num_threads(before)
         for given, arr in copied:   # as cpu does: the caller's array
             np.copyto(given, arr, casting="unsafe")
         return outputs
@@ -523,6 +540,9 @@ class CBackend(Backend):
 
     name = "c"
     extra_options = {"extra_flags": ()}
+    # OpenMP runs a parallel loop's iterations on threads over the
+    # caller's arrays: the race check guards its tags as on cpu.
+    parallel_execution = ("parallel",)
     # bind() recompiles ctx.source with gcc; nothing emit-time survives
     # it, so stored source is a complete artifact.
     bind_from_source = True
@@ -530,10 +550,11 @@ class CBackend(Backend):
     def emit(self, ctx) -> str:
         if not have_c_compiler():
             raise ExecutionError("no C compiler available")
-        return emit_c_source(ctx.fn, ctx.ast, ctx.lanes_verified)
+        return emit_c_source(ctx.fn, ctx.ast, ctx.lanes_verified,
+                             ctx.opt("parallel", True))
 
     def bind(self, ctx) -> NativeKernel:
         so_path = build_shared_object(ctx.source,
                                       ctx.opt("extra_flags", ()))
         return NativeKernel(ctx.fn, ctx.source, so_path,
-                            collect_buffers(ctx.fn))
+                            collect_buffers(ctx.fn), ctx.opt("num_threads"))

@@ -166,7 +166,7 @@ class CpuBackend(Backend):
     """The multicore CPU target: Python/NumPy emission + exec binding."""
 
     name = "cpu"
-    parallel_execution = True
+    parallel_execution = ("parallel",)
     # bind() only exec()s ctx.source against ctx.fn, so kernels rebuild
     # from stored source: eligible for the disk tier and batch offload.
     bind_from_source = True

@@ -550,6 +550,9 @@ class DistributedBackend(Backend):
     """The simulated MPI target: rank-conditional emission, exec binding."""
 
     name = "distributed"
+    # every rank runs on a thread of its own: the race check guards the
+    # rank loop as it guards a parallel one
+    parallel_execution = ("distributed",)
     # bind() exec()s ctx.source; rank/launch state lives in the source
     # itself, so stored artifacts rebind cleanly.
     bind_from_source = True

@@ -17,12 +17,14 @@ there).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.access import Resolved
 from repro.core.deps import DependenceSummary
 from repro.ir.affine import try_expr_to_linexpr
 from repro.ir.expr import Call, Expr, IterVar
+from repro.isl import BasicSet, Constraint, Space
 from repro.isl.linexpr import IN, OUT, PARAM, LinExpr
 
 from .ast import Bound, Loop, Stmt
@@ -84,18 +86,123 @@ def _one_index_per_buffer(stmts: Sequence[Stmt], forms: Sequence[Resolved],
                if id(read.buffer) in stored)
 
 
-def slab_verdict(fn, chain: Sequence[Loop], verified: bool = False
-                 ) -> Tuple[int, Optional[str], Tuple[Lane, ...]]:
-    """``(k, why, axes)`` for ``chain``, a perfect nest of loops that
-    ends in a ``vector``-tagged one: ``chain[k:]`` is its longest suffix
-    that may run as one whole-range statement per computation, ``axes``
-    the dims of those loops in the order every statement stores them,
-    and ``why`` what kept ``chain[k - 1]`` out (None when ``k`` is 0) --
-    the body (``nested-loop``, ``operation``, ``guard``, ``predicate``),
-    a bound of a loop inside that mentions it (``non-rectangular``), a
-    store that does not move with it (``store-not-driven``) or not as an
-    axis of its own (``store-not-separable``, :func:`slab_axes`), or
-    ``carried <kind> <src>-><sink> on <buf>``.
+#: Folded strip-mined pairs of a slab: the level of the slab variable
+#: ``b`` -> ``(level of a, lowers, uppers)``, the range of ``s*a + b`` that
+#: ``b``'s axis runs over instead of its own (:func:`strip_mined`).
+Folds = Dict[int, Tuple[int, List[List[Bound]], List[List[Bound]]]]
+
+
+def strip_mined(fn, a: Loop, b: Loop, s: int) -> Optional[
+        Tuple[List[List[Bound]], List[List[Bound]]]]:
+    """Do ``a`` and ``b``, a loop inside it, enumerate ``u = s*a + b``
+    over one interval, each ``u`` exactly once, whatever the other loop
+    variables and the parameters?  That interval, as :class:`Loop` bound
+    groups over those, or None.  Its ends are the bounds ``u`` inherits
+    (``b >= b0, a >= g``: ``u >= s*g + b0``; ``b <= e - s*a``: ``u <= e``;
+    ``b <= e, a <= f``: ``u <= s*f + e``), and the isl layer proves the
+    rest from the two loops' bounds: ``b`` stays below ``b0 + s`` (so
+    ``u`` determines ``a``), every point lies within the interval, and
+    every ``u`` of it is a point (``a = floor((u - b0) / s)``)."""
+    groups = (a.lowers, a.uppers, b.lowers, b.uppers)
+    if any(len(g) != 1 for g in groups) or len(b.lowers[0]) != 1 or any(
+            kind not in (OUT, PARAM) for g in groups for __, e in g[0]
+            for kind, __ in e.dims()):
+        return None
+    ta, tb = LinExpr.dim(OUT, a.level), LinExpr.dim(OUT, b.level)
+    (d, b0), = b.lowers[0]
+    if d != 1 or b0.coeff((OUT, a.level)):
+        return None
+    lows = [b0 + g * s for d, g in a.lowers[0] if d == 1]
+    highs: List[LinExpr] = []
+    for d, e in b.uppers[0]:
+        at = e.coeff((OUT, a.level)) if d == 1 else None
+        if at == -s:
+            highs.append(e + ta * s)
+        elif at == 0:
+            highs += [e + f * s for d2, f in a.uppers[0] if d2 == 1]
+    if not (lows and highs):
+        return None
+    u = LinExpr.dim(OUT, b.level + 1)
+    space = Space.set_space(tuple(f"t{i}" for i in range(b.level + 2)),
+                            None, tuple(fn.param_names))
+
+    def empty(*exprs, eq=()) -> bool:
+        bset = BasicSet(space, [Constraint.ge(e) for e in exprs]
+                        + [Constraint.eq(e) for e in eq])
+        return bset.is_rational_empty() or bset.is_empty()
+
+    pair = ([t * d - e for t, loop in ((ta, a), (tb, b))
+             for d, e in loop.lowers[0]]
+            + [e - t * d for t, loop in ((ta, a), (tb, b))
+               for d, e in loop.uppers[0]])
+    on = dict(eq=[u - ta * s - tb])
+    if not (empty(*pair, tb - b0 - s, **on)
+            and all(empty(*pair, lo - u - 1, **on) for lo in lows)
+            and all(empty(*pair, u - hi - 1, **on) for hi in highs)):
+        return None
+    span = ([u - lo for lo in lows] + [hi - u for hi in highs]
+            + [u - b0 - ta * s, ta * s + s - 1 - u + b0])
+    if not all(empty(*span, -c - 1, eq=[tb - u + ta * s]) for c in pair):
+        return None
+    return ([list(dict.fromkeys((1, lo) for lo in lows))],
+            [list(dict.fromkeys((1, hi) for hi in highs))])
+
+
+def _fold(fn, stmts: Sequence[Stmt], a: Loop, slab: Sequence[Loop],
+          axes: Tuple[Lane, ...], folds: Folds):
+    """``(level of b, lowers, uppers)`` if every statement uses ``a``
+    only as ``s*a + b``, ``b`` a slab axis not folded yet, and the pair
+    is :func:`strip_mined`; else None."""
+    if any(s.comp.cached_reads or s.comp.cached_store is not None
+           for s in stmts):
+        return None
+    revs = [le for s in stmts for le in s.comp.rev.values()]
+    for loop in slab:
+        lane = (OUT, loop.level)
+        if lane not in axes or loop.level in folds:
+            continue
+        # s*a + b wherever a stands: one ratio of the two coefficients
+        ratios = {Fraction(le.coeff((OUT, a.level))) / le.coeff(lane)
+                  if le.coeff(lane) else None
+                  for le in revs if le.coeff((OUT, a.level)) or le.coeff(lane)}
+        if len(ratios) != 1 or None in ratios:
+            continue
+        s, = ratios
+        if s >= 1 and s.denominator == 1:
+            rng = strip_mined(fn, a, loop, int(s))
+            if rng is not None:
+                return (loop.level, *rng)
+    return None
+
+
+def _bounds(loops: Sequence[Loop], folds: Folds) -> List[LinExpr]:
+    """Every bound of ``loops`` as the slab runs them: a folded ``a`` has
+    none of its own, its ``b`` runs over the pair's range."""
+    gone = {a for a, __, ___ in folds.values()}
+    return [e for loop in loops if loop.level not in gone
+            for groups in (folds[loop.level][1:] if loop.level in folds
+                           else (loop.lowers, loop.uppers))
+            for group in groups for __, e in group]
+
+
+def slab_verdict(fn, chain: Sequence[Loop], verified: bool = False,
+                 fold_head: bool = True
+                 ) -> Tuple[int, Optional[str], Tuple[Lane, ...], Folds]:
+    """``(k, why, axes, folds)`` for ``chain``, a perfect nest of loops
+    that ends in a ``vector``-tagged one: ``chain[k:]`` is its longest
+    suffix that may run as one whole-range statement per computation,
+    ``axes`` the dims of those loops in the order every statement stores
+    them, and ``why`` what kept ``chain[k - 1]`` out (None when ``k`` is
+    0) -- the body (``nested-loop``, ``operation``, ``guard``,
+    ``predicate``), a bound of a loop inside that mentions it
+    (``non-rectangular``), a store that does not move with it
+    (``store-not-driven``) or not as an axis of its own
+    (``store-not-separable``, :func:`slab_axes`), or ``carried <kind>
+    <src>-><sink> on <buf>``.  A loop ``a`` that the body uses only as
+    ``s*a + b``, ``b`` an axis, joins without an axis of its own when
+    the two are :func:`strip_mined` (``folds``; ``fold_head``: also
+    ``chain[0]``, whose range is its own): a tile's strip-mined pair is
+    one slice axis.
 
     The rule per level is "no dependence carried at this level".  A
     structural fast path settles the common case from LinExpr
@@ -110,36 +217,39 @@ def slab_verdict(fn, chain: Sequence[Loop], verified: bool = False
     from repro.core.computation import Operation
     stmts = chain[-1].body.children
     if not stmts or not all(isinstance(s, Stmt) for s in stmts):
-        return len(chain), "nested-loop", ()
+        return len(chain), "nested-loop", (), {}
     for stmt in stmts:
         if isinstance(stmt.comp, Operation):
-            return len(chain), "operation", ()
+            return len(chain), "operation", (), {}
         if stmt.guards:
-            return len(chain), "guard", ()
+            return len(chain), "guard", (), {}
         if stmt.comp.predicate is not None:
-            return len(chain), "predicate", ()
+            return len(chain), "predicate", (), {}
     summary = DependenceSummary.of(fn)
     forms = [summary.form(s.comp) for s in stmts]
     stores = [time_index(s.comp, form.store.indices)
               for s, form in zip(stmts, forms)]
     structural: Optional[bool] = None
     axes: Tuple[Lane, ...] = ()
+    folds: Folds = {}
     for k in range(len(chain) - 1, -1, -1):
         level = chain[k].level
         lane = (OUT, level)
-        inner_bounds = [e for loop in chain[k + 1:]
-                        for groups in (loop.lowers, loop.uppers)
-                        for group in groups for __, e in group]
-        if any(e.coeff(lane) for e in inner_bounds):
-            return k + 1, "non-rectangular", axes
+        fold = _fold(fn, stmts, chain[k], chain[k + 1:], axes, folds) \
+            if k or fold_head else None
+        joined = dict(folds)
+        if fold is not None:
+            joined[fold[0]] = (level, *fold[1:])
+        if any(e.coeff(lane) for e in _bounds(chain[k + 1:], joined)):
+            return k + 1, "non-rectangular", axes, folds
         if not all(any(le is not None and le.coeff(lane) for le in store)
                    for store in stores):
-            return k + 1, "store-not-driven", axes
+            return k + 1, "store-not-driven", axes, folds
         order = (lane,)     # alone, it may store through an index vector
-        if axes:
+        if axes and fold is None:
             orders = {slab_axes(store, (lane,) + axes) for store in stores}
             if len(orders) > 1 or None in orders:
-                return k + 1, "store-not-separable", axes
+                return k + 1, "store-not-separable", axes, folds
             order, = orders
         tagged = all(getattr(s.comp.tags.get(level), "kind", None) == "vector"
                      for s in stmts)
@@ -151,9 +261,12 @@ def slab_verdict(fn, chain: Sequence[Loop], verified: bool = False
                     for dep in summary.carried(stmt.comp, level):
                         return k + 1, (
                             f"carried {dep.kind} {dep.source.name}->"
-                            f"{dep.sink.name} on {dep.buffer.name}"), axes
-        axes = order
-    return 0, None, axes
+                            f"{dep.sink.name} on {dep.buffer.name}"), axes, \
+                            folds
+        if fold is None:
+            axes = order
+        folds = joined
+    return 0, None, axes, folds
 
 
 def lane_verdict(fn, loop: Loop, verified: bool = False) -> Optional[str]:

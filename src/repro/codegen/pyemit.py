@@ -194,9 +194,18 @@ class _Lanes:
         # constant) -> {constant: (start, stop)}: slices that differ by
         # a constant share one range check, made on the extreme two.
         self.sliced: Dict[Tuple, Dict[int, Tuple[str, str]]] = {}
+        self.checks: Dict[str, None] = {}   # range checks of the windows
+        # A read of a window waits for the window's extent: ``\0n\0`` in
+        # the text stands for the n-th (number, window, parts) here, a
+        # part a text or (clamped axis record, constant).
+        self.taps: Dict[Tuple, Tuple[int, str, list]] = {}
 
     def begin(self, expr: Expr) -> None:
         """Start on a statement that computes ``expr``."""
+        # (view, clamped axes) -> [local, view, [[view axis, buffer axis,
+        # lane, coeff, index less lane term and constant, lo, hi,
+        # {constant: tap number}], ...]]: one edge window per statement
+        self.windows: Dict[Tuple, list] = {}
         self.hoisted: Dict[str, _Py] = {}   # a value's text -> its local
         self.shapes: Dict[Tuple, int] = {}  # equal trees get one number
         self.number: Dict[int, int] = {}    # id(node) -> that number
@@ -395,8 +404,10 @@ class Emitter:
                 self._val(a, env, index) for a in expr.args])
             return self._call_py(expr.fn, args, index)
         if isinstance(expr, BufferRead):
-            return self._element(expr, env,
-                                 self.current_comp.cache_of(expr.buffer))
+            cache = self.current_comp.cache_of(expr.buffer)
+            return (self._vec is not None and not cache
+                    and self._window(expr, env)) \
+                or self._element(expr, env, cache)
         raise CodegenError(f"cannot emit expression {expr!r}")
 
     def _meet(self, op: str, exprs: Sequence[Expr],
@@ -487,6 +498,92 @@ class Emitter:
         parts += ["None"] * (0 if at is None else n - 1 - at)
         return _Py(f"{_buf_var(buffer)}[{', '.join(parts)}]", True,
                    self._lanes(*idx))
+
+    def _window(self, element: BufferRead, env: Dict[str, Value]
+                ) -> Optional[_Py]:
+        """The read ``element`` as basic slices of an edge window, or None
+        unless some index is ``clamp(x, lo, hi)`` with ``x`` affine in one
+        slab variable and ``lo``, ``hi`` fixed, and each moving index (``x``
+        for those) is a slice, the axes in order.  The window is the
+        read's footprint, built once per statement for every read that
+        shares its other indices and its clamps up to a constant: a view
+        (slices and scalars) on the unclamped axes, gathered once on each
+        clamped one (``np.take`` at the clipped range of every offset
+        read, :meth:`_windows`)."""
+        vec, buffer, edges = self._vec, element.buffer, {}
+        for k, e in enumerate(element.indices):
+            if isinstance(e, Call) and e.fn == "clamp":
+                x, lo, hi = (self._val(a, env, True) for a in e.args)
+                if isinstance(x, LinExpr) and len(self._lanes(x)) == 1 \
+                        and not self._lanes(lo, hi):
+                    edges[k] = x, lo, hi
+        if not edges:
+            return None
+        idx = [edges[k][0] if k in edges else self._lower(e, env, True)
+               for k, e in enumerate(element.indices)]
+        moved = [self._lanes(v) for v in idx]
+        cut = [len(m) == 1 and isinstance(v, LinExpr) and v.coeff(*m) >= 1
+               for v, m in zip(idx, moved)]
+        mesh, runs = self._layout(moved, cut)
+        if mesh or any(m and not c for m, c in zip(moved, cut)):
+            return None
+        view, axes, offsets = [], [], []
+        for k, v in enumerate(idx):
+            if k in edges:
+                x, lo, hi = edges[k]
+                lane, = moved[k]
+                rest = LinExpr({d: c for d, c in x.coeffs.items() if d != lane})
+                axes.append((len(view) - sum(not m for m in moved[:k]), k,
+                             lane, int(x.coeff(lane)), rest, self._s(lo),
+                             self._s(hi)))
+                offsets.append(int(x.const))
+                view.append(":")
+            else:
+                view.append(self._slice_py(buffer, k, v, *moved[k])
+                            if moved[k] else self._s(v))
+        while view and view[-1] == ":":
+            view.pop()
+        buf = _buf_var(buffer)
+        key = (buf, tuple(view), tuple(axes))
+        if key not in vec.windows:
+            vec.windows[key] = [self.fresh("_w"), buf, f"{buf}[{', '.join(view)}]"
+                                if view else buf, [[*a, {}] for a in axes]]
+        name, __, __, records = vec.windows[key]
+        parts, at, edge = [], None, iter(zip(records, offsets))
+        for k in range(len(idx)):
+            if k in runs:
+                first, last = runs[k]
+                parts += ["None"] * (0 if at is None else first - at - 1)
+                at = last
+            if k in edges:
+                record, const = next(edge)
+                record[-1][const] = None
+                parts.append((record, const))
+            elif moved[k]:
+                parts.append(":")
+        parts += ["None"] * (0 if at is None else len(vec.axes) - 1 - at)
+        key = (name, *(p if isinstance(p, str) else p[1] for p in parts))
+        number = vec.taps.setdefault(key, (len(vec.taps), name, parts))[0]
+        return _Py(f"\0{number}\0", True, frozenset().union(*moved))
+
+    def _windows(self) -> List[str]:
+        """The statement's edge windows, each checked against its buffer
+        like a slice: the last element it gathers must exist."""
+        vec = self._vec
+        lines = []
+        for name, buf, view, records in vec.windows.values():
+            for at, axis, lane, coeff, rest, lo, hi, taps in records:
+                first, last = min(taps), max(taps)
+                start, stop = vec.axes[lane]
+                view = (f"np.take({view}, np.arange("
+                        f"{self._at(rest + first, coeff, start)}, "
+                        f"{self._at(rest + last + 1, coeff, stop)})"
+                        f".clip({lo}, {hi}), {at})")
+                size = f"len({buf})" if axis == 0 else f"{buf}.shape[{axis}]"
+                vec.checks[f"min(max({self._at(rest + last, coeff, stop)}, "
+                           f"{lo}), {hi}) >= {size}"] = None
+            lines.append(f"{name} = {view}")
+        return lines
 
     def _layout(self, moved: List[frozenset], cut: List[bool]
                 ) -> Tuple[bool, Dict[int, Tuple[int, int]]]:
@@ -797,23 +894,25 @@ class Emitter:
                 if len(inner) != 1 or not isinstance(inner[0], Loop):
                     break
                 chain.append(inner[0])
-            k, why, axes = len(chain), None, ()
+            k, why, axes, folds = len(chain), None, (), {}
             if getattr(chain[-1].tag, "kind", None) == "vector":
-                k, why, axes = slab_verdict(self.fn, chain,
-                                            self.lanes_verified)
+                # a chunk or a tile does not run its loop's own range
+                k, why, axes, folds = slab_verdict(
+                    self.fn, chain, self.lanes_verified,
+                    what not in ("parallel chunk", "tile dim"))
             self._outside.update((id(member), None) for member in chain[:k])
             if k:
                 self._outside[id(chain[k - 1])] = why
             if chain[k:]:
-                self._slab_heads[id(chain[k])] = chain[k:], axes
+                self._slab_heads[id(chain[k])] = chain[k:], axes, folds
         if id(loop) in self._slab_heads:
-            slab, axes = self._slab_heads[id(loop)]
+            slab, axes, folds = self._slab_heads[id(loop)]
             note = f"vectorized ({slab[-1].var})"
             if slab[1:]:
                 note += f" over ({', '.join(m.var for m in slab[:-1])})"
             if what == "tile dim":      # not the range the loop runs over
                 note = f"{what} ({loop.var}), {note}"
-            why = self._emit_vector(slab, axes, lo, hi, note)
+            why = self._emit_vector(slab, axes, folds, lo, hi, note)
             if why is None:
                 return None
             del self._slab_heads[id(loop)]      # all its loops stay loops
@@ -825,17 +924,24 @@ class Emitter:
         return f"  # {what} ({loop.var}): " + (
             "scalar, " if what == "vector loop" else "outside slab, ") + why
 
-    def _emit_vector(self, slab: List[Loop], axes: Tuple, lo: Value,
-                     hi: Value, note: str) -> Optional[str]:
+    def _emit_vector(self, slab: List[Loop], axes: Tuple, folds,
+                     lo: Value, hi: Value, note: str) -> Optional[str]:
         """Lower ``slab`` (a ``vector``-tagged loop under the loops it
         takes along, the outermost running over ``lo..hi``; ``axes``
-        their dims in store order) to whole-range statements, the fused
-        body distributed in β order; returns None, or why it cannot
-        (nothing is emitted then)."""
+        their dims in store order, ``folds`` the strip-mined pairs that
+        run as one axis, :func:`~repro.codegen.lanes.slab_verdict`) to
+        whole-range statements, the fused body distributed in β order;
+        returns None, or why it cannot (nothing is emitted then)."""
         binds: List[str] = []       # non-affine bounds held in locals
         ranges, counts, full = {}, [], {}
+        folded = [a for a, __, ___ in folds.values()]
         for loop in slab:
-            if loop is not slab[0]:
+            if loop.level in folded:    # s*a + b runs over b's axis
+                continue
+            if loop.level in folds:
+                lo = self._bound(folds[loop.level][1], True)
+                hi = self._bound(folds[loop.level][2], False)
+            elif loop is not slab[0]:
                 lo = self._bound(loop.lowers, True)
                 hi = self._bound(loop.uppers, False)
             held = []
@@ -859,11 +965,16 @@ class Emitter:
             for stmt in slab[-1].body.children:
                 comp = self.current_comp = stmt.comp
                 env = self.stmt_env(comp)
+                for a in folded:
+                    env = {name: le.substitute((OUT, a), LinExpr.constant(0))
+                           for name, le in env.items()}
                 form = DependenceSummary.of(self.fn).form(comp)
                 vec.begin(form.value)
+                start = len(vec.lines)
                 rhs = self.expr_py(form.value, env)
                 target = self._element(form.store, env, comp.cached_store)
                 vec.lines.append(f"{target} = {rhs}")
+                vec.lines[start:start] = self._windows()
                 if self.profile and comp.name in self._counters:
                     # One statement instance per point of the slab.
                     vec.lines.append(
@@ -887,10 +998,13 @@ class Emitter:
                 bad[f"{start} < 0"] = None
             size = f"len({buf})" if axis == 0 else f"{buf}.shape[{axis}]"
             bad[f"{stop} > {size}"] = None
+        bad.update(vec.checks)
         if bad:
             head.append(f"if {' or '.join(bad)}: "
                         f"raise IndexError('vector loop {slab[-1].var}')")
-        lines = head + vec.lines
+        taps = list(vec.taps.values())
+        lines = head + [re.sub("\0(\\d+)\0", lambda m: _tap(
+            *taps[int(m[1])][1:]), ln) for ln in vec.lines]
         if full:
             lines = [f"if {' and '.join(full)}:"] + [
                 "    " + ln for ln in lines]
@@ -974,3 +1088,22 @@ class Emitter:
 
 def _buf_var(buffer) -> str:
     return f"b_{buffer.name}"
+
+
+def _tap(window: str, parts: list) -> str:
+    """A read of an edge window: at offset ``const`` along a clamped axis
+    (``(record, const)`` in ``parts``), the slice that starts as far into
+    the window as ``const`` is above the least offset read, and ends as
+    far before its end as ``const`` is below the greatest."""
+    texts = []
+    for part in parts:
+        if isinstance(part, tuple):
+            record, const = part
+            coeff, offsets = record[3], record[-1]
+            first, back = const - min(offsets), max(offsets) - const
+            part = (f"{first or ''}:{-back if back else ''}"
+                    + (f":{coeff}" if coeff != 1 else ""))
+        texts.append(part)
+    while texts and texts[-1] == ":":
+        texts.pop()
+    return f"{window}[{', '.join(texts)}]" if texts else window

@@ -65,10 +65,14 @@ def build_sgemm(alpha: float = 1.5, beta: float = 0.5) -> KernelBundle:
 def schedule_sgemm_cpu(bundle: KernelBundle, t1: int = 64,
                        t2: int = 8) -> None:
     """The paper's sgemm optimization set (Section VI-A): two-level
-    blocking of the 3D loop, vectorization, unrolling, array packing (the
-    model-level flag on B), and parallelization.  Full/partial tile
-    separation happens in codegen (guarded partial tiles fall back to
-    scalar code; full tiles vectorize)."""
+    blocking of the 3D loop, vectorization, unrolling and parallelization.
+    No tile is separated: on ``cpu`` each strip-mined pair folds into one
+    slice axis, so a ``t1 x t1`` tile, full or partial, is one slab per
+    ``k``; on ``c`` the tile loops keep their ``min`` bounds and the
+    ``vector`` loop is an ``omp simd`` loop (the C emitter splits a loop
+    only at clamped reads, and sgemm has none).  Array packing of B is
+    priced by the cost model alone (``packed_buffers``); neither emitter
+    packs."""
     acc = bundle.computations["acc"]
     scale = bundle.computations["scale"]
     scale.vectorize("j2", 8)

@@ -6,7 +6,7 @@ import pytest
 
 from repro import Buffer, Computation, Function, Input, Param, Var
 from repro.backends.c import emit_c_source, have_c_compiler
-from repro.core.errors import CodegenError
+from repro.core.errors import CodegenError, IllegalScheduleError
 from repro.ir import clamp, minimum, select
 from repro.ir import types as T
 
@@ -55,6 +55,35 @@ class TestBasics:
         src = emit_c_source(f)
         assert "#pragma omp parallel for" in src
         assert "#pragma omp simd" in src
+        # the options mean what they mean on cpu: a team of num_threads
+        # for the call (the source is the default one), or no team
+        team = f.compile("c", num_threads=3, cache=False)
+        assert team.source == src and team.num_threads == 3
+        alone = f.compile("c", parallel=False, cache=False)
+        assert "omp parallel" not in alone.source
+        lib = team._lib
+        before = lib.omp_get_max_threads()
+        calls = []
+
+        class Recording:            # what the call asks of libgomp
+            omp_get_max_threads = lib.omp_get_max_threads
+
+            def omp_set_num_threads(self, n):
+                calls.append(n)
+                lib.omp_set_num_threads(n)
+
+            def kernel(self, *args):
+                calls.append(lib.omp_get_max_threads())
+                lib.kernel(*args)
+        team._lib = Recording()
+        assert np.array_equal(team()["c"], alone()["c"])
+        assert calls == [3, 3, before] and lib.omp_get_max_threads() == before
+        # a kernel with no parallel loop has no team (and no libgomp)
+        g = Function("g")
+        with g:
+            Computation("c", [Var("i", 0, 8)], 2.0)
+        serial = g.compile("c", num_threads=3, cache=False)
+        assert serial.num_threads is None and (serial()["c"] == 2).all()
 
     def test_typed_lowering_in_the_source(self):
         """Index math stays int64_t, float32 arithmetic stays float."""
@@ -157,7 +186,13 @@ class TestScheduledKernels:
         inputs = bundle.make_inputs(params, rng)
         ref = bundle.reference({k: v.copy() for k, v in inputs.items()},
                                params)
-        out = bundle.function.compile("c")(**inputs, **params)
+        # the tiles share compute_at's window of bx: refused as on cpu,
+        # whatever the host, and run without the pragma on request
+        with pytest.raises(IllegalScheduleError, match="data race"):
+            bundle.function.compile("c")
+        kernel = bundle.function.compile("c", parallel=False)
+        assert "#pragma omp parallel" not in kernel.source
+        out = kernel(**inputs, **params)
         assert np.allclose(out["by"], ref["by"], atol=1e-4)
 
     def test_sgemm_full_schedule(self):
@@ -226,7 +261,12 @@ class TestScheduledKernels:
         inputs = bundle.make_inputs(params, rng)
         expected = bundle.reference(
             {k: np.copy(v) for k, v in inputs.items()}, params)
-        out = bundle.function.compile("c")(**inputs, **params)
+        opts = {}
+        if bench == "blur":     # Fig. 3a's compute_at race (ROADMAP 2)
+            with pytest.raises(IllegalScheduleError):
+                bundle.function.compile("c")
+            opts["parallel"] = False
+        out = bundle.function.compile("c", **opts)(**inputs, **params)
         for name, ref in expected.items():
             assert np.allclose(out[name], ref, atol=1e-3), bench
 

@@ -250,6 +250,75 @@ def test_vector_tag_differential(case, extents, lane_pick, shift):
             assert np.array_equal(want[name], native[name]), name
 
 
+# -- edge windows and folded tile axes: bit for bit against scalar loops ------
+
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       st.lists(st.booleans(), min_size=3, max_size=3),
+       st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+                min_size=1, max_size=4),
+       st.booleans(),
+       st.none() | st.tuples(st.integers(2, 4), st.integers(2, 4)))
+@settings(max_examples=40, deadline=None)
+def test_windows_and_folded_tiles_differential(sizes, clamped, taps, inside,
+                                               tile):
+    """``inp(clamp(i_k + o_k, lo, hi), …)`` summed over taps on a 1-3-deep
+    nest of extents 1..9 (offsets -3..3 on the clamped axes, the clamp
+    over the whole axis or strictly inside it, ``clamp(i, 2, n - 3)``),
+    the last loop ``vector``-tagged and the first ``parallel``, the last
+    two optionally tiled (one loop: split) by sizes that need not divide
+    them: sequential, on threads with one window per chunk, and on ``c``
+    the kernel stores what the unscheduled scalar nest stores."""
+    from unittest import mock
+    from repro.backends.c import have_c_compiler
+    from repro.ir import clamp
+    d = len(sizes)
+    clamped = [c or (k == 0 and not any(clamped[:d]))
+               for k, c in enumerate(clamped[:d])]
+
+    def build(tag):
+        f = Function("f")
+        with f:
+            inp = Input("inp", [Var(f"x{k}", 0, n) for k, n in enumerate(sizes)])
+            vs = [Var(f"i{k}", 0, n) for k, n in enumerate(sizes)]
+
+            def index(k, offset):
+                n = sizes[k]
+                lo, hi = (2, n - 3) if inside and n >= 5 else (0, n - 1)
+                return clamp(vs[k] + offset, lo, hi) if clamped[k] else vs[k]
+            c = Computation("c", vs, None)
+            c.set_expression(sum(
+                (inp(*(index(k, tap[k]) for k in range(d))) * float(t + 1)
+                 for t, tap in enumerate(taps)), start=inp(*vs)))
+        names = [v.name for v in vs]
+        if tag and tile:
+            if d == 1:
+                c.split(names[0], tile[0], "a0", "a1")
+                names = ["a0", "a1"]
+            else:
+                c.tile(names[-2], names[-1], *tile, "a0", "b0", "a1", "b1")
+                names = names[:-2] + ["a0", "b0", "a1", "b1"]
+        if tag:
+            c.vectorize(names[-1], 4)
+            if len(names) > 1:
+                c.parallelize(names[0])
+        return f
+
+    data = np.random.default_rng(sum(sizes)).integers(0, 9, sizes)
+    data = data.astype(np.float32)
+    want = build(False).compile("cpu", cache=False)(inp=data.copy())["c"]
+    legs = [("cpu", {"parallel": False}), ("cpu", {"num_threads": 2})]
+    if have_c_compiler():
+        legs.append(("c", {}))
+    with mock.patch("repro.backends.parallel.THREAD_FLOOR_BYTES", 0):
+        for target, opts in legs:
+            kernel = build(True).compile(target, cache=False, **opts)
+            got = kernel(inp=data.copy())["c"]
+            assert np.array_equal(got, want), (target, opts, kernel.source)
+            if target == "cpu":
+                assert kernel.vector_loops == 1, kernel.source
+                assert "np.clip(" not in kernel.source, kernel.source
+
+
 # -- index-set splitting: where no clamped index clamps ----------------------
 
 @given(st.lists(st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]),

@@ -1,8 +1,8 @@
 """The static race detector (Section V legality applied to parallel
 tags): ``check_parallel_legality`` rejects any parallel/vector/
 distributed tag whose level carries a dependence, and runs as the
-pipeline's ``race-check`` stage for compiles that will use real cores.
-"""
+pipeline's ``race-check`` stage for every compile whose backend runs the
+tagged loops concurrently, on any host."""
 
 import numpy as np
 import pytest
@@ -105,8 +105,32 @@ class TestPipelineStage:
     def test_race_check_skipped_sequentially(self):
         bundle = build_blur()
         bundle.computations["by"].parallelize("i")
-        kernel = bundle.function.compile("cpu", num_threads=1)
+        kernel = bundle.function.compile("cpu", parallel=False)
         assert "race-check" not in kernel.report.stage_names()
+
+    @pytest.mark.parametrize("target", ["cpu", "c"])
+    def test_parallel_tag_checked_by_its_schedule_alone(self, target,
+                                                        monkeypatch):
+        from repro.backends.c import have_c_compiler
+        if target == "c" and not have_c_compiler():
+            pytest.skip("no C compiler available")
+        # one worker, one core: the tag is still checked
+        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        bundle = build_blur()
+        bundle.computations["by"].parallelize("i")
+        kernel = bundle.function.compile(target, num_threads=1,
+                                         cache=False)
+        assert kernel.report.races_checked == 1
+
+    def test_illegal_parallelize_refused_alike_on_c_and_cpu(self):
+        texts = []
+        for target in ("cpu", "c"):
+            bundle = build_sgemm()
+            bundle.computations["acc"].parallelize("k")
+            with pytest.raises(IllegalScheduleError) as exc:
+                bundle.function.compile(target, cache=False)
+            texts.append(str(exc.value))
+        assert texts[0] == texts[1] and "data race" in texts[0]
 
     def test_illegal_parallel_compile_raises(self):
         bundle = build_sgemm()

@@ -7,6 +7,7 @@ import pytest
 
 from repro import Buffer, Computation, Function, Input, Param, Var
 from repro.codegen import lane_verdict, loops_in
+from repro.isl import LinExpr
 
 
 def has_vector_code(kernel) -> bool:
@@ -161,7 +162,7 @@ class TestVectorEmission:
         assert np.allclose(k(**inputs, **params)["out"], ref["out"],
                            atol=1e-4)
 
-    def test_index_vectors_computed_once_scalar_clamps_in_python(self):
+    def test_clamped_reads_share_one_window_scalar_clamps_in_python(self):
         from repro.ir import clamp
         data = np.arange(36, dtype=np.float32).reshape(6, 6)
         want = data[np.ix_(np.clip(np.arange(6) - 1, 0, 5),
@@ -180,8 +181,10 @@ class TestVectorEmission:
                     c.store_in(Buffer("c", [N]), [j])   # i stays a loop
             c.vectorize("j", 8)
             src = f.compile("cpu").source
-            # one index vector per slab axis, a scalar clamp in Python
-            assert src.count("np.clip(") == (2 if rows_join else 1)
+            # both reads slice one window, gathered once along each slab
+            # axis; a clamp on a loop outside the slab is a Python int
+            assert "np.clip(" not in src
+            assert src.count("np.take(") == (2 if rows_join else 1)
             assert src.count("min(max(t0 - 1, 0), N - 1)") == (not rows_join)
             out = f.compile("cpu")(inp=data, N=6)["c"]
             assert np.array_equal(out, want if rows_join else want[-1])
@@ -665,3 +668,128 @@ class TestSlabs:
         k, __ = _both(build)
         assert "# loop (i): outside slab, store-not-separable" in k.source
         assert k.vector_loops == 1 and not declines(k)
+
+    def test_clamped_taps_are_slices_of_one_window_per_chunk(
+            self, monkeypatch):
+        """conv2D's shape: nine taps clamped on two axes read one window,
+        gathered once per chunk, each tap a view of it."""
+        from repro.ir import clamp
+        monkeypatch.setattr("repro.backends.parallel.THREAD_FLOOR_BYTES", 0)
+
+        def build(tag):
+            f = Function("f")
+            with f:
+                inp = Input("inp", [Var("x", 0, 9), Var("y", 0, 7)])
+                i, j = Var("i", 0, 9), Var("j", 0, 7)
+                c = Computation("c", [i, j], None)
+                c.set_expression(sum(
+                    (inp(clamp(i + a, 0, 8), clamp(j + b, 0, 6))
+                     * float(3 * a + b + 5)
+                     for a in (-1, 0, 1) for b in (-1, 0, 1)), start=inp(i, j)))
+            c.parallelize("i")
+            if tag:
+                c.vectorize("j", 8)
+            return f, {"num_threads": 2 if tag else 1}
+        k, __ = _both(build, inp=self.rng.integers(0, 9, (9, 7)).astype(
+            np.float32))
+        assert k.runtime.stats.chunks == 2
+        body = k.source.split("def _kernel")[0]
+        assert body.count("np.take(") == 2 and "np.clip(" not in body
+        assert "_w1[:-2, :-2]" in body and "_w1[2:, 1:-1]" in body
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_window_wider_than_the_buffer(self, n):
+        """Taps three either side of a one- to nine-wide buffer, clamped to
+        all of it or strictly inside it (``clamp(i, 2, n - 3)``)."""
+        from repro.ir import clamp
+
+        def build(tag):
+            f = Function("f")
+            with f:
+                inp = Input("inp", [Var("x", 0, n)])
+                i = Var("i", 0, n)
+                lo, hi = (2, n - 3) if n >= 5 else (0, n - 1)
+                c = Computation("c", [i], None)
+                c.set_expression(sum(
+                    (inp(clamp(i + d, lo, hi)) * float(d + 4)
+                     for d in range(-3, 4)), start=inp(i)))
+            if tag:
+                c.vectorize("i", 8)
+            return f, {}
+        k, __ = _both(build, inp=self.rng.integers(0, 9, n).astype(
+            np.float32))
+        assert "np.clip(" not in k.source and k.source.count("np.take(") == 1
+
+    def test_buffer_short_along_a_clamped_axis_raises(self):
+        from repro.ir import clamp
+        N = Param("N")
+        f = Function("f", params=[N])
+        with f:
+            inp = Input("inp", [Var("x", 0, N)])
+            i = Var("i", 0, N)
+            c = Computation("c", [i], None)
+            c.set_expression(inp(clamp(i - 1, 0, N - 1))
+                             + inp(clamp(i + 1, 0, N - 1)))
+        c.vectorize("i", 8)
+        k = f.compile("cpu")
+        assert "np.take(" in k.source
+        assert np.array_equal(k(inp=np.arange(8, dtype=np.float32), N=8)["c"],
+                              [1, 2, 4, 6, 8, 10, 12, 13])
+        with pytest.raises(IndexError, match="vector loop i"):
+            k(inp=np.ones(6, dtype=np.float32), N=8)
+
+    @pytest.mark.parametrize("s1,s2", [(3, 4), (4, 5), (4, 3), (9, 6)])
+    def test_strip_mined_pairs_are_one_slice_axis(self, s1, s2):
+        """sgemm's register tile: ``tile(i, j)`` by sizes that need not
+        divide 10 x 7 folds ``i0`` into ``i1`` and ``j0`` into ``j1``, so
+        the whole nest is one slab, partial tiles included."""
+        def build(tag):
+            f = Function("f")
+            with f:
+                inp = Input("inp", [Var("x", 0, 10), Var("y", 0, 7)])
+                i, j = Var("i", 0, 10), Var("j", 0, 7)
+                c = Computation("c", [i, j], None)
+                c.set_expression(inp(i, j) * 2.0 + 1.0 * j)
+            c.tile("i", "j", s1, s2, "i0", "j0", "i1", "j1")
+            if tag:
+                c.vectorize("j1", 8)
+            return f, {}
+        k, __ = _both(build, inp=self.rng.random((10, 7), np.float32))
+        assert "# vectorized (j1) over (i0, j0, i1)" in k.source
+        assert "for " not in k.source
+
+    @pytest.mark.parametrize("width", [2, 6])
+    def test_strip_mined_pair_with_a_gap_or_an_overlap_stays_a_loop(
+            self, width):
+        """``4*a + b`` with ``b`` in 0..1 skips two of every four, in 0..5
+        reaches one element from two ``a``: neither runs over one interval
+        once, so ``a`` stays a loop (``2*a + b`` over 0..1 would)."""
+        from repro.codegen.lanes import strip_mined
+        from repro.core.buffer import ArgKind
+
+        def build(tag):
+            f = Function("f")
+            with f:
+                a, b = Var("a", 0, 3), Var("b", 0, width)
+                c = Computation("c", [a, b], None)
+                c.set_expression(c(a, b) + 1.0)
+                c.store_in(Buffer("out", [14], kind=ArgKind.INOUT),
+                           [a * 4 + b])
+            if tag:
+                c.vectorize("b", 8)
+            return f, {}
+        k, got = _both(build, out=np.zeros(14, np.float32))
+        assert "# loop (a): outside slab, store-not-separable" in k.source
+        assert got["out"].max() == (2 if width == 6 else 1)
+        f, __ = build(False)
+        outer, inner = loops_in(f.lower())
+        assert strip_mined(f, outer, inner, 4) is None
+        if width == 2:
+            assert strip_mined(f, outer, inner, 2) == (
+                [[(1, LinExpr.constant(0))]], [[(1, LinExpr.constant(5))]])
+        # b in 0 .. 11 - 4*a covers 0 .. 11 with no gap, but four times 8
+        f = Function("f")
+        with f:
+            a = Var("a", 0, 3)
+            Computation("c", [a, Var("b", 0, 12 - a * 4)], 1.0)
+        assert strip_mined(f, *loops_in(f.lower()), 4) is None
