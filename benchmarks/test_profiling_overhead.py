@@ -112,17 +112,21 @@ class TestTelemetryOffOverhead:
 
 
 class TestTraceExportSmoke:
-    def test_trace_json_holds_all_span_kinds(self, tmp_path):
+    def test_trace_json_holds_all_span_kinds(self, tmp_path, monkeypatch):
+        # threads at any size: the sgemm here is far below the floor
+        monkeypatch.setattr("repro.backends.parallel.THREAD_FLOOR_BYTES", 0)
         tracer = get_tracer()
         tracer.clear()
         dest = tmp_path / "trace.json"
         try:
             with settings.override(trace_file=dest):
                 bundle = build_sgemm()
-                # parallelize only acc: scale's nest stays sequential,
-                # so the export shows loop-nest AND parallel/worker
-                # spans
-                bundle.computations["acc"].parallelize("i")
+                # parallelize only scale, a slab region on threads:
+                # acc's nest stays sequential, so the export shows
+                # loop-nest AND parallel/worker spans
+                scale = bundle.computations["scale"]
+                scale.vectorize("j2", 8)
+                scale.parallelize("i2")
                 _run(bundle, bundle.function.compile(
                     "cpu", profile=True, num_threads=2, cache=False))
                 assert write_trace_file() == str(dest)

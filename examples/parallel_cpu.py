@@ -4,9 +4,9 @@
 The CPU backend emits every safe top-level parallel loop as a chunked
 worker function; the runtime (`repro.backends.parallel`) decides per
 region and per call what runs the chunks — threads over the caller's
-arrays for a whole-slab body, a process pool with shared output
-buffers for a Python loop nest, nothing at all (inline) for a call too
-small to pay for either — and records why.  Before emission, the
+arrays for a whole-slab body, the calling thread alone (inline) for a
+Python loop nest, which holds the GIL, or for a call too small to pay
+for threads — and records why.  Before emission, the
 `race-check` pipeline stage proves each tagged level carries no
 dependence — an illegal tag is rejected at compile time with the exact
 violating dependence, instead of racing at run time.
@@ -26,7 +26,7 @@ bundle = build_sgemm()
 acc, scale = bundle.computations["acc"], bundle.computations["scale"]
 acc.interchange("j", "k")    # make j innermost ...
 acc.vectorize("j", 8)        # ... a full NumPy lane
-acc.parallelize("i")         # a Python loop nest: worker processes
+acc.parallelize("i")         # a Python loop nest: inline (python-loop)
 scale.vectorize("j2", 8)     # one whole-slab statement per chunk ...
 scale.parallelize("i2")      # ... so threads — or, this small, inline
 
@@ -40,9 +40,8 @@ out = kernel(**{k: v.copy() for k, v in inputs.items()}, **TEST_SGEMM)
 ref = bundle.reference(inputs, TEST_SGEMM)
 assert np.allclose(out["C"], ref["C"], atol=1e-3)
 stats = kernel.runtime.stats
-print(f"OK: sgemm dispatched {stats.regions} parallel region(s) "
-      f"({stats.chunks} chunks, {len(stats.worker_pids)} worker "
-      f"processes), ran {stats.declined} inline")
+print(f"OK: sgemm ran {stats.regions} parallel region(s) on threads "
+      f"({stats.chunks} chunks), {stats.declined} inline")
 for region, plan in kernel.runtime.plans.items():
     print(f"  {region}: {plan.kind} ({plan.reason})")
 

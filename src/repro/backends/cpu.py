@@ -4,10 +4,11 @@ This plays the role of the paper's LLVM backend (reached through Halide
 lowering in the original system): the polyhedral AST is emitted as
 executable code.  Loops tagged ``vector`` become NumPy array arithmetic;
 top-level loops tagged ``parallel`` become chunked worker functions that
-execute on real cores (:mod:`repro.backends.parallel`: threads for
-whole-slab bodies, worker processes for Python loop nests) when
-``num_threads`` resolves to two or more workers, and run sequentially
-otherwise.  The modeled speedups in :mod:`repro.machine.cpu_model`
+run on threads over the caller's own arrays
+(:mod:`repro.backends.parallel`: whole-slab bodies, which release the
+GIL, at or above its size floor) when ``num_threads`` resolves to two or
+more workers, and inline otherwise.  A kernel never leaves the caller's
+process.  The modeled speedups in :mod:`repro.machine.cpu_model`
 remain available for the paper-scale figures.
 """
 
@@ -60,10 +61,9 @@ class CompiledKernel:
         start_ns = time.perf_counter_ns()
         if getattr(runtime, "sharing", None) is not None \
                 and runtime.takes(arrays):
-            # the runtime's regions run on what it binds: the caller's
-            # arrays, or shared-memory copies of them for worker processes
-            with runtime.sharing(arrays) as bound:
-                self._pyfunc(bound, *call_args)
+            # the runtime's threads run the regions on the caller's arrays
+            with runtime.sharing(arrays):
+                self._pyfunc(arrays, *call_args)
         else:
             self._pyfunc(arrays, *call_args)
         if collector is not None:
@@ -90,7 +90,6 @@ class CompiledKernel:
                 "regions": runtime.stats.regions - regions0,
                 "chunks": runtime.stats.chunks - chunks0,
                 "workers": runtime.num_threads,
-                "worker_pids": list(runtime.stats.worker_pids),
             }
         report = build_run_report(
             function=self.fn.name,
@@ -121,8 +120,9 @@ def emit_source(fn: Function, emitter_cls=Emitter, ast=None,
     ``_tile_body`` / ``_tile_grid`` pair plus a ``_TASKGRAPH_DIMS``
     marker, and a dispatch preamble in ``_kernel`` that hands the whole
     nest to an attached task-graph runtime; when the runtime declines
-    (pool unavailable, chain DAG, ...) the preamble falls through to
-    the unchanged nest, so results stay bit-identical to sequential.
+    (a call below the size floor, a chain DAG, ...) the preamble falls
+    through to the unchanged nest, so results stay bit-identical to
+    sequential.
     Profiled builds skip task-graph emission (per-tile counters are
     not aggregated); the option then degrades to the normal path.
 
@@ -192,15 +192,11 @@ class CpuBackend(Backend):
                 and ctx.opt("parallel", True):
             from .parallel import ParallelRuntime, resolve_num_threads
             workers = resolve_num_threads(ctx.opt("num_threads"))
-            policy = dict(
-                max_retries=ctx.opt("max_retries", 2),
-                timeout=ctx.opt("timeout"),
-                on_worker_failure=ctx.opt("on_worker_failure", "fallback"))
             if workers >= 2 and taskgraph:
                 from repro.runtime.scheduler import TaskGraphRuntime
                 kernel.runtime = TaskGraphRuntime(
-                    ctx.source, ctx.fn, workers, **policy)
+                    ctx.source, ctx.fn, workers, pyfunc.__globals__)
             elif workers >= 2:
                 kernel.runtime = ParallelRuntime(
-                    ctx.source, workers, profiled=kernel.profiled, **policy)
+                    ctx.source, workers, profiled=kernel.profiled)
         return kernel

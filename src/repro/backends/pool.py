@@ -1,146 +1,46 @@
-"""The shared worker pool and the one supervised-dispatch loop over it.
+"""The worker pools, and the one supervised-dispatch loop over the
+process pool.
 
-Three front ends dispatch onto the same cached fork pools — the
-fork-join loop runtime (:mod:`repro.backends.parallel`), the tile-DAG
-runtime (:mod:`repro.runtime.scheduler`) and the batch compile front
-end (:mod:`repro.driver.batch`).  What they share lives here, once:
+Two kinds of pool, each cached per worker count and shut down at exit:
 
-* the pools themselves (:func:`get_pool` / :func:`discard_pool`);
-* the failure policy around a dispatch — :func:`supervise` and its
-  up-front probe :func:`refusal` (docs/robustness.md, "The parallel
-  pool: retry, snapshot, fallback", is the account of it);
-* its bookkeeping — :func:`book` accounts every outcome from one
-  per-site declaration (:class:`Site`), so a stats field, its counter
-  and its journal event cannot drift apart;
-* the worker side — :func:`exec_in_worker` is what a pool process runs
-  for a loop chunk or a tile.  Workers never receive live kernel
-  objects (exec'd functions do not pickle): each task carries the
-  emitted source and its digest, and the worker re-execs it once,
-  caching the namespace per digest.
+* a **thread pool** (:func:`get_thread_pool`), on which a compiled
+  ``cpu`` kernel runs the chunks of a slab region
+  (:mod:`repro.backends.parallel`) and the tiles of a task graph
+  (:mod:`repro.runtime.scheduler`), over the caller's own arrays.  A
+  kernel never leaves the caller's process;
+* a **fork pool** (:func:`get_pool` / :func:`discard_pool`), used only
+  by the batch compile front end (:mod:`repro.driver.batch`) to run
+  cold compiles in worker processes.
+
+The failure policy around a fork-pool dispatch lives here, once:
+:func:`supervise` and its up-front probe :func:`refusal`
+(docs/robustness.md, "The batch pool: retry, breaker, fallback").  Its
+bookkeeping is :func:`book`, which accounts every outcome from one
+per-site declaration (:class:`Site`), so a stats field, its counter and
+its journal event cannot drift apart.
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing
-import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.errors import WorkerFailureError
-from repro.obs.events import EVT_BATCH, EVT_PARALLEL
+from repro.obs.events import EVT_BATCH
 from repro.obs.events import emit as emit_event
 
 #: Seconds slept before the first retried dispatch; doubles per retry.
 RETRY_BACKOFF = 0.05
 
 
-# -- worker side -------------------------------------------------------------
-
-_SOURCE_CACHE: Dict[str, dict] = {}  # per-process: digest -> exec namespace
-
-
-def load_namespace(digest: str, source: str) -> dict:
-    ns = _SOURCE_CACHE.get(digest)
-    if ns is None:
-        ns = {}
-        exec(compile(source, f"<tiramisu-par:{digest[:12]}>", "exec"), ns)
-        _SOURCE_CACHE[digest] = ns
-    return ns
-
-
-def run_chunk(body, bufs, params: Dict[str, int], args: tuple,
-              profiled: bool = False) -> tuple:
-    """Time ``body(bufs, params, *args)`` where it runs: a pool worker
-    (:func:`exec_in_worker`) or a thread of this process (a slab
-    region's chunk on the caller's arrays).
-
-    Returns ``(pid, thread_id, start_ns, end_ns, obs_snapshot)`` — the
-    wall clock of the body (for the parent's imbalance metrics) and,
-    when ``profiled``, the picklable counter snapshot of a collector of
-    the chunk's own, so per-computation iteration counts stay exact
-    under multicore execution."""
-    snapshot = None
-    start_ns = time.perf_counter_ns()
-    if profiled:
-        from repro.obs import RunCollector
-        collector = RunCollector()
-        body(bufs, params, *args, collector)
-        snapshot = collector.snapshot()
-    else:
-        body(bufs, params, *args)
-    return (os.getpid(), threading.get_ident(), start_ns,
-            time.perf_counter_ns(), snapshot)
-
-
-def exec_in_worker(digest: str, source: str, body_name: str, specs,
-                   params: Dict[str, int], args: tuple,
-                   profiled: bool = False, fault=None) -> tuple:
-    """Run ``body_name(bufs, params, *args)`` of the emitted source
-    inside a worker process — one chunk of a parallel loop
-    (``args = (lo, hi)``) or one tile (``args`` = the flat per-dim
-    bounds) — on the shared staging buffers named by ``specs``;
-    returns what :func:`run_chunk` does.
-
-    ``fault`` is the parent's fault-injection decision for this task
-    (workers never see the plan itself, see :func:`worker_fault`):
-    ``("crash",)`` kills this process outright — the pool reports
-    ``BrokenProcessPool`` — and ``("hang", seconds)`` stalls before
-    computing, so a timeout reads it as a hung worker."""
-    if fault:
-        if fault[0] == "crash":
-            os._exit(13)
-        elif fault[0] == "hang":
-            time.sleep(float(fault[1]))
-    from multiprocessing import shared_memory
-    ns = load_namespace(digest, source)
-    attached: List[shared_memory.SharedMemory] = []
-    bufs: Dict[str, np.ndarray] = {}
-    try:
-        for name, (shm_name, shape, dtype) in specs.items():
-            shm = shared_memory.SharedMemory(name=shm_name)
-            attached.append(shm)
-            bufs[name] = np.ndarray(shape, dtype=np.dtype(dtype),
-                                    buffer=shm.buf)
-        return run_chunk(ns[body_name], bufs, params, args, profiled)
-    finally:
-        bufs.clear()
-        for shm in attached:
-            try:
-                shm.close()
-            except BufferError:  # a stray view kept the mapping alive
-                pass
-
-
-def worker_fault(region: int, chunk: int, attempt: int) -> Optional[tuple]:
-    """The parent-side injection decision shipped with one worker task
-    (the ``fault`` argument of :func:`exec_in_worker`), addressed by
-    ``(region, chunk, attempt)``; None when no plan fires there."""
-    from repro.faults import get_plan
-    plan = get_plan()
-    if plan is None:
-        return None
-    site = dict(region=region, chunk=chunk, attempt=attempt)
-    if plan.fires("worker-crash", **site) is not None:
-        return ("crash",)
-    spec = plan.fires("worker-hang", **site)
-    if spec is not None:
-        return ("hang", spec.payload.get("seconds", 30.0))
-    return None
-
-
 # -- pool management ---------------------------------------------------------
-#
-# One warm fork pool per worker count, shared process-wide and shut
-# down at exit; beside it one thread pool per worker count, for the
-# bodies that release the GIL (slab regions, see parallel.py).
 
 _POOLS: Dict[int, ProcessPoolExecutor] = {}
 _THREAD_POOLS: Dict[int, ThreadPoolExecutor] = {}
@@ -153,26 +53,6 @@ def _mp_context():
         "fork" if "fork" in methods else methods[0])
 
 
-def _ensure_resource_tracker() -> None:
-    """Spawn the shared-memory resource tracker *before* forking workers.
-
-    Fork children inherit the parent's tracker connection.  If the first
-    pool is forked before this process ever created a SharedMemory
-    segment (the batch compile front end warms a pool without touching
-    shared memory), each worker would lazily spawn its own *private*
-    tracker on first segment attach — and a private tracker unlinks
-    every segment its worker registered the moment that worker dies,
-    yanking live staging buffers out from under the parent's retry
-    logic.  Starting the parent's tracker first makes every worker
-    register with the shared, parent-lifetime tracker instead.
-    """
-    try:
-        from multiprocessing import resource_tracker
-        resource_tracker.ensure_running()
-    except Exception:
-        pass
-
-
 def get_pool(workers: int) -> Optional[ProcessPoolExecutor]:
     """The cached process pool for ``workers``, building (and caching)
     it on first use; None when this host cannot run a pool at all."""
@@ -182,7 +62,6 @@ def get_pool(workers: int) -> Optional[ProcessPoolExecutor]:
     pool = _POOLS.get(workers)
     if pool is None:
         try:
-            _ensure_resource_tracker()
             pool = ProcessPoolExecutor(max_workers=workers,
                                        mp_context=_mp_context())
         except (OSError, ValueError, NotImplementedError):
@@ -193,9 +72,9 @@ def get_pool(workers: int) -> Optional[ProcessPoolExecutor]:
 
 
 def get_thread_pool(workers: int) -> ThreadPoolExecutor:
-    """The cached thread pool serving ``workers``-wide slab regions:
+    """The cached thread pool serving ``workers``-wide kernel regions:
     ``workers - 1`` threads, because the calling thread runs a chunk
-    itself.  Threads start at the first submit, not here."""
+    (or a tile) itself.  Threads start at the first submit, not here."""
     pool = _THREAD_POOLS.get(workers)
     if pool is None:
         pool = _THREAD_POOLS.setdefault(workers, ThreadPoolExecutor(
@@ -205,11 +84,9 @@ def get_thread_pool(workers: int) -> ThreadPoolExecutor:
 
 
 def discard_pool(workers: int) -> None:
-    """Drop (and kill) the cached pool for ``workers`` so the next
-    ``get_pool`` builds a fresh one.  Workers are terminated rather
-    than joined: a crashed pool's survivors are in an unknown state and
-    a hung worker would otherwise keep writing to shared buffers after
-    its region has been retried."""
+    """Drop (and kill) the cached process pool for ``workers`` so the
+    next ``get_pool`` builds a fresh one.  Workers are terminated rather
+    than joined: a crashed pool's survivors are in an unknown state."""
     pool = _POOLS.pop(workers, None)
     if pool is None:
         return
@@ -254,32 +131,6 @@ class Site:
     rows: Dict[str, Tuple[Optional[str], Optional[str], Optional[str]]]
 
 
-PARALLEL = Site("parallel", "parallel-dispatch", EVT_PARALLEL, {
-    "worker_failure": (None, "parallel.worker_failures",
-                       "parallel.worker_failure"),
-    "pool_restart": ("pool_restarts", "parallel.pool_restarts",
-                     "parallel.pool_restart"),
-    "retry": ("retries", "parallel.retries", "parallel.retry"),
-    "fallback": ("sequential_fallbacks", "parallel.sequential_fallbacks",
-                 "parallel.fallback"),
-    "breaker_block": ("breaker_blocks", "parallel.breaker_blocks", None),
-    "chunk_timeout": ("chunk_timeouts", "parallel.chunk_timeouts",
-                      "parallel.chunk_timeout"),
-    # a region's DispatchPlan, keyed by its kind (parallel.py); the
-    # journal hears of a plan only when it changes (parallel.dispatch)
-    "inline": ("declined", "parallel.declined", None),
-    "threads": ("thread_regions", "parallel.thread_regions", None),
-})
-
-# The tile-DAG runtime *is* a parallel runtime (same pool, same staging,
-# same ParallelStats): a lost tile worker is a parallel.worker_failure.
-# Only the replay unit (the whole graph) and the decline are its own.
-TASKGRAPH = Site("taskgraph", "taskgraph-dispatch", EVT_PARALLEL, {
-    **PARALLEL.rows,
-    "retry": ("retries", "taskgraph.retries", "taskgraph.retry"),
-    "decline": ("fallbacks", "taskgraph.fallbacks", "taskgraph.fallback"),
-})
-
 BATCH = Site("batch", "batch-offload", EVT_BATCH, {
     "worker_failure": ("worker_failures", "compile_batch.worker_failures",
                        "batch.worker_failure"),
@@ -290,15 +141,17 @@ BATCH = Site("batch", "batch-offload", EVT_BATCH, {
     "breaker_block": ("breaker_short_circuits", None, None),
 })
 
-SITES = (PARALLEL, TASKGRAPH, BATCH)
+#: Every supervised dispatch site: the ``op`` values a ``pool-refusal``
+#: fault may name (:meth:`repro.faults.FaultPlan.refuse_pool`).
+SITES = (BATCH,)
 
 # Batch coordinating threads book concurrently onto one BatchStats.
 _BOOK_LOCK = threading.Lock()
 
 
 def book(site: Site, outcome: str, stats: tuple, label: str = "",
-         count: int = 1, **fields) -> None:
-    """Account one outcome at ``site`` (``count`` of them): bump the
+         **fields) -> None:
+    """Account one outcome at ``site``: bump the
     declared field on every ``stats`` object that has it, the declared
     counter, and journal the declared event with ``fields``.  Retries
     and fallbacks also drop a zero-length ``fault`` marker
@@ -310,9 +163,9 @@ def book(site: Site, outcome: str, stats: tuple, label: str = "",
         with _BOOK_LOCK:
             for obj in stats:
                 if hasattr(obj, field):
-                    setattr(obj, field, getattr(obj, field) + count)
+                    setattr(obj, field, getattr(obj, field) + 1)
     if counter is not None:
-        metrics.counter(counter).inc(count)
+        metrics.counter(counter).inc()
     if event is not None:
         emit_event(event, site.category, **fields)
     if outcome in ("retry", "fallback"):
@@ -356,7 +209,7 @@ def refusal(site: Site, stats: tuple, workers: int,
 def supervise(attempt: Callable[[ProcessPoolExecutor, int], object], *,
               site: Site, workers: int, max_retries: int,
               on_worker_failure: str, label: str, stats: tuple = (),
-              restore: Optional[Callable[[], None]] = None, **context):
+              **context):
     """Run ``attempt(pool, n)`` (``n`` counts attempts from 0) on the
     ``workers``-wide shared pool under the one failure policy, and
     return what it returned — or None after falling back, when the
@@ -364,13 +217,13 @@ def supervise(attempt: Callable[[ProcessPoolExecutor, int], object], *,
 
     A worker *failure* — the attempt raising ``BrokenProcessPool``, a
     futures ``TimeoutError`` or an already-classified
-    :class:`WorkerFailureError` — feeds the breaker, discards the pool,
-    calls ``restore()`` (so partially-applied writes cannot
-    double-count) and, unless ``on_worker_failure="raise"``, is retried
-    on a fresh pool up to ``max_retries`` times with exponential
-    backoff.  When the pool keeps dying (or cannot come back at all)
-    ``"fallback"`` falls back; ``"retry"`` / ``"raise"`` re-raise the
-    last failure.  Any other exception is a deterministic application
+    :class:`WorkerFailureError` — feeds the breaker, discards the pool
+    and, unless ``on_worker_failure="raise"``, is retried on a fresh
+    pool up to ``max_retries`` times with exponential backoff.  An
+    attempt changes nothing in the parent until it returns (a compile
+    ships its source back), so a retry starts from clean state.  When
+    the pool keeps dying (or cannot come back at all) ``"fallback"``
+    falls back; ``"retry"`` / ``"raise"`` re-raise the last failure.  Any other exception is a deterministic application
     error and propagates untouched, breaker and pool unharmed.
 
     The ambient request :class:`~repro.driver.resilience.Deadline` is
@@ -419,8 +272,6 @@ def supervise(attempt: Callable[[ProcessPoolExecutor, int], object], *,
              **context)
         discard_pool(workers)
         book(site, "pool_restart", stats, workers=workers)
-        if restore is not None:
-            restore()
         if n + 1 < attempts:
             book(site, "retry", stats, label, attempt=n + 1,
                  backoff_seconds=delay, error=str(failure), **context)

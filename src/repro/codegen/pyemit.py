@@ -19,12 +19,13 @@ Top-level loop dimensions tagged ``parallel`` are lowered to a *chunked
 worker function*: the loop body is emitted as a standalone
 ``_par_body_k(_bufs, _params, _lo, _hi)`` function and the loop itself
 becomes a dispatch that hands contiguous chunks of the iteration range
-to the runtime's worker pool (:mod:`repro.backends.parallel`) when one
-is attached, and calls the body sequentially otherwise.  Offload is
-only emitted when the body is safe to run in another process: a pure
+to the runtime (:mod:`repro.backends.parallel`) when one is attached,
+and calls the body sequentially otherwise.  Offload is only emitted
+when the body is safe to run apart from ``_kernel``'s frame: a pure
 compute nest (no runtime operations anywhere in the function, no
-shared-memory staging buffers) whose loop sits at the outermost level,
-so every name the body needs comes from ``_bufs``/``_params`` alone.
+GPU shared-memory cache buffers) whose loop sits at the outermost
+level, so every name the body needs comes from ``_bufs``/``_params``
+alone.
 """
 
 from __future__ import annotations
@@ -286,8 +287,8 @@ class Emitter:
     def render_def(self, header: str, body) -> str:
         """One ``def``: ``body()`` is rendered first, and the prologue
         then unpacks only the parameters and buffers (and zeroes the
-        counters) that text mentions: ``_kernel`` and every function a
-        worker process re-executes bind exactly the names they use."""
+        counters) that text mentions: ``_kernel`` and every chunk or
+        tile body bind exactly the names they use."""
         from repro.backends.common import collect_buffers
         saved = self.buf, self.indent, self._depth
         self.buf, self.indent, self._depth = io.StringIO(), 1, 0
@@ -703,8 +704,8 @@ class Emitter:
     # -- parallel offload ---------------------------------------------------
 
     def _offload_safe(self, loop: Loop) -> bool:
-        """Can this loop's body run in another process, given only
-        ``_bufs``/``_params``?  Runtime operations (allocations rebind
+        """Can this loop's body run apart from ``_kernel``'s frame, given
+        only ``_bufs``/``_params``?  Runtime operations (allocations rebind
         buffer names in the entry frame, sends/copies/barriers need the
         live runtime) and staged cache buffers (filled by an operation
         in the enclosing frame) pin the nest to ``_kernel``."""
@@ -771,8 +772,8 @@ class Emitter:
         is eligible.
 
         Eligibility: the function is a single top-level loop nest whose
-        body can run in a worker process (the same test as parallel
-        offload), with parameter-only bounds on the clamped level(s)
+        body can run apart from ``_kernel``'s frame (the same test as
+        parallel offload), with parameter-only bounds on the clamped level(s)
         and an *identity schedule* there — so a dependence distance in
         iteration space is also a distance in emitted loop space and
         the tile DAG built from it is sound.  Two levels are clamped
@@ -855,8 +856,8 @@ class Emitter:
         """``_tile_body(_bufs, _params, _lo0, _hi0[, _lo1, _hi1])``:
         the nest with the clamped levels intersected with the tile box
         (``max``/``min`` against the original bounds), everything
-        deeper emitted unchanged.  Runs in a worker process against the
-        shared staging buffers, exactly like a ``_par_body_k`` chunk."""
+        deeper emitted unchanged.  Runs on a thread against the caller's
+        arrays, exactly like a ``_par_body_k`` chunk."""
         def body():
             for k, loop in enumerate(levels):
                 lo = bounds_group_py(loop.lowers, self.params, True)

@@ -17,17 +17,18 @@ This module is the front end for that shape:
   :class:`~repro.driver.trace.CompileReport`\\ s) as compiles finish.
 
 Distinct cold compiles run their heavy stages (legality through emit)
-inside the cached fork pool of :mod:`repro.backends.pool` — the
-same machinery that executes parallel loop chunks — via
-:func:`repro.driver.pipeline.compile_to_source`; the parent then binds
-the shipped source with
+inside the cached fork pool of :mod:`repro.backends.pool` — the only
+user of a process pool; compiled kernels run in the caller's process —
+via :func:`repro.driver.pipeline.compile_to_source`; the parent then
+binds the shipped source with
 :meth:`~repro.driver.pipeline.CompilePipeline.run_precompiled` and
 publishes the artifact to the memory and disk cache tiers.  Warm
 requests (memory or disk hit) never leave the parent.  Compile
-dispatch goes through the same :func:`~repro.backends.pool.supervise`
-loop as loop chunks (docs/robustness.md), so ``max_retries``,
-``timeout`` and ``on_worker_failure`` mean the same here, with
-"fallback" compiling inline in the parent.  Deterministic compile
+dispatch goes through :func:`~repro.backends.pool.supervise`
+(docs/robustness.md): ``max_retries`` and ``on_worker_failure`` govern
+this offload alone, with "fallback" compiling inline in the parent,
+and ``timeout`` is the request's deadline, which each attempt ships to
+the worker.  Deterministic compile
 errors — an illegal schedule, a bad option — are application errors:
 they are never retried and surface on ``result()`` for every handle of
 that fingerprint.

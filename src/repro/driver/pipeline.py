@@ -63,13 +63,14 @@ BASE_OPTIONS: Dict[str, object] = {
     # emitted source, so it is part of the cache key; the default
     # (False) path is byte-identical to an unprofiled build.
     "profile": False,
-    # Fault tolerance (docs/robustness.md): how many times a parallel
-    # region is re-dispatched after a worker failure, the per-chunk /
-    # per-recv deadline in seconds (None defers to the ``timeout``
-    # knob, then the runtime's own default), and the endgame when
-    # the pool keeps dying ("fallback" degrades to sequential
-    # execution, "retry" raises after the last attempt, "raise" fails
-    # on the first).
+    # Fault tolerance (docs/robustness.md): how many times a batch
+    # compile offload is re-dispatched after a worker failure, and the
+    # endgame when the pool keeps dying ("fallback" compiles in the
+    # parent, "retry" raises after the last attempt, "raise" fails on
+    # the first) — a compiled kernel has no worker to lose.  ``timeout``
+    # is the request's end-to-end deadline in seconds and the
+    # distributed runtime's per-recv deadline (None defers to the
+    # ``timeout`` knob, then the per-use default).
     "max_retries": 2,
     "timeout": None,
     "on_worker_failure": "fallback",

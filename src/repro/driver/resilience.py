@@ -270,10 +270,9 @@ class CircuitBreaker:
 
 # -- the process-wide pool breaker -------------------------------------------
 #
-# One breaker guards the shared fork pools of repro.backends.parallel:
-# the batch compile front end and the parallel loop runtime dispatch
-# onto the same machinery, so a pool that keeps dying under one of them
-# should stop the other from hammering it too.
+# One breaker guards the fork pool of repro.backends.pool that the batch
+# compile front end dispatches onto: a pool that keeps dying stops
+# being hammered.
 
 _pool_breaker: Optional[CircuitBreaker] = None
 _pool_breaker_lock = threading.Lock()

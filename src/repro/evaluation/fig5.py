@@ -102,7 +102,7 @@ def figure5() -> Dict[str, float]:
 def figure5_measured(num_threads: int = None, repeats: int = 2):
     """Measured (not modeled) parallel speedups for the Fig. 5 CPU
     kernels on *this* machine: the same scheduled function compiled with
-    ``num_threads=1`` vs a worker pool, outputs verified bit-identical.
+    ``num_threads=1`` vs worker threads, outputs verified bit-identical.
     Returns ``{benchmark: ParallelMeasurement}``."""
     from .parallel import measured_speedups
     return measured_speedups(num_threads=num_threads, repeats=repeats)

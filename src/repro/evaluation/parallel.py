@@ -3,7 +3,7 @@
 The Fig. 5/6 harnesses report *modeled* times for the paper's 12/24-core
 machines.  This module complements them with what `parallelize` now
 actually does: it compiles the same kernel twice through the staged
-driver — once with ``num_threads=1`` and once with a worker pool — runs
+driver — once with ``num_threads=1`` and once with worker threads — runs
 both on identical inputs, verifies the outputs are bit-identical, and
 reports the measured speedup alongside the model's prediction for the
 same worker count.
@@ -30,7 +30,6 @@ class ParallelMeasurement:
     sequential_seconds: float
     parallel_seconds: float
     identical: bool              # parallel output bit-identical to seq
-    worker_pids: int = 0         # distinct processes that ran chunks
     modeled_speedup: Optional[float] = None
 
     @property
@@ -65,7 +64,8 @@ def measure_parallel_speedup(builder: Callable, schedule: Callable,
                              repeats: int = 2,
                              seed: int = 0) -> ParallelMeasurement:
     """Compile ``builder()``'s kernel with ``schedule`` applied, run it
-    sequentially and on the worker pool, and compare wall clocks.
+    sequentially and with ``num_threads`` workers, and compare wall
+    clocks.
 
     ``builder`` is a :class:`~repro.kernels.base.KernelBundle` factory
     and ``schedule(bundle)`` applies the (parallel-tagged) schedule.
@@ -88,8 +88,6 @@ def measure_parallel_speedup(builder: Callable, schedule: Callable,
 
     identical = set(seq_out) == set(par_out) and all(
         np.array_equal(seq_out[name], par_out[name]) for name in seq_out)
-    runtime = par_kernel.runtime
-    pids = len(runtime.stats.worker_pids) if runtime is not None else 0
 
     model = CpuCostModel(par_bundle.function, run_params,
                          num_threads=workers).estimate().seconds
@@ -100,7 +98,7 @@ def measure_parallel_speedup(builder: Callable, schedule: Callable,
     return ParallelMeasurement(
         benchmark=seq_bundle.name, workers=workers,
         sequential_seconds=seq_s, parallel_seconds=par_s,
-        identical=identical, worker_pids=pids, modeled_speedup=modeled)
+        identical=identical, modeled_speedup=modeled)
 
 
 def _parallel_schedules():

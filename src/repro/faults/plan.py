@@ -4,9 +4,6 @@ Production runtimes need failure semantics you can *test*, which means
 failures you can reproduce.  A ``FaultPlan`` is an explicit, seeded
 description of which faults fire where:
 
-* ``worker-crash`` / ``worker-hang`` — a pool worker executing one
-  chunk of a parallel region dies (``os._exit``) or stalls, addressed
-  by ``(region, chunk, attempt)``;
 * ``rank-crash`` / ``rank-hang`` — a simulated MPI rank raises on
   entry, or stalls before running, addressed by ``rank``;
 * ``message-drop`` / ``message-corrupt`` — a message on one simulated
@@ -22,10 +19,10 @@ description of which faults fire where:
 * ``disk-io-error`` — the disk artifact tier raises ``OSError``
   (``ENOSPC`` on ``op="store"``, ``EIO`` on ``op="load"`` by default),
   addressed by ``op`` and ``key``;
-* ``pool-refusal`` — a worker-pool dispatch fails as if the pool died
-  (``op`` is ``"batch"`` or ``"parallel"``) without harming the real
-  pool: the deterministic way to exercise retry paths and trip the
-  :class:`~repro.driver.resilience.CircuitBreaker`.
+* ``pool-refusal`` — a process-pool dispatch fails as if the pool died
+  (``op`` names the supervised site: ``"batch"``) without harming the
+  real pool: the deterministic way to exercise retry paths and trip
+  the :class:`~repro.driver.resilience.CircuitBreaker`.
 
 Sites are exact: a field left as ``None`` is a wildcard, anything else
 must match the coordinates the runtime presents at the injection
@@ -39,10 +36,10 @@ Activation is process-global::
 
     from repro.faults import FaultPlan, injected
 
-    plan = FaultPlan(seed=7).crash_worker(chunk=0)
+    plan = FaultPlan(seed=7).refuse_pool(op="batch")
     with injected(plan):
-        kernel(**inputs, **params)      # first chunk's worker dies once
-    assert plan.fired("worker-crash") == 1
+        kernels = compile_batch(functions)  # one offload refused, retried
+    assert plan.fired("pool-refusal") == 1
 
 The runtimes consult :func:`get_plan` at each injection point; with no
 plan installed (the default) every probe is a cheap ``None`` check.
@@ -60,8 +57,6 @@ import numpy as np
 
 #: The fault kinds a plan can carry, with the site fields each accepts.
 FAULT_KINDS: Dict[str, Tuple[str, ...]] = {
-    "worker-crash": ("region", "chunk", "attempt", "index"),
-    "worker-hang": ("region", "chunk", "attempt", "index"),
     "rank-crash": ("rank", "index"),
     "rank-hang": ("rank", "index"),
     "message-drop": ("src", "dst", "message", "index"),
@@ -135,22 +130,6 @@ class FaultPlan:
         self.specs.append(FaultSpec(kind, dict(site), times, payload or {}))
         return self
 
-    def crash_worker(self, chunk=None, region=None, attempt=None,
-                     times: int = 1) -> "FaultPlan":
-        """Kill the pool worker executing ``chunk`` of parallel region
-        ``region`` (chunk index == worker slot; ``attempt`` addresses a
-        specific retry)."""
-        return self._add("worker-crash", {"chunk": chunk, "region": region,
-                                          "attempt": attempt}, times)
-
-    def hang_worker(self, chunk=None, region=None, attempt=None,
-                    seconds: float = 30.0, times: int = 1) -> "FaultPlan":
-        """Stall the worker executing ``chunk`` for ``seconds`` before it
-        computes (exceeding the chunk timeout reads as a hang)."""
-        return self._add("worker-hang", {"chunk": chunk, "region": region,
-                                         "attempt": attempt}, times,
-                         {"seconds": float(seconds)})
-
     def crash_rank(self, rank: int, times: int = 1) -> "FaultPlan":
         """Make simulated rank ``rank`` raise on entry."""
         return self._add("rank-crash", {"rank": int(rank)}, times)
@@ -201,11 +180,18 @@ class FaultPlan:
                          {"errno": int(err)})
 
     def refuse_pool(self, op=None, times: int = 1) -> "FaultPlan":
-        """Fail a worker-pool dispatch as if the pool died — ``op`` is
-        ``"batch"`` (a batch compile offload) or ``"parallel"`` (a
-        parallel-region dispatch), None = either.  The real pool is
-        untouched; the runtimes treat the refusal exactly like
-        ``BrokenProcessPool`` (retry, breaker, fallback)."""
+        """Fail a process-pool dispatch as if the pool died — ``op`` is
+        the ``op`` of a supervised site in
+        :data:`repro.backends.pool.SITES` (``"batch"``: a batch compile
+        offload), None = any; anything else raises ``ValueError``.  The
+        real pool is untouched; :func:`repro.backends.pool.supervise`
+        treats the refusal exactly like ``BrokenProcessPool`` (retry,
+        breaker, fallback)."""
+        from repro.backends.pool import SITES
+        ops = sorted(site.op for site in SITES)
+        if op is not None and op not in ops:
+            raise ValueError(f"no dispatch site has op {op!r}; valid ops: "
+                             f"{', '.join(ops)}")
         return self._add("pool-refusal", {"op": op}, times)
 
     # -- matching ---------------------------------------------------------

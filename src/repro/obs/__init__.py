@@ -10,8 +10,8 @@ Three cooperating pieces (see docs/observability.md):
   runtime loop nests and parallel-worker chunks, exported as
   Chrome-trace/Perfetto JSON (the ``trace_file`` knob);
 * :mod:`repro.obs.metrics` — a process-safe counters/gauges/histograms
-  registry the parallel worker pool feeds (chunk timings and sizes,
-  shared-memory staging costs), aggregated in the parent;
+  registry the parallel runtime feeds (chunk timings and sizes),
+  recorded by the calling thread;
 * :mod:`repro.obs.events` — an append-only structured JSONL event
   journal (the ``event_log`` knob) with a per-compile correlation id
   threaded through the driver, cache tiers, batch front end, fault

@@ -45,7 +45,6 @@ import json
 import os
 import threading
 import time
-import uuid
 from contextlib import contextmanager
 from typing import Dict, List, Optional
 
@@ -69,8 +68,8 @@ _COMPILE_ID: "contextvars.ContextVar[Optional[str]]" = \
 
 def new_compile_id() -> str:
     """A fresh correlation id: short enough to grep, unique across
-    processes (uuid4-derived)."""
-    return uuid.uuid4().hex[:16]
+    processes (16 hex digits of ``os.urandom``)."""
+    return os.urandom(8).hex()
 
 
 def current_compile_id() -> Optional[str]:

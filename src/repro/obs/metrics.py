@@ -1,21 +1,16 @@
 """A process-safe metrics registry: counters, gauges, histograms.
 
 The registry lives in the parent (compiling) process and is guarded by
-one lock, so any thread may record.  Worker processes never touch it
-directly — measurements taken inside a worker (chunk wall time, chunk
-sizes) ride back to the parent with the chunk result and are recorded
-there (see :meth:`repro.backends.parallel.ParallelRuntime.run`), which
-is what makes the registry safe under the process pool without shared
-state.
+one lock, so any thread may record.  The threads running a region's
+chunks hand their measurements (chunk wall time, chunk sizes) back with
+the chunk result, and the calling thread records them after the join
+(see :meth:`repro.backends.parallel.ParallelRuntime.run`); batch
+compile workers in other processes never touch it.
 
-The parallel backend feeds, per dispatched region: a chunk-seconds and
-chunk-iterations histogram (worker imbalance = the max/min spread), and
-shared-memory staging costs (copy-in / copy-back seconds and bytes).
+The parallel backend feeds, per region run on threads: a chunk-seconds
+and chunk-iterations histogram (thread imbalance = the max/min spread).
 
 Fault tolerance (docs/robustness.md) adds failure-path counters:
-``parallel.worker_failures`` / ``parallel.retries`` /
-``parallel.pool_restarts`` / ``parallel.chunk_timeouts`` /
-``parallel.sequential_fallbacks`` from the pool runtime;
 ``dist.rank_failures`` / ``dist.rank_failure_propagations`` /
 ``dist.deadlocks`` / ``dist.recv_timeouts`` / ``dist.hung_ranks`` /
 ``dist.messages_dropped`` / ``dist.messages_corrupted`` from the
@@ -43,9 +38,8 @@ The self-protection layer (docs/robustness.md) counts its decisions:
 the ``resilience.breaker.state`` gauge), admission control
 ``resilience.admission.{reject,shed,block}``, crash recovery
 ``resilience.recovery.{tmp_removed,quarantine_removed,journal_repairs}``,
-absorbed disk-tier I/O failures
-``compile_cache.disk.{load_error,store_error}``, and
-``parallel.breaker_blocks`` from the degraded parallel runtime.
+and absorbed disk-tier I/O failures
+``compile_cache.disk.{load_error,store_error}``.
 
 The autoscheduler (docs/autoscheduler.md) accounts for its search here:
 ``autosched.candidates`` (plans enumerated, legal or not),

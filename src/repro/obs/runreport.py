@@ -9,8 +9,8 @@ gathers them through a :class:`RunCollector` and attaches a
 The default path (``profile=False``) emits byte-identical source to an
 unprofiled build — zero overhead when off.
 
-Worker processes executing parallel chunks build their own collector,
-return its picklable snapshot with the chunk result, and the parent
+Threads executing parallel chunks each build their own collector and
+return its snapshot with the chunk result, and the calling thread
 merges it — so iteration counts stay exact under multicore execution.
 """
 
@@ -48,9 +48,8 @@ class RunCollector:
 
     Emitted code calls :meth:`count` once per flushed counter set and
     :meth:`span` once per top-level loop nest; the parallel runtime
-    calls :meth:`worker_span` / :meth:`merge` for offloaded chunks.
-    Collectors are cheap to build per call and picklable-snapshot
-    friendly for the worker side.
+    calls :meth:`worker_span` / :meth:`merge` for chunks run on
+    threads.  Collectors are cheap to build per call and per chunk.
     """
 
     __slots__ = ("counts", "spans")
@@ -81,16 +80,14 @@ class RunCollector:
     # -- called from the parallel runtime ---------------------------------
 
     def worker_span(self, body: str, lo: int, hi: int, start_ns: int,
-                    end_ns: int, pid: int, thread: int) -> None:
-        """One chunk, on the lane of whatever ran it: a worker process,
-        or a thread of this one."""
-        lane = f"thread-{thread}" if pid == os.getpid() else f"worker-{pid}"
+                    end_ns: int, thread: int) -> None:
+        """One chunk, on the lane of the thread that ran it."""
         self.spans.append(Span(
             name=f"{body}[{lo}:{hi}]", cat=CAT_WORKER,
             start_ns=int(start_ns),
             dur_ns=max(0, int(end_ns) - int(start_ns)),
-            pid=os.getpid(), tid=lane,
-            args={"lo": int(lo), "hi": int(hi), "worker_pid": int(pid),
+            pid=os.getpid(), tid=f"thread-{thread}",
+            args={"lo": int(lo), "hi": int(hi), "worker_pid": os.getpid(),
                   "thread_id": int(thread)}))
 
     def merge(self, snapshot: Optional[Dict[str, object]]) -> None:
@@ -101,7 +98,7 @@ class RunCollector:
             self.count(name, iters, nbytes)
 
     def snapshot(self) -> Dict[str, object]:
-        """A picklable copy for crossing the process boundary."""
+        """A plain copy of the counts, for :meth:`merge`."""
         return {"counts": {k: list(v) for k, v in self.counts.items()}}
 
 

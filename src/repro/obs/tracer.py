@@ -4,7 +4,7 @@ The tracer collects :class:`Span` records from three producers —
 compile-pipeline stages (re-using :class:`repro.driver.trace.
 CompileReport` timings), runtime loop-nest spans emitted by profiled
 kernels, and parallel-worker chunk spans reported back by the worker
-pool — and exports them in the Chrome-trace (Perfetto) JSON event
+threads — and exports them in the Chrome-trace (Perfetto) JSON event
 format, so ``chrome://tracing`` or https://ui.perfetto.dev can render
 compile and execution on one timeline.
 
@@ -13,9 +13,8 @@ Collection is on exactly when the ``trace_file`` knob of
 or eagerly via :func:`write_trace_file`).
 
 All timestamps are ``time.perf_counter_ns`` values: one monotonic clock
-shared by the compile pipeline, the kernel wrapper and (on fork-start
-platforms) the worker processes, which is what makes the single
-timeline line up.
+shared by the compile pipeline, the kernel wrapper and its worker
+threads, which is what makes the single timeline line up.
 """
 
 from __future__ import annotations

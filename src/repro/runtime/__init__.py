@@ -3,8 +3,8 @@
 The polyhedral layers prove which tiles of a schedule may run
 concurrently; :mod:`repro.runtime.taskgraph` lowers a tiled nest to a
 task DAG from those dependences, and :mod:`repro.runtime.scheduler`
-executes ready tiles across the shared worker pool with a ready-queue
-scheduler instead of fork-join barriers (docs/task_runtime.md).
+executes ready tiles on threads with a ready-queue scheduler instead
+of fork-join barriers (docs/task_runtime.md).
 """
 
 from .taskgraph import (TaskGraph, TaskGraphUnavailable, TileTask,

@@ -1,18 +1,19 @@
-"""One rule, three executors, same bits.
+"""One rule, two executors, same bits.
 
 ``ParallelRuntime`` decides per region and per call where a
 ``parallelize``-tagged loop runs: a *slab region* (no Python ``for`` in
 its body) on threads over the caller's own arrays, or inline below
-``THREAD_FLOOR_BYTES``; a *loop region* on worker processes over
-shared-memory copies.  These tests reach each executor the way the
-runtime itself does — by the size of the call (the floor constant is
-patched, never an option) or by handing ``_runtime=`` a runtime that
-classifies every region as a loop region.
+``THREAD_FLOOR_BYTES``; a *loop region* always inline, in the caller's
+thread.  These tests reach each plan the way the runtime itself does —
+by the size of the call (the floor constant is patched, never an
+option) or by handing ``_runtime=`` a runtime that classifies every
+region as a loop region.
 """
 
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,13 +21,12 @@ import pytest
 from repro import Computation, Function, Input, Var
 from repro import kernels as K
 from repro.backends import parallel, pool
-from repro.backends.parallel import (DispatchPlan, ParallelRuntime,
-                                     region_kinds)
+from repro.backends.parallel import (PYTHON_LOOP, DispatchPlan,
+                                     ParallelRuntime, region_kinds)
 from repro.core.errors import DeadlineExceededError, ExecutionError
 from repro.driver import Deadline, deadline_scope
 from repro.evaluation.schedules import tiramisu_cpu
 from repro.obs.events import read_events
-from repro.obs.metrics import metrics
 
 
 def sgemm_8_4(bundle):
@@ -56,13 +56,12 @@ def compiled(builder, schedule, **opts):
     return bundle, bundle.function.compile("cpu", cache=False, **opts)
 
 
-def all_processes(kernel) -> ParallelRuntime:
+def all_loop_regions(kernel) -> ParallelRuntime:
     """A runtime for ``kernel`` that takes every region for a loop
-    region: what the backend did for every kernel before the plan."""
+    region, which never leaves the calling thread."""
     runtime = ParallelRuntime(kernel.source, 2)
     runtime.loop_regions |= set(runtime.slab_regions)
     runtime.slab_regions = ()
-    runtime.stages = True
     return runtime
 
 
@@ -71,7 +70,6 @@ class TestClassification:
         __, kernel = compiled(K.build_sgemm, sgemm_8_4, num_threads=2)
         assert kernel.runtime.loop_regions == {"_par_body_2"}
         assert kernel.runtime.slab_regions == ("_par_body_1",)
-        assert kernel.runtime.stages
 
     @pytest.mark.parametrize("builder", [K.build_gaussian,
                                          K.build_edge_detector])
@@ -81,7 +79,6 @@ class TestClassification:
         assert kernel.runtime.slab_regions == ("_par_body_1",
                                                "_par_body_2")
         assert not kernel.runtime.loop_regions
-        assert not kernel.runtime.stages
 
     def test_read_from_the_source_alone(self):
         # the way parallel_regions / vector_summary are: it survives the
@@ -100,6 +97,8 @@ class TestClassification:
                          ids=IDS)
 def test_sequential_inline_threads_processes_same_bits(
         monkeypatch, builder, schedule, big, slabs, loops):
+    # the "processes" leg takes every region for a loop region, which
+    # never leaves the calling thread
     bundle, seq = compiled(builder, schedule, parallel=False)
     for params in (dict(bundle.test_params), big):
         inputs = bundle.make_inputs(params, np.random.default_rng(7))
@@ -121,14 +120,14 @@ def test_sequential_inline_threads_processes_same_bits(
                 >= {"threads"}
             assert on_threads == (leg == "threads")
             assert (stats.thread_regions > 0) == on_threads
-            assert (stats.declined >= slabs) == (leg == "inline")
-            assert bool(stats.worker_pids) == bool(loops)
+            assert (stats.declined >= slabs + loops) == (leg == "inline")
+            assert [r for r, p in par.runtime.plans.items()
+                    if p == PYTHON_LOOP] == sorted(par.runtime.loop_regions)
         monkeypatch.undo()
-        runtime = all_processes(par)
+        runtime = all_loop_regions(par)
         got["processes"] = call(par, _runtime=runtime)
-        assert runtime.stats.regions == slabs + loops
-        assert runtime.stats.thread_regions == 0
-        assert runtime.stats.worker_pids        # in worker processes
+        assert set(runtime.plans.values()) == {PYTHON_LOOP}
+        assert runtime.stats.regions == runtime.stats.thread_regions == 0
         for leg, out in got.items():
             for name in want:
                 assert np.array_equal(out[name], want[name]), (leg, name)
@@ -154,7 +153,6 @@ class TestThreadPath:
 
     def test_slab_only_kernel_forks_and_stages_nothing(self):
         pool.shutdown_pools()
-        staged = metrics.counter("parallel.shm_bytes_in").value
         bundle, kernel = compiled(K.build_gaussian, tiramisu_cpu,
                                   num_threads=2)
         params = {"N": 64, "M": 64}
@@ -163,44 +161,75 @@ class TestThreadPath:
         stats = kernel.runtime.stats
         assert (stats.regions, stats.thread_regions, stats.chunks) \
             == (2, 2, 4)
-        assert stats.worker_pids == () and not pool._POOLS
-        assert metrics.counter("parallel.shm_bytes_in").value == staged
+        assert not pool._POOLS and list(pool._THREAD_POOLS) == [2]
 
-    def test_shared_memory_is_never_imported(self):
+    def test_shared_memory_is_never_imported(self, tmp_path):
+        # kernels never leave the process: every region kind, both
+        # execution modes, above the floor, in a fresh interpreter
         code = (
             "import sys, numpy as np\n"
-            "from repro import kernels as K\n"
+            "from repro import kernels as K, settings\n"
             "from repro.backends import pool\n"
+            "from repro.backends.parallel import PYTHON_LOOP\n"
             "from repro.evaluation.schedules import tiramisu_cpu\n"
-            "b = K.build_gaussian(); tiramisu_cpu(b)\n"
-            "k = b.function.compile('cpu', num_threads=2)\n"
-            "p = {'N': 514, 'M': 514}\n"
-            "k(**b.make_inputs(p, np.random.default_rng(0)), **p)\n"
-            "assert k.runtime.stats.thread_regions == 2, k.runtime.stats\n"
+            "from repro.obs.events import read_events\n"
+            "def sgemm_8_4(b): K.schedule_sgemm_cpu(b, 8, 4)\n"
+            "def call(b, p, **opts):\n"
+            "    k = b.function.compile('cpu', cache=False, **opts)\n"
+            "    ins = b.make_inputs(p, np.random.default_rng(0))\n"
+            "    return k, k(**ins, **p)\n"
+            "for build, sched, p, opts in [\n"
+            "        (K.build_sgemm, sgemm_8_4, dict(N=520, M=520, K=2), {}),\n"
+            "        (K.build_conv, K.schedule_conv_cpu,\n"
+            "         dict(B=2, F=4, N=192, M=192), {}),\n"
+            "        (K.build_gaussian, tiramisu_cpu, dict(N=514, M=514), {}),\n"
+            "        (K.build_heat, K.schedule_heat_cpu, dict(T=48, N=8192),\n"
+            "         dict(execution='taskgraph'))]:\n"
+            "    b = build(); sched(b)\n"
+            "    with settings.override(event_log=sys.argv[1]):\n"
+            "        k, got = call(b, p, num_threads=2, **opts)\n"
+            "    b = build(); sched(b)\n"
+            "    __, want = call(b, p, parallel=False)\n"
+            "    assert all(np.array_equal(got[n], want[n]) for n in want)\n"
+            "    loops = {r: k.runtime.plans[r] for r in k.runtime.loop_regions}\n"
+            "    assert set(loops.values()) <= {PYTHON_LOOP}, loops\n"
+            "    assert len(loops) == (build in (K.build_sgemm, K.build_conv))\n"
+            "    assert k.runtime.stats.regions >= 1, k.runtime.stats\n"
+            "st = k.runtime.taskgraph_stats\n"
+            "assert st.graphs == 1 and st.fallbacks == 0, st\n"
+            "threads = {e['fields']['thread'] for e in read_events(sys.argv[1])\n"
+            "           if e['name'] == 'taskgraph.task.done'}\n"
+            "assert len(threads) == 2, threads\n"
             "assert not pool._POOLS\n"
             "assert 'multiprocessing.shared_memory' not in sys.modules\n")
-        subprocess.run([sys.executable, "-c", code], check=True,
-                       timeout=120)
+        subprocess.run([sys.executable, "-c", code,
+                        str(tmp_path / "events.jsonl")],
+                       check=True, timeout=300)
 
-    def test_mixed_kernel_uses_both_pools_and_leaks_no_segment(self):
-        import os
+    def test_example_prints_the_loop_region_reason(self):
+        example = Path(__file__).resolve().parents[1] / "examples" \
+            / "parallel_cpu.py"
+        out = subprocess.run([sys.executable, str(example)], check=True,
+                             capture_output=True, text=True, timeout=300)
+        assert "_par_body_2: inline (python-loop)" in out.stdout
+
+    def test_mixed_kernel_runs_its_loop_region_inline(self):
+        pool.shutdown_pools()
         bundle, seq = compiled(K.build_sgemm, sgemm_8_4, parallel=False)
         __, par = compiled(K.build_sgemm, sgemm_8_4, num_threads=2)
         params = dict(bundle.test_params)
         inputs = bundle.make_inputs(params, np.random.default_rng(3))
         want = seq(**{k: v.copy() for k, v in inputs.items()}, **params)
-        before = set(os.listdir("/dev/shm")) \
-            if os.path.isdir("/dev/shm") else set()
         for call in range(3):
             got = par(**{k: v.copy() for k, v in inputs.items()}, **params)
             assert np.array_equal(got["C"], want["C"]), call
         stats = par.runtime.stats
-        assert stats.regions == 6 and stats.thread_regions == 3
-        assert len(stats.worker_pids) >= 2      # acc: worker processes
-        assert {p.kind for p in par.runtime.plans.values()} \
-            == {"threads", "processes"}
-        if os.path.isdir("/dev/shm"):
-            assert set(os.listdir("/dev/shm")) <= before
+        assert (stats.regions, stats.thread_regions, stats.declined) \
+            == (3, 3, 3)
+        assert par.runtime.plans == {
+            "_par_body_1": DispatchPlan("threads", "slab"),
+            "_par_body_2": PYTHON_LOOP}
+        assert not pool._POOLS
 
     def test_body_error_surfaces_once_after_every_chunk_joined(self):
         # rows 400.. are missing from the caller's output: chunk 2 of 3
@@ -300,11 +329,14 @@ class TestDecisionsAreObservable:
 
     def test_loop_region_without_a_pool_declines_with_the_reason(
             self, monkeypatch):
-        monkeypatch.setattr(parallel, "get_pool", lambda workers: None)
+        # no process pool is ever asked for: above the floor as below
+        def no_pool(workers):
+            raise AssertionError("a kernel asked for a process pool")
+        monkeypatch.setattr(pool, "get_pool", no_pool)
         bundle, kernel = compiled(K.build_sgemm, sgemm_8_4, num_threads=2)
-        params = dict(bundle.test_params)
-        kernel(**bundle.make_inputs(params, np.random.default_rng(0)),
-               **params)
-        assert kernel.runtime.plans["_par_body_2"] \
-            == DispatchPlan("inline", "pool-unavailable")
-        assert kernel.runtime.stats.regions == 0
+        for params in (dict(bundle.test_params), {"N": 520, "M": 520,
+                                                  "K": 2}):
+            kernel(**bundle.make_inputs(params, np.random.default_rng(0)),
+                   **params)
+            assert kernel.runtime.plans["_par_body_2"] == PYTHON_LOOP
+        assert kernel.runtime.stats.regions == 1   # the slab region

@@ -76,6 +76,19 @@ class TestCompileIds:
         ids = {new_compile_id() for _ in range(64)}
         assert len(ids) == 64
         assert all(len(i) == 16 for i in ids)
+        assert all(int(i, 16) >= 0 for i in ids)      # hex digits
+
+    def test_a_sequential_compile_never_imports_uuid(self):
+        code = (
+            "import sys\n"
+            "import repro\n"
+            "from repro import Computation, Function, Var\n"
+            "with Function('f') as f:\n"
+            "    Computation('c', [Var('i', 0, 8)], 2.0)\n"
+            "assert f.compile('cpu', parallel=False)()['c'].sum() == 16\n"
+            "assert 'uuid' not in sys.modules\n")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       timeout=120)
 
     def test_context_installs_and_restores(self):
         assert current_compile_id() is None

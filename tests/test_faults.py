@@ -23,20 +23,20 @@ def _no_active_plan():
 
 class TestSpecMatching:
     def test_exact_site_matches(self):
-        spec = FaultSpec("worker-crash", {"region": 0, "chunk": 1})
-        assert spec.matches({"region": 0, "chunk": 1, "attempt": 0})
-        assert not spec.matches({"region": 0, "chunk": 2, "attempt": 0})
+        spec = FaultSpec("message-drop", {"src": 0, "dst": 1})
+        assert spec.matches({"src": 0, "dst": 1, "message": 0})
+        assert not spec.matches({"src": 0, "dst": 2, "message": 0})
 
     def test_none_fields_are_wildcards(self):
-        spec = FaultSpec("worker-crash", {"region": None, "chunk": None})
-        assert spec.matches({"region": 7, "chunk": 3})
+        spec = FaultSpec("message-drop", {"src": None, "dst": None})
+        assert spec.matches({"src": 7, "dst": 3})
 
     def test_times_bounds_firing(self):
-        plan = FaultPlan().crash_worker(chunk=0, times=2)
-        assert plan.fires("worker-crash", region=0, chunk=0, attempt=0)
-        assert plan.fires("worker-crash", region=0, chunk=0, attempt=1)
-        assert plan.fires("worker-crash", region=0, chunk=0, attempt=2) is None
-        assert plan.fired("worker-crash") == 2
+        plan = FaultPlan().drop_message(dst=0, times=2)
+        assert plan.fires("message-drop", src=1, dst=0, message=0)
+        assert plan.fires("message-drop", src=1, dst=0, message=1)
+        assert plan.fires("message-drop", src=1, dst=0, message=2) is None
+        assert plan.fired("message-drop") == 2
 
     def test_key_site_is_a_prefix(self):
         spec = FaultSpec("cache-corrupt", {"key": "abc1"})
@@ -51,8 +51,9 @@ class TestSpecMatching:
         assert plan.fires("cache-corrupt", key="k2") is None
 
     def test_first_spec_wins_in_insertion_order(self):
-        plan = FaultPlan().hang_worker(seconds=1.0).hang_worker(seconds=9.0)
-        spec = plan.fires("worker-hang", region=0, chunk=0, attempt=0)
+        plan = FaultPlan().hang_rank(0, seconds=1.0).hang_rank(0,
+                                                               seconds=9.0)
+        spec = plan.fires("rank-hang", rank=0)
         assert spec.payload["seconds"] == 1.0
 
     def test_log_records_coordinates(self):
@@ -81,7 +82,16 @@ class TestSpecMatching:
 
     def test_bad_times_rejected(self):
         with pytest.raises(ValueError, match="times"):
-            FaultPlan().crash_worker(times=0)
+            FaultPlan().crash_rank(0, times=0)
+
+    def test_refuse_pool_names_a_supervised_site(self):
+        # only the batch offload is supervised: a typo, or a kernel
+        # executor that no longer dispatches to a pool, would never fire
+        assert FaultPlan().refuse_pool(op="batch").specs
+        assert FaultPlan().refuse_pool().specs           # any site
+        for op in ("typo", "parallel", "taskgraph"):
+            with pytest.raises(ValueError, match="valid ops: batch"):
+                FaultPlan().refuse_pool(op=op)
 
     def test_every_kind_has_an_index_field(self):
         for fields in FAULT_KINDS.values():

@@ -1,16 +1,15 @@
 """Real multicore execution of ``parallelize``-tagged loops: chunked
-worker emission, the shared-memory pool runtime, option plumbing, and
-the graceful sequential fallbacks.
+worker emission, the in-process runtime, option plumbing, and the
+sequential paths.
 """
 
 import numpy as np
 import pytest
 
-from repro.backends.parallel import (ParallelRuntime, chunk_ranges,
-                                     resolve_num_threads)
-from repro.core.errors import ExecutionError, WorkerFailureError
-from repro.driver import kernel_registry
-from repro.faults import FaultPlan, injected, uninstall
+from repro.backends import parallel
+from repro.backends.parallel import (PYTHON_LOOP, ParallelRuntime,
+                                     chunk_ranges, resolve_num_threads)
+from repro.core.errors import ExecutionError
 from repro.kernels.image import build_blur
 from repro.kernels.linalg import TEST_SGEMM, build_sgemm
 
@@ -133,10 +132,10 @@ class TestExecution:
         out_par = run_sgemm(k_par)
         assert np.array_equal(out_seq["C"], out_par["C"])
 
-        stats = k_par.runtime.stats
-        assert stats.regions == 2          # scale + acc nests
-        assert stats.max_workers == 2
-        assert len(stats.worker_pids) >= 2  # really ran on >= 2 processes
+        # scale + acc: Python loop nests, run in the calling thread
+        assert k_par.runtime.plans == {"_par_body_1": PYTHON_LOOP,
+                                       "_par_body_2": PYTHON_LOOP}
+        assert k_par.runtime.stats.declined == 2
 
     def test_blur_parallel_matches_reference(self):
         bundle = build_blur()
@@ -149,7 +148,7 @@ class TestExecution:
         out = kernel(**inputs, **params)
         ref = bundle.reference(inputs, params)
         assert np.allclose(out["by"], ref["by"], atol=1e-5)
-        assert kernel.runtime.stats.regions >= 1
+        assert kernel.runtime.stats.declined >= 1
 
     def test_parallel_false_runs_inline(self):
         bundle = build_sgemm()
@@ -163,17 +162,19 @@ class TestExecution:
         k_ref = ref.function.compile("cpu", num_threads=1)
         assert np.array_equal(out["C"], run_sgemm(k_ref)["C"])
 
-    def test_worker_failure_surfaces(self):
-        # a loop region (a Python ``for``): runs in worker processes
-        runtime = ParallelRuntime("def boom(_bufs, _params, _lo, _hi):\n"
-                                  "    for _ in range(1):\n"
-                                  "        raise ValueError('inside')\n", 2)
+    def test_worker_failure_surfaces(self, monkeypatch):
+        # a slab region (no Python ``for``) on threads, at any size
+        monkeypatch.setattr(parallel, "THREAD_FLOOR_BYTES", 0)
+        source = ("def boom(_bufs, _params, _lo, _hi):\n"
+                  "    raise ValueError('inside')\n")
+        namespace = {}
+        exec(source, namespace)
+        runtime = ParallelRuntime(source, 2)
         with runtime.sharing({"x": np.zeros(4, dtype=np.float32)}):
-            def boom():
-                pass
-            boom.__name__ = "boom"
             with pytest.raises(ExecutionError, match="inside"):
-                runtime.run(boom, {}, 0, 3)
+                runtime.run(namespace["boom"], {}, 0, 3)
+        assert runtime.plans == {"boom": parallel.DispatchPlan("threads",
+                                                               "slab")}
 
 
 class TestOptionSurface:
@@ -205,151 +206,3 @@ class TestOptionSurface:
         k2 = seq.function.compile("cpu", num_threads=2)
         assert k1.report.fingerprint != k2.report.fingerprint
         assert k1.runtime is None and k2.runtime is not None
-
-
-class TestFaultTolerance:
-    """Injected worker failures: retry on a fresh pool, per-chunk
-    timeouts, and the ``on_worker_failure`` endgames — always with
-    bit-identical results (shared buffers are snapshot-restored)."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh(self):
-        kernel_registry.clear()
-        uninstall()
-        yield
-        uninstall()
-        kernel_registry.clear()
-
-    def compile_par(self, **opts):
-        bundle = build_sgemm()
-        sgemm_parallel_schedule(bundle)
-        return bundle.function.compile("cpu", num_threads=2, **opts)
-
-    def reference(self):
-        bundle = build_sgemm()
-        sgemm_parallel_schedule(bundle)
-        return run_sgemm(bundle.function.compile("cpu", num_threads=1))["C"]
-
-    def test_injected_crash_retried_bit_identical(self):
-        ref = self.reference()
-        kernel = self.compile_par()
-        with injected(FaultPlan().crash_worker(region=0, chunk=0)) as plan:
-            out = run_sgemm(kernel)["C"]
-        assert plan.fired("worker-crash") == 1
-        assert out.tobytes() == ref.tobytes()
-        stats = kernel.runtime.stats
-        assert stats.retries == 1
-        assert stats.pool_restarts >= 1
-
-    def test_injected_hang_times_out_and_retries(self):
-        ref = self.reference()
-        kernel = self.compile_par(timeout=0.5)
-        plan = FaultPlan().hang_worker(region=0, chunk=0, seconds=5.0)
-        with injected(plan):
-            out = run_sgemm(kernel)["C"]
-        assert plan.fired("worker-hang") == 1
-        assert out.tobytes() == ref.tobytes()
-        stats = kernel.runtime.stats
-        assert stats.chunk_timeouts >= 1
-        assert stats.retries == 1
-
-    def test_persistent_crash_falls_back_to_sequential(self):
-        ref = self.reference()
-        kernel = self.compile_par(max_retries=1)
-        with injected(FaultPlan().crash_worker(times=100)):
-            out = run_sgemm(kernel)["C"]
-        assert out.tobytes() == ref.tobytes()
-        stats = kernel.runtime.stats
-        assert stats.sequential_fallbacks == 2    # scale + acc regions
-        assert stats.retries == 2                 # one retry per region
-
-    def test_on_worker_failure_raise_fails_fast(self):
-        kernel = self.compile_par(on_worker_failure="raise")
-        with injected(FaultPlan().crash_worker(region=0, chunk=0)):
-            with pytest.raises(WorkerFailureError):
-                run_sgemm(kernel)
-        assert kernel.runtime.stats.retries == 0
-
-    def test_on_worker_failure_retry_raises_when_exhausted(self):
-        kernel = self.compile_par(max_retries=1, on_worker_failure="retry")
-        with injected(FaultPlan().crash_worker(times=100)):
-            with pytest.raises(WorkerFailureError):
-                run_sgemm(kernel)
-        assert kernel.runtime.stats.sequential_fallbacks == 0
-
-    def test_application_errors_are_never_retried(self):
-        runtime = ParallelRuntime(
-            "def boom(_bufs, _params, _lo, _hi):\n"
-            "    for _ in range(1):\n"
-            "        raise ValueError('inside')\n", 2, max_retries=3)
-        with runtime.sharing({"x": np.zeros(4, dtype=np.float32)}):
-            def boom():
-                pass
-            boom.__name__ = "boom"
-            with pytest.raises(ExecutionError) as err:
-                runtime.run(boom, {}, 0, 3)
-        assert not isinstance(err.value, WorkerFailureError)
-        assert runtime.stats.retries == 0
-
-    def test_fault_free_run_takes_no_snapshot_penalty_paths(self):
-        # No plan installed: plain run, zero failure counters.
-        ref = self.reference()
-        kernel = self.compile_par()
-        out = run_sgemm(kernel)["C"]
-        assert out.tobytes() == ref.tobytes()
-        stats = kernel.runtime.stats
-        assert stats.retries == 0 and stats.pool_restarts == 0
-        assert stats.chunk_timeouts == 0 and stats.sequential_fallbacks == 0
-
-    def test_retry_counters_flow_into_metrics(self):
-        from repro.obs.metrics import metrics
-        metrics.reset()
-        kernel = self.compile_par()
-        with injected(FaultPlan().crash_worker(region=0, chunk=0)):
-            run_sgemm(kernel)
-        assert metrics.counter("parallel.worker_failures").value >= 1
-        assert metrics.counter("parallel.retries").value >= 1
-        assert metrics.counter("parallel.pool_restarts").value >= 1
-
-    def test_fault_spans_appear_on_the_tracer(self, tmp_path):
-        from repro import settings
-        from repro.obs.tracer import CAT_FAULT, get_tracer
-        tracer = get_tracer()
-        tracer.clear()
-        try:
-            with settings.override(trace_file=tmp_path / "trace.json"):
-                kernel = self.compile_par()
-                with injected(FaultPlan().crash_worker(region=0, chunk=0)):
-                    run_sgemm(kernel)
-            faults = [s for s in tracer.spans() if s.cat == CAT_FAULT]
-            assert faults
-            assert any(s.name.startswith("parallel:retry:") for s in faults)
-        finally:
-            tracer.clear()
-
-
-class TestTimeoutConfig:
-    def test_runtime_rejects_bad_timeout(self):
-        with pytest.raises(ValueError, match="timeout"):
-            ParallelRuntime("src", 2, timeout=-1.0)
-
-    def test_runtime_rejects_bad_failure_mode(self):
-        with pytest.raises(ValueError, match="on_worker_failure"):
-            ParallelRuntime("src", 2, on_worker_failure="ignore")
-
-    def test_env_var_supplies_default_timeout(self, monkeypatch):
-        monkeypatch.setenv("TIRAMISU_TIMEOUT", "7.5")
-        assert ParallelRuntime("src", 2).timeout == 7.5
-
-    def test_explicit_timeout_beats_env(self, monkeypatch):
-        monkeypatch.setenv("TIRAMISU_TIMEOUT", "7.5")
-        assert ParallelRuntime("src", 2, timeout=2.0).timeout == 2.0
-
-    def test_invalid_env_timeout_raises(self, monkeypatch):
-        monkeypatch.setenv("TIRAMISU_TIMEOUT", "-3")
-        with pytest.raises(ValueError, match="TIRAMISU_TIMEOUT"):
-            ParallelRuntime("src", 2)
-
-    def test_no_timeout_means_wait_forever(self, monkeypatch):
-        monkeypatch.delenv("TIRAMISU_TIMEOUT", raising=False)
-        assert ParallelRuntime("src", 2).timeout is None

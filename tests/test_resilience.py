@@ -264,28 +264,6 @@ class TestBreakerDegradation:
         assert pool_breaker().state == STATE_OPEN
         assert np.array_equal(kernel()["c"], expected_output(2))
 
-    def test_open_breaker_forces_sequential_parallel_regions(self):
-        if not _have_pool():
-            pytest.skip("no process pool on this host")
-        def build_par():
-            f = Function("brk_par")
-            with f:
-                i, j = Var("i", 0, 8), Var("j", 0, 8)
-                c = Computation("c", [i, j], 2.0 * i + j)
-            c.parallelize("i")
-            return f
-
-        k_seq = build_par().compile("cpu", num_threads=1)
-        out_seq = k_seq()["c"]
-
-        pool_breaker().trip()
-        kernel_registry.clear()
-        kernel = build_par().compile("cpu", num_threads=2)
-        out = kernel()["c"]
-        assert np.array_equal(out, out_seq)
-        assert kernel.runtime.stats.breaker_blocks >= 1
-        assert not kernel.runtime.stats.worker_pids  # nothing offloaded
-
 
 # -- admission control -------------------------------------------------------
 

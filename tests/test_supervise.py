@@ -1,6 +1,6 @@
 """The one supervised-dispatch loop (repro.backends.pool.supervise):
 the policy itself against a fake ``attempt`` (no process pool, no real
-sleeping), parity of its bookkeeping across the three dispatch sites,
+sleeping), the story its bookkeeping tells at every supervised site,
 and a structural gate that keeps the policy in one module."""
 
 import ast
@@ -9,20 +9,17 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import repro.backends.pool as pool
 from repro import Computation, Function, Var, settings
-from repro.backends.pool import (BATCH, PARALLEL, RETRY_BACKOFF, SITES,
-                                 TASKGRAPH, supervise)
+from repro.backends.pool import BATCH, RETRY_BACKOFF, SITES, supervise
 from repro.core.errors import DeadlineExceededError, WorkerFailureError
 from repro.driver import (BatchCompiler, Deadline, deadline_scope,
                           kernel_registry, pool_breaker)
 from repro.driver.batch import BatchStats
 from repro.driver.resilience import STATE_CLOSED
 from repro.faults import FaultPlan, injected, uninstall
-from repro.kernels.stencil import build_heat
 from repro.obs.events import read_events
 from repro.obs.metrics import metrics
 
@@ -50,7 +47,6 @@ class Harness:
                  pool_comes_back=True):
         self.script = list(script)   # exception instances, or a value
         self.calls = []              # attempt numbers actually run
-        self.restores = 0
         self.discards = []
         self.sleeps = []
         self.stats = BatchStats()
@@ -80,14 +76,11 @@ class Harness:
             raise step
         return step
 
-    def restore(self):
-        self.restores += 1
-
     def run(self, on_worker_failure="fallback", max_retries=2):
         return supervise(self.attempt, site=BATCH, stats=(self.stats,),
                          workers=2, label="unit", max_retries=max_retries,
                          on_worker_failure=on_worker_failure,
-                         restore=self.restore, function="unit")
+                         function="unit")
 
 
 FAILURES = [BrokenProcessPool("worker died"), FuturesTimeoutError(),
@@ -101,7 +94,6 @@ class TestSupervise:
         h = Harness(monkeypatch, [failure, failure, "artifact"])
         assert h.run() == "artifact"
         assert h.calls == [0, 1, 2]
-        assert h.restores == 2
         assert h.discards == [2, 2]
         assert h.sleeps == [RETRY_BACKOFF, 2 * RETRY_BACKOFF]
         assert (h.stats.worker_failures, h.stats.pool_restarts,
@@ -124,7 +116,6 @@ class TestSupervise:
         else:
             assert h.run(policy) is None
         assert h.calls == list(range(attempts))
-        assert h.restores == attempts   # before each retry + the endgame
         assert h.stats.worker_failures == attempts
         assert h.stats.pool_restarts == attempts
         assert h.stats.retries == retries
@@ -144,7 +135,7 @@ class TestSupervise:
         with pytest.raises(ValueError, match="illegal schedule"):
             h.run()
         assert h.calls == [0]
-        assert h.restores == 0 and h.discards == [] and h.sleeps == []
+        assert h.discards == [] and h.sleeps == []
         assert asdict(h.stats) == asdict(BatchStats())
         breaker = pool_breaker()
         assert breaker.state == STATE_CLOSED
@@ -190,31 +181,6 @@ def _have_pool():
     return pool.get_pool(2) is not None
 
 
-def _par_function(name):
-    f = Function(name)
-    with f:
-        i, j = Var("i", 0, 8), Var("j", 0, 8)
-        c = Computation("c", [i, j], 2.0 * i + j)
-    c.parallelize("i")
-    return f
-
-
-def _drive_parallel():
-    kernel = _par_function("parity_par").compile(
-        "cpu", num_threads=2, max_retries=1)
-    return (kernel.runtime.stats,), kernel
-
-
-def _drive_taskgraph():
-    bundle = build_heat()
-    kernel = bundle.function.compile(
-        "cpu", execution="taskgraph", num_threads=2, max_retries=1)
-    stats = (kernel.runtime.stats, kernel.runtime.taskgraph_stats)
-    params = {"T": 8, "N": 40}
-    inputs = bundle.make_inputs(params, np.random.default_rng(0))
-    return stats, lambda: kernel(**inputs, **params)
-
-
 def _drive_batch():
     batch = BatchCompiler(max_workers=2, max_retries=1)
     f = Function("parity_batch")
@@ -228,8 +194,7 @@ def _drive_batch():
     return (batch.stats,), call
 
 
-DRIVERS = {PARALLEL.op: _drive_parallel, TASKGRAPH.op: _drive_taskgraph,
-           BATCH.op: _drive_batch}
+DRIVERS = {BATCH.op: _drive_batch}
 
 
 @pytest.mark.parametrize("site", SITES, ids=lambda s: s.op)
@@ -262,13 +227,10 @@ def test_pool_refusal_books_the_same_story_at_every_site(
             if e["name"] in by_event]
     assert told == story
     # ... and every stats field and counter moved exactly with it
-    owners = sum(1 for s in stats if hasattr(s, "retries"))
     for outcome, (field, counter, _) in rows.items():
         n = story.count(outcome)
         if field:
-            per_owner = owners if field == "retries" else 1
-            assert field_total(field) - fields0[field] == n * per_owner, \
-                (outcome, field)
+            assert field_total(field) - fields0[field] == n, (outcome, field)
         if counter:
             assert metrics.counter(counter).value - counters0[counter] \
                 == n, (outcome, counter)

@@ -1,14 +1,16 @@
 """The task-graph runtime (docs/task_runtime.md): DAG lowering from
-polyhedral dependences, the ready-queue scheduler on the worker pool,
-and the driver's ``execution="taskgraph"`` option — including every
-degenerate shape (empty grid, single tile, chain DAG), worker-crash
-replay, and deadline expiry between dispatches, all of which must stay
-bit-identical to the sequential nest."""
+polyhedral dependences, the ready-queue scheduler on threads over the
+caller's arrays, and the driver's ``execution="taskgraph"`` option —
+including every degenerate shape (empty grid, single tile, chain DAG),
+the decline below the size floor, and deadline expiry between
+dispatches, all of which must stay bit-identical to the sequential
+nest."""
 
 import numpy as np
 import pytest
 
 from repro import Buffer, Computation, Function, Input, Param, Var
+from repro.backends import parallel
 from repro.core.buffer import ArgKind
 from repro.core.errors import DeadlineExceededError
 from repro.driver import kernel_registry
@@ -16,16 +18,6 @@ from repro.kernels.stencil import build_heat
 from repro.runtime import (TaskGraphRuntime, TaskGraphUnavailable,
                            build_task_graph, choose_tile_sizes,
                            run_forkjoin, tile_deltas)
-
-# A 2-worker pool schedules the same DAG the same way on a single-core
-# host (just timeshared), so the functional tests run everywhere a pool
-# can be created at all; only the perf gates in benchmarks/ need real
-# cores.
-from repro.backends.pool import get_pool
-
-needs_pool = pytest.mark.skipif(get_pool(2) is None,
-                                reason="this host cannot create a "
-                                "worker pool")
 
 HEAT_DISTANCES = [(1, -1), (1, 0), (1, 1)]
 
@@ -197,8 +189,15 @@ class TestDriverOption:
         assert np.array_equal(out["u"], ref["u"])
 
 
-@needs_pool
 class TestTaskGraphExecution:
+    """Small shapes, so the floor is patched to run them on threads (2
+    workers schedule the same DAG the same way on a single-core host,
+    just timeshared)."""
+
+    @pytest.fixture(autouse=True)
+    def _no_floor(self, monkeypatch):
+        monkeypatch.setattr(parallel, "THREAD_FLOOR_BYTES", 0)
+
     def compile_heat(self, b, **opts):
         opts.setdefault("num_threads", 2)
         k = b.function.compile("cpu", execution="taskgraph", **opts)
@@ -258,30 +257,58 @@ class TestTaskGraphExecution:
         st = k.runtime.taskgraph_stats
         assert st.fallbacks == 1 and st.last_reason == "chain-dag"
 
-    def test_worker_crash_replays_bit_identically(self):
-        from repro.faults import FaultPlan, injected
-        b, inp, ref = heat_case({"T": 10, "N": 60}, seed=3)
-        k = self.compile_heat(b)
-        # Kill the worker running a mid-wavefront tile on the first
-        # attempt only; the whole graph replays from the snapshot.
-        with injected(FaultPlan().crash_worker(chunk=7,
-                                               attempt=0)) as plan:
-            out = k(u=inp["u"].copy(), T=10, N=60)
-        assert plan.fired("worker-crash") == 1
-        assert np.array_equal(out["u"], ref["u"])
-        st = k.runtime.taskgraph_stats
-        assert st.retries >= 1 and st.fallbacks == 0
-
-    def test_pool_refusal_exhaustion_falls_back_sequentially(self):
-        from repro.faults import FaultPlan, injected
+    def test_below_the_floor_declines_to_the_nest(self, monkeypatch):
+        monkeypatch.setattr(parallel, "THREAD_FLOOR_BYTES", 1 << 62)
         b, inp, ref = heat_case({"T": 8, "N": 40}, seed=4)
-        k = self.compile_heat(b, max_retries=1)
-        plan = FaultPlan().refuse_pool(op="taskgraph", times=99)
-        with injected(plan):
-            out = k(u=inp["u"].copy(), T=8, N=40)
+        k = self.compile_heat(b)
+        out = k(u=inp["u"].copy(), T=8, N=40)
         assert np.array_equal(out["u"], ref["u"])
         st = k.runtime.taskgraph_stats
-        assert st.fallbacks == 1 and st.last_reason == "worker-failure"
+        assert st.graphs == 0 and st.fallbacks == 1
+        assert st.last_reason == "below-floor"
+
+    def test_tile_error_surfaces_once_every_tile_is_joined(self):
+        import time
+        from repro.core.errors import ExecutionError
+        b, inp, ref = heat_case({"T": 12, "N": 80})
+        k = self.compile_heat(b, num_threads=4)
+        body = k.runtime._tile_body
+
+        def tile(bufs, params, *bounds):
+            if bounds[:2] == (3, 3):        # row t = 3: one tile fails,
+                if bounds[2] == 1:          # its siblings finish late
+                    raise ValueError("inside a tile")
+                time.sleep(0.02)
+            body(bufs, params, *bounds)
+        k.runtime._tile_body = tile
+        u = inp["u"].copy()
+        with pytest.raises(ExecutionError, match="inside a tile"):
+            k(u=u, T=12, N=80)
+        after = u.copy()
+        time.sleep(0.1)
+        assert np.array_equal(u, after)     # nobody writes any more
+        assert k.runtime.taskgraph_stats.graphs == 0
+
+    def test_more_workers_than_cores_under_a_short_switch_interval(self):
+        import sys
+        import time
+        from repro.kernels import schedule_heat_cpu
+        b, inp, ref = heat_case({"T": 10, "N": 300}, seed=6)
+        schedule_heat_cpu(b)
+        k = self.compile_heat(b, num_threads=8)
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            deadline = time.monotonic() + 5.0
+            for __ in range(20):
+                out = k(u=inp["u"].copy(), T=10, N=300)
+                assert np.array_equal(out["u"], ref["u"])
+                if time.monotonic() > deadline:
+                    break
+        finally:
+            sys.setswitchinterval(saved)
+        st = k.runtime.taskgraph_stats
+        assert st.fallbacks == 0 and st.tasks == st.graphs * 9 * 16
 
     def test_deadline_expiry_between_dispatches(self):
         from repro.core.errors import ExecutionError
