@@ -98,10 +98,9 @@ def test_gaussian_slab_regions_run_on_threads():
     print_table("gaussian 514 x 514 dispatch", {
         "plans": {r: f"{p.kind} ({p.reason})"
                   for r, p in runtime.plans.items()},
-        "regions": stats.regions, "thread regions": stats.thread_regions,
-        "chunks": stats.chunks})
+        "regions": stats.regions, "chunks": stats.chunks})
     assert all(np.array_equal(seq_out[name], par_out[name])
                for name in seq_out), "thread output diverged"
-    assert (stats.regions, stats.thread_regions, stats.chunks) == (2, 2, 4)
+    assert (stats.regions, stats.chunks) == (2, 4)
     assert not pool._POOLS
     assert stats.declined == 0 and stats.sequential_fallbacks == 0

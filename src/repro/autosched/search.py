@@ -25,8 +25,9 @@ actions under the same legality pruning — cheap local search where the
 beam's fixed menu is too coarse.
 
 Search accounting flows into the process metrics registry
-(``autosched.candidates`` / ``.pruned_illegal`` / ``.beam_kept`` /
-``.measured``) and, when tracing is on, into per-round tracer spans.
+(``autosched.candidates`` / ``.beam_kept`` / ``.measured``, and the
+``search.*`` events, each also a counter) and, when tracing is on, into
+per-round tracer spans.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from repro.core.computation import Computation, Input, Operation
 from repro.core.deps import DependenceSummary
 from repro.core.errors import IllegalScheduleError, ScheduleError
 from repro.ir.expr import accesses_in
-from repro.obs.events import (EVT_SEARCH, compile_context,
-                              current_compile_id, new_compile_id)
+from repro.obs.events import (compile_context, current_compile_id,
+                              new_compile_id)
 from repro.obs.events import emit as emit_event
 from repro.obs.metrics import metrics
 from repro.obs.tracer import get_tracer
@@ -200,8 +201,7 @@ def _try_extension(fn, applied: SchedulePlan, action: ScheduleAction,
     except IllegalScheduleError:
         applied.pop(fn)
         report.pruned_illegal += 1
-        metrics.counter("autosched.pruned_illegal").inc()
-        emit_event("search.prune", EVT_SEARCH, action=repr(action))
+        emit_event("search.prune", action=repr(action))
         return False
 
 
@@ -224,8 +224,7 @@ def _expand(fn, plan: SchedulePlan, budget: _Budget, seen: set,
             if _try_extension(fn, applied, action, report):
                 applied.pop(fn)
                 out.append(candidate)
-                emit_event("search.candidate", EVT_SEARCH,
-                           action=repr(action),
+                emit_event("search.candidate", action=repr(action),
                            depth=len(candidate.actions))
     finally:
         if applied.applied:
@@ -269,7 +268,7 @@ def _beam_search_inner(fn, oracle: CostOracle, *, beam_width: int,
     tracer = get_tracer()
     report = report or SearchReport(strategy="beam")
     since = DependenceSummary.of(fn).stats()
-    emit_event("search.begin", EVT_SEARCH, strategy=report.strategy,
+    emit_event("search.begin", strategy=report.strategy,
                function=fn.name, beam_width=beam_width, rounds=rounds)
     budget_ = _Budget(budget)
     baseline = SchedulePlan()
@@ -297,7 +296,7 @@ def _beam_search_inner(fn, oracle: CostOracle, *, beam_width: int,
             best_pool[plan.serialize()] = (plan, cost)
         report.history.append(
             (round_no, min(c for _, c in best_pool.values())))
-        emit_event("search.round", EVT_SEARCH, round=round_no,
+        emit_event("search.round", round=round_no,
                    frontier=len(frontier), kept=len(beam),
                    best_cost=report.history[-1][1])
 
@@ -307,7 +306,7 @@ def _beam_search_inner(fn, oracle: CostOracle, *, beam_width: int,
 
     if measure_oracle is not None and len(finalists) > 1:
         top = [p for p, _ in finalists[:max(2, measure_top_k)]]
-        emit_event("search.measure", EVT_SEARCH, finalists=len(top))
+        emit_event("search.measure", finalists=len(top))
         with tracer.span("autosched.measure", cat="autosched",
                          finalists=len(top)):
             measured = measure_oracle.rank(fn, top)
@@ -316,7 +315,7 @@ def _beam_search_inner(fn, oracle: CostOracle, *, beam_width: int,
 
     report.best_cost = best_cost
     _book_profiles(report, fn, since)
-    emit_event("search.end", EVT_SEARCH, strategy=report.strategy,
+    emit_event("search.end", strategy=report.strategy,
                rounds=report.rounds, candidates=report.candidates,
                pruned=report.pruned_illegal, best_cost=best_cost,
                actions=len(best_plan.actions))
@@ -420,7 +419,7 @@ def _evolutionary_search_inner(fn, oracle: CostOracle, *,
                         candidates.append(mutant)
                     except IllegalScheduleError:
                         report.pruned_illegal += 1
-                        metrics.counter("autosched.pruned_illegal").inc()
+                        emit_event("search.prune", plan=mutant.serialize())
                     except (ScheduleError, ActionError):
                         pass
                     finally:
@@ -439,7 +438,7 @@ def _evolutionary_search_inner(fn, oracle: CostOracle, *,
         current = [p for p, _ in keep]
         report.history.append(
             (rounds + gen, min(c for _, c in pool.values())))
-        emit_event("search.round", EVT_SEARCH, round=rounds + gen,
+        emit_event("search.round", round=rounds + gen,
                    generation=gen, frontier=len(candidates),
                    kept=len(keep), best_cost=report.history[-1][1])
 
@@ -448,13 +447,13 @@ def _evolutionary_search_inner(fn, oracle: CostOracle, *,
     best_plan, best_cost = finalists[0]
     if measure_oracle is not None and len(finalists) > 1:
         top = [p for p, _ in finalists[:max(2, measure_top_k)]]
-        emit_event("search.measure", EVT_SEARCH, finalists=len(top))
+        emit_event("search.measure", finalists=len(top))
         measured = measure_oracle.rank(fn, top)
         report.measured += len(top)
         best_plan, best_cost = measured[0]
     report.best_cost = best_cost
     _book_profiles(report, fn, since)
-    emit_event("search.end", EVT_SEARCH, strategy=report.strategy,
+    emit_event("search.end", strategy=report.strategy,
                rounds=report.rounds, candidates=report.candidates,
                pruned=report.pruned_illegal, best_cost=best_cost,
                actions=len(best_plan.actions))

@@ -38,8 +38,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.core.errors import ExecutionError
-from repro.obs.events import EVT_PARALLEL
-from repro.obs.events import emit as emit_event
+from repro.obs.events import emit
 
 from .pool import get_thread_pool
 
@@ -151,7 +150,6 @@ def run_here(*args) -> Future:
 class ParallelStats:
     """What the runtime actually did, for reports and tests."""
     regions: int = 0         # parallel loop executions run on threads
-    thread_regions: int = 0  # ... the same count, by executor
     declined: int = 0        # regions the plan ran inline instead
     chunks: int = 0          # total chunks run on threads
     max_workers: int = 0     # widest single dispatch
@@ -221,9 +219,8 @@ class ParallelRuntime:
         (``parallel.dispatch``) when it changed, not once per call."""
         if self.plans.get(region) != plan:
             self.plans[region] = plan
-            emit_event("parallel.dispatch", EVT_PARALLEL,
-                       kernel=self.digest[:12], region=region,
-                       kind=plan.kind, reason=plan.reason)
+            emit("parallel.dispatch", kernel=self.digest[:12],
+                 region=region, kind=plan.kind, reason=plan.reason)
         return plan
 
     def _declined(self, count: int = 1) -> None:
@@ -256,9 +253,7 @@ class ParallelRuntime:
                 body(self._arrays, params, lo, hi)
             return
         self.stats.regions += 1
-        self.stats.thread_regions += 1
         metrics.counter("parallel.regions").inc()
-        metrics.counter("parallel.thread_regions").inc()
         self._run_threads(body, params, lo, hi, obs)
 
     def _run_threads(self, body, params: Dict[str, int], lo: int, hi: int,

@@ -15,9 +15,8 @@ Two kinds of pool, each cached per worker count and shut down at exit:
 The failure policy around a fork-pool dispatch lives here, once:
 :func:`supervise` and its up-front probe :func:`refusal`
 (docs/robustness.md, "The batch pool: retry, breaker, fallback").  Its
-bookkeeping is :func:`book`, which accounts every outcome from one
-per-site declaration (:class:`Site`), so a stats field, its counter and
-its journal event cannot drift apart.
+bookkeeping is :func:`book`: an outcome at a :class:`Site` bumps its
+stats field and emits ``{op}.{outcome}``.
 """
 
 from __future__ import annotations
@@ -30,11 +29,10 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.core.errors import WorkerFailureError
-from repro.obs.events import EVT_BATCH
-from repro.obs.events import emit as emit_event
+from repro.obs.events import emit
 
 #: Seconds slept before the first retried dispatch; doubles per retry.
 RETRY_BACKOFF = 0.05
@@ -117,28 +115,20 @@ atexit.register(shutdown_pools)
 
 @dataclass(frozen=True)
 class Site:
-    """What one dispatch site calls its supervision outcomes.
-
-    ``rows`` maps an outcome to ``(stats field, counter, event)`` —
-    any of the three may be None.  :func:`book` is the only writer, so
-    a stats field, its counter and its journal event always move
-    together; docs/observability.md's inventory is checked against
-    these tables (tests/test_events.py::TestDocDrift)."""
+    """One supervised dispatch site.  An outcome is emitted (journaled
+    and counted) as ``f"{op}.{outcome}"``; ``fields`` names the stats
+    field each outcome also bumps."""
 
     op: str        # the ``pool-refusal`` fault site's ``op``; span prefix
     stage: str     # the Deadline stage charged before every attempt
-    category: str  # journal category of the site's events
-    rows: Dict[str, Tuple[Optional[str], Optional[str], Optional[str]]]
+    fields: Dict[str, str]
 
 
-BATCH = Site("batch", "batch-offload", EVT_BATCH, {
-    "worker_failure": ("worker_failures", "compile_batch.worker_failures",
-                       "batch.worker_failure"),
-    "pool_restart": ("pool_restarts", "compile_batch.pool_restarts",
-                     "batch.pool_restart"),
-    "retry": ("retries", "compile_batch.retries", "batch.retry"),
-    "fallback": ("fallbacks", "compile_batch.fallbacks", "batch.fallback"),
-    "breaker_block": ("breaker_short_circuits", None, None),
+BATCH = Site("batch", "batch-offload", {
+    "worker_failure": "worker_failures",
+    "pool_restart": "pool_restarts",
+    "retry": "retries",
+    "fallback": "fallbacks",
 })
 
 #: Every supervised dispatch site: the ``op`` values a ``pool-refusal``
@@ -149,25 +139,22 @@ SITES = (BATCH,)
 _BOOK_LOCK = threading.Lock()
 
 
+def _bump(stats: tuple, field: str) -> None:
+    with _BOOK_LOCK:
+        for obj in stats:
+            if hasattr(obj, field):
+                setattr(obj, field, getattr(obj, field) + 1)
+
+
 def book(site: Site, outcome: str, stats: tuple, label: str = "",
          **fields) -> None:
-    """Account one outcome at ``site``: bump the
-    declared field on every ``stats`` object that has it, the declared
-    counter, and journal the declared event with ``fields``.  Retries
-    and fallbacks also drop a zero-length ``fault`` marker
-    ``{op}:{outcome}:{label}`` on the tracer timeline, next to the
-    worker spans they interrupted."""
-    from repro.obs.metrics import metrics
-    field, counter, event = site.rows[outcome]
-    if field is not None:
-        with _BOOK_LOCK:
-            for obj in stats:
-                if hasattr(obj, field):
-                    setattr(obj, field, getattr(obj, field) + 1)
-    if counter is not None:
-        metrics.counter(counter).inc()
-    if event is not None:
-        emit_event(event, site.category, **fields)
+    """Account one outcome at ``site``: bump its field on every
+    ``stats`` object that has it and emit ``{op}.{outcome}`` with
+    ``fields``.  Retries and fallbacks also drop a zero-length
+    ``fault`` marker ``{op}:{outcome}:{label}`` on the tracer timeline,
+    next to the worker spans they interrupted."""
+    _bump(stats, site.fields[outcome])
+    emit(f"{site.op}.{outcome}", **fields)
     if outcome in ("retry", "fallback"):
         # Fault paths flush the trace file eagerly: a run that is
         # crashing workers may not live to the atexit handler, and the
@@ -198,7 +185,7 @@ def refusal(site: Site, stats: tuple, workers: int,
     if workers < 2:
         return "pool-unavailable"
     if not pool_breaker().allow():
-        book(site, "breaker_block", stats)
+        _bump(stats, "breaker_short_circuits")
         book(site, "fallback", stats, reason="breaker-open", **context)
         return "breaker-open"
     if get_pool(workers) is None:

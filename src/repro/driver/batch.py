@@ -48,8 +48,7 @@ from typing import Dict, Iterable, Iterator, List, Optional
 from repro import settings
 from repro.backends.pool import BATCH, refusal, supervise
 from repro.core.errors import AdmissionError
-from repro.obs.events import (EVT_BATCH, EVT_RESILIENCE, compile_context,
-                              emit, new_compile_id)
+from repro.obs.events import compile_context, emit, new_compile_id
 
 from .pipeline import CompilePipeline, compile_to_source
 from .registry import get_backend
@@ -251,7 +250,6 @@ class BatchCompiler:
         job attach to it instead of compiling again."""
         if self._shut_down:
             raise RuntimeError("BatchCompiler is shut down")
-        from repro.obs.metrics import metrics
         resolved_target = target or self.target
         opts = dict(self.default_options)
         opts.update(options)
@@ -268,16 +266,13 @@ class BatchCompiler:
         # it, so the unbounded (and count-bounded) paths skip it.
         cost_bytes = (self._estimate_cost(fn, opts)
                       if self.max_queued_bytes is not None else 0)
-        metrics.counter("compile_batch.submitted").inc()
         with self._stats_lock:
             self.stats.submitted += 1
             job = self._jobs.get(fingerprint)
             if job is not None:
                 self.stats.deduplicated += 1
-                metrics.counter("compile_batch.deduplicated").inc()
-                emit("batch.dedup", EVT_BATCH,
-                     compile_id=job.compile_id, function=fn.name,
-                     key=fingerprint[:16])
+                emit("batch.dedup", compile_id=job.compile_id,
+                     function=fn.name, key=fingerprint[:16])
                 handle = CompileHandle(job, request)
                 job.handles.append(handle)
                 return handle
@@ -285,7 +280,7 @@ class BatchCompiler:
                        cost_bytes=cost_bytes)
             self._admit_locked(job)   # may raise, block, or shed
             self._jobs[fingerprint] = job
-        emit("batch.submit", EVT_BATCH, compile_id=job.compile_id,
+        emit("batch.submit", compile_id=job.compile_id,
              function=fn.name, target=resolved_target,
              key=fingerprint[:16])
         handle = CompileHandle(job, request)
@@ -310,7 +305,6 @@ class BatchCompiler:
         the job to the pending ledger, or — over capacity — applies the
         policy: raise :class:`AdmissionError`, wait on the condition, or
         shed the oldest not-yet-started job to make room."""
-        from repro.obs.metrics import metrics
         if self.max_pending is None and self.max_queued_bytes is None:
             return
         blocked = False
@@ -337,8 +331,7 @@ class BatchCompiler:
                 if not blocked:
                     blocked = True
                     self.stats.admission_blocked += 1
-                    metrics.counter("resilience.admission.block").inc()
-                    emit("resilience.admission.block", EVT_RESILIENCE,
+                    emit("resilience.admission.block",
                          compile_id=job.compile_id, limit=limit,
                          pending=self._pending,
                          pending_bytes=self._pending_bytes)
@@ -346,8 +339,7 @@ class BatchCompiler:
                 continue
             # "reject", or shed-oldest with nothing left to shed.
             self.stats.admission_rejected += 1
-            metrics.counter("resilience.admission.reject").inc()
-            emit("resilience.admission.reject", EVT_RESILIENCE,
+            emit("resilience.admission.reject",
                  compile_id=job.compile_id, limit=limit,
                  pending=self._pending,
                  pending_bytes=self._pending_bytes)
@@ -360,7 +352,6 @@ class BatchCompiler:
         """Cancel the oldest in-flight job that has not started running
         (its handles fail with :class:`AdmissionError`); returns False
         when every pending job is already executing."""
-        from repro.obs.metrics import metrics
         for victim in self._inflight:
             # shed is set before cancel(): a cancelled future runs its
             # done callback synchronously in this thread, and _settle
@@ -376,9 +367,7 @@ class BatchCompiler:
             self._jobs.pop(victim.fingerprint, None)
             self._shed_jobs.append(victim)
             self.stats.admission_shed += 1
-            metrics.counter("resilience.admission.shed").inc()
-            emit("resilience.admission.shed", EVT_RESILIENCE,
-                 compile_id=victim.compile_id,
+            emit("resilience.admission.shed", compile_id=victim.compile_id,
                  function=victim.fn.name)
             victim.future.set_exception(AdmissionError(
                 f"compile of {victim.fn.name!r} shed before starting: "

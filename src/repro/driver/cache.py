@@ -20,6 +20,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.obs.events import emit
+
 from .stats import CacheStats
 
 DEFAULT_MAXSIZE = 64
@@ -81,11 +83,7 @@ class CompileCache:
         if entry.digest and source_digest(entry.source) != entry.digest:
             self._entries.pop(key, None)
             self.corruptions += 1
-            from repro.obs.metrics import metrics
-            metrics.counter("cache.corruption_misses").inc()
-            metrics.counter("compile_cache.memory.corrupt").inc()
-            from repro.obs.events import EVT_CACHE, emit
-            emit("cache.memory.corrupt", EVT_CACHE, key=key[:16])
+            emit("cache.memory.corrupt", key=key[:16])
             return None
         self._entries.move_to_end(key)
         return entry
@@ -111,7 +109,7 @@ class CompileCache:
     def resize(self, maxsize: int) -> None:
         """Change the bound, shedding overflow through the same LRU
         eviction path ``put`` uses — least recently used first, each
-        eviction counted locally and in the metrics registry."""
+        eviction counted locally and journaled."""
         if maxsize < 1:
             raise ValueError("cache maxsize must be >= 1")
         self.maxsize = maxsize
@@ -120,23 +118,18 @@ class CompileCache:
     def _evict_to(self, maxsize: int) -> None:
         """The one eviction path (``put`` overflow and ``resize`` both
         land here): drop least-recently-used entries until the cache
-        fits, bumping the local counter and the
-        ``compile_cache.memory.evict`` metric per entry."""
-        from repro.obs.metrics import metrics
+        fits, bumping the local counter and emitting
+        ``cache.memory.evict`` per entry."""
         while len(self._entries) > maxsize:
-            self._entries.popitem(last=False)
+            key, _ = self._entries.popitem(last=False)
             self.evictions += 1
-            metrics.counter("compile_cache.memory.evict").inc()
+            emit("cache.memory.evict", key=key[:16])
 
     def record_hit(self) -> None:
         self.hits += 1
-        from repro.obs.metrics import metrics
-        metrics.counter("compile_cache.memory.hit").inc()
 
     def record_miss(self) -> None:
         self.misses += 1
-        from repro.obs.metrics import metrics
-        metrics.counter("compile_cache.memory.miss").inc()
 
     def keys(self):
         return list(self._entries)

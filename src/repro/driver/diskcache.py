@@ -28,8 +28,8 @@ process points at:
   knob): after each store the directory is trimmed
   least-recently-used-first by mtime (reads bump mtime, so recency
   survives process restarts).
-* **Observability** — ``compile_cache.disk.{hit,miss,evict,corrupt}``
-  counters in :data:`repro.obs.metrics.metrics`, per-instance
+* **Observability** — ``cache.disk.{hit,miss,evict,quarantine}``
+  events (each also a counter), per-instance
   :class:`~repro.driver.stats.CacheStats` (tier ``disk``), and a
   ``disk:`` line in ``CompileReport.format_table()``.
 
@@ -50,6 +50,7 @@ from typing import Dict, Optional
 
 from repro import settings
 from repro.atomicio import atomic_write
+from repro.obs.events import emit
 
 from .cache import source_digest
 from .stats import CacheStats
@@ -141,43 +142,34 @@ class DiskCache:
         every process).  Any damage — truncated pickle, wrong schema,
         digest mismatch — quarantines the file, counts a corruption,
         and answers a miss so the caller recompiles."""
-        from repro.obs.events import EVT_CACHE, emit
-        from repro.obs.metrics import metrics
         path = self.path_for(key)
         try:
             _injected_io_error("load", key)
             raw = path.read_bytes()
         except FileNotFoundError:
             self.misses += 1
-            metrics.counter("compile_cache.disk.miss").inc()
-            emit("cache.disk.miss", EVT_CACHE, key=key[:16])
+            emit("cache.disk.miss", key=key[:16])
             return None
         except OSError as err:
             # A real I/O failure (EIO, a yanked mount), not a cold key:
             # journal it distinctly, then degrade to a miss so the
             # pipeline recompiles from scratch.
             self.misses += 1
-            metrics.counter("compile_cache.disk.load_error").inc()
-            metrics.counter("compile_cache.disk.miss").inc()
-            emit("cache.disk.load_error", EVT_CACHE, key=key[:16],
-                 errno=err.errno)
+            emit("cache.disk.load_error", key=key[:16], errno=err.errno)
             return None
         entry = self._decode(key, raw)
         if entry is None:
             self._quarantine(path)
             self.corruptions += 1
             self.misses += 1
-            metrics.counter("compile_cache.disk.corrupt").inc()
-            metrics.counter("compile_cache.disk.miss").inc()
-            emit("cache.disk.quarantine", EVT_CACHE, key=key[:16])
+            emit("cache.disk.quarantine", key=key[:16])
             return None
         try:
             os.utime(path)
         except OSError:
             pass  # raced an eviction; the loaded entry is still valid
         self.hits += 1
-        metrics.counter("compile_cache.disk.hit").inc()
-        emit("cache.disk.hit", EVT_CACHE, key=key[:16])
+        emit("cache.disk.hit", key=key[:16])
         return entry
 
     def _decode(self, key: str, raw: bytes) -> Optional[DiskEntry]:
@@ -238,11 +230,7 @@ class DiskCache:
             # A failed store leaves no partial .pkl and no stray temp
             # behind (atomic_write): journal the failure, and let the
             # compile proceed from its in-memory artifact.
-            from repro.obs.events import EVT_CACHE, emit
-            from repro.obs.metrics import metrics
-            metrics.counter("compile_cache.disk.store_error").inc()
-            emit("cache.disk.store_error", EVT_CACHE, key=key[:16],
-                 errno=err.errno)
+            emit("cache.disk.store_error", key=key[:16], errno=err.errno)
             return False
         self.evict_to_limit()
         return True
@@ -279,36 +267,27 @@ class DiskCache:
         cap = settings.get("cache_max_quarantine")
         while len(quarantined) > cap:
             path, st = quarantined.pop(0)
-            if not self._evict_one(path, "cache.disk.quarantine_evict",
-                                   "compile_cache.disk.quarantine_evict",
-                                   st.st_size):
-                continue
+            self._evict_one(path, "cache.disk.quarantine_evict", st.st_size)
         artifacts = self._artifacts()
         total = sum(st.st_size for _, st in artifacts) \
             + sum(st.st_size for _, st in quarantined)
         while total > self.max_bytes and quarantined:
             path, st = quarantined.pop(0)
             if self._evict_one(path, "cache.disk.quarantine_evict",
-                               "compile_cache.disk.quarantine_evict",
                                st.st_size):
                 total -= st.st_size
         while total > self.max_bytes and len(artifacts) > 1:
             path, st = artifacts.pop(0)
-            if self._evict_one(path, "cache.disk.evict",
-                               "compile_cache.disk.evict", st.st_size):
+            if self._evict_one(path, "cache.disk.evict", st.st_size):
                 total -= st.st_size
 
-    def _evict_one(self, path: Path, event: str, counter: str,
-                   size: int) -> bool:
-        from repro.obs.events import EVT_CACHE, emit
-        from repro.obs.metrics import metrics
+    def _evict_one(self, path: Path, event: str, size: int) -> bool:
         try:
             path.unlink()
         except OSError:
             return False  # a concurrent evictor got there first
         self.evictions += 1
-        metrics.counter(counter).inc()
-        emit(event, EVT_CACHE, key=path.stem[:16], bytes=size)
+        emit(event, key=path.stem[:16], bytes=size)
         return True
 
     # -- management -----------------------------------------------------

@@ -31,9 +31,8 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro import settings
-from repro.obs.events import (EVT_CACHE, EVT_COMPILE, EVT_RESILIENCE,
-                              EVT_SEARCH, compile_context,
-                              current_compile_id, new_compile_id)
+from repro.obs.events import (compile_context, current_compile_id,
+                              new_compile_id)
 from repro.obs.events import emit as emit_event
 
 from .cache import CacheEntry, CompileCache, kernel_registry
@@ -114,7 +113,7 @@ def enter_stage(stage: str) -> None:
     deadline = current_deadline()
     if deadline is not None:
         deadline.check(stage)
-        emit_event("resilience.stage.begin", EVT_RESILIENCE, stage=stage)
+        emit_event("resilience.stage.begin", stage=stage)
     from repro.faults import get_plan
     plan = get_plan()
     if plan is not None:
@@ -298,9 +297,8 @@ class CompilePipeline:
         ctx = CompileContext(fn=fn, target=self.backend.name,
                              options=options, backend=self.backend,
                              report=report, deadline=current_deadline())
-        emit_event("compile.begin", EVT_COMPILE,
-                   compile_id=report.compile_id, function=fn.name,
-                   target=self.backend.name)
+        emit_event("compile.begin", compile_id=report.compile_id,
+                   function=fn.name, target=self.backend.name)
         with report.timed("ensure-params"):
             self._ensure_params(ctx)
         with report.timed("fingerprint"):
@@ -321,7 +319,7 @@ class CompilePipeline:
             plan = SchedulePlan.deserialize(ctx.options["autoschedule"])
             with ctx.report.timed("autoschedule"):
                 plan.apply(ctx.fn)
-            emit_event("search.plan_apply", EVT_SEARCH,
+            emit_event("search.plan_apply",
                        compile_id=ctx.report.compile_id,
                        function=ctx.fn.name,
                        actions=len(getattr(plan, "actions", ()) or ()))
@@ -422,15 +420,13 @@ class CompilePipeline:
         if use_cache:
             entry = self._cache_lookup(ctx)
             if entry is not None:
-                emit_event("cache.memory.hit", EVT_CACHE,
-                           key=ctx.fingerprint[:16])
+                emit_event("cache.memory.hit", key=ctx.fingerprint[:16])
                 report.cache_hit = True
                 report.source_size = len(entry.source)
                 if options["verbose"]:
                     print(entry.source)
                 return self._finish(ctx, entry.kernel)
-            emit_event("cache.memory.miss", EVT_CACHE,
-                       key=ctx.fingerprint[:16])
+            emit_event("cache.memory.miss", key=ctx.fingerprint[:16])
             disk = self._disk_tier()
             if disk is not None:
                 enter_stage("disk-load")
@@ -514,9 +510,9 @@ class CompilePipeline:
         report = ctx.report
         from repro.obs.metrics import metrics
         metrics.histogram("compile.seconds").observe(report.total_seconds)
-        emit_event("compile.end", EVT_COMPILE,
-                   compile_id=report.compile_id, function=report.function,
-                   target=report.target, verdict=report.verdict,
+        emit_event("compile.end", compile_id=report.compile_id,
+                   function=report.function, target=report.target,
+                   verdict=report.verdict,
                    total_seconds=report.total_seconds,
                    key=report.fingerprint[:16])
         emit_trace(ctx.report)

@@ -116,7 +116,7 @@ def sweep(cache, *, tmp_grace: float = DEFAULT_TMP_GRACE,
     event journal); returns what was done.  Safe to run concurrently
     with live traffic — it only touches files no correct writer still
     needs."""
-    from repro.obs.events import EVT_RESILIENCE, emit, repair_journal
+    from repro.obs.events import emit, repair_journal
     from repro.obs.metrics import metrics
     now = time.time()
     report = RecoveryReport(root=str(cache.root))
@@ -135,8 +135,8 @@ def sweep(cache, *, tmp_grace: float = DEFAULT_TMP_GRACE,
     if report.journal_bytes_truncated:
         metrics.counter("resilience.recovery.journal_repairs").inc()
     if report.total_repairs:
-        emit("resilience.recovery.sweep", EVT_RESILIENCE,
-             root=report.root, tmp_removed=report.tmp_removed,
+        emit("resilience.recovery.sweep", root=report.root,
+             tmp_removed=report.tmp_removed,
              quarantine_removed=report.quarantine_removed,
              journal_bytes_truncated=report.journal_bytes_truncated)
     return report

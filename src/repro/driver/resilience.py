@@ -41,7 +41,6 @@ from typing import Optional
 
 from repro import settings
 from repro.core.errors import DeadlineExceededError
-from repro.obs.events import EVT_RESILIENCE
 from repro.obs.events import emit as emit_event
 
 
@@ -86,10 +85,8 @@ class Deadline:
         therefore never begins)."""
         if not self.expired():
             return
-        from repro.obs.metrics import metrics
-        metrics.counter("resilience.deadline.exceeded").inc()
-        emit_event("resilience.deadline.exceeded", EVT_RESILIENCE,
-                   stage=stage, budget_seconds=self.budget)
+        emit_event("resilience.deadline.exceeded", stage=stage,
+                   budget_seconds=self.budget)
         raise DeadlineExceededError(
             f"compile budget of {self.budget:g}s exhausted before stage "
             f"{stage!r}", stage=stage, budget=self.budget)
@@ -130,9 +127,9 @@ class CircuitBreaker:
     """closed -> open after ``threshold`` consecutive failures ->
     half-open probe after ``cooldown`` seconds -> closed on success
     (re-open on failure).  Thread-safe; transitions are journaled as
-    ``resilience.breaker.{open,half_open,close}`` events and counted in
-    the metrics registry (state rides the ``resilience.breaker.state``
-    gauge: 0 closed, 1 half-open, 2 open)."""
+    ``resilience.breaker.{open,half_open,close}`` events, each also a
+    counter (state rides the ``resilience.breaker.state`` gauge: 0
+    closed, 1 half-open, 2 open)."""
 
     def __init__(self, name: str = "pool",
                  threshold: Optional[int] = None,
@@ -182,15 +179,9 @@ class CircuitBreaker:
             else:
                 allowed = True
         if transition is not None:
-            from repro.obs.metrics import metrics
-            metrics.counter("resilience.breaker.half_open").inc()
-            emit_event("resilience.breaker.half_open", EVT_RESILIENCE,
-                       breaker=self.name)
+            emit_event("resilience.breaker.half_open", breaker=self.name)
         elif not allowed:
-            from repro.obs.metrics import metrics
-            metrics.counter("resilience.breaker.short_circuit").inc()
-            emit_event("resilience.breaker.short_circuit", EVT_RESILIENCE,
-                       breaker=self.name)
+            emit_event("resilience.breaker.short_circuit", breaker=self.name)
         return allowed
 
     def record_success(self) -> None:
@@ -204,10 +195,7 @@ class CircuitBreaker:
                 self._transition(STATE_CLOSED)
                 closed = True
         if closed:
-            from repro.obs.metrics import metrics
-            metrics.counter("resilience.breaker.close").inc()
-            emit_event("resilience.breaker.close", EVT_RESILIENCE,
-                       breaker=self.name)
+            emit_event("resilience.breaker.close", breaker=self.name)
 
     def record_failure(self) -> None:
         """A pool interaction failed (infrastructure, not application):
@@ -226,10 +214,7 @@ class CircuitBreaker:
                 self._transition(STATE_OPEN)
                 opened = True
         if opened:
-            from repro.obs.metrics import metrics
-            metrics.counter("resilience.breaker.open").inc()
-            emit_event("resilience.breaker.open", EVT_RESILIENCE,
-                       breaker=self.name,
+            emit_event("resilience.breaker.open", breaker=self.name,
                        consecutive_failures=self._consecutive_failures,
                        cooldown_seconds=self.cooldown)
 
@@ -239,11 +224,8 @@ class CircuitBreaker:
             self.opens += 1
             self._opened_at = time.monotonic()
             self._transition(STATE_OPEN)
-        from repro.obs.metrics import metrics
-        metrics.counter("resilience.breaker.open").inc()
-        emit_event("resilience.breaker.open", EVT_RESILIENCE,
-                   breaker=self.name, forced=True,
-                   cooldown_seconds=self.cooldown)
+        emit_event("resilience.breaker.open", breaker=self.name,
+                   forced=True, cooldown_seconds=self.cooldown)
 
     def reset(self) -> None:
         """Back to a pristine closed breaker (state and counters)."""

@@ -215,8 +215,8 @@ class FaultPlan:
         if hit is not None:
             # Journal outside the lock: emit serializes and writes, and
             # runtimes probe fires() on hot paths.
-            from repro.obs.events import EVT_FAULT, emit
-            emit("fault.injected", EVT_FAULT, kind=kind,
+            from repro.obs.events import emit
+            emit("fault.injected", kind=kind,
                  site={k: v for k, v in coords.items() if v is not None})
         return hit
 

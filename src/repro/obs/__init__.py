@@ -12,21 +12,20 @@ Three cooperating pieces (see docs/observability.md):
 * :mod:`repro.obs.metrics` — a process-safe counters/gauges/histograms
   registry the parallel runtime feeds (chunk timings and sizes),
   recorded by the calling thread;
-* :mod:`repro.obs.events` — an append-only structured JSONL event
-  journal (the ``event_log`` knob) with a per-compile correlation id
-  threaded through the driver, cache tiers, batch front end, fault
-  paths and autoscheduler search;
+* :mod:`repro.obs.events` — ``emit``, the one call at a decision site:
+  it bumps the counter of the event's name and appends to an
+  append-only structured JSONL event journal (the ``event_log`` knob),
+  with a per-compile correlation id threaded through the driver, cache
+  tiers, batch front end, fault paths and autoscheduler search;
 * :mod:`repro.obs.export` — OpenMetrics/Prometheus text and JSON
-  snapshot writers over the registry (the ``metrics_file`` knob), with
-  an optional periodic background flusher (``metrics_interval``).
+  snapshot writers over the registry (the ``metrics_file`` knob).
 
 Every knob is a row of :mod:`repro.settings`.
 """
 
 from .events import (EventJournal, compile_context, current_compile_id,
                      emit, new_compile_id, read_events)
-from .export import (MetricsFlusher, parse_openmetrics, render_json,
-                     render_openmetrics, start_flusher, stop_flusher,
+from .export import (parse_openmetrics, render_json, render_openmetrics,
                      write_metrics_file)
 from .metrics import (Counter, Gauge, Histogram, MetricNameError,
                       MetricsRegistry, metrics)
@@ -48,7 +47,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricNameError",
-    "MetricsFlusher",
     "MetricsRegistry",
     "RunCollector",
     "RunReport",
@@ -65,8 +63,6 @@ __all__ = [
     "read_events",
     "render_json",
     "render_openmetrics",
-    "start_flusher",
-    "stop_flusher",
     "write_metrics_file",
     "write_trace_file",
 ]

@@ -3,18 +3,20 @@ the compile service *did*.
 
 Metrics aggregate and spans time; neither answers "what happened to
 request X, in order, across processes".  The journal does: every
-producer — the compile pipeline (begin/end, per-tier cache outcomes),
-the batch front end (submit/dedup/retry/fallback), the parallel
-runtime (worker failure, retry, pool restart), fault injection, and
-the autoscheduler search (round/candidate/prune/measure) — appends one
-JSON object per line to the file named by the ``event_log`` knob of
-:mod:`repro.settings`; with none named, ``emit`` is a cheap no-op.
+decision site — the compile pipeline (begin/end, per-tier cache
+outcomes), the batch front end (submit/dedup and the supervised
+offload's worker failure, retry, pool restart, fallback), the kernel
+runtimes (dispatch plans, task graphs), fault injection, resilience
+and the autoscheduler search (round/candidate/prune/measure) — calls
+:func:`emit` once.  That bumps the registry counter of the same name
+and, when the ``event_log`` knob of :mod:`repro.settings` names a
+file, appends one JSON object per line to it.
 
 Each line carries:
 
 * ``name`` — dotted event name (``compile.begin``, ``batch.retry``, ...);
-* ``cat`` — producer category (``compile`` / ``cache`` / ``batch`` /
-  ``parallel`` / ``fault`` / ``search``);
+* ``cat`` — the first dotted segment of ``name`` (``compile`` /
+  ``cache`` / ``batch`` / ...);
 * ``wall`` — ``time.time()`` (epoch seconds, for humans and log joins);
 * ``mono_ns`` — ``time.perf_counter_ns()`` (the tracer's clock, so
   journal lines interleave correctly with trace spans);
@@ -50,14 +52,7 @@ from typing import Dict, List, Optional
 
 from repro import settings
 
-#: Event categories used by the built-in producers.
-EVT_COMPILE = "compile"
-EVT_CACHE = "cache"
-EVT_BATCH = "batch"
-EVT_PARALLEL = "parallel"
-EVT_FAULT = "fault"
-EVT_SEARCH = "search"
-EVT_RESILIENCE = "resilience"
+from .metrics import metrics
 
 
 # -- correlation --------------------------------------------------------------
@@ -98,15 +93,18 @@ class EventJournal:
 
     Keeps a single ``O_APPEND`` file descriptor; every event is one
     ``write`` call of one complete line, so concurrent processes
-    appending to the same path never interleave partial records."""
+    appending to the same path never interleave partial records.  Once
+    closed it stays closed: a thread still holding it after a repoint
+    drops its line instead of reopening (and leaking) the old path."""
 
     def __init__(self, path: str):
         self.path = str(path)
         self._fd: Optional[int] = None
+        self._closed = False
         self._lock = threading.Lock()
 
     def _ensure_fd(self) -> Optional[int]:
-        if self._fd is None:
+        if self._fd is None and not self._closed:
             try:
                 self._fd = os.open(
                     self.path,
@@ -117,8 +115,8 @@ class EventJournal:
 
     def write(self, record: Dict[str, object]) -> bool:
         """Serialize ``record`` and append it as one line; returns False
-        when the destination is unusable (telemetry must never take the
-        compile down)."""
+        when the destination is unusable or closed (telemetry must
+        never take the compile down)."""
         try:
             line = json.dumps(record, default=repr,
                               separators=(",", ":")) + "\n"
@@ -137,6 +135,7 @@ class EventJournal:
 
     def close(self) -> None:
         with self._lock:
+            self._closed = True
             if self._fd is not None:
                 try:
                     os.close(self._fd)
@@ -148,27 +147,34 @@ class EventJournal:
 # -- process-wide activation --------------------------------------------------
 
 _journal: Optional[EventJournal] = None
+_journal_lock = threading.Lock()
 
 
 def _active_journal() -> Optional[EventJournal]:
     """The journal for the ``event_log`` knob's current value;
     re-resolved on every call so tests (and long-lived services) can
-    repoint the log without restarting."""
+    repoint the log without restarting.  A swap happens under a lock,
+    so concurrent first emits build one journal, not one each."""
     global _journal
     path = settings.get("event_log")
-    if _journal is not None and _journal.path != path:
-        _journal.close()
-        _journal = None
-    if _journal is None and path is not None:
-        _journal = EventJournal(path)
-    return _journal
+    journal = _journal
+    if (journal.path if journal is not None else None) == path:
+        return journal
+    with _journal_lock:
+        if _journal is not None and _journal.path != path:
+            _journal.close()
+            _journal = None
+        if _journal is None and path is not None:
+            _journal = EventJournal(path)
+        return _journal
 
 
-def emit(name: str, cat: str, compile_id: Optional[str] = None,
-         **fields) -> bool:
-    """Append one event; a no-op (returning False) when no journal is
-    active.  ``compile_id=None`` inherits the ambient
+def emit(name: str, compile_id: Optional[str] = None, **fields) -> bool:
+    """Record one decision: bump the registry counter ``name`` and,
+    when a journal is active, append its line (returning whether one
+    was written).  ``compile_id=None`` inherits the ambient
     :func:`compile_context` id."""
+    metrics.counter(name).inc()
     journal = _active_journal()
     if journal is None:
         return False
@@ -176,7 +182,7 @@ def emit(name: str, cat: str, compile_id: Optional[str] = None,
         compile_id = _COMPILE_ID.get()
     return journal.write({
         "name": name,
-        "cat": cat,
+        "cat": name.partition(".")[0],
         "wall": time.time(),
         "mono_ns": time.perf_counter_ns(),
         "pid": os.getpid(),

@@ -1,5 +1,4 @@
-"""Metrics export: OpenMetrics text exposition, JSON snapshots, and a
-periodic background flusher.
+"""Metrics export: OpenMetrics text exposition and JSON snapshots.
 
 The :mod:`repro.obs.metrics` registry is in-process state; a service
 needs it *outside* the process, in a format scrapers understand.  Two
@@ -21,11 +20,9 @@ atomically (temp file + ``os.replace``), so a scraper never reads a
 half-written exposition.
 
 The ``metrics_file`` knob of :mod:`repro.settings` names the
-destination: the file is written at interpreter exit, on demand via
-:func:`write_metrics_file`, after every compile (:func:`autoflush`),
-or — with the ``metrics_interval`` knob — continuously by a daemon
-:class:`MetricsFlusher` thread the first compile starts.  With no
-destination all of it is a no-op.
+destination: the file is written after every compile
+(:func:`autoflush`), at interpreter exit, and on demand via
+:func:`write_metrics_file`.  With no destination all of it is a no-op.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from __future__ import annotations
 import atexit
 import json
 import re
-import threading
 import time
 from typing import Dict, Optional
 
@@ -157,88 +153,17 @@ def write_metrics_file(path: Optional[str] = None,
     return path
 
 
-class MetricsFlusher(threading.Thread):
-    """A daemon thread rewriting the metrics file every ``interval``
-    seconds (plus once on :meth:`stop`, so the final state lands)."""
-
-    def __init__(self, path: str, interval: float,
-                 registry: Optional[MetricsRegistry] = None):
-        super().__init__(name="tiramisu-metrics-flusher", daemon=True)
-        self.path = path
-        self.interval = float(interval)
-        self.registry = registry
-        self._stop = threading.Event()
-        self.flushes = 0
-
-    def run(self) -> None:
-        while not self._stop.wait(self.interval):
-            if write_metrics_file(self.path, self.registry):
-                self.flushes += 1
-
-    def stop(self, final_flush: bool = True) -> None:
-        self._stop.set()
-        if final_flush and write_metrics_file(self.path, self.registry):
-            self.flushes += 1
-
-
-_flusher: Optional[MetricsFlusher] = None
-_flusher_lock = threading.Lock()
-
-
-def start_flusher(path: Optional[str] = None,
-                  interval: Optional[float] = None
-                  ) -> Optional[MetricsFlusher]:
-    """Start (or return) the process-wide background flusher.  Path and
-    interval default to the ``metrics_file`` / ``metrics_interval``
-    knobs; with no destination or period (an explicit ``interval=0``
-    included) the call is a no-op returning None."""
-    global _flusher
-    path = path or settings.get("metrics_file")
-    if interval is None or interval:
-        interval = settings.resolve("metrics_interval", interval)
-    if not path or not interval:
-        return None
-    with _flusher_lock:
-        if _flusher is not None and _flusher.is_alive() \
-                and _flusher.path == path \
-                and _flusher.interval == float(interval):
-            return _flusher
-        if _flusher is not None:
-            _flusher.stop(final_flush=False)
-        _flusher = MetricsFlusher(path, interval)
-        _flusher.start()
-        return _flusher
-
-
-def stop_flusher(final_flush: bool = True) -> None:
-    """Stop the background flusher (writing one last snapshot by
-    default)."""
-    global _flusher
-    with _flusher_lock:
-        if _flusher is not None:
-            _flusher.stop(final_flush=final_flush)
-            _flusher = None
-
-
 def autoflush() -> None:
-    """The compile pipeline's per-compile hook: when a metrics file is
-    named, keep it fresh — starting the periodic flusher if an interval
-    is configured, else rewriting once now.  One knob read when
-    telemetry is off."""
+    """The compile pipeline's per-compile hook: rewrite the metrics
+    file if one is named.  One knob read when telemetry is off."""
     path = settings.get("metrics_file")
-    if path is None:
-        return
-    interval = settings.get("metrics_interval")
-    if interval is not None:
-        start_flusher(path, interval)
-    else:
+    if path is not None:
         write_metrics_file(path)
 
 
 @atexit.register
 def _flush_at_exit() -> None:  # pragma: no cover - exercised at exit
     try:
-        stop_flusher(final_flush=False)
         write_metrics_file()
     except Exception:  # noqa: BLE001 - never fail interpreter exit
         pass

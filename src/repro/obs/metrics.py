@@ -7,46 +7,11 @@ the chunk result, and the calling thread records them after the join
 (see :meth:`repro.backends.parallel.ParallelRuntime.run`); batch
 compile workers in other processes never touch it.
 
-The parallel backend feeds, per region run on threads: a chunk-seconds
-and chunk-iterations histogram (thread imbalance = the max/min spread).
-
-Fault tolerance (docs/robustness.md) adds failure-path counters:
-``dist.rank_failures`` / ``dist.rank_failure_propagations`` /
-``dist.deadlocks`` / ``dist.recv_timeouts`` / ``dist.hung_ranks`` /
-``dist.messages_dropped`` / ``dist.messages_corrupted`` from the
-distributed simulator; and ``cache.corruption_misses`` from the
-digest-verifying compile cache.
-
-The polyhedral layer (:mod:`repro.isl.cache`, docs/ir_layers.md) counts
-its memo caches and Omega-test short-circuits here too:
-``isl.empty_cache.hits`` / ``.misses`` / ``.size`` (gauge),
-``isl.compose_cache.hits`` / ``.misses`` / ``.size``, and
-``isl.empty.prefilter_trivial`` / ``prefilter_eq_clash`` /
-``prefilter_bounds`` / ``rational_fastpath``.
-
-The compile-as-a-service layer (docs/compiler_driver.md) counts per
-cache tier and per batch: ``compile_cache.memory.{hit,miss,evict,
-corrupt}`` from the in-process kernel registry,
-``compile_cache.disk.{hit,miss,evict,corrupt}`` from the durable
-on-disk artifact tier, and ``compile_batch.{submitted,deduplicated,
-worker_compiles,inline_compiles,worker_failures,retries,pool_restarts,
-fallbacks}`` from the batch front end.
-
-The self-protection layer (docs/robustness.md) counts its decisions:
-``resilience.deadline.exceeded``, the breaker transitions
-``resilience.breaker.{open,half_open,close,short_circuit}`` (state on
-the ``resilience.breaker.state`` gauge), admission control
-``resilience.admission.{reject,shed,block}``, crash recovery
-``resilience.recovery.{tmp_removed,quarantine_removed,journal_repairs}``,
-and absorbed disk-tier I/O failures
-``compile_cache.disk.{load_error,store_error}``.
-
-The autoscheduler (docs/autoscheduler.md) accounts for its search here:
-``autosched.candidates`` (plans enumerated, legal or not),
-``autosched.pruned_illegal`` (killed by the legality checks before any
-oracle sees them), ``autosched.beam_kept`` (survivors carried across
-beam rounds / evolutionary generations), and ``autosched.measured``
-(finalist plans actually compiled and timed by the measured oracle).
+A decision site calls :func:`repro.obs.events.emit`, which bumps the
+counter of the event's name; only amounts, gauges and histograms are
+recorded here directly.  The inventory of names is
+docs/observability.md (kept in step with ``src/`` by
+tests/test_events.py::TestDocDrift).
 """
 
 from __future__ import annotations

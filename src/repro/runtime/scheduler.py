@@ -38,8 +38,7 @@ from repro.backends.parallel import (ParallelRuntime, _largest, run_chunk,
                                      run_here)
 from repro.backends.pool import get_thread_pool
 from repro.core.errors import ExecutionError
-from repro.obs.events import EVT_PARALLEL
-from repro.obs.events import emit as emit_event
+from repro.obs.events import emit
 
 from .taskgraph import TaskGraph, TaskGraphUnavailable, build_task_graph
 
@@ -96,7 +95,6 @@ class TaskGraphRuntime(ParallelRuntime):
                   ) -> Tuple[Optional[TaskGraph], Optional[str]]:
         """The (cached) tile DAG for this parameter valuation, or
         ``(None, reason)`` when the schedule cannot be lowered."""
-        from repro.obs.metrics import metrics
         key = tuple(sorted(params.items()))
         entry = self._graphs.get(key)
         if entry is None:
@@ -108,14 +106,12 @@ class TaskGraphRuntime(ParallelRuntime):
                 entry = (None, exc.reason)
             else:
                 entry = (graph, None)
-                metrics.counter("taskgraph.graphs").inc()
-                emit_event("taskgraph.schedule", EVT_PARALLEL,
-                           function=self.fn.name, tiles=len(graph.tasks),
-                           shape=list(graph.shape),
-                           tile_sizes=list(graph.tile_sizes),
-                           deltas=[list(d) for d in graph.deltas],
-                           edges=graph.edge_count,
-                           max_width=graph.max_width, depth=graph.depth)
+                emit("taskgraph.schedule", function=self.fn.name,
+                     tiles=len(graph.tasks), shape=list(graph.shape),
+                     tile_sizes=list(graph.tile_sizes),
+                     deltas=[list(d) for d in graph.deltas],
+                     edges=graph.edge_count, max_width=graph.max_width,
+                     depth=graph.depth)
             self._graphs[key] = entry
         return entry
 
@@ -132,8 +128,8 @@ class TaskGraphRuntime(ParallelRuntime):
             return self._decline(why or "unavailable")
         if graph.is_empty():
             # Zero iterations: the sequential nest would be a no-op too.
-            emit_event("taskgraph.complete", EVT_PARALLEL,
-                       function=self.fn.name, tiles=0, mode="empty")
+            emit("taskgraph.complete", function=self.fn.name, tiles=0,
+                 mode="empty")
             return True
         if len(graph.tasks) < 2:
             return self._decline("single-tile")
@@ -145,12 +141,9 @@ class TaskGraphRuntime(ParallelRuntime):
         return True
 
     def _decline(self, reason: str) -> bool:
-        from repro.obs.metrics import metrics
         self.taskgraph_stats.fallbacks += 1
         self.taskgraph_stats.last_reason = reason
-        metrics.counter("taskgraph.fallbacks").inc()
-        emit_event("taskgraph.fallback", EVT_PARALLEL,
-                   function=self.fn.name, reason=reason)
+        emit("taskgraph.fallback", function=self.fn.name, reason=reason)
         return False
 
     # -- one execution ----------------------------------------------------
@@ -178,9 +171,9 @@ class TaskGraphRuntime(ParallelRuntime):
 
         def start(index: int, here: bool = False):
             task = graph.tasks[index]
-            emit_event("taskgraph.task.dispatch", EVT_PARALLEL,
-                       task=task.index, coords=list(task.coords),
-                       ready=len(ready), inflight=len(running) + 1)
+            emit("taskgraph.task.dispatch", task=task.index,
+                 coords=list(task.coords), ready=len(ready),
+                 inflight=len(running) + 1)
             args = (self._tile_body, self._arrays, params,
                     tuple(b for pair in task.bounds for b in pair))
             if here:
@@ -225,9 +218,8 @@ class TaskGraphRuntime(ParallelRuntime):
                     metrics.histogram("taskgraph.task_seconds").observe(
                         seconds)
                     self._tile_span(task, t0, t1, thread)
-                    emit_event("taskgraph.task.done", EVT_PARALLEL,
-                               task=task.index, seconds=seconds,
-                               thread=thread)
+                    emit("taskgraph.task.done", task=task.index,
+                         seconds=seconds, thread=thread)
                     for succ in task.succs:
                         indeg[succ] -= 1
                         if indeg[succ] == 0:
@@ -245,13 +237,11 @@ class TaskGraphRuntime(ParallelRuntime):
         self.taskgraph_stats.tasks += finished
         self.taskgraph_stats.last_busy_seconds = busy
         self.taskgraph_stats.last_wall_seconds = wall
-        metrics.counter("taskgraph.tasks").inc(finished)
         if wall > 0:
             metrics.gauge("taskgraph.last_parallelism").set(busy / wall)
-        emit_event("taskgraph.complete", EVT_PARALLEL,
-                   function=self.fn.name, tiles=finished,
-                   mode=self.scheduler_mode, wall_seconds=wall,
-                   busy_seconds=busy, workers=self.num_threads)
+        emit("taskgraph.complete", function=self.fn.name, tiles=finished,
+             mode=self.scheduler_mode, wall_seconds=wall,
+             busy_seconds=busy, workers=self.num_threads)
         self._graph_span(graph, start_ns, wall, finished)
 
     # -- tracer hooks -----------------------------------------------------

@@ -118,17 +118,13 @@ KNOBS: Dict[str, Knob] = {
         "TIRAMISU_METRICS_FILE", path, None,
         "write the metrics registry here after each compile and at "
         "exit (`*.json`: JSON snapshot, else OpenMetrics text)"),
-    "metrics_interval": Knob(
-        "TIRAMISU_METRICS_INTERVAL", positive_float, None,
-        "seconds between background rewrites of `metrics_file` "
-        "(unset: no flusher thread)"),
     "isl_cache": Knob(
         "TIRAMISU_ISL_CACHE", flag, True,
         "memoize isl emptiness tests and compositions"),
     "timeout": Knob(
         "TIRAMISU_TIMEOUT", positive_float, None,
-        "seconds: the request budget of a compile and the per-chunk / "
-        "per-recv deadline of a run, under the `timeout=` option"),
+        "seconds: the request budget of a compile and the per-receive "
+        "deadline of a distributed run, under the `timeout=` option"),
     "breaker_threshold": Knob(
         "TIRAMISU_BREAKER_THRESHOLD", positive_int, 3,
         "consecutive pool failures that trip the circuit breaker open"),

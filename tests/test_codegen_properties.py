@@ -551,7 +551,7 @@ def test_typed_tree_differential(recipe, out_dtype, seed, nest):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("repro.backends.parallel.THREAD_FLOOR_BYTES", 0)
             pair, got = run(True, "cpu", num_threads=2)
-        assert pair.runtime.stats.thread_regions == 1, pair.source
+        assert pair.runtime.stats.regions == 1, pair.source
         assert np.array_equal(want, got, equal_nan=True), pair.source
     if have_c_compiler():
         native, got = run(True, "c")

@@ -119,7 +119,7 @@ def test_sequential_inline_threads_processes_same_bits(
             on_threads = {p.kind for p in par.runtime.plans.values()} \
                 >= {"threads"}
             assert on_threads == (leg == "threads")
-            assert (stats.thread_regions > 0) == on_threads
+            assert (stats.regions > 0) == on_threads
             assert (stats.declined >= slabs + loops) == (leg == "inline")
             assert [r for r, p in par.runtime.plans.items()
                     if p == PYTHON_LOOP] == sorted(par.runtime.loop_regions)
@@ -127,7 +127,7 @@ def test_sequential_inline_threads_processes_same_bits(
         runtime = all_loop_regions(par)
         got["processes"] = call(par, _runtime=runtime)
         assert set(runtime.plans.values()) == {PYTHON_LOOP}
-        assert runtime.stats.regions == runtime.stats.thread_regions == 0
+        assert runtime.stats.regions == 0
         for leg, out in got.items():
             for name in want:
                 assert np.array_equal(out[name], want[name]), (leg, name)
@@ -159,8 +159,7 @@ class TestThreadPath:
         kernel(**bundle.make_inputs(params, np.random.default_rng(0)),
                **params)
         stats = kernel.runtime.stats
-        assert (stats.regions, stats.thread_regions, stats.chunks) \
-            == (2, 2, 4)
+        assert (stats.regions, stats.chunks) == (2, 4)
         assert not pool._POOLS and list(pool._THREAD_POOLS) == [2]
 
     def test_shared_memory_is_never_imported(self, tmp_path):
@@ -224,8 +223,7 @@ class TestThreadPath:
             got = par(**{k: v.copy() for k, v in inputs.items()}, **params)
             assert np.array_equal(got["C"], want["C"]), call
         stats = par.runtime.stats
-        assert (stats.regions, stats.thread_regions, stats.declined) \
-            == (3, 3, 3)
+        assert (stats.regions, stats.declined) == (3, 3)
         assert par.runtime.plans == {
             "_par_body_1": DispatchPlan("threads", "slab"),
             "_par_body_2": PYTHON_LOOP}
@@ -275,7 +273,7 @@ class TestThreadPath:
         finally:
             sys.setswitchinterval(saved)
         stats = kernel.runtime.stats
-        assert stats.chunks == 8 * stats.regions == 8 * stats.thread_regions
+        assert stats.chunks == 8 * stats.regions > 0
 
     def test_profiled_thread_chunks_keep_exact_counts(self):
         import os
@@ -307,8 +305,7 @@ class TestDecisionsAreObservable:
         assert kernel.runtime.plans == {
             "_par_body_1": DispatchPlan("threads", "slab")}
         stats = kernel.runtime.stats
-        assert (stats.declined, stats.thread_regions, stats.regions) \
-            == (3, 3, 3)
+        assert (stats.declined, stats.regions) == (3, 3)
         assert stats.sequential_fallbacks == 0     # a decline is not one
         events = [e["fields"] for e in read_events(str(journal))
                   if e["name"] == "parallel.dispatch"]

@@ -13,7 +13,6 @@ import pytest
 
 from repro import Computation, Function, Var, settings
 from repro.driver import BatchCompiler, CircuitBreaker
-from repro.obs import export as obs_export
 from tests.test_supervise import SRC, _modules_where
 
 REPO = Path(__file__).resolve().parent.parent
@@ -26,7 +25,6 @@ SAMPLES = {
     "trace_file": (" /tmp/t.json ", "/tmp/t.json", Path("/tmp/u.json")),
     "event_log": ("/tmp/e.jsonl", "/tmp/e.jsonl", "/tmp/f.jsonl"),
     "metrics_file": ("/tmp/m.prom", "/tmp/m.prom", "/tmp/m.json"),
-    "metrics_interval": ("0.5", 0.5, 2.0),
     "isl_cache": ("0", False, False),
     "timeout": ("7.5", 7.5, 3.0),
     "breaker_threshold": ("5", 5, 1),
@@ -48,7 +46,7 @@ def _scrubbed_environment(monkeypatch):
 
 def test_every_row_has_a_sample():
     assert SAMPLES.keys() == settings.KNOBS.keys()
-    assert len(settings.KNOBS) == 15
+    assert len(settings.KNOBS) == 14
 
 
 @pytest.mark.parametrize("name", list(SAMPLES))
@@ -98,14 +96,13 @@ class TestResolutionOrder:
         assert settings.source(name) == "default"
 
 
-MALFORMED = [   # one per parser kind, and the four probes of ISSUE 19
+MALFORMED = [   # one per parser kind, and the consumer probes below
     ("trace", "maybe"),                      # flag
     ("cache_max_bytes", "lots"),             # positive_int, not a number
     ("breaker_threshold", "2.7"),            # ... truncated to 2 before
     ("max_pending", "0"),                    # ... out of range
     ("cache_max_quarantine", "-1"),          # non_negative_int
-    ("metrics_interval", "-3"),              # positive_float: read as off
-    ("timeout", "soon"),
+    ("timeout", "soon"),                     # positive_float
     ("admission_policy", "drop"),            # choice
 ]
 
@@ -149,7 +146,7 @@ class TestMalformedValues:
         with pytest.raises(KeyError):
             settings.get("bogus")
 
-    # The four probes, through the consumer that reads the knob first.
+    # The probes, through the consumer that reads the knob first.
 
     def test_cache_max_bytes_fails_by_name_inside_compile(
             self, tmp_path, monkeypatch):
@@ -164,14 +161,6 @@ class TestMalformedValues:
         monkeypatch.setenv("TIRAMISU_BREAKER_THRESHOLD", "2.7")
         with pytest.raises(ValueError, match="TIRAMISU_BREAKER_THRESHOLD"):
             CircuitBreaker("t")
-
-    def test_metrics_interval_no_longer_turns_the_flusher_off(
-            self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TIRAMISU_METRICS_FILE",
-                           str(tmp_path / "m.prom"))
-        monkeypatch.setenv("TIRAMISU_METRICS_INTERVAL", "-3")
-        with pytest.raises(ValueError, match="TIRAMISU_METRICS_INTERVAL"):
-            obs_export.autoflush()
 
     def test_admission_policy_blames_the_environment(self, monkeypatch):
         monkeypatch.setenv("TIRAMISU_ADMISSION_POLICY", "drop")

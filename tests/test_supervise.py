@@ -25,8 +25,7 @@ from repro.obs.metrics import metrics
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-OUTCOMES = ("worker_failure", "pool_restart", "retry", "fallback",
-            "breaker_block")
+OUTCOMES = ("worker_failure", "pool_restart", "retry", "fallback")
 
 
 @pytest.fixture(autouse=True)
@@ -210,15 +209,14 @@ def test_pool_refusal_books_the_same_story_at_every_site(
     stats, call = DRIVERS[site.op]()
     journal = tmp_path / "events.jsonl"
     settings.set(event_log=journal)
-    rows = {k: site.rows[k] for k in OUTCOMES}
-    by_event = {event: k for k, (_, _, event) in rows.items() if event}
+    event = {k: f"{site.op}.{k}" for k in OUTCOMES}
+    by_event = {name: k for k, name in event.items()}
 
     def field_total(field):
         return sum(getattr(s, field) for s in stats if hasattr(s, field))
 
-    fields0 = {f: field_total(f) for f, _, _ in rows.values() if f}
-    counters0 = {c: metrics.counter(c).value
-                 for _, c, _ in rows.values() if c}
+    fields0 = {k: field_total(site.fields[k]) for k in OUTCOMES}
+    counters0 = {k: metrics.counter(event[k]).value for k in OUTCOMES}
     with injected(FaultPlan().refuse_pool(op=site.op, times=refusals)):
         call()
 
@@ -227,13 +225,12 @@ def test_pool_refusal_books_the_same_story_at_every_site(
             if e["name"] in by_event]
     assert told == story
     # ... and every stats field and counter moved exactly with it
-    for outcome, (field, counter, _) in rows.items():
+    for outcome in OUTCOMES:
         n = story.count(outcome)
-        if field:
-            assert field_total(field) - fields0[field] == n, (outcome, field)
-        if counter:
-            assert metrics.counter(counter).value - counters0[counter] \
-                == n, (outcome, counter)
+        assert field_total(site.fields[outcome]) - fields0[outcome] == n, \
+            outcome
+        assert metrics.counter(event[outcome]).value \
+            - counters0[outcome] == n, outcome
 
 
 # -- keep it collapsed -------------------------------------------------------
