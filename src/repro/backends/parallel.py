@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.core.errors import ExecutionError
 from repro.obs.events import emit
+from repro.obs.metrics import metrics
 
 from .pool import get_thread_pool
 
@@ -180,6 +181,10 @@ class ParallelRuntime:
         self.slab_regions = tuple(r for r, loop in kinds.items() if not loop)
         self.plans: Dict[str, DispatchPlan] = {}  # region -> latest plan
         self._arrays = None  # buffer name -> ndarray the bodies run on
+        # bound once: ``metrics.reset()`` zeroes a counter in place
+        self._declines = metrics.counter("parallel.declined")
+        self._regions = metrics.counter("parallel.regions")
+        self._chunks = metrics.counter("parallel.chunks")
 
     def takes(self, arrays: Dict[str, np.ndarray]) -> bool:
         """Can any region of a call on ``arrays`` leave the calling
@@ -224,9 +229,8 @@ class ParallelRuntime:
         return plan
 
     def _declined(self, count: int = 1) -> None:
-        from repro.obs.metrics import metrics
         self.stats.declined += count
-        metrics.counter("parallel.declined").inc(count)
+        self._declines.inc(count)
 
     @contextmanager
     def sharing(self, arrays: Dict[str, np.ndarray]):
@@ -241,7 +245,6 @@ class ParallelRuntime:
             obs=None) -> None:
         """Execute one parallel loop where its :meth:`plan` says, and
         return (or raise) only once every chunk has finished."""
-        from repro.obs.metrics import metrics
         if self._arrays is None:  # raced the end of the call
             raise ExecutionError(
                 f"parallel region {body.__name__} has no bound arrays")
@@ -253,7 +256,7 @@ class ParallelRuntime:
                 body(self._arrays, params, lo, hi)
             return
         self.stats.regions += 1
-        metrics.counter("parallel.regions").inc()
+        self._regions.inc()
         self._run_threads(body, params, lo, hi, obs)
 
     def _run_threads(self, body, params: Dict[str, int], lo: int, hi: int,
@@ -284,7 +287,6 @@ class ParallelRuntime:
         result carries its wall clock and, when profiling, its counter
         snapshot for ``obs``.  The first exception a body raised
         surfaces once all are in."""
-        from repro.obs.metrics import metrics
         self.stats.chunks += len(bounds)
         self.stats.max_workers = max(self.stats.max_workers, len(bounds))
         errors: List[BaseException] = []
@@ -304,7 +306,7 @@ class ParallelRuntime:
                 obs.merge(snapshot)
                 obs.worker_span(body.__name__, clo, chi, start_ns,
                                 end_ns, thread)
-        metrics.counter("parallel.chunks").inc(len(bounds))
+        self._chunks.inc(len(bounds))
         if chunk_seconds and min(chunk_seconds) > 0:
             metrics.gauge("parallel.last_imbalance").set(
                 max(chunk_seconds) / min(chunk_seconds))

@@ -17,6 +17,7 @@ there).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -87,9 +88,13 @@ def _one_index_per_buffer(stmts: Sequence[Stmt], forms: Sequence[Resolved],
 
 
 #: Folded strip-mined pairs of a slab: the level of the slab variable
-#: ``b`` -> ``(level of a, lowers, uppers)``, the range of ``s*a + b`` that
-#: ``b``'s axis runs over instead of its own (:func:`strip_mined`).
-Folds = Dict[int, Tuple[int, List[List[Bound]], List[List[Bound]]]]
+#: ``b`` -> ``(levels of the a's, lowers, uppers)``, the range of ``s*a +
+#: b`` (nested: ``s2*a2 + s*a + b``) that ``b``'s axis runs over instead of
+#: its own (:func:`strip_mined`).  A head that runs part of its own range
+#: (a chunk, a tile) is read in these at its first value in the lowers
+#: and at its last in the uppers.
+Folds = Dict[int, Tuple[Tuple[int, ...], List[List[Bound]],
+                        List[List[Bound]]]]
 
 
 def strip_mined(fn, a: Loop, b: Loop, s: int) -> Optional[
@@ -102,7 +107,15 @@ def strip_mined(fn, a: Loop, b: Loop, s: int) -> Optional[
     ``b <= e, a <= f``: ``u <= s*f + e``), and the isl layer proves the
     rest from the two loops' bounds: ``b`` stays below ``b0 + s`` (so
     ``u`` determines ``a``), every point lies within the interval, and
-    every ``u`` of it is a point (``a = floor((u - b0) / s)``)."""
+    every ``u`` of it is a point (``a = floor((u - b0) / s)``).  An ``a``
+    of one trip (a tile as large as its extent) stands in ``b``'s bounds
+    as its value."""
+    if a.lowers == a.uppers and [len(g) for g in a.lowers] == [1] \
+            and a.lowers[0][0][0] == 1:
+        at = a.lowers[0][0][1]
+        b = replace(b, **{side: [[(d, e.substitute((OUT, a.level), at))
+                                  for d, e in g] for g in getattr(b, side)]
+                          for side in ("lowers", "uppers")})
     groups = (a.lowers, a.uppers, b.lowers, b.uppers)
     if any(len(g) != 1 for g in groups) or len(b.lowers[0]) != 1 or any(
             kind not in (OUT, PARAM) for g in groups for __, e in g[0]
@@ -150,16 +163,18 @@ def strip_mined(fn, a: Loop, b: Loop, s: int) -> Optional[
 
 def _fold(fn, stmts: Sequence[Stmt], a: Loop, slab: Sequence[Loop],
           axes: Tuple[Lane, ...], folds: Folds):
-    """``(level of b, lowers, uppers)`` if every statement uses ``a``
-    only as ``s*a + b``, ``b`` a slab axis not folded yet, and the pair
-    is :func:`strip_mined`; else None."""
+    """``(level of b, lowers, uppers, window)`` if every statement uses
+    ``a`` only as ``s*a + b``, ``b`` a slab axis (or the axis an inner
+    pair folded into already, over that pair's range), and the two are
+    :func:`strip_mined`; ``window`` the bounds ``s*a + b0 .. s*a + b0 + s
+    - 1`` of ``u`` at one ``a``.  Else None."""
     if any(s.comp.cached_reads or s.comp.cached_store is not None
            for s in stmts):
         return None
     revs = [le for s in stmts for le in s.comp.rev.values()]
     for loop in slab:
         lane = (OUT, loop.level)
-        if lane not in axes or loop.level in folds:
+        if lane not in axes:
             continue
         # s*a + b wherever a stands: one ratio of the two coefficients
         ratios = {Fraction(le.coeff((OUT, a.level))) / le.coeff(lane)
@@ -169,16 +184,20 @@ def _fold(fn, stmts: Sequence[Stmt], a: Loop, slab: Sequence[Loop],
             continue
         s, = ratios
         if s >= 1 and s.denominator == 1:
+            if loop.level in folds:
+                loop = replace(loop, lowers=folds[loop.level][1],
+                               uppers=folds[loop.level][2])
             rng = strip_mined(fn, a, loop, int(s))
             if rng is not None:
-                return (loop.level, *rng)
+                u0 = LinExpr.dim(OUT, a.level) * int(s) + loop.lowers[0][0][1]
+                return (loop.level, *rng, ([(1, u0)], [(1, u0 + int(s) - 1)]))
     return None
 
 
 def _bounds(loops: Sequence[Loop], folds: Folds) -> List[LinExpr]:
     """Every bound of ``loops`` as the slab runs them: a folded ``a`` has
     none of its own, its ``b`` runs over the pair's range."""
-    gone = {a for a, __, ___ in folds.values()}
+    gone = {a for levels, __, ___ in folds.values() for a in levels}
     return [e for loop in loops if loop.level not in gone
             for groups in (folds[loop.level][1:] if loop.level in folds
                            else (loop.lowers, loop.uppers))
@@ -186,23 +205,32 @@ def _bounds(loops: Sequence[Loop], folds: Folds) -> List[LinExpr]:
 
 
 def slab_verdict(fn, chain: Sequence[Loop], verified: bool = False,
-                 fold_head: bool = True
-                 ) -> Tuple[int, Optional[str], Tuple[Lane, ...], Folds]:
-    """``(k, why, axes, folds)`` for ``chain``, a perfect nest of loops
-    that ends in a ``vector``-tagged one: ``chain[k:]`` is its longest
-    suffix that may run as one whole-range statement per computation,
-    ``axes`` the dims of those loops in the order every statement stores
-    them, and ``why`` what kept ``chain[k - 1]`` out (None when ``k`` is
-    0) -- the body (``nested-loop``, ``operation``, ``guard``,
-    ``predicate``), a bound of a loop inside that mentions it
+                 own_head: bool = True
+                 ) -> Tuple[int, Optional[str], Tuple[Lane, ...], Folds,
+                            Optional[int]]:
+    """``(k, why, axes, folds, hoist)`` for ``chain``, a perfect nest of
+    loops that ends in a ``vector``-tagged one: ``chain[k:]`` is its
+    longest suffix that may run as one whole-range statement per
+    computation, ``axes`` the dims of those loops in the order every
+    statement stores them, and ``why`` what kept ``chain[k - 1]`` out
+    (None when ``k`` is 0) -- the body (``nested-loop``, ``operation``,
+    ``guard``, ``predicate``), a bound of a loop inside that mentions it
     (``non-rectangular``), a store that does not move with it
     (``store-not-driven``) or not as an axis of its own
     (``store-not-separable``, :func:`slab_axes`), or ``carried <kind>
     <src>-><sink> on <buf>``.  A loop ``a`` that the body uses only as
     ``s*a + b``, ``b`` an axis, joins without an axis of its own when
-    the two are :func:`strip_mined` (``folds``; ``fold_head``: also
-    ``chain[0]``, whose range is its own): a tile's strip-mined pair is
+    the two are :func:`strip_mined` (``folds``; ``own_head``: ``chain[0]``
+    runs its own range, else part of it): a tile's strip-mined pair is
     one slice axis.
+
+    ``hoist``: the index in ``chain`` of a ``store-not-driven`` loop (a
+    reduction) that leaves the slab as the loop around it.  It moves
+    only over loops that fold, and only when every one up to
+    ``chain[0]`` does; otherwise it stops the chain as before.  Every
+    level it moves over passes the per-level rule below, so the band
+    carries no dependence but at the reduction, and every element still
+    sums in the reduction's order.
 
     The rule per level is "no dependence carried at this level".  A
     structural fast path settles the common case from LinExpr
@@ -217,14 +245,14 @@ def slab_verdict(fn, chain: Sequence[Loop], verified: bool = False,
     from repro.core.computation import Operation
     stmts = chain[-1].body.children
     if not stmts or not all(isinstance(s, Stmt) for s in stmts):
-        return len(chain), "nested-loop", (), {}
+        return len(chain), "nested-loop", (), {}, None
     for stmt in stmts:
         if isinstance(stmt.comp, Operation):
-            return len(chain), "operation", (), {}
+            return len(chain), "operation", (), {}, None
         if stmt.guards:
-            return len(chain), "guard", (), {}
+            return len(chain), "guard", (), {}, None
         if stmt.comp.predicate is not None:
-            return len(chain), "predicate", (), {}
+            return len(chain), "predicate", (), {}, None
     summary = DependenceSummary.of(fn)
     forms = [summary.form(s.comp) for s in stmts]
     stores = [time_index(s.comp, form.store.indices)
@@ -232,24 +260,30 @@ def slab_verdict(fn, chain: Sequence[Loop], verified: bool = False,
     structural: Optional[bool] = None
     axes: Tuple[Lane, ...] = ()
     folds: Folds = {}
+    hoist, held = None, None    # the reduction; the verdict if it stays
     for k in range(len(chain) - 1, -1, -1):
         level = chain[k].level
         lane = (OUT, level)
-        fold = _fold(fn, stmts, chain[k], chain[k + 1:], axes, folds) \
-            if k or fold_head else None
+        fold = _fold(fn, stmts, chain[k], chain[k + 1:], axes, folds)
+        if held and fold is None:
+            return held
         joined = dict(folds)
         if fold is not None:
-            joined[fold[0]] = (level, *fold[1:])
+            joined[fold[0]] = (folds.get(fold[0], ((),))[0] + (level,),
+                               *fold[1:3])
         if any(e.coeff(lane) for e in _bounds(chain[k + 1:], joined)):
-            return k + 1, "non-rectangular", axes, folds
+            return held or (k + 1, "non-rectangular", axes, folds, None)
         if not all(any(le is not None and le.coeff(lane) for le in store)
                    for store in stores):
-            return k + 1, "store-not-driven", axes, folds
+            if held is None and axes and k:
+                hoist, held = k, (k + 1, "store-not-driven", axes, folds, None)
+                continue
+            return held or (k + 1, "store-not-driven", axes, folds, None)
         order = (lane,)     # alone, it may store through an index vector
         if axes and fold is None:
             orders = {slab_axes(store, (lane,) + axes) for store in stores}
             if len(orders) > 1 or None in orders:
-                return k + 1, "store-not-separable", axes, folds
+                return k + 1, "store-not-separable", axes, folds, None
             order, = orders
         tagged = all(getattr(s.comp.tags.get(level), "kind", None) == "vector"
                      for s in stmts)
@@ -259,14 +293,17 @@ def slab_verdict(fn, chain: Sequence[Loop], verified: bool = False,
             if not structural:
                 for stmt in stmts:
                     for dep in summary.carried(stmt.comp, level):
-                        return k + 1, (
+                        return held or (k + 1, (
                             f"carried {dep.kind} {dep.source.name}->"
-                            f"{dep.sink.name} on {dep.buffer.name}"), axes, \
-                            folds
+                            f"{dep.sink.name} on {dep.buffer.name}"), axes,
+                            folds, None)
         if fold is None:
             axes = order
+        elif not (k or own_head):   # the chunk's a, read at its ends
+            levels, __, (highs,) = joined[fold[0]]
+            joined[fold[0]] = (levels, [fold[3][0]], [highs + fold[3][1]])
         folds = joined
-    return 0, None, axes, folds
+    return 0, None, axes, folds, hoist
 
 
 def lane_verdict(fn, loop: Loop, verified: bool = False) -> Optional[str]:

@@ -13,7 +13,9 @@ above 1), a value that moves with some of the axes broadcasts along the
 others, a fused body runs statement after statement, and an ``np.arange``
 index vector exists only where an access needs it (clamped,
 data-dependent or diagonal indices, or the variable used as a value).
-A loop left out says why in its comment (:func:`vector_summary`).
+A loop left out says why in its comment (:func:`vector_summary`); a
+reduction whose tile loops fold runs around the slab instead (``#
+loop (k): hoisted over (i0, j0)``).
 
 Top-level loop dimensions tagged ``parallel`` are lowered to a *chunked
 worker function*: the loop body is emitted as a standalone
@@ -895,29 +897,31 @@ class Emitter:
                 if len(inner) != 1 or not isinstance(inner[0], Loop):
                     break
                 chain.append(inner[0])
-            k, why, axes, folds = len(chain), None, (), {}
+            k, why, axes, folds, hoist = len(chain), None, (), {}, None
             if getattr(chain[-1].tag, "kind", None) == "vector":
                 # a chunk or a tile does not run its loop's own range
-                k, why, axes, folds = slab_verdict(
+                k, why, axes, folds, hoist = slab_verdict(
                     self.fn, chain, self.lanes_verified,
                     what not in ("parallel chunk", "tile dim"))
             self._outside.update((id(member), None) for member in chain[:k])
             if k:
                 self._outside[id(chain[k - 1])] = why
             if chain[k:]:
-                self._slab_heads[id(chain[k])] = chain[k:], axes, folds
+                self._slab_heads[id(chain[k])] = (
+                    chain[k:], axes, folds, hoist and chain[hoist])
         if id(loop) in self._slab_heads:
-            slab, axes, folds = self._slab_heads[id(loop)]
+            members, axes, folds, hoisted = self._slab_heads[id(loop)]
+            slab = [m for m in members if m is not hoisted]
             note = f"vectorized ({slab[-1].var})"
             if slab[1:]:
                 note += f" over ({', '.join(m.var for m in slab[:-1])})"
             if what == "tile dim":      # not the range the loop runs over
                 note = f"{what} ({loop.var}), {note}"
-            why = self._emit_vector(slab, axes, folds, lo, hi, note)
+            why = self._emit_vector(slab, axes, folds, lo, hi, note, hoisted)
             if why is None:
                 return None
             del self._slab_heads[id(loop)]      # all its loops stay loops
-            self._outside.update((id(member), None) for member in slab)
+            self._outside.update((id(member), None) for member in members)
             self._outside[id(slab[-1])] = why
         why = self._outside[id(loop)]
         if why is None:
@@ -926,22 +930,26 @@ class Emitter:
             "scalar, " if what == "vector loop" else "outside slab, ") + why
 
     def _emit_vector(self, slab: List[Loop], axes: Tuple, folds,
-                     lo: Value, hi: Value, note: str) -> Optional[str]:
+                     lo: Value, hi: Value, note: str,
+                     hoisted: Optional[Loop] = None) -> Optional[str]:
         """Lower ``slab`` (a ``vector``-tagged loop under the loops it
         takes along, the outermost running over ``lo..hi``; ``axes``
         their dims in store order, ``folds`` the strip-mined pairs that
-        run as one axis, :func:`~repro.codegen.lanes.slab_verdict`) to
-        whole-range statements, the fused body distributed in β order;
-        returns None, or why it cannot (nothing is emitted then)."""
+        run as one axis, ``hoisted`` the reduction that runs around it,
+        :func:`~repro.codegen.lanes.slab_verdict`) to whole-range
+        statements, the fused body distributed in β order; returns None,
+        or why it cannot (nothing is emitted then)."""
         binds: List[str] = []       # non-affine bounds held in locals
         ranges, counts, full = {}, [], {}
-        folded = [a for a, __, ___ in folds.values()]
+        folded = [a for levels, __, ___ in folds.values() for a in levels]
+        first = slab[0].level, lo, hi   # a folded head is read at its ends
         for loop in slab:
             if loop.level in folded:    # s*a + b runs over b's axis
                 continue
             if loop.level in folds:
-                lo = self._bound(folds[loop.level][1], True)
-                hi = self._bound(folds[loop.level][2], False)
+                __, lows, highs = folds[loop.level]
+                lo = self._pin(lows, first[0], first[1], True)
+                hi = self._pin(highs, first[0], first[2], False)
             elif loop is not slab[0]:
                 lo = self._bound(loop.lowers, True)
                 hi = self._bound(loop.uppers, False)
@@ -1000,12 +1008,31 @@ class Emitter:
             size = f"len({buf})" if axis == 0 else f"{buf}.shape[{axis}]"
             bad[f"{stop} > {size}"] = None
         bad.update(vec.checks)
+        taps = list(vec.taps.values())
+        body = [re.sub("\0(\\d+)\0", lambda m: _tap(*taps[int(m[1])][1:]), ln)
+                for ln in vec.lines]
+        if hoisted is not None:     # runs around the slab, checked inside
+            t = f"t{hoisted.level}"
+            moving = [c for c in bad if re.search(rf"\b{t}\b", c)]
+            if moving:
+                body.insert(0, f"if {' or '.join(moving)}: "
+                            f"raise IndexError('vector loop {slab[-1].var}')")
+            bad = {c: None for c in bad if c not in moving}
+            h_lo = self._bound(hoisted.lowers, True)
+            h_hi = self._bound(hoisted.uppers, False)
+            span = h_hi - h_lo if isinstance(h_lo, LinExpr) \
+                and isinstance(h_hi, LinExpr) else None
+            if span is None or not span.is_constant() or span.const < 0:
+                full[f"{self._s(h_lo)} <= {self._s(h_hi)}"] = None
+            kind = getattr(hoisted.tag, "kind", None)
+            crossed = ", ".join(m.var for m in slab if m.level < hoisted.level)
+            body = [f"for {t} in range({self._span(h_lo, h_hi)}):  # "
+                    f"{kind + ' loop' if kind else 'loop'} ({hoisted.var}): "
+                    f"hoisted over ({crossed})"] + ["    " + ln for ln in body]
         if bad:
             head.append(f"if {' or '.join(bad)}: "
                         f"raise IndexError('vector loop {slab[-1].var}')")
-        taps = list(vec.taps.values())
-        lines = head + [re.sub("\0(\\d+)\0", lambda m: _tap(
-            *taps[int(m[1])][1:]), ln) for ln in vec.lines]
+        lines = head + body
         if full:
             lines = [f"if {' and '.join(full)}:"] + [
                 "    " + ln for ln in lines]
@@ -1013,6 +1040,22 @@ class Emitter:
         for ln in binds + lines:
             self.line(ln)
         return None
+
+    def _pin(self, groups, level: int, end: Value, is_lower: bool) -> Value:
+        """A folded axis' bound: the head's variable ``t<level>`` in it
+        (:data:`~repro.codegen.lanes.Folds`) read as ``end``."""
+        dim = (OUT, level)
+        if isinstance(end, LinExpr):
+            return self._bound([[(d, e.substitute(dim, end)) for d, e in g]
+                                for g in groups], is_lower)
+        if not any(e.coeff(dim) for g in groups for __, e in g):
+            return self._bound(groups, is_lower)
+        end = end if end.isidentifier() else f"({end})"
+        parts = [self._at(e - LinExpr.dim(*dim, e.coeff(dim)),
+                          int(e.coeff(dim)), end) if e.coeff(dim)
+                 else lin_to_py(e, self.params) for __, e in groups[0]]
+        return parts[0] if len(parts) == 1 else \
+            f"{'max' if is_lower else 'min'}({', '.join(parts)})"
 
     # -- statements ---------------------------------------------------------------
 

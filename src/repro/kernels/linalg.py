@@ -67,8 +67,10 @@ def schedule_sgemm_cpu(bundle: KernelBundle, t1: int = 64,
     """The paper's sgemm optimization set (Section VI-A): two-level
     blocking of the 3D loop, vectorization, unrolling and parallelization.
     No tile is separated: on ``cpu`` each strip-mined pair folds into one
-    slice axis, so a ``t1 x t1`` tile, full or partial, is one slab per
-    ``k``; on ``c`` the tile loops keep their ``min`` bounds and the
+    slice axis, the tile loops ``i0``/``j0`` included, and ``k`` moves
+    out above them (``# loop (k): hoisted over (i0, j0)``), so a chunk of
+    ``i0`` is one slab per ``k``; on ``c`` the tile loops keep their
+    ``min`` bounds and the
     ``vector`` loop is an ``omp simd`` loop (the C emitter splits a loop
     only at clamped reads, and sgemm has none).  Array packing of B is
     priced by the cost model alone (``packed_buffers``); neither emitter

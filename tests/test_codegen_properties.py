@@ -319,6 +319,88 @@ def test_windows_and_folded_tiles_differential(sizes, clamped, taps, inside,
                 assert "np.clip(" not in kernel.source, kernel.source
 
 
+# -- a reduction moved out of its tile band: bit for bit ----------------------
+
+@given(st.lists(st.integers(1, 9), min_size=3, max_size=3),
+       st.tuples(st.integers(2, 6), st.integers(2, 6)),
+       st.none() | st.tuples(st.integers(2, 4), st.integers(2, 4)))
+@settings(max_examples=40, deadline=None)
+def test_reduction_leaves_its_tile_band_differential(sizes, outer, inner):
+    """``c(i, j) += A(i, r) * B(r, j)`` tiled like sgemm -- ``i0 j0 r i1
+    j1``, optionally register-blocked again (``i10 j10 r i11 j11``), by
+    sizes that need not divide the extents 1..9 -- with ``i0``
+    ``parallel`` and the last loop ``vector``: sequential, on threads
+    (floor 0) and on ``c`` the kernel stores what the unscheduled nest
+    stores, and on ``cpu`` ``r`` is the one loop left around one slab.
+    A loop region runs its whole range in one call, so a last leg runs
+    it as consecutive chunks of its range: each chunk's slab must cover
+    its own rows and no others.  The register tile divides the cache
+    tile, as in ``schedule_sgemm_cpu`` (one that does not leaves a guard
+    in the nest, and the ``vector`` loop scalar)."""
+    from unittest import mock
+    from repro.backends.c import have_c_compiler
+    from repro.backends.parallel import ParallelRuntime, chunk_ranges
+    n, m, k = sizes
+
+    class Chunked(ParallelRuntime):
+        """Runs each parallel region as three chunks, one after another."""
+        def takes(self, arrays):
+            return True
+
+        def run(self, body, params, lo, hi, obs=None):
+            for chunk in chunk_ranges(lo, hi, 3):
+                body(self._arrays, params, *chunk)
+    if inner:   # the cache tile: 1..3 register tiles a side
+        outer = tuple(t * (q % 3 + 1) for t, q in zip(inner, outer))
+
+    def build(tag):
+        f = Function("f")
+        with f:
+            A = Input("A", [Var("x", 0, n), Var("y", 0, k)])
+            B = Input("B", [Var("x2", 0, k), Var("y2", 0, m)])
+            i, j, r = Var("i", 0, n), Var("j", 0, m), Var("r", 0, k)
+            c = Computation("c", [i, j, r], None)
+            c.set_expression(c(i, j, r) + A(i, r) * B(r, j))
+            c.store_in(Buffer("C", [n, m]), [i, j])
+        if tag:
+            c.tile("i", "j", *outer, "i0", "j0", "i1", "j1")
+            c.interchange("j1", "r")
+            c.interchange("i1", "r")
+            last = "j1"
+            if inner:
+                c.tile("i1", "j1", *inner, "i10", "j10", "i11", "j11")
+                last = "j11"
+            c.vectorize(last, 4)
+            c.parallelize("i0")
+        return f
+
+    rng = np.random.default_rng(n * 100 + m * 10 + k)
+    inputs = {"A": rng.random((n, k), np.float32),
+              "B": rng.random((k, m), np.float32),
+              "C": rng.random((n, m), np.float32)}
+
+    def run(kernel):
+        return kernel(**{name: a.copy() for name, a in inputs.items()})["C"]
+    want = run(build(False).compile("cpu", cache=False))
+    legs = [("cpu", {"parallel": False}), ("cpu", {"num_threads": 2})]
+    if have_c_compiler():
+        legs.append(("c", {}))
+    with mock.patch("repro.backends.parallel.THREAD_FLOOR_BYTES", 0):
+        for target, opts in legs:
+            kernel = build(True).compile(target, cache=False, **opts)
+            assert np.array_equal(run(kernel), want), (target, opts,
+                                                       kernel.source)
+            if target == "cpu":
+                body = kernel.source.split("def _kernel")[
+                    0 if "_par_body" in kernel.source else 1]
+                assert body.count("for ") == 1, kernel.source
+                assert "hoisted over (i0, j0)" in body, kernel.source
+    kernel = build(True).compile("cpu", cache=False)
+    got = kernel(_runtime=Chunked(kernel.source, 3),
+                 **{name: a.copy() for name, a in inputs.items()})["C"]
+    assert np.array_equal(got, want), kernel.source
+
+
 # -- index-set splitting: where no clamped index clamps ----------------------
 
 @given(st.lists(st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]),

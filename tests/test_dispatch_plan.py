@@ -316,6 +316,27 @@ class TestDecisionsAreObservable:
             dict(kernel=source, region="_par_body_1", kind="threads",
                  reason="slab")]
 
+    def test_declined_calls_count_on_the_bound_counter(self):
+        """spmv below the floor: each call declines every region at once,
+        on the stats and on ``parallel.declined``, the counter the
+        runtime bound when it was made (``metrics.reset()`` zeroes it in
+        place, so the handle still counts afterwards)."""
+        from repro.obs.metrics import metrics
+        bundle, kernel = compiled(K.build_spmv27, K.schedule_spmv_cpu,
+                                  num_threads=2)
+        params = {"G": 10}
+        inputs = bundle.make_inputs(params, np.random.default_rng(0))
+        runtime = kernel.runtime
+        regions = len(runtime.slab_regions) + len(runtime.loop_regions)
+        assert regions == 1
+        kernel(**inputs, **params)
+        metrics.reset()
+        before = runtime.stats.declined
+        for __ in range(5):
+            kernel(**inputs, **params)
+        assert runtime.stats.declined - before == 5 * regions
+        assert metrics.counter("parallel.declined").value == 5 * regions
+
     def test_single_iteration_region_runs_inline(self, monkeypatch):
         monkeypatch.setattr(parallel, "THREAD_FLOOR_BYTES", 0)
         kernel = rows_kernel(rows=1, num_threads=2)

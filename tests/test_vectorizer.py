@@ -793,3 +793,176 @@ class TestSlabs:
             a = Var("a", 0, 3)
             Computation("c", [a, Var("b", 0, 12 - a * 4)], 1.0)
         assert strip_mined(f, *loops_in(f.lower()), 4) is None
+
+    def test_single_tile_pair_folds(self):
+        """A tile as large as its extent leaves ``i0``, ``j0`` one trip
+        each and the inner bounds ``-10*i0 .. -10*i0 + 9``: the pair still
+        folds, so the nest is one statement and no loop is left."""
+        def build(tag):
+            f = Function("f")
+            with f:
+                inp = Input("inp", [Var("x", 0, 10), Var("y", 0, 7)])
+                i, j = Var("i", 0, 10), Var("j", 0, 7)
+                c = Computation("c", [i, j], None)
+                c.set_expression(inp(i, j) * 2.0 + 1.0 * j)
+            c.tile("i", "j", 10, 7, "i0", "j0", "i1", "j1")
+            if tag:
+                c.vectorize("j1", 8)
+            return f, {}
+        k, __ = _both(build, inp=self.rng.random((10, 7), np.float32))
+        assert "for " not in k.source and "non-rectangular" not in k.source
+        assert "# vectorized (j1) over (i0, j0, i1)" in k.source
+
+
+def _bundle_both(builder, schedule, params, **opts):
+    """A kernel of ``repro.kernels`` under ``schedule`` against the same
+    bundle unscheduled (scalar loops): bit-identical outputs; returns the
+    scheduled kernel."""
+    outs = []
+    for sched in (schedule, None):
+        bundle = builder()
+        if sched:
+            sched(bundle)
+        kernel = bundle.function.compile("cpu", cache=False, **opts)
+        inputs = bundle.make_inputs(params, np.random.default_rng(3))
+        outs.append((kernel, kernel(**inputs, **params)))
+    (kernel, got), (__, want) = outs
+    for name in want:
+        assert np.array_equal(got[name], want[name]), (name, kernel.source)
+    return kernel
+
+
+class TestReductionLeavesTheBand:
+    """A reduction loop that does not drive the store moves out above the
+    tile loops, which then fold into the slab; where it may not, it stays
+    where it was and its loop comment says why."""
+
+    rng = np.random.default_rng(11)
+
+    @staticmethod
+    def _gemm(two_level, parallel):
+        def build(tag):
+            f = Function("f")
+            with f:
+                A = Input("A", [Var("x", 0, 11), Var("y", 0, 5)])
+                B = Input("B", [Var("x2", 0, 5), Var("y2", 0, 9)])
+                i, j, r = Var("i", 0, 11), Var("j", 0, 9), Var("r", 0, 5)
+                c = Computation("c", [i, j, r], None)
+                c.set_expression(c(i, j, r) + A(i, r) * B(r, j))
+                c.store_in(Buffer("C", [11, 9]), [i, j])
+            if tag:
+                c.tile("i", "j", 4, 4, "i0", "j0", "i1", "j1")
+                c.interchange("j1", "r")
+                c.interchange("i1", "r")
+                last = "j1"
+                if two_level:
+                    c.tile("i1", "j1", 2, 3, "i10", "j10", "i11", "j11")
+                    last = "j11"
+                c.vectorize(last, 8)
+                if parallel:
+                    c.parallelize("i0")
+            return f, {"num_threads": 2 if parallel else 1}
+        return build
+
+    @pytest.mark.parametrize("two_level", [False, True])
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_sgemm_shape_is_one_loop_around_one_statement(
+            self, monkeypatch, two_level, parallel):
+        monkeypatch.setattr("repro.backends.parallel.THREAD_FLOOR_BYTES", 0)
+        k, __ = _both(self._gemm(two_level, parallel),
+                      A=self.rng.random((11, 5), np.float32),
+                      B=self.rng.random((5, 9), np.float32))
+        body = k.source.split("def _kernel")[0] if parallel else k.source
+        assert body.count("for ") == 1, k.source
+        assert "for t2 in range(0, 5):  # loop (r): hoisted over (i0, j0)" \
+            in body
+        assert ", t2, None] * b_B[t2, 0:" in body
+        assert k.vector_loops == 1 and not declines(k)
+
+    def test_conv_keeps_its_full_range_loops(self):
+        """conv: ``fi`` does not drive the store, but ``fo`` and the
+        batch loop above it run their whole range -- moving ``fi`` over
+        them would grow the accumulator slab B*F-fold -- so both stay."""
+        from repro import kernels as K
+        k = _bundle_both(K.build_conv, K.schedule_conv_cpu,
+                         {"B": 2, "F": 3, "N": 7, "M": 6}, parallel=False)
+        assert "for t1 in range(0, F):\n" in k.source
+        assert "for t2 in range(0, F):  # loop (fi): outside slab, " \
+               "store-not-driven" in k.source
+        assert "hoisted" not in k.source
+
+    def test_heat_time_loop_stays_carried(self):
+        """heat: ``t`` carries the flow from one row to the next and
+        drives the store -- no reduction to move -- so it stays outside
+        the slab with the dependence as its reason."""
+        from repro import kernels as K
+        k = _bundle_both(K.build_heat, K.schedule_heat_cpu, {"T": 5, "N": 11})
+        assert "for t0 in range(1, T):  # loop (t): outside slab, carried " \
+               "flow step->step on u" in k.source
+        assert "hoisted" not in k.source
+
+    def test_symgs_wavefront_stays_a_loop(self):
+        """symgs skewed to ``(i + j, j)``: the diagonal's bounds move
+        with the wavefront, which stays a loop around it."""
+        from repro import kernels as K
+
+        def schedule(bundle):
+            K.schedule_symgs_wavefront(bundle)
+            bundle.computations["sweep"].tags.clear()
+            bundle.computations["sweep"].vectorize("j", 8)
+        k = _bundle_both(K.build_symgs_forward, schedule, {"N": 9})
+        assert "# loop (i): outside slab, non-rectangular" in k.source
+        assert "hoisted" not in k.source
+
+    def test_a_second_carried_level_keeps_the_reduction_in(self):
+        """``C(i) += A(i, r) * C(i - 4)`` tiled by 4 with ``r`` between
+        the tile loops: ``i0`` carries the flow from the tile before, so
+        ``r`` may not move above it (the old tile would not be summed
+        yet) and stays where it was."""
+        def build(tag):
+            f = Function("f")
+            with f:
+                A = Input("A", [Var("x", 0, 16), Var("y", 0, 3)])
+                i, r = Var("i", 4, 16), Var("r", 0, 3)
+                c = Computation("c", [i, r], None)
+                c.set_expression(c(i, r) + A(i, r) * c(i - 4, r))
+                c.store_in(Buffer("C", [16]), [i])
+            if tag:
+                c.split("i", 4, "i0", "i1")
+                c.interchange("i1", "r")
+                c.vectorize("i1", 4)
+            return f, {}
+        C = np.ones(16, np.float32)
+        k, got = _both(build, A=self.rng.random((16, 3), np.float32), C=C)
+        assert "# loop (r): outside slab, store-not-driven" in k.source
+        assert "hoisted" not in k.source
+
+    def test_a_read_moved_by_the_reduction_is_checked_inside_its_loop(self):
+        """``A(i + r)``: the slice of ``A`` moves with ``r``, so its range
+        check runs inside the moved loop, the others once before it, and
+        a buffer too short for the last ``r`` still raises."""
+        N = Param("N")
+
+        def build(tag):
+            f = Function("f", params=[N])
+            with f:
+                A = Input("A", [Var("x", 0, N + 2)])
+                i, r = Var("i", 0, N), Var("r", 0, 3)
+                c = Computation("c", [i, r], None)
+                c.set_expression(c(i, r) + A(i + r) * 2.0)
+                c.store_in(Buffer("C", [N]), [i])
+            if tag:
+                c.split("i", 4, "i0", "i1")
+                c.interchange("i1", "r")
+                c.vectorize("i1", 4)
+            return f, {}
+        data = self.rng.random(12, np.float32)
+        k, __ = _both(build, A=data, N=np.int64(10))
+        loop = "for t1 in range(0, 3):  # loop (r): hoisted over (i0)\n"
+        assert loop in k.source
+        before, inside = k.source.split(loop)
+        assert "raise IndexError" in before and "N > len(b_C)" in before
+        assert "t1 + N > len(b_A)" in inside \
+            and "raise IndexError('vector loop i1')" in inside
+        with pytest.raises(IndexError, match="vector loop i1"):
+            k(A=data[:11], N=10)
