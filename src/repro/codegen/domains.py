@@ -18,7 +18,6 @@ from typing import List, Optional
 
 from repro.core.errors import CodegenError
 from repro.isl import BasicSet, Constraint, Set
-from repro.isl.constraint import EQ
 from repro.isl.fourier_motzkin import eliminate_dim
 from repro.isl.linexpr import DIV, LinExpr
 from repro.isl.simplify import remove_redundant
@@ -28,32 +27,21 @@ def eliminate_divs_exact(piece: BasicSet) -> BasicSet:
     """Remove all div dims, guaranteeing the integer set is unchanged.
 
     A div can be removed exactly when (a) it occurs in an equality with a
-    ±1 coefficient (substitute it away), or (b) every occurrence has a ±1
-    coefficient (Fourier-Motzkin is integer-exact for unit coefficients).
-    Strided sets (non-unit div coefficients everywhere) are rejected.
+    ±1 coefficient (:meth:`~repro.isl.basic.BasicMap.drop_defined_divs`
+    substitutes it away), or (b) every occurrence has a ±1 coefficient
+    (Fourier-Motzkin is integer-exact for unit coefficients).  Strided
+    sets (non-unit div coefficients everywhere) are rejected.
     """
+    piece = piece.drop_defined_divs()
     cons = list(piece.constraints)
-    remaining = set()
-    for c in cons:
-        for kind, idx in c.expr.dims():
-            if kind == DIV:
-                remaining.add(idx)
+    remaining = set(range(piece.n_div))
     progress = True
     while remaining and progress:
         progress = False
         for idx in sorted(remaining):
             dim = (DIV, idx)
-            coeffs = [int(c.expr.coeff(dim)) for c in cons
-                      if c.involves(dim)]
-            if not coeffs:
-                remaining.discard(idx)
-                progress = True
-                break
-            has_unit_eq = any(
-                c.kind == EQ and abs(int(c.expr.coeff(dim))) == 1
-                for c in cons if c.involves(dim))
-            all_unit = all(abs(v) == 1 for v in coeffs)
-            if has_unit_eq or all_unit:
+            if all(abs(int(c.expr.coeff(dim))) == 1
+                   for c in cons if c.involves(dim)):
                 cons = eliminate_dim(cons, dim)
                 remaining.discard(idx)
                 progress = True

@@ -127,21 +127,27 @@ def _lex_lt_relation(names: Sequence[str], tuple_name: str,
 
 class _AccessTables:
     """Per-function access relations, built once and shared across the
-    O(pairs x kinds) dependence loop: write map, read maps, and their
-    reversals for every computation (reversal of the same map used to be
-    recomputed for every pair it appeared in)."""
+    O(pairs x kinds) dependence loop: the write map of every computation
+    and the read maps of the buffers some computation writes, each with
+    its reversal.  A read of a buffer nothing writes (an input) is left
+    out: a flow or anti dependence needs a writer of its buffer, so no
+    dependence is lost."""
 
     def __init__(self, comps, form=resolve):
         self.writes: Dict[str, Optional[Map]] = {}
         self.write_revs: Dict[str, Optional[Map]] = {}
         self.reads: Dict[str, List[Tuple[object, Map]]] = {}
         self.read_revs: Dict[str, List[Tuple[object, Map]]] = {}
-        for c in comps:
-            held = form(c)
-            w = write_map(c, held)
+        held = [(c, form(c)) for c in comps]
+        for c, f in held:
+            w = write_map(c, f)
             self.writes[c.name] = w
             self.write_revs[c.name] = w.reverse() if w is not None else None
-            r = read_maps(c, held)
+        written = {id(c.get_buffer()) for c in comps
+                   if self.writes[c.name] is not None}
+        for c, f in held:
+            r = [(read.buffer, access_map(c, read)) for read in f.reads
+                 if id(read.buffer) in written]
             self.reads[c.name] = r
             self.read_revs[c.name] = [(buf, m.reverse()) for buf, m in r]
 

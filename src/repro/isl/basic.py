@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .constraint import EQ, GE, Constraint
+from .fourier_motzkin import _prune
 from .linexpr import DIV, IN, OUT, PARAM, Dim, LinExpr
 from .space import Space
 
@@ -92,6 +93,63 @@ class BasicMap:
     def involves(self, kind: str, idx: int) -> bool:
         return any(c.involves((kind, idx)) for c in self.constraints)
 
+    def drop_defined_divs(self) -> "BasicMap":
+        """The same integer set without the divs that equalities define.
+
+        A div ``d`` with a ±1 coefficient in an equality ``±d + e = 0``
+        equals the integer expression ``∓e``, so substituting it into
+        the other constraints is exact.  Duplicate and looser parallel
+        constraints are then dropped and the surviving divs renumbered
+        in order.  Deterministic: equal inputs give equal outputs, which
+        the composition memo relies on."""
+        if not self.n_div:
+            return self
+        cons: Dict[int, Constraint] = dict(enumerate(self.constraints))
+        # Occurrence index, as in omega's row elimination: a substitution
+        # touches only the constraints that hold the div it removes.
+        occurs: Dict[int, set] = {}
+        for i, c in cons.items():
+            for kind, k in c.expr.dims():
+                if kind == DIV:
+                    occurs.setdefault(k, set()).add(i)
+        progress = True
+        while progress:
+            progress = False
+            for k in sorted(occurs):
+                dim = (DIV, k)
+                eq = min((i for i in occurs[k] if cons[i].kind == EQ
+                          and abs(cons[i].expr.coeffs[dim]) == 1),
+                         default=None)
+                if eq is None:
+                    continue
+                defining = cons.pop(eq).expr
+                sign = defining.coeffs[dim]
+                repl = LinExpr._of({d: -sign * c for d, c in
+                                    defining.coeffs.items() if d != dim},
+                                   -sign * defining.const, True)
+                for other in defining.dims():
+                    if other[0] == DIV:
+                        occurs[other[1]].discard(eq)
+                for i in occurs.pop(k):
+                    old = cons[i]
+                    cons[i] = new = Constraint(old.kind,
+                                               old.expr.substitute(dim, repl))
+                    for kind, j in new.expr.dims():
+                        if kind == DIV:
+                            occurs[j].add(i)
+                    for kind, j in old.expr.dims():
+                        if kind == DIV and j != k and \
+                                not new.expr.involves((DIV, j)):
+                            occurs[j].discard(i)
+                progress = True
+        kept = _prune(list(cons.values()))
+        alive = sorted({k for c in kept for kind, k in c.expr.dims()
+                        if kind == DIV})
+        renumber = {(DIV, k): (DIV, j) for j, k in enumerate(alive) if k != j}
+        if renumber:
+            kept = [c.remap(renumber) for c in kept]
+        return self.copy_with(constraints=kept, n_div=len(alive))
+
     # -- parameter alignment ----------------------------------------------
 
     def align_params(self, params: Tuple[str, ...]) -> "BasicMap":
@@ -164,7 +222,8 @@ class BasicMap:
         cons = [c.remap(mapping) for c in self.constraints]
         space = self._space_without(kind, indices)
         return self.copy_with(space=space, constraints=cons,
-                              n_div=self.n_div + len(indices))
+                              n_div=self.n_div + len(indices)
+                              ).drop_defined_divs()
 
     def _space_without(self, kind: str, indices: Sequence[int]) -> Space:
         sp = self.space
@@ -237,7 +296,8 @@ class BasicMap:
         mapping.update({(IN, k): (OUT, k)
                         for k in range(len(self.space.in_dims))})
         cons = [c.remap(mapping) for c in self.constraints]
-        return BasicSet(self.space.domain(), cons, self.n_div + n_out)
+        return BasicSet(self.space.domain(), cons,
+                        self.n_div + n_out).drop_defined_divs()
 
     def range(self) -> "BasicSet":
         if not self.space.is_map:
@@ -246,7 +306,8 @@ class BasicMap:
         mapping: Dict[Dim, Dim] = {
             (IN, k): (DIV, self.n_div + k) for k in range(n_in)}
         cons = [c.remap(mapping) for c in self.constraints]
-        return BasicSet(self.space.range(), cons, self.n_div + n_in)
+        return BasicSet(self.space.range(), cons,
+                        self.n_div + n_in).drop_defined_divs()
 
     def wrap_domain(self, bset: "BasicSet") -> "BasicMap":
         """Constrain the input tuple to lie in ``bset``."""
@@ -295,7 +356,7 @@ class BasicMap:
         cons.extend(c.remap(map_b) for c in b.constraints)
         space = Space(a.space.params, a.space.in_dims, b.space.out_dims,
                       a.space.in_name, b.space.out_name)
-        return BasicMap(space, cons, base + n_mid)
+        return BasicMap(space, cons, base + n_mid).drop_defined_divs()
 
     def to_set(self) -> "BasicSet":
         """Flatten a map into a set over (in_dims ++ out_dims)."""

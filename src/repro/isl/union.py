@@ -91,7 +91,9 @@ class Map:
     __and__ = intersect
 
     def subtract(self, other: "Map") -> "Map":
-        """Exact difference; requires the subtrahend pieces be div-free."""
+        """Exact difference; requires the subtrahend pieces be div-free.
+        Every set the scheduling commands build is, strided sets aside:
+        the operations that hide dims end in ``drop_defined_divs``."""
         result = list(self.pieces)
         for b in other.pieces:
             if b.n_div:

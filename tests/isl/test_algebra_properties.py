@@ -117,3 +117,79 @@ class TestUnimodularBijectivity:
         m = parse_map(f"{{ [i,j] -> [i, j + {f}i] }}")
         src = parse_set(f"{{ [i,j] : 0 <= i < {n} and 0 <= j < {n} }}")
         assert count(m.apply(src)) == n * n
+
+
+# -- schedule chains: relations at their true size -----------------------------
+
+
+@st.composite
+def schedule_chains(draw):
+    """(command, level, argument) steps on a 2-d nest; a split adds a
+    level, and interchange / skew pair ``level`` with the next one."""
+    steps, n = [], 2
+    for __ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["split", "interchange", "skew",
+                                     "shift"]))
+        arg = draw(st.integers(2, 3) if kind == "split" else
+                   st.integers(-2, 2).filter(bool))
+        steps.append((kind, draw(st.integers(0, n - 1)), arg))
+        n += kind == "split"
+    return steps
+
+
+def _image(p, kind, l, arg):
+    """One scheduling command on one time point."""
+    q, l2 = list(p), (l + 1) % len(p)
+    if kind == "split":
+        return tuple(q[:l] + [p[l] // arg, p[l] % arg] + q[l + 1:])
+    if kind == "interchange":
+        q[l], q[l2] = p[l2], p[l]
+    elif kind == "shift":
+        q[l] += arg
+    else:
+        q[l2] += arg * p[l]
+    return tuple(q)
+
+
+class TestScheduleChains:
+    """A chain of split / interchange / skew / shift commands on a small
+    box: the instance set is the pointwise image, and no div that an
+    equality defines is left behind."""
+
+    @given(schedule_chains(), st.integers(1, 4), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_chain_is_pointwise_and_div_free(self, steps, hi_i, hi_j):
+        from repro import Computation, Function, Var
+        from repro.isl.constraint import EQ
+        from repro.isl.linexpr import DIV
+        with Function("chain"):
+            comp = Computation("S", [Var("i", 0, hi_i + 1),
+                                     Var("j", -1, hi_j + 1)], 0.0)
+        want = set(points(comp.instances))
+        for step, (kind, l, arg) in enumerate(steps):
+            l2 = (l + 1) % len(comp.time_names)
+            if kind == "split":
+                comp.split(l, arg, f"o{step}", f"p{step}")
+            elif kind == "interchange":
+                comp.interchange(l, l2)
+            elif kind == "shift":
+                comp.shift(l, arg)
+            else:
+                comp.skew(l, l2, arg)
+            want = {_image(p, kind, l, arg) for p in want}
+        assert sorted(points(comp.instances)) == sorted(want)
+        for piece in comp.instances.pieces:
+            assert not any(c.kind == EQ and abs(c.expr.coeff((DIV, k))) == 1
+                           for c in piece.constraints
+                           for k in range(piece.n_div)), piece
+            assert piece.n_div == 0, piece
+
+    def test_strided_div_survives_and_codegen_refuses_it(self):
+        from repro.codegen.domains import prepare_pieces
+        from repro.core.errors import CodegenError
+        s = parse_set("{ [i] : 0 <= i <= 9 and exists e : i = 2e }")
+        piece = s.pieces[0].drop_defined_divs()
+        assert piece.n_div == 1
+        assert sorted(points(piece)) == [(i,) for i in range(0, 10, 2)]
+        with pytest.raises(CodegenError):
+            prepare_pieces(s)
