@@ -18,8 +18,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.backends import pool
 from repro.backends.parallel import PYTHON_LOOP, resolve_num_threads
+from repro.driver import batch
 from repro.evaluation.parallel import measure_parallel_speedup
 from repro.evaluation.schedules import tiramisu_cpu
 from repro.kernels import build_gaussian
@@ -56,7 +56,7 @@ def test_parallel_sgemm_loop_regions_run_inline():
         kernels.append(bundle.function.compile("cpu",
                                                num_threads=num_threads))
     inputs = bundle.make_inputs(PERF_PARAMS, rng)
-    pool.shutdown_pools()
+    batch.shutdown_pools()
     seq_out, par_out = (
         kernel(**{k: v.copy() for k, v in inputs.items()}, **PERF_PARAMS)
         for kernel in kernels)
@@ -70,7 +70,7 @@ def test_parallel_sgemm_loop_regions_run_inline():
                for name in seq_out), "parallel output diverged"
     # scale's nest and acc's nest: Python loops, run in the caller
     assert set(runtime.plans.values()) == {PYTHON_LOOP}
-    assert runtime.stats.regions == 0 and not pool._POOLS
+    assert runtime.stats.regions == 0 and not batch._POOLS
 
 
 def test_parallel_sgemm_correct_even_single_core():
@@ -89,7 +89,7 @@ def test_gaussian_slab_regions_run_on_threads():
         tiramisu_cpu(bundle)
         kernels.append(bundle.function.compile("cpu", **opts))
     inputs = bundle.make_inputs(params, np.random.default_rng(0))
-    pool.shutdown_pools()
+    batch.shutdown_pools()
     seq_out, par_out = (
         kernel(**{k: v.copy() for k, v in inputs.items()}, **params)
         for kernel in kernels)
@@ -102,5 +102,5 @@ def test_gaussian_slab_regions_run_on_threads():
     assert all(np.array_equal(seq_out[name], par_out[name])
                for name in seq_out), "thread output diverged"
     assert (stats.regions, stats.chunks) == (2, 4)
-    assert not pool._POOLS
+    assert not batch._POOLS
     assert stats.declined == 0 and stats.sequential_fallbacks == 0

@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 
 from repro import Computation, Function, Var, settings
-from repro.backends.pool import get_pool
 from repro.core.errors import (AdmissionError, DeadlineExceededError,
                                WorkerFailureError)
 from repro.driver import BatchCompiler, kernel_registry, pool_breaker
+from repro.driver.batch import get_pool
 from repro.driver.diskcache import configure
 from repro.faults import FaultPlan, injected, uninstall
 from repro.kernels.linalg import build_sgemm

@@ -30,7 +30,7 @@ import os
 import re
 import threading
 import time
-from concurrent.futures import Future, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -40,8 +40,6 @@ import numpy as np
 from repro.core.errors import ExecutionError
 from repro.obs.events import emit
 from repro.obs.metrics import metrics
-
-from .pool import get_thread_pool
 
 #: A slab region runs on threads when the largest array its call binds
 #: has at least this many bytes, inline below: the hand-off costs
@@ -108,6 +106,22 @@ def chunk_ranges(lo: int, hi: int, n: int) -> List[Tuple[int, int]]:
         out.append((start, start + size - 1))
         start += size
     return out
+
+
+_THREAD_POOLS: Dict[int, ThreadPoolExecutor] = {}
+
+
+def get_thread_pool(workers: int) -> ThreadPoolExecutor:
+    """The cached thread pool serving ``workers``-wide regions (and task
+    graphs): ``workers - 1`` threads, because the calling thread runs a
+    chunk (or a tile) itself.  Threads start at the first submit, not
+    here, and are joined at interpreter exit."""
+    pool = _THREAD_POOLS.get(workers)
+    if pool is None:
+        pool = _THREAD_POOLS.setdefault(workers, ThreadPoolExecutor(
+            max_workers=max(1, workers - 1),
+            thread_name_prefix="tiramisu-par"))
+    return pool
 
 
 def run_chunk(body, bufs, params: Dict[str, int], args: tuple,

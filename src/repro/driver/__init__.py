@@ -14,8 +14,10 @@ Compile-as-a-service surface:
 
 * :func:`compile_function` — the one-kernel entry point.
 * :func:`compile_batch` / :class:`BatchCompiler` — the batch and async
-  front end (:mod:`repro.driver.batch`): dedup by fingerprint, worker
-  pool for distinct cold compiles, reports as they complete.
+  front end (:mod:`repro.driver.batch`): dedup by fingerprint, a fork
+  pool for distinct cold compiles, reports as they complete.  Loaded
+  at the first use of one of its names, so a sequential compile never
+  imports ``multiprocessing``.
 * :class:`DiskCache` (:mod:`repro.driver.diskcache`) — the durable
   on-disk artifact tier under the in-memory registry; activate with
   the ``cache_dir`` knob (:func:`configure_disk_cache` pins it).
@@ -30,15 +32,13 @@ Self-protection surface (:mod:`repro.driver.resilience`,
   — the request-scoped end-to-end budget every expensive pipeline
   stage checks before starting.
 * :class:`CircuitBreaker` / :func:`pool_breaker` — graceful
-  degradation over the shared worker pool: open after consecutive
+  degradation over the batch fork pool: open after consecutive
   infrastructure failures, half-open probe after a cooldown.
 * :func:`recovery_sweep` — the crash-recovery sweep (stale temp files,
   quarantine aging, torn journal tail) run lazily when the disk tier
   activates.
 """
 
-from .batch import (BatchCompiler, BatchStats, CompileHandle,
-                    CompileRequest, compile_batch)
 from .cache import CacheEntry, CompileCache, kernel_registry
 from .context import CompileContext
 from .diskcache import DiskCache, DiskEntry, active_disk_cache
@@ -55,6 +55,15 @@ from .resilience import (CircuitBreaker, Deadline, current_deadline,
                          reset_pool_breaker)
 from .stats import CacheStats, CacheStatsGroup
 from .trace import CompileReport, StageTiming, emit_trace
+
+
+def __getattr__(name):
+    if name in ("BatchCompiler", "BatchStats", "CompileHandle",
+                "CompileRequest", "compile_batch"):
+        from . import batch
+        return getattr(batch, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BASE_OPTIONS",

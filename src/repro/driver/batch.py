@@ -17,42 +17,115 @@ This module is the front end for that shape:
   :class:`~repro.driver.trace.CompileReport`\\ s) as compiles finish.
 
 Distinct cold compiles run their heavy stages (legality through emit)
-inside the cached fork pool of :mod:`repro.backends.pool` — the only
-user of a process pool; compiled kernels run in the caller's process —
-via :func:`repro.driver.pipeline.compile_to_source`; the parent then
-binds the shipped source with
+in this module's fork pool, the only process pool, via
+:func:`repro.driver.pipeline.compile_to_source`; the parent binds the
+shipped source with
 :meth:`~repro.driver.pipeline.CompilePipeline.run_precompiled` and
-publishes the artifact to the memory and disk cache tiers.  Warm
-requests (memory or disk hit) never leave the parent.  Compile
-dispatch goes through :func:`~repro.backends.pool.supervise`
-(docs/robustness.md): ``max_retries`` and ``on_worker_failure`` govern
-this offload alone, with "fallback" compiling inline in the parent,
-and ``timeout`` is the request's deadline, which each attempt ships to
-the worker.  Deterministic compile
-errors — an illegal schedule, a bad option — are application errors:
-they are never retried and surface on ``result()`` for every handle of
-that fingerprint.
+publishes it to the memory and disk tiers.  Warm requests never leave
+the parent.  Every dispatch goes through :meth:`BatchCompiler.supervise`,
+the one failure policy around the pool (docs/robustness.md, "The batch
+pool"): ``max_retries`` and ``on_worker_failure`` govern this offload
+alone ("fallback" compiles inline), and ``timeout`` is the request's
+deadline, which each attempt ships to the worker.  Deterministic
+compile errors — an illegal schedule, a bad option — are never retried
+and surface on ``result()`` for every handle of that fingerprint.
 """
 
 from __future__ import annotations
 
+import atexit
+import multiprocessing
 import pickle
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+import time
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures import as_completed as _futures_as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro import settings
-from repro.backends.pool import BATCH, refusal, supervise
-from repro.core.errors import AdmissionError
+from repro.core.errors import AdmissionError, WorkerFailureError
 from repro.obs.events import compile_context, emit, new_compile_id
 
 from .pipeline import CompilePipeline, compile_to_source
 from .registry import get_backend
-from .resilience import Deadline, deadline_scope
+from .resilience import (Deadline, current_deadline, deadline_scope,
+                         pool_breaker)
+
+#: Seconds slept before the first retried dispatch; doubles per retry.
+RETRY_BACKOFF = 0.05
+
+
+# -- the fork pool -----------------------------------------------------------
+
+_POOLS: Dict[int, ProcessPoolExecutor] = {}
+_POOL_UNAVAILABLE = False
+
+
+def get_pool(workers: int) -> Optional[ProcessPoolExecutor]:
+    """The cached process pool for ``workers``, building (and caching)
+    it on first use; None when this host cannot run a pool at all."""
+    global _POOL_UNAVAILABLE
+    if _POOL_UNAVAILABLE:
+        return None
+    pool = _POOLS.get(workers)
+    if pool is None:
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        try:
+            pool = ProcessPoolExecutor(max_workers=workers, mp_context=(
+                multiprocessing.get_context("fork" if fork else None)))
+        except (OSError, ValueError, NotImplementedError):
+            _POOL_UNAVAILABLE = True
+            return None
+        _POOLS[workers] = pool
+    return pool
+
+
+def discard_pool(workers: int) -> None:
+    """Drop (and kill) the cached process pool for ``workers`` so the
+    next ``get_pool`` builds a fresh one.  Workers are terminated rather
+    than joined: a crashed pool's survivors are in an unknown state."""
+    pool = _POOLS.pop(workers, None)
+    if pool is None:
+        return
+    for proc in list((getattr(pool, "_processes", None) or {}).values()):
+        try:
+            proc.terminate()
+        except (AttributeError, OSError):
+            pass
+    try:
+        pool.shutdown(wait=False, cancel_futures=True)
+    except (OSError, RuntimeError):
+        pass
+
+
+def shutdown_pools() -> None:
+    """Tear down every cached process pool (also runs atexit)."""
+    for pool in _POOLS.values():
+        pool.shutdown(wait=True, cancel_futures=True)
+    _POOLS.clear()
+
+
+atexit.register(shutdown_pools)
+
+
+def _mark_fault(outcome: str, **fields) -> None:
+    """A zero-length ``fault`` marker ``batch:{outcome}:{function}`` on
+    the tracer timeline, next to the worker spans it interrupted.  The
+    trace file is flushed at once: a run that is crashing workers may
+    not live to the atexit handler, and the export is atomic."""
+    from repro.obs.tracer import CAT_FAULT, get_tracer, write_trace_file
+    tracer = get_tracer()
+    if tracer.enabled():
+        now = time.perf_counter_ns()
+        tracer.add_span(f"batch:{outcome}:{fields['function']}", CAT_FAULT,
+                        now, now, **fields)
+        try:
+            write_trace_file()
+        except OSError:
+            pass  # telemetry must never take the run down
 
 
 @dataclass
@@ -229,8 +302,8 @@ class BatchCompiler:
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop accepting submits and (optionally) wait for in-flight
-        compiles.  The shared process pools stay warm for the next
-        batch — they are process-wide machinery, not this batch's."""
+        compiles.  The shared process pool stays warm for the next
+        batch — it is process-wide machinery, not this batch's."""
         self._shut_down = True
         self._threads.shutdown(wait=wait)
 
@@ -264,7 +337,7 @@ class BatchCompiler:
                                  options=opts)
         # The byte estimate costs a pickle; only the bytes bound needs
         # it, so the unbounded (and count-bounded) paths skip it.
-        cost_bytes = (self._estimate_cost(fn, opts)
+        cost_bytes = (self._pickled_size(fn, opts)
                       if self.max_queued_bytes is not None else 0)
         with self._stats_lock:
             self.stats.submitted += 1
@@ -291,10 +364,10 @@ class BatchCompiler:
         return handle
 
     @staticmethod
-    def _estimate_cost(fn, options: Dict[str, object]) -> int:
-        """The admission ledger's byte estimate for one job: the pickled
-        request size (what offloading would ship; 0 when unpicklable —
-        such jobs compile inline and hold little)."""
+    def _pickled_size(fn, options: Dict[str, object]) -> int:
+        """The bytes an offload of ``fn`` would ship, 0 when it cannot be
+        pickled (it then compiles inline): the admission ledger's byte
+        estimate, and the offload's picklability check."""
         try:
             return len(pickle.dumps((fn, options)))
         except Exception:  # noqa: BLE001 - anything unpicklable
@@ -388,10 +461,8 @@ class BatchCompiler:
             with self._admission:
                 self._pending -= 1
                 self._pending_bytes -= job.cost_bytes
-                try:
+                if job in self._inflight:
                     self._inflight.remove(job)
-                except ValueError:
-                    pass
                 self._admission.notify_all()
 
     def as_completed(self, timeout: Optional[float] = None
@@ -441,8 +512,6 @@ class BatchCompiler:
                     self._count(disk_hits=1)
                 else:
                     self._count(compiled=1, worker_compiles=1)
-                    from repro.obs.metrics import metrics
-                    metrics.counter("compile_batch.worker_compiles").inc()
                 return kernel
         with self._bind_lock:
             kernel = pipeline.run(job.fn, **job.options)
@@ -453,8 +522,6 @@ class BatchCompiler:
             self._count(disk_hits=1)
         else:
             self._count(compiled=1, inline_compiles=1)
-            from repro.obs.metrics import metrics
-            metrics.counter("compile_batch.inline_compiles").inc()
         return kernel
 
     def _offloadable(self, pipeline: CompilePipeline, job: _Job) -> bool:
@@ -475,21 +542,13 @@ class BatchCompiler:
             return False   # warm on disk: loading inline is cheaper
         # The breaker (asked before the costly probes: pool creation,
         # the picklability check) and the pool itself.
-        if refusal(BATCH, (self.stats,), self.workers,
-                   function=job.fn.name) is not None:
-            return False
-        try:
-            pickle.dumps((job.fn, job.options))
-        except Exception:  # noqa: BLE001 - anything unpicklable
-            return False
-        return True
+        return self.refusal(job.fn.name) is None \
+            and self._pickled_size(job.fn, job.options) > 0
 
     def _compile_in_worker(self, job: _Job):
-        """Dispatch one source compile onto the shared pool under the
-        shared supervised-dispatch policy.  Returns the artifact dict,
-        or None to compile inline instead.  Each attempt ships what is
-        left of the job's budget to the worker and waits no longer than
-        that for the result."""
+        """One supervised source compile on the pool: the artifact dict,
+        or None to compile inline.  Each attempt ships what is left of
+        the job's budget and waits no longer than that."""
         def attempt(pool, n):
             remaining = (job.deadline.remaining()
                          if job.deadline is not None else None)
@@ -512,13 +571,109 @@ class BatchCompiler:
             except pickle.PicklingError:
                 return None
 
-        return supervise(
-            attempt, site=BATCH, stats=(self.stats,), workers=self.workers,
-            label=job.fn.name,
+        return self.supervise(
+            attempt, job.fn.name,
             max_retries=int(job.normalized.get("max_retries", 2)),
             on_worker_failure=job.normalized.get("on_worker_failure",
-                                                 "fallback"),
-            function=job.fn.name)
+                                                 "fallback"))
+
+    # -- the failure policy around the pool ------------------------------
+
+    def _fall_back(self, function: str, reason: str) -> None:
+        self._count(fallbacks=1)
+        emit("batch.fallback", reason=reason, function=function)
+        _mark_fault("fallback", reason=reason, function=function)
+
+    def refusal(self, function: str) -> Optional[str]:
+        """Why an offload of ``function`` should *not* go to the pool
+        now (``"pool-unavailable"`` / ``"breaker-open"``), or None.  The
+        breaker is asked before the pool is built; its refusal is a
+        fallback, whatever the failure policy."""
+        if self.workers < 2:
+            return "pool-unavailable"
+        if not pool_breaker().allow():
+            self._count(breaker_short_circuits=1)
+            self._fall_back(function, "breaker-open")
+            return "breaker-open"
+        if get_pool(self.workers) is None:
+            return "pool-unavailable"
+        return None
+
+    def supervise(self, attempt: Callable[[ProcessPoolExecutor, int], object],
+                  function: str, *, max_retries: int,
+                  on_worker_failure: str):
+        """Run ``attempt(pool, n)`` (``n`` counts from 0) on the fork
+        pool under the one failure policy; return its (non-None) value,
+        or None after falling back (the caller compiles inline).
+
+        ``BrokenProcessPool``, a futures ``TimeoutError`` or a
+        :class:`WorkerFailureError` feeds the breaker, discards the pool
+        and, unless ``on_worker_failure="raise"``, retries on a fresh
+        one up to ``max_retries`` times with exponential backoff; then
+        ``"fallback"`` falls back and ``"retry"`` / ``"raise"`` re-raise.
+        Any other exception is an application error and propagates,
+        breaker and pool unharmed.  Each outcome bumps its
+        :class:`BatchStats` field and emits ``batch.{outcome}``; the
+        ambient :class:`~repro.driver.resilience.Deadline` is charged
+        (stage ``batch-offload``) before every attempt and bounds every
+        backoff sleep."""
+        from repro.faults import get_plan
+        if self.refusal(function) == "breaker-open":
+            return None
+        breaker = pool_breaker()
+        deadline = current_deadline()
+        what = f"batch dispatch of {function!r}"
+        attempts = 1 + (max_retries if on_worker_failure != "raise" else 0)
+        delay = RETRY_BACKOFF
+        failure: Optional[WorkerFailureError] = None
+        for n in range(attempts):
+            if deadline is not None:
+                deadline.check("batch-offload")
+            pool = get_pool(self.workers)
+            if pool is None:  # and cannot come (back) on this host
+                failure = failure or WorkerFailureError(
+                    f"{what} has no active pool")
+                break
+            try:
+                plan = get_plan()
+                if plan is not None and plan.fires("pool-refusal",
+                                                   op="batch"):
+                    raise WorkerFailureError(
+                        f"{what}: the worker pool refused the dispatch "
+                        f"(injected)")
+                value = attempt(pool, n)
+            except WorkerFailureError as exc:
+                failure = exc
+            except BrokenProcessPool as exc:
+                failure = WorkerFailureError(
+                    f"{what}: the worker pool died ({exc})")
+                failure.__cause__ = exc
+            except FuturesTimeoutError:
+                failure = WorkerFailureError(
+                    f"{what}: no result within the timeout (hung worker?)")
+            else:
+                breaker.record_success()
+                return value
+            breaker.record_failure()
+            self._count(worker_failures=1)
+            emit("batch.worker_failure", attempt=n, error=str(failure),
+                 function=function)
+            discard_pool(self.workers)
+            self._count(pool_restarts=1)
+            emit("batch.pool_restart", workers=self.workers)
+            if n + 1 < attempts:
+                retry = dict(attempt=n + 1, backoff_seconds=delay,
+                             error=str(failure), function=function)
+                self._count(retries=1)
+                emit("batch.retry", **retry)
+                _mark_fault("retry", **retry)
+                time.sleep(delay if deadline is None
+                           else min(delay, deadline.remaining()))
+                delay *= 2
+        if on_worker_failure != "fallback":
+            raise failure
+        self._fall_back(function, str(failure))
+        return None
 
 
 def compile_batch(requests: Iterable, target: str = "cpu",

@@ -1,8 +1,5 @@
-"""Self-protection primitives for the compile service: deadlines and
-the worker-pool circuit breaker.
-
-PR 4 and PR 6 built the *reactive* half of a serving stack — retry,
-digest verification, quarantine.  This module is the *proactive* half:
+"""Self-protection primitives for the compile service — the proactive
+half beside retry, digest verification and quarantine:
 
 * :class:`Deadline` — a request-scoped, monotonic-clock budget.  The
   pipeline creates one from the ``timeout`` option at entry (the batch
@@ -16,16 +13,15 @@ digest verification, quarantine.  This module is the *proactive* half:
   clocks do not), so pool workers inherit what is left, not a fresh
   allowance.
 
-* :class:`CircuitBreaker` — state machine over the shared worker pool.
-  ``closed`` is normal service; ``threshold`` *consecutive*
-  infrastructure failures (``BrokenProcessPool``, chunk/compile
-  timeouts) trip it ``open``, and while open every offload is refused
-  up front — compiles run inline-sequential and ``parallelize``
-  degrades to the sequential path instead of hammering a pool that
-  keeps dying.  After ``cooldown`` seconds the breaker goes
-  ``half-open`` and admits probes; the first success closes it, the
-  first failure re-opens it for another cooldown.  Every transition is
-  journaled (``resilience.breaker.*``) and counted.
+* :class:`CircuitBreaker` — state machine over the batch compile fork
+  pool.  ``closed`` is normal service; ``threshold`` *consecutive*
+  infrastructure failures (``BrokenProcessPool``, compile timeouts,
+  injected refusals) trip it ``open``, and while open every offload is
+  refused up front — compiles run inline in the parent instead of
+  hammering a pool that keeps dying.  After ``cooldown`` seconds the
+  breaker goes ``half-open`` and admits probes; the first success
+  closes it, the first failure re-opens it for another cooldown.
+  Every transition is journaled (``resilience.breaker.*``) and counted.
 
 Knobs (:mod:`repro.settings`): ``timeout``, ``breaker_threshold``,
 ``breaker_cooldown``.  See docs/robustness.md.
@@ -60,10 +56,6 @@ class Deadline:
     def __init__(self, budget: float):
         self.budget = float(budget)
         self._expires_at = time.monotonic() + self.budget
-
-    @classmethod
-    def after(cls, seconds: float) -> "Deadline":
-        return cls(seconds)
 
     @classmethod
     def from_timeout(cls, timeout) -> Optional["Deadline"]:
@@ -252,8 +244,8 @@ class CircuitBreaker:
 
 # -- the process-wide pool breaker -------------------------------------------
 #
-# One breaker guards the fork pool of repro.backends.pool that the batch
-# compile front end dispatches onto: a pool that keeps dying stops
+# One breaker guards the fork pool that the batch compile front end
+# (repro.driver.batch) dispatches onto: a pool that keeps dying stops
 # being hammered.
 
 _pool_breaker: Optional[CircuitBreaker] = None
@@ -261,7 +253,7 @@ _pool_breaker_lock = threading.Lock()
 
 
 def pool_breaker() -> CircuitBreaker:
-    """The process-global breaker over the shared worker pools (built
+    """The process-global breaker over the batch fork pool (built
     lazily from the ``breaker_*`` knobs)."""
     global _pool_breaker
     if _pool_breaker is None:

@@ -180,18 +180,13 @@ class FaultPlan:
                          {"errno": int(err)})
 
     def refuse_pool(self, op=None, times: int = 1) -> "FaultPlan":
-        """Fail a process-pool dispatch as if the pool died — ``op`` is
-        the ``op`` of a supervised site in
-        :data:`repro.backends.pool.SITES` (``"batch"``: a batch compile
-        offload), None = any; anything else raises ``ValueError``.  The
-        real pool is untouched; :func:`repro.backends.pool.supervise`
-        treats the refusal exactly like ``BrokenProcessPool`` (retry,
-        breaker, fallback)."""
-        from repro.backends.pool import SITES
-        ops = sorted(site.op for site in SITES)
-        if op is not None and op not in ops:
-            raise ValueError(f"no dispatch site has op {op!r}; valid ops: "
-                             f"{', '.join(ops)}")
+        """Fail a batch compile offload as if the pool died (``op`` is
+        ``"batch"`` or None; anything else raises ``ValueError``).  The
+        real pool is untouched; ``BatchCompiler.supervise`` treats the
+        refusal exactly like ``BrokenProcessPool``."""
+        if op not in (None, "batch"):
+            raise ValueError(
+                f"no dispatch site has op {op!r}; valid ops: batch")
         return self._add("pool-refusal", {"op": op}, times)
 
     # -- matching ---------------------------------------------------------

@@ -34,9 +34,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.backends import parallel
-from repro.backends.parallel import (ParallelRuntime, _largest, run_chunk,
-                                     run_here)
-from repro.backends.pool import get_thread_pool
+from repro.backends.parallel import (ParallelRuntime, _largest,
+                                     get_thread_pool, run_chunk, run_here)
 from repro.core.errors import ExecutionError
 from repro.obs.events import emit
 

@@ -1,7 +1,10 @@
 """The batch/async compile front end (repro.driver.batch): fingerprint
 dedup, handle semantics, cache-tier interplay, worker offload and its
-fault-tolerance endgames."""
+fault-tolerance endgames, and the promise that nothing of it loads
+until it is used."""
 
+import subprocess
+import sys
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
@@ -157,11 +160,11 @@ class _AlwaysBrokenPool:
 class TestWorkerFaultTolerance:
     @pytest.fixture()
     def broken_pool(self, monkeypatch):
-        import repro.backends.pool as pool
+        import repro.driver.batch as batch
         discards = []
-        monkeypatch.setattr(pool, "get_pool",
+        monkeypatch.setattr(batch, "get_pool",
                             lambda workers: _AlwaysBrokenPool())
-        monkeypatch.setattr(pool, "discard_pool", discards.append)
+        monkeypatch.setattr(batch, "discard_pool", discards.append)
         return discards
 
     def test_fallback_compiles_inline_after_retries(self, broken_pool):
@@ -217,7 +220,7 @@ class TestWorkerFaultTolerance:
 
 class TestWorkerOffload:
     def test_distinct_cold_compiles_use_the_pool(self):
-        from repro.backends.pool import get_pool
+        from repro.driver.batch import get_pool
         if get_pool(2) is None:
             pytest.skip("host cannot run a process pool")
         with BatchCompiler(max_workers=2) as batch:
@@ -229,7 +232,7 @@ class TestWorkerOffload:
             assert batch.stats.inline_compiles == 0
 
     def test_offloaded_source_matches_inline_source(self):
-        from repro.backends.pool import get_pool
+        from repro.driver.batch import get_pool
         if get_pool(2) is None:
             pytest.skip("host cannot run a process pool")
         inline = build("same", 3).compile("cpu")
@@ -237,3 +240,28 @@ class TestWorkerOffload:
         with BatchCompiler(max_workers=2) as batch:
             offloaded = batch.submit(build("same", 3)).result(timeout=120)
         assert offloaded.source == inline.source
+
+
+class TestLoadedAtFirstUse:
+    def test_kernels_never_import_the_process_machinery(self):
+        # a fresh interpreter: a sequential compile + call loads none of
+        # the batch service, and a slab region above the thread floor on
+        # two threads still no multiprocessing
+        code = (
+            "import sys, numpy as np\n"
+            "from repro import kernels as K\n"
+            "from repro.evaluation.schedules import tiramisu_cpu\n"
+            "def call(p, **opts):\n"
+            "    b = K.build_cvtcolor(); tiramisu_cpu(b)\n"
+            "    k = b.function.compile('cpu', **opts)\n"
+            "    k(**b.make_inputs(p, np.random.default_rng(0)), **p)\n"
+            "    return k\n"
+            "call(dict(N=8, M=8), parallel=False)\n"
+            "held = ('multiprocessing', 'concurrent.futures', 'subprocess',\n"
+            "        'repro.driver.batch')\n"
+            "assert not [m for m in held if m in sys.modules]\n"
+            "k = call(dict(N=300, M=300), num_threads=2)\n"
+            "assert k.runtime.stats.regions == 1, k.runtime.plans\n"
+            "assert 'multiprocessing' not in sys.modules\n")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       timeout=120)

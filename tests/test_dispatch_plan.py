@@ -20,11 +20,11 @@ import pytest
 
 from repro import Computation, Function, Input, Var
 from repro import kernels as K
-from repro.backends import parallel, pool
+from repro.backends import parallel
 from repro.backends.parallel import (PYTHON_LOOP, DispatchPlan,
                                      ParallelRuntime, region_kinds)
 from repro.core.errors import DeadlineExceededError, ExecutionError
-from repro.driver import Deadline, deadline_scope
+from repro.driver import Deadline, batch, deadline_scope
 from repro.evaluation.schedules import tiramisu_cpu
 from repro.obs.events import read_events
 
@@ -151,8 +151,9 @@ class TestThreadPath:
     def _no_floor(self, monkeypatch):
         monkeypatch.setattr(parallel, "THREAD_FLOOR_BYTES", 0)
 
-    def test_slab_only_kernel_forks_and_stages_nothing(self):
-        pool.shutdown_pools()
+    def test_slab_only_kernel_forks_and_stages_nothing(self, monkeypatch):
+        batch.shutdown_pools()
+        monkeypatch.setattr(parallel, "_THREAD_POOLS", {})
         bundle, kernel = compiled(K.build_gaussian, tiramisu_cpu,
                                   num_threads=2)
         params = {"N": 64, "M": 64}
@@ -160,7 +161,7 @@ class TestThreadPath:
                **params)
         stats = kernel.runtime.stats
         assert (stats.regions, stats.chunks) == (2, 4)
-        assert not pool._POOLS and list(pool._THREAD_POOLS) == [2]
+        assert not batch._POOLS and list(parallel._THREAD_POOLS) == [2]
 
     def test_shared_memory_is_never_imported(self, tmp_path):
         # kernels never leave the process: every region kind, both
@@ -168,7 +169,6 @@ class TestThreadPath:
         code = (
             "import sys, numpy as np\n"
             "from repro import kernels as K, settings\n"
-            "from repro.backends import pool\n"
             "from repro.backends.parallel import PYTHON_LOOP\n"
             "from repro.evaluation.schedules import tiramisu_cpu\n"
             "from repro.obs.events import read_events\n"
@@ -199,8 +199,7 @@ class TestThreadPath:
             "threads = {e['fields']['thread'] for e in read_events(sys.argv[1])\n"
             "           if e['name'] == 'taskgraph.task.done'}\n"
             "assert len(threads) == 2, threads\n"
-            "assert not pool._POOLS\n"
-            "assert 'multiprocessing.shared_memory' not in sys.modules\n")
+            "assert 'multiprocessing' not in sys.modules\n")
         subprocess.run([sys.executable, "-c", code,
                         str(tmp_path / "events.jsonl")],
                        check=True, timeout=300)
@@ -213,7 +212,7 @@ class TestThreadPath:
         assert "_par_body_2: inline (python-loop)" in out.stdout
 
     def test_mixed_kernel_runs_its_loop_region_inline(self):
-        pool.shutdown_pools()
+        batch.shutdown_pools()
         bundle, seq = compiled(K.build_sgemm, sgemm_8_4, parallel=False)
         __, par = compiled(K.build_sgemm, sgemm_8_4, num_threads=2)
         params = dict(bundle.test_params)
@@ -227,7 +226,7 @@ class TestThreadPath:
         assert par.runtime.plans == {
             "_par_body_1": DispatchPlan("threads", "slab"),
             "_par_body_2": PYTHON_LOOP}
-        assert not pool._POOLS
+        assert not batch._POOLS
 
     def test_body_error_surfaces_once_after_every_chunk_joined(self):
         # rows 400.. are missing from the caller's output: chunk 2 of 3
@@ -350,7 +349,7 @@ class TestDecisionsAreObservable:
         # no process pool is ever asked for: above the floor as below
         def no_pool(workers):
             raise AssertionError("a kernel asked for a process pool")
-        monkeypatch.setattr(pool, "get_pool", no_pool)
+        monkeypatch.setattr(batch, "get_pool", no_pool)
         bundle, kernel = compiled(K.build_sgemm, sgemm_8_4, num_threads=2)
         for params in (dict(bundle.test_params), {"N": 520, "M": 520,
                                                   "K": 2}):

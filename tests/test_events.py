@@ -61,11 +61,11 @@ class _AlwaysBrokenPool:
 
 @pytest.fixture()
 def broken_pool(monkeypatch):
-    import repro.backends.pool as pool
+    import repro.driver.batch as batch
     discards = []
-    monkeypatch.setattr(pool, "get_pool",
+    monkeypatch.setattr(batch, "get_pool",
                         lambda workers: _AlwaysBrokenPool())
-    monkeypatch.setattr(pool, "discard_pool", discards.append)
+    monkeypatch.setattr(batch, "discard_pool", discards.append)
     return discards
 
 
@@ -612,14 +612,11 @@ class TestDocDrift:
         return found
 
     def _emitted(self):
-        """``emit("…")`` literals, plus the supervision outcomes
-        :func:`repro.backends.pool.book` emits as ``{op}.{outcome}``."""
-        from repro.backends.pool import SITES
+        """``emit("…")`` literals."""
         pattern = re.compile(r"\bemit(?:_event)?\(\s*\"([^\"]+)\"")
         emitted = self._src_literals(pattern)
         assert len(emitted) >= 35, "event scan broke"
-        return emitted | {f"{site.op}.{outcome}" for site in SITES
-                          for outcome in site.fields}
+        return emitted
 
     def _registered(self):
         pattern = re.compile(

@@ -228,7 +228,7 @@ class TestCircuitBreaker:
 # -- graceful degradation ----------------------------------------------------
 
 def _have_pool():
-    from repro.backends.pool import get_pool
+    from repro.driver.batch import get_pool
     return get_pool(2) is not None
 
 

@@ -1,7 +1,8 @@
-"""The one supervised-dispatch loop (repro.backends.pool.supervise):
-the policy itself against a fake ``attempt`` (no process pool, no real
-sleeping), the story its bookkeeping tells at every supervised site,
-and a structural gate that keeps the policy in one module."""
+"""The one supervised-dispatch loop, ``BatchCompiler.supervise`` in
+repro.driver.batch: the policy itself against a fake ``attempt`` (no
+process pool, no real sleeping), the story its bookkeeping tells for a
+real batch compile, and a structural gate that keeps the policy in one
+module."""
 
 import ast
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -11,13 +12,12 @@ from pathlib import Path
 
 import pytest
 
-import repro.backends.pool as pool
+import repro.driver.batch as batch_module
 from repro import Computation, Function, Var, settings
-from repro.backends.pool import BATCH, RETRY_BACKOFF, SITES, supervise
 from repro.core.errors import DeadlineExceededError, WorkerFailureError
 from repro.driver import (BatchCompiler, Deadline, deadline_scope,
                           kernel_registry, pool_breaker)
-from repro.driver.batch import BatchStats
+from repro.driver.batch import RETRY_BACKOFF, BatchStats
 from repro.driver.resilience import STATE_CLOSED
 from repro.faults import FaultPlan, injected, uninstall
 from repro.obs.events import read_events
@@ -25,7 +25,12 @@ from repro.obs.metrics import metrics
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-OUTCOMES = ("worker_failure", "pool_restart", "retry", "fallback")
+#: Each outcome of a supervised dispatch -> the BatchStats field it bumps
+#: (and ``batch.{outcome}``, the event it emits).
+FIELDS = {"worker_failure": "worker_failures",
+          "pool_restart": "pool_restarts",
+          "retry": "retries",
+          "fallback": "fallbacks"}
 
 
 @pytest.fixture(autouse=True)
@@ -48,14 +53,15 @@ class Harness:
         self.calls = []              # attempt numbers actually run
         self.discards = []
         self.sleeps = []
-        self.stats = BatchStats()
+        self.batch = BatchCompiler(max_workers=2)
+        self.stats = self.batch.stats
         self.on_sleep = None
         self.pool_alive = pool_alive
         self.pool_comes_back = pool_comes_back
         monkeypatch.setattr(
-            pool, "get_pool",
+            batch_module, "get_pool",
             lambda workers: "the-pool" if self.pool_alive else None)
-        monkeypatch.setattr(pool, "discard_pool", self._discard)
+        monkeypatch.setattr(batch_module, "discard_pool", self._discard)
         monkeypatch.setattr("time.sleep", self._sleep)
 
     def _discard(self, workers):
@@ -76,10 +82,9 @@ class Harness:
         return step
 
     def run(self, on_worker_failure="fallback", max_retries=2):
-        return supervise(self.attempt, site=BATCH, stats=(self.stats,),
-                         workers=2, label="unit", max_retries=max_retries,
-                         on_worker_failure=on_worker_failure,
-                         function="unit")
+        return self.batch.supervise(self.attempt, "unit",
+                                    max_retries=max_retries,
+                                    on_worker_failure=on_worker_failure)
 
 
 FAILURES = [BrokenProcessPool("worker died"), FuturesTimeoutError(),
@@ -174,62 +179,42 @@ class TestSupervise:
         assert h.calls == []
 
 
-# -- the three sites book the same story -------------------------------------
+# -- a real batch compile books the same story ------------------------------
 
 def _have_pool():
-    return pool.get_pool(2) is not None
+    return batch_module.get_pool(2) is not None
 
 
-def _drive_batch():
-    batch = BatchCompiler(max_workers=2, max_retries=1)
-    f = Function("parity_batch")
-    with f:
-        i, j = Var("i", 0, 8), Var("j", 0, 8)
-        Computation("c", [i, j], 3.0 * i + j)
-
-    def call():
-        with batch:
-            batch.submit(f).result(timeout=60)
-    return (batch.stats,), call
-
-
-DRIVERS = {BATCH.op: _drive_batch}
-
-
-@pytest.mark.parametrize("site", SITES, ids=lambda s: s.op)
 @pytest.mark.parametrize("refusals, story", [
     (1, ["worker_failure", "pool_restart", "retry"]),
     (99, ["worker_failure", "pool_restart", "retry",
           "worker_failure", "pool_restart", "fallback"]),
 ], ids=["recovers", "falls-back"])
-def test_pool_refusal_books_the_same_story_at_every_site(
-        tmp_path, site, refusals, story):
+def test_pool_refusal_books_the_story(tmp_path, refusals, story):
     if not _have_pool():
         pytest.skip("no process pool on this host")
-    stats, call = DRIVERS[site.op]()
+    batch = BatchCompiler(max_workers=2, max_retries=1)
+    f = Function("parity_batch")
+    with f:
+        i, j = Var("i", 0, 8), Var("j", 0, 8)
+        Computation("c", [i, j], 3.0 * i + j)
     journal = tmp_path / "events.jsonl"
     settings.set(event_log=journal)
-    event = {k: f"{site.op}.{k}" for k in OUTCOMES}
-    by_event = {name: k for k, name in event.items()}
-
-    def field_total(field):
-        return sum(getattr(s, field) for s in stats if hasattr(s, field))
-
-    fields0 = {k: field_total(site.fields[k]) for k in OUTCOMES}
-    counters0 = {k: metrics.counter(event[k]).value for k in OUTCOMES}
-    with injected(FaultPlan().refuse_pool(op=site.op, times=refusals)):
-        call()
+    counters0 = {k: metrics.counter(f"batch.{k}").value for k in FIELDS}
+    with injected(FaultPlan().refuse_pool(op="batch", times=refusals)):
+        with batch:
+            batch.submit(f).result(timeout=60)
 
     # the journal tells the story in order ...
+    by_event = {f"batch.{k}": k for k in FIELDS}
     told = [by_event[e["name"]] for e in read_events(str(journal))
             if e["name"] in by_event]
     assert told == story
     # ... and every stats field and counter moved exactly with it
-    for outcome in OUTCOMES:
+    for outcome, field in FIELDS.items():
         n = story.count(outcome)
-        assert field_total(site.fields[outcome]) - fields0[outcome] == n, \
-            outcome
-        assert metrics.counter(event[outcome]).value \
+        assert getattr(batch.stats, field) == n, outcome
+        assert metrics.counter(f"batch.{outcome}").value \
             - counters0[outcome] == n, outcome
 
 
@@ -268,7 +253,7 @@ class TestOnePolicyOneModule:
     """A fourth hand-rolled retry/breaker/backoff loop should fail
     tier-1, not wait for review."""
 
-    HOME = {"repro/backends/pool.py"}
+    HOME = {"repro/driver/batch.py"}
 
     def test_one_module_feeds_the_breaker(self):
         assert _modules_where(_calls("record_failure")) == self.HOME
