@@ -7,9 +7,12 @@ top-level loops tagged ``parallel`` become chunked worker functions that
 run on threads over the caller's own arrays
 (:mod:`repro.backends.parallel`: whole-slab bodies, which release the
 GIL, at or above its size floor) when ``num_threads`` resolves to two or
-more workers, and inline otherwise.  A kernel never leaves the caller's
-process.  The modeled speedups in :mod:`repro.machine.cpu_model`
-remain available for the paper-scale figures.
+more workers, and inline otherwise.  A whole-slab body of a large call
+runs its range in cache-sized strips either way: a kernel with one,
+compiled with ``parallel=False`` or ``num_threads=1``, gets a one-worker
+runtime, which starts no thread.  A kernel never leaves the caller's
+process.  The modeled speedups in :mod:`repro.machine.cpu_model` remain
+available for the paper-scale figures.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ class CompiledKernel:
         self._pyfunc = pyfunc
         self.buffers = buffers
         self.param_names = list(param_names)
-        self.runtime = None  # ParallelRuntime when multicore is active
+        self.runtime = None  # ParallelRuntime: threads and/or strips
         self.profiled = False   # compiled with profile=True
         self.last_run = None    # RunReport of the latest profiled call
 
@@ -188,15 +191,18 @@ class CpuBackend(Backend):
             ctx.source)
         taskgraph = ("\n_TASKGRAPH_DIMS = " in ctx.source
                      and ctx.opt("execution", "forkjoin") == "taskgraph")
-        if (taskgraph or kernel.parallel_regions) \
-                and ctx.opt("parallel", True):
+        if taskgraph or kernel.parallel_regions:
             from .parallel import ParallelRuntime, resolve_num_threads
-            workers = resolve_num_threads(ctx.opt("num_threads"))
+            workers = resolve_num_threads(ctx.opt("num_threads")) \
+                if ctx.opt("parallel", True) else 1
             if workers >= 2 and taskgraph:
                 from repro.runtime.scheduler import TaskGraphRuntime
                 kernel.runtime = TaskGraphRuntime(
                     ctx.source, ctx.fn, workers, pyfunc.__globals__)
-            elif workers >= 2:
-                kernel.runtime = ParallelRuntime(
-                    ctx.source, workers, profiled=kernel.profiled)
+            else:
+                runtime = ParallelRuntime(ctx.source, workers,
+                                          profiled=kernel.profiled)
+                # one worker: attached for a slab region's strips only
+                if workers >= 2 or runtime.slab_regions:
+                    kernel.runtime = runtime
         return kernel

@@ -13,7 +13,19 @@ what runs them:
   statements, which release the GIL.  Nothing is copied;
 * **inline** otherwise: a *loop region* (a Python ``for`` nest holds the
   GIL, so its chunks would only take turns), a slab region of a call
-  below :data:`THREAD_FLOOR_BYTES`, a region of one iteration.
+  below :data:`THREAD_FLOOR_BYTES`, a region of one iteration, and any
+  region of a one-worker runtime (``parallel=False``, ``num_threads=1``).
+
+A slab region of a call at or above the floor also runs in *strips*:
+each chunk — or, inline, the whole range — runs as consecutive pieces
+whose share of the call's largest array is about :data:`STRIP_BYTES`,
+so that an operand slice and the NumPy temporaries of one statement
+stay in the L2 cache instead of streaming past it.  A strip is the
+whole-range slab cut along its outermost axis and the strips run in
+that axis's order, so a legal slab is a legal strip sequence: inside a
+strip every read and write pair runs as it does in the whole slab,
+across strips the source runs before the sink, as in the original
+loop.
 
 Like the native backend's OpenMP team, every thread shares the one
 address space: no worker process, no staging copy.  A thread writing
@@ -30,10 +42,9 @@ import os
 import re
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
@@ -41,18 +52,30 @@ from repro.core.errors import ExecutionError
 from repro.obs.events import emit
 from repro.obs.metrics import metrics
 
+if TYPE_CHECKING:
+    # imported where a thread is dispatched: a one-worker runtime (a
+    # sequential kernel's strips) never loads concurrent.futures
+    from concurrent.futures import Future, ThreadPoolExecutor
+
 #: A slab region runs on threads when the largest array its call binds
 #: has at least this many bytes, inline below: the hand-off costs
 #: ~0.1 ms, which slabs of under a MiB do not win back (measured per
 #: program in EXPERIMENTS.md, "cpu backend: thread dispatch").
 THREAD_FLOOR_BYTES = 1 << 20
 
+#: A slab region of a call at or above the floor runs its range in
+#: strips whose share of the call's largest array is about this many
+#: bytes: a quarter of a 2 MiB L2 (256 KiB, 512 KiB and 1 MiB measured
+#: in EXPERIMENTS.md, "Cache strips").
+STRIP_BYTES = 512 << 10
+
 
 @dataclass(frozen=True)
 class DispatchPlan:
     """Where one region runs on one call, and why."""
     kind: str    # "inline" | "threads"
-    reason: str  # slab | python-loop | below-floor | single-iteration
+    reason: str  # slab | strips | python-loop | below-floor | single-iteration
+    strips: int = 0  # pieces the range ran as; 0: each chunk ran whole
 
 
 BELOW_FLOOR = DispatchPlan("inline", "below-floor")
@@ -61,6 +84,22 @@ PYTHON_LOOP = DispatchPlan("inline", "python-loop")
 
 def _largest(arrays: Dict[str, np.ndarray]) -> int:
     return max((a.nbytes for a in arrays.values()), default=0)
+
+
+def strip_rows(trip: int, largest: int) -> int:
+    """Rows of one strip of a ``trip``-row slab region whose call binds
+    a largest array of ``largest`` bytes: the range's share of that
+    array is about :data:`STRIP_BYTES` per strip."""
+    return max(1, trip * STRIP_BYTES // max(1, largest))
+
+
+def striped(body, rows: int):
+    """``body`` over ``[lo, hi]`` as consecutive strips of ``rows``
+    rows (the last one ragged), in order, on the calling thread."""
+    def strips(bufs, params, lo, hi, *obs):
+        for start in range(lo, hi + 1, rows):
+            body(bufs, params, start, min(start + rows - 1, hi), *obs)
+    return strips
 
 
 def region_kinds(source: str) -> Dict[str, bool]:
@@ -118,6 +157,7 @@ def get_thread_pool(workers: int) -> ThreadPoolExecutor:
     here, and are joined at interpreter exit."""
     pool = _THREAD_POOLS.get(workers)
     if pool is None:
+        from concurrent.futures import ThreadPoolExecutor
         pool = _THREAD_POOLS.setdefault(workers, ThreadPoolExecutor(
             max_workers=max(1, workers - 1),
             thread_name_prefix="tiramisu-par"))
@@ -151,6 +191,7 @@ def run_chunk(body, bufs, params: Dict[str, int], args: tuple,
 def run_here(*args) -> Future:
     """:func:`run_chunk` on the calling thread, its result or exception
     held in a done future like those of the thread pool."""
+    from concurrent.futures import Future
     fut = Future()
     try:
         fut.set_result(run_chunk(*args))
@@ -168,6 +209,7 @@ class ParallelStats:
     declined: int = 0        # regions the plan ran inline instead
     chunks: int = 0          # total chunks run on threads
     max_workers: int = 0     # widest single dispatch
+    strips: int = 0          # strips run, inline or inside chunks
     # bench/scenario_run.py reads these two: nothing in the process is
     # retried or degraded any more, so both stay 0.
     retries: int = 0
@@ -175,12 +217,15 @@ class ParallelStats:
 
 
 class ParallelRuntime:
-    """Runs chunked parallel loop bodies on threads or inline.
+    """Runs chunked parallel loop bodies on threads or inline, in
+    strips where the plan says so.
 
     The kernel wrapper binds its arrays through ``sharing(arrays)`` for
     the duration of a call; the emitted kernel probes ``offload(trip)``
     per parallel loop and calls ``run(body, params, lo, hi)`` when it
-    answers True, and ``run`` follows the region's :meth:`plan`.
+    answers True, and ``run`` follows the region's :meth:`plan`.  A
+    one-worker runtime (``num_threads=1``) never starts a thread: it is
+    attached for its strips alone.
     """
 
     def __init__(self, source: str, num_threads: int,
@@ -199,6 +244,9 @@ class ParallelRuntime:
         self._declines = metrics.counter("parallel.declined")
         self._regions = metrics.counter("parallel.regions")
         self._chunks = metrics.counter("parallel.chunks")
+        self._chunk_seconds = metrics.histogram("parallel.chunk_seconds")
+        self._chunk_iters = metrics.histogram("parallel.chunk_iters")
+        self._imbalance = metrics.gauge("parallel.last_imbalance")
 
     def takes(self, arrays: Dict[str, np.ndarray]) -> bool:
         """Can any region of a call on ``arrays`` leave the calling
@@ -222,15 +270,23 @@ class ParallelRuntime:
         return self._arrays is not None
 
     def plan(self, region: str, trip: int) -> DispatchPlan:
-        """The executor for one region of the bound call."""
+        """The executor for one region of the bound call: a slab region
+        at or above the floor runs on threads (inline on one worker),
+        in strips when :func:`strip_rows` cuts its chunks."""
+        largest = _largest(self._arrays)
         if trip < 2:
             plan = DispatchPlan("inline", "single-iteration")
         elif region in self.loop_regions:
             plan = PYTHON_LOOP
-        elif _largest(self._arrays) < THREAD_FLOOR_BYTES:
+        elif largest < THREAD_FLOOR_BYTES:
             plan = BELOW_FLOOR
         else:
-            plan = DispatchPlan("threads", "slab")
+            kind = "threads" if self.num_threads >= 2 else "inline"
+            rows = strip_rows(trip, largest)
+            chunks = chunk_ranges(0, trip - 1, self.num_threads)
+            strips = sum(-(-(hi - lo + 1) // rows) for lo, hi in chunks)
+            plan = DispatchPlan(kind, "strips", strips) \
+                if strips > len(chunks) else DispatchPlan(kind, "slab")
         return self._decide(region, plan)
 
     def _decide(self, region: str, plan: DispatchPlan) -> DispatchPlan:
@@ -239,7 +295,8 @@ class ParallelRuntime:
         if self.plans.get(region) != plan:
             self.plans[region] = plan
             emit("parallel.dispatch", kernel=self.digest[:12],
-                 region=region, kind=plan.kind, reason=plan.reason)
+                 region=region, kind=plan.kind, reason=plan.reason,
+                 strips=plan.strips)
         return plan
 
     def _declined(self, count: int = 1) -> None:
@@ -262,30 +319,38 @@ class ParallelRuntime:
         if self._arrays is None:  # raced the end of the call
             raise ExecutionError(
                 f"parallel region {body.__name__} has no bound arrays")
-        if self.plan(body.__name__, hi - lo + 1).kind == "inline":
+        plan = self.plan(body.__name__, hi - lo + 1)
+        runner = body
+        if plan.strips:
+            self.stats.strips += plan.strips
+            runner = striped(body, strip_rows(hi - lo + 1,
+                                              _largest(self._arrays)))
+        if plan.kind == "inline":
             self._declined()
             if self.profiled and obs is not None:
-                body(self._arrays, params, lo, hi, obs)
+                runner(self._arrays, params, lo, hi, obs)
             else:
-                body(self._arrays, params, lo, hi)
+                runner(self._arrays, params, lo, hi)
             return
         self.stats.regions += 1
         self._regions.inc()
-        self._run_threads(body, params, lo, hi, obs)
+        self._run_threads(body, runner, params, lo, hi, obs)
 
-    def _run_threads(self, body, params: Dict[str, int], lo: int, hi: int,
-                     obs) -> None:
+    def _run_threads(self, body, runner, params: Dict[str, int], lo: int,
+                     hi: int, obs) -> None:
         """A slab region: the calling thread runs the first chunk, the
-        cached thread pool the others, all on the bound arrays.  Every
+        cached thread pool the others, all on the bound arrays, each
+        through ``runner`` (``body`` itself, or its strips).  Every
         chunk is joined whatever any of them raised: no thread still
         writes the caller's arrays once this returns.  The ambient
         Deadline is charged first."""
+        from concurrent.futures import wait
         from repro.driver.resilience import current_deadline
         deadline = current_deadline()
         if deadline is not None:
             deadline.check("parallel-dispatch")
         bounds = chunk_ranges(lo, hi, self.num_threads)
-        args = (body, self._arrays, params)
+        args = (runner, self._arrays, params)
         pool = get_thread_pool(self.num_threads)
         futures = [pool.submit(run_chunk, *args, b, self.profiled)
                    for b in bounds[1:]]
@@ -313,17 +378,15 @@ class ParallelRuntime:
                 continue
             seconds = (end_ns - start_ns) / 1e9
             chunk_seconds.append(seconds)
-            metrics.histogram("parallel.chunk_seconds").observe(seconds)
-            metrics.histogram("parallel.chunk_iters").observe(
-                chi - clo + 1)
+            self._chunk_seconds.observe(seconds)
+            self._chunk_iters.observe(chi - clo + 1)
             if obs is not None:
                 obs.merge(snapshot)
                 obs.worker_span(body.__name__, clo, chi, start_ns,
                                 end_ns, thread)
         self._chunks.inc(len(bounds))
         if chunk_seconds and min(chunk_seconds) > 0:
-            metrics.gauge("parallel.last_imbalance").set(
-                max(chunk_seconds) / min(chunk_seconds))
+            self._imbalance.set(max(chunk_seconds) / min(chunk_seconds))
         if errors:
             raise ExecutionError(
                 f"parallel region {body.__name__} failed in a worker: "

@@ -244,9 +244,10 @@ class TestWorkerOffload:
 
 class TestLoadedAtFirstUse:
     def test_kernels_never_import_the_process_machinery(self):
-        # a fresh interpreter: a sequential compile + call loads none of
-        # the batch service, and a slab region above the thread floor on
-        # two threads still no multiprocessing
+        # a fresh interpreter: a sequential compile + call, below the
+        # floor and in strips above it, loads none of the batch service
+        # nor concurrent.futures, and a slab region above the thread
+        # floor on two threads still no multiprocessing
         code = (
             "import sys, numpy as np\n"
             "from repro import kernels as K\n"
@@ -257,6 +258,8 @@ class TestLoadedAtFirstUse:
             "    k(**b.make_inputs(p, np.random.default_rng(0)), **p)\n"
             "    return k\n"
             "call(dict(N=8, M=8), parallel=False)\n"
+            "k = call(dict(N=300, M=300), parallel=False)\n"
+            "assert k.runtime.stats.strips > 1, k.runtime.plans\n"
             "held = ('multiprocessing', 'concurrent.futures', 'subprocess',\n"
             "        'repro.driver.batch')\n"
             "assert not [m for m in held if m in sys.modules]\n"

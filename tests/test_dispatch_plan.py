@@ -7,7 +7,10 @@ its body) on threads over the caller's own arrays, or inline below
 thread.  These tests reach each plan the way the runtime itself does —
 by the size of the call (the floor constant is patched, never an
 option) or by handing ``_runtime=`` a runtime that classifies every
-region as a loop region.
+region as a loop region.  A slab region at or above the floor runs in
+cache strips, on one worker or inside each thread's chunk; ``TestStrips``
+patches the strip size (``strip_rows``) and holds every size to the
+bits of the kernel run with no runtime.
 """
 
 import subprocess
@@ -18,12 +21,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import Computation, Function, Input, Var
+from bench.programs import PROGRAMS as BENCH_PROGRAMS
+from repro import Buffer, Computation, Function, Input, Var
 from repro import kernels as K
 from repro.backends import parallel
 from repro.backends.parallel import (PYTHON_LOOP, DispatchPlan,
                                      ParallelRuntime, region_kinds)
-from repro.core.errors import DeadlineExceededError, ExecutionError
+from repro.core.buffer import ArgKind
+from repro.core.errors import (DeadlineExceededError, ExecutionError,
+                               IllegalScheduleError)
 from repro.driver import Deadline, batch, deadline_scope
 from repro.evaluation.schedules import tiramisu_cpu
 from repro.obs.events import read_events
@@ -210,6 +216,7 @@ class TestThreadPath:
         out = subprocess.run([sys.executable, str(example)], check=True,
                              capture_output=True, text=True, timeout=300)
         assert "_par_body_2: inline (python-loop)" in out.stdout
+        assert "_par_body_1: inline (strips, 7 strips)" in out.stdout
 
     def test_mixed_kernel_runs_its_loop_region_inline(self):
         batch.shutdown_pools()
@@ -256,23 +263,30 @@ class TestThreadPath:
                                match="parallel-dispatch"):
                 kernel(inp=inp)
 
-    def test_more_chunks_than_cores_under_a_short_switch_interval(self):
-        kernel = rows_kernel(num_threads=8)
+    def test_more_chunks_than_cores_under_a_short_switch_interval(
+            self, monkeypatch):
         inp = np.random.default_rng(1).random((600, 400), np.float32)
         want = inp * np.float32(3.0) \
             + np.arange(600, dtype=np.float32)[:, None]
-        saved = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            deadline = time.monotonic() + 5.0
-            for __ in range(50):
-                assert np.array_equal(kernel(inp=inp)["c"], want)
-                if time.monotonic() > deadline:
-                    break
-        finally:
-            sys.setswitchinterval(saved)
-        stats = kernel.runtime.stats
-        assert stats.chunks == 8 * stats.regions > 0
+        # rows=7: every chunk of 75 rows runs as eleven strips, the last 5
+        for rows in (None, 7):
+            if rows is not None:
+                monkeypatch.setattr(parallel, "strip_rows",
+                                    lambda trip, largest: rows)
+            kernel = rows_kernel(num_threads=8)
+            saved = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                deadline = time.monotonic() + 5.0
+                for __ in range(50):
+                    assert np.array_equal(kernel(inp=inp)["c"], want)
+                    if time.monotonic() > deadline:
+                        break
+            finally:
+                sys.setswitchinterval(saved)
+            stats = kernel.runtime.stats
+            assert stats.chunks == 8 * stats.regions > 0
+            assert stats.strips == (88 * stats.regions if rows else 0)
 
     def test_profiled_thread_chunks_keep_exact_counts(self):
         import os
@@ -311,9 +325,9 @@ class TestDecisionsAreObservable:
         source = kernel.runtime.digest[:12]     # which kernel's region
         assert events == [
             dict(kernel=source, region="_par_body_1", kind="inline",
-                 reason="below-floor"),
+                 reason="below-floor", strips=0),
             dict(kernel=source, region="_par_body_1", kind="threads",
-                 reason="slab")]
+                 reason="slab", strips=0)]
 
     def test_declined_calls_count_on_the_bound_counter(self):
         """spmv below the floor: each call declines every region at once,
@@ -357,3 +371,160 @@ class TestDecisionsAreObservable:
                    **params)
             assert kernel.runtime.plans["_par_body_2"] == PYTHON_LOOP
         assert kernel.runtime.stats.regions == 1   # the slab region
+
+
+# -- strips -------------------------------------------------------------------
+
+#: strip sizes: the whole range (no cut), one row, and five rows, which
+#: leaves a ragged last strip in every chunk of a verify-size range
+STRIP_ROWS = {"whole": lambda trip, largest: trip,
+              "one-row": lambda trip, largest: 1,
+              "ragged": lambda trip, largest: 5}
+
+#: bench programs whose schedules leave no slab region to cut: blur's
+#: and ticket2373's regions are Python loops or absent, vgg runs its
+#: fused batch loop, heat and symgs have no parallel region
+NO_SLAB = {"blur", "ticket2373", "vgg", "heat", "symgs"}
+
+
+def _schedules(program) -> dict:
+    """The distinct schedules among a bench program's timed, cpu and
+    paper variants: schedule function -> the variant that names it."""
+    distinct = {}
+    for variant, schedule in (
+            ("timed", program.schedule),
+            ("cpu", program.cpu_schedule or program.schedule),
+            ("paper", program.paper_schedule or program.schedule)):
+        distinct.setdefault(schedule, variant)
+    return distinct
+
+
+def _sgemm_loop_regions(bundle):
+    """Both sgemm nests parallel, neither vectorized: loop regions."""
+    bundle.computations["scale"].parallelize("i2")
+    bundle.computations["acc"].parallelize("i")
+
+
+class TestStrips:
+    @pytest.fixture(autouse=True)
+    def _no_floor(self, monkeypatch):
+        monkeypatch.setattr(parallel, "THREAD_FLOOR_BYTES", 0)
+
+    @pytest.mark.parametrize("program", BENCH_PROGRAMS,
+                             ids=lambda p: p.name)
+    def test_every_strip_size_same_bits(self, monkeypatch, program):
+        """Every bench program with a slab region, at its verify size,
+        under each of its schedules: one worker (``parallel=False``)
+        and two, each at three strip sizes, store the bits of the
+        kernel run with no runtime at all."""
+        params = dict(program.verify_params)
+        slabbed = []
+        for variant in _schedules(program).values():
+            bundle = program.build(variant)
+            inputs = bundle.make_inputs(params, np.random.default_rng(11))
+
+            def call(kernel, **extra):
+                return kernel(**{k: v.copy() for k, v in inputs.items()},
+                              **params, **extra)
+            fn = bundle.function
+            ref = fn.compile("cpu", parallel=False, cache=False)
+            if ref.runtime is None or not ref.runtime.slab_regions:
+                continue
+            slabbed.append(variant)
+            kernels = {"seq": ref}
+            try:
+                kernels["x2"] = fn.compile("cpu", num_threads=2)
+            except IllegalScheduleError:   # a paper schedule's race
+                pass
+            ref.runtime, runtime = None, ref.runtime
+            want = call(ref)
+            ref.runtime = runtime
+            for size, rows in STRIP_ROWS.items():
+                monkeypatch.setattr(parallel, "strip_rows", rows)
+                for leg, kernel in kernels.items():
+                    before = kernel.runtime.stats.strips
+                    got = call(kernel)
+                    for name in want:
+                        assert np.array_equal(got[name], want[name]), \
+                            (variant, size, leg, name)
+                    cut = kernel.runtime.stats.strips > before
+                    if size == "whole" or (leg, size) == ("seq", "one-row"):
+                        assert cut == (size != "whole"), (variant, leg)
+        assert bool(slabbed) == (program.name not in NO_SLAB), slabbed
+
+    def test_one_worker_runtime_starts_no_thread(self, monkeypatch):
+        """``parallel=False`` attaches a one-worker runtime for a slab
+        region's strips: it runs inline, never on the pool."""
+        monkeypatch.setattr(parallel, "_THREAD_POOLS", {})
+        monkeypatch.setattr(parallel, "strip_rows", lambda trip, big: 32)
+        bundle, kernel = compiled(K.build_gaussian, tiramisu_cpu,
+                                  parallel=False)
+        params = {"N": 64, "M": 64}
+        kernel(**bundle.make_inputs(params, np.random.default_rng(0)),
+               **params)
+        runtime = kernel.runtime
+        assert runtime.num_threads == 1
+        assert set(runtime.plans.values()) == {
+            DispatchPlan("inline", "strips", 2)}
+        assert (runtime.stats.regions, runtime.stats.strips) == (0, 4)
+        assert not parallel._THREAD_POOLS
+        __, loops = compiled(K.build_sgemm, _sgemm_loop_regions,
+                             parallel=False)
+        assert loops.runtime is None              # loop regions only
+
+    def test_anti_dependence_across_strips(self, monkeypatch):
+        """``b[i] = b[i + 1] * 2 + 1``: each row reads the next one
+        before that row is written.  The emitter keeps the chunk loop
+        out of the slab (``carried anti``), so the kernel has no slab
+        region and no runtime under ``parallel=False``; a hand-built
+        slab of the same statement stays bitwise equal cut in strips,
+        because every strip reads its rows before the next strip
+        writes them."""
+        f = Function("anti")
+        with f:
+            i, j = Var("i", 0, 63), Var("j", 0, 40)
+            c = Computation("c", [i, j], None)
+            c.store_in(Buffer("b", [64, 40], kind=ArgKind.INOUT), [i, j])
+            c.set_expression(c(i + 1, j) * 2.0 + 1.0)
+        c.parallelize("i")
+        c.vectorize("j", 8)
+        kernel = f.compile("cpu", parallel=False, cache=False)
+        assert "outside slab, carried anti c->c on b" in kernel.source
+        assert kernel.runtime is None
+        b = np.random.default_rng(2).random((64, 40), np.float32)
+        want = kernel(b=b.copy())["b"]
+
+        source = ("def anti(_bufs, _params, _lo, _hi):\n"
+                  "    b = _bufs['b']\n"
+                  "    b[_lo:_hi + 1] = b[_lo + 1:_hi + 2] * 2.0 + 1.0\n")
+        namespace = {}
+        exec(source, namespace)
+        for size, rows in STRIP_ROWS.items():
+            monkeypatch.setattr(parallel, "strip_rows", rows)
+            runtime = ParallelRuntime(source, 1)   # no threads: no race
+            got = b.copy()
+            with runtime.sharing({"b": got}):
+                runtime.run(namespace["anti"], {}, 0, 62)
+            assert np.array_equal(got, want), size
+            assert (runtime.stats.strips > 0) == (size != "whole")
+
+    @pytest.mark.parametrize("num_threads", [1, 2])
+    def test_profiled_counts_unchanged_by_strips(self, monkeypatch,
+                                                  num_threads):
+        """Each strip counts its own rows: the instance counts and bytes
+        of a profiled call are those of the uncut range."""
+        counts = {}
+        for size in ("whole", "one-row"):
+            monkeypatch.setattr(parallel, "strip_rows", STRIP_ROWS[size])
+            bundle, kernel = compiled(K.build_gaussian, tiramisu_cpu,
+                                      profile=True,
+                                      num_threads=num_threads)
+            params = {"N": 40, "M": 30}
+            kernel(**bundle.make_inputs(params, np.random.default_rng(0)),
+                   **params)
+            counts[size] = {name: (c.iterations, c.bytes_written)
+                            for name, c in
+                            kernel.last_run.computations.items()}
+            assert (kernel.runtime.stats.strips > 0) == (size != "whole")
+        assert counts["whole"] == counts["one-row"]
+        assert counts["whole"]["gy"][0] == 40 * 30 * 3
