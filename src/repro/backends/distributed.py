@@ -44,6 +44,7 @@ from repro.core.errors import (CodegenError, DeadlockError, ExecutionError,
 from repro.core.function import Function
 
 from repro.driver.registry import Backend, register_backend
+from repro.driver.resilience import active_fault_plan
 
 from .common import (DEFAULT_JOIN_TIMEOUT, DEFAULT_RECV_TIMEOUT,
                      bind_python_kernel, collect_buffers,
@@ -466,9 +467,8 @@ class DistributedKernel:
         the failure ledger — and a rank thread that outlives the join
         deadline raises instead of silently returning ``None`` results.
         """
-        from repro.faults import get_plan
         from repro.obs.metrics import metrics
-        plan = get_plan()
+        plan = active_fault_plan()
         option = timeout if timeout is not None else self.timeout
         recv_timeout = resolve_timeout(option, DEFAULT_RECV_TIMEOUT)
         join_timeout = resolve_timeout(option, DEFAULT_JOIN_TIMEOUT)

@@ -34,15 +34,38 @@ class MemSpace(Enum):
 
 
 class Buffer:
-    """A named multi-dimensional array."""
+    """A named multi-dimensional array.
+
+    A buffer with an ``owner`` is the computation's auto-created one
+    (``C.buffer()``): its extents are the owner's, derived on first use
+    and again whenever the owner's domain or store indices have been
+    replaced since, so they are a function of what the fingerprint
+    already hashes.  Setting ``sizes`` makes them explicit."""
 
     def __init__(self, name: str, sizes: Sequence, dtype=T.float32,
-                 kind: ArgKind = ArgKind.TEMPORARY):
+                 kind: ArgKind = ArgKind.TEMPORARY, owner=None):
         self.name = name
-        self.sizes: List[Expr] = [wrap(s) for s in sizes]
+        self.sizes = sizes
+        self.owner = owner
+        self._basis = None
         self.dtype = dtype
         self.kind = kind
         self.mem_space = MemSpace.HOST
+
+    @property
+    def sizes(self) -> List[Expr]:
+        owner = self.owner
+        if owner is not None and (
+                self._basis is None or self._basis[0] is not owner.domain
+                or self._basis[1] is not owner.store_exprs):
+            self._sizes = owner._extent_exprs()
+            self._basis = (owner.domain, owner.store_exprs)
+        return self._sizes
+
+    @sizes.setter
+    def sizes(self, sizes: Sequence) -> None:
+        self._sizes = [wrap(s) for s in sizes]
+        self.owner = None
 
     # -- memory hierarchy tags (paper Table II) ------------------------
 
@@ -63,7 +86,7 @@ class Buffer:
         return self
 
     def set_size(self, sizes: Sequence) -> "Buffer":
-        self.sizes = [wrap(s) for s in sizes]
+        self.sizes = sizes
         return self
 
     # -- runtime ---------------------------------------------------------

@@ -328,11 +328,11 @@ class Computation:
 
     def get_buffer(self) -> Buffer:
         """The buffer associated with this computation (auto-created on
-        first use, like the paper's C.buffer())."""
+        first use, like the paper's C.buffer(); its extents are derived
+        when first read)."""
         if self.buffer is None:
-            sizes = self._extent_exprs()
-            self.buffer = Buffer(f"_{self.name}_b", sizes, self.dtype,
-                                 ArgKind.TEMPORARY)
+            self.buffer = Buffer(f"_{self.name}_b", (), self.dtype,
+                                 ArgKind.TEMPORARY, owner=self)
         return self.buffer
 
     def _extent_exprs(self) -> List[Expr]:

@@ -10,33 +10,12 @@ the function's :func:`ir_fingerprint` is unchanged, and attaches a
 per-stage :class:`CompileReport` to every kernel (the ``trace`` knob
 of :mod:`repro.settings` prints the stage table).
 
-Compile-as-a-service surface:
-
-* :func:`compile_function` — the one-kernel entry point.
-* :func:`compile_batch` / :class:`BatchCompiler` — the batch and async
-  front end (:mod:`repro.driver.batch`): dedup by fingerprint, a fork
-  pool for distinct cold compiles, reports as they complete.  Loaded
-  at the first use of one of its names, so a sequential compile never
-  imports ``multiprocessing``.
-* :class:`DiskCache` (:mod:`repro.driver.diskcache`) — the durable
-  on-disk artifact tier under the in-memory registry; activate with
-  the ``cache_dir`` knob (:func:`configure_disk_cache` pins it).
-* :class:`CacheStats` / :class:`CacheStatsGroup`
-  (:mod:`repro.driver.stats`) — the one vocabulary every cache tier
-  (memory, disk, isl.empty, isl.compose) reports in.
-
-Self-protection surface (:mod:`repro.driver.resilience`,
-:mod:`repro.driver.recovery`, docs/robustness.md):
-
-* :class:`Deadline` / :func:`deadline_scope` / :func:`current_deadline`
-  — the request-scoped end-to-end budget every expensive pipeline
-  stage checks before starting.
-* :class:`CircuitBreaker` / :func:`pool_breaker` — graceful
-  degradation over the batch fork pool: open after consecutive
-  infrastructure failures, half-open probe after a cooldown.
-* :func:`recovery_sweep` — the crash-recovery sweep (stale temp files,
-  quarantine aging, torn journal tail) run lazily when the disk tier
-  activates.
+The service around it — the batch front end (:mod:`.batch`, loaded at
+the first use of one of its names, so a sequential compile never
+imports ``multiprocessing``), the disk tier (:mod:`.diskcache`), the
+shared stats vocabulary (:mod:`.stats`), deadlines and the pool breaker
+(:mod:`.resilience`) and the crash-recovery sweep (:mod:`.recovery`) —
+is described in docs/compiler_driver.md and docs/robustness.md.
 """
 
 from .cache import CacheEntry, CompileCache, kernel_registry

@@ -51,8 +51,8 @@ from repro.obs.events import compile_context, emit, new_compile_id
 
 from .pipeline import CompilePipeline, compile_to_source
 from .registry import get_backend
-from .resilience import (Deadline, current_deadline, deadline_scope,
-                         pool_breaker)
+from .resilience import (Deadline, active_fault_plan, current_deadline,
+                         deadline_scope, pool_breaker)
 
 #: Seconds slept before the first retried dispatch; doubles per retry.
 RETRY_BACKOFF = 0.05
@@ -617,7 +617,6 @@ class BatchCompiler:
         ambient :class:`~repro.driver.resilience.Deadline` is charged
         (stage ``batch-offload``) before every attempt and bounds every
         backoff sleep."""
-        from repro.faults import get_plan
         if self.refusal(function) == "breaker-open":
             return None
         breaker = pool_breaker()
@@ -635,7 +634,7 @@ class BatchCompiler:
                     f"{what} has no active pool")
                 break
             try:
-                plan = get_plan()
+                plan = active_fault_plan()
                 if plan is not None and plan.fires("pool-refusal",
                                                    op="batch"):
                     raise WorkerFailureError(

@@ -1,16 +1,13 @@
 """The in-process kernel registry: an LRU-bounded compile cache.
 
 Entries are content-addressed by :func:`repro.driver.fingerprint.
-ir_fingerprint`; the autoscheduler's and benchmark harness's hot loop —
-compiling the same function/schedule pair over and over — hits the
-registry and skips every lowering stage.  The registry is bounded (LRU
-eviction) so a long schedule search cannot grow memory without limit.
-
-Every entry carries a content digest of its stored source, verified on
-``get``: a corrupted entry (however it got that way — the deterministic
-way is a :class:`repro.faults.FaultPlan` ``cache-corrupt`` site) is
-dropped and reported as a miss, so the pipeline recompiles instead of
-binding damaged code.
+ir_fingerprint`, so compiling the same function/schedule pair again
+skips every lowering stage; the LRU bound keeps a long schedule search
+from growing memory without limit.  Every entry carries a digest of its
+stored source, verified on ``get``: a corrupted entry (deterministically,
+a :class:`repro.faults.FaultPlan` ``cache-corrupt`` site) is dropped and
+reported as a miss, so the pipeline recompiles instead of binding
+damaged code.
 """
 
 from __future__ import annotations
@@ -22,6 +19,7 @@ from typing import Optional
 
 from repro.obs.events import emit
 
+from .resilience import active_fault_plan
 from .stats import CacheStats
 
 DEFAULT_MAXSIZE = 64
@@ -43,6 +41,7 @@ class CacheEntry:
     source: str
     kernel: object
     digest: str = ""    # source_digest(source), filled by put()
+    prints: object = None   # the key's kept Fingerprint (drift check)
 
 
 class CompileCache:
@@ -66,8 +65,8 @@ class CompileCache:
 
     def get(self, key: str) -> Optional[CacheEntry]:
         """Return the entry for ``key`` (refreshing its LRU position), or
-        None.  Counters are the pipeline's to update: it may still
-        reject a found entry as stale.
+        None.  ``hits`` / ``misses`` are the pipeline's to count: it may
+        still reject a found entry as stale.
 
         The entry's source is digest-verified first; corruption is a
         miss — the entry is dropped so the pipeline recompiles rather
@@ -75,8 +74,7 @@ class CompileCache:
         entry = self._entries.get(key)
         if entry is None:
             return None
-        from repro.faults import get_plan
-        plan = get_plan()
+        plan = active_fault_plan()
         if plan is not None and plan.fires("cache-corrupt", key=key):
             entry.source = plan.corrupt_text(entry.source, "cache-corrupt",
                                              key=key)
@@ -124,12 +122,6 @@ class CompileCache:
             key, _ = self._entries.popitem(last=False)
             self.evictions += 1
             emit("cache.memory.evict", key=key[:16])
-
-    def record_hit(self) -> None:
-        self.hits += 1
-
-    def record_miss(self) -> None:
-        self.misses += 1
 
     def keys(self):
         return list(self._entries)

@@ -29,6 +29,7 @@ class CompileContext:
     report: object = None                    # repro.driver.trace.CompileReport
     deadline: object = None                  # repro.driver.resilience.Deadline
     fingerprint: str = ""
+    prints: object = None                    # the Fingerprint behind it
     beta: Optional[Dict[str, List[int]]] = None
     items: Optional[list] = None             # codegen time-space items
     ast: object = None                       # repro.codegen.ast.Block

@@ -1,42 +1,16 @@
 """The durable compile-artifact tier: an on-disk cache under the
-in-memory kernel registry.
+in-memory kernel registry, shared by every process that points at one
+directory.
 
-The in-memory :class:`~repro.driver.cache.CompileCache` dies with its
-process; serving compile traffic from many processes (the batch front
-end, an autoscheduler fleet, repeated CI runs) needs artifacts that
-outlive a process and are shared between concurrent clients.  This
-module stores each compiled kernel's *emitted source* (plus any
-picklable backend extras) in one file per :func:`repro.driver.
-fingerprint.ir_fingerprint`, under a directory every cooperating
-process points at:
-
-* **Keying** — ``<fingerprint>.pkl`` inside the cache directory; the
-  fingerprint already folds IR + schedule + target + options, so a file
-  name is a complete content address.
-* **Durability & concurrency** — writers serialize to a private temp
-  file in the same filesystem and publish with :func:`os.replace`
-  (atomic rename), so lockless readers only ever observe complete
-  artifacts: racing writers of the same fingerprint converge on one
-  valid entry (last rename wins, and every candidate is byte-identical
-  by construction).
-* **Integrity** — every payload carries a SHA-256 digest of its source,
-  re-verified on load (the same corruption discipline the in-memory
-  tier got in PR 4).  A truncated, unpicklable or digest-mismatched
-  file is *quarantined* (renamed to ``*.quarantine``), counted as a
-  corruption, and reported as a miss so the pipeline recompiles.
-* **Eviction** — the tier is size-bounded (the ``cache_max_bytes``
-  knob): after each store the directory is trimmed
-  least-recently-used-first by mtime (reads bump mtime, so recency
-  survives process restarts).
-* **Observability** — ``cache.disk.{hit,miss,evict,quarantine}``
-  events (each also a counter), per-instance
-  :class:`~repro.driver.stats.CacheStats` (tier ``disk``), and a
-  ``disk:`` line in ``CompileReport.format_table()``.
-
-The tier is **off by default**: it activates when the ``cache_dir``
-knob of :mod:`repro.settings` names a directory, and the default
-compile path stays byte-identical with the tier on or off — the disk
-only ever stores exactly what ``emit`` produced.
+Each kernel's *emitted source* (plus picklable backend extras) lives in
+``<fingerprint>.pkl``, published by atomic rename so lockless readers
+see only complete artifacts, and digest-verified on load: a damaged
+file is *quarantined* (renamed ``*.quarantine``) and answered as a
+miss.  After each store the tier is trimmed under ``cache_max_bytes``
+least-recently-used first by mtime (reads bump it).  Off by default:
+the ``cache_dir`` knob of :mod:`repro.settings` turns it on.  The
+properties, events and stats are listed in docs/compiler_driver.md,
+"The durable disk tier".
 """
 
 from __future__ import annotations
@@ -53,6 +27,7 @@ from repro.atomicio import atomic_write
 from repro.obs.events import emit
 
 from .cache import source_digest
+from .resilience import active_fault_plan
 from .stats import CacheStats
 
 
@@ -60,8 +35,7 @@ def _injected_io_error(op: str, key: str) -> None:
     """Raise the active fault plan's ``disk-io-error`` for this probe,
     if any (ENOSPC for a store, EIO for a load, unless the spec pins an
     errno)."""
-    from repro.faults import get_plan
-    plan = get_plan()
+    plan = active_fault_plan()
     if plan is None:
         return
     spec = plan.fires("disk-io-error", op=op, key=key)
@@ -114,22 +88,24 @@ class DiskCache:
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}{_SUFFIX}"
 
-    def _artifacts(self):
-        """Every published artifact with its stat, oldest mtime first.
-        Temp files and quarantined corpses never qualify."""
+    def _listing(self, suffix: str = _SUFFIX):
+        """Every file of the tier ending in ``suffix`` (published
+        artifacts by default, quarantined corpses with
+        ``_QUARANTINE_SUFFIX``; never temp files) with its stat, oldest
+        mtime first."""
         out = []
         try:
             names = os.listdir(self.root)
         except OSError:
             return out
         for name in names:
-            if not name.endswith(_SUFFIX):
+            if not name.endswith(suffix):
                 continue
             path = self.root / name
             try:
                 out.append((path, path.stat()))
             except OSError:
-                continue  # concurrently evicted
+                continue  # concurrently evicted or removed
         out.sort(key=lambda item: (item[1].st_mtime, item[0].name))
         return out
 
@@ -235,24 +211,6 @@ class DiskCache:
         self.evict_to_limit()
         return True
 
-    def _quarantined(self):
-        """Every quarantined corpse with its stat, oldest mtime first."""
-        out = []
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return out
-        for name in names:
-            if not name.endswith(_QUARANTINE_SUFFIX):
-                continue
-            path = self.root / name
-            try:
-                out.append((path, path.stat()))
-            except OSError:
-                continue  # concurrently removed
-        out.sort(key=lambda item: (item[1].st_mtime, item[0].name))
-        return out
-
     def evict_to_limit(self) -> None:
         """Trim the tier under ``max_bytes``, oldest mtime first.  The
         newest artifact always survives (a single artifact larger than
@@ -263,22 +221,18 @@ class DiskCache:
         the survivors' bytes count toward ``max_bytes`` — when the tier
         is over budget, forensic corpses are evicted before any live
         artifact is."""
-        quarantined = self._quarantined()
-        cap = settings.get("cache_max_quarantine")
-        while len(quarantined) > cap:
-            path, st = quarantined.pop(0)
-            self._evict_one(path, "cache.disk.quarantine_evict", st.st_size)
-        artifacts = self._artifacts()
-        total = sum(st.st_size for _, st in artifacts) \
-            + sum(st.st_size for _, st in quarantined)
-        while total > self.max_bytes and quarantined:
-            path, st = quarantined.pop(0)
-            if self._evict_one(path, "cache.disk.quarantine_evict",
-                               st.st_size):
-                total -= st.st_size
-        while total > self.max_bytes and len(artifacts) > 1:
-            path, st = artifacts.pop(0)
-            if self._evict_one(path, "cache.disk.evict", st.st_size):
+        quarantined = self._listing(_QUARANTINE_SUFFIX)
+        excess = len(quarantined) - settings.get("cache_max_quarantine")
+        artifacts = self._listing()
+        total = sum(st.st_size for _, st in quarantined + artifacts)
+        queue = [(path, st, "cache.disk.quarantine_evict")
+                 for path, st in quarantined]
+        queue += [(path, st, "cache.disk.evict")
+                  for path, st in artifacts[:-1]]
+        for k, (path, st, event) in enumerate(queue):
+            if k >= excess and total <= self.max_bytes:
+                break
+            if self._evict_one(path, event, st.st_size):
                 total -= st.st_size
 
     def _evict_one(self, path: Path, event: str, size: int) -> bool:
@@ -294,10 +248,10 @@ class DiskCache:
 
     def keys(self):
         return [path.name[:-len(_SUFFIX)]
-                for path, _ in self._artifacts()]
+                for path, _ in self._listing()]
 
     def __len__(self) -> int:
-        return len(self._artifacts())
+        return len(self._listing())
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).exists()
@@ -305,23 +259,31 @@ class DiskCache:
     def clear(self) -> None:
         """Drop every artifact (quarantined corpses included) and reset
         the instance counters."""
-        for name in os.listdir(self.root):
-            if name.endswith((_SUFFIX, _QUARANTINE_SUFFIX)):
-                try:
-                    (self.root / name).unlink()
-                except OSError:
-                    pass
+        for path, _ in self._listing() + self._listing(_QUARANTINE_SUFFIX):
+            try:
+                path.unlink()
+            except OSError:
+                pass
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.corruptions = 0
 
+    def counters(self) -> CacheStats:
+        """This instance's counters (tier ``disk``) and ``max_bytes``,
+        read without touching the directory: ``size`` stays 0."""
+        return CacheStats(tier="disk", hits=self.hits, misses=self.misses,
+                          evictions=self.evictions,
+                          corruptions=self.corruptions,
+                          extra={"max_bytes": self.max_bytes})
+
     def stats(self) -> CacheStats:
-        """Point-in-time counters (tier ``disk``); ``size`` is the
-        artifact count on disk right now, ``bytes``/``max_bytes`` ride
-        in the extras."""
-        artifacts = self._artifacts()
-        quarantined = self._quarantined()
+        """Point-in-time counters (tier ``disk``) with a scan of the
+        directory: ``size`` is the artifact count on disk right now,
+        ``bytes``/``max_bytes`` and the quarantine ride in the
+        extras."""
+        artifacts = self._listing()
+        quarantined = self._listing(_QUARANTINE_SUFFIX)
         return CacheStats(
             tier="disk", hits=self.hits, misses=self.misses,
             evictions=self.evictions, corruptions=self.corruptions,

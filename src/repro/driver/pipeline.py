@@ -1,33 +1,23 @@
 """The staged compile pipeline (Layer I -> callable kernel).
 
-One explicit flow replaces the four divergent ``compile_*`` free
-functions: ensure-params -> fingerprint -> [cache lookup] ->
+One explicit flow: ensure-params -> fingerprint -> [cache lookup] ->
 dependences -> legality -> beta-resolution -> time-space -> ast ->
-race-check -> emit -> bind.  Every stage is timed into the kernel's
-:class:`~repro.driver.trace.CompileReport`; a cache hit returns after
-the fingerprint stage with the registry's kernel.
-
-Two warm tiers sit between fingerprint and the lowering stages: the
-in-process kernel registry (:mod:`repro.driver.cache`) and, when
-the ``cache_dir`` knob points somewhere, the durable on-disk artifact
-store (:mod:`repro.driver.diskcache`).  A disk hit skips every lowering
-stage and re-binds the stored source (stages ``disk-load`` + ``bind``);
-a cold compile publishes its artifact back to disk (``disk-store``) for
-every other process sharing the directory.  Only backends that can
-rebuild a kernel from source alone (``bind_from_source = True``)
-participate in the disk tier.
-
-The batch front end (:mod:`repro.driver.batch`) splits the same flow
-across processes: :func:`compile_to_source` runs the heavy stages
-(legality through emit) inside a worker, and
-:meth:`CompilePipeline.run_precompiled` binds the shipped source in the
-parent — the static/dynamic split of arXiv 1610.07236, applied to the
-compiler itself.
+race-check -> emit -> bind, every stage timed into the kernel's
+:class:`~repro.driver.trace.CompileReport`.  Two warm tiers sit behind
+the fingerprint: the in-process kernel registry (:mod:`.cache`), whose
+hit returns the stored kernel, and the on-disk artifact store
+(:mod:`.diskcache`, when the ``cache_dir`` knob is set, for backends
+with ``bind_from_source``), whose hit re-binds the stored source
+(``disk-load`` + ``bind``); a cold compile publishes to both.  The
+batch front end (:mod:`.batch`) runs :func:`compile_to_source` (through
+emit) in a worker and :meth:`CompilePipeline.run_precompiled` (bind) in
+the parent — the static/dynamic split of arXiv 1610.07236.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 from repro import settings
@@ -38,9 +28,10 @@ from repro.obs.events import emit as emit_event
 from .cache import CacheEntry, CompileCache, kernel_registry
 from .context import CompileContext
 from .diskcache import active_disk_cache
-from .fingerprint import ir_fingerprint
+from .fingerprint import Fingerprint
 from .registry import Backend, get_backend
-from .resilience import Deadline, current_deadline, deadline_scope
+from .resilience import (Deadline, active_fault_plan, current_deadline,
+                         deadline_scope)
 from .trace import CompileReport, StageTiming, emit_trace
 
 #: Options every backend accepts, with their defaults.
@@ -114,8 +105,7 @@ def enter_stage(stage: str) -> None:
     if deadline is not None:
         deadline.check(stage)
         emit_event("resilience.stage.begin", stage=stage)
-    from repro.faults import get_plan
-    plan = get_plan()
+    plan = active_fault_plan()
     if plan is not None:
         spec = plan.fires("slow-stage", stage=stage)
         if spec is not None:
@@ -211,9 +201,9 @@ class CompilePipeline:
     # -- stages -----------------------------------------------------------
 
     def _ensure_params(self, ctx: CompileContext) -> None:
-        """Materialize everything the fingerprint must see: argument
-        kinds, auto-created buffers, parameters pulled from bounds.
-        Idempotent, so repeated compiles fingerprint identically."""
+        """Materialize what the fingerprint must see: argument kinds and
+        the auto-created buffers they promote (extents wait for a
+        reader).  Idempotent: repeated compiles fingerprint alike."""
         from repro.backends.common import infer_argument_kinds
         infer_argument_kinds(ctx.fn)
 
@@ -222,18 +212,16 @@ class CompilePipeline:
 
         An entry whose originating function was mutated *after* being
         stored (content drift — in-place scheduling of a still-cached
-        function) no longer matches its own key; detect that by
-        re-fingerprinting the entry's function and drop the entry."""
+        function) no longer matches its own key; detect that from the
+        entry's kept :class:`Fingerprint`, which re-prints only the
+        computations that changed since, and drop the entry."""
         entry = self.cache.get(ctx.fingerprint)
         if entry is None:
             return None
-        if entry.fn is not ctx.fn:
-            current = ir_fingerprint(entry.fn, self.backend.name,
-                                     self._key_options(ctx.options))
-            if current != ctx.fingerprint:
-                self.cache.discard(ctx.fingerprint)
-                return None
-        self.cache.record_hit()
+        if entry.fn is not ctx.fn and not entry.prints.holds():
+            self.cache.discard(ctx.fingerprint)
+            return None
+        self.cache.hits += 1
         return entry
 
     def _key_options(self, options: Dict[str, object]) -> Dict[str, object]:
@@ -302,9 +290,9 @@ class CompilePipeline:
         with report.timed("ensure-params"):
             self._ensure_params(ctx)
         with report.timed("fingerprint"):
-            ctx.fingerprint = ir_fingerprint(
-                fn, self.backend.name, self._key_options(options))
-        report.fingerprint = ctx.fingerprint
+            ctx.prints = Fingerprint(fn, self.backend.name,
+                                     self._key_options(options))
+        report.fingerprint = ctx.fingerprint = ctx.prints.digest
         return ctx
 
     def _lower_and_emit(self, ctx: CompileContext) -> None:
@@ -381,11 +369,12 @@ class CompilePipeline:
         with report.timed("bind"):
             ctx.kernel = self.backend.bind(ctx)
         if bool(ctx.options["cache"]):
-            self.cache.record_miss()
+            self.cache.misses += 1
             self.cache.put(CacheEntry(key=ctx.fingerprint, fn=ctx.fn,
                                       target=self.backend.name,
                                       source=ctx.source,
-                                      kernel=ctx.kernel))
+                                      kernel=ctx.kernel,
+                                      prints=ctx.prints.keep()))
             disk = self._disk_tier() if store_disk else None
             if disk is not None and ctx.fingerprint not in disk:
                 enter_stage("disk-store")
@@ -406,13 +395,22 @@ class CompilePipeline:
         (or the ``timeout`` knob) becomes the request's end-to-end
         budget, charged from here, that every expensive stage checks
         before starting."""
+        with self._request(opts) as options:
+            return self._run_body(self._begin(fn, options))
+
+    @contextmanager
+    def _request(self, opts, compile_id: Optional[str] = None,
+                 remaining: Optional[float] = None):
+        """Normalize ``opts`` and hold the request's ambient correlation
+        id and :class:`Deadline` (``remaining`` seconds when shipped,
+        else the ambient one, else one from the ``timeout`` option)
+        around the ``with`` block, which receives the options."""
         options = self.normalize_options(opts)
-        deadline = current_deadline() \
-            or Deadline.from_timeout(options["timeout"])
-        with compile_context(current_compile_id() or new_compile_id()), \
-                deadline_scope(deadline):
-            ctx = self._begin(fn, options)
-            return self._run_body(ctx)
+        deadline = Deadline(remaining) if remaining is not None else \
+            current_deadline() or Deadline.from_timeout(options["timeout"])
+        with compile_context(compile_id or current_compile_id()
+                             or new_compile_id()), deadline_scope(deadline):
+            yield options
 
     def _run_body(self, ctx: CompileContext):
         report, options = ctx.report, ctx.options
@@ -466,11 +464,7 @@ class CompilePipeline:
         compile stays visible wherever it was paid.  The bound kernel is
         published to both cache tiers exactly as a local cold compile
         would be."""
-        options = self.normalize_options(opts)
-        deadline = current_deadline() \
-            or Deadline.from_timeout(options["timeout"])
-        with compile_context(current_compile_id() or new_compile_id()), \
-                deadline_scope(deadline):
+        with self._request(opts) as options:
             ctx = self._begin(fn, options)
             if fingerprint and fingerprint != ctx.fingerprint:
                 raise ValueError(
@@ -498,7 +492,7 @@ class CompilePipeline:
         ctx.report.isl_cache_stats = isl_cache_stats()
         disk = self._disk_tier()
         if disk is not None:
-            ctx.report.disk_cache_stats = disk.stats()
+            ctx.report.disk_cache_stats = disk.counters()
         ctx.report.parallel_regions = getattr(kernel, "parallel_regions", 0)
         ctx.report.vector_loops = getattr(kernel, "vector_loops", 0)
         ctx.report.vector_declines = list(
@@ -557,15 +551,7 @@ def compile_to_source(fn, target: str = "cpu",
     shipped)."""
     backend = get_backend(target)
     pipe = CompilePipeline(backend)
-    options = pipe.normalize_options(opts)
-    if deadline_remaining is not None:
-        deadline = Deadline(deadline_remaining)
-    else:
-        deadline = current_deadline() \
-            or Deadline.from_timeout(options["timeout"])
-    with compile_context(compile_id or current_compile_id()
-                         or new_compile_id()), \
-            deadline_scope(deadline):
+    with pipe._request(opts, compile_id, deadline_remaining) as options:
         ctx = pipe._begin(fn, options)
         shared = len(ctx.report.stages)   # ensure-params + fingerprint
         disk = pipe._disk_tier() if options["cache"] else None

@@ -90,7 +90,8 @@ def _sweep_tmp(root: Path, grace: float, now: float) -> int:
 
 
 def _sweep_quarantine(cache, max_age: float, now: float) -> int:
-    corpses = cache._quarantined()
+    from .diskcache import _QUARANTINE_SUFFIX
+    corpses = cache._listing(_QUARANTINE_SUFFIX)
     cap = settings.get("cache_max_quarantine")
     removed = 0
     # Oldest first: everything beyond the count cap goes, then anything

@@ -1,35 +1,25 @@
 """Self-protection primitives for the compile service — the proactive
-half beside retry, digest verification and quarantine:
+half beside retry, digest verification and quarantine
+(docs/robustness.md):
 
-* :class:`Deadline` — a request-scoped, monotonic-clock budget.  The
-  pipeline creates one from the ``timeout`` option at entry (the batch
-  front end at ``submit()``), installs it as ambient state next to the
-  ``compile_id`` correlation id, and every expensive stage checks it
-  *before* starting — so a request that has spent its budget fails
-  fast with :class:`~repro.core.errors.DeadlineExceededError` naming
-  the stage that found the budget gone, instead of running legality,
-  emit and bind to completion for a caller that stopped waiting.
-  Budgets cross the process boundary as remaining seconds (monotonic
-  clocks do not), so pool workers inherit what is left, not a fresh
-  allowance.
-
-* :class:`CircuitBreaker` — state machine over the batch compile fork
-  pool.  ``closed`` is normal service; ``threshold`` *consecutive*
-  infrastructure failures (``BrokenProcessPool``, compile timeouts,
-  injected refusals) trip it ``open``, and while open every offload is
-  refused up front — compiles run inline in the parent instead of
-  hammering a pool that keeps dying.  After ``cooldown`` seconds the
-  breaker goes ``half-open`` and admits probes; the first success
-  closes it, the first failure re-opens it for another cooldown.
-  Every transition is journaled (``resilience.breaker.*``) and counted.
+* :class:`Deadline` — a request-scoped, monotonic-clock budget, made
+  from the ``timeout`` option at entry and held as ambient state next
+  to the ``compile_id``; every expensive stage checks it *before*
+  starting, so a spent request fails fast with
+  :class:`~repro.core.errors.DeadlineExceededError` naming that stage.
+  It crosses the process boundary as remaining seconds.
+* :class:`CircuitBreaker` — over the batch compile fork pool:
+  ``threshold`` consecutive infrastructure failures open it, and while
+  open every offload compiles inline in the parent instead.
 
 Knobs (:mod:`repro.settings`): ``timeout``, ``breaker_threshold``,
-``breaker_cooldown``.  See docs/robustness.md.
+``breaker_cooldown``.
 """
 
 from __future__ import annotations
 
 import contextvars
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -38,6 +28,14 @@ from typing import Optional
 from repro import settings
 from repro.core.errors import DeadlineExceededError
 from repro.obs.events import emit as emit_event
+
+
+def active_fault_plan():
+    """The installed :class:`repro.faults.FaultPlan`, or None, read
+    without importing :mod:`repro.faults`: no plan is active before
+    ``repro.faults.plan`` is loaded and ``install`` has run."""
+    plan = sys.modules.get("repro.faults.plan")
+    return plan and plan.get_plan()
 
 
 # -- deadlines ---------------------------------------------------------------

@@ -77,10 +77,11 @@ class CacheStats(Mapping):
         byte-bounded tier also shows its corruptions and bytes)."""
         head = (f"{self.hits} hits / {self.misses} misses / "
                 f"{self.evictions} evictions")
-        if "bytes" in self.extra:
+        if "max_bytes" in self.extra:
+            held = (f"size {self.size}, {self.extra['bytes']}/"
+                    if "bytes" in self.extra else "max ")
             return (f"{head} / {self.corruptions} corrupt "
-                    f"(size {self.size}, {self.extra['bytes']}/"
-                    f"{self.extra['max_bytes']} bytes)")
+                    f"({held}{self.extra['max_bytes']} bytes)")
         cap = f"/{self.maxsize}" if self.maxsize is not None else ""
         return f"{head} (size {self.size}{cap})"
 

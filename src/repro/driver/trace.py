@@ -80,8 +80,9 @@ class CompileReport:
     #: Tiers ``isl.empty`` / ``isl.compose``.
     isl_cache_stats: CacheStatsGroup = field(
         default_factory=CacheStatsGroup)
-    #: Disk-tier counters at finish time (tier ``disk``); empty when
-    #: the tier is inactive.
+    #: Disk-tier counters and ``max_bytes`` at finish time (tier
+    #: ``disk``, from memory: the directory scan of ``size`` and the
+    #: byte totals is ``DiskCache.stats()``'s); empty when inactive.
     disk_cache_stats: Dict[str, int] = field(default_factory=dict)
 
     @property

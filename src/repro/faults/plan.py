@@ -2,27 +2,14 @@
 
 Production runtimes need failure semantics you can *test*, which means
 failures you can reproduce.  A ``FaultPlan`` is an explicit, seeded
-description of which faults fire where:
-
-* ``rank-crash`` / ``rank-hang`` — a simulated MPI rank raises on
-  entry, or stalls before running, addressed by ``rank``;
-* ``message-drop`` / ``message-corrupt`` — a message on one simulated
-  link is lost, or its payload bytes are flipped, addressed by
-  ``(src, dst, message)`` where ``message`` counts sends on that link;
-* ``cache-corrupt`` — a compile-cache entry's stored source is
-  damaged in place, addressed by ``key`` (fingerprint prefix) or by
-  ``index`` (the n-th cache probe);
-* ``slow-stage`` — one compile-pipeline stage stalls for a configured
-  number of seconds before running, addressed by ``stage`` name — the
-  tool for making a request blow its :class:`~repro.driver.resilience.
-  Deadline` inside a specific stage;
-* ``disk-io-error`` — the disk artifact tier raises ``OSError``
-  (``ENOSPC`` on ``op="store"``, ``EIO`` on ``op="load"`` by default),
-  addressed by ``op`` and ``key``;
-* ``pool-refusal`` — a process-pool dispatch fails as if the pool died
-  (``op`` names the supervised site: ``"batch"``) without harming the
-  real pool: the deterministic way to exercise retry paths and trip
-  the :class:`~repro.driver.resilience.CircuitBreaker`.
+description of which faults fire where.  ``FAULT_KINDS`` lists the kinds with the site fields each is addressed
+by: a simulated MPI rank that crashes or hangs, a message dropped or
+corrupted on one link, a damaged compile-cache entry, a stalled
+pipeline stage (to blow a request's
+:class:`~repro.driver.resilience.Deadline` inside it), a disk-tier
+``OSError``, and a refused batch pool dispatch (to exercise retry and
+trip the :class:`~repro.driver.resilience.CircuitBreaker`).  Each
+builder method below documents its own.
 
 Sites are exact: a field left as ``None`` is a wildcard, anything else
 must match the coordinates the runtime presents at the injection
@@ -41,8 +28,11 @@ Activation is process-global::
         kernels = compile_batch(functions)  # one offload refused, retried
     assert plan.fired("pool-refusal") == 1
 
-The runtimes consult :func:`get_plan` at each injection point; with no
-plan installed (the default) every probe is a cheap ``None`` check.
+The runtimes read the plan at each injection point through
+:func:`repro.driver.resilience.active_fault_plan`, which looks this
+module up in ``sys.modules`` (no plan can be active before it is
+loaded), so a process that never imports it never loads it, and with
+no plan installed every probe is a cheap ``None`` check.
 """
 
 from __future__ import annotations

@@ -1,26 +1,12 @@
-"""Runtime observability: per-computation profiles, span tracing,
-worker metrics.
-
-Three cooperating pieces (see docs/observability.md):
-
-* :mod:`repro.obs.runreport` — ``profile=True`` kernels attach a
-  :class:`RunReport` (iterations / wall ns / bytes written per
-  computation) to ``kernel.last_run`` after every call;
-* :mod:`repro.obs.tracer` — a span timeline joining compile stages,
-  runtime loop nests and parallel-worker chunks, exported as
-  Chrome-trace/Perfetto JSON (the ``trace_file`` knob);
-* :mod:`repro.obs.metrics` — a process-safe counters/gauges/histograms
-  registry the parallel runtime feeds (chunk timings and sizes),
-  recorded by the calling thread;
-* :mod:`repro.obs.events` — ``emit``, the one call at a decision site:
-  it bumps the counter of the event's name and appends to an
-  append-only structured JSONL event journal (the ``event_log`` knob),
-  with a per-compile correlation id threaded through the driver, cache
-  tiers, batch front end, fault paths and autoscheduler search;
-* :mod:`repro.obs.export` — OpenMetrics/Prometheus text and JSON
-  snapshot writers over the registry (the ``metrics_file`` knob).
-
-Every knob is a row of :mod:`repro.settings`.
+"""Runtime observability (docs/observability.md): per-computation run
+profiles (:mod:`.runreport`, ``kernel.last_run`` of ``profile=True``
+kernels), a span timeline exported as Chrome-trace JSON
+(:mod:`.tracer`, the ``trace_file`` knob), a counters / gauges /
+histograms registry (:mod:`.metrics`) with OpenMetrics and JSON writers
+(:mod:`.export`, the ``metrics_file`` knob), and ``emit``, the one call
+at a decision site, which bumps the counter of the event's name and
+appends to the JSONL journal with the compile's correlation id
+(:mod:`.events`, the ``event_log`` knob).
 """
 
 from .events import (EventJournal, compile_context, current_compile_id,

@@ -261,7 +261,7 @@ class TestLoadedAtFirstUse:
             "k = call(dict(N=300, M=300), parallel=False)\n"
             "assert k.runtime.stats.strips > 1, k.runtime.plans\n"
             "held = ('multiprocessing', 'concurrent.futures', 'subprocess',\n"
-            "        'repro.driver.batch')\n"
+            "        'repro.driver.batch', 'repro.faults')\n"
             "assert not [m for m in held if m in sys.modules]\n"
             "k = call(dict(N=300, M=300), num_threads=2)\n"
             "assert k.runtime.stats.regions == 1, k.runtime.plans\n"

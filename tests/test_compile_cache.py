@@ -8,6 +8,7 @@ import pytest
 from repro import Computation, Function, Input, Var
 from repro.driver import ir_fingerprint, kernel_registry
 from repro.driver.cache import CompileCache
+from repro.ir.expr import BufferRead
 
 
 def build(name="f"):
@@ -17,6 +18,89 @@ def build(name="f"):
         inp = Input("inp", [Var("x", 0, 16), Var("y", 0, 16)])
         c = Computation("c", [i, j], inp(i, j) * 2.0)
     return f, c
+
+
+def build_pair(prep=None):
+    """inp -> p -> c, after ``prep(f, inp, p, c)``."""
+    f = Function("g")
+    with f:
+        i, j = Var("i", 0, 16), Var("j", 0, 16)
+        inp = Input("inp", [Var("x", 0, 16), Var("y", 0, 16)])
+        p = Computation("p", [i, j], inp(i, j) * 2.0)
+        c = Computation("c", [i, j], p(i, j) + 1.0)
+    if prep is not None:
+        prep(f, inp, p, c)
+    return f, inp, p, c
+
+
+def _split4(f, inp, p, c):
+    c.split("i", 4)
+
+
+def _split_p(f, inp, p, c):
+    p.split("i", 4)
+
+
+def _promote(f, inp, p, c):
+    # c reads p's buffer directly: p is no longer consumed, so the next
+    # ensure-params promotes its buffer to an output named "p", which
+    # renames what c's BufferRead prints
+    c.set_expression(BufferRead(p.get_buffer(), c.vars) + 1.0)
+
+
+#: command -> (prep applied to both copies, the in-place mutation,
+#: target).  Every public scheduling command of Computation (Table II)
+#: and Function's ordering commands; ``distribute`` compiles on the
+#: distributed target, the gpu mappings and caches on the gpu target.
+#: Every one applies to this function; ``separate`` needs a split that
+#: leaves partial tiles and the gpu mapping a tiled nest, which the prep
+#: gives both copies.  Not here: ``host_to_device`` / ``device_to_host``
+#: and the ``repro.core.communication`` operations, which add
+#: computations rather than schedule this function's.
+COMMANDS = {
+    "tile": (None, lambda f, inp, p, c: c.tile("i", "j", 4, 4), "cpu"),
+    "split": (None, _split4, "cpu"),
+    "interchange": (None, lambda f, inp, p, c: c.interchange("i", "j"),
+                    "cpu"),
+    "shift": (None, lambda f, inp, p, c: c.shift("i", 1), "cpu"),
+    "skew": (None, lambda f, inp, p, c: c.skew("i", "j", 1), "cpu"),
+    "unroll": (None, lambda f, inp, p, c: c.unroll("j", 4), "cpu"),
+    "set_schedule": (None, lambda f, inp, p, c: c.set_schedule(
+        "{ c[i,j] -> c[j,i] }"), "cpu"),
+    "compute_at": (None, lambda f, inp, p, c: p.compute_at(c, "i"), "cpu"),
+    "after": (None, lambda f, inp, p, c: c.after(p, "i"), "cpu"),
+    "before": (None, lambda f, inp, p, c: p.before(c, "j"), "cpu"),
+    "then": (None, lambda f, inp, p, c: p.then(c, "i"), "cpu"),
+    "inline": (None, lambda f, inp, p, c: p.inline(), "cpu"),
+    "separate": (lambda f, inp, p, c: c.split("i", 5),
+                 lambda f, inp, p, c: c.separate("i1"), "cpu"),
+    "parallelize": (None, lambda f, inp, p, c: c.parallelize("i"), "cpu"),
+    "vectorize": (None, lambda f, inp, p, c: c.vectorize("j", 4), "cpu"),
+    "distribute": (None, lambda f, inp, p, c: c.distribute("i"),
+                   "distributed"),
+    "gpu": (lambda f, inp, p, c: c.tile("i", "j", 4, 4),
+            lambda f, inp, p, c: c.gpu("i0", "j0", "i1", "j1"), "gpu"),
+    "tile_gpu": (None, lambda f, inp, p, c: c.tile_gpu("i", "j", 4, 4),
+                 "gpu"),
+    "cache_shared_at": (_split_p, lambda f, inp, p, c: inp.cache_shared_at(
+        p, "i0"), "gpu"),
+    "cache_local_at": (_split_p, lambda f, inp, p, c: inp.cache_local_at(
+        p, "i0"), "gpu"),
+    "store_in": (None, lambda f, inp, p, c: p.store_in(
+        [p.vars[1], p.vars[0]]), "cpu"),
+    "store_in_isl": (None, lambda f, inp, p, c: p.store_in_isl(
+        "{ p[i,j] -> b[j, i] }"), "cpu"),
+    "set_expression": (None, lambda f, inp, p, c: c.set_expression(
+        p(*c.vars) + 2.0), "cpu"),
+    "add_predicate": (None, lambda f, inp, p, c: c.add_predicate(
+        inp(*c.vars) > 0.5), "cpu"),
+    "order_after": (None, lambda f, inp, p, c: f.order_after(c, p, 0),
+                    "cpu"),
+    "order_before": (None, lambda f, inp, p, c: f.order_before(p, c, 0),
+                     "cpu"),
+    "sequence": (None, lambda f, inp, p, c: f.sequence(p, c), "cpu"),
+    "promote": (None, _promote, "cpu"),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -50,6 +134,21 @@ class TestFingerprint:
         f2, c2 = build()
         c2.store_in([c2.vars[1], c2.vars[0]])   # Layer III only
         assert ir_fingerprint(f1, "cpu") != ir_fingerprint(f2, "cpu")
+
+    def test_a_kept_fingerprint_sees_a_renamed_read_buffer(self):
+        # the buffer appears in no token but c's expression, which
+        # prints its current name
+        from repro.core.buffer import Buffer
+        from repro.driver.fingerprint import Fingerprint
+        lut = Buffer("lut", [16])
+        f = Function("f")
+        with f:
+            i = Var("i", 0, 16)
+            Computation("c", [i], BufferRead(lut, [i]) * 2.0)
+        kept = Fingerprint(f, "cpu").keep()
+        assert kept.holds()
+        lut.name = "table"
+        assert not kept.holds()
 
     def test_target_changes_fingerprint(self):
         f, _ = build()
@@ -131,6 +230,19 @@ class TestCacheInvalidation:
         k = f2.compile("cpu")
         assert not k.report.cache_hit
         assert k.fn is f2
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_stale_entry_dropped_after_every_command(self, command):
+        # the same drift, once for every public scheduling command
+        prep, mutate, target = COMMANDS[command]
+        f1, *comps = build_pair(prep)
+        f1.compile(target)
+        mutate(f1, *comps)
+        f2, *_ = build_pair(prep)
+        k = f2.compile(target)
+        assert not k.report.cache_hit
+        assert k.fn is f2
+        assert not f1.compile(target).report.cache_hit
 
     def test_check_legality_is_part_of_the_key(self):
         f, _ = build()

@@ -313,3 +313,62 @@ class TestActivation:
         pipe = CompilePipeline(get_backend("gpu"))
         assert pipe._disk_tier() is None
         assert CompilePipeline(get_backend("cpu"))._disk_tier() is not None
+
+
+class TestWhatAHitDoes:
+    """A memory hit on a freshly built function hashes the request once:
+    no buffer extents, no re-print of the stored function, no scan of
+    the disk tier."""
+
+    @staticmethod
+    def gaussian():
+        from repro.evaluation.schedules import tiramisu_cpu
+        from repro.kernels import build_gaussian
+        bundle = build_gaussian()
+        tiramisu_cpu(bundle)
+        return bundle.function
+
+    def test_a_memory_hit_runs_no_cold_only_step(self, tmp_path,
+                                                 monkeypatch):
+        import collections
+
+        import repro.driver.fingerprint as fingerprint
+        import repro.isl.fourier_motzkin as fourier_motzkin
+        root = str(tmp_path / "tier")
+        configure(root)
+        stored = self.gaussian()
+        stored.compile("cpu", parallel=False)
+        fresh = self.gaussian()
+        calls = collections.Counter()
+
+        def count(module, name, when=lambda *args: True):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                if when(*args):
+                    calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        def under_root(path=".", *rest):
+            return os.fspath(path).startswith(root)
+        count(fourier_motzkin, "eliminate_dims")
+        count(fingerprint, "_computation_tokens",
+              lambda comp: comp.function is stored)
+        count(os, "listdir", under_root)
+        count(os, "stat", under_root)
+        kernel = fresh.compile("cpu", parallel=False)
+        assert kernel.report.cache_hit and kernel.fn is stored
+        assert calls == {}
+
+    def test_the_report_carries_the_tier_counters(self, tmp_path):
+        configure(tmp_path)
+        build().compile("cpu")
+        kernel_registry.clear()
+        report = build().compile("cpu").report
+        assert report.disk_hit
+        disk, scanned = report.caches["disk"], active_disk_cache().stats()
+        assert (disk.hits, disk.misses) == (scanned.hits,
+                                            scanned.misses) == (1, 1)
+        assert disk["max_bytes"] == scanned["max_bytes"]
+        assert "bytes" not in disk and scanned["size"] == 1

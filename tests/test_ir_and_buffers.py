@@ -191,6 +191,19 @@ class TestBuffers:
     def test_default_kind_temporary(self):
         assert Buffer("b", [4]).kind == ArgKind.TEMPORARY
 
+    def test_auto_buffer_extents_follow_their_owner(self):
+        from repro import Computation, Function
+        with Function("f"):
+            i, j = Var("i", 0, 8), Var("j", 0, 4)
+            c = Computation("c", [i, j], 1.0)
+        buf = c.get_buffer()
+        assert buf.owner is c and buf.concrete_shape({}) == (8, 4)
+        c.store_in([j, i])                  # extents derived again
+        assert buf.concrete_shape({}) == (4, 8)
+        buf.set_size([3])                   # explicit from now on
+        c.store_in([i, j])
+        assert buf.owner is None and buf.concrete_shape({}) == (3,)
+
 
 class TestAccessHelpers:
     def test_accesses_in_nested(self):

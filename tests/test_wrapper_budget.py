@@ -12,8 +12,9 @@ WRAPPER = ("driver", "runtime", "obs", "faults")
 
 #: ``wc -l`` of every module under WRAPPER.  5005 while the batch
 #: compile pool and its failure policy were a backends module of their
-#: own (271 lines); 4880 since the compile service owns them.
-WRAPPER_LINES_CEILING = 4880
+#: own (271 lines); 4880 since the compile service owns them; 4878 since
+#: a warm hit keeps its fingerprint's tokens by computation.
+WRAPPER_LINES_CEILING = 4878
 
 
 def _wc_l(path: Path) -> int:
