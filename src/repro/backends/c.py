@@ -34,8 +34,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.codegen.ast import Block, Loop, Stmt
-from repro.codegen.lanes import clamp_free, lane_verdict
-from repro.codegen.pyemit import lin_to_py
+from repro.codegen.lanes import clamp_free, lane_verdict, time_index
+from repro.codegen.pyemit import lin_to_py, windows_at
 from repro.core.deps import DependenceSummary
 from repro.core.buffer import Buffer
 from repro.core.computation import Operation
@@ -157,6 +157,7 @@ class CEmitter:
         self.lanes_verified = lanes_verified
         self.lines: List[str] = []
         self.indent = 1
+        self.comp = self.store = None   # the statement being emitted
 
     def line(self, text: str = "") -> None:
         self.lines.append("    " * self.indent + text)
@@ -225,12 +226,28 @@ class CEmitter:
             return self._call_c(expr.fn, [self.expr_c(a, env)
                                           for a in expr.args])
         if isinstance(expr, BufferRead):
-            flat = self.expr_c(expr.indices[0], env)
-            for size, e in zip(expr.buffer.sizes[1:], expr.indices[1:]):
+            buf, idx = expr.buffer, [self.expr_c(e, env)
+                                     for e in expr.indices]
+            window = self.comp.cache_of(buf, expr is self.store)
+            if window:                  # rebased onto the tile window
+                buf, origins = window
+                idx = [self._rebased(x, le, origin) for x, le, origin in zip(
+                    idx, time_index(self.comp, expr.indices), origins)]
+            flat = idx[0]
+            for size, x in zip(buf.sizes[1:], idx[1:]):
                 flat = _C(f"{_p(flat, 2)} * {_p(self.extent_c(size), 3)} + "
-                          f"{_p(self.expr_c(e, env), 1)}", int, 1)
-            return _C(f"{expr.buffer.name}[{flat}]", expr.buffer.dtype)
+                          f"{_p(x, 1)}", int, 1)
+            return _C(f"{buf.name}[{flat}]", buf.dtype)
         raise CodegenError(f"cannot emit {expr!r} as C")
+
+    def _rebased(self, index: _C, le: Optional[LinExpr],
+                 origin: LinExpr) -> _C:
+        """``index`` (``le`` over the time dims, if affine) less a
+        window's ``origin``."""
+        if le is not None:
+            return _lin_to_c(le - origin, self.params)
+        return _C(f"{_p(index, 1)} - {_p(_lin_to_c(origin, self.params), 2)}",
+                  int, 1)
 
     def extent_c(self, size: Expr) -> _C:
         """A buffer extent as a stride: Layer III fixes the layout, so it
@@ -314,6 +331,9 @@ class CEmitter:
         self.indent += 1
         if skip:
             self.line(skip)
+        for buf in windows_at(self.fn, loop):   # private to an iteration
+            size = int(np.prod(buf.concrete_shape({})))
+            self.line(f"{_CTYPE[buf.dtype.np_dtype]} {buf.name}[{size}];")
         if values is None:
             self.emit_block(loop.body)
         else:
@@ -355,6 +375,7 @@ class CEmitter:
         closes = 0
         env = self.stmt_env(comp)
         form = DependenceSummary.of(self.fn).form(comp)
+        self.comp, self.store = comp, form.store
         for guard in stmt.guards:
             es = _lin_to_c(guard.expr, self.params)
             op = "==" if guard.kind == EQ else ">="

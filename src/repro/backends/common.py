@@ -17,6 +17,7 @@ import numpy as np
 
 from repro import settings
 from repro.core.buffer import ArgKind, Buffer
+from repro.core.communication import tile_window
 from repro.core.computation import Input, Operation
 from repro.core.errors import ExecutionError
 from repro.core.function import Function
@@ -90,7 +91,8 @@ def collect_buffers(fn: Function) -> List[Buffer]:
             continue
         if c.inlined:
             continue
-        candidates = [c.get_buffer()]
+        # a producer in a tile window keeps none: each iteration makes one
+        candidates = [] if tile_window(c) else [c.get_buffer()]
         for shared, *_ in c.cached_reads.values():
             candidates.append(shared)
         if c.cached_store is not None:

@@ -413,7 +413,7 @@ class DistEmitter(Emitter):
             self.line(f"if {var} >= {lo} and {var} <= ({hi}):")
             self.indent += 1
             self._depth += 1  # the rank var binds in this frame only
-            self.emit_block(loop.body)
+            self.emit_body(loop)
             self._depth -= 1
             self.indent -= 1
             return

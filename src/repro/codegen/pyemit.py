@@ -37,6 +37,7 @@ import re
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.access import integer
+from repro.core.communication import tile_window
 from repro.core.deps import DependenceSummary
 from repro.core.errors import CodegenError
 from repro.ir.expr import (BinOp, BufferRead, Call, Cast, Const, Expr,
@@ -648,6 +649,15 @@ class Emitter:
         for child in block.children:
             self.emit_node(child)
 
+    def emit_body(self, loop: Loop) -> None:
+        """``loop``'s body, opened by a fresh tile window for each
+        producer ``compute_at`` nests at its level: an iteration (a
+        chunk's too) owns its window."""
+        for buf in windows_at(self.fn, loop):
+            self.line(f"{_buf_var(buf)} = np.empty({buf.concrete_shape({})}, "
+                      f"dtype=np.{buf.dtype.np_dtype})")
+        self.emit_block(loop.body)
+
     def emit_node(self, node: Node) -> None:
         if isinstance(node, Loop):
             self.emit_loop(node)
@@ -698,7 +708,7 @@ class Emitter:
         self.line(f"for t{loop.level} in range({self._span(lo, hi)}):{note}")
         self.indent += 1
         self._depth += 1
-        self.emit_block(loop.body)
+        self.emit_body(loop)
         self._depth -= 1
         self.indent -= 1
         return "loop-nest"
@@ -758,7 +768,7 @@ class Emitter:
                 self.line(f"for t{loop.level} in range(_lo, _hi + 1):{note}")
                 self.indent += 1
                 self._depth += 1
-                self.emit_block(loop.body)
+                self.emit_body(loop)
                 self.indent -= 1
             if self.profile:
                 self.emit_profile_flush()
@@ -875,7 +885,7 @@ class Emitter:
                           f":{note}")
                 self.indent += 1
                 self._depth += 1
-            self.emit_block(levels[-1].body)
+            self.emit_body(levels[-1])
         args = ", ".join(f"_lo{k}, _hi{k}" for k in range(len(levels)))
         return self.render_def(f"def _tile_body(_bufs, _params, {args}):",
                                body)
@@ -981,7 +991,8 @@ class Emitter:
                 vec.begin(form.value)
                 start = len(vec.lines)
                 rhs = self.expr_py(form.value, env)
-                target = self._element(form.store, env, comp.cached_store)
+                target = self._element(
+                    form.store, env, comp.cache_of(form.store.buffer, True))
                 vec.lines.append(f"{target} = {rhs}")
                 vec.lines[start:start] = self._windows()
                 if self.profile and comp.name in self._counters:
@@ -1078,7 +1089,8 @@ class Emitter:
             self.emit_operation(comp, env)
         else:
             rhs = self.expr_py(form.value, env)
-            target = self._element(form.store, env, comp.cached_store)
+            target = self._element(
+                form.store, env, comp.cache_of(form.store.buffer, True))
             self.line(f"{target} = {rhs}")
             if self.profile and comp.name in self._counters:
                 self.line(f"{self._counters[comp.name][0]} += 1")
@@ -1128,6 +1140,19 @@ class Emitter:
             dst_slices.append(f"{lo} - {o}:{hi} - {o}")
         self.line(f"{_buf_var(dst)}[{', '.join(dst_slices)}] = "
                   f"{_buf_var(src)}[{', '.join(src_slices)}]")
+
+
+def windows_at(fn, loop: Loop) -> List:
+    """The tile windows (:func:`repro.core.communication.tile_window`)
+    an iteration of ``loop`` allocates."""
+    out = []
+    for name in dict.fromkeys(loop.comps):
+        comp = fn.find(name)
+        window = comp.anchor is not None and comp.anchor[1] == loop.level \
+            and tile_window(comp)
+        if window:
+            out.append(window[0])
+    return out
 
 
 def _buf_var(buffer) -> str:

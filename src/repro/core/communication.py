@@ -16,13 +16,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.expr import Const, Expr, IterVar, wrap
-from repro.isl import OUT, BasicSet, LinExpr, Set, Space
+from repro.isl import IN, OUT, BasicSet, LinExpr, Map, Set, Space
 from repro.isl.fourier_motzkin import bounds_on_dim, eliminate_dims
 
 from .buffer import ArgKind, Buffer, MemSpace
 from .computation import Computation, Operation, _linexpr_to_expr
 from .access import element
-from .deps import access_map
+from .deps import DependenceSummary, access_map
 from .errors import ScheduleError
 from .schedule import Tag, level_index
 from .var import Var
@@ -216,9 +216,46 @@ def cache_at(producer: Computation, consumer: Computation, level,
             f"{consumer.name} does not read {producer.name}")
     # Footprint on the producer's *buffer*: compose with where its values
     # live (an input stores nothing, so this is not its write map).
-    footprint = needed.apply_range(access_map(producer, element(producer)))
+    origins, extents = bounding_box(
+        needed.apply_range(access_map(producer, element(producer))), l + 1)
+    shared = Buffer(f"_{producer.name}_{space.value}",
+                    [Const(e) for e in extents], producer.dtype,
+                    ArgKind.TEMPORARY)
+    shared.mem_space = space
+    produced_in_tile = (producer.anchor is not None
+                        and producer.anchor[0] is consumer
+                        and producer.anchor[1] <= l)
+    if produced_in_tile:
+        # The producer is computed inside the consumer's tile
+        # (compute_at): it writes straight into the cache — the paper's
+        # "store the results of the bx computation in shared memory" —
+        # which takes the place of its tile window.
+        # Only a barrier separates the produce and consume phases.
+        producer.cached_store = (shared, origins)
+        op = barrier_at(consumer, level)
+        # Order the barrier between the produce and consume phases.
+        fn.order_after(op, producer, l)
+    else:
+        # Staging an externally produced buffer (e.g. convolution
+        # weights): copy the footprint box from global memory.
+        op = _anchored_operation("cache_copy", {
+            "src": producer.get_buffer(),
+            "dst": shared,
+            "origins": origins,          # LinExpr over prefix dims (OUT,k)
+            "extents": extents,
+        }, consumer, l)
+    # Redirect the consumer's reads of producer through the cache.
+    consumer.cached_reads[producer.name] = (shared, origins, l + 1)
+    return op
+
+
+def bounding_box(footprint, n_prefix: int
+                 ) -> Tuple[List[LinExpr], List[int]]:
+    """Per output dimension of ``footprint`` (a map from the loops
+    ``0..n_prefix - 1`` to buffer elements): the origin of its bounding
+    box, a LinExpr over those loops (``(OUT, k)``) and the parameters,
+    and its constant extent; ScheduleError if there is none."""
     n_buf = len(footprint.space.out_dims)
-    n_prefix = l + 1
     origins: List[LinExpr] = []
     extents: List[int] = []
     for k in range(n_buf):
@@ -249,34 +286,90 @@ def cache_at(producer: Computation, consumer: Computation, level,
                 f"{extent!r}")
         origins.append(lo)
         extents.append(int(extent.const) + 1)
-    shared = Buffer(f"_{producer.name}_{space.value}",
-                    [Const(e) for e in extents], producer.dtype,
-                    ArgKind.TEMPORARY)
-    shared.mem_space = space
-    produced_in_tile = (producer.anchor is not None
-                        and producer.anchor[0] is consumer
-                        and producer.anchor[1] <= l)
-    if produced_in_tile:
-        # The producer is computed inside the consumer's tile
-        # (compute_at): it writes straight into the cache — the paper's
-        # "store the results of the bx computation in shared memory".
-        # Only a barrier separates the produce and consume phases.
-        producer.cached_store = (shared, origins)
-        op = barrier_at(consumer, level)
-        # Order the barrier between the produce and consume phases.
-        fn.order_after(op, producer, l)
-    else:
-        # Staging an externally produced buffer (e.g. convolution
-        # weights): copy the footprint box from global memory.
-        op = _anchored_operation("cache_copy", {
-            "src": producer.get_buffer(),
-            "dst": shared,
-            "origins": origins,          # LinExpr over prefix dims (OUT,k)
-            "extents": extents,
-        }, consumer, l)
-    # Redirect the consumer's reads of producer through the cache.
-    consumer.cached_reads[producer.name] = (shared, origins, l + 1)
-    return op
+    return origins, extents
+
+
+# -- tile windows (compute_at) --------------------------------------------------
+
+
+def tile_window(producer: Computation
+                ) -> Optional[Tuple[Buffer, List[LinExpr]]]:
+    """``(window, origins)``: where ``producer`` stores when
+    ``compute_at`` nests it in its consumer's loops ``0..l``
+    (``producer.anchor``) — a buffer of the constant box one iteration
+    of those loops computes (:func:`window_box`), private to that
+    iteration (paper Section III-C, overlapped tiling), the producer's
+    stores and the consumer's reads rebased onto it.  None, and the
+    producer keeps its function-wide buffer, unless that buffer is its
+    own temporary (not an argument, not set by ``store_in``) that no
+    computation other than the consumer's expression reads and no
+    operation names, no ``cache_shared_at`` cache took its place, and
+    the box is constant."""
+    if producer.anchor is None or producer.cached_store is not None:
+        return None
+    buf = producer.get_buffer()
+    if buf.owner is not producer or buf.kind is not ArgKind.TEMPORARY \
+            or not _read_by_consumer_alone(producer):
+        return None
+    return window_box(producer)
+
+
+def window_box(producer: Computation
+               ) -> Optional[Tuple[Buffer, List[LinExpr]]]:
+    """The window of ``producer``'s buffer that one iteration of its
+    loops ``0..l`` (``producer.anchor``) computes — its bounding box
+    (:func:`bounding_box`) as a buffer, with the origins — or None
+    without a constant one.  Worked out by ``compute_at`` and again
+    whenever the producer's schedule or store indices have been
+    replaced since."""
+    l, memo = producer.anchor[1], producer.window_memo
+    rev = tuple(producer.rev[nm] for nm in producer.var_names)
+    if memo is not None and memo[0] == l and memo[1] is producer.instances \
+            and memo[2] is producer.store_exprs and memo[3] == rev:
+        return memo[4]
+    # each computed instance -> the element it stores, per prefix
+    held = producer.forward_schedule().reverse().apply_range(
+        access_map(producer, element(producer)))
+    drop = list(range(l + 1, len(producer.time_names)))
+    window = None
+    if held.pieces:
+        try:
+            origins, extents = bounding_box(Map(
+                [p.project_onto_divs(IN, drop) for p in held.pieces]), l + 1)
+            window = (Buffer(f"_{producer.name}_w",
+                             [Const(e) for e in extents], producer.dtype,
+                             ArgKind.TEMPORARY), origins)
+        except ScheduleError:               # no constant box
+            pass
+    producer.window_memo = (l, producer.instances, producer.store_exprs,
+                            rev, window)
+    return window
+
+
+def _read_by_consumer_alone(producer: Computation) -> bool:
+    """Is the expression of the consumer ``compute_at`` nests
+    ``producer`` in the only place that reads it — directly: no other
+    expression or predicate accesses it, and no other statement or
+    operation touches its buffer (an inlined consumer's readers do)?"""
+    from repro.ir.expr import accesses_in
+    fn, consumer, buf = producer.function, producer.anchor[0], producer.buffer
+    summary = DependenceSummary.of(fn)
+    for c in fn.computations:
+        if isinstance(c, Operation):
+            if any(c.payload.get(k) is buf for k in ("buffer", "src", "dst")):
+                return False
+            continue
+        for e in (c.expr if c is not consumer else None, c.predicate):
+            if e is not None and any(a.computation is producer
+                                     for a in accesses_in(e)):
+                return False
+    for c in fn.active_computations():
+        if c is producer or c is consumer or isinstance(c, Operation):
+            continue
+        form = summary.form(c)
+        if any(r.buffer is buf for r in form.reads + (form.store,) if r):
+            return False
+    return True
 
 
 def _pick_affine_bound(bounds, n_prefix: int, is_lower: bool

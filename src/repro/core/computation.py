@@ -69,6 +69,9 @@ class Computation:
         # directly into a shared/local cache (cache_shared_at on a
         # compute_at-nested producer).
         self.cached_store: Optional[Tuple] = None
+        # what repro.core.communication.window_box last worked out, and
+        # from which schedule state
+        self.window_memo: Optional[Tuple] = None
 
     # -- algorithm-level API ---------------------------------------------
 
@@ -388,13 +391,23 @@ class Computation:
             return list(self.store_exprs)
         return [v.expr() for v in self.vars]
 
-    def cache_of(self, buffer) -> Optional[Tuple]:
-        """``(staging buffer, origins)`` when this computation reads
-        ``buffer`` through a cache (``cache_shared_at`` /
-        ``cache_local_at``), else None."""
+    def cache_of(self, buffer, store: bool = False) -> Optional[Tuple]:
+        """``(staging buffer, origins)`` when this computation reaches
+        ``buffer`` through one, else None: its store (``store``) through
+        ``cache_shared_at``'s cache or its tile window, a read through a
+        cache (``cache_shared_at`` / ``cache_local_at``) or through the
+        tile window of a producer ``compute_at`` nests in this
+        computation (:func:`repro.core.communication.tile_window`)."""
+        from .communication import tile_window
+        if store:
+            return self.cached_store or tile_window(self)
         for name, (shared, origins, __) in self.cached_reads.items():
             if self.function.find(name).get_buffer() is buffer:
                 return shared, origins
+        producer = buffer.owner
+        if producer is not None and producer.anchor is not None \
+                and producer.anchor[0] is self:
+            return tile_window(producer)
         return None
 
     # -- schedule plumbing ---------------------------------------------------

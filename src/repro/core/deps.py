@@ -466,14 +466,22 @@ class DependenceSummary:
     def _profile(self, dep: Dependence) -> _LevelProfile:
         src_key, _, src_rev = self._schedule(dep.source)
         snk_key, snk_fwd, _ = self._schedule(dep.sink)
+        private = _private_levels(dep)
         walked = self.profiles_walked
 
         def build():
             self.profiles_walked += 1
             rel = src_rev.apply_range(dep.relation).apply_range(snk_fwd)
+            if private:
+                # one copy of the buffer per iteration of those loops:
+                # instances in two different iterations share no element
+                rel = Map([bm.add_constraints([
+                    Constraint.eq(LinExpr.dim(OUT, k) - LinExpr.dim(IN, k))
+                    for k in range(private)]) for bm in rel.pieces],
+                    rel.space)
             return _LevelProfile(rel, len(dep.source.time_names),
                                  len(dep.sink.time_names))
-        profile = self._remember((dep, src_key, snk_key), build)
+        profile = self._remember((dep, src_key, snk_key, private), build)
         if walked == self.profiles_walked:
             self.profiles_reused += 1
         return profile
@@ -565,6 +573,17 @@ class DependenceSummary:
         :class:`IllegalScheduleError`."""
         self.check_legality()
         self.check_races()
+
+
+def _private_levels(dep: Dependence) -> int:
+    """How many outer loops ``dep``'s buffer is private to: ``l + 1``
+    when it is the function-wide buffer of a producer that stores in a
+    tile window allocated in loop ``l``
+    (:func:`repro.core.communication.tile_window`), else 0."""
+    from .communication import tile_window
+    producer = dep.buffer.owner
+    return producer.anchor[1] + 1 \
+        if producer is not None and tile_window(producer) else 0
 
 
 # -- schedule legality ----------------------------------------------------------

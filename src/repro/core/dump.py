@@ -20,6 +20,7 @@ import io
 from typing import Optional
 
 from .access import element, resolve
+from .communication import tile_window
 from .computation import Computation, Input, Operation
 
 
@@ -67,6 +68,10 @@ def dump_ir(fn) -> str:
             write(f"    if {form.predicate!r}\n")
         if c.cached_store is not None:
             write(f"    (stores via cache {c.cached_store[0].name})\n")
+        window = tile_window(c)
+        if window is not None:
+            write(f"    (stores in tile window {window[0]!r}, one per "
+                  f"iteration of loops 0..{c.anchor[1]})\n")
         for producer, (shared, __, ___) in c.cached_reads.items():
             write(f"    (reads {producer} via cache {shared.name})\n")
 

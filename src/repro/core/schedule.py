@@ -353,6 +353,9 @@ def apply_compute_at(producer, consumer, level) -> None:
     # Ordering: producer shares loops 0..l with consumer and runs first.
     producer.function.order_before(producer, consumer, l)
     producer.anchor = (consumer, l)
+    # The window an iteration of loops 0..l stores the producer in.
+    from .communication import window_box
+    window_box(producer)
 
 
 def _needed_relation(consumer, producer, l):

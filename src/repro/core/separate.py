@@ -131,6 +131,7 @@ def separate(comp: Computation, level) -> Optional[Computation]:
                          if comp.store_exprs is not None else None)
     clone.cached_reads = dict(comp.cached_reads)
     clone.cached_store = comp.cached_store
+    clone.window_memo = None
     fn._register_clone(clone)
     comp.instances = Set(fulls, comp.instances.space)
     # The epilogue runs as its own loop nest after the full tiles (its

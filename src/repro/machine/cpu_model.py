@@ -382,8 +382,7 @@ class CpuCostModel:
         out = []
         form = DependenceSummary.of(self.fn).form(comp)
         for element in form.reads + (form.store,):
-            cache = comp.cached_store if element is form.store \
-                else comp.cache_of(element.buffer)
+            cache = comp.cache_of(element.buffer, element is form.store)
             buffer, origins = cache or (element.buffer, None)
             shape = self._buffer_shape(buffer)
             # Index LinExprs over time dims; non-affine: random access.

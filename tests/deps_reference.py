@@ -11,11 +11,12 @@ memo and no integer shortcut — which is what makes it a reference.
 passes that keep the ``Access`` nodes.
 """
 
+from repro.core.communication import tile_window
 from repro.core.deps import _compute_dependences, full_schedule_map
 from repro.core.errors import IllegalScheduleError
 from repro.ir.expr import Access, BinOp, accesses_in, substitute_exprs
 from repro.ir.fold import fold
-from repro.isl import IN, OUT, PARAM, Constraint, LinExpr
+from repro.isl import IN, OUT, PARAM, Constraint, LinExpr, Map
 from repro.isl.sample import sample as isl_sample
 
 
@@ -87,13 +88,22 @@ def check_legality(fn, deps) -> int:
 
 def carried(fn, deps, comp, level):
     """Positions in ``deps`` of the dependences loop ``level`` of
-    ``comp`` carries (the old ``carried_at_level``)."""
+    ``comp`` carries (the old ``carried_at_level``).  A dependence on
+    the buffer of a producer that stores in a tile window allocated in
+    loop ``l`` joins only instances whose time vectors agree up to
+    ``t_l``."""
     out = []
     pos = 2 * level + 1
     for n, dep in enumerate(deps):
         if dep.source is not comp and dep.sink is not comp:
             continue
         rel = _time_relation(fn, dep)
+        producer = dep.buffer.owner
+        if producer is not None and tile_window(producer) is not None:
+            rel = Map([bm.add_constraints([
+                Constraint.eq(LinExpr.dim(OUT, j) - LinExpr.dim(IN, j))
+                for j in range(2 * producer.anchor[1] + 2)])
+                for bm in rel.pieces], rel.space)
         ahead = LinExpr.dim(OUT, pos) - LinExpr.dim(IN, pos)
         if _some(rel, pos, ahead) or _some(rel, pos, -ahead):
             out.append(n)

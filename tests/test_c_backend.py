@@ -6,7 +6,7 @@ import pytest
 
 from repro import Buffer, Computation, Function, Input, Param, Var
 from repro.backends.c import emit_c_source, have_c_compiler
-from repro.core.errors import CodegenError, IllegalScheduleError
+from repro.core.errors import CodegenError
 from repro.ir import clamp, minimum, select
 from repro.ir import types as T
 
@@ -186,12 +186,11 @@ class TestScheduledKernels:
         inputs = bundle.make_inputs(params, rng)
         ref = bundle.reference({k: v.copy() for k, v in inputs.items()},
                                params)
-        # the tiles share compute_at's window of bx: refused as on cpu,
-        # whatever the host, and run without the pragma on request
-        with pytest.raises(IllegalScheduleError, match="data race"):
-            bundle.function.compile("c")
-        kernel = bundle.function.compile("c", parallel=False)
-        assert "#pragma omp parallel" not in kernel.source
+        # each tile computes bx into its own window (a loop-local array,
+        # private to the thread running the tile): the tiles run on a team
+        kernel = bundle.function.compile("c")
+        assert "#pragma omp parallel for" in kernel.source
+        assert "float _bx_w[" in kernel.source
         out = kernel(**inputs, **params)
         assert np.allclose(out["by"], ref["by"], atol=1e-4)
 
@@ -261,12 +260,9 @@ class TestScheduledKernels:
         inputs = bundle.make_inputs(params, rng)
         expected = bundle.reference(
             {k: np.copy(v) for k, v in inputs.items()}, params)
-        opts = {}
-        if bench == "blur":     # Fig. 3a's compute_at race (ROADMAP 2)
-            with pytest.raises(IllegalScheduleError):
-                bundle.function.compile("c")
-            opts["parallel"] = False
-        out = bundle.function.compile("c", **opts)(**inputs, **params)
+        kernel = bundle.function.compile("c")
+        assert "#pragma omp parallel for" in kernel.source
+        out = kernel(**inputs, **params)
         for name, ref in expected.items():
             assert np.allclose(out[name], ref, atol=1e-3), bench
 

@@ -13,7 +13,6 @@ import sys
 import pytest
 
 from repro import kernels as K
-from repro.core.errors import IllegalScheduleError
 from repro.evaluation.schedules import tiramisu_cpu
 
 #: (builder, hand schedule or None).
@@ -58,8 +57,7 @@ def emit(builder, schedule, **opts) -> str:
     bundle = builder()
     if schedule is not None:
         schedule(bundle)
-    # parallel=False: no auto race check (blur's schedule compiles), and
-    # the same source.
+    # parallel=False: no auto race check, and the same source.
     return bundle.function.compile("cpu", parallel=False, cache=False,
                                    **opts).source
 
@@ -113,12 +111,7 @@ def test_clamped_reads_are_windows_and_tiles_one_slab():
                          ids=[b.__name__ for b, __ in HAND])
 def test_check_races_does_not_change_the_source(builder, schedule):
     plain = emit(builder, schedule)
-    try:
-        checked = emit(builder, schedule, check_races=True)
-    except IllegalScheduleError:
-        # the one paper schedule the race detector rejects (ROADMAP 2)
-        assert builder is K.build_blur
-        return
+    checked = emit(builder, schedule, check_races=True)
     assert checked == plain
 
 

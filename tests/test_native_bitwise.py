@@ -12,7 +12,6 @@ import pytest
 
 from repro import kernels as K
 from repro.backends.c import have_c_compiler
-from repro.core.errors import IllegalScheduleError
 from repro.evaluation.schedules import tiramisu_cpu
 
 from .test_emit_budget import HAND
@@ -35,17 +34,7 @@ def test_c_equals_cpu_bit_for_bit(builder, schedule, monkeypatch):
             schedule(bundle)
         params = dict(bundle.test_params)
         inputs = bundle.make_inputs(params, np.random.default_rng(5))
-        try:
-            kernel = bundle.function.compile(target, cache=False, **opts)
-        except IllegalScheduleError:
-            # the one paper schedule the race detector rejects wherever
-            # its parallel loop would run concurrently (Fig. 3a's shared
-            # compute_at window, ROADMAP 2); c still runs it sequentially
-            assert builder is K.build_blur and leg != "cpu"
-            if leg == "cpu x2":
-                continue
-            kernel = bundle.function.compile(target, cache=False,
-                                             parallel=False)
+        kernel = bundle.function.compile(target, cache=False, **opts)
         outputs[leg] = kernel(**inputs, **params)
     want = outputs.pop("cpu")
     for leg, got in outputs.items():

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from repro import Buffer, Computation, Function, Input, Param, Var
+from repro.core.communication import tile_window
 from repro.core.deps import (RACE_CHECKED_TAGS, check_parallel_legality)
 from repro.core.errors import IllegalScheduleError
-from repro.kernels.image import build_blur
+from repro.kernels.image import build_blur, schedule_blur_cpu
 from repro.kernels.linalg import build_sgemm
 
 
@@ -91,6 +92,63 @@ class TestDetector:
         # fallback keeps illegal vector lanes correct).
         assert check_parallel_legality(bundle.function,
                                        kinds=("parallel",)) == 0
+
+
+def fig3a(outside_reader=False):
+    """Blur under Fig. 3a's schedule (tile, parallelize("i0"),
+    bx.compute_at(by, "j0")); ``outside_reader`` adds a computation that
+    reads bx outside by's tiles."""
+    bundle = build_blur()
+    if outside_reader:
+        N, M = bundle.function.params
+        with bundle.function:
+            x, y, z = Var("x", 0, N - 2), Var("y", 0, M - 2), Var("z", 0, 3)
+            Computation("peek", [x, y, z],
+                        bundle.computations["bx"](x, y, z) * 2.0)
+    schedule_blur_cpu(bundle)
+    return bundle
+
+
+class TestTileWindow:
+    """compute_at stores the producer in a window private to one
+    iteration of the consumer's loops 0..l: two tiles share no element,
+    so the parallel tile loop carries no dependence."""
+
+    def test_fig3a_is_race_free_and_offloads(self):
+        bundle = fig3a()
+        window = tile_window(bundle.computations["bx"])[0]
+        assert window.name == "_bx_w" and window.concrete_shape({}) == \
+            (34, 32, 3)
+        # by_i0 on bx and i0 on by: both parallel tags are race-free
+        assert check_parallel_legality(bundle.function) == 2
+        kernel = bundle.function.compile("cpu", num_threads=2)
+        assert "_runtime.run(_par_body_1" in kernel.source
+        assert "b__bx_w = np.empty((34, 32, 3)" in kernel.source
+        assert "_bx_b" not in kernel.source
+        params = dict(bundle.test_params)
+        inputs = bundle.make_inputs(params, np.random.default_rng(0))
+        want = bundle.reference(inputs, params)["by"]
+        assert np.allclose(kernel(**inputs, **params)["by"], want,
+                           atol=1e-4)
+
+    def test_reader_outside_the_tile_keeps_the_shared_buffer(self):
+        bundle = fig3a(outside_reader=True)
+        assert tile_window(bundle.computations["bx"]) is None
+        with pytest.raises(IllegalScheduleError, match="data race") as exc:
+            check_parallel_legality(bundle.function)
+        assert "flow dependence bx -> by on buffer _bx_b" in str(exc.value)
+        with pytest.raises(IllegalScheduleError, match="data race"):
+            bundle.function.compile("cpu", num_threads=2)
+
+    def test_store_in_keeps_the_shared_buffer(self):
+        bundle = build_blur()
+        N, M = bundle.function.params
+        bx = bundle.computations["bx"]
+        bx.store_in(Buffer("scratch", [N, M, 3]), bx.vars)
+        schedule_blur_cpu(bundle)
+        assert tile_window(bx) is None
+        with pytest.raises(IllegalScheduleError, match="scratch"):
+            check_parallel_legality(bundle.function)
 
 
 class TestPipelineStage:
