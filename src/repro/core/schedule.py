@@ -24,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.isl import (IN, OUT, PARAM, BasicMap, BasicSet, Constraint,
-                       LinExpr, Map, Set, Space)
+from repro.isl import (DIV, IN, OUT, PARAM, BasicMap, BasicSet, Constraint,
+                       LinExpr, Map, Set, Space, simple_hull)
+from repro.isl.fourier_motzkin import eliminate_dims
 from repro.isl.simplify import remove_redundant
 
 from .errors import ScheduleError, UnsupportedScheduleError
@@ -339,7 +340,7 @@ def apply_compute_at(producer, consumer, level) -> None:
         sp = Space.set_space(tuple(flat_names), producer.name,
                              bs.space.params)
         pieces.append(BasicSet(sp, bs.constraints, bs.n_div))
-    producer.instances = Set(pieces)
+    producer.instances = _one_piece_if_exact(Set(pieces), consumer, l)
     shift = {(OUT, k): LinExpr.dim(OUT, k + l + 1)
              for k in range(len(producer.time_names))}
     producer.rev = {name: _substitute_many(e, shift)
@@ -356,6 +357,34 @@ def apply_compute_at(producer, consumer, level) -> None:
     # The window an iteration of loops 0..l stores the producer in.
     from .communication import window_box
     window_box(producer)
+
+
+def _one_piece_if_exact(union: Set, consumer, l) -> Set:
+    """``union`` — the producer instances ``compute_at`` needs, one piece
+    per access of the consumer — as one piece, its simple hull, when no
+    point is lost or gained: the hull within the consumer's loops ``0..l``
+    (their values with the divs projected out) is a subset of the union.
+    Overlapping windows (blur's three rows per tile) then compute each
+    element once per tile instead of once per access.  Otherwise (the
+    windows do not union convexly, or a piece has divs) the union."""
+    if len(union.pieces) < 2:
+        return union
+    hull = simple_hull(union.pieces)
+    if hull is None:
+        return union
+    from .communication import _prefix_domain
+    context = simple_hull([BasicSet(p.space, eliminate_dims(
+        p.constraints, [(DIV, k) for k in range(p.n_div)]))
+        for p in _prefix_domain(consumer, l)[0].pieces])
+    params = hull.space.aligned_params(context.space)
+    hull = hull.align_params(params).add_constraints(
+        context.align_params(params).constraints)
+    # hull <= union, one piece at a time: each subtraction drops the
+    # empty parts before the next multiplies them
+    rest = Set([hull])
+    for piece in union.pieces:
+        rest = rest.subtract(Set([piece]))
+    return union if rest.pieces else Set([remove_redundant(hull)])
 
 
 def _needed_relation(consumer, producer, l):

@@ -17,7 +17,7 @@ from .enumerate_ import count, points
 from .linexpr import DIV, IN, OUT, PARAM, LinExpr
 from .parser import ParseError, parse, parse_map, parse_set
 from .sample import lexmax, lexmin, sample
-from .simplify import gist, remove_redundant
+from .simplify import gist, remove_redundant, simple_hull
 from .space import Space
 from .union import Map, Set
 
@@ -26,6 +26,6 @@ __all__ = [
     "count", "points", "DIV", "IN", "OUT", "PARAM", "LinExpr",
     "ParseError", "parse", "parse_map", "parse_set",
     "lexmax", "lexmin", "sample",
-    "gist", "remove_redundant", "Space", "Map", "Set",
+    "gist", "remove_redundant", "simple_hull", "Space", "Map", "Set",
     "isl_cache_clear", "isl_cache_disabled", "isl_cache_stats",
 ]

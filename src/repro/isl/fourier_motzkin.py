@@ -9,7 +9,7 @@ integer exactness at execution time.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .constraint import EQ, GE, Constraint
 from .linexpr import Dim, LinExpr
@@ -129,23 +129,30 @@ def rational_feasible(constraints: Sequence[Constraint]) -> bool:
         for c in cons:
             if c.is_trivially_false():
                 return False
-        # One pass builds the involvement counts (min-degree ordering) and
-        # the set of dims removable by equality substitution, which is
-        # linear instead of a quadratic lower x upper product.
-        counts: Dict[Dim, int] = {}
-        eq_dims = set()
-        for c in cons:
-            for d in c.expr.dims():
+        dim = next_dim(cons)
+        if dim is None:
+            return True
+        cons = eliminate_dim(cons, dim)
+
+
+def next_dim(constraints: Sequence[Constraint],
+             keep: Tuple[Dim, ...] = ()) -> Optional[Dim]:
+    """The dim full elimination removes next, other than ``keep``: one an
+    equality substitutes away if any, else the one in fewest constraints
+    (min-degree); None when only ``keep`` is left.  One pass builds the
+    involvement counts and the equality dims, which is linear instead of
+    a quadratic lower x upper product."""
+    counts: Dict[Dim, int] = {}
+    eq_dims = set()
+    for c in constraints:
+        for d in c.expr.dims():
+            if d not in keep:
                 counts[d] = counts.get(d, 0) + 1
                 if c.kind == EQ:
                     eq_dims.add(d)
-        if not counts:
-            return True
-        if eq_dims:
-            dim = min(eq_dims, key=lambda d: counts[d])
-        else:
-            dim = min(counts, key=lambda d: counts[d])
-        cons = eliminate_dim(cons, dim)
+    if not counts:
+        return None
+    return min(eq_dims or counts, key=lambda d: counts[d])
 
 
 def bounds_on_dim(constraints: Sequence[Constraint], dim: Dim

@@ -165,7 +165,10 @@ class Map:
                                        None, self.space.params))
 
     def coalesce(self) -> "Map":
-        """Drop pieces contained in other pieces (cheap form)."""
+        """Drop empty pieces and exact duplicates (``==``, structural).
+        A piece contained in another, or covered by several, stays: no
+        subset test is run (``simple_hull`` merges pieces whose union is
+        convex)."""
         kept: List[BasicMap] = []
         for p in self.pieces:
             if p.is_empty():
@@ -240,9 +243,20 @@ def _basic_subtract(a: BasicMap, b: BasicMap) -> List[BasicMap]:
     aligned_params = a.space.aligned_params(b.space)
     a = a.align_params(aligned_params)
     b = b.align_params(aligned_params)
+    # a constraint of b that a holds at least as tightly (parallel, with
+    # no larger constant) has an empty negation there: no piece, and no
+    # need to repeat it in the later pieces
+    tightest = {}
+    for c in a.constraints:
+        key = (c.kind, tuple(c.expr.coeffs.items()))
+        tightest[key] = min(tightest.get(key, c.expr.const), c.expr.const)
     out: List[BasicMap] = []
     prefix: List[Constraint] = []
     for c in b.constraints:
+        held = tightest.get((c.kind, tuple(c.expr.coeffs.items())))
+        if held is not None and (held == c.expr.const if c.kind == EQ
+                                 else held <= c.expr.const):
+            continue
         for neg in _negate(c):
             piece = a.add_constraints(prefix + [neg])
             if not _quick_empty(piece):

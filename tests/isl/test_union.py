@@ -1,8 +1,10 @@
 """Unit tests for unions of sets/maps: subtract, subset, equality."""
 
+import functools
+
 import pytest
 
-from repro.isl import Map, Set, parse_map, parse_set
+from repro.isl import Map, Set, parse_map, parse_set, simple_hull
 
 
 class TestUnionAlgebra:
@@ -75,6 +77,74 @@ class TestSubsetEqual:
         b = parse_set("[N] -> { [i] : 0 <= i < N }")
         assert a.is_subset(b)
         assert not b.is_subset(a)
+
+
+class TestSimpleHull:
+    """``simple_hull``: one basic set over the pieces' own constraint
+    directions, equal to the union exactly when ``hull <= union``."""
+
+    @staticmethod
+    def hull_of(*texts):
+        union = functools.reduce(Set.union, map(parse_set, texts))
+        return union, simple_hull(union.pieces)
+
+    def test_shifted_boxes_union_convexly(self):
+        union, hull = self.hull_of(
+            *(f"{{ [i, j] : {k} <= i <= {9 + k} and 0 <= j <= 4 }}"
+              for k in range(3)))
+        assert len(union.pieces) == 3
+        assert hull.n_div == 0
+        assert Set([hull]).is_equal(union)
+        assert Set([hull]).is_equal(
+            parse_set("{ [i, j] : 0 <= i <= 11 and 0 <= j <= 4 }"))
+
+    def test_l_shape_is_not_its_hull(self):
+        union, hull = self.hull_of("{ [i, j] : 0 <= i <= 9 and 0 <= j <= 2 }",
+                                   "{ [i, j] : 0 <= i <= 2 and 0 <= j <= 9 }")
+        assert union.is_subset(Set([hull]))
+        assert not Set([hull]).is_subset(union)
+        assert hull.contains_point([9, 9])
+
+    def test_bounds_over_parameters_and_prefix_dims(self):
+        # a tile t of four rows reads rows 4t + k .. 4t + 3 + k, k = 0..2,
+        # each clamped to the rows k .. N - 3 + k the read can reach
+        union, hull = self.hull_of(
+            *(f"[N] -> {{ [t, i] : 4t + {k} <= i <= 4t + {3 + k} and "
+              f"{k} <= i <= N - {3 - k} and 0 <= 4t <= N - 3 }}"
+              for k in range(3)))
+        assert Set([hull]).is_equal(parse_set(
+            "[N] -> { [t, i] : 4t <= i <= 4t + 5 and 0 <= i <= N - 1 "
+            "and 0 <= 4t <= N - 3 }"))
+        assert Set([hull]).is_subset(union)
+        # without the tile's own bound the hull is too big: at N = 5
+        # tile 1 would compute row 4, which no access of that tile reads
+        union, loose = self.hull_of(
+            *(f"[N] -> {{ [t, i] : 4t + {k} <= i <= 4t + {3 + k} and "
+              f"{k} <= i <= N - {3 - k} }}" for k in range(3)))
+        assert loose.contains_point([1, 4], param_vals={"N": 5})
+        assert not union.contains_point([1, 4], param_vals={"N": 5})
+        assert not Set([loose]).is_subset(union)
+
+    def test_unbounded_direction_dropped(self):
+        union, hull = self.hull_of("{ [i] : i >= 0 }",
+                                   "{ [i] : 3 <= i <= 5 }")
+        assert Set([hull]).is_equal(parse_set("{ [i] : i >= 0 }"))
+
+    def test_rationally_empty_piece_adds_nothing(self):
+        union, hull = self.hull_of("{ [i] : 0 <= i <= 4 }",
+                                   "{ [i] : 9 <= i and 2i <= 17 }")
+        assert Set([hull]).is_equal(parse_set("{ [i] : 0 <= i <= 4 }"))
+
+    def test_equality_is_two_directions(self):
+        union, hull = self.hull_of("{ [i, j] : i = 0 and 0 <= j <= 3 }",
+                                   "{ [i, j] : i = 1 and 0 <= j <= 3 }")
+        assert Set([hull]).is_equal(union)
+
+    def test_pieces_with_divs_have_none(self):
+        union, hull = self.hull_of(
+            "{ [i] : exists e : i = 2e and 0 <= i <= 8 }",
+            "{ [i] : 10 <= i <= 12 }")
+        assert union.pieces[0].n_div == 1 and hull is None
 
 
 class TestMapUnions:

@@ -78,6 +78,14 @@ SEED_EMPTY_CALLS = [316, 3, 4, 3, 13, 34, 18, 5,
                     47, 44, 150, 30, 4, 24, 4]
 
 
+#: Summed ``is_empty`` calls over IMAGE, asked like TENSOR's.  316 of the
+#: 396 before were blur's: bx's three overlapping windows, three pieces
+#: the AST could not merge; one exact hull since (11).  Without this
+#: ceiling those questions could come back as slack under the 5% of
+#: ``test_slab_verdicts_ask_isl_almost_nothing``.
+IMAGE_EMPTY_CALLS_CEILING = 91
+
+
 def _cold_compile_questions(builder, schedule):
     """(``is_empty`` calls, Omega tests run, constraints those tests
     received) of one cold compile."""
@@ -105,6 +113,11 @@ def test_tensor_set_analysis_within_budget():
     assert calls <= EMPTY_CALLS_CEILING, calls
     assert tests <= OMEGA_TESTS_CEILING, tests
     assert constraints <= OMEGA_CONSTRAINTS_CEILING, constraints
+
+
+def test_image_set_analysis_within_budget():
+    calls = sum(_cold_compile_questions(b, s)[0] for b, s in IMAGE)
+    assert calls <= IMAGE_EMPTY_CALLS_CEILING, calls
 
 
 def test_benchmark_instance_sets_are_div_free():

@@ -32,12 +32,15 @@ HAND = [
     (K.build_heat, K.schedule_heat_cpu),
 ]
 
-#: Summed ``len(kernel.source)`` of HAND on ``cpu``, recorded when sgemm's
-#: ``k`` loop moved out over its folded tile loops (23452 before; 24621
-#: before clamped reads became slices of one edge window and a tile's
-#: strip-mined pair one slice axis, the one-lane slice emitter 26233, the
-#: np.arange-gather one 30359).  Lower it when the emitter gets leaner.
-SOURCE_BYTES_CEILING = 23145
+#: Summed ``len(kernel.source)`` of HAND on ``cpu``, recorded when
+#: compute_at made blur's bx one piece, its three overlapping row
+#: windows one hull (23145 before, blur's three guarded copies of the
+#: statement; 23452 before sgemm's ``k`` loop moved out over its folded
+#: tile loops; 24621 before clamped reads became slices of one edge
+#: window and a tile's strip-mined pair one slice axis, the one-lane
+#: slice emitter 26233, the np.arange-gather one 30359).  Lower it when
+#: the emitter gets leaner.
+SOURCE_BYTES_CEILING = 22119
 
 
 #: Summed ``len(emit_c_source(fn))`` of HAND under the typed renderer;
@@ -45,8 +48,9 @@ SOURCE_BYTES_CEILING = 23145
 #: wrappers, summed 53559 on the same table.  38863 before a ``vector``
 #: loop under a clamp was split: conv2D, gaussian and spmv print their
 #: statement twice (interior and border, +3452), static strides take
-#: 2794 off the other fourteen.
-C_SOURCE_BYTES_CEILING = 39521
+#: 2794 off the other fourteen.  39521 before blur's bx became one
+#: piece (-1555, its statement once instead of three times).
+C_SOURCE_BYTES_CEILING = 37966
 
 #: Builders whose weak operands really are ``float64`` under the type
 #: rule (``0.1 * i`` in warpAffine's coordinates, ``1.0 * (x + r)``).

@@ -13,6 +13,7 @@ from repro.core.deps import (RACE_CHECKED_TAGS, check_parallel_legality)
 from repro.core.errors import IllegalScheduleError
 from repro.kernels.image import build_blur, schedule_blur_cpu
 from repro.kernels.linalg import build_sgemm
+from tests.test_analysis_budget import _blur_race_free
 
 
 def build_gauss_seidel():
@@ -149,6 +150,71 @@ class TestTileWindow:
         assert tile_window(bx) is None
         with pytest.raises(IllegalScheduleError, match="scratch"):
             check_parallel_legality(bundle.function)
+
+
+class TestWindowComputedOnce:
+    """compute_at's instances are the union of the windows the
+    consumer's accesses read; when that union is convex it is one piece
+    (its exact hull), so each bx element of a tile is computed once and
+    only the halo again in the next tile."""
+
+    SCHEDULES = {"fig3a": schedule_blur_cpu, "race_free": _blur_race_free}
+
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    def test_blur_computes_each_window_element_once(self, schedule):
+        bundle = build_blur()
+        self.SCHEDULES[schedule](bundle)
+        bx = bundle.computations["bx"]
+        assert len(bx.instances.pieces) == 1
+        assert tile_window(bx)[0].concrete_shape({}) == (34, 32, 3)
+        kernel = bundle.function.compile("cpu", profile=True,
+                                         parallel=False, cache=False)
+        # one tile at 26 x 22: bx's whole domain, 24 * 20 * 3; at
+        # 66 x 58 two row tiles, 34 + 32 rows of 56 * 3
+        for (n, m), points in (((26, 22), 1440), ((66, 58), 11088)):
+            params = {"N": n, "M": m}
+            inputs = bundle.make_inputs(params, np.random.default_rng(0))
+            kernel(**inputs, **params)
+            assert kernel.last_run.comp("bx").iterations == points
+
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    def test_blur_bitwise_on_every_cpu_leg(self, schedule):
+        from repro.backends.c import have_c_compiler
+        legs = {"seq": ("cpu", dict(parallel=False)),
+                "x2": ("cpu", dict(num_threads=2))}
+        if have_c_compiler():
+            legs["c"] = ("c", {})
+        params = {"N": 66, "M": 58}
+        got = {}
+        for leg, (target, opts) in legs.items():
+            bundle = build_blur()
+            self.SCHEDULES[schedule](bundle)
+            inputs = bundle.make_inputs(params, np.random.default_rng(1))
+            kernel = bundle.function.compile(target, cache=False, **opts)
+            got[leg] = kernel(**inputs, **params)["by"]
+        want = bundle.reference(inputs, params)["by"]
+        assert np.allclose(got["seq"], want, atol=1e-4)
+        for leg in legs:
+            assert np.array_equal(got[leg], got["seq"]), leg
+
+    def test_windows_with_a_gap_keep_their_pieces(self):
+        # b reads a(i) and a(i + 6): per tile of 4 the rows 4t..4t+3
+        # and 4t+6..4t+9, whose hull (4t..4t+9) holds two rows no read
+        # of the tile needs
+        with Function("gap") as f:
+            inp = Input("inp", [Var("x", 0, 22)])
+            iw, i = Var("iw", 0, 22), Var("i", 0, 16)
+            a = Computation("a", [iw], inp(iw) * 2.0)
+            b = Computation("b", [i], a(i) + a(i + 6))
+        b.split("i", 4, "i0", "i1")
+        a.compute_at(b, "i0")
+        assert len(a.instances.pieces) == 2
+        kernel = f.compile("cpu", profile=True, parallel=False, cache=False)
+        data = np.arange(22, dtype=np.float32)
+        assert np.array_equal(kernel(inp=data)["b"],
+                              2 * data[:16] + 2 * data[6:])
+        # four tiles, eight rows each, no row twice
+        assert kernel.last_run.comp("a").iterations == 32
 
 
 class TestPipelineStage:
