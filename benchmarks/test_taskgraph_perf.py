@@ -11,10 +11,7 @@
   *sequential nest* at all is ``runtime.taskgraph_vs_seq_ratio`` in
   ``python3 -m bench.run`` (BENCHMARK.json).  The shapes here are
   small, so the size floor is patched to 0 to put the tiles on threads.
-- ``overlap_ratio`` — the fraction of communication the critical-path
-  network model hides behind compute for a pipelined-SUMMA-style
-  schedule; must be strictly positive, i.e. the model prices overlap
-  as a real saving.
+- The DAG execution stores the same bits as the sequential nest.
 """
 
 import numpy as np
@@ -24,7 +21,6 @@ from conftest import print_table
 from repro import settings
 from repro.backends import parallel
 from repro.kernels.stencil import build_heat
-from repro.machine import estimate_critical_path
 from repro.obs.events import read_events
 from repro.runtime import TaskGraphRuntime, run_forkjoin
 
@@ -113,22 +109,3 @@ def test_taskgraph_output_bit_identical_to_sequential(no_floor):
     assert np.array_equal(out_tg["u"], out_seq["u"])
     assert kernel.runtime.taskgraph_stats.fallbacks == 0
 
-
-def test_critical_path_prices_overlap_for_pipelined_summa():
-    """Pure model gate: pipelined SUMMA's broadcast rounds hide behind
-    the panel multiplies, shrinking the modeled makespan below the
-    serial comm-then-compute sum."""
-    ranks, rounds = 4, 16
-    panel_elems = 1_000_000 // ranks
-    bcast = [(0, r, panel_elems) for r in range(1, ranks)]
-    flops_per_round = 2.0 * 1_000_000 * 64
-    compute_seconds = flops_per_round / 50e9   # a ~50 GFLOP/s node
-    est = estimate_critical_path([(bcast, compute_seconds)] * rounds)
-    print_table("pipelined SUMMA critical path", {
-        "serial s": f"{est.serial_seconds:.4f}",
-        "overlapped s": f"{est.seconds:.4f}",
-        "hidden s": f"{est.hidden_seconds:.4f}",
-        "overlap ratio": f"{est.overlap_ratio:.3f}",
-    })
-    assert est.seconds < est.serial_seconds
-    assert est.overlap_ratio > 0.0

@@ -1,25 +1,22 @@
 """Preparation of scheduled iteration sets for loop synthesis.
 
-Two responsibilities:
-
-1. *Exact* elimination of existential (div) dimensions from instance
-   sets — loop bounds and guards must be emitted over loop variables and
-   parameters only.  Elimination is refused (rather than approximated)
-   when it would change the integer set, so generated code is always
-   correct.
-2. Coalescing of overlapping union pieces (e.g. the shifted windows that
-   ``compute_at`` produces for a stencil) into single convex pieces, so
-   the generated loop nest does not re-execute instances.
+*Exact* elimination of existential (div) dimensions from instance sets —
+loop bounds and guards must be emitted over loop variables and
+parameters only.  Elimination is refused (rather than approximated) when
+it would change the integer set, so generated code is always correct.
+Pieces are not coalesced here: the one multi-piece instance set the
+compiler builds, ``compute_at``'s windows, is made one exact hull where
+it is built (:func:`repro.core.schedule.apply_compute_at`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.core.errors import CodegenError
-from repro.isl import BasicSet, Constraint, Set
+from repro.isl import BasicSet, Set
 from repro.isl.fourier_motzkin import eliminate_dim
-from repro.isl.linexpr import DIV, LinExpr
+from repro.isl.linexpr import DIV
 from repro.isl.simplify import remove_redundant
 
 
@@ -53,43 +50,10 @@ def eliminate_divs_exact(piece: BasicSet) -> BasicSet:
     return BasicSet(piece.space, cons, n_div=0)
 
 
-def _try_merge(a: BasicSet, b: BasicSet) -> Optional[BasicSet]:
-    """Merge two pieces into their common-constraint hull if that hull is
-    exactly their union."""
-    from repro.isl.simplify import _implied
-    common: List[Constraint] = []
-    for c in a.constraints:
-        if _implied(list(b.constraints), c):
-            common.append(c)
-    for c in b.constraints:
-        if c in common:
-            continue
-        if _implied(list(a.constraints), c):
-            common.append(c)
-    hull = BasicSet(a.space, common)
-    # hull ⊇ a ∪ b by construction; check hull ⊆ a ∪ b.
-    union = Set([a, b])
-    if Set([hull]).is_subset(union):
-        return remove_redundant(hull)
-    return None
-
-
 def prepare_pieces(instances: Set) -> List[BasicSet]:
-    """Div-eliminate, simplify and coalesce the pieces of an instance set."""
+    """Div-eliminate and simplify the pieces of an instance set, dropping
+    the empty ones."""
     pieces = [eliminate_divs_exact(p) for p in instances.pieces]
     pieces = [remove_redundant(p) for p in pieces]
     pieces = [p for p in pieces if not p.is_empty()]
-    changed = True
-    while changed and len(pieces) > 1:
-        changed = False
-        for i in range(len(pieces)):
-            for j in range(i + 1, len(pieces)):
-                merged = _try_merge(pieces[i], pieces[j])
-                if merged is not None:
-                    pieces = ([p for k, p in enumerate(pieces)
-                               if k not in (i, j)] + [merged])
-                    changed = True
-                    break
-            if changed:
-                break
     return pieces

@@ -379,12 +379,9 @@ def _one_piece_if_exact(union: Set, consumer, l) -> Set:
     params = hull.space.aligned_params(context.space)
     hull = hull.align_params(params).add_constraints(
         context.align_params(params).constraints)
-    # hull <= union, one piece at a time: each subtraction drops the
-    # empty parts before the next multiplies them
-    rest = Set([hull])
-    for piece in union.pieces:
-        rest = rest.subtract(Set([piece]))
-    return union if rest.pieces else Set([remove_redundant(hull)])
+    if not Set([hull]).is_subset(union):
+        return union
+    return Set([remove_redundant(hull)])
 
 
 def _needed_relation(consumer, producer, l):

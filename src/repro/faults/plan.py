@@ -212,15 +212,6 @@ class FaultPlan:
                 return len(self.log)
             return sum(1 for k, _ in self.log if k == kind)
 
-    def clone(self) -> "FaultPlan":
-        """A fresh copy with unfired counters — lets cost models replay
-        the plan's match behavior without consuming the real specs."""
-        other = FaultPlan(seed=self.seed)
-        for spec in self.specs:
-            other.specs.append(FaultSpec(spec.kind, dict(spec.site),
-                                         spec.times, dict(spec.payload)))
-        return other
-
     # -- seeded corruption payloads ---------------------------------------
 
     def rng(self, kind: str, **coords) -> np.random.Generator:

@@ -76,6 +76,17 @@ def fold(expr: Expr) -> Expr:
         if value is not None:
             return Const(-value)
         return expr
+    if isinstance(expr, Call) and expr.fn == "clamp":
+        value, lo, hi = expr.args
+        low, high = _const(lo), _const(hi)
+        if low is not None and high is not None and low > high:
+            # np.clip and the C prelude both give hi here.  Its value
+            # becomes the low bound too (a float if lo was one), so the
+            # call keeps the type the three operands promote to; gcc 12
+            # at -O3 -march=native miscompiles the crossed bounds.
+            return Call("clamp", [value, Const(
+                float(high) if isinstance(low, float) else high), hi])
+        return expr
     if isinstance(expr, Call) and expr.fn in _FOLDABLE_CALLS:
         values = [_const(a) for a in expr.args]
         if all(v is not None for v in values):

@@ -93,17 +93,18 @@ class Map:
     def subtract(self, other: "Map") -> "Map":
         """Exact difference; requires the subtrahend pieces be div-free.
         Every set the scheduling commands build is, strided sets aside:
-        the operations that hide dims end in ``drop_defined_divs``."""
+        the operations that hide dims end in ``drop_defined_divs``.
+        Empty parts are dropped after each subtrahend piece, before the
+        next one splits them again, so no piece of the result is empty."""
         result = list(self.pieces)
+        if not other.pieces:
+            result = [p for p in result if not p.is_empty()]
         for b in other.pieces:
             if b.n_div:
                 raise NotImplementedError(
                     "subtract with existential dims in the subtrahend")
-            new_result: List[BasicMap] = []
-            for a in result:
-                new_result.extend(_basic_subtract(a, b))
-            result = new_result
-        result = [p for p in result if not p.is_empty()]
+            result = [p for a in result for p in _basic_subtract(a, b)
+                      if not p.is_empty()]
         return self._wrap(result, self.space)
 
     __sub__ = subtract
@@ -114,7 +115,7 @@ class Map:
         return all(p.is_empty() for p in self.pieces)
 
     def is_subset(self, other: "Map") -> bool:
-        return self.subtract(other).is_empty()
+        return not self.subtract(other).pieces
 
     def is_equal(self, other: "Map") -> bool:
         return self.is_subset(other) and other.is_subset(self)

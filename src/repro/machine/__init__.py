@@ -1,25 +1,19 @@
 """Analytical performance models for the machines the paper evaluates on
 (multicore Xeon node, Tesla K40, Infiniband cluster) — see DESIGN.md for
-why simulation replaces the authors' testbed."""
+why simulation replaces the authors' testbed.  The figures and the
+schedule search read the CPU and GPU cost models; Figs. 6/7 price the
+halo exchange with the network model."""
 
-from .cachesim import (SetAssociativeCache, TraceSimulator, TraceStats,
-                       simulate_trace)
 from .cpu_model import CostReport, CpuCostModel
 from .gpu_model import GpuCostModel, GpuCostReport
-from .network import (CommEstimate, CriticalPathEstimate,
-                      estimate_critical_path, estimate_messages,
-                      estimate_with_faults, halo_exchange_time,
+from .network import (CommEstimate, estimate_messages, halo_exchange_time,
                       message_time)
-from .params import (DEFAULT_CPU, DEFAULT_GPU, DEFAULT_NETWORK, Cluster,
-                     CpuMachine, GpuMachine, Network)
+from .params import (DEFAULT_CPU, DEFAULT_GPU, DEFAULT_NETWORK, CpuMachine,
+                     GpuMachine, Network)
 
 __all__ = [
-    "SetAssociativeCache", "TraceSimulator", "TraceStats",
-    "simulate_trace",
     "CostReport", "CpuCostModel", "GpuCostModel", "GpuCostReport",
-    "CommEstimate", "CriticalPathEstimate", "estimate_critical_path",
-    "estimate_messages", "estimate_with_faults",
-    "halo_exchange_time",
+    "CommEstimate", "estimate_messages", "halo_exchange_time",
     "message_time", "DEFAULT_CPU", "DEFAULT_GPU", "DEFAULT_NETWORK",
-    "Cluster", "CpuMachine", "GpuMachine", "Network",
+    "CpuMachine", "GpuMachine", "Network",
 ]

@@ -11,7 +11,7 @@ together contiguous data into a separate buffer before sending")."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Tuple
 
 from .params import DEFAULT_NETWORK, Network
 
@@ -21,29 +21,6 @@ class CommEstimate:
     seconds: float
     messages: int
     bytes_moved: float
-
-
-@dataclass
-class CriticalPathEstimate:
-    """A pipelined (comm, compute) schedule priced with and without
-    compute/communication overlap."""
-
-    seconds: float          # makespan with overlap (critical path)
-    serial_seconds: float   # same rounds, strictly comm-then-compute
-    comm_seconds: float     # total communication time across rounds
-    compute_seconds: float  # total compute time across rounds
-
-    @property
-    def hidden_seconds(self) -> float:
-        """Communication time hidden behind compute by pipelining."""
-        return self.serial_seconds - self.seconds
-
-    @property
-    def overlap_ratio(self) -> float:
-        """Fraction of communication hidden behind compute, in [0, 1]."""
-        if self.comm_seconds <= 0.0:
-            return 0.0
-        return min(1.0, max(0.0, self.hidden_seconds / self.comm_seconds))
 
 
 def message_time(net: Network, nbytes: float, packed: bool = False) -> float:
@@ -82,53 +59,6 @@ def estimate_messages(messages: Iterable[Tuple[int, int, int]],
                         messages=count, bytes_moved=total_bytes)
 
 
-def estimate_with_faults(messages: Iterable[Tuple[int, int, int]],
-                         plan,
-                         elem_bytes: float = 4.0,
-                         packed: bool = False,
-                         net: Network = DEFAULT_NETWORK,
-                         overlap: float = 0.0,
-                         recv_timeout: float = 30.0) -> CommEstimate:
-    """Price a message schedule under a :class:`repro.faults.FaultPlan`.
-
-    Every message a ``message-drop`` site would claim costs its receiver
-    one ``recv_timeout`` (the blocked receive expiring) plus a
-    retransmission of the same payload — the price of recovering a lost
-    message with timeout-and-resend, stacked on top of the fault-free
-    estimate.  Recovery follows the same contention model as the base
-    estimate: retransmits on *distinct* links proceed in parallel (the
-    slowest link's recovery bounds the added time) and the ``overlap``
-    fraction discounts the extra time like it discounts the base.  The
-    plan is replayed on a :meth:`~repro.faults.FaultPlan.clone` so the
-    caller's live spec counters are untouched.
-    """
-    schedule = list(messages)
-    base = estimate_messages(schedule, elem_bytes, packed, net, overlap)
-    if plan is None:
-        return base
-    replay = plan.clone()
-    link_counts: dict = {}
-    extra_per_link: dict = {}
-    retransmits = 0
-    extra_bytes = 0.0
-    for src, dst, elems in schedule:
-        index = link_counts.get((src, dst), 0)
-        link_counts[(src, dst)] = index + 1
-        if replay.fires("message-drop", src=src, dst=dst,
-                        message=index) is not None:
-            nbytes = elems * elem_bytes
-            link = (src, dst) if src <= dst else (dst, src)
-            extra_per_link[link] = extra_per_link.get(link, 0.0) + \
-                recv_timeout + message_time(net, nbytes, packed)
-            extra_bytes += nbytes
-            retransmits += 1
-    extra_seconds = max(extra_per_link.values(), default=0.0)
-    return CommEstimate(seconds=base.seconds +
-                        extra_seconds * (1.0 - overlap),
-                        messages=base.messages + retransmits,
-                        bytes_moved=base.bytes_moved + extra_bytes)
-
-
 def halo_exchange_time(nodes: int, halo_elems_per_pair: int,
                        elem_bytes: float = 4.0,
                        overestimate: float = 1.0,
@@ -150,45 +80,3 @@ def halo_exchange_time(nodes: int, halo_elems_per_pair: int,
         msgs.append((q + 1, q, elems))
         msgs.append((q, q + 1, elems))
     return estimate_messages(msgs, elem_bytes, packed, net, overlap)
-
-
-def estimate_critical_path(phases: Sequence[Tuple[Iterable[Tuple[int, int,
-                                                                 int]],
-                                                  float]],
-                           elem_bytes: float = 4.0,
-                           packed: bool = False,
-                           net: Network = DEFAULT_NETWORK,
-                           ) -> CriticalPathEstimate:
-    """Price a pipelined schedule of (messages, compute_seconds) rounds.
-
-    This is the critical-path view of compute/communication overlap for
-    schedules like pipelined SUMMA: round ``i+1``'s broadcasts are
-    posted asynchronously while round ``i``'s panel multiply runs, so a
-    round's compute starts as soon as *its own* data has landed and the
-    previous round's compute has finished.  The network is a shared
-    resource: rounds' communications serialise against each other.
-
-        comm_done[i]    = comm_done[i-1] + comm[i]
-        compute_done[i] = max(comm_done[i], compute_done[i-1]) + comp[i]
-
-    ``serial_seconds`` is the same schedule with no overlap (each round
-    waits for its communication, then computes) — the fork-join
-    baseline the driver's task-graph mode replaces.
-    """
-    comm_times: List[float] = []
-    comp_times: List[float] = []
-    for messages, compute_seconds in phases:
-        comm_times.append(estimate_messages(
-            messages, elem_bytes, packed, net).seconds)
-        comp_times.append(max(0.0, float(compute_seconds)))
-    comm_done = 0.0
-    compute_done = 0.0
-    for comm, comp in zip(comm_times, comp_times):
-        comm_done += comm
-        compute_done = max(comm_done, compute_done) + comp
-    total_comm = sum(comm_times)
-    total_comp = sum(comp_times)
-    return CriticalPathEstimate(seconds=compute_done,
-                                serial_seconds=total_comm + total_comp,
-                                comm_seconds=total_comm,
-                                compute_seconds=total_comp)

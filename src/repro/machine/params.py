@@ -10,7 +10,7 @@ figure shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -72,14 +72,6 @@ class Network:
     pack_ns_per_byte: float = 0.25   # cost of packing non-contiguous data
 
 
-@dataclass(frozen=True)
-class Cluster:
-    node: CpuMachine = field(default_factory=CpuMachine)
-    network: Network = field(default_factory=Network)
-    nodes: int = 16
-
-
 DEFAULT_CPU = CpuMachine()
 DEFAULT_GPU = GpuMachine()
 DEFAULT_NETWORK = Network()
-DEFAULT_CLUSTER = Cluster()

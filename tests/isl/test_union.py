@@ -78,6 +78,30 @@ class TestSubsetEqual:
         assert a.is_subset(b)
         assert not b.is_subset(a)
 
+    def test_empty_parts_dropped_after_each_subtrahend_piece(self,
+                                                             monkeypatch):
+        """Three shifted boxes, each with four diagonal bounds it holds
+        but the box around them does not: negating a diagonal there
+        gives an empty piece that no syntactic check catches.  Dropped at
+        once, each subtrahend piece asks about at most one piece per
+        constraint it negates (five); kept until the end, the next
+        pieces split them again (58 questions)."""
+        from repro.isl.basic import BasicMap
+        diagonals = " and ".join(f"i + {d}j <= {100 + 10 * d}"
+                                 for d in range(1, 5))
+        union = functools.reduce(Set.union, (parse_set(
+            f"{{ [i, j] : {k} <= i <= {9 + k} and 0 <= j <= 9 and "
+            f"{diagonals} }}") for k in range(3)))
+        box = parse_set("{ [i, j] : 0 <= i <= 11 and 0 <= j <= 9 }")
+        asked = []
+        is_empty = BasicMap.is_empty
+        monkeypatch.setattr(BasicMap, "is_empty",
+                            lambda piece: asked.append(piece)
+                            or is_empty(piece))
+        assert box.is_subset(union)
+        assert len(asked) <= 3 * 5
+        assert not union.subtract(box).pieces
+
 
 class TestSimpleHull:
     """``simple_hull``: one basic set over the pieces' own constraint

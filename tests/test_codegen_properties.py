@@ -580,6 +580,10 @@ NESTS = st.tuples(st.sampled_from([None, "plain", "unroll"]),
        st.integers(0, 2 ** 16), NESTS)
 @example(("bin", "+", ("row", "a32", "i"), ("row", "a32", "j")), "float32", 3,
          ("plain", "plain", True))      # one buffer axis, two slab axes
+@example(("select", "<", ("int", 0), ("clamp", ("read", "i32", 0),
+                                       ("iter", "i", 2, 1), ("float", 1.5)),
+          ("read", "a32", 0), ("read", "a32", 1)), "float32", 0,
+         (None, None, False))   # clamp(x, 3, 1.5): gcc 12 stored zeros
 @settings(max_examples=150, deadline=None)
 def test_typed_tree_differential(recipe, out_dtype, seed, nest):
     """One program stores the same bits from the scalar loops, from the

@@ -64,14 +64,6 @@ class TestSpecMatching:
         assert kind == "message-drop"
         assert coords["src"] == 1 and coords["dst"] == 0
 
-    def test_clone_resets_fired_counters(self):
-        plan = FaultPlan(seed=3).crash_rank(1)
-        plan.fires("rank-crash", rank=1)
-        replay = plan.clone()
-        assert replay.seed == 3
-        assert replay.fires("rank-crash", rank=1) is not None
-        assert plan.fires("rank-crash", rank=1) is None   # original spent
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultPlan()._add("disk-full", {}, 1)

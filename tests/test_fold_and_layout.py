@@ -45,6 +45,21 @@ class TestFold:
         assert fold(Cast(T.int32, Const(3.7))).value == 3
         assert fold(Cast(T.float32, Const(3))).value == 3.0
 
+    def test_crossed_clamp_bounds_meet_at_hi(self):
+        """A clamp whose constant low bound exceeds its high one gives
+        ``hi`` (np.clip and the C prelude agree); the low bound takes
+        that value, in its own kind, so the call keeps its type."""
+        i = IterVar("i")
+        for lo, hi, low in ((3.0, 1, 1.0), (3, 1.5, 1.5), (9, 2, 2)):
+            e = fold(Call("clamp", [i, Const(lo), Const(hi)]))
+            assert e.fn == "clamp" and e.args[0] is i
+            got = [e.args[1].value, e.args[2].value]
+            assert got == [low, hi]
+            assert list(map(type, got)) == [type(low), type(hi)]
+            assert repr(fold(e)) == repr(e)
+        assert repr(fold(Call("clamp", [i, Const(0), Const(7)]))) \
+            == "clamp(i, 0, 7)"
+
     def test_division_by_zero_not_folded(self):
         e = fold(wrapb("/", Const(1), Const(0)))
         assert isinstance(e, BinOp)

@@ -280,25 +280,6 @@ class TestNetworkModel:
         over = halo_exchange_time(8, 10_000, overestimate=8.0)
         assert over.bytes_moved == pytest.approx(exact.bytes_moved * 8)
 
-    def test_fault_plan_prices_drops_as_timeout_plus_resend(self):
-        from repro.faults import FaultPlan
-        from repro.machine import estimate_with_faults
-        msgs = [(1, 0, 1000), (2, 1, 1000), (3, 2, 1000)]
-        base = estimate_with_faults(msgs, None)
-        assert base.seconds == estimate_messages(msgs).seconds
-        plan = FaultPlan().drop_message(src=2, dst=1, message=0)
-        faulty = estimate_with_faults(msgs, plan, recv_timeout=3.0)
-        one_msg = message_time(DEFAULT_NETWORK, 1000 * 4.0)
-        assert faulty.seconds == pytest.approx(
-            base.seconds + 3.0 + one_msg)
-        assert faulty.messages == base.messages + 1
-        assert faulty.bytes_moved == pytest.approx(
-            base.bytes_moved + 4000.0)
-        # The plan was replayed on a clone: the live specs are untouched.
-        assert plan.fired() == 0
-        assert plan.fires("message-drop", src=2, dst=1,
-                          message=0) is not None
-
     def test_halo_exchange_is_bidirectional(self):
         """Regression: the halo model only priced the q+1 -> q
         direction, halving both volume and (same-link) time."""
@@ -314,83 +295,3 @@ class TestNetworkModel:
         fwd = estimate_messages([(0, 1, 1000)])
         both = estimate_messages([(0, 1, 1000), (1, 0, 1000)])
         assert both.seconds == pytest.approx(2 * fwd.seconds)
-
-    def test_distinct_link_retransmits_recover_in_parallel(self):
-        """Regression: retransmit costs were summed even across
-        distinct links, while the base model lets distinct links
-        proceed in parallel."""
-        from repro.faults import FaultPlan
-        from repro.machine import estimate_with_faults
-        msgs = [(1, 0, 1000), (2, 1, 1000), (3, 2, 1000)]
-        base = estimate_messages(msgs)
-        plan = FaultPlan().drop_message(src=1, dst=0, message=0) \
-                          .drop_message(src=3, dst=2, message=0)
-        faulty = estimate_with_faults(msgs, plan, recv_timeout=3.0)
-        one_msg = message_time(DEFAULT_NETWORK, 1000 * 4.0)
-        # Two drops on distinct links: the slowest recovery bounds the
-        # added time (max), they are not stacked serially (sum).
-        assert faulty.seconds == pytest.approx(
-            base.seconds + 3.0 + one_msg)
-        assert faulty.messages == base.messages + 2
-        # Two drops on the *same* link do stack.
-        plan2 = FaultPlan().drop_message(src=1, dst=0, message=0) \
-                           .drop_message(src=0, dst=1, message=0)
-        msgs2 = msgs + [(0, 1, 1000)]
-        base2 = estimate_messages(msgs2)
-        faulty2 = estimate_with_faults(msgs2, plan2, recv_timeout=3.0)
-        assert faulty2.seconds == pytest.approx(
-            base2.seconds + 2 * (3.0 + one_msg))
-
-    def test_retransmit_time_honors_overlap(self):
-        """Regression: the overlap discount applied to the base
-        estimate but not to the recovery time stacked on top."""
-        from repro.faults import FaultPlan
-        from repro.machine import estimate_with_faults
-        msgs = [(1, 0, 1000), (2, 1, 1000)]
-        plan = FaultPlan().drop_message(src=1, dst=0, message=0)
-        sync = estimate_with_faults(msgs, plan, recv_timeout=3.0,
-                                    overlap=0.0)
-        hidden = estimate_with_faults(msgs, plan, recv_timeout=3.0,
-                                      overlap=0.5)
-        assert hidden.seconds == pytest.approx(sync.seconds * 0.5)
-
-
-class TestCriticalPathModel:
-    def summa_phases(self, rounds=8, compute_seconds=2e-3):
-        """Pipelined-SUMMA shape: each round broadcasts a panel from
-        the owner to the other ranks, then multiplies it."""
-        bcast = [(0, r, 250_000) for r in range(1, 4)]
-        return [(bcast, compute_seconds)] * rounds
-
-    def test_overlap_shrinks_modeled_time(self):
-        from repro.machine import estimate_critical_path
-        est = estimate_critical_path(self.summa_phases())
-        assert est.seconds < est.serial_seconds
-        assert est.hidden_seconds > 0
-        assert 0.0 < est.overlap_ratio <= 1.0
-
-    def test_compute_bound_hides_all_but_the_first_round(self):
-        from repro.machine import estimate_critical_path
-        rounds = 8
-        est = estimate_critical_path(
-            self.summa_phases(rounds=rounds, compute_seconds=0.5))
-        per_round = est.comm_seconds / rounds
-        # Only round 0's broadcast is exposed; the rest hide behind
-        # the previous round's multiply.
-        assert est.seconds == pytest.approx(
-            per_round + est.compute_seconds)
-        assert est.overlap_ratio == pytest.approx(
-            (rounds - 1) / rounds)
-
-    def test_no_compute_means_nothing_to_hide(self):
-        from repro.machine import estimate_critical_path
-        est = estimate_critical_path(self.summa_phases(
-            compute_seconds=0.0))
-        assert est.seconds == pytest.approx(est.serial_seconds)
-        assert est.overlap_ratio == pytest.approx(0.0)
-
-    def test_empty_schedule(self):
-        from repro.machine import estimate_critical_path
-        est = estimate_critical_path([])
-        assert est.seconds == 0.0
-        assert est.overlap_ratio == 0.0
