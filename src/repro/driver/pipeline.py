@@ -514,8 +514,9 @@ class CompilePipeline:
         tracer = get_tracer()
         if tracer.enabled():
             tracer.record_compile(ctx.report)
-        from repro.obs.export import autoflush
-        autoflush()
+        if settings.get("metrics_file") is not None:
+            from repro.obs.export import autoflush
+            autoflush()
         return kernel
 
 

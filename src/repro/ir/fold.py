@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from .expr import (Access, BinOp, BufferRead, Call, Cast, Const, Expr,
                    IterVar, ParamRef, Select, UnOp)
 
@@ -99,9 +101,22 @@ def fold(expr: Expr) -> Expr:
         return expr
     if isinstance(expr, Cast):
         value = _const(expr.operand)
-        if value is not None and not expr.dtype.is_float:
-            return Const(int(value))
-        if value is not None and expr.dtype.is_float:
-            return Const(float(value))
+        if value is None:
+            return expr
+        held = _held(value, expr.dtype)
+        if held == value:
+            return Const(held)
+        if isinstance(value, int) and not expr.dtype.is_float:
+            # an integer out of the type's range: the cast wraps it, and
+            # NumPy takes only an in-range literal (np.int8(300) raises)
+            return Cast(expr.dtype, Const(held))
         return expr
     return expr
+
+
+def _held(value, dtype):
+    """``value`` as ``dtype`` holds it (rounded, truncated or wrapped),
+    as a Python scalar; a cast of a constant folds only when this is the
+    constant itself, since a weak literal keeps no rounding or wrap."""
+    with np.errstate(all="ignore"):
+        return np.array(value).astype(dtype.to_numpy()).item()

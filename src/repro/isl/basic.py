@@ -3,18 +3,74 @@
 A :class:`BasicMap` is the set of pairs of integer tuples satisfying a
 conjunction of affine constraints, possibly involving existentially
 quantified *division* dimensions.  A :class:`BasicSet` is a basic map with
-no input tuple.  Unions of basic sets/maps live in :mod:`repro.isl.set_`
-and :mod:`repro.isl.map_`.
+no input tuple.  Unions of basic sets/maps live in :mod:`repro.isl.union`.
+
+The constraints are rows of integers over the map's columns: its divs,
+inputs, outputs and parameters, then the constant
+(:mod:`repro.isl.constraint`).  An operation that moves dims between
+tuples moves columns (:meth:`BasicMap._relayout`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from functools import lru_cache
+from operator import itemgetter
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
-from .constraint import EQ, GE, Constraint
-from .fourier_motzkin import _prune
+from .constraint import (EQ, GE, Constraint, Rows, columns, normal,
+                         rows_over)
+from .fourier_motzkin import combine, prune
 from .linexpr import DIV, IN, OUT, PARAM, Dim, LinExpr
 from .space import Space
+
+
+_row = itemgetter(1)
+
+#: A move of dims between layouts: ``(kind, first, count, to_kind,
+#: to_first)`` sends ``count`` dims from ``(kind, first)`` on to
+#: ``(to_kind, to_first)`` on; a dim no move names keeps its reference.
+Move = Tuple[str, int, int, str, int]
+
+
+@lru_cache(maxsize=4096)
+def _gather(src: Tuple[Optional[int], ...], width: int):
+    """How to take a row of ``width`` columns (the constant last) to
+    another layout whose column ``t`` is old column ``src[t]``, or 0
+    where that is None: ``(get, pad, in_order)``."""
+    pad = None in src
+    idx = [width if s is None else s for s in src] + [width - 1]
+    get = itemgetter(*idx) if len(idx) > 1 else (lambda r: (r[-1],))
+    kept = [s for s in src if s is not None]
+    return get, pad, kept == sorted(kept)
+
+
+@lru_cache(maxsize=4096)
+def _plan(old_shape: Tuple[int, int, int, int],
+          shape: Tuple[int, int, int, int], moves: Tuple[Move, ...]):
+    old, _ = columns(*old_shape)
+    new, index = columns(*shape)
+    mapping = {(kind, first + k): (to_kind, to_first + k)
+               for kind, first, count, to_kind, to_first in moves
+               for k in range(count)}
+    src: List[Optional[int]] = [None] * len(new)
+    for j, d in enumerate(old):
+        src[index[mapping.get(d, d)]] = j
+    return _gather(tuple(src), len(old) + 1)
+
+
+def _moved(rows: Rows, plan) -> Rows:
+    """The rows taken to another layout by a :func:`_gather` plan.  An
+    equality whose first nonzero coefficient moved behind a negative
+    one changes sign (its normal form)."""
+    get, pad, in_order = plan
+    out = []
+    for is_eq, row in rows:
+        row = get(row + (0,) if pad else row)
+        if is_eq and not in_order and next(filter(None, row[:-1]), 0) < 0:
+            row = tuple([-v for v in row])
+        out.append((is_eq, row))
+    return out
 
 
 class BasicMap:
@@ -22,24 +78,62 @@ class BasicMap:
     output tuple, over shared symbolic parameters, with ``n_div``
     existentially quantified dimensions."""
 
-    __slots__ = ("space", "n_div", "constraints", "_hash")
+    __slots__ = ("space", "n_div", "rows", "_hash", "_constraints")
 
     def __init__(self, space: Space, constraints: Iterable[Constraint] = (),
                  n_div: int = 0):
         self.space = space
         self.n_div = n_div
-        self.constraints: Tuple[Constraint, ...] = tuple(constraints)
-        self._hash = None
-        self._validate()
+        self.rows: Tuple = tuple(self._rows_of(constraints))
+        self._hash = self._constraints = None
+
+    def _shape(self) -> Tuple[int, int, int, int]:
+        sp = self.space
+        return (self.n_div, len(sp.in_dims or ()), len(sp.out_dims),
+                len(sp.params))
+
+    def _rows_of(self, constraints: Iterable[Constraint]) -> Rows:
+        cols, index = columns(*self._shape())
+        return rows_over(cols, index, list(constraints))
+
+    def _with(self, rows: Rows, space: Optional[Space] = None,
+              n_div: Optional[int] = None) -> "BasicMap":
+        obj = type(self).__new__(type(self))
+        obj.space = space if space is not None else self.space
+        obj.n_div = n_div if n_div is not None else self.n_div
+        obj.rows = tuple(rows)
+        obj._hash = obj._constraints = None
+        obj._validate()
+        return obj
 
     def _validate(self) -> None:
-        for c in self.constraints:
-            for kind, idx in c.expr.dims():
-                limit = self.n_div if kind == DIV else self.space.n(kind)
-                if idx >= limit:
-                    raise ValueError(
-                        f"constraint {c!r} references ({kind},{idx}) outside "
-                        f"space {self.space!r} with {self.n_div} divs")
+        width = sum(self._shape()) + 1
+        if self.rows and set(map(len, map(_row, self.rows))) != {width}:
+            raise ValueError(f"rows of {self.rows} are not all {width} "
+                             f"wide over {self.space!r} with "
+                             f"{self.n_div} divs")
+
+    def _relayout(self, shape: Tuple[int, int, int, int],
+                  moves: Tuple[Move, ...] = ()) -> Rows:
+        """The rows over the layout of a basic map of ``shape`` (divs,
+        inputs, outputs, parameters), dims moved by ``moves``."""
+        return _moved(self.rows, _plan(self._shape(), shape, moves))
+
+    @property
+    def constraints(self) -> Tuple[Constraint, ...]:
+        """The rows as :class:`Constraint` objects (made on first read)."""
+        if self._constraints is None:
+            cols, _ = columns(*self._shape())
+            self._constraints = tuple(Constraint._of(EQ if e else GE, r, cols)
+                                      for e, r in self.rows)
+        return self._constraints
+
+    def __getstate__(self):
+        return self.space, self.n_div, self.rows
+
+    def __setstate__(self, state) -> None:
+        self.space, self.n_div, self.rows = state
+        self._hash = self._constraints = None
 
     # -- constructors ------------------------------------------------------
 
@@ -75,23 +169,21 @@ class BasicMap:
     def copy_with(self, space: Optional[Space] = None,
                   constraints: Optional[Iterable[Constraint]] = None,
                   n_div: Optional[int] = None) -> "BasicMap":
-        obj = type(self).__new__(type(self))
-        obj.space = space if space is not None else self.space
-        obj.n_div = n_div if n_div is not None else self.n_div
-        obj.constraints = tuple(constraints) if constraints is not None \
-            else self.constraints
-        obj._hash = None
-        obj._validate()
+        if constraints is None:
+            return self._with(self.rows, space, n_div)
+        obj = self._with((), space, n_div)
+        obj.rows = tuple(obj._rows_of(constraints))
         return obj
 
     def add_constraint(self, c: Constraint) -> "BasicMap":
-        return self.copy_with(constraints=self.constraints + (c,))
+        return self.add_constraints((c,))
 
     def add_constraints(self, cs: Iterable[Constraint]) -> "BasicMap":
-        return self.copy_with(constraints=self.constraints + tuple(cs))
+        return self._with(self.rows + tuple(self._rows_of(cs)))
 
     def involves(self, kind: str, idx: int) -> bool:
-        return any(c.involves((kind, idx)) for c in self.constraints)
+        j = columns(*self._shape())[1].get((kind, idx))
+        return j is not None and any(r[j] for _, r in self.rows)
 
     def drop_defined_divs(self) -> "BasicMap":
         """The same integer set without the divs that equalities define.
@@ -102,69 +194,51 @@ class BasicMap:
         constraints are then dropped and the surviving divs renumbered
         in order.  Deterministic: equal inputs give equal outputs, which
         the composition memo relies on."""
-        if not self.n_div:
+        n = self.n_div
+        if not n:
             return self
-        cons: Dict[int, Constraint] = dict(enumerate(self.constraints))
-        # Occurrence index, as in omega's row elimination: a substitution
-        # touches only the constraints that hold the div it removes.
-        occurs: Dict[int, set] = {}
-        for i, c in cons.items():
-            for kind, k in c.expr.dims():
-                if kind == DIV:
-                    occurs.setdefault(k, set()).add(i)
+        rows: List = list(self.rows)
         progress = True
         while progress:
             progress = False
-            for k in sorted(occurs):
-                dim = (DIV, k)
-                eq = min((i for i in occurs[k] if cons[i].kind == EQ
-                          and abs(cons[i].expr.coeffs[dim]) == 1),
-                         default=None)
-                if eq is None:
+            for k in range(n):
+                # the first equality left that defines div k
+                for t, con in enumerate(rows):
+                    if con is not None and con[0] and con[1][k] in (1, -1):
+                        break
+                else:
                     continue
-                defining = cons.pop(eq).expr
-                sign = defining.coeffs[dim]
-                repl = LinExpr._of({d: -sign * c for d, c in
-                                    defining.coeffs.items() if d != dim},
-                                   -sign * defining.const, True)
-                for other in defining.dims():
-                    if other[0] == DIV:
-                        occurs[other[1]].discard(eq)
-                for i in occurs.pop(k):
-                    old = cons[i]
-                    cons[i] = new = Constraint(old.kind,
-                                               old.expr.substitute(dim, repl))
-                    for kind, j in new.expr.dims():
-                        if kind == DIV:
-                            occurs[j].add(i)
-                    for kind, j in old.expr.dims():
-                        if kind == DIV and j != k and \
-                                not new.expr.involves((DIV, j)):
-                            occurs[j].discard(i)
+                defining = rows[t][1]
+                rows[t] = None
+                sign = defining[k]
+                for i, con in enumerate(rows):
+                    if con is not None and con[1][k]:
+                        is_eq, old = con
+                        rows[i] = is_eq, normal(is_eq, combine(
+                            1, old, -old[k] * sign, defining))
                 progress = True
-        kept = _prune(list(cons.values()))
-        alive = sorted({k for c in kept for kind, k in c.expr.dims()
-                        if kind == DIV})
-        renumber = {(DIV, k): (DIV, j) for j, k in enumerate(alive) if k != j}
-        if renumber:
-            kept = [c.remap(renumber) for c in kept]
-        return self.copy_with(constraints=kept, n_div=len(alive))
+        kept = prune([con for con in rows if con is not None])
+        alive = [k for k, col in zip(range(n), zip(*[r for _, r in kept]))
+                 if any(col)]
+        if len(alive) < n:
+            width = sum(self._shape())
+            kept = _moved(kept, _gather(tuple(alive) + tuple(range(n, width)),
+                                        width + 1))
+        return self._with(kept, n_div=len(alive))
 
     # -- parameter alignment ----------------------------------------------
 
     def align_params(self, params: Tuple[str, ...]) -> "BasicMap":
         """Reindex parameter dims to match the given parameter list (which
         must contain all of this map's parameters)."""
-        if self.space.params == tuple(params):
+        params = tuple(params)
+        if self.space.params == params:
             return self
-        mapping: Dict[Dim, Dim] = {}
-        for i, p in enumerate(self.space.params):
-            j = list(params).index(p)
-            if i != j:
-                mapping[(PARAM, i)] = (PARAM, j)
-        cons = [c.remap(mapping) for c in self.constraints]
-        return self.copy_with(space=self.space.with_params(tuple(params)),
-                              constraints=cons)
+        moves = tuple((PARAM, i, 1, PARAM, params.index(p))
+                      for i, p in enumerate(self.space.params))
+        shape = self._shape()[:3] + (len(params),)
+        return self._with(self._relayout(shape, moves),
+                          space=self.space.with_params(params))
 
     def _aligned_pair(self, other: "BasicMap"):
         params = self.space.aligned_params(other.space)
@@ -181,11 +255,16 @@ class BasicMap:
         a, b = self._aligned_pair(other)
         if not a.space.compatible_with(b.space):
             raise ValueError(f"incompatible spaces: {a.space!r} vs {b.space!r}")
-        # Shift other's divs past ours.
-        shift = {(DIV, k): (DIV, k + a.n_div) for k in range(b.n_div)}
-        cons = list(a.constraints)
-        cons.extend(c.remap(shift) for c in b.constraints)
-        return a.copy_with(constraints=cons, n_div=a.n_div + b.n_div)
+        return a._conjoin(b)
+
+    def _conjoin(self, b: "BasicMap", moves: Tuple[Move, ...] = ()
+                 ) -> "BasicMap":
+        """This map and ``b``'s constraints, its dims moved by
+        ``moves`` and its divs placed after ours."""
+        shape = (self.n_div + b.n_div,) + self._shape()[1:]
+        moves += ((DIV, 0, b.n_div, DIV, self.n_div),)
+        return self._with(self._relayout(shape) + b._relayout(shape, moves),
+                          n_div=shape[0])
 
     def fix(self, kind: str, idx: int, value: int) -> "BasicMap":
         c = Constraint.eq(LinExpr.dim(kind, idx) - LinExpr.constant(value))
@@ -213,17 +292,16 @@ class BasicMap:
         kind shift down.
         """
         indices = sorted(set(indices))
-        mapping: Dict[Dim, Dim] = {}
         keep = [i for i in range(self.space.n(kind)) if i not in indices]
-        for new_i, old_i in enumerate(keep):
-            mapping[(kind, old_i)] = (kind, new_i)
-        for off, old_i in enumerate(indices):
-            mapping[(kind, old_i)] = (DIV, self.n_div + off)
-        cons = [c.remap(mapping) for c in self.constraints]
+        moves = tuple((kind, old_i, 1, kind, new_i)
+                      for new_i, old_i in enumerate(keep))
+        moves += tuple((kind, old_i, 1, DIV, self.n_div + off)
+                       for off, old_i in enumerate(indices))
         space = self._space_without(kind, indices)
-        return self.copy_with(space=space, constraints=cons,
-                              n_div=self.n_div + len(indices)
-                              ).drop_defined_divs()
+        shape = (self.n_div + len(indices), len(space.in_dims or ()),
+                 len(space.out_dims), len(space.params))
+        return self._with(self._relayout(shape, moves), space=space,
+                          n_div=shape[0]).drop_defined_divs()
 
     def _space_without(self, kind: str, indices: Sequence[int]) -> Space:
         sp = self.space
@@ -244,10 +322,8 @@ class BasicMap:
 
     def insert_dims(self, kind: str, pos: int, names: Sequence[str]) -> "BasicMap":
         """Insert new unconstrained dims of ``kind`` at position ``pos``."""
-        n = self.space.n(kind)
-        mapping = {(kind, i): (kind, i + len(names))
-                   for i in range(pos, n)}
-        cons = [c.remap(mapping) for c in self.constraints]
+        moves = ((kind, pos, self.space.n(kind) - pos, kind,
+                  pos + len(names)),)
         sp = self.space
         if kind == OUT:
             dims = sp.out_dims[:pos] + tuple(names) + sp.out_dims[pos:]
@@ -261,7 +337,9 @@ class BasicMap:
                           sp.out_name)
         else:
             raise ValueError(kind)
-        return self.copy_with(space=space, constraints=cons)
+        shape = (self.n_div, len(space.in_dims or ()), len(space.out_dims),
+                 len(space.params))
+        return self._with(self._relayout(shape, moves), space=space)
 
     def rename_tuple(self, in_name=None, out_name=None,
                      keep_in=True, keep_out=True) -> "BasicMap":
@@ -269,66 +347,47 @@ class BasicMap:
         space = Space(sp.params, sp.in_dims, sp.out_dims,
                       in_name if not keep_in else sp.in_name,
                       out_name if not keep_out else sp.out_name)
-        return self.copy_with(space=space)
+        return self._with(self.rows, space=space)
 
     # -- map structure -----------------------------------------------------
 
     def reverse(self) -> "BasicMap":
         if not self.space.is_map:
             raise ValueError("reverse() requires a map")
-        n_in = len(self.space.in_dims)
-        n_out = len(self.space.out_dims)
-        mapping: Dict[Dim, Dim] = {}
-        for k in range(n_in):
-            mapping[(IN, k)] = (OUT, k)
-        for k in range(n_out):
-            mapping[(OUT, k)] = (IN, k)
-        cons = [c.remap(mapping) for c in self.constraints]
-        return self.copy_with(space=self.space.reverse(), constraints=cons)
+        nd, n_in, n_out, n_par = self._shape()
+        moves = ((IN, 0, n_in, OUT, 0), (OUT, 0, n_out, IN, 0))
+        return self._with(self._relayout((nd, n_out, n_in, n_par), moves),
+                          space=self.space.reverse())
 
     def domain(self) -> "BasicSet":
         """Project onto the input tuple (outputs become divs)."""
         if not self.space.is_map:
             raise ValueError("domain() requires a map")
-        n_out = len(self.space.out_dims)
-        mapping: Dict[Dim, Dim] = {
-            (OUT, k): (DIV, self.n_div + k) for k in range(n_out)}
-        mapping.update({(IN, k): (OUT, k)
-                        for k in range(len(self.space.in_dims))})
-        cons = [c.remap(mapping) for c in self.constraints]
-        return BasicSet(self.space.domain(), cons,
-                        self.n_div + n_out).drop_defined_divs()
+        nd, n_in, n_out, n_par = self._shape()
+        moves = ((OUT, 0, n_out, DIV, nd), (IN, 0, n_in, OUT, 0))
+        rows = self._relayout((nd + n_out, 0, n_in, n_par), moves)
+        return _basic_set(self.space.domain(), rows,
+                          nd + n_out).drop_defined_divs()
 
     def range(self) -> "BasicSet":
         if not self.space.is_map:
             raise ValueError("range() requires a map")
-        n_in = len(self.space.in_dims)
-        mapping: Dict[Dim, Dim] = {
-            (IN, k): (DIV, self.n_div + k) for k in range(n_in)}
-        cons = [c.remap(mapping) for c in self.constraints]
-        return BasicSet(self.space.range(), cons,
-                        self.n_div + n_in).drop_defined_divs()
+        nd, n_in, n_out, n_par = self._shape()
+        rows = self._relayout((nd + n_in, 0, n_out, n_par),
+                              ((IN, 0, n_in, DIV, nd),))
+        return _basic_set(self.space.range(), rows,
+                          nd + n_in).drop_defined_divs()
 
     def wrap_domain(self, bset: "BasicSet") -> "BasicMap":
         """Constrain the input tuple to lie in ``bset``."""
         a, b = self._aligned_pair(bset)
-        mapping: Dict[Dim, Dim] = {
-            (OUT, k): (IN, k) for k in range(len(b.space.out_dims))}
-        mapping.update({(DIV, k): (DIV, k + a.n_div)
-                        for k in range(b.n_div)})
-        cons = list(a.constraints)
-        cons.extend(c.remap(mapping) for c in b.constraints)
-        return a.copy_with(constraints=cons, n_div=a.n_div + b.n_div)
+        return a._conjoin(b, ((OUT, 0, len(b.space.out_dims), IN, 0),))
 
     intersect_domain = wrap_domain
 
     def intersect_range(self, bset: "BasicSet") -> "BasicMap":
         a, b = self._aligned_pair(bset)
-        mapping: Dict[Dim, Dim] = {(DIV, k): (DIV, k + a.n_div)
-                                   for k in range(b.n_div)}
-        cons = list(a.constraints)
-        cons.extend(c.remap(mapping) for c in b.constraints)
-        return a.copy_with(constraints=cons, n_div=a.n_div + b.n_div)
+        return a._conjoin(b)
 
     def apply(self, bset: "BasicSet") -> "BasicSet":
         """The image of ``bset`` under this map (exact)."""
@@ -347,26 +406,23 @@ class BasicMap:
         n_mid = len(a.space.out_dims)
         base = a.n_div + b.n_div
         # a's OUT and b's IN both become the shared mid dims (new divs).
-        map_a: Dict[Dim, Dim] = {(OUT, k): (DIV, base + k)
-                                 for k in range(n_mid)}
-        map_b: Dict[Dim, Dim] = {(IN, k): (DIV, base + k)
-                                 for k in range(n_mid)}
-        map_b.update({(DIV, k): (DIV, k + a.n_div) for k in range(b.n_div)})
-        cons = [c.remap(map_a) for c in a.constraints]
-        cons.extend(c.remap(map_b) for c in b.constraints)
+        shape = (base + n_mid, len(a.space.in_dims), len(b.space.out_dims),
+                 len(a.space.params))
         space = Space(a.space.params, a.space.in_dims, b.space.out_dims,
                       a.space.in_name, b.space.out_name)
-        return BasicMap(space, cons, base + n_mid).drop_defined_divs()
+        rows = (a._relayout(shape, ((OUT, 0, n_mid, DIV, base),))
+                + b._relayout(shape, ((IN, 0, n_mid, DIV, base),
+                                      (DIV, 0, b.n_div, DIV, a.n_div))))
+        return BasicMap.universe(space)._with(
+            rows, n_div=shape[0]).drop_defined_divs()
 
     def to_set(self) -> "BasicSet":
         """Flatten a map into a set over (in_dims ++ out_dims)."""
         if not self.space.is_map:
             raise ValueError("to_set() requires a map")
-        n_in = len(self.space.in_dims)
-        mapping: Dict[Dim, Dim] = {(IN, k): (OUT, k) for k in range(n_in)}
-        mapping.update({(OUT, k): (OUT, k + n_in)
-                        for k in range(len(self.space.out_dims))})
-        cons = [c.remap(mapping) for c in self.constraints]
+        nd, n_in, n_out, n_par = self._shape()
+        rows = self._relayout((nd, 0, n_in + n_out, n_par),
+                              ((IN, 0, n_in, OUT, 0), (OUT, 0, n_out, OUT, n_in)))
         names = tuple(self.space.in_dims) + tuple(self.space.out_dims)
         # Disambiguate duplicated names across the two tuples.
         seen: Dict[str, int] = {}
@@ -379,25 +435,37 @@ class BasicMap:
                 seen[nm] = 0
                 uniq.append(nm)
         space = Space.set_space(tuple(uniq), None, self.space.params)
-        return BasicSet(space, cons, self.n_div)
+        return _basic_set(space, rows, nd)
 
     # -- feasibility -------------------------------------------------------
 
     def canonical_fingerprint(self) -> Tuple:
         """Order- and duplicate-insensitive normal form of the constraint
-        system.  Two basic maps with equal fingerprints describe the same
-        solution set over their free variables (constraints normalise at
-        construction), which is exactly the invariant the process-wide
-        emptiness memo (:mod:`repro.isl.cache`) keys on."""
-        return tuple(sorted({c.canonical_key() for c in self.constraints}))
+        system: the dims it involves and the set of its rows over those
+        dims.  Two basic maps with equal fingerprints describe the
+        same solution set over their free variables (rows are in normal
+        form), which is exactly the invariant the process-wide emptiness
+        memo (:mod:`repro.isl.cache`) keys on; an unused dim or a
+        different space does not change it."""
+        rows = self.rows
+        if not rows:
+            return ()
+        cols, _ = columns(*self._shape())
+        used = [j for j, col in enumerate(zip(*[r for _, r in rows]))
+                if any(col) and j < len(cols)]
+        if len(used) < len(cols):
+            get = itemgetter(*used, len(cols)) if used \
+                else (lambda r: (r[-1],))
+            rows = [(e, get(r)) for e, r in rows]
+        return tuple(cols[j] for j in used), frozenset(rows)
 
     def is_empty(self) -> bool:
         from .cache import is_empty_cached
         return is_empty_cached(self)
 
     def is_rational_empty(self) -> bool:
-        from .fourier_motzkin import rational_feasible
-        return not rational_feasible(self.constraints)
+        from .fourier_motzkin import feasible
+        return not feasible(list(self.rows))
 
     def contains_point(self, in_vals: Sequence[int],
                        out_vals: Sequence[int] = (),
@@ -429,12 +497,11 @@ class BasicMap:
         return (isinstance(other, BasicMap)
                 and self.space == other.space
                 and self.n_div == other.n_div
-                and set(self.constraints) == set(other.constraints))
+                and set(self.rows) == set(other.rows))
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.space, self.n_div,
-                               frozenset(self.constraints)))
+            self._hash = hash((self.space, self.n_div, frozenset(self.rows)))
         return self._hash
 
 
@@ -466,3 +533,7 @@ class BasicSet(BasicMap):
                                  sp.out_name, sp.params)
         ident = BasicMap.identity(mspace)
         return ident.wrap_domain(self)
+
+
+def _basic_set(space: Space, rows: Rows, n_div: int) -> BasicSet:
+    return BasicSet.universe(space)._with(rows, n_div=n_div)

@@ -8,15 +8,15 @@ canonical systems.  This module caches both layers of the hot path:
 
 ``is_empty``
     keyed on the *canonical fingerprint* of the constraint system — the
-    sorted, de-duplicated tuple of normalised constraints (see
-    :meth:`repro.isl.constraint.Constraint.canonical_key`).  Emptiness
+    dims it involves and the sorted, de-duplicated rows over them (see
+    :meth:`repro.isl.basic.BasicMap.canonical_fingerprint`).  Emptiness
     depends only on the constraints (every dimension, parameters and
     divs included, is a free integer variable), so systems from
     different spaces that normalise identically share one entry.
 
 ``intersect`` / ``apply_range``
     keyed on the *exact* structural identity of both operands (space,
-    ``n_div`` and ordered constraint tuple).  The key is deliberately
+    ``n_div`` and ordered tuple of rows).  The key is deliberately
     order-sensitive: composition results feed the code generator, and a
     cached result must be byte-for-byte the object a fresh computation
     would have produced so generated source stays identical with the
@@ -38,7 +38,7 @@ default); the property tests compare cached and uncached runs under
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro import settings
 
@@ -65,15 +65,22 @@ def clear() -> None:
     _publish_sizes()
 
 
-def _metrics():
-    from repro.obs.metrics import metrics
-    return metrics
+_handles: Dict[str, object] = {}
+
+
+def _metric(kind: str, name: str):
+    """The registry's counter or gauge ``name``, looked up once (the
+    registry zeroes its metrics in place, so a handle stays live)."""
+    handle = _handles.get(name)
+    if handle is None:
+        from repro.obs.metrics import metrics
+        handle = _handles[name] = getattr(metrics, kind)(name)
+    return handle
 
 
 def _publish_sizes() -> None:
-    m = _metrics()
-    m.gauge("isl.empty_cache.size").set(len(_empty_memo))
-    m.gauge("isl.compose_cache.size").set(len(_compose_memo))
+    _metric("gauge", "isl.empty_cache.size").set(len(_empty_memo))
+    _metric("gauge", "isl.compose_cache.size").set(len(_compose_memo))
 
 
 def stats():
@@ -84,17 +91,17 @@ def stats():
     ``isl.empty`` and ``isl.compose`` in the driver-wide CacheStats
     vocabulary."""
     from repro.driver.stats import CacheStats, CacheStatsGroup
-    m = _metrics()
+
+    def count(name: str) -> int:
+        return int(_metric("counter", name).value)
     return CacheStatsGroup(
         CacheStats(
-            tier="isl.empty",
-            hits=int(m.counter("isl.empty_cache.hits").value),
-            misses=int(m.counter("isl.empty_cache.misses").value),
+            tier="isl.empty", hits=count("isl.empty_cache.hits"),
+            misses=count("isl.empty_cache.misses"),
             size=len(_empty_memo), maxsize=EMPTY_CACHE_MAX),
         CacheStats(
-            tier="isl.compose",
-            hits=int(m.counter("isl.compose_cache.hits").value),
-            misses=int(m.counter("isl.compose_cache.misses").value),
+            tier="isl.compose", hits=count("isl.compose_cache.hits"),
+            misses=count("isl.compose_cache.misses"),
             size=len(_compose_memo), maxsize=COMPOSE_CACHE_MAX))
 
 
@@ -107,18 +114,17 @@ def is_empty_cached(bmap) -> bool:
     if not settings.get("isl_cache"):
         return conjunction_is_empty(bmap)
     key = bmap.canonical_fingerprint()
-    m = _metrics()
     hit = _empty_memo.get(key)
     if hit is not None:
         _empty_memo.move_to_end(key)
-        m.counter("isl.empty_cache.hits").inc()
+        _metric("counter", "isl.empty_cache.hits").inc()
         return hit is True
-    m.counter("isl.empty_cache.misses").inc()
+    _metric("counter", "isl.empty_cache.misses").inc()
     from repro.obs.tracer import get_tracer
     tracer = get_tracer()
     if tracer.enabled():
         with tracer.span("isl:is_empty", cat="isl",
-                         constraints=len(bmap.constraints)):
+                         constraints=len(bmap.rows)):
             result = conjunction_is_empty(bmap)
     else:
         result = conjunction_is_empty(bmap)
@@ -136,10 +142,9 @@ def is_empty_cached(bmap) -> bool:
 def _exact_key(op: str, a, b=None) -> Tuple:
     # Order-sensitive on purpose: see the module docstring.
     if b is None:
-        return (op, type(a).__name__, a.space, a.n_div, a.constraints)
+        return (op, type(a).__name__, a.space, a.n_div, a.rows)
     return (op, type(a).__name__, type(b).__name__,
-            a.space, a.n_div, a.constraints,
-            b.space, b.n_div, b.constraints)
+            a.space, a.n_div, a.rows, b.space, b.n_div, b.rows)
 
 
 def composed(op: str, a, b, compute: Callable[[], object]):
@@ -149,13 +154,12 @@ def composed(op: str, a, b, compute: Callable[[], object]):
     if not settings.get("isl_cache"):
         return compute()
     key = _exact_key(op, a, b)
-    m = _metrics()
     hit = _compose_memo.get(key)
     if hit is not None:
         _compose_memo.move_to_end(key)
-        m.counter("isl.compose_cache.hits").inc()
+        _metric("counter", "isl.compose_cache.hits").inc()
         return hit
-    m.counter("isl.compose_cache.misses").inc()
+    _metric("counter", "isl.compose_cache.misses").inc()
     result = compute()
     _compose_memo[key] = result
     if len(_compose_memo) > COMPOSE_CACHE_MAX:

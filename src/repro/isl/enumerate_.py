@@ -9,87 +9,94 @@ filtered at the leaves by re-checking the original constraints.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from operator import mul
+from typing import Iterator, List, Mapping, Optional, Tuple
 
-from .basic import BasicMap, BasicSet
-from .constraint import Constraint
-from .fourier_motzkin import bounds_on_dim, eliminate_dims
-from .linexpr import DIV, OUT, PARAM, Dim, LinExpr
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
+from .basic import BasicMap
+from .constraint import normal, trivially_false
+from .fourier_motzkin import bounds, eliminate
 
 
-def _floor_div(a: int, b: int) -> int:
-    return a // b
+def bind_params(bset: BasicMap, param_vals: Mapping[str, int]) -> BasicMap:
+    """``bset`` with the given parameter values folded into the
+    constants (their columns become 0); a parameter without a value must
+    not be involved."""
+    base = sum(bset._shape()[:3])
+    rows = [list(r) for _, r in bset.rows]
+    for i, p in enumerate(bset.space.params):
+        j = base + i
+        if p not in param_vals:
+            if any(r[j] for r in rows):
+                raise ValueError(f"parameter {p} needs a value")
+            continue
+        for r in rows:
+            r[-1] += r[j] * param_vals[p]
+            r[j] = 0
+    return bset._with([(e, normal(e, tuple(r)))
+                       for (e, _), r in zip(bset.rows, rows)])
+
+
+def value(row, vals: List[int]) -> int:
+    """``row`` at the point ``vals`` (one value per column, then 1)."""
+    return sum(map(mul, row, vals))
 
 
 class _Enumerator:
     def __init__(self, bset: BasicMap, param_vals: Mapping[str, int]):
-        self.n_out = bset.space.n(OUT)
-        self.n_div = bset.n_div
-        # Substitute parameter values.
-        cons = list(bset.constraints)
-        for i, p in enumerate(bset.space.params):
-            if p not in param_vals:
-                if any(c.involves((PARAM, i)) for c in cons):
-                    raise ValueError(f"parameter {p} needs a value")
-                continue
-            cons = [c.substitute((PARAM, i),
-                                 LinExpr.constant(param_vals[p]))
-                    for c in cons]
-        self.original = cons
-        self.order: List[Dim] = [(OUT, k) for k in range(self.n_out)]
-        self.order += [(DIV, k) for k in range(self.n_div)]
-        # Level k: constraints with dims order[k+1:] eliminated.
-        self.levels: List[List[Constraint]] = []
-        current = cons
+        work = bind_params(bset, param_vals)
+        n_div, n_in, self.n_out, _ = work._shape()
+        self.vals = [0] * sum(work._shape()) + [1]
+        self.original = list(work.rows)
+        # The set dims, then the divs.
+        self.order = [n_div + n_in + k for k in range(self.n_out)]
+        self.order += list(range(n_div))
+        # systems[k] has only columns order[:k]; bounds for order[k] come
+        # from systems[k+1].
+        current = self.original
         systems = [current]
-        for dim in reversed(self.order):
-            current = eliminate_dims(current, [dim])
+        for col in reversed(self.order):
+            current = eliminate(current, col)
             systems.append(current)
         systems.reverse()
-        # systems[k] has only dims order[:k]; bounds for order[k] come
-        # from systems[k+1].
         self.systems = systems
 
     def feasible_globally(self) -> bool:
-        return all(not c.is_trivially_false() for c in self.systems[0])
+        return not any(trivially_false(e, r) for e, r in self.systems[0])
 
     def points(self) -> Iterator[Tuple[int, ...]]:
         if not self.feasible_globally():
             return
         seen = set()
-        for full in self._rec(0, {}):
+        for full in self._rec(0):
             pt = full[:self.n_out]
             if pt not in seen:
                 seen.add(pt)
                 yield pt
 
-    def _rec(self, level: int, values: Dict[Dim, int]
-             ) -> Iterator[Tuple[int, ...]]:
+    def _rec(self, level: int) -> Iterator[Tuple[int, ...]]:
+        vals = self.vals
         if level == len(self.order):
-            if all(c.satisfied_by(values) for c in self.original):
-                yield tuple(values[d] for d in self.order)
+            if all((value(r, vals) == 0) if e else (value(r, vals) >= 0)
+                   for e, r in self.original):
+                yield tuple(vals[c] for c in self.order)
             return
-        dim = self.order[level]
-        lowers, uppers = bounds_on_dim(self.systems[level + 1], dim)
+        col = self.order[level]
+        lowers, uppers = bounds(self.systems[level + 1], col)
         lo: Optional[int] = None
         hi: Optional[int] = None
         for a, e in lowers:
-            val = _ceil_div(int(e.evaluate(values)), a)
+            val = -(-value(e, vals) // a)
             lo = val if lo is None else max(lo, val)
         for b, f in uppers:
-            val = _floor_div(int(f.evaluate(values)), b)
+            val = value(f, vals) // b
             hi = val if hi is None else min(hi, val)
         if lo is None or hi is None:
             raise ValueError(
-                f"dimension {dim} is unbounded; cannot enumerate")
+                f"dimension {col} is unbounded; cannot enumerate")
         for v in range(lo, hi + 1):
-            values[dim] = v
-            yield from self._rec(level + 1, values)
-        values.pop(dim, None)
+            vals[col] = v
+            yield from self._rec(level + 1)
+        vals[col] = 0
 
 
 def points(bset, param_vals: Mapping[str, int] = ()) -> Iterator[Tuple[int, ...]]:

@@ -1,158 +1,230 @@
-"""Fourier-Motzkin elimination over affine constraints.
+"""Fourier-Motzkin elimination over constraint rows.
 
 FM is exact for *rational* feasibility and yields the rational shadow of a
 projection.  The integer-exact counterpart (dark shadows and splinters)
 lives in :mod:`repro.isl.omega`; codegen uses the rational shadow because
 loop bounds are emitted with explicit ceil/floor divisions, which restores
 integer exactness at execution time.
+
+The work is done on rows of one layout (:mod:`repro.isl.constraint`):
+``prune``, ``eliminate``, ``next_col``, ``feasible`` and ``bounds``.
+``eliminate_dim(s)``, ``rational_feasible`` and ``bounds_on_dim`` are
+the same over a list of :class:`Constraint`, naming dims by
+``(kind, index)``, for the layers above.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from math import gcd
+from operator import add, neg, sub
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .constraint import EQ, GE, Constraint
+from .constraint import (Constraint, Row, Rows, constraints_of, normal,
+                         system, to_expr)
 from .linexpr import Dim, LinExpr
 
 
-def _substitute_equality(constraints: Sequence[Constraint], dim: Dim,
-                         eq: Constraint) -> List[Constraint]:
-    """Use equality ``a*dim + e = 0`` to remove ``dim`` everywhere else.
+def combine(p: int, r: Row, q: int, s: Row) -> Row:
+    """``p*r + q*s``."""
+    if p == 1 and q in (1, -1):
+        return tuple(map(add if q == 1 else sub, r, s))
+    return tuple([p * x + q * y for x, y in zip(r, s)])
 
-    Keeps rational exactness by cross-multiplying: a constraint
-    ``c*dim + f (op) 0`` becomes ``|a|*f - sign(a)*c*e (op) 0``.
+
+def prune(rows: Rows) -> Rows:
+    """Drop tautologies and duplicates; keep the tightest of parallel
+    inequalities (same coefficients, different constants).
+
+    Rows are in normal form (gcd reduction with integer tightening), so
+    scaled duplicates like ``2i >= 2`` vs ``i >= 1`` arrive already
+    keyed identically.  Two *contradictory* parallel equalities (``i =
+    1`` and ``i = 2``), or opposed parallel inequalities with a negative
+    gap (``i >= 4`` and ``-i + 2 >= 0``), short-circuit to the
+    trivially-false system ``-1 >= 0`` immediately instead of surviving
+    into the elimination loop.
     """
-    a = int(eq.expr.coeff(dim))
-    e = eq.expr - LinExpr.dim(dim[0], dim[1], a)
-    out: List[Constraint] = []
-    for c in constraints:
-        if c is eq:
+    out: Rows = []
+    eq: dict = {}   # coefficients -> place in out
+    ge: dict = {}
+    for con in rows:
+        is_eq, row = con
+        coeffs = row[:-1]
+        if not any(coeffs) and (row[-1] == 0 if is_eq else row[-1] >= 0):
             continue
-        coeff = int(c.expr.coeff(dim))
-        if coeff == 0:
-            out.append(c)
+        if is_eq:
+            j = eq.get(coeffs)
+            if j is None:
+                eq[coeffs] = len(out)
+                out.append(con)
+            elif out[j][1][-1] != row[-1]:
+                return false_rows(len(coeffs))
             continue
-        rest = c.expr - LinExpr.dim(dim[0], dim[1], coeff)
-        # c.expr = coeff*dim + rest ; dim = -e/a
-        new_expr = rest * abs(a) - e * coeff * (1 if a > 0 else -1)
-        out.append(Constraint(c.kind, new_expr))
+        j = ge.get(coeffs)
+        if j is None:
+            ge[coeffs] = len(out)
+            out.append(con)
+        # sum c_i x_i + k >= 0: smaller k is the tighter constraint.
+        elif row[-1] < out[j][1][-1]:
+            out[j] = con
+    # Opposed parallel inequalities: e + a >= 0 and -e + b >= 0 bound
+    # -a <= e <= b, which is empty exactly when a + b < 0.
+    for coeffs, j in ge.items():
+        k = ge.get(tuple(map(neg, coeffs)))
+        if k is not None and out[j][1][-1] + out[k][1][-1] < 0:
+            return false_rows(len(coeffs))
     return out
+
+
+def false_rows(width: int) -> Rows:
+    return [(False, (0,) * width + (-1,))]
+
+
+def eliminate(rows: Rows, col: int) -> Rows:
+    """Eliminate one column, returning the rational shadow.  An
+    equality involving it is substituted into the others, keeping
+    rational exactness by cross-multiplying: ``c*x + f (op) 0`` with
+    ``a*x + e = 0`` becomes ``|a|*f - sign(a)*c*e (op) 0``."""
+    for i, (is_eq, eq) in enumerate(rows):
+        if is_eq and eq[col]:
+            a = eq[col]
+            out = []
+            for j, (e, r) in enumerate(rows):
+                c = r[col]
+                if j != i:
+                    out.append((e, normal(e, combine(abs(a), r,
+                                                     -c if a > 0 else c, eq))
+                                if c else r))
+            return out
+    lowers: List[Row] = []
+    uppers: List[Row] = []
+    out = []
+    for e, r in rows:
+        c = r[col]
+        if not c:
+            out.append((e, r))
+        elif c > 0:
+            lowers.append(r)
+        else:
+            uppers.append(r)
+    for lo in lowers:
+        for up in uppers:
+            # a*x + l >= 0 and -b*x + u >= 0  =>  b*l + a*u >= 0
+            out.append((False, normal(False, combine(-up[col], lo,
+                                                     lo[col], up))))
+    return prune(out)
+
+
+def next_col(rows: Rows, keep: int = -1) -> Optional[int]:
+    """The column full elimination removes next, other than ``keep``:
+    one an equality substitutes away if any (the one in fewest rows),
+    else the one whose elimination adds the fewest rows (``lo*up - lo -
+    up``), the first such; None when only ``keep`` is left."""
+    if not rows:
+        return None
+    cols = list(zip(*[r for _, r in rows]))
+    cols.pop()
+    eqs = [r for e, r in rows if e]
+    if eqs:
+        in_eq = [j for j, c in zip(range(len(cols)), zip(*eqs))
+                 if j != keep and any(c)]
+        if in_eq:
+            return min(in_eq, key=lambda j: len(cols[j]) - cols[j].count(0))
+    return _least_growth(cols, keep)[0]
+
+
+def _least_growth(cols, keep: int = -1) -> Tuple[Optional[int], List[int]]:
+    """Over the columns of inequalities: the one whose FM elimination
+    adds the fewest rows, and those bounded on one side only."""
+    best, least, one_sided = None, 0, []
+    for j, col in enumerate(cols):
+        if j != keep and any(col):
+            lo = sum(map((0).__lt__, col))
+            up = len(col) - col.count(0) - lo
+            if not lo or not up:
+                one_sided.append(j)
+            if best is None or lo * up - lo - up < least:
+                best, least = j, lo * up - lo - up
+    return best, one_sided
+
+
+def feasible(rows: Rows) -> bool:
+    """Exact rational (LP) feasibility via full FM elimination.  Columns
+    bounded on one side only (and in no equality) take their rows along
+    at once: whatever the other columns are, they can be chosen far
+    enough out to meet them all."""
+    rows = prune(rows)
+    while rows:
+        for is_eq, row in rows:
+            if is_eq:
+                g = gcd(*row[:-1])
+                if (row[-1] % g) if g else row[-1]:
+                    return False
+            elif row[-1] < 0 and not any(row[:-1]):
+                return False
+        if any(e for e, _ in rows):
+            col = next_col(rows)
+        else:
+            cols = list(zip(*[r for _, r in rows]))
+            cols.pop()
+            col, one_sided = _least_growth(cols)
+            if one_sided:
+                rows = [(e, r) for e, r in rows
+                        if not any([r[j] for j in one_sided])]
+                continue
+        if col is None:
+            return True
+        rows = eliminate(rows, col)
+    return True
+
+
+def bounds(rows: Rows, col: int) -> Tuple[List[Tuple[int, Row]],
+                                          List[Tuple[int, Row]]]:
+    """Lower and upper bounds on one column: ``(a, e)`` with ``a > 0``
+    means ``a*x >= e`` for a lower bound, ``a*x <= e`` for an upper;
+    ``e`` is a row whose ``col`` entry is 0.  Equalities bound both
+    sides."""
+    lowers: List[Tuple[int, Row]] = []
+    uppers: List[Tuple[int, Row]] = []
+    for is_eq, row in rows:
+        c = row[col]
+        if not c:
+            continue
+        rest = list(row)
+        rest[col] = 0
+        if c > 0:
+            rest = tuple([-v for v in rest])
+            lowers.append((c, rest))
+            if is_eq:
+                uppers.append((c, rest))
+        else:
+            rest = tuple(rest)
+            uppers.append((-c, rest))
+            if is_eq:
+                lowers.append((-c, rest))
+    return lowers, uppers
+
+
+# -- the same over constraint lists -----------------------------------------
 
 
 def eliminate_dim(constraints: Sequence[Constraint],
                   dim: Dim) -> List[Constraint]:
     """Eliminate one dimension, returning the rational shadow."""
-    involved_eqs = [c for c in constraints
-                    if c.kind == EQ and c.involves(dim)]
-    if involved_eqs:
-        return _substitute_equality(constraints, dim, involved_eqs[0])
-    lowers: List[Tuple[int, LinExpr]] = []   # a*dim >= -e  (a > 0)
-    uppers: List[Tuple[int, LinExpr]] = []   # b*dim <= f   (b > 0)
-    others: List[Constraint] = []
-    for c in constraints:
-        coeff = int(c.expr.coeff(dim))
-        if coeff == 0:
-            others.append(c)
-        elif coeff > 0:
-            # coeff*dim + rest >= 0  =>  coeff*dim >= -rest
-            rest = c.expr - LinExpr.dim(dim[0], dim[1], coeff)
-            lowers.append((coeff, -rest))
-        else:
-            rest = c.expr - LinExpr.dim(dim[0], dim[1], coeff)
-            uppers.append((-coeff, rest))
-    for a, lo in lowers:
-        for b, up in uppers:
-            # a*dim >= lo and b*dim <= up  =>  a*up - b*lo >= 0
-            others.append(Constraint.ge(up * a - lo * b))
-    return _prune(others)
+    return eliminate_dims(constraints, (dim,))
 
 
 def eliminate_dims(constraints: Sequence[Constraint],
                    dims: Iterable[Dim]) -> List[Constraint]:
-    cons = list(constraints)
+    cols, rows = system(constraints)
     for dim in dims:
-        cons = eliminate_dim(cons, dim)
-    return cons
-
-
-#: The canonical trivially-false system ``-1 >= 0``; ``_prune`` returns
-#: it whenever it proves the input infeasible outright.
-_FALSE_SYSTEM = [Constraint.ge(LinExpr.constant(-1))]
-
-
-def _prune(constraints: Sequence[Constraint]) -> List[Constraint]:
-    """Drop tautologies and duplicates; keep the tightest of parallel
-    inequalities (same coefficients, different constants).
-
-    Constraints normalise at construction (gcd reduction with integer
-    tightening), so scaled duplicates like ``2i >= 2`` vs ``i >= 1``
-    arrive already keyed identically.  Two *contradictory* parallel
-    equalities (``i = 1`` and ``i = 2``), or opposed parallel
-    inequalities with a negative gap (``i >= 4`` and ``-i + 2 >= 0``),
-    short-circuit to the trivially-false system immediately instead of
-    surviving into the elimination loop.
-    """
-    best: Dict[Tuple, Constraint] = {}
-    for c in constraints:
-        if c.is_trivially_true():
-            continue
-        coeff_key = tuple(c.expr.coeffs.items())
-        if c.kind == EQ:
-            key = (EQ, coeff_key)
-            prev = best.get(key)
-            if prev is not None and prev.expr.const != c.expr.const:
-                return list(_FALSE_SYSTEM)
-            if prev is None:
-                best[key] = c
-            continue
-        key = (GE, coeff_key)
-        prev = best.get(key)
-        # sum c_i x_i + k >= 0: smaller k is the tighter constraint.
-        if prev is None or c.expr.const < prev.expr.const:
-            best[key] = c
-    # Opposed parallel inequalities: e + a >= 0 and -e + b >= 0 bound
-    # -a <= e <= b, which is empty exactly when a + b < 0.
-    for (kind, coeff_key), c in best.items():
-        if kind != GE:
-            continue
-        neg_key = (GE, tuple((d, -v) for d, v in coeff_key))
-        other = best.get(neg_key)
-        if other is not None and c.expr.const + other.expr.const < 0:
-            return list(_FALSE_SYSTEM)
-    return list(best.values())
+        rows = eliminate(rows, cols.index(dim)) if dim in cols \
+            else prune(rows)
+    return constraints_of(cols, rows)
 
 
 def rational_feasible(constraints: Sequence[Constraint]) -> bool:
     """Exact rational (LP) feasibility via full FM elimination."""
-    cons = _prune(constraints)
-    while True:
-        for c in cons:
-            if c.is_trivially_false():
-                return False
-        dim = next_dim(cons)
-        if dim is None:
-            return True
-        cons = eliminate_dim(cons, dim)
-
-
-def next_dim(constraints: Sequence[Constraint],
-             keep: Tuple[Dim, ...] = ()) -> Optional[Dim]:
-    """The dim full elimination removes next, other than ``keep``: one an
-    equality substitutes away if any, else the one in fewest constraints
-    (min-degree); None when only ``keep`` is left.  One pass builds the
-    involvement counts and the equality dims, which is linear instead of
-    a quadratic lower x upper product."""
-    counts: Dict[Dim, int] = {}
-    eq_dims = set()
-    for c in constraints:
-        for d in c.expr.dims():
-            if d not in keep:
-                counts[d] = counts.get(d, 0) + 1
-                if c.kind == EQ:
-                    eq_dims.add(d)
-    if not counts:
-        return None
-    return min(eq_dims or counts, key=lambda d: counts[d])
+    return feasible(system(constraints)[1])
 
 
 def bounds_on_dim(constraints: Sequence[Constraint], dim: Dim
@@ -164,22 +236,9 @@ def bounds_on_dim(constraints: Sequence[Constraint], dim: Dim
     ``a*dim >= e`` (``a > 0``) and each upper is ``(b, f)`` meaning
     ``b*dim <= f``.  Equalities contribute to both sides.
     """
-    lowers: List[Tuple[int, LinExpr]] = []
-    uppers: List[Tuple[int, LinExpr]] = []
-    for c in constraints:
-        coeff = int(c.expr.coeff(dim))
-        if coeff == 0:
-            continue
-        rest = c.expr - LinExpr.dim(dim[0], dim[1], coeff)
-        if c.kind == EQ:
-            if coeff > 0:
-                lowers.append((coeff, -rest))
-                uppers.append((coeff, -rest))
-            else:
-                lowers.append((-coeff, rest))
-                uppers.append((-coeff, rest))
-        elif coeff > 0:
-            lowers.append((coeff, -rest))
-        else:
-            uppers.append((-coeff, rest))
-    return lowers, uppers
+    cols, rows = system(constraints)
+    if dim not in cols:
+        return [], []
+    lowers, uppers = bounds(rows, cols.index(dim))
+    return ([(a, to_expr(cols, e)) for a, e in lowers],
+            [(b, to_expr(cols, f)) for b, f in uppers])

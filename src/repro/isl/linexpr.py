@@ -80,11 +80,12 @@ class LinExpr:
 
     @classmethod
     def constant(cls, value: Coeff) -> "LinExpr":
-        return cls({}, value)
+        return LinExpr._of({}, value, True)
 
     @classmethod
     def dim(cls, kind: str, index: int, coeff: Coeff = 1) -> "LinExpr":
-        return cls({(kind, index): coeff}, 0)
+        _check_dim((kind, index))
+        return LinExpr._of({(kind, index): coeff} if coeff else {}, 0, True)
 
     # -- arithmetic ----------------------------------------------------
 

@@ -9,20 +9,23 @@ enumeration.  The result is an *exact* integer emptiness test for the
 conjunctions that arise in polyhedral compilation (all dimensions,
 including parameters and existential divs, are treated as free integer
 variables, matching ISL's unconstrained-parameter semantics).
+
+It takes a basic map's rows as they are (:mod:`repro.isl.constraint`):
+tuples of ints over the map's columns, the constant last.  Columns no
+row involves are dropped first; every row of a system has one width.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import compress
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Dict, List, Optional, Tuple
 
-from .constraint import EQ, Constraint
+from .constraint import Row
+from .fourier_motzkin import combine, feasible
 from .intlinalg import solve_integer_system
-from .linexpr import Dim
-
-# A row is (coeffs, const): sum coeffs[v]*x_v + const, over var indices.
-Row = Tuple[Dict[int, int], int]
 
 _MAX_INEQS = 4000  # blowup guard; beyond this we fall back conservatively
 
@@ -61,7 +64,7 @@ def legacy_mode():
         USE_RATIONAL_FASTPATH, USE_PREFILTERS, USE_UNIT_ELIMINATION = saved
 
 
-def _prefilter_empty(constraints) -> bool:
+def _prefilter_empty(rows) -> bool:
     """Cheap syntactic emptiness checks run before the full Omega test.
 
     Detects (a) any single trivially-false constraint, (b) contradictory
@@ -71,30 +74,24 @@ def _prefilter_empty(constraints) -> bool:
     the integer set is certainly empty; ``False`` decides nothing.
     """
     from repro.obs.metrics import metrics
-    eq_consts: Dict[Tuple, int] = {}
-    lo: Dict[Dim, int] = {}
-    hi: Dict[Dim, int] = {}
-
-    def bounded_empty(d: Dim) -> bool:
-        return d in lo and d in hi and lo[d] > hi[d]
-
-    for c in constraints:
-        if c.is_trivially_false():
+    eq_consts: Dict[Row, int] = {}
+    lo: Dict[int, int] = {}
+    hi: Dict[int, int] = {}
+    for is_eq, row in rows:
+        coeffs, const = row[:-1], row[-1]
+        nonzero = len(coeffs) - coeffs.count(0)
+        if (const != 0 if is_eq else const < 0) if not nonzero else \
+                is_eq and const % gcd(*coeffs):
             metrics.counter("isl.empty.prefilter_trivial").inc()
             return True
-        coeffs = c.expr.coeffs
-        const = int(c.expr.const)
-        if c.kind == EQ:
-            key = tuple(coeffs.items())
-            prev = eq_consts.setdefault(key, const)
-            if prev != const:
-                metrics.counter("isl.empty.prefilter_eq_clash").inc()
-                return True
-        if len(coeffs) != 1:
+        if is_eq and eq_consts.setdefault(coeffs, const) != const:
+            metrics.counter("isl.empty.prefilter_eq_clash").inc()
+            return True
+        if nonzero != 1:
             continue
-        (dim, coeff), = coeffs.items()
-        coeff = int(coeff)
-        if c.kind == EQ:
+        coeff = next(filter(None, coeffs))
+        dim = coeffs.index(coeff)
+        if is_eq:
             if abs(coeff) != 1:
                 continue  # non-divisible const was already caught above
             val = -const * coeff
@@ -108,7 +105,7 @@ def _prefilter_empty(constraints) -> bool:
             # d <= floor(const/(-coeff))
             bound = const // (-coeff)
             hi[dim] = min(hi.get(dim, bound), bound)
-        if bounded_empty(dim):
+        if dim in lo and dim in hi and lo[dim] > hi[dim]:
             metrics.counter("isl.empty.prefilter_bounds").inc()
             return True
     return False
@@ -116,22 +113,10 @@ def _prefilter_empty(constraints) -> bool:
 
 def conjunction_is_empty(bmap) -> bool:
     """True iff the basic map has no integer points (exact)."""
-    if USE_PREFILTERS and _prefilter_empty(bmap.constraints):
+    if USE_PREFILTERS and _prefilter_empty(bmap.rows):
         return True
-
-    var_ids: Dict[Dim, int] = {}
-
-    def vid(dim: Dim) -> int:
-        if dim not in var_ids:
-            var_ids[dim] = len(var_ids)
-        return var_ids[dim]
-
-    eqs: List[Row] = []
-    ineqs: List[Row] = []
-    for c in bmap.constraints:
-        coeffs = {vid(d): int(v) for d, v in c.expr.coeffs.items()}
-        row = (coeffs, int(c.expr.const))
-        (eqs if c.kind == EQ else ineqs).append(row)
+    eqs, ineqs = _compact([r for e, r in bmap.rows if e],
+                          [r for e, r in bmap.rows if not e])
     try:
         return not _feasible(eqs, ineqs)
     except OmegaBudgetExceeded:
@@ -139,17 +124,18 @@ def conjunction_is_empty(bmap) -> bool:
         # when the integer set is nonempty only risks the safe direction:
         # a rationally-feasible report of "nonempty" may be wrong for
         # integers, which makes legality checks conservative, not unsound).
-        from .fourier_motzkin import rational_feasible
-        return not rational_feasible(bmap.constraints)
+        return not feasible(list(bmap.rows))
 
 
-def _n_vars(rows: Sequence[Row]) -> int:
-    top = -1
-    for coeffs, _ in rows:
-        for v in coeffs:
-            if v > top:
-                top = v
-    return top + 1
+def _compact(eqs: List[Row], ineqs: List[Row]
+             ) -> Tuple[List[Row], List[Row]]:
+    """Both lists without the columns no row of either involves."""
+    cols = list(zip(*eqs, *ineqs))
+    used = [c for c in cols[:-1] if any(c)]
+    if len(used) + 1 >= len(cols):
+        return eqs, ineqs
+    rows = list(zip(*used, cols[-1]))
+    return rows[:len(eqs)], rows[len(eqs):]
 
 
 def _feasible(eqs: List[Row], ineqs: List[Row]) -> bool:
@@ -166,12 +152,9 @@ def _feasible(eqs: List[Row], ineqs: List[Row]) -> bool:
             from repro.obs.metrics import metrics
             metrics.counter("isl.empty.rational_fastpath").inc()
             return False
-        reduced = _eliminate_equalities(eqs, ineqs,
-                                        _n_vars(eqs) if not ineqs
-                                        else max(_n_vars(eqs), _n_vars(ineqs)))
-        if reduced is None:
+        ineqs = _eliminate_equalities(*_compact(eqs, ineqs))
+        if ineqs is None:
             return False
-        ineqs, _ = reduced
     return _ineq_feasible(ineqs)
 
 
@@ -184,33 +167,23 @@ def _rational_rows_feasible(eqs: List[Row], ineqs: List[Row]) -> bool:
     One-sided: a ``False`` here proves the *integer* system empty too;
     ``True`` decides nothing about integer feasibility.
     """
-    work = [(dict(c), k) for c, k in eqs]
-    ineqs = [(dict(c), k) for c, k in ineqs]
+    work = list(eqs)
     while work:
-        coeffs, const = work.pop()
-        coeffs = {v: c for v, c in coeffs.items() if c}
-        if not coeffs:
-            if const != 0:
+        eq = work.pop()
+        coeffs = eq[:-1]
+        if not any(coeffs):
+            if eq[-1] != 0:
                 return False
             continue
-        var, a = min(coeffs.items(), key=lambda vc: abs(vc[1]))
-        sign = 1 if a > 0 else -1
-        rest = ({v: c for v, c in coeffs.items() if v != var}, const)
+        var = min((j for j, c in enumerate(coeffs) if c),
+                  key=lambda j: abs(coeffs[j]))
+        a = eq[var]
 
         def subst(row: Row) -> Row:
             # a*var + e = 0 and c*var + f (op) 0:
             # scale by |a| > 0 and substitute: |a|*f - sign(a)*c*e (op) 0.
-            c = row[0].get(var, 0)
-            if not c:
-                return row
-            out = {v: abs(a) * q for v, q in row[0].items() if v != var}
-            for v, q in rest[0].items():
-                val = out.get(v, 0) - sign * c * q
-                if val:
-                    out[v] = val
-                else:
-                    out.pop(v, None)
-            return (out, abs(a) * row[1] - sign * c * rest[1])
+            c = row[var]
+            return combine(abs(a), row, -c if a > 0 else c, eq) if c else row
 
         work = [subst(r) for r in work]
         ineqs = [subst(r) for r in ineqs]
@@ -218,23 +191,6 @@ def _rational_rows_feasible(eqs: List[Row], ineqs: List[Row]) -> bool:
         return _ineq_feasible(ineqs, rational=True)
     except OmegaBudgetExceeded:
         return True  # undecided: fall through to the integer machinery
-
-
-def _subst_row(row: Row, var: int, sub: Row) -> Row:
-    """Replace ``var`` in ``row`` by the affine expression ``sub``."""
-    coeffs, const = row
-    a = coeffs.get(var, 0)
-    if not a:
-        return row
-    out = {v: c for v, c in coeffs.items() if v != var}
-    sub_coeffs, sub_const = sub
-    for v, c in sub_coeffs.items():
-        val = out.get(v, 0) + a * c
-        if val:
-            out[v] = val
-        else:
-            out.pop(v, None)
-    return (out, const + a * sub_const)
 
 
 def _eliminate_unit_equalities(eqs: List[Row], ineqs: List[Row]
@@ -248,237 +204,143 @@ def _eliminate_unit_equalities(eqs: List[Row], ineqs: List[Row]
     genuinely non-unit systems.  Returns ``(remaining_eqs, ineqs)`` or
     ``None`` when a contradiction (constant or divisibility) surfaces.
     """
-    # Rows live in an id-indexed table with a per-variable occurrence
-    # index, so each substitution touches only the rows that actually
-    # contain the eliminated variable (the systems here are sparse: a
-    # schedule equality involves 2-3 of dozens of variables).
-    rows: Dict[int, Tuple[Row, bool]] = {}
-    occurs: Dict[int, set] = {}
-    pending: List[int] = []
-
-    def _index(rid: int, row: Row, is_eq: bool) -> None:
-        rows[rid] = (row, is_eq)
-        for v in row[0]:
-            occurs.setdefault(v, set()).add(rid)
-
-    rid = 0
-    for coeffs, const in eqs:
-        _index(rid, ({v: c for v, c in coeffs.items() if c}, const), True)
-        pending.append(rid)
-        rid += 1
-    for coeffs, const in ineqs:
-        _index(rid, ({v: c for v, c in coeffs.items() if c}, const), False)
-        rid += 1
-
-    def _unindex(tid: int) -> None:
-        row, _ = rows.pop(tid)
-        for v in row[0]:
-            ids = occurs.get(v)
-            if ids is not None:
-                ids.discard(tid)
-
+    rows = eqs + ineqs
+    n_eq = len(eqs)
+    gone = ()                       # a row substituted away
+    pending = list(range(n_eq))
     while pending:
-        tid = pending.pop()
-        if tid not in rows:
+        t = pending.pop()
+        row = rows[t]
+        if row is gone:
             continue
-        (coeffs, const), is_eq = rows[tid]
-        if not is_eq:
-            continue
-        if not coeffs:
-            if const != 0:
+        coeffs = row[:-1]
+        g = gcd(*coeffs)
+        if not g:
+            if row[-1] != 0:
                 return None
-            _unindex(tid)
+            rows[t] = gone
             continue
-        g = 0
-        for c in coeffs.values():
-            g = gcd(g, abs(c))
         if g > 1:
-            if const % g != 0:
+            if row[-1] % g != 0:
                 return None
-            coeffs = {v: c // g for v, c in coeffs.items()}
-            const //= g
-            rows[tid] = ((coeffs, const), True)
-        unit = None
-        for v, c in coeffs.items():
-            if c in (1, -1):
-                unit = (v, c)
-                break
-        if unit is None:
+            rows[t] = row = tuple([v // g for v in row])
+            coeffs = row[:-1]
+        units = [coeffs.index(u) for u in (1, -1) if u in coeffs]
+        if not units:
             continue  # stays as residual unless a later subst touches it
-        var, c = unit
-        _unindex(tid)
-        # c*var + rest + const = 0  =>  var = -c*(rest + const)  (c = +-1)
-        sub: Row = ({v: -c * a for v, a in coeffs.items() if v != var},
-                    -c * const)
-        for oid in list(occurs.pop(var, ())):
-            old_row, old_is_eq = rows[oid]
-            new_row = _subst_row(old_row, var, sub)
-            for v in old_row[0]:
-                if v != var and v not in new_row[0]:
-                    occurs[v].discard(oid)
-            for v in new_row[0]:
-                if v not in old_row[0]:
-                    occurs.setdefault(v, set()).add(oid)
-            rows[oid] = (new_row, old_is_eq)
-            if old_is_eq:
-                pending.append(oid)
-
-    out_eqs: List[Row] = []
-    out_ineqs: List[Row] = []
-    for row, is_eq in rows.values():
-        (out_eqs if is_eq else out_ineqs).append(row)
-    return out_eqs, out_ineqs
+        var = min(units)
+        c = row[var]
+        rows[t] = gone
+        # c*var + rest = 0  =>  var = -c*rest  (c = +-1)
+        for o in list(compress(range(len(rows)),
+                               [r[var] if r else 0 for r in rows])):
+            old = rows[o]
+            rows[o] = combine(1, old, -old[var] * c, row)
+            if o < n_eq:
+                pending.append(o)
+    return ([r for r in rows[:n_eq] if r is not gone],
+            [r for r in rows[n_eq:] if r is not gone])
 
 
-def _eliminate_equalities(eqs: List[Row], ineqs: List[Row], n_vars: int
-                          ) -> Optional[Tuple[List[Row], int]]:
+def _eliminate_equalities(eqs: List[Row], ineqs: List[Row]
+                          ) -> Optional[List[Row]]:
     """Solve the equality lattice, substitute into the inequalities.
 
     Returns the inequality system over the lattice's free coordinates, or
     ``None`` when the equalities alone are integer-infeasible.
     """
-    a = [[row[0].get(v, 0) for v in range(n_vars)] for row in eqs]
-    b = [-row[1] for row in eqs]
-    solved = solve_integer_system(a, b)
+    solved = solve_integer_system([list(r[:-1]) for r in eqs],
+                                  [-r[-1] for r in eqs])
     if solved is None:
         return None
     x0, basis = solved
-    n_free = len(basis)
-    out: List[Row] = []
-    for coeffs, const in ineqs:
-        new_const = const + sum(c * x0[v] for v, c in coeffs.items())
-        new_coeffs: Dict[int, int] = {}
-        for k in range(n_free):
-            val = sum(c * basis[k][v] for v, c in coeffs.items())
-            if val:
-                new_coeffs[k] = val
-        out.append((new_coeffs, new_const))
-    return out, n_free
-
-
-def _normalize(row: Row) -> Optional[Row]:
-    """Tighten an inequality row; ``None`` means trivially true."""
-    coeffs, const = row
-    coeffs = {v: c for v, c in coeffs.items() if c}
-    if not coeffs:
-        return ({}, const)
-    g = 0
-    for c in coeffs.values():
-        g = gcd(g, abs(c))
-    if g > 1:
-        coeffs = {v: c // g for v, c in coeffs.items()}
-        const = const // g if const >= 0 else -((-const + g - 1) // g)
-    return (coeffs, const)
+    return [tuple([sum(map(mul, row, b)) for b in basis])
+            + (row[-1] + sum(map(mul, row, x0)),) for row in ineqs]
 
 
 def _ineq_feasible(ineqs: List[Row], depth: int = 0,
                    rational: bool = False) -> bool:
     # Normalize, dedupe, keep tightest of parallel constraints.
-    tight: Dict[Tuple, int] = {}
+    tight: Dict[Row, int] = {}
     for row in ineqs:
-        norm = _normalize(row)
-        coeffs, const = norm
-        if not coeffs:
+        coeffs, const = row[:-1], row[-1]
+        g = gcd(*coeffs)
+        if not g:
             if const < 0:
                 return False
             continue
-        key = tuple(sorted(coeffs.items()))
-        if key not in tight or const < tight[key]:
-            tight[key] = const
-    system: List[Row] = [(dict(k), c) for k, c in tight.items()]
-    # Opposite-parallel contradiction check: e >= 0 and -e + c >= 0
-    # requires c >= 0 already handled through elimination; quick check:
-    for key, const in tight.items():
-        neg = tuple(sorted((v, -c) for v, c in key))
+        if g > 1:
+            coeffs, const = tuple([v // g for v in coeffs]), const // g
+        if tight.setdefault(coeffs, const) > const:
+            tight[coeffs] = const
+    # Opposite-parallel contradiction: e + a >= 0 and -e + b >= 0.
+    for coeffs, const in tight.items():
+        neg = tuple([-c for c in coeffs])
         if neg in tight and const + tight[neg] < 0:
             return False
-    if not system:
-        return True
-    if len(system) > _MAX_INEQS:
+    if len(tight) > _MAX_INEQS:
         raise OmegaBudgetExceeded()
-
-    variables = sorted({v for coeffs, _ in system for v in coeffs})
+    system = [coeffs + (const,) for coeffs, const in tight.items()]
 
     # Remove variables bounded on only one side (exact elimination).
-    changed = True
-    while changed:
-        changed = False
-        for v in list(variables):
-            signs = {(c > 0) for coeffs, _ in system for w, c in
-                     coeffs.items() if w == v}
-            if len(signs) == 1:
-                system = [row for row in system if v not in row[0]]
-                variables.remove(v)
-                changed = True
-    if not variables:
-        return all(const >= 0 for coeffs, const in system if not coeffs)
+    while system:
+        cols = list(zip(*system))[:-1]
+        one_sided = [j for j, col in enumerate(cols)
+                     if (max(col) > 0) != (min(col) < 0)]
+        if not one_sided:
+            break
+        system = [r for r in system if not any(r[j] for j in one_sided)]
     if not system:
         return True
 
     # Choose elimination variable: prefer an exact one (all unit
     # coefficients on one side); otherwise minimize combination count.
-    def cost(v: int) -> Tuple[int, int]:
-        lo = sum(1 for coeffs, _ in system if coeffs.get(v, 0) > 0)
-        up = sum(1 for coeffs, _ in system if coeffs.get(v, 0) < 0)
-        unit_lo = all(coeffs.get(v, 0) in (0, 1) for coeffs, _ in system
-                      if coeffs.get(v, 0) > 0)
-        unit_up = all(coeffs.get(v, 0) in (0, -1) for coeffs, _ in system
-                      if coeffs.get(v, 0) < 0)
-        exact = 0 if (unit_lo or unit_up) else 1
-        return (exact, lo * up)
+    def cost(j: int) -> Tuple[int, int]:
+        pos = [c for c in cols[j] if c > 0]
+        neg = [c for c in cols[j] if c < 0]
+        exact = 0 if max(pos) == 1 or min(neg) == -1 else 1
+        return (exact, len(pos) * len(neg))
 
-    var = min(variables, key=cost)
-    lowers: List[Tuple[int, Row]] = []  # a*var >= -rest : (a, rest_row)
-    uppers: List[Tuple[int, Row]] = []  # b*var <= rest  : (b, rest_row)
-    rest_rows: List[Row] = []
-    for coeffs, const in system:
-        c = coeffs.get(var, 0)
-        rest = ({v: k for v, k in coeffs.items() if v != var}, const)
-        if c == 0:
-            rest_rows.append((coeffs, const))
-        elif c > 0:
-            lowers.append((c, rest))
-        else:
-            uppers.append((-c, rest))
+    var = min((j for j, col in enumerate(cols) if any(col)), key=cost)
+    lowers = [r for r in system if r[var] > 0]   # a*var + l >= 0
+    uppers = [r for r in system if r[var] < 0]   # -b*var + u >= 0
+    rest = [r for r in system if not r[var]]
 
-    exact = (all(a == 1 for a, _ in lowers)
-             or all(b == 1 for b, _ in uppers))
+    exact = (all(r[var] == 1 for r in lowers)
+             or all(r[var] == -1 for r in uppers))
 
-    def combine(scale_shift: int) -> List[Row]:
-        rows = list(rest_rows)
-        for a, (lc, lk) in lowers:
-            for b, (uc, uk) in uppers:
-                # a*var + l >= 0 and -b*var + u >= 0
-                # => b*l + a*u >= 0 (real); >= (a-1)(b-1) for dark shadow.
-                coeffs: Dict[int, int] = {}
-                for v, c in lc.items():
-                    coeffs[v] = coeffs.get(v, 0) + b * c
-                for v, c in uc.items():
-                    coeffs[v] = coeffs.get(v, 0) + a * c
-                const = b * lk + a * uk - (scale_shift * (a - 1) * (b - 1))
-                rows.append((coeffs, const))
+    def combine_all(scale_shift: int) -> List[Row]:
+        # a*var + l >= 0 and -b*var + u >= 0
+        # => b*l + a*u >= 0 (real); >= (a-1)(b-1) for dark shadow.
+        rows = list(rest)
+        for lo in lowers:
+            a = lo[var]
+            for up in uppers:
+                b = -up[var]
+                row = combine(b, lo, a, up)
+                if scale_shift:
+                    row = row[:-1] + (row[-1] - (a - 1) * (b - 1),)
+                rows.append(row)
         return rows
 
     if exact or rational:
         # Unit-coefficient elimination is integer-exact; in rational mode
         # the real shadow alone is the answer by definition.
-        return _ineq_feasible(combine(0), depth + 1, rational)
+        return _ineq_feasible(combine_all(0), depth + 1, rational)
 
-    if not _ineq_feasible(combine(0), depth + 1):
+    if not _ineq_feasible(combine_all(0), depth + 1):
         return False  # real shadow empty => no rational point at all
-    if _ineq_feasible(combine(1), depth + 1):
+    if _ineq_feasible(combine_all(1), depth + 1):
         return True   # dark shadow nonempty => integer point exists
     # Splinter: any integer solution outside the dark shadow satisfies
     # a*var = -l + k with 0 <= k <= (a*b_max - a - b_max)/b_max for some
     # lower bound (a, l).
-    b_max = max(b for b, _ in uppers)
-    for a, (lc, lk) in lowers:
+    b_max = max(-r[var] for r in uppers)
+    for lo in lowers:
+        a = lo[var]
         top = (a * b_max - a - b_max) // b_max
         for k in range(top + 1):
-            # Equality: a*var + l - k = 0 where l = lc + lk.
-            eq_coeffs = dict(lc)
-            eq_coeffs[var] = eq_coeffs.get(var, 0) + a
-            eq_row: Row = (eq_coeffs, lk - k)
-            if _feasible([eq_row], system):
+            # Equality: a*var + l - k = 0.
+            if _feasible([lo[:-1] + (lo[-1] - k,)], system):
                 return True
     return False

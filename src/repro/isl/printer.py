@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .constraint import EQ, Constraint
+from .constraint import columns
 from .linexpr import DIV
 
 
@@ -20,25 +20,23 @@ def _side_to_str(bmap, terms, const: int) -> str:
     parts: List[str] = []
     for (kind, idx), c in terms:
         name = _dim_label(bmap, kind, idx)
-        c = int(c)
         parts.append(name if c == 1 else f"{c}{name}")
     if const or not parts:
         parts.append(str(const))
     return " + ".join(parts)
 
 
-def constraint_to_str(bmap, c: Constraint) -> str:
+def row_to_str(bmap, cols, is_eq: bool, row) -> str:
     # Present as lhs >= rhs / lhs = rhs, moving negative terms right.
     # Every compile fingerprint prints every domain, so the two sides
-    # are read straight off the coefficients: no LinExpr is built.
-    terms = c.expr.coeffs.items()
-    const = int(c.expr.const)
+    # are read straight off the row: no LinExpr is built.
+    terms = [(d, v) for d, v in zip(cols, row) if v]
+    const = row[-1]
     lhs = _side_to_str(bmap, [(d, v) for d, v in terms if v > 0],
                        max(const, 0))
     rhs = _side_to_str(bmap, [(d, -v) for d, v in terms if v < 0],
                        max(-const, 0))
-    op = "=" if c.kind == EQ else ">="
-    return f"{lhs} {op} {rhs}"
+    return f"{lhs} {'=' if is_eq else '>='} {rhs}"
 
 
 def to_str(bmap) -> str:
@@ -50,7 +48,8 @@ def to_str(bmap) -> str:
         head = f"{in_tuple} -> {out_tuple}"
     else:
         head = out_tuple
-    body_parts = [constraint_to_str(bmap, c) for c in bmap.constraints]
+    cols, _ = columns(*bmap._shape())
+    body_parts = [row_to_str(bmap, cols, e, r) for e, r in bmap.rows]
     if bmap.n_div:
         divs = ", ".join(f"e{k}" for k in range(bmap.n_div))
         body = " and ".join(body_parts) if body_parts else "true"

@@ -9,52 +9,40 @@ the dependence-distance analysis needs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .basic import BasicMap, BasicSet
-from .constraint import Constraint
-from .fourier_motzkin import bounds_on_dim, eliminate_dims
-from .linexpr import DIV, OUT, PARAM, LinExpr
+from .basic import BasicSet
+from .enumerate_ import bind_params, value
+from .fourier_motzkin import bounds, eliminate
+from .linexpr import OUT
 
 _SEARCH_SPAN = 10_000   # guard for strided gaps beyond rational bounds
 
 
-def _substituted(bset: BasicMap, param_vals: Dict[str, int]) -> BasicMap:
-    cons = list(bset.constraints)
-    for i, p in enumerate(bset.space.params):
-        if p in param_vals:
-            cons = [c.substitute((PARAM, i),
-                                 LinExpr.constant(param_vals[p]))
-                    for c in cons]
-        elif any(c.involves((PARAM, i)) for c in cons):
-            raise ValueError(f"parameter {p} needs a value")
-    return bset.copy_with(constraints=cons)
-
-
 def _extreme(bset: BasicSet, param_vals: Dict[str, int],
              maximize: bool) -> Optional[Tuple[int, ...]]:
-    work = _substituted(bset, param_vals)
+    work = bind_params(bset, param_vals)
     if work.is_empty():
         return None
-    n = len(bset.space.out_dims)
-    point: List[int] = []
+    n_div, n_in, n, _ = work._shape()
+    base = n_div + n_in
+    vals = [0] * sum(work._shape()) + [1]
+    point = []
     for k in range(n):
         # Rational bound for dim k after eliminating deeper dims + divs.
-        later = [(OUT, d) for d in range(k + 1, n)]
-        later += [(DIV, d) for d in range(work.n_div)]
-        cons = eliminate_dims(list(work.constraints), later)
-        lowers, uppers = bounds_on_dim(cons, (OUT, k))
-        values = {(OUT, i): point[i] for i in range(k)}
+        rows = list(work.rows)
+        for col in [base + d for d in range(k + 1, n)] + list(range(n_div)):
+            rows = eliminate(rows, col)
+        lowers, uppers = bounds(rows, base + k)
         if maximize:
             if not uppers:
                 raise ValueError(f"dim {k} unbounded above")
-            start = min(int(f.evaluate(values)) // b for b, f in uppers)
+            start = min(value(f, vals) // b for b, f in uppers)
             step = -1
         else:
             if not lowers:
                 raise ValueError(f"dim {k} unbounded below")
-            start = max(-((-int(e.evaluate(values))) // a)
-                        for a, e in lowers)
+            start = max(-(-value(e, vals) // a) for a, e in lowers)
             step = 1
         found = None
         for off in range(_SEARCH_SPAN):
@@ -66,6 +54,7 @@ def _extreme(bset: BasicSet, param_vals: Dict[str, int],
             raise ValueError(
                 f"no integer value for dim {k} within the search span")
         point.append(found)
+        vals[base + k] = found
         work = work.fix(OUT, k, found)
     return tuple(point)
 
@@ -86,7 +75,7 @@ def sample(bset: BasicSet, param_vals: Dict[str, int] = ()) -> Optional[
         Tuple[int, ...]]:
     """Any integer point of the set (lexmin of the bounded case; for
     unbounded dims, a greedy feasible value near zero)."""
-    work = _substituted(bset, dict(param_vals))
+    work = bind_params(bset, dict(param_vals))
     if work.is_empty():
         return None
     n = len(bset.space.out_dims)

@@ -4,24 +4,59 @@ simple hull of a union."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress
 from math import ceil
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .basic import BasicMap, BasicSet
-from .constraint import EQ, GE, Constraint
-from .fourier_motzkin import (bounds_on_dim, eliminate_dim, next_dim,
-                              rational_feasible)
-from .linexpr import DIV, LinExpr
+from .constraint import (Constraint, Row, Rows, normal, system,
+                         trivially_true)
+from .fourier_motzkin import bounds, eliminate, feasible, next_col
+from .linexpr import DIV
 
 
-def _implied(system: Sequence[Constraint], c: Constraint) -> bool:
-    """True if ``c`` is rationally implied by ``system`` (safe direction:
-    a rationally-implied constraint is integer-implied as well)."""
-    if c.kind == EQ:
-        return (_implied(system, Constraint.ge(c.expr))
-                and _implied(system, Constraint.ge(-c.expr)))
-    # system and not(e >= 0), i.e. system and -e - 1 >= 0 infeasible?
-    return not rational_feasible(list(system) + [Constraint.ge(-c.expr - 1)])
+def implied(rows: Rows, con, feasible_rows: bool = False) -> bool:
+    """True if the row ``con`` is rationally implied by ``rows`` (safe
+    direction: a rationally-implied constraint is integer-implied as
+    well); ``feasible_rows`` says ``rows`` are known to be feasible."""
+    is_eq, row = con
+    if is_eq:
+        return (implied(rows, (False, normal(False, row)), feasible_rows)
+                and implied(rows, (False, normal(False, _neg(row))),
+                            feasible_rows))
+    # A parallel row with no larger constant implies it outright (the
+    # guards of a loop nest mostly repeat its bounds).
+    coeffs, k = row[:-1], row[-1]
+    if any(r[-1] <= k and r[:-1] == coeffs for _, r in rows):
+        return True
+    # rows and not(e >= 0), i.e. rows and -e - 1 >= 0 infeasible?
+    neg = _neg(row)
+    neg = (False, normal(False, neg[:-1] + (neg[-1] - 1,)))
+    if len(rows) <= 8:
+        return not feasible(rows + [neg])
+    # The rows linked to it through shared columns and the others have
+    # no column in common: the whole is infeasible iff either part is.
+    linked, others = _split(rows, neg)
+    return not feasible(linked + [neg]) or not feasible_rows and \
+        bool(others) and not _feasible_part(tuple(others))
+
+
+@lru_cache(maxsize=1024)
+def _feasible_part(rows: Tuple) -> bool:
+    """:func:`feasible`, remembered: the rows a test leaves out are
+    mostly the same context, asked again for every guard under it."""
+    return feasible(list(rows))
+
+
+def _neg(row: Row) -> Row:
+    return tuple([-v for v in row])
+
+
+def _implied(system_: Sequence[Constraint], c: Constraint) -> bool:
+    """:func:`implied` over constraints."""
+    rows = system(list(system_) + [c])[1]
+    return implied(rows[:-1], rows[-1])
 
 
 def remove_redundant(bmap: BasicMap) -> BasicMap:
@@ -36,36 +71,49 @@ def remove_redundant(bmap: BasicMap) -> BasicMap:
 
 
 def _remove_redundant_uncached(bmap: BasicMap) -> BasicMap:
-    kept: List[Constraint] = []
-    cons = list(bmap.constraints)
+    kept: Rows = []
     # De-duplicate first.
-    uniq: List[Constraint] = []
-    for c in cons:
-        if c.is_trivially_true():
-            continue
-        if c not in uniq:
+    uniq: Rows = []
+    for c in bmap.rows:
+        if not trivially_true(*c) and c not in uniq:
             uniq.append(c)
-    # On a feasible system only the constraints linked to c through
-    # shared dims can imply it: the others hold whatever c's dims are.
-    linked = _linked if rational_feasible(uniq) else lambda rest, c: rest
+    known = feasible(uniq)
     for i, c in enumerate(uniq):
-        rest = kept + uniq[i + 1:]
-        if not _implied(linked(rest, c), c):
+        if not implied(kept + uniq[i + 1:], c, known):
             kept.append(c)
-    return bmap.copy_with(constraints=kept)
+    return bmap._with(kept)
 
 
-def _linked(system: Sequence[Constraint], c: Constraint) -> List[Constraint]:
-    """The constraints of ``system`` reached from ``c`` through shared
-    dims."""
-    reach, rest, out = set(c.expr.dims()), list(system), []
+def _mask(row: Row) -> int:
+    """The columns a row involves, as bits."""
+    coeffs = row[:-1]
+    while len(_BITS) < len(coeffs):
+        _BITS.append(1 << len(_BITS))
+    return sum(compress(_BITS, coeffs))
+
+
+_BITS = [1 << j for j in range(64)]
+
+
+def _linked(rows: Rows, c) -> Rows:
+    """The rows reached from ``c`` through shared columns."""
+    return _split(rows, c)[0]
+
+
+def _split(rows: Rows, c) -> Tuple[Rows, Rows]:
+    """The rows reached from ``c`` through shared columns, and the
+    others."""
+    reach = _mask(c[1])
+    rest = [(_mask(r), (e, r)) for e, r in rows]
+    out: Rows = []
     while True:
-        hit = [o for o in rest if not reach.isdisjoint(o.expr.dims())]
+        hit = [(m, o) for m, o in rest if m & reach]
         if not hit:
-            return out
-        rest = [o for o in rest if reach.isdisjoint(o.expr.dims())]
-        out += hit
-        reach.update(d for o in hit for d in o.expr.dims())
+            return out, [o for _, o in rest]
+        rest = [(m, o) for m, o in rest if not m & reach]
+        for m, o in hit:
+            reach |= m
+            out.append(o)
 
 
 def gist(bmap: BasicMap, context: BasicMap) -> BasicMap:
@@ -81,16 +129,16 @@ def _gist_uncached(bmap: BasicMap, context: BasicMap) -> BasicMap:
     params = bmap.space.aligned_params(context.space)
     bmap = bmap.align_params(params)
     context = context.align_params(params)
-    kept: List[Constraint] = []
-    own = list(bmap.constraints)
     # Shift context divs clear of bmap's so the combined system is sound.
-    shift = {("d", k): ("d", k + bmap.n_div) for k in range(context.n_div)}
-    ctx = [c.remap(shift) for c in context.constraints]
+    shape = (bmap.n_div + context.n_div,) + bmap._shape()[1:]
+    own = bmap._relayout(shape)
+    ctx = context._relayout(shape, ((DIV, 0, context.n_div, DIV,
+                                     bmap.n_div),))
+    kept: List[int] = []
     for i, c in enumerate(own):
-        rest = kept + own[i + 1:] + ctx
-        if not _implied(rest, c):
-            kept.append(c)
-    return bmap.copy_with(constraints=kept)
+        if not implied([own[j] for j in kept] + own[i + 1:] + ctx, c):
+            kept.append(i)
+    return bmap._with([bmap.rows[i] for i in kept])
 
 
 def simple_hull(pieces: Sequence[BasicSet]) -> Optional[BasicSet]:
@@ -106,43 +154,41 @@ def simple_hull(pieces: Sequence[BasicSet]) -> Optional[BasicSet]:
         return None
     params = tuple(dict.fromkeys(q for p in pieces for q in p.space.params))
     pieces = [p.align_params(params) for p in pieces]
-    live = [p for p in pieces if rational_feasible(p.constraints)]
+    live = [list(p.rows) for p in pieces if feasible(list(p.rows))]
     if not live:
         return pieces[0]
-    directions: Dict[tuple, LinExpr] = {}
-    for p in live:
-        for c in p.constraints:
-            forms = [c.expr, -c.expr] if c.kind == EQ else [c.expr]
-            for form in forms:
-                form = LinExpr._of(form.coeffs, 0, True)
-                directions.setdefault(tuple(form.coeffs.items()), form)
-    kept: List[Constraint] = []
-    for form in directions.values():
+    directions = {}
+    for rows in live:
+        for is_eq, row in rows:
+            directions.setdefault(row[:-1])
+            if is_eq:
+                directions.setdefault(_neg(row[:-1]))
+    kept: Rows = []
+    for form in directions:
         least: Optional[Fraction] = None
-        for p in live:
-            low = _rational_min(p.constraints, form)
+        for rows in live:
+            low = _rational_min(rows, form)
             if low is None:
                 break
             least = low if least is None else min(least, low)
         else:
-            kept.append(Constraint.ge(form - ceil(least)))
-    return pieces[0].copy_with(constraints=kept)
+            kept.append((False, normal(False, form + (-ceil(least),))))
+    return pieces[0]._with(kept)
 
 
-def _rational_min(system: Sequence[Constraint],
-                  form: LinExpr) -> Optional[Fraction]:
-    """The least value ``form`` takes on the rational points of a
-    feasible div-free ``system``; None if it is unbounded below.  FM on
-    ``system`` plus ``t = form`` for a fresh dim ``t`` (the first div),
-    eliminating every other dim, leaves the bounds on ``t``.  Only the
-    constraints linked to ``t`` through shared dims take part: the
-    system being feasible, the others leave every value of ``t`` open."""
-    t = (DIV, 0)
-    define = Constraint.eq(form - LinExpr.dim(*t))
-    cons = [define] + _linked(system, define)
-    while (dim := next_dim(cons, (t,))) is not None:
-        cons = eliminate_dim(cons, dim)
-    lowers, __ = bounds_on_dim(cons, t)
+def _rational_min(rows: Rows, form: Row) -> Optional[Fraction]:
+    """The least value ``form`` (coefficients, no constant) takes on the
+    rational points of feasible div-free ``rows``; None if it is
+    unbounded below.  FM on the rows plus ``t = form`` for a fresh first
+    column ``t``, eliminating every other column, leaves the bounds on
+    ``t``.  Only the rows linked to ``t`` through shared columns take
+    part: the system being feasible, the others leave every value of
+    ``t`` open."""
+    define = (True, normal(True, (-1,) + form + (0,)))
+    rows = [define] + _linked([(e, (0,) + r) for e, r in rows], define)
+    while (col := next_col(rows, 0)) is not None:
+        rows = eliminate(rows, col)
+    lowers, __ = bounds(rows, 0)
     if not lowers:
         return None
-    return max(Fraction(int(e.const), a) for a, e in lowers)
+    return max(Fraction(e[-1], a) for a, e in lowers)

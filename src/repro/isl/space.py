@@ -103,7 +103,9 @@ class Space:
                                self.out_name, self.in_name, self.params)
 
     def with_params(self, params: Tuple[str, ...]) -> "Space":
-        return replace(self, params=tuple(params))
+        params = tuple(params)
+        return self if params == self.params else replace(self,
+                                                          params=params)
 
     def aligned_params(self, other: "Space") -> Tuple[str, ...]:
         """Union of both parameter lists, preserving this space's order."""

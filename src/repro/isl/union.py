@@ -10,8 +10,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .basic import BasicMap, BasicSet
-from .constraint import EQ, GE, Constraint
-from .linexpr import LinExpr
+from .constraint import Row, Rows, normal, trivially_false
 from .space import Space
 
 
@@ -20,7 +19,7 @@ class Map:
 
     piece_type = BasicMap
 
-    __slots__ = ("space", "pieces", "_repr")
+    __slots__ = ("space", "pieces", "_repr", "_hash")
 
     def __init__(self, pieces: Iterable[BasicMap], space: Optional[Space] = None):
         pieces = [p for p in pieces]
@@ -28,22 +27,20 @@ class Map:
             if not pieces:
                 raise ValueError("empty union needs an explicit space")
             space = pieces[0].space
-        for p in pieces:
-            if not p.space.compatible_with(space):
-                raise ValueError(
-                    f"piece space {p.space!r} incompatible with {space!r}")
         params = space.params
         for p in pieces:
-            merged = list(params)
-            for q in p.space.params:
-                if q not in merged:
-                    merged.append(q)
-            params = tuple(merged)
+            if p.space is not space and not p.space.compatible_with(space):
+                raise ValueError(
+                    f"piece space {p.space!r} incompatible with {space!r}")
+            if p.space.params != params:
+                params += tuple(q for q in p.space.params
+                                if q not in params)
         space = space.with_params(params)
         self.space = space
         self.pieces: Tuple[BasicMap, ...] = tuple(
             p.align_params(params) for p in pieces)
         self._repr: Optional[str] = None
+        self._hash: Optional[int] = None
 
     # -- constructors ------------------------------------------------------
 
@@ -194,7 +191,7 @@ class Map:
         # the printed form is a memo, not content: a pickle is the same
         # size whether or not the map was ever printed
         return None, {"space": self.space, "pieces": self.pieces,
-                      "_repr": None}
+                      "_repr": None, "_hash": None}
 
     def __iter__(self):
         return iter(self.pieces)
@@ -211,7 +208,9 @@ class Map:
                 and frozenset(self.pieces) == frozenset(other.pieces))
 
     def __hash__(self) -> int:
-        return hash((self.space, frozenset(self.pieces)))
+        if self._hash is None:
+            self._hash = hash((self.space, frozenset(self.pieces)))
+        return self._hash
 
 
 class Set(Map):
@@ -232,7 +231,7 @@ class Set(Map):
 
 
 def _quick_empty(p: BasicMap) -> bool:
-    return any(c.is_trivially_false() for c in p.constraints)
+    return any(trivially_false(e, r) for e, r in p.rows)
 
 
 def _basic_subtract(a: BasicMap, b: BasicMap) -> List[BasicMap]:
@@ -248,27 +247,29 @@ def _basic_subtract(a: BasicMap, b: BasicMap) -> List[BasicMap]:
     # no larger constant) has an empty negation there: no piece, and no
     # need to repeat it in the later pieces
     tightest = {}
-    for c in a.constraints:
-        key = (c.kind, tuple(c.expr.coeffs.items()))
-        tightest[key] = min(tightest.get(key, c.expr.const), c.expr.const)
+    for is_eq, row in a.rows:
+        key = (is_eq, row[:-1])
+        tightest[key] = min(tightest.get(key, row[-1]), row[-1])
     out: List[BasicMap] = []
-    prefix: List[Constraint] = []
-    for c in b.constraints:
-        held = tightest.get((c.kind, tuple(c.expr.coeffs.items())))
-        if held is not None and (held == c.expr.const if c.kind == EQ
-                                 else held <= c.expr.const):
+    prefix: Rows = []
+    for is_eq, row in b._relayout(a._shape()):
+        held = tightest.get((is_eq, row[:-1]))
+        if held is not None and (held == row[-1] if is_eq
+                                 else held <= row[-1]):
             continue
-        for neg in _negate(c):
-            piece = a.add_constraints(prefix + [neg])
+        for neg in _negate(is_eq, row):
+            piece = a._with(a.rows + tuple(prefix) + (neg,))
             if not _quick_empty(piece):
                 out.append(piece)
-        prefix.append(c)
+        prefix.append((is_eq, row))
     return out
 
 
-def _negate(c: Constraint) -> List[Constraint]:
+def _negate(is_eq: bool, row: Row) -> Rows:
     """Integer negation: not(e >= 0) is -e - 1 >= 0;
     not(e = 0) is e - 1 >= 0 or -e - 1 >= 0."""
-    if c.kind == GE:
-        return [Constraint.ge(-c.expr - 1)]
-    return [Constraint.ge(c.expr - 1), Constraint.ge(-c.expr - 1)]
+    neg = tuple([-v for v in row])
+    below = (False, normal(False, neg[:-1] + (neg[-1] - 1,)))
+    if not is_eq:
+        return [below]
+    return [(False, normal(False, row[:-1] + (row[-1] - 1,))), below]

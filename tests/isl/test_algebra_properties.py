@@ -193,3 +193,89 @@ class TestScheduleChains:
         assert sorted(points(piece)) == [(i,) for i in range(0, 10, 2)]
         with pytest.raises(CodegenError):
             prepare_pieces(s)
+
+
+# -- systems with divs, against brute force in a box ---------------------------
+
+
+@st.composite
+def strided_boxes(draw):
+    """A box in (i, j) with one or two existentials: ``i = s*e``, and
+    maybe ``j + a*i = t*f``; with the Python predicate of its points."""
+    lo_i, lo_j = draw(st.integers(-3, 1)), draw(st.integers(-3, 1))
+    hi_i, hi_j = lo_i + draw(st.integers(0, 6)), lo_j + draw(st.integers(0, 5))
+    s, t = draw(st.sampled_from([2, 3])), draw(st.sampled_from([2, 3]))
+    a = draw(st.integers(-2, 2))
+    two = draw(st.booleans())
+    text = (f"{{ [i, j] : {lo_i} <= i <= {hi_i} and {lo_j} <= j <= {hi_j}"
+            f" and exists e : i = {s}e")
+    text += f" and exists f : j + {a}i = {t}f }}" if two else " }"
+    box = [(i, j) for i in range(lo_i - 2, hi_i + 3)
+           for j in range(lo_j - 2, hi_j + 3)]
+    want = {(i, j) for i, j in box if lo_i <= i <= hi_i
+            and lo_j <= j <= hi_j and i % s == 0
+            and (not two or (j + a * i) % t == 0)}
+    return parse_set(text).pieces[0], want, box
+
+
+class TestDivSystems:
+    """Strided sets (divs no equality defines with a unit coefficient)
+    and a split then a skew (floor divs), each operation checked point
+    by point."""
+
+    @given(strided_boxes())
+    @settings(max_examples=60, deadline=None)
+    def test_strided_points_emptiness_and_simplification(self, case):
+        from repro.isl import isl_cache_disabled, remove_redundant
+        piece, want, __ = case
+        assert piece.n_div >= 1
+        assert set(points(piece)) == want
+        assert piece.is_empty() == (not want)
+        with isl_cache_disabled():
+            assert piece.is_empty() == (not want)
+        kept = piece.drop_defined_divs()
+        assert set(points(kept)) == want
+        assert set(points(remove_redundant(kept))) == want
+
+    @given(strided_boxes())
+    @settings(max_examples=60, deadline=None)
+    def test_eliminating_a_dim_keeps_every_point(self, case):
+        """FM's rational shadow holds the projection of every point."""
+        from repro.isl.fourier_motzkin import eliminate_dims
+        from repro.isl.linexpr import DIV, OUT
+        piece, want, box = case
+        for dims in ([(DIV, k) for k in range(piece.n_div)],
+                     [(OUT, 1)] + [(DIV, k) for k in range(piece.n_div)]):
+            shadow = eliminate_dims(piece.constraints, dims)
+            assert not any(c.involves(d) for c in shadow for d in dims)
+            for i, j in want:
+                assert all(c.satisfied_by({(OUT, 0): i, (OUT, 1): j})
+                           for c in shadow), (i, j, shadow)
+
+    @given(st.integers(2, 4), st.integers(-2, 2), st.integers(-4, 3),
+           st.integers(0, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_split_then_skew(self, k, f, lo, n):
+        split = parse_map(f"{{ [i] -> [o, p] : o = floor(i/{k}) and "
+                          f"p = i - {k}o }}")
+        skew = parse_map(f"{{ [o, p] -> [o, p + {f}o] }}")
+        box = parse_set(f"{{ [i] : {lo} <= i <= {lo + n} }}")
+        want = {(i // k, i % k + f * (i // k))
+                for i in range(lo, lo + n + 1)}
+        both = split.apply_range(skew)
+        assert set(points(both.apply(box))) == want
+        assert set(points(skew.apply(split.apply(box)))) == want
+        for piece in both.intersect_domain(box).pieces:
+            assert not piece.is_empty()
+            assert piece.drop_defined_divs() == piece
+            pairs = {(i, q) for i in range(lo, lo + n + 1)
+                     for q in want
+                     if piece.contains_point((i,), q)}
+            assert pairs == {(i, (i // k, i % k + f * (i // k)))
+                             for i in range(lo, lo + n + 1)}
+        # a point outside the box has an empty fibre
+        outside = both.intersect_domain(
+            parse_set(f"{{ [i] : i = {lo + n + 1} }}")).pieces[0]
+        assert not outside.is_empty()
+        assert outside.intersect_range(
+            parse_set("{ [o, p] : o = 99 }").pieces[0]).is_empty()

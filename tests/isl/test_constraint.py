@@ -3,7 +3,7 @@
 import pytest
 
 from repro.isl.constraint import EQ, GE, Constraint
-from repro.isl.linexpr import OUT, PARAM, LinExpr
+from repro.isl.linexpr import DIV, IN, OUT, PARAM, LinExpr
 
 
 def d(kind, idx, coeff=1):
@@ -75,3 +75,34 @@ class TestOps:
         c = Constraint.ge(d(OUT, 0) - 1)
         r = c.substitute((OUT, 0), LinExpr.constant(0))
         assert r.is_trivially_false()
+
+
+# The normal form as the dict-keyed constraints had it (gcd division,
+# integer tightening, the sign of an equality's first dim in (kind,
+# index) order, divs first), one row per case: rows must not move it.
+NORMAL_FORMS = [
+    (EQ, 4 * d(OUT, 0) - 6, "2*o0 + -3"),               # infeasible: 2i = 3
+    (EQ, -4 * d(OUT, 0) + 6, "2*o0 + -3"),
+    (EQ, 4 * d(OUT, 0) + 6 * d(OUT, 1) - 3, "4*o0 + 6*o1 + -3"),
+    (GE, 2 * d(OUT, 0) + 3, "1*o0 + 1"),                # tightened
+    (GE, -2 * d(OUT, 0) - 3, "-1*o0 + -2"),
+    (GE, 3 * d(OUT, 0) + 6 * d(PARAM, 0) - 7, "1*o0 + 2*p0 + -3"),
+    (EQ, -d(DIV, 0) + 2 * d(OUT, 0) + 1, "1*d0 + -2*o0 + -1"),
+    (EQ, -2 * d(DIV, 0) + 4 * d(OUT, 0), "1*d0 + -2*o0 + 0"),
+    (EQ, 6 * d(DIV, 0) - 4 * d(IN, 0) + 2, "3*d0 + -2*i0 + 1"),
+    (EQ, -3 * d(DIV, 1) + 6 * d(DIV, 0) - 9 * d(PARAM, 0),
+     "2*d0 + -1*d1 + -3*p0 + 0"),
+    (GE, -4 * d(DIV, 0) + 2 * d(OUT, 1) - 1, "-2*d0 + 1*o1 + -1"),
+    (EQ, LinExpr.constant(5), "5"),
+]
+
+
+@pytest.mark.parametrize("kind, expr, normal", NORMAL_FORMS)
+def test_normal_form_is_pinned(kind, expr, normal):
+    from repro.isl import BasicMap, Space
+    c = Constraint(kind, expr)
+    assert repr(c.expr) == normal
+    # the same row over a basic map's columns (divs, in, out, params)
+    space = Space.map_space(("a",), ("x", "y"), "S", "T", ("N",))
+    read = BasicMap(space, [c], n_div=2).constraints[0]
+    assert (read.kind, repr(read.expr)) == (kind, normal)

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.isl import Constraint, LinExpr, parse_set
+from repro.isl.constraint import constraints_of, system
 from repro.isl.fourier_motzkin import (bounds_on_dim, eliminate_dim,
-                                       eliminate_dims, rational_feasible)
+                                       eliminate_dims, prune,
+                                       rational_feasible)
 from repro.isl.intlinalg import column_hnf, solve_integer_system
 from repro.isl.linexpr import OUT
 
@@ -64,15 +66,20 @@ class TestFourierMotzkin:
         assert all(c.expr.const >= 0 for c in out)
 
 
+def _prune(cons):
+    """``fourier_motzkin.prune`` over the rows of ``cons``."""
+    cols, rows = system(cons)
+    return constraints_of(cols, prune(rows))
+
+
 class TestPrune:
-    """_prune's clash detection: contradictory parallel constraints must
+    """prune's clash detection: contradictory parallel constraints must
     collapse to the trivially-false system, not silently coexist."""
 
     def _is_false_system(self, cons):
         return any(c.is_trivially_false() for c in cons)
 
     def test_contradictory_parallel_equalities(self):
-        from repro.isl.fourier_motzkin import _prune
         # i = 1 and i = 2 share the coefficient key; the old keying by
         # (coeffs, const) let both survive and the system pass as
         # feasible through paths that only looked at one of them.
@@ -81,27 +88,23 @@ class TestPrune:
         assert not rational_feasible(cons)
 
     def test_duplicate_equalities_kept_once(self):
-        from repro.isl.fourier_motzkin import _prune
         cons = [Constraint.eq(d(0) - 1), Constraint.eq(d(0) - 1)]
         out = _prune(cons)
         assert len(out) == 1
         assert not self._is_false_system(out)
 
     def test_scaled_contradictory_equalities(self):
-        from repro.isl.fourier_motzkin import _prune
         # 2i = 2 and 3i = 6 normalise to i = 1 and i = 2.
         cons = [Constraint.eq(d(0, 2) - 2), Constraint.eq(d(0, 3) - 6)]
         assert self._is_false_system(_prune(cons))
 
     def test_opposed_inequalities_with_negative_gap(self):
-        from repro.isl.fourier_motzkin import _prune
         # i >= 4 and i <= 2: empty without any elimination round.
         cons = [Constraint.ge(d(0) - 4), Constraint.ge(2 - d(0))]
         assert self._is_false_system(_prune(cons))
         assert not rational_feasible(cons)
 
     def test_opposed_inequalities_with_empty_gap_kept(self):
-        from repro.isl.fourier_motzkin import _prune
         # i >= 2 and i <= 2 is the singleton {2}: must survive.
         cons = [Constraint.ge(d(0) - 2), Constraint.ge(2 - d(0))]
         out = _prune(cons)
@@ -109,7 +112,6 @@ class TestPrune:
         assert rational_feasible(cons)
 
     def test_parallel_inequalities_keep_tightest(self):
-        from repro.isl.fourier_motzkin import _prune
         cons = [Constraint.ge(d(0) - 1), Constraint.ge(d(0) - 5)]
         out = _prune(cons)
         assert len(out) == 1

@@ -569,6 +569,34 @@ class TestOpenMetrics:
         assert not any(t.name == "tiramisu-metrics-flusher"
                        for t in threading.enumerate())
 
+    def test_a_compile_without_metrics_file_never_imports_the_exporter(
+            self, tmp_path):
+        compile_one = (
+            "import os, sys\n"
+            "import repro\n"
+            "from repro import Computation, Function, Var\n"
+            "with Function('f') as f:\n"
+            "    Computation('c', [Var('i', 0, 8)], 2.0)\n"
+            "assert f.compile('cpu')()['c'].sum() == 16\n")
+        env = {k: v for k, v in os.environ.items()
+               if k != "TIRAMISU_METRICS_FILE"}
+        subprocess.run([sys.executable, "-c", compile_one
+                        + "assert 'repro.obs.export' not in sys.modules\n"
+                        "import repro.obs\n"
+                        "assert repro.obs.write_metrics_file\n"
+                        "assert 'repro.obs.export' in sys.modules\n"],
+                       check=True, env=env, timeout=120)
+        # with the knob set the compile loads the exporter, and the
+        # at-exit flush writes the file the compile wrote and we removed
+        dest = tmp_path / "exit.prom"
+        env["TIRAMISU_METRICS_FILE"] = str(dest)
+        subprocess.run([sys.executable, "-c", compile_one
+                        + "assert 'repro.obs.export' in sys.modules\n"
+                        "os.remove(os.environ['TIRAMISU_METRICS_FILE'])\n"],
+                       check=True, env=env, timeout=120)
+        assert obs_export.parse_openmetrics(dest.read_text())[
+            "compile_end_total"] == 1
+
 
 # -- doc drift ----------------------------------------------------------------
 

@@ -42,8 +42,20 @@ class TestFold:
         assert e is i
 
     def test_cast_folds(self):
-        assert fold(Cast(T.int32, Const(3.7))).value == 3
+        assert fold(Cast(T.int32, Const(3.0))).value == 3
         assert fold(Cast(T.float32, Const(3))).value == 3.0
+
+    def test_inexact_cast_stays(self):
+        """A constant the type does not hold as it stands keeps its
+        cast: float32 rounds 0.1, int32 truncates 3.7, int8 wraps 300
+        (to 44, which the cast then holds: NumPy takes no out-of-range
+        literal)."""
+        for dtype, value, operand in ((T.float32, 0.1, 0.1),
+                                      (T.int32, 3.7, 3.7),
+                                      (T.int8, 300, 44)):
+            e = fold(Cast(dtype, Const(value)))
+            assert isinstance(e, Cast) and e.dtype == dtype
+            assert e.operand.value == operand
 
     def test_crossed_clamp_bounds_meet_at_hi(self):
         """A clamp whose constant low bound exceeds its high one gives
@@ -136,6 +148,31 @@ class TestStoreInIsl:
             c = Computation("c", [Var("i", 0, 3)], 1.0)
         with pytest.raises(ScheduleError):
             c.store_in_isl("{ c[i] -> b[o] : o >= i }")
+
+
+class TestCastOfConstant:
+    """``cast(t, v)`` of a literal stores what ``t`` makes of ``v`` on
+    every target: float32 rounds 0.1, int8 wraps 300."""
+
+    @pytest.mark.parametrize("target", ["cpu", "c"])
+    @pytest.mark.parametrize("dtype, value, in_type", [
+        (T.float32, 0.1, T.float64), (T.int8, 300, T.int64)])
+    def test_bits_match_numpy(self, target, dtype, value, in_type):
+        from repro import Input
+        from repro.backends.c import have_c_compiler
+        if target == "c" and not have_c_compiler():
+            pytest.skip("no C compiler")
+        f = Function("cast_const")
+        with f:
+            i = Var("i", 0, 8)
+            a = Input("a", [i], dtype=in_type)
+            Computation("out", [i], a(i) + Cast(dtype, Const(value)),
+                        dtype=in_type)
+        data = np.arange(8).astype(in_type.to_numpy()) * 3
+        got = f.compile(target)(a=data.copy())["out"]
+        want = data + np.array(value).astype(dtype.to_numpy())
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFoldedBackendsAgree:
