@@ -37,7 +37,10 @@ Move = Tuple[str, int, int, str, int]
 def _gather(src: Tuple[Optional[int], ...], width: int):
     """How to take a row of ``width`` columns (the constant last) to
     another layout whose column ``t`` is old column ``src[t]``, or 0
-    where that is None: ``(get, pad, in_order)``."""
+    where that is None: ``(get, pad, in_order)``, or None when that
+    leaves every row as it is."""
+    if src == tuple(range(width - 1)):
+        return None
     pad = None in src
     idx = [width if s is None else s for s in src] + [width - 1]
     get = itemgetter(*idx) if len(idx) > 1 else (lambda r: (r[-1],))
@@ -63,6 +66,8 @@ def _moved(rows: Rows, plan) -> Rows:
     """The rows taken to another layout by a :func:`_gather` plan.  An
     equality whose first nonzero coefficient moved behind a negative
     one changes sign (its normal form)."""
+    if plan is None:
+        return list(rows)
     get, pad, in_order = plan
     out = []
     for is_eq, row in rows:
@@ -96,15 +101,19 @@ class BasicMap:
         cols, index = columns(*self._shape())
         return rows_over(cols, index, list(constraints))
 
-    def _with(self, rows: Rows, space: Optional[Space] = None,
-              n_div: Optional[int] = None) -> "BasicMap":
-        obj = type(self).__new__(type(self))
-        obj.space = space if space is not None else self.space
-        obj.n_div = n_div if n_div is not None else self.n_div
-        obj.rows = tuple(rows)
+    @classmethod
+    def _of(cls, space: Space, rows: Rows, n_div: int) -> "BasicMap":
+        """A basic map of these rows, as they are but for a width check."""
+        obj = cls.__new__(cls)
+        obj.space, obj.n_div, obj.rows = space, n_div, tuple(rows)
         obj._hash = obj._constraints = None
         obj._validate()
         return obj
+
+    def _with(self, rows: Rows, space: Optional[Space] = None,
+              n_div: Optional[int] = None) -> "BasicMap":
+        return self._of(self.space if space is None else space, rows,
+                        self.n_div if n_div is None else n_div)
 
     def _validate(self) -> None:
         width = sum(self._shape()) + 1
@@ -366,8 +375,8 @@ class BasicMap:
         nd, n_in, n_out, n_par = self._shape()
         moves = ((OUT, 0, n_out, DIV, nd), (IN, 0, n_in, OUT, 0))
         rows = self._relayout((nd + n_out, 0, n_in, n_par), moves)
-        return _basic_set(self.space.domain(), rows,
-                          nd + n_out).drop_defined_divs()
+        return BasicSet._of(self.space.domain(), rows,
+                            nd + n_out).drop_defined_divs()
 
     def range(self) -> "BasicSet":
         if not self.space.is_map:
@@ -375,8 +384,8 @@ class BasicMap:
         nd, n_in, n_out, n_par = self._shape()
         rows = self._relayout((nd + n_in, 0, n_out, n_par),
                               ((IN, 0, n_in, DIV, nd),))
-        return _basic_set(self.space.range(), rows,
-                          nd + n_in).drop_defined_divs()
+        return BasicSet._of(self.space.range(), rows,
+                            nd + n_in).drop_defined_divs()
 
     def wrap_domain(self, bset: "BasicSet") -> "BasicMap":
         """Constrain the input tuple to lie in ``bset``."""
@@ -413,8 +422,7 @@ class BasicMap:
         rows = (a._relayout(shape, ((OUT, 0, n_mid, DIV, base),))
                 + b._relayout(shape, ((IN, 0, n_mid, DIV, base),
                                       (DIV, 0, b.n_div, DIV, a.n_div))))
-        return BasicMap.universe(space)._with(
-            rows, n_div=shape[0]).drop_defined_divs()
+        return BasicMap._of(space, rows, shape[0]).drop_defined_divs()
 
     def to_set(self) -> "BasicSet":
         """Flatten a map into a set over (in_dims ++ out_dims)."""
@@ -435,7 +443,7 @@ class BasicMap:
                 seen[nm] = 0
                 uniq.append(nm)
         space = Space.set_space(tuple(uniq), None, self.space.params)
-        return _basic_set(space, rows, nd)
+        return BasicSet._of(space, rows, nd)
 
     # -- feasibility -------------------------------------------------------
 
@@ -534,6 +542,3 @@ class BasicSet(BasicMap):
         ident = BasicMap.identity(mspace)
         return ident.wrap_domain(self)
 
-
-def _basic_set(space: Space, rows: Rows, n_div: int) -> BasicSet:
-    return BasicSet.universe(space)._with(rows, n_div=n_div)

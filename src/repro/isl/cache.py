@@ -59,9 +59,15 @@ def cache_disabled():
 
 def clear() -> None:
     """Drop every memoized result (counters in the metrics registry are
-    left alone; tests reset those via ``metrics.reset()``)."""
+    left alone; tests reset those via ``metrics.reset()``), and the
+    smaller caches of :mod:`repro.isl`: column moves by shape and the
+    feasibility of the rows an implication test leaves out."""
+    from .basic import _gather, _plan
+    from .simplify import _feasible_part
     _empty_memo.clear()
     _compose_memo.clear()
+    for cached in (_gather, _plan, _feasible_part):
+        cached.cache_clear()
     _publish_sizes()
 
 

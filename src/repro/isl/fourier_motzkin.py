@@ -45,13 +45,13 @@ def prune(rows: Rows) -> Rows:
     """
     out: Rows = []
     eq: dict = {}   # coefficients -> place in out
-    ge: dict = {}
+    ge: dict = {}   # direction -> places of its two sides in out
     for con in rows:
         is_eq, row = con
         coeffs = row[:-1]
-        if not any(coeffs) and (row[-1] == 0 if is_eq else row[-1] >= 0):
-            continue
         if is_eq:
+            if not any(coeffs) and row[-1] == 0:
+                continue
             j = eq.get(coeffs)
             if j is None:
                 eq[coeffs] = len(out)
@@ -59,18 +59,27 @@ def prune(rows: Rows) -> Rows:
             elif out[j][1][-1] != row[-1]:
                 return false_rows(len(coeffs))
             continue
-        j = ge.get(coeffs)
+        # e + a >= 0 and -e + b >= 0 share the direction of e: they bound
+        # -a <= e <= b, which is empty exactly when a + b < 0 (a
+        # constant row is its own opposite).
+        up = next(filter(None, coeffs), 0) > 0
+        if not up and not any(coeffs):
+            if row[-1] >= 0:
+                continue
+            return false_rows(len(coeffs))
+        sides = ge.setdefault(coeffs if up else tuple(map(neg, coeffs)),
+                              [None, None])
+        j = sides[up]
         if j is None:
-            ge[coeffs] = len(out)
+            sides[up] = len(out)
             out.append(con)
         # sum c_i x_i + k >= 0: smaller k is the tighter constraint.
         elif row[-1] < out[j][1][-1]:
             out[j] = con
-    # Opposed parallel inequalities: e + a >= 0 and -e + b >= 0 bound
-    # -a <= e <= b, which is empty exactly when a + b < 0.
-    for coeffs, j in ge.items():
-        k = ge.get(tuple(map(neg, coeffs)))
-        if k is not None and out[j][1][-1] + out[k][1][-1] < 0:
+        else:
+            continue
+        k = sides[not up]
+        if k is not None and row[-1] + out[k][1][-1] < 0:
             return false_rows(len(coeffs))
     return out
 

@@ -179,10 +179,6 @@ class LinExpr:
         return LinExpr({d: int(c) // g for d, c in self.coeffs.items()},
                        int(self.const) // g)
 
-    #: Alias under the classic computer-algebra name: the primitive part
-    #: of an integer expression (content divided out).
-    primitive = divided_by_content
-
     # -- substitution / remapping ------------------------------------
 
     def substitute(self, dim: Dim, replacement: "LinExpr") -> "LinExpr":

@@ -11,8 +11,9 @@ including parameters and existential divs, are treated as free integer
 variables, matching ISL's unconstrained-parameter semantics).
 
 It takes a basic map's rows as they are (:mod:`repro.isl.constraint`):
-tuples of ints over the map's columns, the constant last.  Columns no
-row involves are dropped first; every row of a system has one width.
+tuples of ints over the map's columns, the constant last; every row of
+a system has one width, and the lattice solve drops the columns no row
+involves.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from itertools import compress
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul, neg
 from typing import Dict, List, Optional, Tuple
 
 from .constraint import Row
@@ -78,8 +79,11 @@ def _prefilter_empty(rows) -> bool:
     lo: Dict[int, int] = {}
     hi: Dict[int, int] = {}
     for is_eq, row in rows:
-        coeffs, const = row[:-1], row[-1]
-        nonzero = len(coeffs) - coeffs.count(0)
+        const = row[-1]
+        nonzero = len(row) - row.count(0) - (const != 0)
+        if nonzero > 1 and not is_eq:
+            continue        # none of the three can hold
+        coeffs = row[:-1]
         if (const != 0 if is_eq else const < 0) if not nonzero else \
                 is_eq and const % gcd(*coeffs):
             metrics.counter("isl.empty.prefilter_trivial").inc()
@@ -115,10 +119,9 @@ def conjunction_is_empty(bmap) -> bool:
     """True iff the basic map has no integer points (exact)."""
     if USE_PREFILTERS and _prefilter_empty(bmap.rows):
         return True
-    eqs, ineqs = _compact([r for e, r in bmap.rows if e],
-                          [r for e, r in bmap.rows if not e])
     try:
-        return not _feasible(eqs, ineqs)
+        return not _feasible([r for e, r in bmap.rows if e],
+                             [r for e, r in bmap.rows if not e])
     except OmegaBudgetExceeded:
         # Conservative fallback: rational feasibility (never claims empty
         # when the integer set is nonempty only risks the safe direction:
@@ -206,7 +209,7 @@ def _eliminate_unit_equalities(eqs: List[Row], ineqs: List[Row]
     """
     rows = eqs + ineqs
     n_eq = len(eqs)
-    gone = ()                       # a row substituted away
+    gone = (0,) * len(rows[0])      # a row substituted away
     pending = list(range(n_eq))
     while pending:
         t = pending.pop()
@@ -233,11 +236,13 @@ def _eliminate_unit_equalities(eqs: List[Row], ineqs: List[Row]
         rows[t] = gone
         # c*var + rest = 0  =>  var = -c*rest  (c = +-1)
         for o in list(compress(range(len(rows)),
-                               [r[var] if r else 0 for r in rows])):
+                               map(itemgetter(var), rows))):
             old = rows[o]
-            rows[o] = combine(1, old, -old[var] * c, row)
+            rows[o] = new = combine(1, old, -old[var] * c, row)
             if o < n_eq:
                 pending.append(o)
+            elif new[-1] < 0 and not any(new[:-1]):
+                return None         # an inequality that reads -k >= 0
     return ([r for r in rows[:n_eq] if r is not gone],
             [r for r in rows[n_eq:] if r is not gone])
 
@@ -260,8 +265,10 @@ def _eliminate_equalities(eqs: List[Row], ineqs: List[Row]
 
 def _ineq_feasible(ineqs: List[Row], depth: int = 0,
                    rational: bool = False) -> bool:
-    # Normalize, dedupe, keep tightest of parallel constraints.
-    tight: Dict[Row, int] = {}
+    # Normalize, dedupe, keep the tightest of parallel rows; e + a >= 0
+    # and -e + b >= 0 share the direction of e and are empty together
+    # when a + b < 0.
+    sides: Dict[Row, list] = {}   # direction -> [down, up, down row]
     for row in ineqs:
         coeffs, const = row[:-1], row[-1]
         g = gcd(*coeffs)
@@ -271,16 +278,25 @@ def _ineq_feasible(ineqs: List[Row], depth: int = 0,
             continue
         if g > 1:
             coeffs, const = tuple([v // g for v in coeffs]), const // g
-        if tight.setdefault(coeffs, const) > const:
-            tight[coeffs] = const
-    # Opposite-parallel contradiction: e + a >= 0 and -e + b >= 0.
-    for coeffs, const in tight.items():
-        neg = tuple([-c for c in coeffs])
-        if neg in tight and const + tight[neg] < 0:
-            return False
-    if len(tight) > _MAX_INEQS:
+        up = next(filter(None, coeffs)) > 0
+        key = coeffs if up else tuple(map(neg, coeffs))
+        side = sides.get(key)
+        if side is None:
+            side = sides[key] = [None, None, None]
+        if side[up] is None or const < side[up]:
+            side[up] = const
+            if not up:
+                side[2] = coeffs
+    system: List[Row] = []
+    for coeffs, (down, up, neg_coeffs) in sides.items():
+        if up is not None:
+            if down is not None and up + down < 0:
+                return False
+            system.append(coeffs + (up,))
+        if down is not None:
+            system.append(neg_coeffs + (down,))
+    if len(system) > _MAX_INEQS:
         raise OmegaBudgetExceeded()
-    system = [coeffs + (const,) for coeffs, const in tight.items()]
 
     # Remove variables bounded on only one side (exact elimination).
     while system:
