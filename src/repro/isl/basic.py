@@ -14,6 +14,7 @@ tuples moves columns (:meth:`BasicMap._relayout`).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from operator import itemgetter
 from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
                     Tuple)
@@ -459,13 +460,13 @@ class BasicMap:
         if not rows:
             return ()
         cols, _ = columns(*self._shape())
-        used = [j for j, col in enumerate(zip(*[r for _, r in rows]))
-                if any(col) and j < len(cols)]
+        used = list(compress(range(len(cols)),
+                             map(any, zip(*map(_row, rows)))))
         if len(used) < len(cols):
             get = itemgetter(*used, len(cols)) if used \
                 else (lambda r: (r[-1],))
             rows = [(e, get(r)) for e, r in rows]
-        return tuple(cols[j] for j in used), frozenset(rows)
+        return tuple(map(cols.__getitem__, used)), frozenset(rows)
 
     def is_empty(self) -> bool:
         from .cache import is_empty_cached

@@ -16,6 +16,7 @@ work on the rows of a :class:`~repro.isl.basic.BasicMap` directly.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -82,8 +83,7 @@ def columns(n_div: int, n_in: int, n_out: int, n_param: int
 
 
 def to_expr(cols: Sequence[Dim], row: Row) -> LinExpr:
-    return LinExpr._of({d: v for d, v in zip(cols, row) if v}, row[-1],
-                       True)
+    return LinExpr._of(dict(compress(zip(cols, row), row)), row[-1], True)
 
 
 class Constraint:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import List
 
 from .constraint import columns
@@ -30,7 +31,7 @@ def row_to_str(bmap, cols, is_eq: bool, row) -> str:
     # Present as lhs >= rhs / lhs = rhs, moving negative terms right.
     # Every compile fingerprint prints every domain, so the two sides
     # are read straight off the row: no LinExpr is built.
-    terms = [(d, v) for d, v in zip(cols, row) if v]
+    terms = list(compress(zip(cols, row), row))
     const = row[-1]
     lhs = _side_to_str(bmap, [(d, v) for d, v in terms if v > 0],
                        max(const, 0))

@@ -231,7 +231,8 @@ class Set(Map):
 
 
 def _quick_empty(p: BasicMap) -> bool:
-    return any(trivially_false(e, r) for e, r in p.rows)
+    # an inequality with a nonnegative constant is never trivially false
+    return any((e or r[-1] < 0) and trivially_false(e, r) for e, r in p.rows)
 
 
 def _basic_subtract(a: BasicMap, b: BasicMap) -> List[BasicMap]:

@@ -27,9 +27,9 @@ WRAPPER_LINES_CEILING = 4857
 MACHINE_LINES_CEILING = 801
 
 #: ``wc -l`` of every module of ``isl``.  3152 while a constraint was a
-#: ``{(kind, index): coeff}`` dict; 3317 with constraints as integer rows
+#: ``{(kind, index): coeff}`` dict; 3320 with constraints as integer rows
 #: over a map's columns and Omega, FM and the memos working on the rows.
-ISL_LINES_CEILING = 3317
+ISL_LINES_CEILING = 3320
 
 
 def _wc_l(path: Path) -> int:
