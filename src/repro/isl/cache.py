@@ -8,7 +8,7 @@ canonical systems.  This module caches both layers of the hot path:
 
 ``is_empty``
     keyed on the *canonical fingerprint* of the constraint system — the
-    dims it involves and the sorted, de-duplicated rows over them (see
+    dims it involves and the set of its rows over those dims (see
     :meth:`repro.isl.basic.BasicMap.canonical_fingerprint`).  Emptiness
     depends only on the constraints (every dimension, parameters and
     divs included, is a free integer variable), so systems from

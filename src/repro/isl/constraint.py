@@ -8,7 +8,7 @@ order (:func:`columns`), which is the sort order of the ``(kind, index)``
 dim references, so the first nonzero coefficient of a row is the first
 dim of the constraint in that order too.
 
-:class:`Constraint` is the builder and printer face of one row:
+:class:`Constraint` is how one row is written and read back:
 ``Constraint.eq/ge/le`` take a :class:`~repro.isl.linexpr.LinExpr`,
 and ``expr`` gives one back.  Inside :mod:`repro.isl` the operations
 work on the rows of a :class:`~repro.isl.basic.BasicMap` directly.
