@@ -117,6 +117,12 @@ def fold(expr: Expr) -> Expr:
 def _held(value, dtype):
     """``value`` as ``dtype`` holds it (rounded, truncated or wrapped),
     as a Python scalar; a cast of a constant folds only when this is the
-    constant itself, since a weak literal keeps no rounding or wrap."""
+    constant itself, since a weak literal keeps no rounding or wrap.  An
+    int wraps in Python: NumPy takes none beyond 64 bits."""
+    kind = dtype.to_numpy().kind
+    if isinstance(value, int) and kind in "iu":
+        wrapped = value % (1 << dtype.bits)
+        signed = kind == "i" and wrapped >> (dtype.bits - 1)
+        return wrapped - (1 << dtype.bits) if signed else wrapped
     with np.errstate(all="ignore"):
         return np.array(value).astype(dtype.to_numpy()).item()

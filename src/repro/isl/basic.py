@@ -542,4 +542,3 @@ class BasicSet(BasicMap):
                                  sp.out_name, sp.params)
         ident = BasicMap.identity(mspace)
         return ident.wrap_domain(self)
-

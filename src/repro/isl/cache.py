@@ -38,7 +38,7 @@ default); the property tests compare cached and uncached runs under
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Tuple
+from typing import Callable, Tuple
 
 from repro import settings
 
@@ -60,33 +60,24 @@ def cache_disabled():
 def clear() -> None:
     """Drop every memoized result (counters in the metrics registry are
     left alone; tests reset those via ``metrics.reset()``), and the
-    smaller caches of :mod:`repro.isl`: column moves by shape and the
-    feasibility of the rows an implication test leaves out."""
+    column moves of :mod:`repro.isl.basic` by shape."""
     from .basic import _gather, _plan
-    from .simplify import _feasible_part
     _empty_memo.clear()
     _compose_memo.clear()
-    for cached in (_gather, _plan, _feasible_part):
+    for cached in (_gather, _plan):
         cached.cache_clear()
     _publish_sizes()
 
 
-_handles: Dict[str, object] = {}
-
-
-def _metric(kind: str, name: str):
-    """The registry's counter or gauge ``name``, looked up once (the
-    registry zeroes its metrics in place, so a handle stays live)."""
-    handle = _handles.get(name)
-    if handle is None:
-        from repro.obs.metrics import metrics
-        handle = _handles[name] = getattr(metrics, kind)(name)
-    return handle
+def _metrics():
+    from repro.obs.metrics import metrics
+    return metrics
 
 
 def _publish_sizes() -> None:
-    _metric("gauge", "isl.empty_cache.size").set(len(_empty_memo))
-    _metric("gauge", "isl.compose_cache.size").set(len(_compose_memo))
+    m = _metrics()
+    m.gauge("isl.empty_cache.size").set(len(_empty_memo))
+    m.gauge("isl.compose_cache.size").set(len(_compose_memo))
 
 
 def stats():
@@ -97,17 +88,17 @@ def stats():
     ``isl.empty`` and ``isl.compose`` in the driver-wide CacheStats
     vocabulary."""
     from repro.driver.stats import CacheStats, CacheStatsGroup
-
-    def count(name: str) -> int:
-        return int(_metric("counter", name).value)
+    m = _metrics()
     return CacheStatsGroup(
         CacheStats(
-            tier="isl.empty", hits=count("isl.empty_cache.hits"),
-            misses=count("isl.empty_cache.misses"),
+            tier="isl.empty",
+            hits=int(m.counter("isl.empty_cache.hits").value),
+            misses=int(m.counter("isl.empty_cache.misses").value),
             size=len(_empty_memo), maxsize=EMPTY_CACHE_MAX),
         CacheStats(
-            tier="isl.compose", hits=count("isl.compose_cache.hits"),
-            misses=count("isl.compose_cache.misses"),
+            tier="isl.compose",
+            hits=int(m.counter("isl.compose_cache.hits").value),
+            misses=int(m.counter("isl.compose_cache.misses").value),
             size=len(_compose_memo), maxsize=COMPOSE_CACHE_MAX))
 
 
@@ -120,12 +111,13 @@ def is_empty_cached(bmap) -> bool:
     if not settings.get("isl_cache"):
         return conjunction_is_empty(bmap)
     key = bmap.canonical_fingerprint()
+    m = _metrics()
     hit = _empty_memo.get(key)
     if hit is not None:
         _empty_memo.move_to_end(key)
-        _metric("counter", "isl.empty_cache.hits").inc()
+        m.counter("isl.empty_cache.hits").inc()
         return hit is True
-    _metric("counter", "isl.empty_cache.misses").inc()
+    m.counter("isl.empty_cache.misses").inc()
     from repro.obs.tracer import get_tracer
     tracer = get_tracer()
     if tracer.enabled():
@@ -160,12 +152,13 @@ def composed(op: str, a, b, compute: Callable[[], object]):
     if not settings.get("isl_cache"):
         return compute()
     key = _exact_key(op, a, b)
+    m = _metrics()
     hit = _compose_memo.get(key)
     if hit is not None:
         _compose_memo.move_to_end(key)
-        _metric("counter", "isl.compose_cache.hits").inc()
+        m.counter("isl.compose_cache.hits").inc()
         return hit
-    _metric("counter", "isl.compose_cache.misses").inc()
+    m.counter("isl.compose_cache.misses").inc()
     result = compute()
     _compose_memo[key] = result
     if len(_compose_memo) > COMPOSE_CACHE_MAX:

@@ -63,9 +63,6 @@ def trivially_false(is_eq: bool, row: Row) -> bool:
 
 _LAYOUTS: Dict[Tuple[int, int, int, int],
                Tuple[Tuple[Dim, ...], Dict[Dim, int]]] = {}
-#: The index of each layout above, by the identity of its columns (they
-#: live as long as the table).
-_INDEX: Dict[int, Dict[Dim, int]] = {}
 
 
 def columns(n_div: int, n_in: int, n_out: int, n_param: int
@@ -77,8 +74,8 @@ def columns(n_div: int, n_in: int, n_out: int, n_param: int
     if layout is None:
         cols = tuple((kind, k) for kind, n in zip((DIV, IN, OUT, PARAM), key)
                      for k in range(n))
-        layout = _LAYOUTS[key] = (cols, {d: j for j, d in enumerate(cols)})
-        _INDEX[id(cols)] = layout[1]
+        layout = _LAYOUTS.setdefault(
+            key, (cols, {d: j for j, d in enumerate(cols)}))
     return layout
 
 
@@ -96,7 +93,7 @@ class Constraint:
     ``kind == EQ`` means ``expr == 0``; ``kind == GE`` means ``expr >=
     0``; the row is in :func:`normal` form."""
 
-    __slots__ = ("kind", "row", "cols", "_expr", "_spread")
+    __slots__ = ("kind", "row", "cols", "_expr")
 
     def __init__(self, kind: str, expr: LinExpr):
         if kind not in (EQ, GE):
@@ -106,14 +103,14 @@ class Constraint:
         self.cols: Tuple[Dim, ...] = tuple(expr.coeffs)
         self.row: Row = normal(kind == EQ, (*expr.coeffs.values(),
                                             int(expr.const)))
-        self._expr = self._spread = None
+        self._expr = None
 
     @classmethod
     def _of(cls, kind: str, row: Row, cols: Tuple[Dim, ...]
             ) -> "Constraint":
         c = cls.__new__(cls)
         c.kind, c.row, c.cols = kind, row, cols
-        c._expr = c._spread = None
+        c._expr = None
         return c
 
     # -- constructors ------------------------------------------------------
@@ -166,7 +163,7 @@ class Constraint:
 
     def __setstate__(self, state) -> None:
         self.kind, self.row, self.cols = state
-        self._expr = self._spread = None
+        self._expr = None
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Constraint) and self.kind == other.kind
@@ -190,20 +187,16 @@ def rows_over(cols: Tuple[Dim, ...], index: Mapping[Dim, int],
     for c in constraints:
         row = c.row
         if c.cols is not cols:
-            if c._spread is not None and c._spread[0] is cols:
-                row = c._spread[1]      # the last layout it was put on
-            else:
-                spread = [0] * width + [row[-1]]
-                for d, v in zip(c.cols, row):
-                    if v:
-                        j = index.get(d)
-                        if j is None:
-                            raise ValueError(
-                                f"constraint {c!r} references {d} outside "
-                                f"the columns {cols}")
-                        spread[j] = v
-                row = tuple(spread)
-                c._spread = cols, row
+            spread = [0] * width + [row[-1]]
+            for d, v in zip(c.cols, row):
+                if v:
+                    j = index.get(d)
+                    if j is None:
+                        raise ValueError(
+                            f"constraint {c!r} references {d} outside "
+                            f"the columns {cols}")
+                    spread[j] = v
+            row = tuple(spread)
         out.append((c.kind == EQ, row))
     return out
 
@@ -221,8 +214,8 @@ def system(constraints: Sequence[Constraint]
         have = set(cols)
         if not all(have.issuperset(o) for o in others.values()):
             cols = tuple(sorted(have.union(*others.values())))
-    index = _INDEX.get(id(cols)) or {d: j for j, d in enumerate(cols)}
-    return cols, rows_over(cols, index, constraints)
+    return cols, rows_over(cols, {d: j for j, d in enumerate(cols)},
+                           constraints)
 
 
 def constraints_of(cols: Tuple[Dim, ...], rows: Rows) -> List[Constraint]:

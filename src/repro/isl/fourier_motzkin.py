@@ -125,42 +125,25 @@ def eliminate(rows: Rows, col: int) -> Rows:
 
 def next_col(rows: Rows, keep: int = -1) -> Optional[int]:
     """The column full elimination removes next, other than ``keep``:
-    one an equality substitutes away if any (the one in fewest rows),
-    else the one whose elimination adds the fewest rows (``lo*up - lo -
-    up``), the first such; None when only ``keep`` is left."""
+    one an equality substitutes away if any, else any, and of those the
+    one in fewest rows (min-degree); None when only ``keep`` is left."""
     if not rows:
         return None
     cols = list(zip(*[r for _, r in rows]))
     cols.pop()
     eqs = [r for e, r in rows if e]
-    if eqs:
-        in_eq = [j for j, c in zip(range(len(cols)), zip(*eqs))
-                 if j != keep and any(c)]
-        if in_eq:
-            return min(in_eq, key=lambda j: len(cols[j]) - cols[j].count(0))
-    return _least_growth(cols, keep)[0]
-
-
-def _least_growth(cols, keep: int = -1) -> Tuple[Optional[int], List[int]]:
-    """Over the columns of inequalities: the one whose FM elimination
-    adds the fewest rows, and those bounded on one side only."""
-    best, least, one_sided = None, 0, []
-    for j, col in enumerate(cols):
-        if j != keep and any(col):
-            lo = sum(map((0).__lt__, col))
-            up = len(col) - col.count(0) - lo
-            if not lo or not up:
-                one_sided.append(j)
-            if best is None or lo * up - lo - up < least:
-                best, least = j, lo * up - lo - up
-    return best, one_sided
+    live = [j for j, c in zip(range(len(cols)), zip(*eqs))
+            if j != keep and any(c)] if eqs else []
+    live = live or [j for j, c in enumerate(cols) if j != keep and any(c)]
+    return min(live, key=lambda j: len(cols[j]) - cols[j].count(0),
+               default=None)
 
 
 def feasible(rows: Rows) -> bool:
     """Exact rational (LP) feasibility via full FM elimination.  Columns
-    bounded on one side only (and in no equality) take their rows along
-    at once: whatever the other columns are, they can be chosen far
-    enough out to meet them all."""
+    of inequalities bounded on one side only take their rows along at
+    once: whatever the other columns are, they can be chosen far enough
+    out to meet them all."""
     rows = prune(rows)
     while rows:
         for is_eq, row in rows:
@@ -170,16 +153,15 @@ def feasible(rows: Rows) -> bool:
                     return False
             elif row[-1] < 0 and not any(row[:-1]):
                 return False
-        if any(e for e, _ in rows):
-            col = next_col(rows)
-        else:
-            cols = list(zip(*[r for _, r in rows]))
-            cols.pop()
-            col, one_sided = _least_growth(cols)
+        if not any(e for e, _ in rows):
+            cols = list(zip(*[r for _, r in rows]))[:-1]
+            one_sided = [j for j, c in enumerate(cols)
+                         if any(c) and (min(c) >= 0 or max(c) <= 0)]
             if one_sided:
                 rows = [(e, r) for e, r in rows
                         if not any([r[j] for j in one_sided])]
                 continue
+        col = next_col(rows)
         if col is None:
             return True
         rows = eliminate(rows, col)

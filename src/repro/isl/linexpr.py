@@ -80,12 +80,11 @@ class LinExpr:
 
     @classmethod
     def constant(cls, value: Coeff) -> "LinExpr":
-        return LinExpr._of({}, value, True)
+        return cls({}, value)
 
     @classmethod
     def dim(cls, kind: str, index: int, coeff: Coeff = 1) -> "LinExpr":
-        _check_dim((kind, index))
-        return LinExpr._of({(kind, index): coeff} if coeff else {}, 0, True)
+        return cls({(kind, index): coeff}, 0)
 
     # -- arithmetic ----------------------------------------------------
 

@@ -4,10 +4,9 @@ simple hull of a union."""
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import compress
 from math import ceil
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .basic import BasicMap, BasicSet
 from .constraint import (Constraint, Row, Rows, normal, system,
@@ -16,37 +15,18 @@ from .fourier_motzkin import bounds, eliminate, feasible, next_col
 from .linexpr import DIV
 
 
-def implied(rows: Rows, con, feasible_rows: bool = False) -> bool:
+def implied(rows: Rows, con) -> bool:
     """True if the row ``con`` is rationally implied by ``rows`` (safe
     direction: a rationally-implied constraint is integer-implied as
-    well); ``feasible_rows`` says ``rows`` are known to be feasible."""
+    well)."""
     is_eq, row = con
     if is_eq:
-        return (implied(rows, (False, normal(False, row)), feasible_rows)
-                and implied(rows, (False, normal(False, _neg(row))),
-                            feasible_rows))
-    # A parallel row with no larger constant implies it outright (the
-    # guards of a loop nest mostly repeat its bounds).
-    coeffs, k = row[:-1], row[-1]
-    if any(r[-1] <= k and r[:-1] == coeffs for _, r in rows):
-        return True
+        return (implied(rows, (False, normal(False, row)))
+                and implied(rows, (False, normal(False, _neg(row)))))
     # rows and not(e >= 0), i.e. rows and -e - 1 >= 0 infeasible?
     neg = _neg(row)
-    neg = (False, normal(False, neg[:-1] + (neg[-1] - 1,)))
-    if len(rows) <= 8:
-        return not feasible(rows + [neg])
-    # The rows linked to it through shared columns and the others have
-    # no column in common: the whole is infeasible iff either part is.
-    linked, others = _split(rows, neg)
-    return not feasible(linked + [neg]) or not feasible_rows and \
-        bool(others) and not _feasible_part(tuple(others))
-
-
-@lru_cache(maxsize=1024)
-def _feasible_part(rows: Tuple) -> bool:
-    """:func:`feasible`, remembered: the rows a test leaves out are
-    mostly the same context, asked again for every guard under it."""
-    return feasible(list(rows))
+    return not feasible(rows + [(False, normal(False, neg[:-1]
+                                               + (neg[-1] - 1,)))])
 
 
 def _neg(row: Row) -> Row:
@@ -77,9 +57,11 @@ def _remove_redundant_uncached(bmap: BasicMap) -> BasicMap:
     for c in bmap.rows:
         if not trivially_true(*c) and c not in uniq:
             uniq.append(c)
-    known = feasible(uniq)
+    # On a feasible system only the rows linked to c through shared
+    # columns can imply it: the others hold whatever c's columns are.
+    linked = _linked if feasible(uniq) else lambda rest, c: rest
     for i, c in enumerate(uniq):
-        if not implied(kept + uniq[i + 1:], c, known):
+        if not implied(linked(kept + uniq[i + 1:], c), c):
             kept.append(c)
     return bmap._with(kept)
 
@@ -97,19 +79,13 @@ _BITS = [1 << j for j in range(64)]
 
 def _linked(rows: Rows, c) -> Rows:
     """The rows reached from ``c`` through shared columns."""
-    return _split(rows, c)[0]
-
-
-def _split(rows: Rows, c) -> Tuple[Rows, Rows]:
-    """The rows reached from ``c`` through shared columns, and the
-    others."""
     reach = _mask(c[1])
     rest = [(_mask(r), (e, r)) for e, r in rows]
     out: Rows = []
     while True:
         hit = [(m, o) for m, o in rest if m & reach]
         if not hit:
-            return out, [o for _, o in rest]
+            return out
         rest = [(m, o) for m, o in rest if not m & reach]
         for m, o in hit:
             reach |= m

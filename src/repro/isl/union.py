@@ -19,7 +19,7 @@ class Map:
 
     piece_type = BasicMap
 
-    __slots__ = ("space", "pieces", "_repr", "_hash")
+    __slots__ = ("space", "pieces", "_repr")
 
     def __init__(self, pieces: Iterable[BasicMap], space: Optional[Space] = None):
         pieces = [p for p in pieces]
@@ -40,7 +40,6 @@ class Map:
         self.pieces: Tuple[BasicMap, ...] = tuple(
             p.align_params(params) for p in pieces)
         self._repr: Optional[str] = None
-        self._hash: Optional[int] = None
 
     # -- constructors ------------------------------------------------------
 
@@ -191,7 +190,7 @@ class Map:
         # the printed form is a memo, not content: a pickle is the same
         # size whether or not the map was ever printed
         return None, {"space": self.space, "pieces": self.pieces,
-                      "_repr": None, "_hash": None}
+                      "_repr": None}
 
     def __iter__(self):
         return iter(self.pieces)
@@ -208,9 +207,7 @@ class Map:
                 and frozenset(self.pieces) == frozenset(other.pieces))
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.space, frozenset(self.pieces)))
-        return self._hash
+        return hash((self.space, frozenset(self.pieces)))
 
 
 class Set(Map):

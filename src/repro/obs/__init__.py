@@ -7,8 +7,7 @@ histograms registry (:mod:`.metrics`) with OpenMetrics and JSON writers
 at a decision site, which bumps the counter of the event's name and
 appends to the JSONL journal with the compile's correlation id
 (:mod:`.events`, the ``event_log`` knob).
-The writers (and their at-exit flush) load at first use: a compile
-imports :mod:`.export` only while ``metrics_file`` names a file.
+A compile imports :mod:`.export` only while ``metrics_file`` is set.
 """
 
 from .events import (EventJournal, compile_context, current_compile_id,
@@ -22,20 +21,29 @@ from .tracer import (CAT_COMPILE, CAT_FAULT, CAT_LOOP, CAT_PARALLEL,
                      write_trace_file)
 
 __all__ = [
-    "CAT_COMPILE", "CAT_FAULT", "CAT_LOOP", "CAT_PARALLEL", "CAT_WORKER",
-    "CompRecord", "Counter", "EventJournal", "Gauge", "Histogram",
-    "MetricNameError", "MetricsRegistry", "RunCollector", "RunReport",
-    "Span", "Tracer", "build_run_report", "compile_context",
-    "current_compile_id", "emit", "get_tracer", "metrics",
-    "new_compile_id", "parse_openmetrics", "read_events", "render_json",
-    "render_openmetrics", "write_metrics_file", "write_trace_file",
+    "CAT_COMPILE",
+    "CAT_FAULT",
+    "CAT_LOOP",
+    "CAT_PARALLEL",
+    "CAT_WORKER",
+    "CompRecord",
+    "Counter",
+    "EventJournal",
+    "Gauge",
+    "Histogram",
+    "MetricNameError",
+    "MetricsRegistry",
+    "RunCollector",
+    "RunReport",
+    "Span",
+    "Tracer",
+    "build_run_report",
+    "compile_context",
+    "current_compile_id",
+    "emit",
+    "get_tracer",
+    "metrics",
+    "new_compile_id",
+    "read_events",
+    "write_trace_file",
 ]
-
-
-def __getattr__(name: str):
-    if name in ("parse_openmetrics", "render_json", "render_openmetrics",
-                "write_metrics_file"):
-        from . import export
-        return getattr(export, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-

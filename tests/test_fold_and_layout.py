@@ -49,10 +49,13 @@ class TestFold:
         """A constant the type does not hold as it stands keeps its
         cast: float32 rounds 0.1, int32 truncates 3.7, int8 wraps 300
         (to 44, which the cast then holds: NumPy takes no out-of-range
-        literal)."""
+        literal), and int64 wraps 2**80 + 5, an int beyond NumPy's."""
         for dtype, value, operand in ((T.float32, 0.1, 0.1),
                                       (T.int32, 3.7, 3.7),
-                                      (T.int8, 300, 44)):
+                                      (T.int8, 300, 44),
+                                      (T.uint8, -1, 255),
+                                      (T.int64, 2**80 + 5, 5),
+                                      (T.int64, 2**63, -2**63)):
             e = fold(Cast(dtype, Const(value)))
             assert isinstance(e, Cast) and e.dtype == dtype
             assert e.operand.value == operand

@@ -16,10 +16,10 @@ WRAPPER = ("driver", "runtime", "obs", "faults")
 #: compile pool and its failure policy were a backends module of their
 #: own (271 lines); 4880 since the compile service owns them; 4878 since
 #: a warm hit keeps its fingerprint's tokens by computation; 4869 since
-#: no cost model replays a fault plan (``FaultPlan.clone``); 4857 since
-#: ``repro.obs`` loads its metrics writers at first use and lists its
-#: names several a line.
-WRAPPER_LINES_CEILING = 4857
+#: no cost model replays a fault plan (``FaultPlan.clone``); 4865 since
+#: ``repro.obs`` no longer re-exports the metrics writers of its
+#: ``export`` module, which a compile loads only for ``metrics_file``.
+WRAPPER_LINES_CEILING = 4865
 
 #: ``wc -l`` of every module under ``machine``.  1103 with a trace-driven
 #: cache simulator and network estimators that nothing but their tests
@@ -27,9 +27,9 @@ WRAPPER_LINES_CEILING = 4857
 MACHINE_LINES_CEILING = 801
 
 #: ``wc -l`` of every module of ``isl``.  3152 while a constraint was a
-#: ``{(kind, index): coeff}`` dict; 3320 with constraints as integer rows
+#: ``{(kind, index): coeff}`` dict; 3259 with constraints as integer rows
 #: over a map's columns and Omega, FM and the memos working on the rows.
-ISL_LINES_CEILING = 3320
+ISL_LINES_CEILING = 3259
 
 
 def _wc_l(path: Path) -> int:
