@@ -9,8 +9,15 @@ becomes ``#pragma omp simd`` (real SIMD) unless the loop carries a
 dependence -- over the part of its range where no clamped index clamps
 (:func:`repro.codegen.lanes.clamp_free`), the border running scalar; a
 ``vector`` loop of a few constant trips that fill no vector register
-(three channels) is left to gcc's unroller.  Strides are the buffers'
-declared extents, which a call holds every array to.
+(three channels) is left to gcc's unroller, and an untagged loop of a few
+constant trips that carries no dependence and holds just the ``vector``
+loop runs unrolled inside each lane (:meth:`CEmitter._jam`: the channels
+of a pixel stored side by side, not at stride 3).  Strides are the
+buffers' declared extents, which a call holds every array to.  A call
+zero-fills only the buffers it allocates that something could see
+before a statement stores them
+(:func:`repro.backends.common.unfilled_buffers`, proven at the first
+call).
 
 Every node is rendered in the type :mod:`repro.ir.typing` infers for it
 (index math in ``int64_t``, ``float32`` arithmetic in ``float``) and gcc
@@ -29,7 +36,8 @@ import hashlib
 import os
 import subprocess
 import tempfile
-from typing import Dict, List, Optional, Sequence
+import threading
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,11 +55,12 @@ from repro.ir.expr import (BinOp, BufferRead, Call, Cast, Const, Expr,
 from repro.ir.typing import COMPARISONS, Type, combine
 from repro.isl import LinExpr
 from repro.isl.constraint import EQ
-from repro.isl.linexpr import PARAM
+from repro.isl.linexpr import OUT, PARAM
 
 from repro.driver.registry import Backend, register_backend
 
-from .common import bind_arguments, collect_buffers, infer_argument_kinds
+from .common import (bind_arguments, collect_buffers, infer_argument_kinds,
+                     unfilled_buffers)
 
 _C_PRELUDE = """\
 #include <stdint.h>
@@ -306,8 +315,10 @@ class CEmitter:
                 self.emit_block(child)
 
     def emit_loop(self, loop: Loop) -> None:
-        lo = self.bounds_c(loop.lowers, True)
-        hi = self.bounds_c(loop.uppers, False)
+        jam = self._jam(loop)
+        if jam is not None:
+            return self.emit_simd(*jam, outer=loop)
+        lo, hi = self._bounds(loop)
         kind = getattr(loop.tag, "kind", None)
         if kind == "vector":
             return self.emit_vector(loop, lo, hi)
@@ -322,9 +333,10 @@ class CEmitter:
         self.emit_for(loop, lo, hi)
 
     def emit_for(self, loop: Loop, lo: str, hi: str,
-                 values: Optional[List[Expr]] = None, skip: str = "") -> None:
-        """``loop`` over ``lo..hi`` less the range ``skip``, the
-        statements of its body with ``values`` for right-hand sides."""
+                 body: Optional[Callable[[], None]] = None,
+                 skip: str = "") -> None:
+        """``loop`` over ``lo..hi`` less the range ``skip``, around
+        ``body`` (by default the loop's own)."""
         var = f"t{loop.level}"
         self.line(f"for (int64_t {var} = {lo}; {var} <= {hi}; "
                   f"{var}++) {{")
@@ -334,11 +346,10 @@ class CEmitter:
         for buf in windows_at(self.fn, loop):   # private to an iteration
             size = int(np.prod(buf.concrete_shape({})))
             self.line(f"{_CTYPE[buf.dtype.np_dtype]} {buf.name}[{size}];")
-        if values is None:
+        if body is None:
             self.emit_block(loop.body)
         else:
-            for stmt, value in zip(loop.body.children, values):
-                self.emit_stmt(stmt, value)
+            body()
         self.indent -= 1
         self.line("}")
 
@@ -351,20 +362,84 @@ class CEmitter:
             return self.emit_for(loop, lo, hi)
         if _register_block(loop):
             return self.emit_for(loop, lo, hi)      # gcc unrolls it whole
-        inside = None if why else clamp_free(self.fn, loop)
+        self.emit_simd(loop, None if why else clamp_free(self.fn, loop))
+
+    def emit_simd(self, loop: Loop, inside, outer: Optional[Loop] = None
+                  ) -> None:
+        """``loop`` under ``#pragma omp simd``, split at ``inside``, its
+        :func:`~repro.codegen.lanes.clamp_free` interior, if not None;
+        ``outer``, the loop around it that :meth:`_jam` chose, runs
+        inside each lane (unrolled) and around the border."""
+        lo, hi = self._bounds(loop)
+        values = inside and inside[2]
+
+        def statements():
+            if values is None:
+                return self.emit_block(loop.body)
+            for stmt, value in zip(loop.body.children, values):
+                self.emit_stmt(stmt, value)
+
+        def lanes():            # what one iteration of the simd loop runs
+            if outer is None:
+                return statements()
+            self.line(f"#pragma GCC unroll {_trips(outer)}")
+            self.emit_for(outer, *self._bounds(outer), statements)
         self.line("#pragma omp simd")
         if inside is None:
-            return self.emit_for(loop, lo, hi)
+            return self.emit_for(loop, lo, hi, lanes)
         # index-set splitting: the lanes where no clamp clamps load
         # contiguously; the rest of the range runs once, scalar
-        lowers, uppers, values = inside
-        first, last = self.bounds_c(lowers, True), self.bounds_c(uppers, False)
-        self.emit_for(loop, first, last, values)
+        first = self.bounds_c(inside[0], True)
+        last = self.bounds_c(inside[1], False)
+        self.emit_for(loop, first, last, lanes)
         var = f"t{loop.level}"
         self.line(f"/* border of ({loop.var}): clamps kept */")
-        self.emit_for(loop, lo, hi, skip=(
-            f"if ({var} >= {first} && {var} <= {last}) "
-            f"{{ {var} = {last}; continue; }}"))
+
+        def border():
+            self.emit_for(loop, lo, hi, skip=(
+                f"if ({var} >= {first} && {var} <= {last}) "
+                f"{{ {var} = {last}; continue; }}"))
+        if outer is None:
+            return border()
+        self.emit_for(outer, *self._bounds(outer), border)
+
+    def _bounds(self, loop: Loop) -> Tuple[_C, _C]:
+        return (self.bounds_c(loop.lowers, True),
+                self.bounds_c(loop.uppers, False))
+
+    def _jam(self, loop: Loop):
+        """``(vector loop, its clamp-free interior or None)`` when
+        ``loop`` is jammed into the ``vector`` loop that is its whole
+        body: ``loop`` is untagged, of 2 up to the tag's width constant
+        trips and carries no dependence, and the ``vector`` loop holds
+        only statements, gets ``omp simd`` (the lane verdict accepts it,
+        no register block) and neither its bounds nor its interior's
+        mention ``loop``.  Each lane then stores ``loop``'s trips side by
+        side (a channel loop: unit stride, not stride 3).  None
+        otherwise."""
+        body = loop.body.children
+        if loop.tag is not None or len(body) != 1 \
+                or not isinstance(body[0], Loop):
+            return None
+        vec = body[0]
+        stmts = vec.body.children
+        if getattr(vec.tag, "kind", None) != "vector" \
+                or not 2 <= _trips(loop) <= (vec.tag.factor or 0) \
+                or not stmts or not all(isinstance(s, Stmt) for s in stmts) \
+                or _register_block(vec) or windows_at(self.fn, loop) \
+                or windows_at(self.fn, vec) \
+                or lane_verdict(self.fn, vec, self.lanes_verified) is not None:
+            return None
+        inside = clamp_free(self.fn, vec)
+        lane = (OUT, loop.level)
+        if any(e.coeff(lane) for groups in (
+                (vec.lowers, vec.uppers) + (inside[:2] if inside else ()))
+               for group in groups for __, e in group):
+            return None
+        summary = DependenceSummary.of(self.fn)
+        if any(summary.carried(s.comp, loop.level) for s in stmts):
+            return None
+        return vec, inside
 
     def emit_stmt(self, stmt: Stmt, value: Optional[Expr] = None) -> None:
         comp = stmt.comp
@@ -408,18 +483,25 @@ class CEmitter:
             f"operation {op.op_kind!r} is not lowered by the C backend")
 
 
+def _trips(loop: Loop) -> int:
+    """How many times ``loop`` runs, if its bounds are constants; else 0."""
+    if [len(g) for g in loop.lowers + loop.uppers] != [1, 1]:
+        return 0
+    (a, lo), (b, hi) = loop.lowers[0][0], loop.uppers[0][0]
+    if a != 1 or b != 1 or not (lo.is_constant() and hi.is_constant()):
+        return 0
+    return max(int(hi.const) - int(lo.const) + 1, 0)
+
+
 def _register_block(loop: Loop) -> bool:
     """Is this ``vector`` loop over ``0 .. n - 1``, ``n`` a constant no
     larger than the tag's width and not a power of two?  No vector
     register has ``n`` lanes (nb: three channels), yet ``omp simd`` would
     make this the vector loop, remainder and all, and not the one around
     it.  A whole tile (8 of 8) is one register and keeps its pragma."""
-    if [len(g) for g in loop.lowers + loop.uppers] != [1, 1]:
-        return False
-    (a, lo), (b, hi) = loop.lowers[0][0], loop.uppers[0][0]
-    n = int(hi.const) + 1 if hi.is_constant() else 0
-    return a == b == 1 and lo == LinExpr.constant(0) \
-        and 0 < n <= (loop.tag.factor or 0) and n & (n - 1) != 0
+    n = _trips(loop)
+    return 0 < n <= (loop.tag.factor or 0) and n & (n - 1) != 0 \
+        and loop.lowers[0][0][1] == LinExpr.constant(0)
 
 
 def emit_c_source(fn: Function, ast=None, lanes_verified: bool = False,
@@ -447,8 +529,16 @@ class NativeKernel:
     """A gcc-compiled Tiramisu function callable on NumPy arrays."""
 
     def __init__(self, fn: Function, source: str, lib_path: str,
-                 buffers: List[Buffer], num_threads: Optional[int] = None):
+                 buffers: List[Buffer], num_threads: Optional[int] = None,
+                 prints=None, legal: bool = False):
         self.fn = fn
+        #: the compile's :class:`~repro.driver.fingerprint.Fingerprint`
+        #: (None: every allocated buffer is zero-filled) and whether it
+        #: checked the schedule legal: what the first call proves
+        #: :func:`~repro.backends.common.unfilled_buffers` from
+        self._compiled = (prints, legal)
+        self._unfilled: Optional[frozenset] = None
+        self._lock = threading.Lock()
         #: the team a call's parallel loops run on (the compile option;
         #: None: OpenMP's default, or no parallel loop -- gcc links no
         #: libgomp then).  Set around each call, not printed in the
@@ -464,9 +554,23 @@ class NativeKernel:
         #: (parameter values, every buffer's shape at them), last call's
         self._shapes = (None, [])
 
+    def unfilled(self) -> frozenset:
+        """The buffers a call allocates without zero-filling them, worked
+        out once, from the function as it was compiled: none if it has
+        been changed since."""
+        with self._lock:
+            if self._unfilled is None:
+                prints, legal = self._compiled
+                self._unfilled = frozenset() \
+                    if prints is None or not prints.holds() \
+                    else unfilled_buffers(self.fn, self.buffers, legal)
+        return self._unfilled
+
     def __call__(self, **kwargs):
         params, arrays, outputs = bind_arguments(
-            self.buffers, self.param_names, kwargs)
+            self.buffers, self.param_names, kwargs,
+            self._unfilled if self._unfilled is not None
+            else self.unfilled())
         sizes, shapes = self._shapes
         if sizes != params:
             shapes = [buf.concrete_shape(params) for buf in self.buffers]
@@ -578,4 +682,5 @@ class CBackend(Backend):
         so_path = build_shared_object(ctx.source,
                                       ctx.opt("extra_flags", ()))
         return NativeKernel(ctx.fn, ctx.source, so_path,
-                            collect_buffers(ctx.fn), ctx.opt("num_threads"))
+                            collect_buffers(ctx.fn), ctx.opt("num_threads"),
+                            ctx.prints, bool(ctx.opt("check_legality")))

@@ -353,6 +353,24 @@ def clamp_free(fn, loop: Loop) -> Optional[Tuple[
         values.append(strip(summary.form(stmt.comp).value))
     if not (lowers or uppers):
         return None
-    return ([list(dict.fromkeys(group + lowers)) for group in loop.lowers],
-            [list(dict.fromkeys(group + uppers)) for group in loop.uppers],
+    return ([_tightest(group + lowers, 1) for group in loop.lowers],
+            [_tightest(group + uppers, -1) for group in loop.uppers],
             values)
+
+
+def _tightest(group: List[Bound], sign: int) -> List[Bound]:
+    """``group``, the lower (``sign`` 1) or upper (-1) bounds one loop
+    holds all of, less each bound that another of the same divisor,
+    differing from it by a constant, is at least as tight as: of ``0, 1,
+    -1`` only ``1`` is left, of ``M - 1, M + 1, M - 3`` only ``M - 3``."""
+    kept: List[Bound] = []
+    for d, e in group:
+        for k, (d2, e2) in enumerate(kept):
+            gap = e - e2
+            if d == d2 and gap.is_constant():
+                if gap.const * sign > 0:
+                    kept[k] = (d, e)
+                break
+        else:
+            kept.append((d, e))
+    return kept

@@ -402,6 +402,8 @@ class Emitter:
                        self._lanes(*args))
         if isinstance(expr, Cast):
             v = self.expr_py(expr.operand, env)
+            if v.weak and not v.lanes and result_type(expr.operand) is int:
+                v = f"np.int64({v})"    # NumPy 2 refuses an int out of range
             return _Py(f"np.{expr.dtype.np_dtype}({v})", True, self._lanes(v))
         if isinstance(expr, Call):
             args = self._meet(expr.fn, expr.args, [

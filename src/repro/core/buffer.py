@@ -96,9 +96,13 @@ class Buffer:
         return tuple(int(eval_const_expr(s, param_values))
                      for s in self.sizes)
 
-    def allocate(self, param_values) -> np.ndarray:
-        return np.zeros(self.concrete_shape(param_values),
-                        dtype=self.dtype.to_numpy())
+    def allocate(self, param_values, fill: bool = True) -> np.ndarray:
+        """A new array of the buffer's shape at ``param_values``: zeros,
+        or (``fill=False``, for a buffer nothing reads before it is
+        stored, :func:`repro.backends.common.unfilled_buffers`) whatever
+        the allocator hands back."""
+        return (np.zeros if fill else np.empty)(
+            self.concrete_shape(param_values), dtype=self.dtype.to_numpy())
 
     def __repr__(self):
         dims = ", ".join(repr(s) for s in self.sizes)

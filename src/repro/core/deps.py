@@ -53,6 +53,8 @@ class Dependence:
     sink: Computation
     buffer: object
     relation: Map                # source domain -> sink domain
+    #: the element read: the sink's (flow) or the source's (anti)
+    read: Optional[BufferRead] = None
     #: dependence_distance per parameter binding (the relation never
     #: changes, so neither does its distance).
     _distances: Dict[Tuple, Optional[Tuple[int, ...]]] = field(
@@ -136,8 +138,8 @@ class _AccessTables:
     def __init__(self, comps, form=resolve):
         self.writes: Dict[str, Optional[Map]] = {}
         self.write_revs: Dict[str, Optional[Map]] = {}
-        self.reads: Dict[str, List[Tuple[object, Map]]] = {}
-        self.read_revs: Dict[str, List[Tuple[object, Map]]] = {}
+        self.reads: Dict[str, List[Tuple[BufferRead, Map]]] = {}
+        self.read_revs: Dict[str, List[Tuple[BufferRead, Map]]] = {}
         held = [(c, form(c)) for c in comps]
         for c, f in held:
             w = write_map(c, f)
@@ -146,10 +148,10 @@ class _AccessTables:
         written = {id(c.get_buffer()) for c in comps
                    if self.writes[c.name] is not None}
         for c, f in held:
-            r = [(read.buffer, access_map(c, read)) for read in f.reads
+            r = [(read, access_map(c, read)) for read in f.reads
                  if id(read.buffer) in written]
             self.reads[c.name] = r
-            self.read_revs[c.name] = [(buf, m.reverse()) for buf, m in r]
+            self.read_revs[c.name] = [(read, m.reverse()) for read, m in r]
 
 
 def _compute_dependences(fn, form=resolve) -> List[Dependence]:
@@ -166,7 +168,7 @@ def _compute_dependences(fn, form=resolve) -> List[Dependence]:
                 continue
             for kind in ("flow", "anti", "output"):
                 rel = _pair_dependence(a, b, kind, acc)
-                for buffer, m in rel:
+                for buffer, m, read in rel:
                     if a is b:
                         key = (tuple(a.var_names), a.name, m.space.params)
                         lex = lex_cache.get(key)
@@ -177,34 +179,35 @@ def _compute_dependences(fn, form=resolve) -> List[Dependence]:
                         m = m.intersect(lex)
                     m = m.coalesce()     # keeps the non-empty pieces
                     if m.pieces:
-                        deps.append(Dependence(kind, a, b, buffer, m))
+                        deps.append(Dependence(kind, a, b, buffer, m, read))
     return deps
 
 
 def _pair_dependence(a, b, kind, acc: _AccessTables
-                     ) -> List[Tuple[object, Map]]:
-    """Dependence relations a -> b of the given kind (a not after b)."""
-    out: List[Tuple[object, Map]] = []
+                     ) -> List[Tuple[object, Map, Optional[BufferRead]]]:
+    """Dependence relations a -> b of the given kind (a not after b),
+    each with its buffer and the read it is through."""
+    out: List[Tuple[object, Map, Optional[BufferRead]]] = []
     wa = acc.writes[a.name]
     if kind == "flow":
         if wa is None:
             return out
-        for buf, rm_rev in acc.read_revs[b.name]:
-            if buf is a.get_buffer():
-                out.append((buf, wa.apply_range(rm_rev)))
+        for read, rm_rev in acc.read_revs[b.name]:
+            if read.buffer is a.get_buffer():
+                out.append((read.buffer, wa.apply_range(rm_rev), read))
     elif kind == "anti":
         wb_rev = acc.write_revs[b.name]
         if wb_rev is None:
             return out
-        for buf, rm in acc.reads[a.name]:
-            if buf is b.get_buffer():
-                out.append((buf, rm.apply_range(wb_rev)))
+        for read, rm in acc.reads[a.name]:
+            if read.buffer is b.get_buffer():
+                out.append((read.buffer, rm.apply_range(wb_rev), read))
     elif kind == "output":
         wb_rev = acc.write_revs[b.name]
         if wa is None or wb_rev is None:
             return out
         if a.get_buffer() is b.get_buffer():
-            out.append((a.get_buffer(), wa.apply_range(wb_rev)))
+            out.append((a.get_buffer(), wa.apply_range(wb_rev), None))
     return out
 
 

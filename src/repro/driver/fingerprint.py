@@ -171,16 +171,16 @@ class Fingerprint:
         return self
 
     def holds(self) -> bool:
-        """Whether the kept function still fingerprints to ``digest``.
-        Computations whose inputs match their snapshot keep their
-        tokens; the others are re-printed, and kept when the digest
-        still matches."""
+        """Whether the function still fingerprints to ``digest``.
+        Computations whose inputs match their snapshot keep their tokens;
+        the others (all, if never kept) are re-printed, and kept when the
+        digest still matches."""
         head, comps = _head(self.fn), self.fn.computations
         changed = head != self.head or len(comps) != len(self.rows)
         rows = []
         for k, comp in enumerate(comps):
             row = self.rows[k] if k < len(self.rows) else None
-            if row is not None and row[0] is comp:
+            if row is not None and len(row) > 2 and row[0] is comp:
                 now = _inputs(comp, row[2])
                 if len(now) == len(row[3]) and all(map(is_, now, row[3])):
                     rows.append(row)

@@ -353,6 +353,78 @@ class TestLaneLowering:
         assert np.array_equal(f.compile("c")(inp=data)["c"],
                               data[:, :trips] * np.float32(2.0))
 
+    @pytest.mark.parametrize("name", ["conv2D", "gaussian", "blur"])
+    def test_the_channel_loop_runs_inside_the_simd_loop(self, name):
+        """Unroll-and-jam: each lane runs the three channels (its stores
+        side by side, not at stride 3), as a loop gcc unrolls; the
+        border keeps its clamps, inside a channel loop of its own."""
+        import re
+        source = emit_c_source(hand_scheduled(name).function)
+        loops = list(_simd_loops(source))
+        assert loops
+        for __, ___, body in loops:
+            head = body.strip().split("\n")[:2]
+            assert head[0] == "#pragma GCC unroll 3", (name, body)
+            assert re.match(r"for \(int64_t (t\d) = 0; \1 <= 2; \1\+\+\)",
+                            head[1].strip()), (name, head)
+        for border in source.split("/* border of (")[1:]:
+            channel, lanes = border.split("\n")[1:3]
+            assert "<= 2;" in channel and "<= M - 1;" in lanes
+            assert "iclamp(" in border and "continue; }" in border
+
+    def test_a_channel_loop_that_carries_a_dependence_is_not_jammed(self):
+        def build():
+            f = Function("f")
+            with f:
+                x = Input("x", [Var("y", 0, 64)])
+                c, j = Var("c", 1, 4), Var("j", 0, 64)
+                a = Computation("a", [c, j], None)
+                a.set_expression(a(c - 1, j) + x(j))
+            a.vectorize("j", 8)
+            return f
+        source = emit_c_source(build())
+        assert "#pragma omp simd" in source
+        assert "#pragma GCC unroll" not in source
+        data = np.random.default_rng(0).random(64).astype(np.float32)
+        got, want = (build().compile(t, check_legality=True)(x=data)["a"]
+                     for t in ("c", "cpu"))
+        assert np.array_equal(got, want) and want[1:].any()
+
+    def test_a_vector_loop_whose_bounds_move_with_it_is_not_jammed(self):
+        def build():
+            f = Function("f")
+            with f:
+                inp = Input("inp", [Var("x", 0, 3), Var("y", 0, 64)])
+                c = Var("c", 0, 3)
+                out = Computation("out", [c, Var("j", c, 64)],
+                                  inp(c, c) * 2.0)
+            out.vectorize("j", 8)
+            return f
+        source = emit_c_source(build())
+        assert "#pragma omp simd" in source
+        assert "#pragma GCC unroll" not in source
+        data = np.random.default_rng(0).random((3, 64)).astype(np.float32)
+        got, want = (build().compile(t)(inp=data)["out"]
+                     for t in ("c", "cpu"))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["conv2D", "gaussian"])
+    def test_a_jammed_interior_of_no_lane_or_one(self, name):
+        """``M`` of 1 to 3: conv2D's interior ``1 .. M - 2`` and
+        gaussian's ``2 .. M - 3`` are empty or one lane wide."""
+        kernels = {t: hand_scheduled(name).function.compile(
+            t, cache=False, check_legality=True, **o)
+            for t, o in (("c", {}), ("cpu", {"parallel": False}))}
+        bundle = hand_scheduled(name)
+        for m in (1, 2, 3):
+            params = {"N": 5, "M": m}
+            inputs = bundle.make_inputs(params, np.random.default_rng(m))
+            got, want = (kernels[t](**{k: v.copy() for k, v in
+                                       inputs.items()}, **params)
+                         for t in ("c", "cpu"))
+            for out in want:
+                assert np.array_equal(got[out], want[out]), (m, out)
+
     @pytest.mark.parametrize("name", ["warpAffine", "edgeDetector"])
     def test_what_cannot_be_split_is_not(self, name):
         """Non-affine clamp arguments, and no clamp at all: one ``for``

@@ -49,8 +49,12 @@ SOURCE_BYTES_CEILING = 22119
 #: loop under a clamp was split: conv2D, gaussian and spmv print their
 #: statement twice (interior and border, +3452), static strides take
 #: 2794 off the other fourteen.  39521 before blur's bx became one
-#: piece (-1555, its statement once instead of three times).
-C_SOURCE_BYTES_CEILING = 37966
+#: piece (-1555, its statement once instead of three times).  37966
+#: before a channel loop was jammed into the ``simd`` loop (conv2D,
+#: gaussian and blur: one more loop header and pragma each, +3 lines)
+#: and a clamp-free interior kept only the tightest of its bounds that
+#: differ by a constant (``imax(imax(0, 1), -1)`` is ``1``).
+C_SOURCE_BYTES_CEILING = 37766
 
 #: Builders whose weak operands really are ``float64`` under the type
 #: rule (``0.1 * i`` in warpAffine's coordinates, ``1.0 * (x + r)``).

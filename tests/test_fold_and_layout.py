@@ -178,6 +178,40 @@ class TestCastOfConstant:
         assert got.tobytes() == want.tobytes()
 
 
+class TestCastOfIterator:
+    """``cast(int8, i + 300)``: a Python int out of the type's range in
+    the scalar loop (NumPy 2 refuses it), an index array in a slab; both
+    wrap as C does, on every target."""
+
+    @pytest.mark.parametrize("vector", [False, True], ids=["loop", "slab"])
+    def test_bits_match_on_every_target(self, vector, monkeypatch):
+        from repro import Input
+        from repro.backends.c import have_c_compiler
+        monkeypatch.setattr("repro.backends.parallel.THREAD_FLOOR_BYTES", 0)
+
+        def build():
+            f = Function("cast_iter")
+            with f:
+                i, j = Var("i", 0, 4), Var("j", 0, 8)
+                a = Input("a", [i, j], dtype=T.int64)
+                c = Computation("out", [i, j], a(i, j) + Cast(
+                    T.int8, i * 8 + j + 300), dtype=T.int64)
+            c.parallelize("i")
+            if vector:
+                c.vectorize("j", 8)
+            return f
+        data = np.arange(32, dtype=np.int64).reshape(4, 8) * 3
+        want = data + (np.arange(32).reshape(4, 8) + 300).astype(np.int8)
+        legs = [("cpu", {"parallel": False}), ("cpu", {"num_threads": 2})]
+        if have_c_compiler():
+            legs.append(("c", {}))
+        for target, opts in legs:
+            got = build().compile(target, cache=False, **opts)(
+                a=data.copy())["out"]
+            assert got.dtype == want.dtype, (target, opts)
+            assert got.tobytes() == want.tobytes(), (target, opts)
+
+
 class TestFoldedBackendsAgree:
     def test_python_and_c_agree_on_folded_kernel(self):
         from repro.backends.c import have_c_compiler

@@ -216,3 +216,99 @@ class TestAccessHelpers:
         accs = accesses_in(b.expr)
         assert len(accs) == 3
         assert all(acc.computation is a for acc in accs)
+
+
+class TestUnfilledBuffers:
+    """On ``c``, a buffer the call allocates is ``np.empty`` only when
+    nothing can see an element before a statement stores it
+    (:func:`repro.backends.common.unfilled_buffers`); every other one is
+    ``np.zeros``, as on ``cpu``."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_gcc(self):
+        from repro.backends.c import have_c_compiler
+        if not have_c_compiler():
+            pytest.skip("no C compiler")
+
+    @pytest.fixture
+    def fills(self, monkeypatch):
+        """``{buffer name: fill}`` of every allocation a call makes."""
+        seen = {}
+        allocate = Buffer.allocate
+
+        def spy(buf, param_values, fill=True):
+            seen[buf.name] = fill
+            return allocate(buf, param_values, fill)
+        monkeypatch.setattr(Buffer, "allocate", spy)
+        return seen
+
+    @staticmethod
+    def _chain():
+        """``tmp(i) = 2 a(i)``, ``out(i) = tmp(i) + 1``: tmp is read,
+        out is not."""
+        from repro import Computation, Function, Input
+        f = Function("chain")
+        with f:
+            i = Var("i", 0, 16)
+            a = Input("a", [i])
+            tmp = Computation("tmp", [i], a(i) * 2.0)
+            Computation("out", [i], tmp(i) + 1.0)
+        return f
+
+    @pytest.mark.parametrize("target", ["cpu", "c"])
+    def test_a_partly_written_output_keeps_its_zeros(self, target, fills):
+        from repro import Computation, Function
+        f = Function("part")
+        with f:
+            c = Computation("c", [Var("i", 0, 8)], 3.0)
+        c.store_in(Buffer("out", [16], kind=ArgKind.OUTPUT), [c.vars[0]])
+        out = f.compile(target, check_legality=True)()["out"]
+        assert fills == {"out": True}
+        assert out.tolist() == [3.0] * 8 + [0.0] * 8
+
+    @pytest.mark.parametrize("target", ["cpu", "c"])
+    def test_a_reduction_with_no_init_keeps_its_zeros(self, target, fills):
+        """``r(i, k) = r(i, k - 1) + a(i, k)`` into ``out[i]``: at
+        ``k = 0`` it reads an element nothing stored."""
+        from repro import Computation, Function, Input
+        f = Function("acc")
+        with f:
+            i, k = Var("i", 0, 8), Var("k", 0, 4)
+            a = Input("a", [i, k])
+            r = Computation("r", [i, k], None)
+            r.set_expression(r(i, k - 1) + a(i, k))
+        r.store_in(Buffer("out", [8], kind=ArgKind.OUTPUT), [i])
+        data = np.arange(32, dtype=np.float32).reshape(8, 4)
+        out = f.compile(target, check_legality=True)(a=data)["out"]
+        assert fills == {"out": True}
+        assert np.array_equal(out, data.sum(axis=1))
+
+    def test_a_read_buffer_needs_the_legality_check(self, fills):
+        data = np.arange(16, dtype=np.float32)
+        for legal, tmp_fill in ((False, True), (True, False)):
+            fills.clear()
+            out = self._chain().compile("c", check_legality=legal)(a=data)
+            assert fills == {"_tmp_b": tmp_fill, "out": False}
+            assert np.array_equal(out["out"], data * 2 + 1)
+
+    def test_a_function_rescheduled_after_its_compile_is_filled(self, fills):
+        f = self._chain()
+        kernel = f.compile("c", check_legality=True, cache=False)
+        f.find("out").vectorize("i", 8)
+        data = np.arange(16, dtype=np.float32)
+        assert np.array_equal(kernel(a=data)["out"], data * 2 + 1)
+        assert fills == {"_tmp_b": True, "out": True}
+
+    @pytest.mark.parametrize("name,buffer", [("cvtColor", "gray"),
+                                             ("edgeDetector", "_ring_b")])
+    def test_a_buffer_stored_before_it_is_read_is_not_filled(
+            self, name, buffer, fills):
+        from repro.evaluation.fig6 import BUILDERS
+        from repro.evaluation.schedules import tiramisu_cpu
+        bundle = BUILDERS[name]()
+        tiramisu_cpu(bundle)
+        params = dict(bundle.test_params)
+        inputs = bundle.make_inputs(params, np.random.default_rng(0))
+        kernel = bundle.function.compile("c", check_legality=True)
+        kernel(**{k: v.copy() for k, v in inputs.items()}, **params)
+        assert fills[buffer] is False
