@@ -556,21 +556,20 @@ class NativeKernel:
 
     def unfilled(self) -> frozenset:
         """The buffers a call allocates without zero-filling them, worked
-        out once, from the function as it was compiled: none if it has
-        been changed since."""
-        with self._lock:
-            if self._unfilled is None:
-                prints, legal = self._compiled
-                self._unfilled = frozenset() \
-                    if prints is None or not prints.holds() \
-                    else unfilled_buffers(self.fn, self.buffers, legal)
+        out at the first call, from the function as it was compiled:
+        none if it has been changed since."""
+        if self._unfilled is None:
+            with self._lock:
+                if self._unfilled is None:
+                    prints, legal = self._compiled
+                    self._unfilled = frozenset() \
+                        if prints is None or not prints.holds() \
+                        else unfilled_buffers(self.fn, self.buffers, legal)
         return self._unfilled
 
     def __call__(self, **kwargs):
         params, arrays, outputs = bind_arguments(
-            self.buffers, self.param_names, kwargs,
-            self._unfilled if self._unfilled is not None
-            else self.unfilled())
+            self.buffers, self.param_names, kwargs, self.unfilled())
         sizes, shapes = self._shapes
         if sizes != params:
             shapes = [buf.concrete_shape(params) for buf in self.buffers]

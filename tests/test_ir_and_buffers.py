@@ -268,8 +268,9 @@ class TestUnfilledBuffers:
 
     @pytest.mark.parametrize("target", ["cpu", "c"])
     def test_a_reduction_with_no_init_keeps_its_zeros(self, target, fills):
-        """``r(i, k) = r(i, k - 1) + a(i, k)`` into ``out[i]``: at
-        ``k = 0`` it reads an element nothing stored."""
+        """``r(i, k) = r(i, k - 1) + a(i, k)`` into ``acc[i]``: at ``k =
+        0`` it reads an element nothing stored.  ``out(i) = r(i, 3)``
+        stores all of ``out`` and nothing reads it."""
         from repro import Computation, Function, Input
         f = Function("acc")
         with f:
@@ -277,10 +278,11 @@ class TestUnfilledBuffers:
             a = Input("a", [i, k])
             r = Computation("r", [i, k], None)
             r.set_expression(r(i, k - 1) + a(i, k))
-        r.store_in(Buffer("out", [8], kind=ArgKind.OUTPUT), [i])
+            Computation("out", [i], r(i, 3) * 1.0)
+        r.store_in(Buffer("acc", [8]), [i])
         data = np.arange(32, dtype=np.float32).reshape(8, 4)
         out = f.compile(target, check_legality=True)(a=data)["out"]
-        assert fills == {"out": True}
+        assert fills == {"acc": True, "out": target == "cpu"}
         assert np.array_equal(out, data.sum(axis=1))
 
     def test_a_read_buffer_needs_the_legality_check(self, fills):
@@ -312,3 +314,44 @@ class TestUnfilledBuffers:
         kernel = bundle.function.compile("c", check_legality=True)
         kernel(**{k: v.copy() for k, v in inputs.items()}, **params)
         assert fills[buffer] is False
+
+    def test_threads_meeting_the_first_call_prove_once(self, monkeypatch):
+        """Six threads make a fresh kernel's first call together, with
+        the interpreter switching threads every few bytecodes and the
+        proof yielding to them: one proof (under the kernel's lock), the
+        same buffers for all, right results."""
+        import sys
+        import threading
+        import time
+        from repro.backends import c as native
+        proofs = []
+        prove = native.unfilled_buffers
+
+        def counted(*args):
+            proofs.append(1)
+            time.sleep(0.01)
+            return prove(*args)
+        monkeypatch.setattr(native, "unfilled_buffers", counted)
+        kernel = self._chain().compile("c", check_legality=True,
+                                       cache=False)
+        data = np.arange(16, dtype=np.float32)
+        together = threading.Barrier(6)
+        got = []
+
+        def call():
+            together.wait(timeout=60)
+            got.append(kernel(a=data)["out"])
+        threads = [threading.Thread(target=call) for __ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert proofs == [1] and kernel.unfilled() == {"_tmp_b", "out"}
+        assert len(got) == 6
+        assert all(np.array_equal(out, data * 2 + 1) for out in got)
